@@ -8,6 +8,7 @@ from .charts import (
     anticommute_project,
     cayley_to_acs,
     chart_transition,
+    check_chart_domain,
     exp_chart,
     pullback,
     pushforward,
@@ -51,8 +52,10 @@ from .structures import (
     associated_metric,
     load_bundle,
     orientation_marker,
+    point_classes,
     random_sample_space,
     random_tangent_field,
+    same_space,
     save_bundle,
     standard_acs_field,
     standard_symplectic_field,
@@ -74,8 +77,11 @@ from .verify import (
     check_theorem1,
     check_theorem2,
     check_totally_geodesic,
+    derive_rng,
     fd_directional,
+    geodesic_equation_residual,
     report_document,
+    run_check,
     run_suite,
 )
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AnticommutationViolation, DimensionMismatch
+from .errors import AnticommutationViolation, DimensionMismatch, SingularOperator
 from .fiber import (
     DEFAULT_COND_CAP,
     FiberMetric,
@@ -42,41 +42,53 @@ def standard_acs(dim: int) -> np.ndarray:
     return j
 
 
+def _like_base(a, base: np.ndarray, what: str) -> np.ndarray:
+    """``a`` as a fiber matrix, required to have the shape of ``base``."""
+    m = as_fiber_matrix(a)
+    if m.shape != base.shape:
+        raise DimensionMismatch(
+            f"{what} shape {m.shape} does not match base shape {base.shape}")
+    return m
+
+
 def anticommute_project(b, j0) -> np.ndarray:
     """Project onto the subspace anticommuting with j0: (b + j0 b j0)/2."""
-    m = as_fiber_matrix(b)
     j = as_fiber_matrix(j0)
-    if m.shape != j.shape:
-        raise DimensionMismatch(f"shape {m.shape} does not match base {j.shape}")
+    m = _like_base(b, j, "matrix")
     return 0.5 * (m + j @ m @ j)
+
+
+def check_chart_domain(j0: np.ndarray, k: np.ndarray) -> None:
+    """Raise unless K is a valid rational-chart coordinate at the base J0:
+    J0^2 = -1, K anticommutes with J0, and 1 - K is invertible with
+    condition number at most DEFAULT_COND_CAP.  Takes single matrices or
+    (points, n, n) stacks and checks every point."""
+    eye = np.eye(j0.shape[-1])
+    if max_abs(j0 @ j0 + eye) > COORD_TOL:
+        raise ValueError("base does not square to -identity")
+    if max_abs(k @ j0 + j0 @ k) > COORD_TOL:
+        raise AnticommutationViolation(
+            "coordinate does not anticommute with the base structure")
+    cond = np.linalg.cond(eye - k)
+    if not (np.isfinite(cond) & (cond <= DEFAULT_COND_CAP)).all():
+        raise SingularOperator(f"condition estimate {np.max(cond):.6e} of 1 - K "
+                               f"exceeds cap {DEFAULT_COND_CAP:.6e}")
 
 
 @dataclass(frozen=True)
 class CayleyCoordinate:
     """A point of the rational chart: base structure plus coordinate K.
 
-    Valid coordinates anticommute with the base and keep 1 - K invertible
-    (the chart domain).  Both conditions are checked at construction, as is
-    the base identity J0^2 = -1.
+    Construction checks the chart domain with :func:`check_chart_domain`.
     """
 
     base: np.ndarray
     K: np.ndarray
-    cond_cap: float = DEFAULT_COND_CAP
 
     def __post_init__(self):
         j0 = as_fiber_matrix(self.base)
-        k = as_fiber_matrix(self.K)
-        if j0.shape != k.shape:
-            raise DimensionMismatch(
-                f"coordinate shape {k.shape} does not match base shape {j0.shape}")
-        if max_abs(j0 @ j0 + np.eye(j0.shape[0])) > COORD_TOL:
-            raise ValueError("base matrix does not square to -identity")
-        if max_abs(k @ j0 + j0 @ k) > COORD_TOL:
-            raise AnticommutationViolation(
-                "coordinate does not anticommute with the base structure")
-        # raises SingularOperator when 1 - K leaves the chart domain
-        mat_inv_guarded(np.eye(k.shape[0]) - k, self.cond_cap)
+        k = _like_base(self.K, j0, "coordinate")
+        check_chart_domain(j0, k)
         object.__setattr__(self, "base", j0)
         object.__setattr__(self, "K", k)
 
@@ -88,9 +100,7 @@ class CayleyCoordinate:
 def exp_chart(j0, k, tol: float = 1e-8) -> np.ndarray:
     """J0 exp(K) for K anticommuting with J0."""
     j = as_fiber_matrix(j0)
-    m = as_fiber_matrix(k)
-    if j.shape != m.shape:
-        raise DimensionMismatch(f"shape {m.shape} does not match base {j.shape}")
+    m = _like_base(k, j, "exp chart argument")
     if max_abs(m @ j + j @ m) > tol:
         raise AnticommutationViolation(
             "exp chart argument does not anticommute with the base")
@@ -100,24 +110,21 @@ def exp_chart(j0, k, tol: float = 1e-8) -> np.ndarray:
 def cayley_to_acs(coord: CayleyCoordinate) -> np.ndarray:
     """J0 (1 + K)(1 - K)^{-1}, the rational chart at coord.base."""
     eye = np.eye(coord.dim)
-    return coord.base @ (eye + coord.K) @ mat_inv_guarded(eye - coord.K, coord.cond_cap)
+    return coord.base @ (eye + coord.K) @ mat_inv_guarded(eye - coord.K)
 
 
-def acs_to_cayley(j0, j, cond_cap: float = DEFAULT_COND_CAP) -> CayleyCoordinate:
+def acs_to_cayley(j0, j) -> CayleyCoordinate:
     """Chart coordinate of j in the rational chart at j0.
 
     K = (1 - J J0)^{-1} (1 + J J0).  Raises SingularOperator when j lies
     outside the chart (1 - J J0 singular, e.g. j = -j0).
     """
     base = as_fiber_matrix(j0)
-    target = as_fiber_matrix(j)
-    if base.shape != target.shape:
-        raise DimensionMismatch(
-            f"structure shape {target.shape} does not match base {base.shape}")
+    target = _like_base(j, base, "structure")
     eye = np.eye(base.shape[0])
     jj0 = target @ base
-    k = mat_inv_guarded(eye - jj0, cond_cap) @ (eye + jj0)
-    return CayleyCoordinate(base, k, cond_cap)
+    k = mat_inv_guarded(eye - jj0) @ (eye + jj0)
+    return CayleyCoordinate(base, k)
 
 
 def chart_transition(coord: CayleyCoordinate, j1) -> np.ndarray:
@@ -126,14 +133,10 @@ def chart_transition(coord: CayleyCoordinate, j1) -> np.ndarray:
     With T = (1 - K)(1 + K)^{-1} J0 J1, the new coordinate is
     (1 - T)^{-1} (1 + T); it anticommutes with j1.
     """
-    new_base = as_fiber_matrix(j1)
-    if new_base.shape != coord.base.shape:
-        raise DimensionMismatch(
-            f"new base shape {new_base.shape} does not match {coord.base.shape}")
+    new_base = _like_base(j1, coord.base, "new base")
     eye = np.eye(coord.dim)
-    t = (eye - coord.K) @ mat_inv_guarded(eye + coord.K, coord.cond_cap) \
-        @ coord.base @ new_base
-    return mat_inv_guarded(eye - t, coord.cond_cap) @ (eye + t)
+    t = (eye - coord.K) @ mat_inv_guarded(eye + coord.K) @ coord.base @ new_base
+    return mat_inv_guarded(eye - t) @ (eye + t)
 
 
 def pushforward(coord: CayleyCoordinate, a) -> np.ndarray:
@@ -143,20 +146,14 @@ def pushforward(coord: CayleyCoordinate, a) -> np.ndarray:
     base) is carried to 2 J0 (1-K)^{-1} a (1-K)^{-1}, a tangent at the
     structure cayley_to_acs(coord).
     """
-    m = as_fiber_matrix(a)
-    if m.shape != coord.base.shape:
-        raise DimensionMismatch(
-            f"tangent shape {m.shape} does not match base {coord.base.shape}")
-    r = mat_inv_guarded(np.eye(coord.dim) - coord.K, coord.cond_cap)
+    m = _like_base(a, coord.base, "tangent")
+    r = mat_inv_guarded(np.eye(coord.dim) - coord.K)
     return 2.0 * coord.base @ r @ m @ r
 
 
 def pullback(coord: CayleyCoordinate, a_star) -> np.ndarray:
     """Inverse of :func:`pushforward`: -(1/2) (1-K) J0 a* (1-K)."""
-    m = as_fiber_matrix(a_star)
-    if m.shape != coord.base.shape:
-        raise DimensionMismatch(
-            f"tangent shape {m.shape} does not match base {coord.base.shape}")
+    m = _like_base(a_star, coord.base, "tangent")
     eye_k = np.eye(coord.dim) - coord.K
     return -0.5 * eye_k @ coord.base @ m @ eye_k
 

@@ -26,33 +26,35 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, GeometryError, IoError
-from .fiber import FiberMetric, g_adjoint, max_abs
-from .geometry import ChartField, geodesic_ambient, geodesic_chart, christoffel
+from .fiber import max_abs
+from .geometry import geodesic_ambient, geodesic_chart
 from .structures import (
+    FieldBundle,
     MetricField,
-    SampleSpace,
-    TangentField,
     load_bundle,
+    point_classes,
     random_sample_space,
     random_tangent_field,
     standard_acs_field,
     standard_symplectic_field,
     sym_antisym_split,
+    validate_acs,
     validate_associated,
     validate_orthogonal,
 )
 from .verify import (
     CHECK_NAMES,
     VerifyConfig,
-    _rng,
-    check_curvature_fd,
-    check_signature,
+    derive_rng,
+    geodesic_equation_residual,
     report_document,
+    run_check,
     run_suite,
 )
 
 OUT_DIR_ENV = "ACSGEOM_OUT_DIR"
-COMMANDS = ("verify", "geodesic", "curvature", "project", "signature")
+# the single-check commands and the checker each runs; they take no --in
+SINGLE_CHECKS = {"curvature": "curvature_fd", "signature": "signature"}
 CONFIG_KEYS = ("dim", "points", "seed", "t_max", "t_steps", "h",
                "tolerances", "input", "output", "format")
 
@@ -61,35 +63,34 @@ CONFIG_KEYS = ("dim", "points", "seed", "t_max", "t_steps", "h",
 class RunConfig:
     command: str
     dim: int = 4
-    points: int = 8
-    seed: int = 0
-    t_max: float = 2.0
-    t_steps: int = 9
-    h: float = 1e-4
+    points: int = VerifyConfig.points
+    seed: int = VerifyConfig.seed
+    t_max: float = VerifyConfig.t_max
+    t_steps: int = VerifyConfig.t_steps
+    h: float = VerifyConfig.h
     tolerances: dict = field(default_factory=dict)
     input_path: str | None = None
     output_path: str | None = None
     format: str = "report"
 
     def validate(self) -> None:
+        """Check the settings only the command line has, then every shared
+        one through :meth:`VerifyConfig.validate`."""
         if self.command not in COMMANDS:
             raise ConfigError(f"unknown command {self.command!r}")
-        for name, value, least in (("dim", self.dim, 2), ("points", self.points, 1),
-                                   ("seed", self.seed, 0), ("t_steps", self.t_steps, 1)):
-            if isinstance(value, bool) or not isinstance(value, int) or value < least:
-                raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
-        if self.dim % 2:
-            raise ConfigError(f"dim must be even, got {self.dim}")
-        for name, value in (("t_max", self.t_max), ("h", self.h)):
-            if isinstance(value, bool) or not isinstance(value, (int, float)) or not value > 0:
-                raise ConfigError(f"{name} must be a positive number, got {value!r}")
         if self.format not in ("report", "csv"):
             raise ConfigError(f"format must be 'report' or 'csv', got {self.format!r}")
-        for name, tol in self.tolerances.items():
-            if name not in CHECK_NAMES:
-                raise ConfigError(f"unknown tolerance override {name!r}")
-            if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not tol > 0:
-                raise ConfigError(f"tolerance override {name!r} must be positive")
+        if not isinstance(self.dim, int) or self.dim < 2 or self.dim % 2:
+            raise ConfigError(f"dim must be an even integer >= 2, got {self.dim!r}")
+        if self.command in SINGLE_CHECKS and self.input_path:
+            raise ConfigError(f"{self.command} does not read an input bundle (--in)")
+        self.verify_config().validate()
+
+    def verify_config(self, bundle: FieldBundle | None = None) -> VerifyConfig:
+        return VerifyConfig(seed=self.seed, dims=(self.dim,), fd_dims=(self.dim,),
+                            points=self.points, h=self.h, t_max=self.t_max,
+                            t_steps=self.t_steps, tolerances=self.tolerances,
+                            bundle=bundle)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -124,17 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="acsgeom",
         description="numerical geometry of the space of almost complex structures")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("verify", parents=[common],
-                   help="run the full verification suite")
-    sub.add_parser("geodesic", parents=[common],
-                   help="trace a geodesic and its validators")
-    sub.add_parser("curvature", parents=[common],
-                   help="finite-difference curvature check")
-    sub.add_parser("project", parents=[common],
-                   help="split an input tangent field into symmetric and "
-                        "antisymmetric parts")
-    sub.add_parser("signature", parents=[common],
-                   help="signature of the metric at the chart origin")
+    for name, (help_text, _) in COMMANDS.items():
+        sub.add_parser(name, parents=[common], help=help_text)
     return parser
 
 
@@ -166,15 +158,10 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             return flag_value
         return filed.get(key, default)
 
-    cfg.dim = pick(args.dim, "dim", cfg.dim)
-    cfg.points = pick(args.points, "points", cfg.points)
-    cfg.seed = pick(args.seed, "seed", cfg.seed)
-    cfg.t_max = pick(args.t_max, "t_max", cfg.t_max)
-    cfg.t_steps = pick(args.t_steps, "t_steps", cfg.t_steps)
-    cfg.h = pick(args.h, "h", cfg.h)
+    for key in ("dim", "points", "seed", "t_max", "t_steps", "h", "format"):
+        setattr(cfg, key, pick(getattr(args, key), key, getattr(cfg, key)))
     cfg.input_path = pick(args.input_path, "input", None)
     cfg.output_path = pick(args.output_path, "output", None)
-    cfg.format = pick(args.format, "format", cfg.format)
     tolerances = dict(filed.get("tolerances", {}))
     for name in CHECK_NAMES:
         value = getattr(args, f"tol_{name}")
@@ -243,40 +230,21 @@ def _emit_reports(cfg: RunConfig, reports, vconf: VerifyConfig) -> int:
     return 0 if doc["passed"] else 1
 
 
-def _verify_config(cfg: RunConfig) -> VerifyConfig:
-    bundle = load_bundle(cfg.input_path) if cfg.input_path else None
-    return VerifyConfig(seed=cfg.seed, dims=(cfg.dim,), fd_dims=(cfg.dim,),
-                        points=cfg.points, h=cfg.h, t_max=cfg.t_max,
-                        t_steps=cfg.t_steps, tolerances=cfg.tolerances,
-                        bundle=bundle)
-
-
 def cmd_verify(cfg: RunConfig) -> int:
-    vconf = _verify_config(cfg)
+    bundle = load_bundle(cfg.input_path) if cfg.input_path else None
+    vconf = cfg.verify_config(bundle)
     return _emit_reports(cfg, run_suite(vconf), vconf)
 
 
-def cmd_curvature(cfg: RunConfig) -> int:
-    vconf = _verify_config(cfg)
-    report = check_curvature_fd(cfg.seed, (cfg.dim,), points=cfg.points, h=cfg.h,
-                                tolerance=cfg.tolerances.get("curvature_fd", 1e-5))
-    return _emit_reports(cfg, [report], vconf)
-
-
-def cmd_signature(cfg: RunConfig) -> int:
-    vconf = _verify_config(cfg)
-    report = check_signature(cfg.seed, (cfg.dim,), cfg.points,
-                             threshold=cfg.tolerances.get("signature", 1e-10))
-    return _emit_reports(cfg, [report], vconf)
-
-
-def _metric_field(space: SampleSpace) -> MetricField:
-    return MetricField(space, np.array(space.metrics, copy=True))
+def cmd_single_check(cfg: RunConfig) -> int:
+    vconf = cfg.verify_config()
+    return _emit_reports(cfg, [run_check(vconf, SINGLE_CHECKS[cfg.command])], vconf)
 
 
 def cmd_geodesic(cfg: RunConfig) -> int:
     """Trace t, max|K(t)|, structure residual, geodesic-equation residual
-    and the associated/orthogonal validator flags over the grid."""
+    and the associated/orthogonal validator flags over the grid.  Exits 1
+    when a traced value is not finite."""
     if cfg.input_path:
         bundle = load_bundle(cfg.input_path)
         if bundle.J is None or bundle.K is None:
@@ -284,44 +252,35 @@ def cmd_geodesic(cfg: RunConfig) -> int:
         space, j0f, a = bundle.space, bundle.J, bundle.K
         wf = bundle.W if bundle.W is not None else standard_symplectic_field(space)
     else:
-        rng = _rng(cfg.seed, "cli_geodesic", cfg.dim)
+        rng = derive_rng(cfg.seed, "cli_geodesic", cfg.dim)
         space = random_sample_space(rng, cfg.dim, cfg.points)
         j0f = standard_acs_field(space)
         a = random_tangent_field(rng, j0f)
         wf = standard_symplectic_field(space)
-    gf = _metric_field(space)
-    eye = np.eye(space.dim)
+    gf = MetricField(space, space.metrics)
 
     rows = []
     for t in np.linspace(0.0, cfg.t_max, cfg.t_steps):
         t = float(t)
         jt = geodesic_ambient(j0f, a, t)
-        kt = geodesic_chart(a, t)
-        acs_res = max(max_abs(jt.ops[i] @ jt.ops[i] + eye)
-                      for i in range(space.npoints))
-        kp = geodesic_chart(a, t + cfg.h)
-        km = geodesic_chart(a, t - cfg.h)
-        kdot = TangentField(space, j0f, (kp.ops - km.ops) / (2.0 * cfg.h), 1e-9)
-        kdd = (kp.ops - 2.0 * kt.ops + km.ops) / cfg.h**2
-        gamma = christoffel(ChartField(space, j0f, kt), kdot, kdot)
-        ode_res = max_abs(kdd + gamma.ops)
         assoc = validate_associated(jt, wf).passed
         orth = validate_orthogonal(jt, gf, j0f).passed
-        rows.append([t, max_abs(kt.ops), acs_res, ode_res,
-                     "1" if assoc else "0", "1" if orth else "0"])
+        rows.append([t, max_abs(geodesic_chart(a, t).ops), validate_acs(jt).max_residual,
+                     geodesic_equation_residual(a, t, cfg.h), int(assoc), int(orth)])
     header = ["t", "k_max", "acs_residual", "geodesic_residual",
               "associated", "orthogonal"]
     if cfg.format == "csv":
         text = _csv(header, rows)
     else:
-        doc = {"command": "geodesic", "columns": header,
-               "rows": [[float(r[0]), float(r[1]), float(r[2]), float(r[3]),
-                         int(r[4]), int(r[5])] for r in rows],
+        doc = {"command": "geodesic", "columns": header, "rows": rows,
                "seed": cfg.seed, "dim": space.dim, "points": space.npoints,
                "h": cfg.h, "t_max": cfg.t_max, "t_steps": cfg.t_steps,
                "input": cfg.input_path}
         text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     _write_text(cfg, text)
+    if not np.isfinite([r[:4] for r in rows]).all():
+        print("error: the geodesic trace holds a non-finite value", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -334,34 +293,31 @@ def cmd_project(cfg: RunConfig) -> int:
     if bundle.J is None or bundle.K is None:
         raise ConfigError("project needs an input bundle with J and K fields")
     space, k = bundle.space, bundle.K
-    gf = _metric_field(space)
+    gf = MetricField(space, space.metrics)
     p, l = sym_antisym_split(k, gf)
-    rows = []
-    for i in range(space.npoints):
-        sharp = g_adjoint(k.ops[i], FiberMetric(gf.metrics[i]))
-        rs = max_abs(k.ops[i] - sharp)
-        ra = max_abs(k.ops[i] + sharp)
-        label = "symmetric" if rs <= 1e-10 else (
-            "antisymmetric" if ra <= 1e-10 else "mixed")
-        rows.append([str(space.point_ids[i]), max_abs(p.ops[i]),
-                     max_abs(l.ops[i]), label])
+    header = ["id", "p_norm", "l_norm", "class"]
+    rows = list(zip(map(str, space.point_ids),
+                    np.max(np.abs(p.ops), axis=(1, 2)).tolist(),
+                    np.max(np.abs(l.ops), axis=(1, 2)).tolist(),
+                    point_classes(k, gf)))
     if cfg.format == "csv":
-        text = _csv(["id", "p_norm", "l_norm", "class"], rows)
+        text = _csv(header, rows)
     else:
         doc = {"command": "project", "input": cfg.input_path,
-               "points": [{"id": r[0], "p_norm": float(r[1]),
-                           "l_norm": float(r[2]), "class": r[3]} for r in rows]}
+               "points": [dict(zip(header, r)) for r in rows]}
         text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     _write_text(cfg, text)
     return 0
 
 
-DISPATCH = {
-    "verify": cmd_verify,
-    "geodesic": cmd_geodesic,
-    "curvature": cmd_curvature,
-    "project": cmd_project,
-    "signature": cmd_signature,
+# subcommand -> (help text, handler)
+COMMANDS = {
+    "verify": ("run the full verification suite", cmd_verify),
+    "geodesic": ("trace a geodesic and its validators", cmd_geodesic),
+    "curvature": ("finite-difference curvature check", cmd_single_check),
+    "project": ("split an input tangent field into symmetric and antisymmetric parts",
+                cmd_project),
+    "signature": ("signature of the metric at the chart origin", cmd_single_check),
 }
 
 
@@ -373,7 +329,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         cfg = build_config(args)
-        return DISPATCH[cfg.command](cfg)
+        return COMMANDS[cfg.command][1](cfg)
     except GeometryError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

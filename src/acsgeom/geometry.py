@@ -12,91 +12,85 @@ results are reproducible bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .charts import CayleyCoordinate
-from .errors import DegeneratePlane, DimensionMismatch
-from .fiber import DEFAULT_COND_CAP, mat_inv_guarded, mat_tanh_half, mat_exp
-from .structures import AcsField, SampleSpace, TangentField
+from .charts import check_chart_domain
+from .errors import DegeneratePlane
+from .fiber import mat_inv_guarded, mat_tanh_half, mat_exp
+from .structures import AcsField, SampleSpace, TangentField, same_space
 
 
-def _same_space(*fields) -> None:
-    first = fields[0].space
-    for f in fields[1:]:
-        if f.space.dim != first.dim or f.space.npoints != first.npoints:
-            raise DimensionMismatch("fields live on different sample spaces")
-
-
-@dataclass
+@dataclass(frozen=True)
 class ChartField:
     """A point of the field-level rational chart: base structure field plus
-    a coordinate field K (valid per point, checked at construction)."""
+    a coordinate field K.
+
+    Construction checks the chart domain at every point at once with
+    :func:`check_chart_domain`, then computes the guarded resolvents
+    (1 - K^2)^{-1} that every chart functional reads.
+    """
 
     space: SampleSpace
     base: AcsField
     K: TangentField
-    cond_cap: float = DEFAULT_COND_CAP
+    _resolvents: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _same_space(self.base, self.K)
-        if self.base.space.dim != self.space.dim or self.base.space.npoints != self.space.npoints:
-            raise DimensionMismatch("chart fields live on different sample spaces")
-        for i in range(self.space.npoints):
-            CayleyCoordinate(self.base.ops[i], self.K.ops[i], self.cond_cap)
+        same_space(self, self.base, self.K)
+        check_chart_domain(self.base.ops, self.K.ops)
+        eye = np.eye(self.space.dim)
+        res = np.empty_like(self.K.ops)
+        for i, k in enumerate(self.K.ops):
+            res[i] = mat_inv_guarded(eye - k @ k)
+        res.flags.writeable = False
+        object.__setattr__(self, "_resolvents", res)
 
     def resolvents(self) -> np.ndarray:
-        """(1 - K^2)^{-1} per point, guarded."""
-        out = np.empty_like(self.K.ops)
-        eye = np.eye(self.space.dim)
-        for i in range(self.space.npoints):
-            k = self.K.ops[i]
-            out[i] = mat_inv_guarded(eye - k @ k, self.cond_cap)
-        return out
+        """(1 - K^2)^{-1} per point, guarded; computed once, read-only."""
+        return self._resolvents
 
 
-def chart_origin(j: AcsField, cond_cap: float = DEFAULT_COND_CAP) -> ChartField:
+def chart_origin(j: AcsField) -> ChartField:
     """The chart centered at j with coordinate zero."""
     zero = TangentField(j.space, j, np.zeros_like(j.ops))
-    return ChartField(j.space, j, zero, cond_cap)
+    return ChartField(j.space, j, zero)
 
 
 def shifted(c: ChartField, a: TangentField, h: float) -> ChartField:
     """The chart point with coordinate K + h a (used by difference stencils)."""
     moved = TangentField(c.space, c.base, c.K.ops + float(h) * a.ops, c.K.tol)
-    return ChartField(c.space, c.base, moved, c.cond_cap)
+    return ChartField(c.space, c.base, moved)
 
 
 # ---------------------------------------------------------------------------
 # ambient functionals (fields of structures and tangents, no chart)
 
+def _weighted_trace(space: SampleSpace, products: np.ndarray, scale: float = 1.0) -> float:
+    """sum of w_i * scale * tr(products_i), accumulated in point order."""
+    total = 0.0
+    for w, p in zip(space.weights, products):
+        total += float(w) * scale * float(np.trace(p))
+    return total
+
+
 def ambient_inner(j: AcsField, a: TangentField, b: TangentField) -> float:
     """(A, B) at J: sum of w_i tr(A_i B_i)."""
-    _same_space(j, a, b)
-    total = 0.0
-    for i in range(a.space.npoints):
-        total += float(a.space.weights[i]) * float(np.trace(a.ops[i] @ b.ops[i]))
-    return total
+    same_space(j, a, b)
+    return _weighted_trace(a.space, a.ops @ b.ops)
 
 
 def acs_on_tangent(a: TangentField, j: AcsField) -> TangentField:
     """The almost complex structure of the ambient space: A -> A J."""
-    _same_space(a, j)
-    stack = np.empty_like(a.ops)
-    for i in range(a.space.npoints):
-        stack[i] = a.ops[i] @ j.ops[i]
-    return TangentField(a.space, j, stack, a.tol)
+    same_space(a, j)
+    return TangentField(a.space, j, a.ops @ j.ops, a.tol)
 
 
 def ambient_omega(j: AcsField, a: TangentField, b: TangentField) -> float:
     """Omega(A, B) at J: sum of w_i tr(A_i J_i B_i)."""
-    _same_space(j, a, b)
-    total = 0.0
-    for i in range(a.space.npoints):
-        total += float(a.space.weights[i]) * float(
-            np.trace(a.ops[i] @ j.ops[i] @ b.ops[i]))
-    return total
+    same_space(j, a, b)
+    return _weighted_trace(a.space, a.ops @ j.ops @ b.ops)
 
 
 # ---------------------------------------------------------------------------
@@ -105,36 +99,25 @@ def ambient_omega(j: AcsField, a: TangentField, b: TangentField) -> float:
 def chart_inner(c: ChartField, a: TangentField, b: TangentField) -> float:
     """The pairing in chart coordinates:
     4 sum of w_i tr((1-K^2)^{-1} A (1-K^2)^{-1} B)."""
-    _same_space(c.K, a, b)
+    same_space(c.K, a, b)
     res = c.resolvents()
-    total = 0.0
-    for i in range(c.space.npoints):
-        total += float(c.space.weights[i]) * 4.0 * float(
-            np.trace(res[i] @ a.ops[i] @ res[i] @ b.ops[i]))
-    return total
+    return _weighted_trace(c.space, res @ a.ops @ res @ b.ops, 4.0)
 
 
 def chart_omega(c: ChartField, a: TangentField, b: TangentField) -> float:
     """The 2-form in chart coordinates:
     4 sum of w_i tr((1-K^2)^{-1} A J0 (1-K^2)^{-1} B)."""
-    _same_space(c.K, a, b)
+    same_space(c.K, a, b)
     res = c.resolvents()
-    total = 0.0
-    for i in range(c.space.npoints):
-        total += float(c.space.weights[i]) * 4.0 * float(
-            np.trace(res[i] @ a.ops[i] @ c.base.ops[i] @ res[i] @ b.ops[i]))
-    return total
+    return _weighted_trace(c.space, res @ a.ops @ c.base.ops @ res @ b.ops, 4.0)
 
 
 def christoffel(c: ChartField, a: TangentField, b: TangentField) -> TangentField:
     """Connection coefficients at the chart point c for constant fields:
     Gamma(A, B) = A K (1-K^2)^{-1} B + B K (1-K^2)^{-1} A."""
-    _same_space(c.K, a, b)
-    res = c.resolvents()
-    stack = np.empty_like(a.ops)
-    for i in range(c.space.npoints):
-        k = c.K.ops[i]
-        stack[i] = a.ops[i] @ k @ res[i] @ b.ops[i] + b.ops[i] @ k @ res[i] @ a.ops[i]
+    same_space(c.K, a, b)
+    k, res = c.K.ops, c.resolvents()
+    stack = a.ops @ k @ res @ b.ops + b.ops @ k @ res @ a.ops
     return TangentField(c.space, c.base, stack, 1e-9)
 
 
@@ -142,15 +125,11 @@ def curvature(c: ChartField, a: TangentField, b: TangentField,
               d: TangentField) -> TangentField:
     """Curvature in chart coordinates:
     R(A, B) D = -(1-K^2) [[X, Y], Z] with X = (1-K^2)^{-1} A and so on."""
-    _same_space(c.K, a, b, d)
-    res = c.resolvents()
-    eye = np.eye(c.space.dim)
-    stack = np.empty_like(a.ops)
-    for i in range(c.space.npoints):
-        k = c.K.ops[i]
-        x, y, z = res[i] @ a.ops[i], res[i] @ b.ops[i], res[i] @ d.ops[i]
-        xy = x @ y - y @ x
-        stack[i] = -(eye - k @ k) @ (xy @ z - z @ xy)
+    same_space(c.K, a, b, d)
+    k, res = c.K.ops, c.resolvents()
+    x, y, z = res @ a.ops, res @ b.ops, res @ d.ops
+    xy = x @ y - y @ x
+    stack = -(np.eye(c.space.dim) - k @ k) @ (xy @ z - z @ xy)
     return TangentField(c.space, c.base, stack, 1e-9)
 
 
@@ -199,7 +178,7 @@ def geodesic_chart(a: TangentField, t: float) -> TangentField:
 
 def geodesic_ambient(j0: AcsField, a: TangentField, t: float) -> AcsField:
     """The same geodesic as a structure field: J(t) = J0 exp(t A)."""
-    _same_space(j0, a)
+    same_space(j0, a)
     stack = np.empty_like(a.ops)
     for i in range(a.space.npoints):
         stack[i] = j0.ops[i] @ mat_exp(float(t) * a.ops[i])

@@ -50,18 +50,29 @@ def _as_stack(ops, dim: int, npoints: int, name: str) -> np.ndarray:
     return arr
 
 
+def same_space(*fields) -> None:
+    """Raise DimensionMismatch unless all fields share fiber dimension and
+    point count."""
+    first = fields[0].space
+    for f in fields[1:]:
+        if f.space.dim != first.dim or f.space.npoints != first.npoints:
+            raise DimensionMismatch("fields live on different sample spaces")
+
+
 @dataclass
 class SampleSpace:
     """Weighted sample points with a base fiber metric at each.
 
     Instances are treated as immutable once constructed.  ``metrics`` may
     be omitted, in which case every point carries the identity metric.
+    ``fiber_metrics`` holds the validated :class:`FiberMetric` per point.
     """
 
     dim: int
     weights: np.ndarray
     metrics: np.ndarray | None = None
     point_ids: tuple = None
+    fiber_metrics: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim < 2 or self.dim % 2:
@@ -75,10 +86,10 @@ class SampleSpace:
         self.weights = w
         if self.metrics is None:
             self.metrics = np.tile(np.eye(self.dim), (w.size, 1, 1))
+            self.fiber_metrics = (FiberMetric.identity(self.dim),) * w.size
         else:
             self.metrics = _as_stack(self.metrics, self.dim, w.size, "metrics")
-            for i in range(w.size):
-                FiberMetric(self.metrics[i])  # raises unless SPD
+            self.fiber_metrics = tuple(FiberMetric(m) for m in self.metrics)
         if self.point_ids is None:
             self.point_ids = tuple(range(w.size))
         else:
@@ -92,7 +103,7 @@ class SampleSpace:
         return self.weights.size
 
     def metric(self, i: int) -> FiberMetric:
-        return FiberMetric(self.metrics[i])
+        return self.fiber_metrics[i]
 
 
 @dataclass
@@ -123,12 +134,8 @@ class TangentField:
 
     def __post_init__(self):
         self.ops = _as_stack(self.ops, self.space.dim, self.space.npoints, "ops")
-        if self.base.space.npoints != self.space.npoints or self.base.space.dim != self.space.dim:
-            raise DimensionMismatch("tangent field and base field live on different spaces")
-        worst = 0.0
-        for i in range(self.space.npoints):
-            r = max_abs(self.ops[i] @ self.base.ops[i] + self.base.ops[i] @ self.ops[i])
-            worst = max(worst, r)
+        same_space(self, self.base)
+        worst = max_abs(self.ops @ self.base.ops + self.base.ops @ self.ops)
         if worst > self.tol:
             raise AnticommutationViolation(
                 f"tangent ops fail to anticommute with the base, residual {worst:.3e}")
@@ -140,7 +147,6 @@ class SymplecticField:
 
     space: SampleSpace
     forms: np.ndarray
-    cond_cap: float = DEFAULT_COND_CAP
 
     def __post_init__(self):
         self.forms = _as_stack(self.forms, self.space.dim, self.space.npoints, "forms")
@@ -149,21 +155,28 @@ class SymplecticField:
             if max_abs(w + w.T) > 1e-12:
                 raise ValueError(f"form at point {self.space.point_ids[i]} is not antisymmetric")
             cond = np.linalg.cond(w)
-            if not np.isfinite(cond) or cond > self.cond_cap:
+            if not np.isfinite(cond) or cond > DEFAULT_COND_CAP:
                 raise ValueError(f"form at point {self.space.point_ids[i]} is degenerate")
 
 
 @dataclass
 class MetricField:
-    """A symmetric positive-definite metric per point."""
+    """A symmetric positive-definite metric per point.
+
+    ``fiber_metrics`` holds the validated :class:`FiberMetric` per point.  A
+    field over its space's own ``metrics`` array shares the space's.
+    """
 
     space: SampleSpace
     metrics: np.ndarray
+    fiber_metrics: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.metrics is self.space.metrics:
+            self.fiber_metrics = self.space.fiber_metrics
+            return
         self.metrics = _as_stack(self.metrics, self.space.dim, self.space.npoints, "metrics")
-        for i in range(self.space.npoints):
-            FiberMetric(self.metrics[i])
+        self.fiber_metrics = tuple(FiberMetric(m) for m in self.metrics)
 
 
 @dataclass
@@ -183,18 +196,29 @@ class FieldReport:
     per_point: list = field(default_factory=list)
 
 
+def _field_report(name: str, space: SampleSpace, residuals: list, entries: list,
+                  tol: float) -> FieldReport:
+    """Report over per-point ``entries`` (each with its own "passed"),
+    headed by the first point of largest residual."""
+    per_point = [{"id": pid, "residual": r, **e}
+                 for pid, r, e in zip(space.point_ids, residuals, entries)]
+    worst = int(np.argmax(residuals))
+    return FieldReport(name, all(e["passed"] for e in entries), residuals[worst], tol,
+                       space.point_ids[worst], per_point)
+
+
 def validate_acs(j: AcsField, tol: float = 1e-10) -> FieldReport:
     """Check J^2 = -identity at every point."""
     eye = np.eye(j.space.dim)
-    per_point = []
-    worst, worst_id = -1.0, None
-    for i in range(j.space.npoints):
-        r = max_abs(j.ops[i] @ j.ops[i] + eye)
-        pid = j.space.point_ids[i]
-        per_point.append({"id": pid, "residual": r, "passed": r <= tol})
-        if r > worst:
-            worst, worst_id = r, pid
-    return FieldReport("acs", worst <= tol, worst, tol, worst_id, per_point)
+    residuals = [max_abs(op @ op + eye) for op in j.ops]
+    return _field_report("acs", j.space, residuals,
+                         [{"passed": r <= tol} for r in residuals], tol)
+
+
+def _sharps(a: TangentField | AcsField, g: MetricField) -> np.ndarray:
+    """Metric adjoints A^sharp of a field's operators, one per point."""
+    same_space(a, g)
+    return np.stack([g_adjoint(op, gm) for op, gm in zip(a.ops, g.fiber_metrics)])
 
 
 def sym_antisym_split(k: TangentField, g: MetricField) -> tuple[TangentField, TangentField]:
@@ -205,29 +229,37 @@ def sym_antisym_split(k: TangentField, g: MetricField) -> tuple[TangentField, Ta
     anticommute with the base whenever the base operators are skew-adjoint
     for g.
     """
-    if g.space.npoints != k.space.npoints or g.space.dim != k.space.dim:
-        raise DimensionMismatch("metric field and tangent field live on different spaces")
-    sym = np.empty_like(k.ops)
-    for i in range(k.space.npoints):
-        sharp = g_adjoint(k.ops[i], FiberMetric(g.metrics[i]))
-        sym[i] = 0.5 * (k.ops[i] + sharp)
+    sym = 0.5 * (k.ops + _sharps(k, g))
     p = TangentField(k.space, k.base, sym, k.tol)
     l = TangentField(k.space, k.base, k.ops - sym, k.tol)
     return p, l
 
 
-def tangent_class(a: TangentField, g: MetricField, tol: float = 1e-10) -> str:
-    """Classify a tangent field as 'symmetric', 'antisymmetric' or 'mixed'."""
-    rs, ra = 0.0, 0.0
-    for i in range(a.space.npoints):
-        sharp = g_adjoint(a.ops[i], FiberMetric(g.metrics[i]))
-        rs = max(rs, max_abs(a.ops[i] - sharp))
-        ra = max(ra, max_abs(a.ops[i] + sharp))
+def _symmetry_residuals(a: TangentField, g: MetricField) -> tuple[np.ndarray, np.ndarray]:
+    """Per-point max norms of A - A^sharp and A + A^sharp."""
+    sharp = _sharps(a, g)
+    return (np.max(np.abs(a.ops - sharp), axis=(1, 2)),
+            np.max(np.abs(a.ops + sharp), axis=(1, 2)))
+
+
+def _class_label(rs: float, ra: float, tol: float) -> str:
     if rs <= tol:
         return "symmetric"
     if ra <= tol:
         return "antisymmetric"
     return "mixed"
+
+
+def tangent_class(a: TangentField, g: MetricField, tol: float = 1e-10) -> str:
+    """Classify a tangent field as 'symmetric', 'antisymmetric' or 'mixed'."""
+    rs, ra = _symmetry_residuals(a, g)
+    return _class_label(rs.max(), ra.max(), tol)
+
+
+def point_classes(a: TangentField, g: MetricField, tol: float = 1e-10) -> list[str]:
+    """The class of :func:`tangent_class` at each point separately."""
+    rs, ra = _symmetry_residuals(a, g)
+    return [_class_label(s, t, tol) for s, t in zip(rs, ra)]
 
 
 def validate_associated(j: AcsField, w: SymplecticField, probes=None,
@@ -239,27 +271,20 @@ def validate_associated(j: AcsField, w: SymplecticField, probes=None,
     ``probes`` may give per-point lists of vectors; the quadratic witness
     values x . (W J x) are then recorded in the report.
     """
-    if w.space.npoints != j.space.npoints or w.space.dim != j.space.dim:
-        raise DimensionMismatch("form field and structure field live on different spaces")
-    per_point = []
-    worst, worst_id = -1.0, None
-    all_ok = True
+    same_space(j, w)
+    residuals, entries = [], []
     for i in range(j.space.npoints):
         ji, wi = j.ops[i], w.forms[i]
         r = max_abs(ji.T @ wi @ ji - wi)
         prod = wi @ ji
         min_eig = float(np.linalg.eigvalsh(0.5 * (prod + prod.T))[0])
-        ok = r <= tol and min_eig > pos_tol
-        pid = j.space.point_ids[i]
-        entry = {"id": pid, "residual": r, "min_eig": min_eig, "passed": ok}
+        entry = {"min_eig": min_eig, "passed": r <= tol and min_eig > pos_tol}
         if probes is not None:
             entry["witnesses"] = [float(np.asarray(x) @ prod @ np.asarray(x))
                                   for x in probes[i]]
-        per_point.append(entry)
-        all_ok = all_ok and ok
-        if r > worst:
-            worst, worst_id = r, pid
-    return FieldReport("associated", all_ok, worst, tol, worst_id, per_point)
+        residuals.append(r)
+        entries.append(entry)
+    return _field_report("associated", j.space, residuals, entries, tol)
 
 
 def associated_metric(j: AcsField, w: SymplecticField, tol: float = 1e-10) -> MetricField:
@@ -274,10 +299,7 @@ def associated_metric(j: AcsField, w: SymplecticField, tol: float = 1e-10) -> Me
         raise NotAssociated(
             f"structure is not positively associated with the form "
             f"(worst point {report.worst_point}, residual {report.max_residual:.3e})")
-    stack = np.empty_like(j.ops)
-    for i in range(j.space.npoints):
-        stack[i] = w.forms[i] @ j.ops[i]
-    return MetricField(j.space, stack)
+    return MetricField(j.space, w.forms @ j.ops)
 
 
 def orientation_marker(j) -> int:
@@ -317,25 +339,15 @@ def validate_orthogonal(j: AcsField, g: MetricField, j_ref: AcsField,
     with J^2 = -identity it says J is g-skew.  The orientation marker at
     each point must equal that of the reference structure.
     """
-    if g.space.npoints != j.space.npoints or j_ref.space.npoints != j.space.npoints:
-        raise DimensionMismatch("fields live on different spaces")
+    same_space(j, g, j_ref)
     eye = np.eye(j.space.dim)
-    per_point = []
-    worst, worst_id = -1.0, None
-    all_ok = True
-    for i in range(j.space.npoints):
-        sharp = g_adjoint(j.ops[i], FiberMetric(g.metrics[i]))
-        r = max_abs(sharp @ j.ops[i] - eye)
-        marker = orientation_marker(j.ops[i])
-        ref_marker = orientation_marker(j_ref.ops[i])
-        ok = r <= tol and marker == ref_marker
-        pid = j.space.point_ids[i]
-        per_point.append({"id": pid, "residual": r, "orientation": marker,
-                          "reference_orientation": ref_marker, "passed": ok})
-        all_ok = all_ok and ok
-        if r > worst:
-            worst, worst_id = r, pid
-    return FieldReport("orthogonal", all_ok, worst, tol, worst_id, per_point)
+    residuals = [max_abs(sharp @ op - eye) for sharp, op in zip(_sharps(j, g), j.ops)]
+    entries = []
+    for r, op, ref in zip(residuals, j.ops, j_ref.ops):
+        marker, ref_marker = orientation_marker(op), orientation_marker(ref)
+        entries.append({"orientation": marker, "reference_orientation": ref_marker,
+                        "passed": r <= tol and marker == ref_marker})
+    return _field_report("orthogonal", j.space, residuals, entries, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -391,8 +403,19 @@ def _matrix_to_list(m: np.ndarray) -> list[float]:
     return [float(x) for x in m.reshape(-1)]
 
 
+def _numbers(values, what: str) -> np.ndarray:
+    """Float array of the finite JSON numbers in ``values``, else IoError."""
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # ragged nesting
+        raise IoError(f"{what} is not a regular array of numbers") from None
+    if arr.dtype.kind not in "iuf" or not np.isfinite(arr).all():
+        raise IoError(f"{what} must hold finite numbers only")
+    return arr.astype(float)
+
+
 def _matrix_from_list(values, dim: int, name: str, pid) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
+    arr = _numbers(values, f"matrix {name!r} at point {pid!r}")
     if arr.size != dim * dim:
         raise IoError(f"matrix {name!r} at point {pid!r} has {arr.size} entries, "
                       f"expected {dim * dim}")
@@ -428,7 +451,8 @@ def load_bundle(path) -> FieldBundle:
     """Read a field bundle written by :func:`save_bundle`.
 
     Malformed documents (unparseable JSON, missing keys, ragged matrix
-    data, fields present at some points only) raise :class:`IoError`.
+    data, entries that are not finite numbers, invalid metrics or forms,
+    fields present at some points only) raise :class:`IoError`.
     Tangent data that fails to anticommute with its base raises
     :class:`AnticommutationViolation`.
     """
@@ -437,14 +461,14 @@ def load_bundle(path) -> FieldBundle:
             doc = json.load(fh)
     except OSError as exc:
         raise IoError(f"cannot read field file {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError
         raise IoError(f"field file {path} is not valid JSON: {exc}") from None
 
     if not isinstance(doc, dict) or "dim" not in doc or "points" not in doc:
         raise IoError(f"field file {path} lacks the required dim/points keys")
     dim = doc["dim"]
     points = doc["points"]
-    if not isinstance(dim, int) or not isinstance(points, list) or not points:
+    if not isinstance(dim, int) or dim < 2 or not isinstance(points, list) or not points:
         raise IoError(f"field file {path} has a malformed dim or points entry")
 
     ids, weights, metrics = [], [], []
@@ -466,7 +490,7 @@ def load_bundle(path) -> FieldBundle:
             raise IoError(f"field {key!r} is present at some points only")
 
     try:
-        space = SampleSpace(dim, np.asarray(weights), np.asarray(metrics), tuple(ids))
+        space = SampleSpace(dim, _numbers(weights, "weights"), np.asarray(metrics), tuple(ids))
     except (DimensionMismatch, ValueError) as exc:
         raise IoError(f"field file {path} holds an invalid sample space: {exc}") from None
 

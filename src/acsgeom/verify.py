@@ -19,6 +19,7 @@ configurations produce bitwise-identical reports.
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass, field
 
@@ -124,21 +125,31 @@ def _plain(value):
     return value
 
 
-def _rng(seed: int, name: str, *extra: int) -> np.random.Generator:
+def derive_rng(seed: int, name: str, *extra: int) -> np.random.Generator:
+    """The generator of one draw: seeded by the master seed, the crc32 of
+    ``name`` and the integers ``extra`` (dim, case index)."""
     return np.random.default_rng([seed, zlib.crc32(name.encode("ascii")), *extra])
 
 
 def _ratio(residual: float, tolerance: float) -> float:
+    if math.isnan(residual):
+        return math.nan
     if tolerance > 0.0:
         return residual / tolerance
     return 0.0 if residual <= 0.0 else float("inf")
+
+
+def _rank(sub: dict) -> tuple[bool, float]:
+    """Sort key of a sub-check: a NaN ratio ranks above every number."""
+    ratio = _ratio(sub["residual"], sub["tolerance"])
+    return math.isnan(ratio), ratio
 
 
 def _compose(name, seed, dims, params, subchecks) -> CheckReport:
     """Merge sub-checks into one report, keeping the binding constraint."""
     for sub in subchecks:
         sub["passed"] = _ratio(sub["residual"], sub["tolerance"]) <= 1.0
-    worst = max(subchecks, key=lambda s: _ratio(s["residual"], s["tolerance"]))
+    worst = max(subchecks, key=_rank)
     passed = all(s["passed"] for s in subchecks)
     return CheckReport(name, passed, float(worst["residual"]),
                        float(worst["tolerance"]), seed, tuple(dims),
@@ -158,6 +169,19 @@ def fd_directional(f, c: ChartField, a: TangentField, h: float) -> float:
     return (f(shifted(c, a, h)) - f(shifted(c, a, -h))) / (2.0 * float(h))
 
 
+def geodesic_equation_residual(a: TangentField, t: float, h: float) -> float:
+    """Max-norm residual of K'' + Gamma(K', K') = 0 at time t along the
+    chart geodesic K(t) = tanh((t/2) A), with K' and K'' from central
+    differences of step h."""
+    kp = geodesic_chart(a, t + h)
+    kc = geodesic_chart(a, t)
+    km = geodesic_chart(a, t - h)
+    kdot = TangentField(a.space, a.base, (kp.ops - km.ops) / (2.0 * h), 1e-9)
+    kdd = (kp.ops - 2.0 * kc.ops + km.ops) / h**2
+    gamma = christoffel(ChartField(a.space, a.base, kc), kdot, kdot)
+    return max_abs(kdd + gamma.ops)
+
+
 # ---------------------------------------------------------------------------
 # checkers
 
@@ -172,7 +196,7 @@ def check_cayley(seed: int = 0, dims=(2, 4, 6), cases: int = 100,
         eye = np.eye(dim)
         r_round, r_acs = 0.0, 0.0
         for case in range(cases):
-            rng = _rng(seed, "cayley", dim, case)
+            rng = derive_rng(seed, "cayley", dim, case)
             k = random_anticommuting(rng, j0, bound=bound)
             j = cayley_to_acs(CayleyCoordinate(j0, k))
             r_acs = max(r_acs, max_abs(j @ j + eye))
@@ -195,7 +219,7 @@ def check_theorem1(seed: int = 0, dims=(2, 4, 6), cases: int = 100,
         j0 = standard_acs(dim)
         worst = 0.0
         for case in range(cases):
-            rng = _rng(seed, "theorem1", dim, case)
+            rng = derive_rng(seed, "theorem1", dim, case)
             k = random_anticommuting(rng, j0, bound=bound)
             a = random_anticommuting(rng, j0, bound=bound)
             coord = CayleyCoordinate(j0, k)
@@ -224,7 +248,7 @@ def _omega_ray_derivative(c: ChartField, a0: TangentField, a1: TangentField,
     eye = np.eye(c.space.dim)
     for i in range(c.space.npoints):
         x = a0.ops[i]
-        s = mat_inv_guarded(eye - (t * x) @ (t * x), c.cond_cap)
+        s = mat_inv_guarded(eye - (t * x) @ (t * x))
         ds = s @ ((2.0 * t) * (x @ x)) @ s
         j0 = c.base.ops[i]
         total += float(c.space.weights[i]) * 4.0 * (
@@ -247,7 +271,7 @@ def check_theorem2(seed: int = 0, dims=(2, 4), cases: int = 3, points: int = 8,
         term_worst, alt_worst = 0.0, 0.0
         best_rh, best_factor = -1.0, None
         for case in range(cases):
-            rng = _rng(seed, "theorem2", dim, case)
+            rng = derive_rng(seed, "theorem2", dim, case)
             space = random_sample_space(rng, dim, points)
             j0f = standard_acs_field(space)
             a0, a1, a2 = (random_tangent_field(rng, j0f, bound=bound)
@@ -312,18 +336,12 @@ def check_geodesics(seed: int = 0, dims=(2, 4), cases: int = 3, points: int = 8,
     for dim in dims:
         ode_worst, chart_worst = 0.0, 0.0
         for case in range(cases):
-            rng = _rng(seed, "geodesics", dim, case)
+            rng = derive_rng(seed, "geodesics", dim, case)
             space = random_sample_space(rng, dim, points)
             j0f = standard_acs_field(space)
             a = random_tangent_field(rng, j0f, bound=bound)
             for t in t_grid:
-                kp = geodesic_chart(a, t + h)
-                kc = geodesic_chart(a, t)
-                km = geodesic_chart(a, t - h)
-                kdot = TangentField(space, j0f, (kp.ops - km.ops) / (2.0 * h), 1e-9)
-                kdd = (kp.ops - 2.0 * kc.ops + km.ops) / h**2
-                gamma = christoffel(ChartField(space, j0f, kc), kdot, kdot)
-                ode_worst = max(ode_worst, max_abs(kdd + gamma.ops))
+                ode_worst = max(ode_worst, geodesic_equation_residual(a, t, h))
             for t in full_grid:
                 jt = geodesic_ambient(j0f, a, float(t))
                 kt = geodesic_chart(a, float(t))
@@ -357,7 +375,7 @@ def check_curvature_fd(seed: int = 0, dims=(2, 4), cases: int = 3,
     for dim in dims:
         fd_worst = anti_worst = self_worst = bianchi_worst = origin_worst = 0.0
         for case in range(cases):
-            rng = _rng(seed, "curvature_fd", dim, case)
+            rng = derive_rng(seed, "curvature_fd", dim, case)
             space = random_sample_space(rng, dim, points)
             j0f = standard_acs_field(space)
             k = random_tangent_field(rng, j0f, bound=k_bound)
@@ -380,10 +398,8 @@ def check_curvature_fd(seed: int = 0, dims=(2, 4), cases: int = 3,
 
             c0 = chart_origin(j0f)
             flat = curvature(c0, a, b, d)
-            for i in range(space.npoints):
-                ab = a.ops[i] @ b.ops[i] - b.ops[i] @ a.ops[i]
-                nested = ab @ d.ops[i] - d.ops[i] @ ab
-                origin_worst = max(origin_worst, max_abs(flat.ops[i] + nested))
+            ab = a.ops @ b.ops - b.ops @ a.ops
+            origin_worst = max(origin_worst, max_abs(flat.ops + (ab @ d.ops - d.ops @ ab)))
         subs.append({"name": f"fd_match_dim{dim}", "residual": fd_worst,
                      "tolerance": tolerance})
         subs.append({"name": f"antisymmetry_dim{dim}", "residual": anti_worst,
@@ -417,7 +433,7 @@ def check_metric_structure(seed: int = 0, dims=(2, 4), cases: int = 3,
     for dim in dims:
         r_herm = r_omega = r_ci = r_co = r_compat = r_fd = 0.0
         for case in range(cases):
-            rng = _rng(seed, "metric_structure", dim, case)
+            rng = derive_rng(seed, "metric_structure", dim, case)
             space = random_sample_space(rng, dim, points)
             j0f = standard_acs_field(space)
             a = random_tangent_field(rng, j0f, bound=bound)
@@ -497,7 +513,7 @@ def check_totally_geodesic(seed: int = 0, dims=(2, 4), cases: int = 3,
         assoc_res, min_eig = 0.0, float("inf")
         orth_res, mismatches = 0.0, 0
         for case in range(cases):
-            rng = _rng(seed, "totally_geodesic", dim, case)
+            rng = derive_rng(seed, "totally_geodesic", dim, case)
             space = random_sample_space(rng, dim, points)
             j0f = standard_acs_field(space)
             wf = standard_symplectic_field(space)
@@ -571,7 +587,7 @@ def check_signature(seed: int = 0, dims=(2, 4), points: int = 8,
     """
     subs = []
     for dim in dims:
-        rng = _rng(seed, "signature", dim, 0)
+        rng = derive_rng(seed, "signature", dim, 0)
         space = random_sample_space(rng, dim, points)
         j0f = standard_acs_field(space)
         j0 = standard_acs(dim)
@@ -649,31 +665,74 @@ class VerifyConfig:
     bundle: FieldBundle | None = None
 
     def validate(self) -> None:
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
+        """Raise :class:`ConfigError` for any value the checkers cannot use.
+
+        The command line validates its settings here too, so each rule is
+        stated once.
+        """
+        _require_int("seed", self.seed, 0)
         for label, dims in (("dims", self.dims), ("fd_dims", self.fd_dims)):
             if len(dims) == 0:
                 raise ConfigError(f"{label} must not be empty")
             for d in dims:
                 if not isinstance(d, int) or d < 2 or d % 2:
                     raise ConfigError(f"{label} entries must be even integers >= 2, got {d!r}")
-        if self.cases < 1 or self.fd_cases < 1:
-            raise ConfigError("cases and fd_cases must be at least 1")
-        if self.points < 1:
-            raise ConfigError("points must be at least 1")
-        if not self.h > 0:
-            raise ConfigError(f"step size h must be positive, got {self.h!r}")
-        if not self.t_max > 0 or self.t_steps < 1:
-            raise ConfigError("t_max must be positive and t_steps at least 1")
+        for name in ("cases", "fd_cases", "points", "t_steps"):
+            _require_int(name, getattr(self, name), 1)
+        _require_positive("h", self.h)
+        _require_positive("t_max", self.t_max)
         for name, tol in self.tolerances.items():
             if name not in CHECK_NAMES:
                 raise ConfigError(f"unknown tolerance override {name!r}")
-            if not tol > 0:
-                raise ConfigError(f"tolerance override {name!r} must be positive")
+            _require_positive(f"tolerance override {name!r}", tol)
 
 
-def _tol(config: VerifyConfig, name: str, default: float) -> float:
-    return float(config.tolerances.get(name, default))
+def _require_int(name: str, value, least: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def _require_positive(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not (math.isfinite(value) and value > 0):
+        raise ConfigError(f"{name} must be a finite positive number, got {value!r}")
+
+
+def _override(config: VerifyConfig, name: str, key: str = "tolerance") -> dict:
+    """The keyword argument overriding checker ``name``'s primary tolerance,
+    or none, so that the checker's own default applies."""
+    if name in config.tolerances:
+        return {key: float(config.tolerances[name])}
+    return {}
+
+
+_RUNNERS = {
+    "cayley": lambda c: check_cayley(c.seed, c.dims, c.cases, **_override(c, "cayley")),
+    "theorem1": lambda c: check_theorem1(c.seed, c.dims, c.cases,
+                                         **_override(c, "theorem1")),
+    "theorem2": lambda c: check_theorem2(c.seed, c.fd_dims, c.fd_cases, c.points, c.h,
+                                         **_override(c, "theorem2")),
+    "geodesics": lambda c: check_geodesics(c.seed, c.fd_dims, c.fd_cases, c.points, h=c.h,
+                                           t_max=c.t_max, t_steps=c.t_steps,
+                                           **_override(c, "geodesics")),
+    "curvature_fd": lambda c: check_curvature_fd(c.seed, c.fd_dims, c.fd_cases, c.points,
+                                                 h=c.h, **_override(c, "curvature_fd")),
+    "metric_structure": lambda c: check_metric_structure(
+        c.seed, c.fd_dims, c.fd_cases, c.points, h=c.h, **_override(c, "metric_structure")),
+    "totally_geodesic": lambda c: check_totally_geodesic(
+        c.seed, c.fd_dims, c.fd_cases, c.points, t_max=c.t_max, t_steps=c.t_steps,
+        **_override(c, "totally_geodesic")),
+    "signature": lambda c: check_signature(c.seed, c.fd_dims, c.points,
+                                           **_override(c, "signature", "threshold")),
+}
+
+
+def run_check(config: VerifyConfig, name: str) -> CheckReport:
+    """Run the checker ``name`` (one of CHECK_NAMES) exactly as
+    :func:`run_suite` runs it.  ``config`` must already be validated."""
+    if name not in _RUNNERS:
+        raise ConfigError(f"unknown check {name!r}")
+    return _RUNNERS[name](config)
 
 
 def _bundle_reports(config: VerifyConfig) -> list[CheckReport]:
@@ -714,34 +773,8 @@ def run_suite(config: VerifyConfig) -> list[CheckReport]:
     reported, not raised.
     """
     config.validate()
-    reports: list[CheckReport] = []
-    if config.bundle is not None:
-        reports.extend(_bundle_reports(config))
-    reports.append(check_cayley(config.seed, config.dims, config.cases,
-                                tolerance=_tol(config, "cayley", 1e-9)))
-    reports.append(check_theorem1(config.seed, config.dims, config.cases,
-                                  tolerance=_tol(config, "theorem1", 1e-9)))
-    reports.append(check_theorem2(config.seed, config.fd_dims, config.fd_cases,
-                                  config.points, config.h,
-                                  tolerance=_tol(config, "theorem2", 1e-6)))
-    reports.append(check_geodesics(config.seed, config.fd_dims, config.fd_cases,
-                                   config.points, h=config.h,
-                                   tolerance=_tol(config, "geodesics", 1e-6),
-                                   t_max=config.t_max, t_steps=config.t_steps))
-    reports.append(check_curvature_fd(config.seed, config.fd_dims,
-                                      config.fd_cases, config.points,
-                                      h=config.h,
-                                      tolerance=_tol(config, "curvature_fd", 1e-5)))
-    reports.append(check_metric_structure(config.seed, config.fd_dims,
-                                          config.fd_cases, config.points,
-                                          h=config.h,
-                                          tolerance=_tol(config, "metric_structure", 1e-6)))
-    reports.append(check_totally_geodesic(config.seed, config.fd_dims,
-                                          config.fd_cases, config.points,
-                                          t_max=config.t_max, t_steps=config.t_steps,
-                                          tolerance=_tol(config, "totally_geodesic", 1e-9)))
-    reports.append(check_signature(config.seed, config.fd_dims, config.points,
-                                   threshold=_tol(config, "signature", 1e-10)))
+    reports = _bundle_reports(config) if config.bundle is not None else []
+    reports.extend(run_check(config, name) for name in CHECK_NAMES)
     reports.sort(key=lambda r: r.name)
     return reports
 

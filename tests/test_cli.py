@@ -8,11 +8,12 @@ import pytest
 
 from acsgeom.charts import standard_acs
 from acsgeom.cli import RunConfig, build_config, build_parser, main
-from acsgeom.errors import ConfigError
+from acsgeom.errors import ConfigError, IoError
 from acsgeom.structures import (
     FieldBundle,
     SampleSpace,
     TangentField,
+    load_bundle,
     random_tangent_field,
     save_bundle,
     standard_acs_field,
@@ -110,6 +111,36 @@ class TestExitCodes:
         code, _, err = run_cli(["project"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("flag", [["--h", "inf"], ["--t-max", "inf"],
+                                      ["--tol-cayley", "inf"], ["--tol-signature", "nan"]])
+    def test_non_finite_flag_is_usage_error(self, capsys, flag):
+        code, _, err = run_cli(["verify", "--dim", "2", *flag], capsys)
+        assert code == 2
+        assert "finite" in err
+
+    @pytest.mark.parametrize("command", ["curvature", "signature"])
+    def test_input_rejected_where_unused(self, tmp_path, capsys, command):
+        path = tmp_path / "b.json"
+        write_diag_bundle(path)
+        code, out, err = run_cli([command, "--dim", "2", "--in", str(path)], capsys)
+        assert code == 2
+        assert out == "" and "--in" in err
+
+    @pytest.mark.parametrize("points", [
+        [{"id": 0, "weight": 1.0, "J": ["a", -1, 1, 0]}],
+        [{"id": 0, "weight": 1.0, "J": [[0, -1], [1]]}],
+        [{"id": 0, "weight": 1.0, "J": [0, -1, 1, float("nan")], "K": [0, 0, 0, 0]}],
+        [{"id": 0, "weight": "heavy", "J": [0, -1, 1, 0], "K": [0, 0, 0, 0]}],
+    ], ids=["string_cell", "ragged_matrix", "nan_entry", "string_weight"])
+    def test_malformed_bundle_is_input_error(self, tmp_path, capsys, points):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"dim": 2, "points": points}))
+        with pytest.raises(IoError):
+            load_bundle(path)
+        code, out, err = run_cli(["project", "--in", str(path)], capsys)
+        assert code == 2
+        assert out == "" and err.startswith("error:")
+
 
 class TestVerifyCommand:
     def test_report_to_stdout(self, capsys):
@@ -201,6 +232,14 @@ class TestGeodesicCommand:
         doc = json.loads(out)
         assert doc["command"] == "geodesic"
         assert len(doc["rows"]) == 2
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_trace_exits_1(self, capsys):
+        code, out, err = run_cli(["geodesic", "--dim", "2", "--t-steps", "2",
+                                  "--h", "1e-300", "--format", "csv"], capsys)
+        assert code == 1
+        assert len(out.strip().splitlines()) == 3  # the trace is still written
+        assert "nan" in out and "non-finite" in err
 
     def test_input_without_k(self, tmp_path, capsys):
         space = SampleSpace(2, np.ones(2))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -75,6 +76,14 @@ class TestChartField:
         space, j, c = origin2
         assert_allclose(c.resolvents(), np.tile(np.eye(2), (1, 1, 1)),
                         atol=1e-15)
+
+    def test_frozen_with_resolvents_computed_once(self, flat2):
+        space, j, c = flat2
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            c.K = c.K
+        assert c.resolvents() is c.resolvents()
+        assert not c.resolvents().flags.writeable
+        assert_allclose(c.resolvents()[0], np.diag([4.0 / 3.0, 4.0 / 3.0]), rtol=1e-15)
 
     def test_shifted_is_linear_move(self, flat2):
         space, j, c = flat2

@@ -1,0 +1,62 @@
+"""Parity of command-line outputs with the golden files in tests/golden/.
+
+The golden files were written by an earlier version of the package:
+``verify`` at dims 2 and 4, ``geodesic`` at dim 4 (all seed 0), and
+``project`` on ``project_bundle.json``, a dim-4 bundle with non-identity
+metrics.  Every output must keep the same pass set and agree with its
+golden file in every number to 1e-12 relative, so that a numerical
+rewrite can be checked against the code it replaces.
+"""
+
+import json
+import os
+
+import pytest
+
+from acsgeom.cli import main
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+REL = 1e-12
+
+CASES = {
+    "verify_dim2.json": ["verify", "--dim", "2", "--seed", "0"],
+    "verify_dim4.json": ["verify", "--dim", "4", "--seed", "0"],
+    "geodesic_dim4.json": ["geodesic", "--dim", "4"],
+    "project.json": ["project", "--in", os.path.join(GOLDEN, "project_bundle.json")],
+}
+
+
+def assert_close(got, want, where="$"):
+    """Same structure and strings; numbers within REL relative."""
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and got.keys() == want.keys(), where
+        for key in want:
+            assert_close(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_close(g, w, f"{where}[{i}]")
+    elif isinstance(want, (int, float)) and not isinstance(want, bool):
+        assert isinstance(got, (int, float)) and not isinstance(got, bool), where
+        assert got == want or abs(got - want) <= REL * max(abs(got), abs(want)), \
+            f"{where}: {got!r} != {want!r}"
+    else:
+        assert got == want, where
+
+
+def passed_checks(doc):
+    return {c["name"] for c in doc.get("checks", []) if c["passed"]}
+
+
+@pytest.mark.parametrize("golden", sorted(CASES))
+def test_matches_golden(golden, capsys):
+    code = main(CASES[golden])
+    got = json.loads(capsys.readouterr().out)
+    with open(os.path.join(GOLDEN, golden), encoding="utf-8") as fh:
+        want = json.load(fh)
+    assert code == 0
+    # the input path is where the bundle was read from, not a result
+    got.pop("input", None)
+    want.pop("input", None)
+    assert passed_checks(got) == passed_checks(want)
+    assert_close(got, want)

@@ -24,6 +24,7 @@ from acsgeom.structures import (
     identity_metric_field,
     load_bundle,
     orientation_marker,
+    point_classes,
     random_sample_space,
     random_tangent_field,
     save_bundle,
@@ -100,6 +101,12 @@ class TestFields:
         with pytest.raises(ValueError):
             MetricField(space2, np.tile(np.diag([1.0, -2.0]), (3, 1, 1)))
 
+    def test_metric_field_of_space_shares_its_fiber_metrics(self):
+        space = SampleSpace(2, np.ones(2), metrics=np.tile(np.diag([1.0, 4.0]), (2, 1, 1)))
+        g = MetricField(space, space.metrics)
+        assert g.fiber_metrics is space.fiber_metrics
+        assert space.metric(1) is space.fiber_metrics[1]
+
 
 class TestValidateAcs:
     def test_standard_passes_exactly(self, space4):
@@ -152,6 +159,13 @@ class TestSplit:
         assert tangent_class(skew, g) == "antisymmetric"
         mixed = TangentField(space4, j, sym.ops + skew.ops)
         assert tangent_class(mixed, g) == "mixed"
+        # per point: symmetric at 0, antisymmetric at 1, mixed elsewhere
+        ops = mixed.ops.copy()
+        ops[0], ops[1] = sym.ops[0], skew.ops[1]
+        per_point = TangentField(space4, j, ops)
+        assert point_classes(per_point, g) == ["symmetric", "antisymmetric"] + \
+            ["mixed"] * (space4.npoints - 2)
+        assert tangent_class(per_point, g) == "mixed"
 
 
 class TestAssociated:

@@ -1,8 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
+from acsgeom import charts, fiber, geometry, verify
 from acsgeom.errors import ConfigError
 from acsgeom.geometry import chart_inner, chart_origin
 from acsgeom.structures import (
@@ -27,6 +29,7 @@ from acsgeom.verify import (
     check_totally_geodesic,
     fd_directional,
     report_document,
+    run_check,
     run_suite,
 )
 
@@ -162,6 +165,14 @@ class TestCheckers:
         b = check_cayley(seed=1, dims=(4,), cases=5)
         assert a.max_residual != b.max_residual
 
+    def test_nan_subcheck_ranks_worst(self):
+        subs = [{"name": "fine", "residual": 0.5, "tolerance": 1.0},
+                {"name": "broken", "residual": math.nan, "tolerance": 1.0}]
+        r = verify._compose("demo", 0, (2,), {}, subs)
+        assert math.isnan(r.max_residual)
+        assert r.passed is False
+        assert r.passed == (r.max_residual <= r.tolerance)
+
     def test_failure_is_reported_not_raised(self):
         r = check_cayley(dims=(2,), cases=2, tolerance=1e-30)
         assert not r.passed
@@ -184,6 +195,10 @@ class TestVerifyConfig:
         dict(t_max=-1.0),
         dict(tolerances={"nope": 1e-9}),
         dict(tolerances={"cayley": -1e-9}),
+        dict(h=math.inf),
+        dict(t_max=math.inf),
+        dict(tolerances={"cayley": math.inf}),
+        dict(points=True),
     ])
     def test_rejects(self, bad):
         with pytest.raises(ConfigError):
@@ -232,6 +247,28 @@ class TestRunSuite:
         text = json.dumps(doc, sort_keys=True)
         assert "NaN" not in text
         assert json.loads(text) == doc
+
+    def test_default_suite_inverts_each_resolvent_once(self, monkeypatch):
+        original = fiber.mat_inv_guarded
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return original(*args, **kwargs)
+
+        for module in (fiber, charts, geometry, verify):
+            if getattr(module, "mat_inv_guarded", None) is original:
+                monkeypatch.setattr(module, "mat_inv_guarded", counted)
+        assert all(r.passed for r in run_suite(VerifyConfig()))
+        assert 0 < len(calls) <= 6500
+
+    def test_run_check_matches_suite(self):
+        cfg = small_suite_config(tolerances={"signature": 1e-8})
+        by_name = {r.name: r for r in run_suite(cfg)}
+        assert run_check(cfg, "signature").to_dict() == by_name["signature"].to_dict()
+        assert run_check(cfg, "signature").params["threshold"] == 1e-8
+        with pytest.raises(ConfigError):
+            run_check(cfg, "bogus")
 
     def test_invalid_config_raises(self):
         with pytest.raises(ConfigError):
