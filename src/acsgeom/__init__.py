@@ -22,6 +22,7 @@ from .errors import (
     DimensionMismatch,
     GeometryError,
     IoError,
+    NonFiniteValue,
     NotAssociated,
     SingularOperator,
 )
@@ -32,6 +33,7 @@ from .geometry import (
     ambient_inner,
     ambient_omega,
     chart_inner,
+    chart_inner_terms,
     chart_omega,
     chart_origin,
     christoffel,

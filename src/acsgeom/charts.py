@@ -4,9 +4,9 @@ Two charts are provided, both indexed by matrices K that anticommute with
 the base.  The exponential chart sends K to J0 exp(K).  The rational
 (Cayley) chart sends K to J0 (1 + K)(1 - K)^{-1}; it is a diffeomorphism
 onto the set of structures J for which 1 - J J0 is invertible, and its
-inverse is K = (1 - J J0)^{-1} (1 + J J0).  All operations here act one
-fiber at a time; field-level wrappers live in the structures and geometry
-modules.
+inverse is K = (1 - J J0)^{-1} (1 + J J0).  Every map takes a single
+matrix or a (points, n, n) stack and acts on each fiber independently;
+field-level wrappers live in the structures and geometry modules.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ def standard_acs(dim: int) -> np.ndarray:
 
 
 def _like_base(a, base: np.ndarray, what: str) -> np.ndarray:
-    """``a`` as a fiber matrix, required to have the shape of ``base``."""
+    """``a`` as fiber matrices, required to have the shape of ``base``."""
     m = as_fiber_matrix(a)
     if m.shape != base.shape:
         raise DimensionMismatch(
@@ -77,7 +77,8 @@ def check_chart_domain(j0: np.ndarray, k: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class CayleyCoordinate:
-    """A point of the rational chart: base structure plus coordinate K.
+    """Points of the rational chart: base structure plus coordinate K,
+    single matrices or (points, n, n) stacks of the same shape.
 
     Construction checks the chart domain with :func:`check_chart_domain`.
     """
@@ -94,7 +95,7 @@ class CayleyCoordinate:
 
     @property
     def dim(self) -> int:
-        return self.base.shape[0]
+        return self.base.shape[-1]
 
 
 def exp_chart(j0, k, tol: float = 1e-8) -> np.ndarray:
@@ -121,7 +122,7 @@ def acs_to_cayley(j0, j) -> CayleyCoordinate:
     """
     base = as_fiber_matrix(j0)
     target = _like_base(j, base, "structure")
-    eye = np.eye(base.shape[0])
+    eye = np.eye(base.shape[-1])
     jj0 = target @ base
     k = mat_inv_guarded(eye - jj0) @ (eye + jj0)
     return CayleyCoordinate(base, k)
@@ -162,12 +163,15 @@ def random_anticommuting(rng: np.random.Generator, j0, *,
                          metric: FiberMetric | None = None,
                          part: str | None = None,
                          bound: float = 0.9) -> np.ndarray:
-    """Draw a random matrix anticommuting with j0.
+    """Draw a random matrix anticommuting with j0, one per slice of a
+    (points, n, n) stack j0.
 
-    Dense uniform[-1, 1) entries are projected onto the anticommuting
-    subspace, optionally reduced to the metric-symmetric or antisymmetric
-    part, then rescaled so the spectral norm does not exceed ``bound``
-    (which keeps 1 - K invertible with margin whenever bound < 1).
+    Dense uniform[-1, 1) entries, drawn for the whole stack at once (the
+    same stream as one draw per slice in order), are projected onto the
+    anticommuting subspace, optionally reduced to the metric-symmetric or
+    antisymmetric part, and each slice whose spectral norm exceeds
+    ``bound`` is rescaled to that norm (which keeps 1 - K invertible with
+    margin whenever bound < 1).
 
     Part selection assumes j0 is skew-adjoint for the metric, which holds
     for the standard structure with the identity metric; only then do the
@@ -178,10 +182,9 @@ def random_anticommuting(rng: np.random.Generator, j0, *,
     if part is not None:
         if part not in ("symmetric", "antisymmetric"):
             raise ValueError(f"unknown part {part!r}")
-        g = metric if metric is not None else FiberMetric.identity(j.shape[0])
+        g = metric if metric is not None else FiberMetric.identity(j.shape[-1])
         sharp = g_adjoint(k, g)
         k = 0.5 * (k + sharp) if part == "symmetric" else 0.5 * (k - sharp)
-    norm = float(np.linalg.norm(k, 2))
-    if norm > bound:
-        k = k * (bound / norm)
-    return k
+    norm = np.linalg.norm(k, 2, axis=(-2, -1), keepdims=True)
+    # scale 1 elsewhere, so no slice is divided by its (possibly zero) norm
+    return k * np.divide(bound, norm, out=np.ones_like(norm), where=norm > bound)

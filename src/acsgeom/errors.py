@@ -9,6 +9,11 @@ class DimensionMismatch(GeometryError):
     """Operands live on fibers of different or invalid dimensions."""
 
 
+class NonFiniteValue(GeometryError, ValueError):
+    """A matrix or field holds a NaN or infinite entry, as given or after
+    an operation overflowed."""
+
+
 class SingularOperator(GeometryError):
     """An operator that must be inverted is singular or too ill-conditioned."""
 

@@ -1,10 +1,12 @@
-"""Dense matrix kernels on a single tangent fiber.
+"""Dense matrix kernels on stacks of tangent fibers.
 
 Everything above this module reduces to a few operations on real 2n x 2n
 float64 matrices: guarded inversion, the matrix exponential, tanh of a
-scaled matrix, and adjoints with respect to a fiber metric.  Operands are
-assumed unit-scale (norms of order one); the default tolerances used by
-callers are calibrated for that regime.
+scaled matrix, and adjoints with respect to a fiber metric.  Each kernel
+takes a (..., n, n) stack, one matrix per fiber (a single matrix is the
+(n, n) case), and gives each slice the bits of that slice alone.
+Operands are assumed unit-scale (norms of order one); the default
+tolerances used by callers are calibrated for that regime.
 """
 
 from __future__ import annotations
@@ -14,21 +16,22 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import DimensionMismatch, SingularOperator
+from .errors import DimensionMismatch, NonFiniteValue, SingularOperator
 
 DEFAULT_COND_CAP = 1e12
 
 
 def as_fiber_matrix(a) -> np.ndarray:
-    """Coerce to a float64 square matrix of even dimension >= 2."""
+    """Coerce to a float64 (..., n, n) stack of square matrices of even
+    dimension n >= 2."""
     m = np.asarray(a, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
-    if m.shape[0] < 2 or m.shape[0] % 2:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise DimensionMismatch(f"expected square matrices, got shape {m.shape}")
+    if m.shape[-1] < 2 or m.shape[-1] % 2:
         raise DimensionMismatch(
-            f"fiber dimension must be even and >= 2, got {m.shape[0]}")
+            f"fiber dimension must be even and >= 2, got {m.shape[-1]}")
     if not np.isfinite(m).all():
-        raise ValueError("matrix entries must be finite")
+        raise NonFiniteValue("matrix entries must be finite")
     return m
 
 
@@ -40,21 +43,22 @@ def max_abs(a) -> float:
 
 @dataclass(frozen=True)
 class FiberMetric:
-    """Symmetric positive-definite inner product on one fiber."""
+    """Symmetric positive-definite inner products: one matrix, or a
+    (points, n, n) stack with one per fiber."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
         m = as_fiber_matrix(self.matrix)
-        if max_abs(m - m.T) > 1e-12:
+        if max_abs(m - m.mT) > 1e-12:
             raise ValueError("fiber metric must be symmetric within 1e-12")
-        if float(np.linalg.eigvalsh(m)[0]) <= 0.0:
+        if not (np.linalg.eigvalsh(m)[..., 0] > 0.0).all():
             raise ValueError("fiber metric must be positive definite")
         object.__setattr__(self, "matrix", m)
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[-1]
 
     @classmethod
     def identity(cls, dim: int) -> "FiberMetric":
@@ -62,22 +66,23 @@ class FiberMetric:
 
 
 def mat_inv_guarded(a, cond_cap: float = DEFAULT_COND_CAP) -> np.ndarray:
-    """Invert a matrix, refusing ill-conditioned input.
+    """Invert every matrix of a stack, refusing ill-conditioned input.
 
-    The 2-norm condition number is estimated by SVD; anything above
-    ``cond_cap`` raises :class:`SingularOperator` instead of returning
-    garbage.  Chart operations rely on this guard to surface domain
-    violations (1 - K close to singular) as errors rather than noise.
+    The 2-norm condition number of each slice is estimated by SVD; if any
+    is above ``cond_cap`` (or not finite), :class:`SingularOperator` names
+    the largest estimate instead of returning garbage.  Chart operations
+    rely on this guard to surface domain violations (1 - K close to
+    singular) as errors rather than noise.
     """
     m = as_fiber_matrix(a)
     if not cond_cap > 0:
         raise ValueError("cond_cap must be positive")
     cond = np.linalg.cond(m)
-    if not np.isfinite(cond) or cond > cond_cap:
+    if not (np.isfinite(cond) & (cond <= cond_cap)).all():
         raise SingularOperator(
-            f"condition estimate {cond:.6e} exceeds cap {cond_cap:.6e}")
+            f"condition estimate {np.max(cond):.6e} exceeds cap {cond_cap:.6e}")
     try:
-        return np.linalg.solve(m, np.eye(m.shape[0]))
+        return np.linalg.solve(m, np.eye(m.shape[-1]))
     except np.linalg.LinAlgError as exc:  # exactly singular yet finite cond
         raise SingularOperator(str(exc)) from None
 
@@ -102,9 +107,10 @@ def mat_tanh_half(a, t: float) -> np.ndarray:
 
 
 def g_adjoint(a, g: FiberMetric) -> np.ndarray:
-    """Adjoint of ``a`` with respect to the fiber metric: G^{-1} a^T G."""
+    """Adjoint of ``a`` with respect to the fiber metric: G^{-1} a^T G,
+    slice by slice; a single metric matrix serves a whole stack."""
     m = as_fiber_matrix(a)
-    if m.shape[0] != g.dim:
+    if m.shape[-1] != g.dim:
         raise DimensionMismatch(
-            f"operand dimension {m.shape[0]} does not match metric dimension {g.dim}")
-    return np.linalg.solve(g.matrix, m.T @ g.matrix)
+            f"operand dimension {m.shape[-1]} does not match metric dimension {g.dim}")
+    return np.linalg.solve(g.matrix, m.mT @ g.matrix)

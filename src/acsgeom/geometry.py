@@ -6,8 +6,9 @@ w_i tr(A_i B_i) over the sample points, a compatible almost complex
 structure A -> A J, and the 2-form Omega(A, B) = (A J, B).  In the
 rational chart at a base field all three have closed forms in the
 coordinate K, as do the Levi-Civita connection, its curvature and its
-geodesics.  All sums are accumulated left to right in point order, so
-results are reproducible bit for bit.
+geodesics.  Each is computed on the (points, n, n) stacks at once; only
+the final sums over the points are accumulated left to right in point
+order, so results are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -40,10 +41,8 @@ class ChartField:
     def __post_init__(self):
         same_space(self, self.base, self.K)
         check_chart_domain(self.base.ops, self.K.ops)
-        eye = np.eye(self.space.dim)
-        res = np.empty_like(self.K.ops)
-        for i, k in enumerate(self.K.ops):
-            res[i] = mat_inv_guarded(eye - k @ k)
+        k = self.K.ops
+        res = mat_inv_guarded(np.eye(self.space.dim) - k @ k)
         res.flags.writeable = False
         object.__setattr__(self, "_resolvents", res)
 
@@ -67,18 +66,25 @@ def shifted(c: ChartField, a: TangentField, h: float) -> ChartField:
 # ---------------------------------------------------------------------------
 # ambient functionals (fields of structures and tangents, no chart)
 
-def _weighted_trace(space: SampleSpace, products: np.ndarray, scale: float = 1.0) -> float:
-    """sum of w_i * scale * tr(products_i), accumulated in point order."""
+def point_order_sum(terms: np.ndarray) -> float:
+    """Sum of per-point terms, accumulated left to right in point order."""
     total = 0.0
-    for w, p in zip(space.weights, products):
-        total += float(w) * scale * float(np.trace(p))
+    for term in terms.tolist():
+        total += term
     return total
+
+
+def _weighted_traces(space: SampleSpace, products: np.ndarray,
+                     scale: float = 1.0) -> np.ndarray:
+    """w_i * scale * tr(products_i) per point, for a (..., points, n, n)
+    array of products."""
+    return space.weights * scale * np.trace(products, axis1=-2, axis2=-1)
 
 
 def ambient_inner(j: AcsField, a: TangentField, b: TangentField) -> float:
     """(A, B) at J: sum of w_i tr(A_i B_i)."""
     same_space(j, a, b)
-    return _weighted_trace(a.space, a.ops @ b.ops)
+    return point_order_sum(_weighted_traces(a.space, a.ops @ b.ops))
 
 
 def acs_on_tangent(a: TangentField, j: AcsField) -> TangentField:
@@ -90,18 +96,26 @@ def acs_on_tangent(a: TangentField, j: AcsField) -> TangentField:
 def ambient_omega(j: AcsField, a: TangentField, b: TangentField) -> float:
     """Omega(A, B) at J: sum of w_i tr(A_i J_i B_i)."""
     same_space(j, a, b)
-    return _weighted_trace(a.space, a.ops @ j.ops @ b.ops)
+    return point_order_sum(_weighted_traces(a.space, a.ops @ j.ops @ b.ops))
 
 
 # ---------------------------------------------------------------------------
 # chart expressions
 
+def chart_inner_terms(c: ChartField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The per-point terms 4 w_i tr(S_i A_i S_i B_i) of :func:`chart_inner`,
+    S = (1-K^2)^{-1}.  ``a`` and ``b`` are (..., points, n, n) arrays of
+    directions at the chart's points; their leading axes broadcast, so one
+    call pairs whole families of directions."""
+    res = c.resolvents()
+    return _weighted_traces(c.space, res @ a @ res @ b, 4.0)
+
+
 def chart_inner(c: ChartField, a: TangentField, b: TangentField) -> float:
     """The pairing in chart coordinates:
     4 sum of w_i tr((1-K^2)^{-1} A (1-K^2)^{-1} B)."""
     same_space(c.K, a, b)
-    res = c.resolvents()
-    return _weighted_trace(c.space, res @ a.ops @ res @ b.ops, 4.0)
+    return point_order_sum(chart_inner_terms(c, a.ops, b.ops))
 
 
 def chart_omega(c: ChartField, a: TangentField, b: TangentField) -> float:
@@ -109,7 +123,8 @@ def chart_omega(c: ChartField, a: TangentField, b: TangentField) -> float:
     4 sum of w_i tr((1-K^2)^{-1} A J0 (1-K^2)^{-1} B)."""
     same_space(c.K, a, b)
     res = c.resolvents()
-    return _weighted_trace(c.space, res @ a.ops @ c.base.ops @ res @ b.ops, 4.0)
+    products = res @ a.ops @ c.base.ops @ res @ b.ops
+    return point_order_sum(_weighted_traces(c.space, products, 4.0))
 
 
 def christoffel(c: ChartField, a: TangentField, b: TangentField) -> TangentField:
@@ -170,16 +185,10 @@ def geodesic_chart(a: TangentField, t: float) -> TangentField:
     The curve satisfies K'' + Gamma(K', K') = 0 with Gamma the bilinear
     connection term returned by :func:`christoffel`.
     """
-    stack = np.empty_like(a.ops)
-    for i in range(a.space.npoints):
-        stack[i] = mat_tanh_half(a.ops[i], t)
-    return TangentField(a.space, a.base, stack, a.tol)
+    return TangentField(a.space, a.base, mat_tanh_half(a.ops, t), a.tol)
 
 
 def geodesic_ambient(j0: AcsField, a: TangentField, t: float) -> AcsField:
     """The same geodesic as a structure field: J(t) = J0 exp(t A)."""
     same_space(j0, a)
-    stack = np.empty_like(a.ops)
-    for i in range(a.space.npoints):
-        stack[i] = j0.ops[i] @ mat_exp(float(t) * a.ops[i])
-    return AcsField(a.space, stack)
+    return AcsField(a.space, j0.ops @ mat_exp(float(t) * a.ops))

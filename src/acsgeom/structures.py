@@ -33,6 +33,7 @@ from .errors import (
     AnticommutationViolation,
     DimensionMismatch,
     IoError,
+    NonFiniteValue,
     NotAssociated,
 )
 from .fiber import DEFAULT_COND_CAP, FiberMetric, g_adjoint, max_abs
@@ -46,7 +47,7 @@ def _as_stack(ops, dim: int, npoints: int, name: str) -> np.ndarray:
         raise DimensionMismatch(
             f"{name} must have shape {(npoints, dim, dim)}, got {arr.shape}")
     if not np.isfinite(arr).all():
-        raise ValueError(f"{name} entries must be finite")
+        raise NonFiniteValue(f"{name} entries must be finite")
     return arr
 
 
@@ -65,14 +66,15 @@ class SampleSpace:
 
     Instances are treated as immutable once constructed.  ``metrics`` may
     be omitted, in which case every point carries the identity metric.
-    ``fiber_metrics`` holds the validated :class:`FiberMetric` per point.
+    ``fiber_metric`` is the validated :class:`FiberMetric` over the whole
+    ``metrics`` stack.
     """
 
     dim: int
     weights: np.ndarray
     metrics: np.ndarray | None = None
     point_ids: tuple = None
-    fiber_metrics: tuple = field(init=False, repr=False, compare=False)
+    fiber_metric: FiberMetric = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim < 2 or self.dim % 2:
@@ -86,10 +88,9 @@ class SampleSpace:
         self.weights = w
         if self.metrics is None:
             self.metrics = np.tile(np.eye(self.dim), (w.size, 1, 1))
-            self.fiber_metrics = (FiberMetric.identity(self.dim),) * w.size
         else:
             self.metrics = _as_stack(self.metrics, self.dim, w.size, "metrics")
-            self.fiber_metrics = tuple(FiberMetric(m) for m in self.metrics)
+        self.fiber_metric = FiberMetric(self.metrics)
         if self.point_ids is None:
             self.point_ids = tuple(range(w.size))
         else:
@@ -101,9 +102,6 @@ class SampleSpace:
     @property
     def npoints(self) -> int:
         return self.weights.size
-
-    def metric(self, i: int) -> FiberMetric:
-        return self.fiber_metrics[i]
 
 
 @dataclass
@@ -149,34 +147,31 @@ class SymplecticField:
     forms: np.ndarray
 
     def __post_init__(self):
-        self.forms = _as_stack(self.forms, self.space.dim, self.space.npoints, "forms")
-        for i in range(self.space.npoints):
-            w = self.forms[i]
-            if max_abs(w + w.T) > 1e-12:
-                raise ValueError(f"form at point {self.space.point_ids[i]} is not antisymmetric")
-            cond = np.linalg.cond(w)
-            if not np.isfinite(cond) or cond > DEFAULT_COND_CAP:
-                raise ValueError(f"form at point {self.space.point_ids[i]} is degenerate")
+        w = self.forms = _as_stack(self.forms, self.space.dim, self.space.npoints, "forms")
+        skew = np.max(np.abs(w + w.mT), axis=(1, 2)) > 1e-12
+        cond = np.linalg.cond(w)
+        bad = skew | ~(np.isfinite(cond) & (cond <= DEFAULT_COND_CAP))
+        if bad.any():
+            i = int(np.argmax(bad))
+            flaw = "is not antisymmetric" if skew[i] else "is degenerate"
+            raise ValueError(f"form at point {self.space.point_ids[i]} {flaw}")
 
 
 @dataclass
 class MetricField:
     """A symmetric positive-definite metric per point.
 
-    ``fiber_metrics`` holds the validated :class:`FiberMetric` per point.  A
-    field over its space's own ``metrics`` array shares the space's.
+    ``fiber_metric`` is the validated :class:`FiberMetric` over the
+    ``metrics`` stack; it holds that same array, not a copy.
     """
 
     space: SampleSpace
     metrics: np.ndarray
-    fiber_metrics: tuple = field(init=False, repr=False, compare=False)
+    fiber_metric: FiberMetric = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.metrics is self.space.metrics:
-            self.fiber_metrics = self.space.fiber_metrics
-            return
         self.metrics = _as_stack(self.metrics, self.space.dim, self.space.npoints, "metrics")
-        self.fiber_metrics = tuple(FiberMetric(m) for m in self.metrics)
+        self.fiber_metric = FiberMetric(self.metrics)
 
 
 @dataclass
@@ -196,6 +191,11 @@ class FieldReport:
     per_point: list = field(default_factory=list)
 
 
+def _residuals(stack: np.ndarray) -> list[float]:
+    """Per-point max norms of a (points, n, n) stack of identity defects."""
+    return np.max(np.abs(stack), axis=(1, 2)).tolist()
+
+
 def _field_report(name: str, space: SampleSpace, residuals: list, entries: list,
                   tol: float) -> FieldReport:
     """Report over per-point ``entries`` (each with its own "passed"),
@@ -209,8 +209,7 @@ def _field_report(name: str, space: SampleSpace, residuals: list, entries: list,
 
 def validate_acs(j: AcsField, tol: float = 1e-10) -> FieldReport:
     """Check J^2 = -identity at every point."""
-    eye = np.eye(j.space.dim)
-    residuals = [max_abs(op @ op + eye) for op in j.ops]
+    residuals = _residuals(j.ops @ j.ops + np.eye(j.space.dim))
     return _field_report("acs", j.space, residuals,
                          [{"passed": r <= tol} for r in residuals], tol)
 
@@ -218,7 +217,7 @@ def validate_acs(j: AcsField, tol: float = 1e-10) -> FieldReport:
 def _sharps(a: TangentField | AcsField, g: MetricField) -> np.ndarray:
     """Metric adjoints A^sharp of a field's operators, one per point."""
     same_space(a, g)
-    return np.stack([g_adjoint(op, gm) for op, gm in zip(a.ops, g.fiber_metrics)])
+    return g_adjoint(a.ops, g.fiber_metric)
 
 
 def sym_antisym_split(k: TangentField, g: MetricField) -> tuple[TangentField, TangentField]:
@@ -235,11 +234,10 @@ def sym_antisym_split(k: TangentField, g: MetricField) -> tuple[TangentField, Ta
     return p, l
 
 
-def _symmetry_residuals(a: TangentField, g: MetricField) -> tuple[np.ndarray, np.ndarray]:
+def _symmetry_residuals(a: TangentField, g: MetricField) -> tuple[list, list]:
     """Per-point max norms of A - A^sharp and A + A^sharp."""
     sharp = _sharps(a, g)
-    return (np.max(np.abs(a.ops - sharp), axis=(1, 2)),
-            np.max(np.abs(a.ops + sharp), axis=(1, 2)))
+    return _residuals(a.ops - sharp), _residuals(a.ops + sharp)
 
 
 def _class_label(rs: float, ra: float, tol: float) -> str:
@@ -253,7 +251,7 @@ def _class_label(rs: float, ra: float, tol: float) -> str:
 def tangent_class(a: TangentField, g: MetricField, tol: float = 1e-10) -> str:
     """Classify a tangent field as 'symmetric', 'antisymmetric' or 'mixed'."""
     rs, ra = _symmetry_residuals(a, g)
-    return _class_label(rs.max(), ra.max(), tol)
+    return _class_label(np.max(rs), np.max(ra), tol)
 
 
 def point_classes(a: TangentField, g: MetricField, tol: float = 1e-10) -> list[str]:
@@ -272,18 +270,14 @@ def validate_associated(j: AcsField, w: SymplecticField, probes=None,
     values x . (W J x) are then recorded in the report.
     """
     same_space(j, w)
-    residuals, entries = [], []
-    for i in range(j.space.npoints):
-        ji, wi = j.ops[i], w.forms[i]
-        r = max_abs(ji.T @ wi @ ji - wi)
-        prod = wi @ ji
-        min_eig = float(np.linalg.eigvalsh(0.5 * (prod + prod.T))[0])
-        entry = {"min_eig": min_eig, "passed": r <= tol and min_eig > pos_tol}
-        if probes is not None:
-            entry["witnesses"] = [float(np.asarray(x) @ prod @ np.asarray(x))
-                                  for x in probes[i]]
-        residuals.append(r)
-        entries.append(entry)
+    residuals = _residuals(j.ops.mT @ w.forms @ j.ops - w.forms)
+    prod = w.forms @ j.ops
+    min_eigs = np.linalg.eigvalsh(0.5 * (prod + prod.mT))[:, 0].tolist()
+    entries = [{"min_eig": e, "passed": r <= tol and e > pos_tol}
+               for r, e in zip(residuals, min_eigs)]
+    if probes is not None:
+        for entry, p, xs in zip(entries, prod, probes):
+            entry["witnesses"] = [float(np.asarray(x) @ p @ np.asarray(x)) for x in xs]
     return _field_report("associated", j.space, residuals, entries, tol)
 
 
@@ -340,8 +334,7 @@ def validate_orthogonal(j: AcsField, g: MetricField, j_ref: AcsField,
     each point must equal that of the reference structure.
     """
     same_space(j, g, j_ref)
-    eye = np.eye(j.space.dim)
-    residuals = [max_abs(sharp @ op - eye) for sharp, op in zip(_sharps(j, g), j.ops)]
+    residuals = _residuals(_sharps(j, g) @ j.ops - np.eye(j.space.dim))
     entries = []
     for r, op, ref in zip(residuals, j.ops, j_ref.ops):
         marker, ref_marker = orientation_marker(op), orientation_marker(ref)
@@ -379,10 +372,8 @@ def identity_metric_field(space: SampleSpace) -> MetricField:
 def random_tangent_field(rng: np.random.Generator, j: AcsField, *,
                          part: str | None = None, bound: float = 0.9) -> TangentField:
     """Independent random anticommuting direction at every point."""
-    stack = np.empty_like(j.ops)
-    for i in range(j.space.npoints):
-        stack[i] = random_anticommuting(
-            rng, j.ops[i], metric=j.space.metric(i), part=part, bound=bound)
+    stack = random_anticommuting(rng, j.ops, metric=j.space.fiber_metric,
+                                 part=part, bound=bound)
     return TangentField(j.space, j, stack)
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from acsgeom.charts import (
 )
 from acsgeom.errors import AnticommutationViolation, SingularOperator
 from acsgeom.fiber import max_abs
+from acsgeom.structures import random_sample_space, random_tangent_field, standard_acs_field
 
 J2 = standard_acs(2)
 
@@ -220,3 +222,56 @@ class TestRandomAnticommuting:
         a = random_anticommuting(np.random.default_rng(5), standard_acs(4))
         b = random_anticommuting(np.random.default_rng(5), standard_acs(4))
         assert np.array_equal(a, b)
+
+
+class TestStacks:
+    """Chart maps on a (points, n, n) stack give, slice for slice, the bits
+    of the single-matrix call."""
+
+    @staticmethod
+    def draws(dim, points=6, seed=31, bound=0.9):
+        rng = np.random.default_rng(seed)
+        j0 = standard_acs(dim)
+        return j0, np.stack([random_anticommuting(rng, j0, bound=bound)
+                             for _ in range(points)])
+
+    @pytest.mark.parametrize("dim", [2, 4, 6, 8])
+    def test_cayley_maps_and_pushforward(self, dim):
+        j0, k = self.draws(dim)
+        _, a = self.draws(dim, seed=32)
+        base = np.tile(j0, (len(k), 1, 1))
+        coord = CayleyCoordinate(base, k)
+        assert coord.dim == dim
+        j = cayley_to_acs(coord)
+        assert np.array_equal(j, np.stack([cayley_to_acs(CayleyCoordinate(j0, m))
+                                           for m in k]))
+        assert np.array_equal(acs_to_cayley(base, j).K,
+                              np.stack([acs_to_cayley(j0, m).K for m in j]))
+        singles = [CayleyCoordinate(j0, m) for m in k]
+        assert np.array_equal(pushforward(coord, a),
+                              np.stack([pushforward(c, x) for c, x in zip(singles, a)]))
+        assert np.array_equal(pullback(coord, a),
+                              np.stack([pullback(c, x) for c, x in zip(singles, a)]))
+        _, k1 = self.draws(dim, seed=33, bound=0.3)  # new centers near J0
+        j1 = cayley_to_acs(CayleyCoordinate(base, k1))
+        assert np.array_equal(chart_transition(coord, j1),
+                              np.stack([chart_transition(c, m) for c, m in zip(singles, j1)]))
+
+    @pytest.mark.parametrize("part", [None, "symmetric", "antisymmetric"])
+    @pytest.mark.parametrize("dim", [2, 4, 6])
+    def test_random_anticommuting_same_stream(self, dim, part):
+        j0 = standard_acs(dim)
+        stacked = random_anticommuting(np.random.default_rng(33), np.tile(j0, (9, 1, 1)),
+                                       part=part)
+        rng = np.random.default_rng(33)
+        sliced = np.stack([random_anticommuting(rng, j0, part=part) for _ in range(9)])
+        assert np.array_equal(stacked, sliced)
+
+    def test_zero_part_rescales_without_warning(self):
+        # the antisymmetric part is {0} at dim 2, so every norm is zero
+        space = random_sample_space(np.random.default_rng(34), 2, 5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            k = random_tangent_field(np.random.default_rng(35), standard_acs_field(space),
+                                     part="antisymmetric")
+        assert np.array_equal(k.ops, np.zeros_like(k.ops))

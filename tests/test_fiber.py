@@ -172,3 +172,58 @@ class TestGAdjoint:
     def test_dim_mismatch(self):
         with pytest.raises(DimensionMismatch):
             g_adjoint(np.eye(4), FiberMetric.identity(2))
+
+
+def near_identity_stack(seed, dim, points=7, scale=0.4):
+    rng = np.random.default_rng(seed)
+    return np.eye(dim) + scale * rng.uniform(-1.0, 1.0, size=(points, dim, dim))
+
+
+class TestStacks:
+    """A (points, n, n) stack gives, slice for slice, the bits of the
+    single-matrix call."""
+
+    @pytest.mark.parametrize("dim", [2, 4, 6, 8])
+    def test_mat_inv_guarded(self, dim):
+        a = near_identity_stack(1, dim)
+        assert np.array_equal(mat_inv_guarded(a), np.stack([mat_inv_guarded(m) for m in a]))
+
+    @pytest.mark.parametrize("dim", [2, 4, 6, 8])
+    def test_mat_exp(self, dim):
+        a = near_identity_stack(2, dim) - np.eye(dim)
+        assert np.array_equal(mat_exp(a), np.stack([mat_exp(m) for m in a]))
+
+    @pytest.mark.parametrize("dim", [2, 4, 6, 8])
+    def test_mat_tanh_half(self, dim):
+        a = near_identity_stack(3, dim) - np.eye(dim)
+        assert np.array_equal(mat_tanh_half(a, 0.7),
+                              np.stack([mat_tanh_half(m, 0.7) for m in a]))
+
+    @pytest.mark.parametrize("dim", [2, 4, 6, 8])
+    def test_g_adjoint(self, dim):
+        a = near_identity_stack(4, dim)
+        spd = a @ a.mT
+        g = FiberMetric(spd)
+        want = np.stack([g_adjoint(m, FiberMetric(s)) for m, s in zip(a, spd)])
+        assert np.array_equal(g_adjoint(a, g), want)
+        # one metric matrix serves the whole stack
+        one = FiberMetric(spd[0])
+        assert np.array_equal(g_adjoint(a, one), np.stack([g_adjoint(m, one) for m in a]))
+
+    def test_one_singular_slice_raises(self):
+        a = near_identity_stack(5, 2)
+        a[3] = [[1.0, 1.0], [1.0, 1.0]]
+        with pytest.raises(SingularOperator):
+            mat_inv_guarded(a)
+
+    def test_fiber_metric_rejects_one_bad_slice(self):
+        stack = np.tile(np.eye(2), (3, 1, 1))
+        assert FiberMetric(stack).dim == 2
+        stack[2] = [[1.0, 2.0], [2.0, 1.0]]
+        with pytest.raises(ValueError):
+            FiberMetric(stack)
+
+    def test_stack_needs_square_slices(self):
+        assert as_fiber_matrix(np.zeros((3, 4, 4))).shape == (3, 4, 4)
+        with pytest.raises(DimensionMismatch):
+            as_fiber_matrix(np.zeros((3, 4, 2)))

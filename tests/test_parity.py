@@ -1,11 +1,13 @@
 """Parity of command-line outputs with the golden files in tests/golden/.
 
 The golden files were written by an earlier version of the package:
-``verify`` at dims 2 and 4, ``geodesic`` at dim 4 (all seed 0), and
-``project`` on ``project_bundle.json``, a dim-4 bundle with non-identity
-metrics.  Every output must keep the same pass set and agree with its
-golden file in every number to 1e-12 relative, so that a numerical
-rewrite can be checked against the code it replaces.
+``verify`` at dims 2, 4 and 6, ``geodesic`` at dim 4 (all seed 0),
+``project`` and ``verify --in`` on ``project_bundle.json``, a dim-4 bundle
+with non-identity metrics, and ``verify --in`` on ``assoc_bundle.json``, a
+dim-4 bundle whose J, W and K fields exercise the bundle validators.  Every
+output must keep the same pass set and agree with its golden file in every
+number to 1e-12 relative, so that a numerical rewrite can be checked
+against the code it replaces.
 """
 
 import json
@@ -21,6 +23,11 @@ REL = 1e-12
 CASES = {
     "verify_dim2.json": ["verify", "--dim", "2", "--seed", "0"],
     "verify_dim4.json": ["verify", "--dim", "4", "--seed", "0"],
+    "verify_dim6.json": ["verify", "--dim", "6", "--seed", "0"],
+    "verify_project_bundle.json": ["verify", "--in",
+                                   os.path.join(GOLDEN, "project_bundle.json")],
+    "verify_assoc_bundle.json": ["verify", "--in",
+                                 os.path.join(GOLDEN, "assoc_bundle.json")],
     "geodesic_dim4.json": ["geodesic", "--dim", "4"],
     "project.json": ["project", "--in", os.path.join(GOLDEN, "project_bundle.json")],
 }
@@ -56,7 +63,8 @@ def test_matches_golden(golden, capsys):
         want = json.load(fh)
     assert code == 0
     # the input path is where the bundle was read from, not a result
-    got.pop("input", None)
-    want.pop("input", None)
+    for doc in (got, want):
+        doc.pop("input", None)
+        doc.get("config", {}).pop("input", None)
     assert passed_checks(got) == passed_checks(want)
     assert_close(got, want)

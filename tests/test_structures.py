@@ -104,8 +104,10 @@ class TestFields:
     def test_metric_field_of_space_shares_its_fiber_metrics(self):
         space = SampleSpace(2, np.ones(2), metrics=np.tile(np.diag([1.0, 4.0]), (2, 1, 1)))
         g = MetricField(space, space.metrics)
-        assert g.fiber_metrics is space.fiber_metrics
-        assert space.metric(1) is space.fiber_metrics[1]
+        # one FiberMetric over the whole stack, holding the space's own array
+        assert g.fiber_metric.matrix is space.fiber_metric.matrix
+        assert space.fiber_metric.matrix is space.metrics
+        assert space.fiber_metric.matrix.shape == (2, 2, 2)
 
 
 class TestValidateAcs:

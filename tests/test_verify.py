@@ -173,6 +173,16 @@ class TestCheckers:
         assert r.passed is False
         assert r.passed == (r.max_residual <= r.tolerance)
 
+    def test_nan_residual_never_passes(self):
+        # at h = 1e-300 the squared step underflows to zero and the
+        # difference quotient K'' is NaN at every time
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = check_geodesics(seed=0, dims=(2,), h=1e-300)
+        assert math.isnan(r.max_residual)
+        assert r.passed is False
+        ode = [s for s in r.details if s["name"] == "ode_residual_dim2"]
+        assert math.isnan(ode[0]["residual"]) and ode[0]["passed"] is False
+
     def test_failure_is_reported_not_raised(self):
         r = check_cayley(dims=(2,), cases=2, tolerance=1e-30)
         assert not r.passed
@@ -260,7 +270,20 @@ class TestRunSuite:
             if getattr(module, "mat_inv_guarded", None) is original:
                 monkeypatch.setattr(module, "mat_inv_guarded", counted)
         assert all(r.passed for r in run_suite(VerifyConfig()))
-        assert 0 < len(calls) <= 6500
+        assert 0 < len(calls) <= 500
+
+    def test_signature_builds_its_gram_without_chart_inner(self, monkeypatch):
+        calls = []
+        original = geometry.chart_inner
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return original(*args, **kwargs)
+
+        for module in (geometry, verify):
+            monkeypatch.setattr(module, "chart_inner", counted)
+        assert check_signature(seed=0).passed
+        assert calls == []
 
     def test_run_check_matches_suite(self):
         cfg = small_suite_config(tolerances={"signature": 1e-8})
