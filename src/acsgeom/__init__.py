@@ -44,6 +44,7 @@ from .geometry import (
     shifted,
 )
 from .structures import (
+    MAX_FIBER_DIM,
     AcsField,
     FieldBundle,
     FieldReport,

@@ -39,6 +39,10 @@ from .errors import (
 from .fiber import DEFAULT_COND_CAP, FiberMetric, g_adjoint, max_abs
 
 TANGENT_TOL = 1e-10
+# Largest fiber dimension a sample space, a suite config or a bundle may
+# ask for; larger requests are input errors, refused before any dim x dim
+# array exists.  The suite itself runs dims 2 to 6.
+MAX_FIBER_DIM = 64
 
 
 def _as_stack(ops, dim: int, npoints: int, name: str) -> np.ndarray:
@@ -77,9 +81,9 @@ class SampleSpace:
     fiber_metric: FiberMetric = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.dim < 2 or self.dim % 2:
+        if self.dim < 2 or self.dim % 2 or self.dim > MAX_FIBER_DIM:
             raise DimensionMismatch(
-                f"fiber dimension must be even and >= 2, got {self.dim}")
+                f"fiber dimension must be even, >= 2 and <= {MAX_FIBER_DIM}, got {self.dim}")
         w = np.asarray(self.weights, dtype=float).reshape(-1)
         if w.size == 0:
             raise ValueError("a sample space needs at least one point")
@@ -296,33 +300,40 @@ def associated_metric(j: AcsField, w: SymplecticField, tol: float = 1e-10) -> Me
     return MetricField(j.space, w.forms @ j.ops)
 
 
-def orientation_marker(j) -> int:
+def orientation_marker(j):
     """Sign of the determinant of a greedily built adapted basis.
 
     Starting from the standard vectors, each new basis direction is the
     Gram-Schmidt residual u of the first standard vector outside the span
     so far, immediately followed by J u.  For any J with J^2 = -identity
     the resulting frame is nondegenerate, so the sign is well defined.
+
+    ``j`` is one matrix, giving an ``int``, or a ``(..., n, n)`` stack,
+    giving an int array of shape ``(...)``; the whole stack runs through
+    one batched QR per standard vector.
     """
     m = np.asarray(j, dtype=float)
-    n = m.shape[0]
-    cols: list[np.ndarray] = []
+    n = m.shape[-1]
+    stack = m.reshape(-1, n, n)
+    cols = np.zeros_like(stack)  # each frame, zero-padded after its count
+    count = np.zeros(len(stack), dtype=int)
     for c in range(n):
-        if len(cols) == n:
+        if not (count < n).any():
             break
-        e = np.zeros(n)
-        e[c] = 1.0
-        if cols:
-            q, _ = np.linalg.qr(np.column_stack(cols))
-            e = e - q @ (q.T @ e)
-        norm = float(np.linalg.norm(e))
-        if norm < 1e-8:
-            continue
-        u = e / norm
-        cols.append(u)
-        cols.append(m @ u)
-    det = float(np.linalg.det(np.column_stack(cols)))
-    return 1 if det > 0 else -1
+        e = np.zeros((len(stack), n, 1))
+        e[:, c] = 1.0
+        if c:
+            q, _ = np.linalg.qr(cols)
+            q = q * (np.arange(n) < count[:, None, None])
+            e = e - q @ (q.mT @ e)
+        norm = np.linalg.norm(e[..., 0], axis=-1)
+        take = np.nonzero((count < n) & (norm >= 1e-8))[0]
+        u = e[take] / norm[take, None, None]
+        cols[take, :, count[take]] = u[..., 0]
+        cols[take, :, count[take] + 1] = (stack[take] @ u)[..., 0]
+        count[take] += 2
+    signs = np.where(np.linalg.det(cols) > 0, 1, -1)
+    return int(signs[0]) if m.ndim == 2 else signs.reshape(m.shape[:-2])
 
 
 def validate_orthogonal(j: AcsField, g: MetricField, j_ref: AcsField,
@@ -335,11 +346,10 @@ def validate_orthogonal(j: AcsField, g: MetricField, j_ref: AcsField,
     """
     same_space(j, g, j_ref)
     residuals = _residuals(_sharps(j, g) @ j.ops - np.eye(j.space.dim))
-    entries = []
-    for r, op, ref in zip(residuals, j.ops, j_ref.ops):
-        marker, ref_marker = orientation_marker(op), orientation_marker(ref)
-        entries.append({"orientation": marker, "reference_orientation": ref_marker,
-                        "passed": r <= tol and marker == ref_marker})
+    markers = orientation_marker(j.ops).tolist()
+    ref_markers = orientation_marker(j_ref.ops).tolist()
+    entries = [{"orientation": m, "reference_orientation": ref, "passed": r <= tol and m == ref}
+               for r, m, ref in zip(residuals, markers, ref_markers)]
     return _field_report("orthogonal", j.space, residuals, entries, tol)
 
 
@@ -461,6 +471,8 @@ def load_bundle(path) -> FieldBundle:
     points = doc["points"]
     if not isinstance(dim, int) or dim < 2 or not isinstance(points, list) or not points:
         raise IoError(f"field file {path} has a malformed dim or points entry")
+    if dim > MAX_FIBER_DIM:
+        raise IoError(f"field file {path} asks for dim {dim}, above the cap {MAX_FIBER_DIM}")
 
     ids, weights, metrics = [], [], []
     stacks: dict[str, list] = {"J": [], "W": [], "K": []}

@@ -54,6 +54,7 @@ from .geometry import (
     shifted,
 )
 from .structures import (
+    MAX_FIBER_DIM,
     AcsField,
     FieldBundle,
     FieldReport,
@@ -658,8 +659,9 @@ class VerifyConfig:
             if len(dims) == 0:
                 raise ConfigError(f"{label} must not be empty")
             for d in dims:
-                if not isinstance(d, int) or d < 2 or d % 2:
-                    raise ConfigError(f"{label} entries must be even integers >= 2, got {d!r}")
+                if not isinstance(d, int) or d < 2 or d % 2 or d > MAX_FIBER_DIM:
+                    raise ConfigError(f"{label} entries must be even integers from 2 to "
+                                      f"{MAX_FIBER_DIM}, got {d!r}")
         for name in ("cases", "fd_cases", "points", "t_steps"):
             _require_int(name, getattr(self, name), 1)
         _require_positive("h", self.h)

@@ -1,10 +1,11 @@
 """Property tests of bundle input: every document is either loaded or
 refused with a GeometryError, and ``acsgeom project --in`` exits 0 or 2.
 
-Documents are small (dim drawn from {2, 4} or a small malformed value, at
-most four points) and mix plausible matrices with malformed cells: NaN and
-infinite numbers, huge integers, strings, nested and ragged lists,
-missing keys and wrong types.
+Documents are small (at most four points; dim drawn from {2, 4}, a small
+malformed value or any integer up to 10**30 in size, which the dimension
+cap refuses before allocating) and mix plausible matrices with malformed
+cells: NaN and infinite numbers, huge integers, strings, nested and ragged
+lists, missing keys and wrong types.
 """
 
 import contextlib
@@ -75,9 +76,9 @@ POINTS = st.fixed_dictionaries({}, optional={
 
 DOCUMENTS = st.one_of(
     st.fixed_dictionaries({}, optional={
-        # no large dims: a valid document may ask for dim x dim identities
-        "dim": st.sampled_from([2, 4, 0, 1, 3, -2, 2.0, 4.5, "4", [4], None, True,
-                                float("nan"), float("inf")]),
+        "dim": st.one_of(st.sampled_from([2, 4, 0, 1, 3, -2, 2.0, 4.5, "4", [4], None, True,
+                                          float("nan"), float("inf")]),
+                         st.integers(-10**30, 10**30)),
         "points": st.one_of(st.lists(st.one_of(POINTS, SCALARS), max_size=4), SCALARS),
     }),
     SCALARS,

@@ -10,6 +10,7 @@ from acsgeom.charts import standard_acs
 from acsgeom.cli import RunConfig, build_config, build_parser, main
 from acsgeom.errors import ConfigError, IoError
 from acsgeom.structures import (
+    MAX_FIBER_DIM,
     FieldBundle,
     SampleSpace,
     TangentField,
@@ -140,6 +141,20 @@ class TestExitCodes:
         code, out, err = run_cli(["project", "--in", str(path)], capsys)
         assert code == 2
         assert out == "" and err.startswith("error:")
+
+
+    @pytest.mark.parametrize("command", ["verify", "geodesic", "curvature", "signature"])
+    def test_dim_above_cap_is_usage_error(self, capsys, command):
+        code, out, err = run_cli([command, "--dim", "100000"], capsys)
+        assert code == 2
+        assert out == "" and str(MAX_FIBER_DIM) in err
+
+    def test_bundle_dim_above_cap_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"dim": 100000, "points": [{"id": 0, "weight": 1}]}))
+        code, out, err = run_cli(["project", "--in", str(path)], capsys)
+        assert code == 2
+        assert out == "" and f"above the cap {MAX_FIBER_DIM}" in err
 
 
 class TestVerifyCommand:

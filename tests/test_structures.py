@@ -1,10 +1,12 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from acsgeom import structures
 from acsgeom.charts import standard_acs
 from acsgeom.errors import (
     AnticommutationViolation,
@@ -14,6 +16,7 @@ from acsgeom.errors import (
 )
 from acsgeom.fiber import mat_exp, max_abs
 from acsgeom.structures import (
+    MAX_FIBER_DIM,
     AcsField,
     FieldBundle,
     MetricField,
@@ -38,6 +41,40 @@ from acsgeom.structures import (
 )
 
 
+def greedy_marker(j) -> int:
+    """Orientation marker of one matrix by the per-matrix greedy
+    Gram-Schmidt: the oracle for the stacked :func:`orientation_marker`."""
+    m = np.asarray(j, dtype=float)
+    n = m.shape[0]
+    cols = []
+    for c in range(n):
+        if len(cols) == n:
+            break
+        e = np.zeros(n)
+        e[c] = 1.0
+        if cols:
+            q, _ = np.linalg.qr(np.column_stack(cols))
+            e = e - q @ (q.T @ e)
+        norm = float(np.linalg.norm(e))
+        if norm < 1e-8:
+            continue
+        u = e / norm
+        cols.append(u)
+        cols.append(m @ u)
+    return 1 if np.linalg.det(np.column_stack(cols)) > 0 else -1
+
+
+def peak_traced_bytes(fn) -> int:
+    """Peak memory traced by tracemalloc (numpy arrays included) while
+    ``fn`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.fixture
 def space2():
     return SampleSpace(2, np.array([1.0, 2.0, 0.5]))
@@ -57,6 +94,15 @@ class TestSampleSpace:
     def test_rejects_odd_dim(self):
         with pytest.raises(DimensionMismatch):
             SampleSpace(3, np.ones(2))
+
+    def test_dim_cap_refuses_before_allocating(self):
+        assert SampleSpace(MAX_FIBER_DIM, np.ones(1)).dim == MAX_FIBER_DIM
+
+        def build():
+            with pytest.raises(DimensionMismatch, match=str(MAX_FIBER_DIM)):
+                SampleSpace(1000, np.ones(3))
+
+        assert peak_traced_bytes(build) < 10**6
 
     def test_rejects_nonpositive_weights(self):
         with pytest.raises(ValueError):
@@ -221,6 +267,69 @@ class TestOrthogonal:
         assert orientation_marker(standard_acs(4)) == 1
         assert orientation_marker(-standard_acs(2)) == -1
 
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    def test_marker_stack_matches_oracle_on_conjugates(self, n):
+        rng = np.random.default_rng(n)
+        p = rng.standard_normal((300, n, n))
+        stack = p @ standard_acs(n) @ np.linalg.inv(p)
+        expected = [greedy_marker(m) for m in stack]
+        assert set(expected) == {-1, 1}
+        assert orientation_marker(stack).tolist() == expected
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_marker_stack_mixing_standard_and_its_negative(self, n):
+        # J0 e0 = e1, so e1 is skipped at c = 1 for both signs
+        j0 = standard_acs(n)
+        stack = np.stack([j0, -j0, -j0, j0, -j0])
+        expected = [greedy_marker(m) for m in stack]
+        assert expected == [1, (-1) ** (n // 2), (-1) ** (n // 2), 1, (-1) ** (n // 2)]
+        assert orientation_marker(stack).tolist() == expected
+
+    def test_marker_stack_on_orthogonal_geodesic(self):
+        space = SampleSpace(4, np.ones(40))
+        j0 = standard_acs_field(space)
+        a = random_tangent_field(np.random.default_rng(3), j0, part="antisymmetric")
+        for t in np.linspace(0.0, 2.0, 9):
+            stack = j0.ops @ mat_exp(t * a.ops)
+            assert orientation_marker(stack).tolist() == [greedy_marker(m) for m in stack]
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_marker_stack_on_degenerate_input(self, n):
+        e0, ones = np.eye(n)[0], np.ones(n)
+        stack = np.stack([np.zeros((n, n)), np.eye(n), np.outer(e0, ones),
+                          np.outer(ones, e0)])
+        expected = [greedy_marker(m) for m in stack]
+        assert expected == [-1] * 4
+        assert orientation_marker(stack).tolist() == expected
+
+    def test_marker_shapes(self):
+        j0 = standard_acs(4)
+        markers = orientation_marker(np.broadcast_to(j0, (2, 3, 4, 4)))
+        assert markers.shape == (2, 3)
+        assert (markers == 1).all()
+        assert type(orientation_marker(j0)) is int
+
+    def test_validate_orthogonal_marks_whole_stacks(self, monkeypatch):
+        space = SampleSpace(4, np.ones(1000))
+        j0 = standard_acs_field(space)
+        a = random_tangent_field(np.random.default_rng(6), j0, part="antisymmetric")
+        j = AcsField(space, j0.ops @ mat_exp(a.ops))
+        g = identity_metric_field(space)
+        qr_calls, marker_calls = [], []
+
+        def counting(original, calls):
+            def counted(*args, **kwargs):
+                calls.append(None)
+                return original(*args, **kwargs)
+            return counted
+
+        monkeypatch.setattr(np.linalg, "qr", counting(np.linalg.qr, qr_calls))
+        monkeypatch.setattr(structures, "orientation_marker",
+                            counting(structures.orientation_marker, marker_calls))
+        assert validate_orthogonal(j, g, j0).passed
+        assert len(marker_calls) == 2
+        assert 0 < len(qr_calls) <= 2 * (space.dim - 1)
+
     def test_standard_passes(self, space4):
         j = standard_acs_field(space4)
         rep = validate_orthogonal(j, identity_metric_field(space4), j)
@@ -293,6 +402,17 @@ class TestBundleIo:
         save_bundle(FieldBundle(space, J=standard_acs_field(space)), path)
         back = load_bundle(path)
         assert np.array_equal(back.space.metrics, space.metrics)
+
+    @pytest.mark.parametrize("dim", [MAX_FIBER_DIM + 2, 1000, 10**30])
+    def test_dim_above_cap_refused_before_allocating(self, tmp_path, dim):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"dim": dim, "points": [{"id": 0, "weight": 1}]}))
+
+        def load():
+            with pytest.raises(IoError, match=f"above the cap {MAX_FIBER_DIM}"):
+                load_bundle(path)
+
+        assert peak_traced_bytes(load) < 10**6
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(IoError):

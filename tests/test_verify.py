@@ -8,6 +8,7 @@ from acsgeom import charts, fiber, geometry, verify
 from acsgeom.errors import ConfigError
 from acsgeom.geometry import chart_inner, chart_origin
 from acsgeom.structures import (
+    MAX_FIBER_DIM,
     AcsField,
     FieldBundle,
     SampleSpace,
@@ -193,6 +194,7 @@ class TestCheckers:
 class TestVerifyConfig:
     def test_defaults_valid(self):
         VerifyConfig().validate()
+        VerifyConfig(dims=(MAX_FIBER_DIM,), fd_dims=(MAX_FIBER_DIM,)).validate()
 
     @pytest.mark.parametrize("bad", [
         dict(seed=-1),
@@ -209,6 +211,8 @@ class TestVerifyConfig:
         dict(t_max=math.inf),
         dict(tolerances={"cayley": math.inf}),
         dict(points=True),
+        dict(dims=(MAX_FIBER_DIM + 2,)),
+        dict(fd_dims=(2, 10**30)),
     ])
     def test_rejects(self, bad):
         with pytest.raises(ConfigError):
