@@ -297,8 +297,8 @@ def cmd_project(cfg: RunConfig) -> int:
     p, l = sym_antisym_split(k, gf)
     header = ["id", "p_norm", "l_norm", "class"]
     rows = list(zip(map(str, space.point_ids),
-                    np.max(np.abs(p.ops), axis=(1, 2)).tolist(),
-                    np.max(np.abs(l.ops), axis=(1, 2)).tolist(),
+                    np.max(np.abs(p), axis=(1, 2)).tolist(),
+                    np.max(np.abs(l), axis=(1, 2)).tolist(),
                     point_classes(k, gf)))
     if cfg.format == "csv":
         text = _csv(header, rows)

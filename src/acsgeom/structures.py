@@ -43,6 +43,9 @@ TANGENT_TOL = 1e-10
 # ask for; larger requests are input errors, refused before any dim x dim
 # array exists.  The suite itself runs dims 2 to 6.
 MAX_FIBER_DIM = 64
+# Positivity of an associated pair: the smallest eigenvalue of the
+# symmetric part of W J must exceed this at every point.
+POSITIVITY_FLOOR = 1e-12
 
 
 def _as_stack(ops, dim: int, npoints: int, name: str) -> np.ndarray:
@@ -224,18 +227,17 @@ def _sharps(a: TangentField | AcsField, g: MetricField) -> np.ndarray:
     return g_adjoint(a.ops, g.fiber_metric)
 
 
-def sym_antisym_split(k: TangentField, g: MetricField) -> tuple[TangentField, TangentField]:
-    """Split a tangent field into metric-symmetric and antisymmetric parts.
+def sym_antisym_split(k: TangentField, g: MetricField) -> tuple[np.ndarray, np.ndarray]:
+    """Split a tangent field into metric-symmetric and antisymmetric parts,
+    returned as (points, n, n) stacks.
 
     P = (K + K^sharp)/2 and L = K - P, so P + L reproduces K to one
-    rounding of the final subtraction (exactly, at dim 2).  Both parts
-    anticommute with the base whenever the base operators are skew-adjoint
-    for g.
+    rounding of the final subtraction (exactly, at dim 2).  The parts are
+    plain arrays, not tangent fields: they anticommute with the base only
+    when the base operators are skew-adjoint for g.
     """
-    sym = 0.5 * (k.ops + _sharps(k, g))
-    p = TangentField(k.space, k.base, sym, k.tol)
-    l = TangentField(k.space, k.base, k.ops - sym, k.tol)
-    return p, l
+    p = 0.5 * (k.ops + _sharps(k, g))
+    return p, k.ops - p
 
 
 def _symmetry_residuals(a: TangentField, g: MetricField) -> tuple[list, list]:
@@ -265,11 +267,11 @@ def point_classes(a: TangentField, g: MetricField, tol: float = 1e-10) -> list[s
 
 
 def validate_associated(j: AcsField, w: SymplecticField, probes=None,
-                        tol: float = 1e-10, pos_tol: float = 1e-12) -> FieldReport:
+                        tol: float = 1e-10) -> FieldReport:
     """Check that j is positively associated with w at every point.
 
-    Invariance means J^T W J = W; positivity means the symmetric part of
-    W J is positive definite (its smallest eigenvalue exceeds ``pos_tol``).
+    Invariance means J^T W J = W; positivity means the smallest eigenvalue
+    of the symmetric part of W J exceeds ``POSITIVITY_FLOOR``.
     ``probes`` may give per-point lists of vectors; the quadratic witness
     values x . (W J x) are then recorded in the report.
     """
@@ -277,7 +279,7 @@ def validate_associated(j: AcsField, w: SymplecticField, probes=None,
     residuals = _residuals(j.ops.mT @ w.forms @ j.ops - w.forms)
     prod = w.forms @ j.ops
     min_eigs = np.linalg.eigvalsh(0.5 * (prod + prod.mT))[:, 0].tolist()
-    entries = [{"min_eig": e, "passed": r <= tol and e > pos_tol}
+    entries = [{"min_eig": e, "passed": r <= tol and e > POSITIVITY_FLOOR}
                for r, e in zip(residuals, min_eigs)]
     if probes is not None:
         for entry, p, xs in zip(entries, prod, probes):

@@ -19,12 +19,12 @@ configurations produce bitwise-identical reports.
 
 from __future__ import annotations
 
+import inspect
 import math
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .charts import (
     CayleyCoordinate,
@@ -55,6 +55,7 @@ from .geometry import (
 )
 from .structures import (
     MAX_FIBER_DIM,
+    POSITIVITY_FLOOR,
     AcsField,
     FieldBundle,
     FieldReport,
@@ -100,33 +101,18 @@ class CheckReport:
     details: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return _plain({
-            "name": self.name,
-            "passed": self.passed,
-            "max_residual": self.max_residual,
-            "tolerance": self.tolerance,
-            "seed": self.seed,
-            "dims": list(self.dims),
-            "params": self.params,
-            "details": self.details,
-        })
+        return _plain(vars(self))
 
 
 def _plain(value):
     """Recursively convert numpy scalars and containers to JSON-safe types."""
     if isinstance(value, dict):
         return {str(k): _plain(v) for k, v in value.items()}
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
     if isinstance(value, (list, tuple)):
         return [_plain(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [_plain(v) for v in value.tolist()]
-    if isinstance(value, (np.bool_, bool)):
-        return bool(value)
-    if isinstance(value, (np.integer, int)):
-        return int(value)
-    if isinstance(value, (np.floating, float)):
-        return float(value)
-    return value
+    return value.item() if isinstance(value, np.generic) else value
 
 
 def derive_rng(seed: int, name: str, *extra: int) -> np.random.Generator:
@@ -149,14 +135,23 @@ def _rank(sub: dict) -> tuple[bool, float]:
     return math.isnan(ratio), ratio
 
 
-def _compose(name, seed, dims, params, subchecks) -> CheckReport:
-    """Merge sub-checks into one report, keeping the binding constraint."""
+def _sub(name: str, residual: float, tolerance: float, **extra) -> dict:
+    """One sub-check record; ``extra`` holds its diagnostic values."""
+    return {"name": name, "residual": residual, "tolerance": tolerance, **extra}
+
+
+def _compose(name: str, args: dict, subchecks: list) -> CheckReport:
+    """Merge sub-checks into one report, keeping the binding constraint.
+
+    Of the checker's arguments ``args``, all but seed and dims are echoed
+    as the report's params."""
     for sub in subchecks:
         sub["passed"] = _ratio(sub["residual"], sub["tolerance"]) <= 1.0
     worst = max(subchecks, key=_rank)
     passed = all(s["passed"] for s in subchecks)
+    params = {k: v for k, v in args.items() if k not in ("seed", "dims")}
     return CheckReport(name, passed, float(worst["residual"]),
-                       float(worst["tolerance"]), seed, tuple(dims),
+                       float(worst["tolerance"]), args["seed"], tuple(args["dims"]),
                        _plain(params), _plain(subchecks))
 
 
@@ -164,6 +159,11 @@ def _worst(*values: float) -> float:
     """The largest of the values, NaN if any is NaN (Python's ``max``
     drops a NaN that is not its first argument, and a NaN must not pass)."""
     return float(np.max(values))
+
+
+def _positivity(name: str, min_eig: float) -> dict:
+    """The sub-check that a smallest eigenvalue exceeds POSITIVITY_FLOOR."""
+    return _sub(name, _worst(0.0, POSITIVITY_FLOOR - min_eig), 0.0, min_eig=min_eig)
 
 
 def _outside(value: float, lo: float, hi: float) -> float:
@@ -205,48 +205,50 @@ def _case_draws(seed: int, name: str, dim: int, cases: int, count: int,
     return (np.tile(j0, (cases, 1, 1)), *np.stack(draws, axis=1))
 
 
+def _cases(seed: int, name: str, dim: int, cases: int, points: int):
+    """Per case: its generator, a random sample space drawn from it, and
+    the standard structure on that space."""
+    for case in range(cases):
+        rng = derive_rng(seed, name, dim, case)
+        space = random_sample_space(rng, dim, points)
+        yield rng, space, standard_acs_field(space)
+
+
 def check_cayley(seed: int = 0, dims=(2, 4, 6), cases: int = 100,
                  tolerance: float = 1e-9, acs_tolerance: float = 1e-10,
                  bound: float = 0.9) -> CheckReport:
     """Chart bijection: coordinate -> structure -> coordinate round trip,
     and validity of every produced structure."""
+    args = dict(locals())
     subs = []
     for dim in dims:
         j0, k = _case_draws(seed, "cayley", dim, cases, 1, bound)
         j = cayley_to_acs(CayleyCoordinate(j0, k))
-        r_acs = max_abs(j @ j + np.eye(dim))
-        r_round = max_abs(acs_to_cayley(j0, j).K - k)
-        subs.append({"name": f"roundtrip_dim{dim}", "residual": r_round,
-                     "tolerance": tolerance})
-        subs.append({"name": f"acs_identity_dim{dim}", "residual": r_acs,
-                     "tolerance": acs_tolerance})
-    params = {"cases": cases, "bound": bound, "tolerance": tolerance,
-              "acs_tolerance": acs_tolerance}
-    return _compose("cayley", seed, dims, params, subs)
+        subs += [_sub(f"roundtrip_dim{dim}", max_abs(acs_to_cayley(j0, j).K - k), tolerance),
+                 _sub(f"acs_identity_dim{dim}", max_abs(j @ j + np.eye(dim)), acs_tolerance)]
+    return _compose("cayley", args, subs)
 
 
 def check_theorem1(seed: int = 0, dims=(2, 4, 6), cases: int = 100,
                    tolerance: float = 1e-9, bound: float = 0.9) -> CheckReport:
     """Pushforward intertwines the complex structures:
     pushforward(A J0) = pushforward(A) J_K."""
+    args = dict(locals())
     subs = []
     for dim in dims:
         j0, k, a = _case_draws(seed, "theorem1", dim, cases, 2, bound)
         coord = CayleyCoordinate(j0, k)
         jk = cayley_to_acs(coord)
         worst = max_abs(pushforward(coord, a @ j0) - pushforward(coord, a) @ jk)
-        subs.append({"name": f"intertwine_dim{dim}", "residual": worst,
-                     "tolerance": tolerance})
-    params = {"cases": cases, "bound": bound, "tolerance": tolerance}
-    return _compose("theorem1", seed, dims, params, subs)
+        subs.append(_sub(f"intertwine_dim{dim}", worst, tolerance))
+    return _compose("theorem1", args, subs)
 
 
 def _omega_terms(c: ChartField, a0: TangentField, a1: TangentField,
-                 a2: TangentField, h: float) -> tuple[float, float, float]:
-    t0 = fd_directional(lambda cc: chart_omega(cc, a1, a2), c, a0, h)
-    t1 = fd_directional(lambda cc: chart_omega(cc, a0, a2), c, a1, h)
-    t2 = fd_directional(lambda cc: chart_omega(cc, a0, a1), c, a2, h)
-    return t0, t1, t2
+                 a2: TangentField, h: float) -> tuple[float, ...]:
+    """The three directional-derivative terms of d Omega(a0, a1, a2) at c."""
+    return tuple(fd_directional(lambda cc: chart_omega(cc, x, y), c, d, h)
+                 for d, x, y in ((a0, a1, a2), (a1, a0, a2), (a2, a0, a1)))
 
 
 def _omega_ray_derivative(c: ChartField, a0: TangentField, a1: TangentField,
@@ -270,16 +272,13 @@ def check_theorem2(seed: int = 0, dims=(2, 4), cases: int = 3, points: int = 8,
     and after recentering at a random chart point; plus an order-2
     convergence check of the difference stencil against the analytic
     derivative along a coordinate ray."""
+    args = dict(locals())
     subs = []
     for dim in dims:
         term_worst, alt_worst = 0.0, 0.0
         best_rh, best_factor = -1.0, None
-        for case in range(cases):
-            rng = derive_rng(seed, "theorem2", dim, case)
-            space = random_sample_space(rng, dim, points)
-            j0f = standard_acs_field(space)
-            a0, a1, a2 = (random_tangent_field(rng, j0f, bound=bound)
-                          for _ in range(3))
+        for rng, space, j0f in _cases(seed, "theorem2", dim, cases, points):
+            a0, a1, a2 = (random_tangent_field(rng, j0f, bound=bound) for _ in range(3))
             c0 = chart_origin(j0f)
             t0, t1, t2 = _omega_terms(c0, a0, a1, a2, h)
             term_worst = _worst(term_worst, abs(t0), abs(t1), abs(t2))
@@ -288,8 +287,7 @@ def check_theorem2(seed: int = 0, dims=(2, 4), cases: int = 3, points: int = 8,
             # recenter: the same statement in the chart of a random J_K
             k1 = random_tangent_field(rng, j0f, bound=bound)
             j1f = AcsField(space, cayley_to_acs(CayleyCoordinate(j0f.ops, k1.ops)))
-            b0, b1, b2 = (random_tangent_field(rng, j1f, bound=bound)
-                          for _ in range(3))
+            b0, b1, b2 = (random_tangent_field(rng, j1f, bound=bound) for _ in range(3))
             c1 = chart_origin(j1f)
             s0, s1, s2 = _omega_terms(c1, b0, b1, b2, h)
             term_worst = _worst(term_worst, abs(s0), abs(s1), abs(s2))
@@ -300,30 +298,17 @@ def check_theorem2(seed: int = 0, dims=(2, 4), cases: int = 3, points: int = 8,
             # exactly zero and carries no signal)
             half = random_tangent_field(rng, j0f, bound=0.5)
             exact = _omega_ray_derivative(c0, half, a1, a2, ray_t)
-
-            def along_ray(step: float) -> float:
-                ray = TangentField(space, j0f, ray_t * half.ops)
-                cc = ChartField(space, j0f, ray)
-                return fd_directional(lambda ch: chart_omega(ch, a1, a2),
-                                      cc, half, step)
-
-            r_h = abs(along_ray(h) - exact)
-            r_h2 = abs(along_ray(h / 2.0) - exact)
+            ray = ChartField(space, j0f, TangentField(space, j0f, ray_t * half.ops))
+            r_h, r_h2 = (abs(fd_directional(lambda ch: chart_omega(ch, a1, a2), ray, half, step)
+                             - exact) for step in (h, h / 2.0))
             if not r_h <= best_rh:  # a NaN r_h is kept as the worst case
                 best_rh = r_h
                 best_factor = r_h / r_h2 if r_h2 > 0.0 else float("inf")
-        subs.append({"name": f"terms_dim{dim}", "residual": term_worst,
-                     "tolerance": tolerance})
-        subs.append({"name": f"alternating_sum_dim{dim}", "residual": alt_worst,
-                     "tolerance": tolerance})
-        subs.append({"name": f"fd_order_dim{dim}",
-                     "residual": _outside(best_factor, *factor_window),
-                     "tolerance": 0.0, "factor": best_factor,
-                     "window": list(factor_window)})
-    params = {"cases": cases, "points": points, "h": h, "bound": bound,
-              "tolerance": tolerance, "factor_window": list(factor_window),
-              "ray_t": ray_t}
-    return _compose("theorem2", seed, dims, params, subs)
+        subs += [_sub(f"terms_dim{dim}", term_worst, tolerance),
+                 _sub(f"alternating_sum_dim{dim}", alt_worst, tolerance),
+                 _sub(f"fd_order_dim{dim}", _outside(best_factor, *factor_window), 0.0,
+                      factor=best_factor, window=factor_window)]
+    return _compose("theorem2", args, subs)
 
 
 def check_geodesics(seed: int = 0, dims=(2, 4), cases: int = 3, points: int = 8,
@@ -333,14 +318,12 @@ def check_geodesics(seed: int = 0, dims=(2, 4), cases: int = 3, points: int = 8,
                     bound: float = 0.9) -> CheckReport:
     """Geodesic equation K'' + Gamma(K', K') = 0 by central differences,
     and chart/ambient consistency of the two geodesic descriptions."""
+    args = dict(locals())
     full_grid = np.linspace(0.0, t_max, t_steps)
     subs = []
     for dim in dims:
         ode_worst, chart_worst = 0.0, 0.0
-        for case in range(cases):
-            rng = derive_rng(seed, "geodesics", dim, case)
-            space = random_sample_space(rng, dim, points)
-            j0f = standard_acs_field(space)
+        for rng, _, j0f in _cases(seed, "geodesics", dim, cases, points):
             a = random_tangent_field(rng, j0f, bound=bound)
             for t in t_grid:
                 ode_worst = _worst(ode_worst, geodesic_equation_residual(a, t, h))
@@ -349,14 +332,9 @@ def check_geodesics(seed: int = 0, dims=(2, 4), cases: int = 3, points: int = 8,
                 kt = geodesic_chart(a, float(t))
                 back = acs_to_cayley(j0f.ops, jt.ops).K
                 chart_worst = _worst(chart_worst, max_abs(back - kt.ops))
-        subs.append({"name": f"ode_residual_dim{dim}", "residual": ode_worst,
-                     "tolerance": tolerance})
-        subs.append({"name": f"chart_ambient_dim{dim}", "residual": chart_worst,
-                     "tolerance": chart_tolerance})
-    params = {"cases": cases, "points": points, "h": h, "bound": bound,
-              "t_grid": list(t_grid), "t_max": t_max, "t_steps": t_steps,
-              "tolerance": tolerance, "chart_tolerance": chart_tolerance}
-    return _compose("geodesics", seed, dims, params, subs)
+        subs += [_sub(f"ode_residual_dim{dim}", ode_worst, tolerance),
+                 _sub(f"chart_ambient_dim{dim}", chart_worst, chart_tolerance)]
+    return _compose("geodesics", args, subs)
 
 
 def check_curvature_fd(seed: int = 0, dims=(2, 4), cases: int = 3,
@@ -372,13 +350,11 @@ def check_curvature_fd(seed: int = 0, dims=(2, 4), cases: int = 3,
     The coordinate K is kept at spectral radius <= k_bound so the stepped
     points K +- h A stay deep inside the chart.
     """
+    args = dict(locals())
     subs = []
     for dim in dims:
         fd_worst = anti_worst = self_worst = bianchi_worst = origin_worst = 0.0
-        for case in range(cases):
-            rng = derive_rng(seed, "curvature_fd", dim, case)
-            space = random_sample_space(rng, dim, points)
-            j0f = standard_acs_field(space)
+        for rng, space, j0f in _cases(seed, "curvature_fd", dim, cases, points):
             k = random_tangent_field(rng, j0f, bound=k_bound)
             a, b, d = (random_tangent_field(rng, j0f, bound=bound) for _ in range(3))
             c = ChartField(space, j0f, k)
@@ -401,21 +377,12 @@ def check_curvature_fd(seed: int = 0, dims=(2, 4), cases: int = 3,
             flat = curvature(c0, a, b, d)
             ab = a.ops @ b.ops - b.ops @ a.ops
             origin_worst = _worst(origin_worst, max_abs(flat.ops + (ab @ d.ops - d.ops @ ab)))
-        subs.append({"name": f"fd_match_dim{dim}", "residual": fd_worst,
-                     "tolerance": tolerance})
-        subs.append({"name": f"antisymmetry_dim{dim}", "residual": anti_worst,
-                     "tolerance": 0.0})
-        subs.append({"name": f"self_pair_dim{dim}", "residual": self_worst,
-                     "tolerance": 0.0})
-        subs.append({"name": f"bianchi_dim{dim}", "residual": bianchi_worst,
-                     "tolerance": bianchi_tolerance})
-        subs.append({"name": f"origin_closed_form_dim{dim}", "residual": origin_worst,
-                     "tolerance": origin_tolerance})
-    params = {"cases": cases, "points": points, "h": h, "k_bound": k_bound,
-              "bound": bound, "tolerance": tolerance,
-              "bianchi_tolerance": bianchi_tolerance,
-              "origin_tolerance": origin_tolerance}
-    return _compose("curvature_fd", seed, dims, params, subs)
+        subs += [_sub(f"fd_match_dim{dim}", fd_worst, tolerance),
+                 _sub(f"antisymmetry_dim{dim}", anti_worst, 0.0),
+                 _sub(f"self_pair_dim{dim}", self_worst, 0.0),
+                 _sub(f"bianchi_dim{dim}", bianchi_worst, bianchi_tolerance),
+                 _sub(f"origin_closed_form_dim{dim}", origin_worst, origin_tolerance)]
+    return _compose("curvature_fd", args, subs)
 
 
 def check_metric_structure(seed: int = 0, dims=(2, 4), cases: int = 3,
@@ -430,17 +397,13 @@ def check_metric_structure(seed: int = 0, dims=(2, 4), cases: int = 3,
     """Structural identities of the metric, the complex structure and the
     2-form, in ambient and chart form, plus metric compatibility of the
     connection by finite differences (primary tolerance)."""
+    args = dict(locals())
     subs = []
     for dim in dims:
         r_herm = r_omega = r_ci = r_co = r_compat = r_fd = 0.0
-        for case in range(cases):
-            rng = derive_rng(seed, "metric_structure", dim, case)
-            space = random_sample_space(rng, dim, points)
-            j0f = standard_acs_field(space)
-            a = random_tangent_field(rng, j0f, bound=bound)
-            b = random_tangent_field(rng, j0f, bound=bound)
-            ja = acs_on_tangent(a, j0f)
-            jb = acs_on_tangent(b, j0f)
+        for rng, space, j0f in _cases(seed, "metric_structure", dim, cases, points):
+            a, b = (random_tangent_field(rng, j0f, bound=bound) for _ in range(2))
+            ja, jb = acs_on_tangent(a, j0f), acs_on_tangent(b, j0f)
             r_herm = _worst(r_herm, abs(ambient_inner(j0f, ja, jb)
                                         - ambient_inner(j0f, a, b)))
             r_omega = _worst(r_omega, abs(ambient_omega(j0f, a, b)
@@ -468,25 +431,13 @@ def check_metric_structure(seed: int = 0, dims=(2, 4), cases: int = 3,
             rhs = chart_inner(cf, christoffel(cf, a, b), d) \
                 + chart_inner(cf, b, christoffel(cf, a, d))
             r_fd = _worst(r_fd, abs(lhs - rhs))
-        subs.append({"name": f"metric_compat_fd_dim{dim}", "residual": r_fd,
-                     "tolerance": tolerance})
-        subs.append({"name": f"hermitian_dim{dim}", "residual": r_herm,
-                     "tolerance": hermitian_tolerance})
-        subs.append({"name": f"omega_is_inner_dim{dim}", "residual": r_omega,
-                     "tolerance": omega_tolerance})
-        subs.append({"name": f"chart_ambient_inner_dim{dim}", "residual": r_ci,
-                     "tolerance": chart_ambient_tolerance})
-        subs.append({"name": f"chart_ambient_omega_dim{dim}", "residual": r_co,
-                     "tolerance": chart_ambient_tolerance})
-        subs.append({"name": f"omega_compat_dim{dim}", "residual": r_compat,
-                     "tolerance": compat_tolerance})
-    params = {"cases": cases, "points": points, "h": h, "k_bound": k_bound,
-              "bound": bound, "tolerance": tolerance,
-              "hermitian_tolerance": hermitian_tolerance,
-              "omega_tolerance": omega_tolerance,
-              "chart_ambient_tolerance": chart_ambient_tolerance,
-              "compat_tolerance": compat_tolerance}
-    return _compose("metric_structure", seed, dims, params, subs)
+        subs += [_sub(f"metric_compat_fd_dim{dim}", r_fd, tolerance),
+                 _sub(f"hermitian_dim{dim}", r_herm, hermitian_tolerance),
+                 _sub(f"omega_is_inner_dim{dim}", r_omega, omega_tolerance),
+                 _sub(f"chart_ambient_inner_dim{dim}", r_ci, chart_ambient_tolerance),
+                 _sub(f"chart_ambient_omega_dim{dim}", r_co, chart_ambient_tolerance),
+                 _sub(f"omega_compat_dim{dim}", r_compat, compat_tolerance)]
+    return _compose("metric_structure", args, subs)
 
 
 def check_totally_geodesic(seed: int = 0, dims=(2, 4), cases: int = 3,
@@ -501,15 +452,13 @@ def check_totally_geodesic(seed: int = 0, dims=(2, 4), cases: int = 3,
     velocity (possible only at dim >= 4, the antisymmetric space is trivial
     at dim 2) it remains orthogonal with the reference orientation.
     """
+    args = dict(locals())
     grid = np.linspace(0.0, t_max, t_steps)
     subs = []
     for dim in dims:
         assoc_res, min_eig = 0.0, float("inf")
         orth_res, mismatches = 0.0, 0
-        for case in range(cases):
-            rng = derive_rng(seed, "totally_geodesic", dim, case)
-            space = random_sample_space(rng, dim, points)
-            j0f = standard_acs_field(space)
+        for rng, space, j0f in _cases(seed, "totally_geodesic", dim, cases, points):
             wf = standard_symplectic_field(space)
             gf = identity_metric_field(space)
 
@@ -527,27 +476,17 @@ def check_totally_geodesic(seed: int = 0, dims=(2, 4), cases: int = 3,
                     jt = geodesic_ambient(j0f, a_anti, float(t))
                     rep = validate_orthogonal(jt, gf, j0f, tol=orthogonal_tolerance)
                     orth_res = _worst(orth_res, rep.max_residual)
-                    mismatches += sum(
-                        1 for e in rep.per_point
-                        if e["orientation"] != e["reference_orientation"])
-        subs.append({"name": f"associated_invariance_dim{dim}",
-                     "residual": assoc_res, "tolerance": tolerance})
-        subs.append({"name": f"associated_positivity_dim{dim}",
-                     "residual": _worst(0.0, 1e-12 - min_eig), "tolerance": 0.0,
-                     "min_eig": min_eig})
+                    mismatches += sum(e["orientation"] != e["reference_orientation"]
+                                      for e in rep.per_point)
+        subs += [_sub(f"associated_invariance_dim{dim}", assoc_res, tolerance),
+                 _positivity(f"associated_positivity_dim{dim}", min_eig)]
         if dim >= 4:
-            subs.append({"name": f"orthogonal_invariance_dim{dim}",
-                         "residual": orth_res, "tolerance": orthogonal_tolerance})
-            subs.append({"name": f"orientation_preserved_dim{dim}",
-                         "residual": float(mismatches), "tolerance": 0.0})
+            subs += [_sub(f"orthogonal_invariance_dim{dim}", orth_res, orthogonal_tolerance),
+                     _sub(f"orientation_preserved_dim{dim}", float(mismatches), 0.0)]
         else:
-            subs.append({"name": f"antisymmetric_trivial_dim{dim}",
-                         "residual": 0.0, "tolerance": 0.0,
-                         "note": "antisymmetric tangent space is {0} at dim 2"})
-    params = {"cases": cases, "points": points, "t_max": t_max,
-              "t_steps": t_steps, "bound": bound, "tolerance": tolerance,
-              "orthogonal_tolerance": orthogonal_tolerance}
-    return _compose("totally_geodesic", seed, dims, params, subs)
+            subs.append(_sub(f"antisymmetric_trivial_dim{dim}", 0.0, 0.0,
+                             note="antisymmetric tangent space is {0} at dim 2"))
+    return _compose("totally_geodesic", args, subs)
 
 
 def _anticommuting_part_basis(j0: np.ndarray, part: str) -> list[np.ndarray]:
@@ -579,52 +518,52 @@ def check_signature(seed: int = 0, dims=(2, 4), points: int = 8,
     space indefinite.  Basis dimensions per fiber must be n^2 + n and
     n^2 - n.
     """
+    args = dict(locals())
     subs = []
     for dim in dims:
-        rng = derive_rng(seed, "signature", dim, 0)
-        space = random_sample_space(rng, dim, points)
-        j0f = standard_acs_field(space)
+        _, _, j0f = next(_cases(seed, "signature", dim, 1, points))
         j0 = standard_acs(dim)
         n = dim // 2
         sym_basis = _anticommuting_part_basis(j0, "symmetric")
         anti_basis = _anticommuting_part_basis(j0, "antisymmetric")
         dim_residual = float(abs(len(sym_basis) - (n * n + n))
                              + abs(len(anti_basis) - (n * n - n)))
-        subs.append({"name": f"basis_dims_dim{dim}", "residual": dim_residual,
-                     "tolerance": 0.0, "sym_count": len(sym_basis),
-                     "antisym_count": len(anti_basis)})
+        subs.append(_sub(f"basis_dims_dim{dim}", dim_residual, 0.0,
+                         sym_count=len(sym_basis), antisym_count=len(anti_basis)))
 
         c0 = chart_origin(j0f)
 
         def gram_eigs(fiber_basis):
-            """Eigenvalues of the Gram matrix on the fields that are one basis
-            element at one point: block diagonal, one block per point."""
+            """Sorted eigenvalues of the Gram matrix on the fields that are one
+            basis element at one point: block diagonal, one block per point,
+            of which only the pairs i <= j are read."""
             e = np.array(fiber_basis)
             terms = chart_inner_terms(c0, e[:, None, None], e[None, :, None])
-            blocks = np.triu(np.moveaxis(terms, -1, 0))  # pairs i <= j, mirrored below
-            return np.linalg.eigvalsh(block_diag(*(blocks + np.triu(blocks, 1).mT)))
+            blocks = np.moveaxis(terms, -1, 0)
+            return np.sort(np.linalg.eigvalsh(blocks, UPLO="U"), axis=None)
 
-        sym_eigs = gram_eigs(sym_basis)
-        subs.append({"name": f"symmetric_positive_dim{dim}",
-                     "residual": _worst(0.0, threshold - float(sym_eigs[0])),
-                     "tolerance": 0.0, "min_eig": float(sym_eigs[0])})
+        lo = float(gram_eigs(sym_basis)[0])
+        subs.append(_sub(f"symmetric_positive_dim{dim}", _worst(0.0, threshold - lo), 0.0,
+                         min_eig=lo))
         if anti_basis:
-            anti_eigs = gram_eigs(anti_basis)
-            subs.append({"name": f"antisymmetric_negative_dim{dim}",
-                         "residual": _worst(0.0, float(anti_eigs[-1]) + threshold),
-                         "tolerance": 0.0, "max_eig": float(anti_eigs[-1])})
-            full_eigs = gram_eigs(sym_basis + anti_basis)
-            subs.append({"name": f"full_indefinite_dim{dim}",
-                         "residual": _worst(0.0, float(full_eigs[0]) + threshold,
-                                            threshold - float(full_eigs[-1])),
-                         "tolerance": 0.0, "min_eig": float(full_eigs[0]),
-                         "max_eig": float(full_eigs[-1])})
-    params = {"points": points, "threshold": threshold}
-    return _compose("signature", seed, dims, params, subs)
+            hi = float(gram_eigs(anti_basis)[-1])
+            subs.append(_sub(f"antisymmetric_negative_dim{dim}", _worst(0.0, hi + threshold),
+                             0.0, max_eig=hi))
+            lo, hi = (float(x) for x in gram_eigs(sym_basis + anti_basis)[[0, -1]])
+            subs.append(_sub(f"full_indefinite_dim{dim}",
+                             _worst(0.0, lo + threshold, threshold - hi), 0.0,
+                             min_eig=lo, max_eig=hi))
+    return _compose("signature", args, subs)
 
 
 # ---------------------------------------------------------------------------
 # suite
+
+# Size caps, refused before anything is allocated: points * dim**2 entries
+# in one (points, n, n) stack at the largest dim, and the grid length.
+MAX_STACK_ENTRIES = 2**22
+MAX_T_STEPS = 10**6
+
 
 @dataclass
 class VerifyConfig:
@@ -664,6 +603,12 @@ class VerifyConfig:
                                       f"{MAX_FIBER_DIM}, got {d!r}")
         for name in ("cases", "fd_cases", "points", "t_steps"):
             _require_int(name, getattr(self, name), 1)
+        dim = max(*self.dims, *self.fd_dims)
+        if self.points * dim**2 > MAX_STACK_ENTRIES:
+            raise ConfigError(f"points * dim**2 must be at most {MAX_STACK_ENTRIES}, "
+                              f"got {self.points} points at dim {dim}")
+        if self.t_steps > MAX_T_STEPS:
+            raise ConfigError(f"t_steps must be at most {MAX_T_STEPS}, got {self.t_steps}")
         _require_positive("h", self.h)
         _require_positive("t_max", self.t_max)
         for name, tol in self.tolerances.items():
@@ -683,69 +628,47 @@ def _require_positive(name: str, value) -> None:
         raise ConfigError(f"{name} must be a finite positive number, got {value!r}")
 
 
-def _override(config: VerifyConfig, name: str, key: str = "tolerance") -> dict:
-    """The keyword argument overriding checker ``name``'s primary tolerance,
-    or none, so that the checker's own default applies."""
-    if name in config.tolerances:
-        return {key: float(config.tolerances[name])}
-    return {}
-
-
-_RUNNERS = {
-    "cayley": lambda c: check_cayley(c.seed, c.dims, c.cases, **_override(c, "cayley")),
-    "theorem1": lambda c: check_theorem1(c.seed, c.dims, c.cases,
-                                         **_override(c, "theorem1")),
-    "theorem2": lambda c: check_theorem2(c.seed, c.fd_dims, c.fd_cases, c.points, c.h,
-                                         **_override(c, "theorem2")),
-    "geodesics": lambda c: check_geodesics(c.seed, c.fd_dims, c.fd_cases, c.points, h=c.h,
-                                           t_max=c.t_max, t_steps=c.t_steps,
-                                           **_override(c, "geodesics")),
-    "curvature_fd": lambda c: check_curvature_fd(c.seed, c.fd_dims, c.fd_cases, c.points,
-                                                 h=c.h, **_override(c, "curvature_fd")),
-    "metric_structure": lambda c: check_metric_structure(
-        c.seed, c.fd_dims, c.fd_cases, c.points, h=c.h, **_override(c, "metric_structure")),
-    "totally_geodesic": lambda c: check_totally_geodesic(
-        c.seed, c.fd_dims, c.fd_cases, c.points, t_max=c.t_max, t_steps=c.t_steps,
-        **_override(c, "totally_geodesic")),
-    "signature": lambda c: check_signature(c.seed, c.fd_dims, c.points,
-                                           **_override(c, "signature", "threshold")),
-}
-
-
 def run_check(config: VerifyConfig, name: str) -> CheckReport:
     """Run the checker ``name`` (one of CHECK_NAMES) exactly as
-    :func:`run_suite` runs it.  ``config`` must already be validated."""
-    if name not in _RUNNERS:
+    :func:`run_suite` runs it.  ``config`` must already be validated.
+
+    The checker, looked up in this module at call time, gets the config
+    values its signature names and any override of its primary tolerance.
+    The two algebraic checks take ``dims`` and ``cases``; the others take
+    ``fd_dims`` and ``fd_cases`` in their place.
+    """
+    if name not in CHECK_NAMES:
         raise ConfigError(f"unknown check {name!r}")
-    return _RUNNERS[name](config)
+    check = globals()[f"check_{name}"]
+    values = {f.name: getattr(config, f.name) for f in fields(config)}
+    if name not in ("cayley", "theorem1"):
+        values.update(dims=config.fd_dims, cases=config.fd_cases)
+    if name in config.tolerances:
+        key = "threshold" if name == "signature" else "tolerance"
+        values[key] = float(config.tolerances[name])
+    wanted = inspect.signature(check).parameters
+    return check(**{k: v for k, v in values.items() if k in wanted})
 
 
 def _bundle_reports(config: VerifyConfig) -> list[CheckReport]:
     bundle = config.bundle
     reports = []
-    dims = (bundle.space.dim,)
+    args = {"seed": config.seed, "dims": (bundle.space.dim,)}
     if bundle.J is not None:
         fr = validate_acs(bundle.J)
-        reports.append(_from_field_report("field_acs", fr, config.seed, dims,
-                                          [{"name": "acs_identity",
-                                            "residual": fr.max_residual,
-                                            "tolerance": fr.tolerance}]))
+        reports.append(_from_field_report("field_acs", fr, args, [
+            _sub("acs_identity", fr.max_residual, fr.tolerance)]))
         if bundle.W is not None:
             fr = validate_associated(bundle.J, bundle.W)
             min_eig = float(np.min([e["min_eig"] for e in fr.per_point]))
-            reports.append(_from_field_report(
-                "field_associated", fr, config.seed, dims,
-                [{"name": "invariance", "residual": fr.max_residual,
-                  "tolerance": fr.tolerance},
-                 {"name": "positivity", "residual": _worst(0.0, 1e-12 - min_eig),
-                  "tolerance": 0.0, "min_eig": min_eig}]))
+            reports.append(_from_field_report("field_associated", fr, args, [
+                _sub("invariance", fr.max_residual, fr.tolerance),
+                _positivity("positivity", min_eig)]))
     return reports
 
 
-def _from_field_report(name: str, fr: FieldReport, seed: int, dims,
-                       subchecks) -> CheckReport:
-    report = _compose(name, seed, dims, {"worst_point": fr.worst_point},
-                      subchecks)
+def _from_field_report(name: str, fr: FieldReport, args: dict, subchecks: list) -> CheckReport:
+    report = _compose(name, {**args, "worst_point": fr.worst_point}, subchecks)
     report.details.extend(_plain(fr.per_point))
     return report
 
@@ -770,17 +693,7 @@ def report_document(reports: list[CheckReport], config: VerifyConfig,
     return _plain({
         "passed": all(r.passed for r in reports),
         "checks": [r.to_dict() for r in reports],
-        "config": {
-            "seed": config.seed,
-            "dims": list(config.dims),
-            "fd_dims": list(config.fd_dims),
-            "cases": config.cases,
-            "fd_cases": config.fd_cases,
-            "points": config.points,
-            "h": config.h,
-            "t_max": config.t_max,
-            "t_steps": config.t_steps,
-            "tolerances": dict(config.tolerances),
-            "input": input_path,
-        },
+        "config": {**{f.name: getattr(config, f.name) for f in fields(VerifyConfig)
+                      if f.name != "bundle"},
+                   "input": input_path},
     })

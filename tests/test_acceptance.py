@@ -173,7 +173,7 @@ def test_09_dim2_antisymmetric_space_is_zero():
     for seed in range(100):
         k = random_tangent_field(np.random.default_rng(seed), j0)
         _, l = sym_antisym_split(k, g)
-        worst = max(worst, max_abs(l.ops))
+        worst = max(worst, max_abs(l))
     ok = worst == 0.0
     scorecard(9, "at dim 2 the antisymmetric part of every anticommuting "
                  "direction is exactly zero over 100 draws",

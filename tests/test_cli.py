@@ -1,7 +1,9 @@
 import json
 import math
+import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,16 +11,21 @@ import pytest
 from acsgeom.charts import standard_acs
 from acsgeom.cli import RunConfig, build_config, build_parser, main
 from acsgeom.errors import ConfigError, IoError
+from acsgeom.fiber import max_abs
 from acsgeom.structures import (
     MAX_FIBER_DIM,
     FieldBundle,
+    MetricField,
     SampleSpace,
     TangentField,
     load_bundle,
     random_tangent_field,
     save_bundle,
     standard_acs_field,
+    sym_antisym_split,
 )
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
 
 def run_cli(args, capsys):
@@ -148,6 +155,23 @@ class TestExitCodes:
         code, out, err = run_cli([command, "--dim", "100000"], capsys)
         assert code == 2
         assert out == "" and str(MAX_FIBER_DIM) in err
+
+    @pytest.mark.parametrize("argv", [
+        ["geodesic", "--t-steps", "1000000000000000"],
+        ["signature", "--points", "1000000000000000"],
+        ["curvature", "--points", "1000000000000000"],
+        ["verify", "--dim", "64", "--points", "1025"],
+    ])
+    def test_size_above_cap_is_usage_error_before_allocating(self, capsys, argv):
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(argv, capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert out == "" and "at most" in err
+        assert peak < 10**6
 
     def test_bundle_dim_above_cap_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "huge.json"
@@ -312,6 +336,21 @@ class TestProjectCommand:
             cells = line.split(",")
             assert float(cells[1]) > 0.0 and float(cells[2]) > 0.0
             assert cells[3] == "mixed"
+
+    def test_structure_not_skew_for_the_metric(self, capsys):
+        # this bundle's J is not skew-adjoint for its metrics, so its parts
+        # do not anticommute with J; project reports them all the same
+        path = os.path.join(GOLDEN, "assoc_bundle.json")
+        code, out, err = run_cli(["project", "--in", path], capsys)
+        assert code == 0 and err == ""
+        bundle = load_bundle(path)
+        j, k = bundle.J.ops, bundle.K.ops
+        p, l = sym_antisym_split(bundle.K, MetricField(bundle.space, bundle.space.metrics))
+        assert max_abs(p @ j + j @ p) > 1e-3
+        assert max_abs(p + l - k) <= 2 * np.spacing(max_abs(k))
+        doc = json.loads(out)
+        assert [pt["p_norm"] for pt in doc["points"]] == np.max(np.abs(p), axis=(1, 2)).tolist()
+        assert [pt["l_norm"] for pt in doc["points"]] == np.max(np.abs(l), axis=(1, 2)).tolist()
 
     def test_report_format(self, tmp_path, capsys):
         path = tmp_path / "sym.json"

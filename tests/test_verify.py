@@ -1,5 +1,8 @@
+import functools
+import inspect
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +22,8 @@ from acsgeom.structures import (
 )
 from acsgeom.verify import (
     CHECK_NAMES,
+    MAX_STACK_ENTRIES,
+    MAX_T_STEPS,
     VerifyConfig,
     check_cayley,
     check_curvature_fd,
@@ -169,7 +174,7 @@ class TestCheckers:
     def test_nan_subcheck_ranks_worst(self):
         subs = [{"name": "fine", "residual": 0.5, "tolerance": 1.0},
                 {"name": "broken", "residual": math.nan, "tolerance": 1.0}]
-        r = verify._compose("demo", 0, (2,), {}, subs)
+        r = verify._compose("demo", {"seed": 0, "dims": (2,)}, subs)
         assert math.isnan(r.max_residual)
         assert r.passed is False
         assert r.passed == (r.max_residual <= r.tolerance)
@@ -217,6 +222,29 @@ class TestVerifyConfig:
     def test_rejects(self, bad):
         with pytest.raises(ConfigError):
             VerifyConfig(**bad).validate()
+
+    @pytest.mark.parametrize("bad", [
+        dict(points=10**15),
+        dict(points=MAX_STACK_ENTRIES // 36 + 1, dims=(6,)),
+        dict(points=MAX_STACK_ENTRIES // MAX_FIBER_DIM**2 + 1, fd_dims=(2, MAX_FIBER_DIM)),
+        dict(t_steps=MAX_T_STEPS + 1),
+        dict(t_steps=10**30),
+    ])
+    def test_size_caps_refuse_before_allocating(self, bad):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match="at most"):
+                VerifyConfig(**bad).validate()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**6
+
+    def test_size_caps_admit_their_bounds(self):
+        VerifyConfig(points=MAX_STACK_ENTRIES // 36, dims=(6,)).validate()
+        VerifyConfig(points=MAX_STACK_ENTRIES // MAX_FIBER_DIM**2,
+                     fd_dims=(MAX_FIBER_DIM,)).validate()
+        VerifyConfig(t_steps=MAX_T_STEPS).validate()
 
 
 class TestRunSuite:
@@ -300,3 +328,48 @@ class TestRunSuite:
     def test_invalid_config_raises(self):
         with pytest.raises(ConfigError):
             run_suite(VerifyConfig(dims=(5,)))
+
+
+class TestCheckerSkeleton:
+    """Every checker echoes its own arguments as params, and run_check binds
+    the config to each checker by the names in its signature."""
+
+    def test_params_are_the_signature_minus_seed_and_dims(self):
+        for report in run_suite(small_suite_config()):
+            check = getattr(verify, f"check_{report.name}")
+            names = set(inspect.signature(check).parameters) - {"seed", "dims"}
+            assert set(report.params) == names, report.name
+
+    def test_config_binding(self):
+        cfg = small_suite_config(dims=(4,), cases=2, fd_cases=1, seed=3, h=2e-4,
+                                 t_max=1.5, t_steps=4,
+                                 tolerances={name: 0.5 for name in CHECK_NAMES})
+        for name in CHECK_NAMES:
+            report = run_check(cfg, name)
+            algebraic = name in ("cayley", "theorem1")
+            assert report.seed == 3
+            assert report.dims == (cfg.dims if algebraic else cfg.fd_dims)
+            if "cases" in report.params:
+                assert report.params["cases"] == (cfg.cases if algebraic else cfg.fd_cases)
+            for key in ("points", "h", "t_max", "t_steps"):
+                if key in report.params:
+                    assert report.params[key] == getattr(cfg, key)
+            key = "threshold" if name == "signature" else "tolerance"
+            assert report.params[key] == 0.5
+
+    def test_run_check_finds_a_replaced_checker(self, monkeypatch):
+        # a profiler swaps the module attribute for a functools.wraps
+        # wrapper; run_check must call the wrapper, with the same arguments
+        original = verify.check_signature
+        calls = []
+
+        @functools.wraps(original)
+        def spy(**kwargs):
+            calls.append(kwargs)
+            return original(**kwargs)
+
+        cfg = small_suite_config()
+        want = run_check(cfg, "signature").to_dict()
+        monkeypatch.setattr(verify, "check_signature", spy)
+        assert run_check(cfg, "signature").to_dict() == want
+        assert calls == [{"seed": 0, "dims": (2,), "points": 3}]
