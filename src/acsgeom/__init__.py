@@ -9,7 +9,6 @@ from .charts import (
     cayley_to_acs,
     chart_transition,
     check_chart_domain,
-    exp_chart,
     pullback,
     pushforward,
     random_anticommuting,
@@ -23,7 +22,6 @@ from .errors import (
     GeometryError,
     IoError,
     NonFiniteValue,
-    NotAssociated,
     SingularOperator,
 )
 from .fiber import FiberMetric, g_adjoint, mat_exp, mat_inv_guarded, mat_tanh_half, max_abs
@@ -52,7 +50,6 @@ from .structures import (
     SampleSpace,
     SymplecticField,
     TangentField,
-    associated_metric,
     load_bundle,
     orientation_marker,
     point_classes,
@@ -63,7 +60,6 @@ from .structures import (
     standard_acs_field,
     standard_symplectic_field,
     sym_antisym_split,
-    tangent_class,
     validate_acs,
     validate_associated,
     validate_orthogonal,

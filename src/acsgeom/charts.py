@@ -1,12 +1,13 @@
-"""Parameterizations of the structure space near a base structure J0.
+"""The rational (Cayley) chart of the structure space at a base J0.
 
-Two charts are provided, both indexed by matrices K that anticommute with
-the base.  The exponential chart sends K to J0 exp(K).  The rational
-(Cayley) chart sends K to J0 (1 + K)(1 - K)^{-1}; it is a diffeomorphism
-onto the set of structures J for which 1 - J J0 is invertible, and its
-inverse is K = (1 - J J0)^{-1} (1 + J J0).  Every map takes a single
-matrix or a (points, n, n) stack and acts on each fiber independently;
-field-level wrappers live in the structures and geometry modules.
+Coordinates are matrices K that anticommute with the base.  The chart
+sends K to J0 (1 + K)(1 - K)^{-1}; it is a diffeomorphism onto the set of
+structures J for which 1 - J J0 is invertible, and its inverse is
+K = (1 - J J0)^{-1} (1 + J J0).  The exponential map J0 exp(t A) is the
+geodesic :func:`acsgeom.geometry.geodesic_ambient`.  Every map takes a
+single matrix or a (points, n, n) stack and acts on each fiber
+independently; field-level wrappers live in the structures and geometry
+modules.
 """
 
 from __future__ import annotations
@@ -21,13 +22,11 @@ from .fiber import (
     FiberMetric,
     as_fiber_matrix,
     g_adjoint,
-    mat_exp,
     mat_inv_guarded,
     max_abs,
 )
 
-# Class invariant tolerance for coordinates; looser precondition checks on
-# raw inputs use 1e-8.
+# Class invariant tolerance for coordinates.
 COORD_TOL = 1e-10
 
 
@@ -96,16 +95,6 @@ class CayleyCoordinate:
     @property
     def dim(self) -> int:
         return self.base.shape[-1]
-
-
-def exp_chart(j0, k, tol: float = 1e-8) -> np.ndarray:
-    """J0 exp(K) for K anticommuting with J0."""
-    j = as_fiber_matrix(j0)
-    m = _like_base(k, j, "exp chart argument")
-    if max_abs(m @ j + j @ m) > tol:
-        raise AnticommutationViolation(
-            "exp chart argument does not anticommute with the base")
-    return j @ mat_exp(m)
 
 
 def cayley_to_acs(coord: CayleyCoordinate) -> np.ndarray:

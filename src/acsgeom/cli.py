@@ -80,8 +80,6 @@ class RunConfig:
             raise ConfigError(f"unknown command {self.command!r}")
         if self.format not in ("report", "csv"):
             raise ConfigError(f"format must be 'report' or 'csv', got {self.format!r}")
-        if not isinstance(self.dim, int) or self.dim < 2 or self.dim % 2:
-            raise ConfigError(f"dim must be an even integer >= 2, got {self.dim!r}")
         if self.command in SINGLE_CHECKS and self.input_path:
             raise ConfigError(f"{self.command} does not read an input bundle (--in)")
         self.verify_config().validate()
@@ -250,6 +248,10 @@ def cmd_geodesic(cfg: RunConfig) -> int:
         if bundle.J is None or bundle.K is None:
             raise ConfigError("geodesic needs an input bundle with J and K fields")
         space, j0f, a = bundle.space, bundle.J, bundle.K
+        acs = validate_acs(j0f)
+        if not acs.passed:
+            raise IoError(f"J at point {acs.worst_point!r} does not square to -identity, "
+                          f"residual {acs.max_residual:.3e}")
         wf = bundle.W if bundle.W is not None else standard_symplectic_field(space)
     else:
         rng = derive_rng(cfg.seed, "cli_geodesic", cfg.dim)
@@ -262,11 +264,15 @@ def cmd_geodesic(cfg: RunConfig) -> int:
     rows = []
     for t in np.linspace(0.0, cfg.t_max, cfg.t_steps):
         t = float(t)
-        jt = geodesic_ambient(j0f, a, t)
-        assoc = validate_associated(jt, wf).passed
-        orth = validate_orthogonal(jt, gf, j0f).passed
-        rows.append([t, max_abs(geodesic_chart(a, t).ops), validate_acs(jt).max_residual,
-                     geodesic_equation_residual(a, t, cfg.h), int(assoc), int(orth)])
+        try:
+            jt = geodesic_ambient(j0f, a, t)
+            assoc = validate_associated(jt, wf).passed
+            orth = validate_orthogonal(jt, gf, j0f).passed
+            rows.append([t, max_abs(geodesic_chart(a, t).ops), validate_acs(jt).max_residual,
+                         geodesic_equation_residual(a, t, cfg.h), int(assoc), int(orth)])
+        except GeometryError as exc:
+            raise ConfigError(f"geodesic trace fails at t={t!r} (--t-max {cfg.t_max!r}, "
+                              f"--h {cfg.h!r}): {exc}") from None
     header = ["t", "k_max", "acs_residual", "geodesic_residual",
               "associated", "orthogonal"]
     if cfg.format == "csv":

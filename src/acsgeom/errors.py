@@ -22,10 +22,6 @@ class AnticommutationViolation(GeometryError):
     """A matrix expected to anticommute with the base structure does not."""
 
 
-class NotAssociated(GeometryError):
-    """The structure field is not positively associated with the 2-form."""
-
-
 class DegeneratePlane(GeometryError):
     """The Gram determinant of a tangent plane is too close to zero."""
 

@@ -65,22 +65,20 @@ class FiberMetric:
         return cls(np.eye(dim))
 
 
-def mat_inv_guarded(a, cond_cap: float = DEFAULT_COND_CAP) -> np.ndarray:
+def mat_inv_guarded(a) -> np.ndarray:
     """Invert every matrix of a stack, refusing ill-conditioned input.
 
     The 2-norm condition number of each slice is estimated by SVD; if any
-    is above ``cond_cap`` (or not finite), :class:`SingularOperator` names
-    the largest estimate instead of returning garbage.  Chart operations
-    rely on this guard to surface domain violations (1 - K close to
-    singular) as errors rather than noise.
+    is above ``DEFAULT_COND_CAP`` (or not finite), :class:`SingularOperator`
+    names the largest estimate instead of returning garbage.  Chart
+    operations rely on this guard to surface domain violations (1 - K close
+    to singular) as errors rather than noise.
     """
     m = as_fiber_matrix(a)
-    if not cond_cap > 0:
-        raise ValueError("cond_cap must be positive")
     cond = np.linalg.cond(m)
-    if not (np.isfinite(cond) & (cond <= cond_cap)).all():
+    if not (np.isfinite(cond) & (cond <= DEFAULT_COND_CAP)).all():
         raise SingularOperator(
-            f"condition estimate {np.max(cond):.6e} exceeds cap {cond_cap:.6e}")
+            f"condition estimate {np.max(cond):.6e} exceeds cap {DEFAULT_COND_CAP:.6e}")
     try:
         return np.linalg.solve(m, np.eye(m.shape[-1]))
     except np.linalg.LinAlgError as exc:  # exactly singular yet finite cond

@@ -148,31 +148,23 @@ def curvature(c: ChartField, a: TangentField, b: TangentField,
     return TangentField(c.space, c.base, stack, 1e-9)
 
 
-def sectional_numerator(c: ChartField, a: TangentField, b: TangentField) -> float:
-    """(R(A,B)B, A) in the chart pairing."""
-    return chart_inner(c, curvature(c, a, b, b), a)
-
-
-def gram_denominator(c: ChartField, a: TangentField, b: TangentField) -> float:
-    """(A,A)(B,B) - (A,B)^2 in the chart pairing."""
-    aa = chart_inner(c, a, a)
-    bb = chart_inner(c, b, b)
-    ab = chart_inner(c, a, b)
-    return aa * bb - ab * ab
-
 def sectional_curvature(c: ChartField, a: TangentField, b: TangentField,
                         degenerate_tol: float = 1e-10) -> float:
-    """Sectional curvature of the plane spanned by a and b.
+    """Sectional curvature of the plane spanned by a and b:
+    (R(A,B)B, A) / ((A,A)(B,B) - (A,B)^2) in the chart pairing.
 
     Raises :class:`DegeneratePlane` when the Gram determinant is smaller
     than ``degenerate_tol`` in absolute value; the pairing is indefinite,
     so near-null planes have no meaningful sectional curvature.
     """
-    denom = gram_denominator(c, a, b)
+    aa = chart_inner(c, a, a)
+    bb = chart_inner(c, b, b)
+    ab = chart_inner(c, a, b)
+    denom = aa * bb - ab * ab
     if abs(denom) < degenerate_tol:
         raise DegeneratePlane(
             f"Gram determinant {denom:.3e} is below {degenerate_tol:.1e}")
-    return sectional_numerator(c, a, b) / denom
+    return chart_inner(c, curvature(c, a, b, b), a) / denom
 
 
 # ---------------------------------------------------------------------------

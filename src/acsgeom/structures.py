@@ -34,7 +34,6 @@ from .errors import (
     DimensionMismatch,
     IoError,
     NonFiniteValue,
-    NotAssociated,
 )
 from .fiber import DEFAULT_COND_CAP, FiberMetric, g_adjoint, max_abs
 
@@ -240,40 +239,22 @@ def sym_antisym_split(k: TangentField, g: MetricField) -> tuple[np.ndarray, np.n
     return p, k.ops - p
 
 
-def _symmetry_residuals(a: TangentField, g: MetricField) -> tuple[list, list]:
-    """Per-point max norms of A - A^sharp and A + A^sharp."""
-    sharp = _sharps(a, g)
-    return _residuals(a.ops - sharp), _residuals(a.ops + sharp)
-
-
-def _class_label(rs: float, ra: float, tol: float) -> str:
-    if rs <= tol:
-        return "symmetric"
-    if ra <= tol:
-        return "antisymmetric"
-    return "mixed"
-
-
-def tangent_class(a: TangentField, g: MetricField, tol: float = 1e-10) -> str:
-    """Classify a tangent field as 'symmetric', 'antisymmetric' or 'mixed'."""
-    rs, ra = _symmetry_residuals(a, g)
-    return _class_label(np.max(rs), np.max(ra), tol)
-
-
 def point_classes(a: TangentField, g: MetricField, tol: float = 1e-10) -> list[str]:
-    """The class of :func:`tangent_class` at each point separately."""
-    rs, ra = _symmetry_residuals(a, g)
-    return [_class_label(s, t, tol) for s, t in zip(rs, ra)]
+    """Classify a tangent field at each point as 'symmetric',
+    'antisymmetric' or 'mixed', by the max norms of A - A^sharp and
+    A + A^sharp there."""
+    sharp = _sharps(a, g)
+    rs, ra = _residuals(a.ops - sharp), _residuals(a.ops + sharp)
+    return ["symmetric" if s <= tol else "antisymmetric" if t <= tol else "mixed"
+            for s, t in zip(rs, ra)]
 
 
-def validate_associated(j: AcsField, w: SymplecticField, probes=None,
+def validate_associated(j: AcsField, w: SymplecticField,
                         tol: float = 1e-10) -> FieldReport:
     """Check that j is positively associated with w at every point.
 
     Invariance means J^T W J = W; positivity means the smallest eigenvalue
     of the symmetric part of W J exceeds ``POSITIVITY_FLOOR``.
-    ``probes`` may give per-point lists of vectors; the quadratic witness
-    values x . (W J x) are then recorded in the report.
     """
     same_space(j, w)
     residuals = _residuals(j.ops.mT @ w.forms @ j.ops - w.forms)
@@ -281,25 +262,7 @@ def validate_associated(j: AcsField, w: SymplecticField, probes=None,
     min_eigs = np.linalg.eigvalsh(0.5 * (prod + prod.mT))[:, 0].tolist()
     entries = [{"min_eig": e, "passed": r <= tol and e > POSITIVITY_FLOOR}
                for r, e in zip(residuals, min_eigs)]
-    if probes is not None:
-        for entry, p, xs in zip(entries, prod, probes):
-            entry["witnesses"] = [float(np.asarray(x) @ p @ np.asarray(x)) for x in xs]
     return _field_report("associated", j.space, residuals, entries, tol)
-
-
-def associated_metric(j: AcsField, w: SymplecticField, tol: float = 1e-10) -> MetricField:
-    """The metric G = W J induced by a positively associated structure.
-
-    Raises :class:`NotAssociated` when the pair fails
-    :func:`validate_associated`; symmetry and positivity of the result are
-    then automatic.
-    """
-    report = validate_associated(j, w, tol=tol)
-    if not report.passed:
-        raise NotAssociated(
-            f"structure is not positively associated with the form "
-            f"(worst point {report.worst_point}, residual {report.max_residual:.3e})")
-    return MetricField(j.space, w.forms @ j.ops)
 
 
 def orientation_marker(j):

@@ -1,5 +1,7 @@
 """Property tests of bundle input: every document is either loaded or
-refused with a GeometryError, and ``acsgeom project --in`` exits 0 or 2.
+refused with a GeometryError, ``acsgeom project --in`` exits 0 or 2, and
+``acsgeom geodesic --in --t-steps 2`` exits 0, 1 or 2, never with a
+traceback.
 
 Documents are small (at most four points; dim drawn from {2, 4}, a small
 malformed value or any integer up to 10**30 in size, which the dimension
@@ -123,9 +125,11 @@ def test_load_bundle_loads_or_raises_geometry_error(doc):
             assert isinstance(load_bundle(path), FieldBundle)
         except GeometryError:
             pass
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["project", "--in", path])
-        assert code in (0, 2), err.getvalue()
+        for argv, codes in ((["project", "--in", path], (0, 2)),
+                            (["geodesic", "--in", path, "--t-steps", "2"], (0, 1, 2))):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in codes, (argv[0], err.getvalue())
     finally:
         os.remove(path)

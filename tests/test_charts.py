@@ -1,4 +1,3 @@
-import math
 import warnings
 
 import numpy as np
@@ -12,7 +11,6 @@ from acsgeom.charts import (
     anticommute_project,
     cayley_to_acs,
     chart_transition,
-    exp_chart,
     pullback,
     pushforward,
     random_anticommuting,
@@ -117,22 +115,6 @@ class TestCayleyMaps:
         j = cayley_to_acs(CayleyCoordinate(j0, k))
         assert max_abs(j @ j + np.eye(dim)) < 1e-12
         assert max_abs(acs_to_cayley(j0, j).K - k) < 1e-11
-
-    def test_exp_chart_oracle(self):
-        # J0 e^K for K = [[0,1],[1,0]]: e^K = [[cosh1, sinh1],[sinh1, cosh1]]
-        j = exp_chart(J2, np.array([[0.0, 1.0], [1.0, 0.0]]))
-        expected = [[-math.sinh(1.0), -math.cosh(1.0)],
-                    [math.cosh(1.0), math.sinh(1.0)]]
-        assert_allclose(j, expected, rtol=1e-15)
-
-    def test_exp_chart_origin(self):
-        assert np.array_equal(exp_chart(J2, np.zeros((2, 2))), J2)
-
-    def test_exp_chart_output_is_acs(self):
-        for seed in range(5):
-            k = anticommuting(seed, 4)
-            j = exp_chart(standard_acs(4), k)
-            assert max_abs(j @ j + np.eye(4)) < 1e-10
 
 
 class TestPushPull:

@@ -287,6 +287,25 @@ class TestGeodesicCommand:
         code, _, err = run_cli(["geodesic", "--in", str(path)], capsys)
         assert code == 2
 
+    def test_input_j_not_acs_is_input_error(self, tmp_path, capsys):
+        # K = 0 is a valid tangent at any J, but this J does not square to -1
+        path = tmp_path / "bad_j.json"
+        path.write_text(json.dumps({"dim": 2, "points": [
+            {"id": 0, "weight": 1.0, "J": [0.5, -1, 1, 0], "K": [0, 0, 0, 0]}]}))
+        code, out, err = run_cli(["geodesic", "--in", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert "J at point 0" in err and "residual 5.000e-01" in err
+        assert run_cli(["project", "--in", str(path)], capsys)[0] == 0
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("flags", [["--t-max", "1e300"], ["--h", "1e300"],
+                                       ["--h", "1e10"]])
+    def test_overflow_names_the_flags(self, capsys, flags):
+        code, out, err = run_cli(["geodesic", *flags], capsys)
+        assert (code, out) == (2, "")
+        assert "t=" in err and "--t-max" in err and "--h" in err
+        assert "entries must be finite" in err  # the original reason is kept
+
 
 class TestProjectCommand:
     def test_symmetric_input(self, tmp_path, capsys):

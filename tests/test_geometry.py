@@ -20,9 +20,7 @@ from acsgeom.geometry import (
     curvature,
     geodesic_ambient,
     geodesic_chart,
-    gram_denominator,
     sectional_curvature,
-    sectional_numerator,
     shifted,
 )
 from acsgeom.structures import (
@@ -233,8 +231,10 @@ class TestSectional:
         space, j, c = origin2
         a = tangent(space, j, A_DIAG)
         b = tangent(space, j, B_OFF)
-        assert_allclose(sectional_numerator(c, a, b), -32.0, rtol=1e-14)
-        assert_allclose(gram_denominator(c, a, b), 64.0, rtol=1e-14)
+        # numerator (R(A,B)B, A) = -32, Gram determinant (A,A)(B,B) - (A,B)^2 = 64
+        assert_allclose(chart_inner(c, curvature(c, a, b, b), a), -32.0, rtol=1e-14)
+        gram = chart_inner(c, a, a) * chart_inner(c, b, b) - chart_inner(c, a, b) ** 2
+        assert_allclose(gram, 64.0, rtol=1e-14)
         assert_allclose(sectional_curvature(c, a, b), -0.5, rtol=1e-14)
 
     def test_degenerate_plane(self, origin2):
@@ -272,6 +272,15 @@ class TestGeodesics:
         a = random_tangent_field(np.random.default_rng(26), j)
         assert max_abs(geodesic_chart(a, 0.0).ops) == 0.0
         assert np.array_equal(geodesic_ambient(j, a, 0.0).ops, j.ops)
+
+    def test_ambient_closed_form(self):
+        # J0 e^A for A = [[0,1],[1,0]]: e^A = [[cosh1, sinh1],[sinh1, cosh1]]
+        space = one_point_space()
+        j = standard_acs_field(space)
+        jt = geodesic_ambient(j, tangent(space, j, B_OFF), 1.0)
+        expected = [[-math.sinh(1.0), -math.cosh(1.0)],
+                    [math.cosh(1.0), math.sinh(1.0)]]
+        assert_allclose(jt.ops[0], expected, rtol=1e-15)
 
     def test_ambient_is_exponential(self):
         space = one_point_space()

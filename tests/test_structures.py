@@ -12,7 +12,6 @@ from acsgeom.errors import (
     AnticommutationViolation,
     DimensionMismatch,
     IoError,
-    NotAssociated,
 )
 from acsgeom.fiber import mat_exp, max_abs
 from acsgeom.structures import (
@@ -23,7 +22,6 @@ from acsgeom.structures import (
     SampleSpace,
     SymplecticField,
     TangentField,
-    associated_metric,
     identity_metric_field,
     load_bundle,
     orientation_marker,
@@ -34,7 +32,6 @@ from acsgeom.structures import (
     standard_acs_field,
     standard_symplectic_field,
     sym_antisym_split,
-    tangent_class,
     validate_acs,
     validate_associated,
     validate_orthogonal,
@@ -203,17 +200,17 @@ class TestSplit:
         g = identity_metric_field(space4)
         sym = random_tangent_field(np.random.default_rng(3), j, part="symmetric")
         skew = random_tangent_field(np.random.default_rng(3), j, part="antisymmetric")
-        assert tangent_class(sym, g) == "symmetric"
-        assert tangent_class(skew, g) == "antisymmetric"
+        n = space4.npoints
+        assert point_classes(sym, g) == ["symmetric"] * n
+        assert point_classes(skew, g) == ["antisymmetric"] * n
         mixed = TangentField(space4, j, sym.ops + skew.ops)
-        assert tangent_class(mixed, g) == "mixed"
+        assert point_classes(mixed, g) == ["mixed"] * n
         # per point: symmetric at 0, antisymmetric at 1, mixed elsewhere
         ops = mixed.ops.copy()
         ops[0], ops[1] = sym.ops[0], skew.ops[1]
         per_point = TangentField(space4, j, ops)
         assert point_classes(per_point, g) == ["symmetric", "antisymmetric"] + \
-            ["mixed"] * (space4.npoints - 2)
-        assert tangent_class(per_point, g) == "mixed"
+            ["mixed"] * (n - 2)
 
 
 class TestAssociated:
@@ -243,22 +240,9 @@ class TestAssociated:
         rep = validate_associated(j, w)
         assert rep.passed
         assert rep.max_residual < 1e-15
-        g = associated_metric(j, w)
-        assert_allclose(g.metrics[0], np.diag([math.exp(a), math.exp(-a)]),
+        # the associated metric W J
+        assert_allclose(w.forms[0] @ j.ops[0], np.diag([math.exp(a), math.exp(-a)]),
                         rtol=1e-15)
-
-    def test_probe_witnesses(self, space2):
-        j = standard_acs_field(space2)
-        w = standard_symplectic_field(space2)
-        probes = [[np.array([1.0, 0.0])] for _ in range(3)]
-        rep = validate_associated(j, w, probes=probes)
-        assert all(e["witnesses"] == [1.0] for e in rep.per_point)
-
-    def test_associated_metric_requires_pass(self, space2):
-        j = AcsField(space2, -np.tile(standard_acs(2), (3, 1, 1)))
-        w = standard_symplectic_field(space2)
-        with pytest.raises(NotAssociated):
-            associated_metric(j, w)
 
 
 class TestOrthogonal:
