@@ -18,7 +18,14 @@ from acsgeom.charts import (
 )
 from acsgeom.errors import AnticommutationViolation, SingularOperator
 from acsgeom.fiber import max_abs
-from acsgeom.structures import random_sample_space, random_tangent_field, standard_acs_field
+from acsgeom.geometry import geodesic_ambient
+from acsgeom.structures import (
+    SampleSpace,
+    TangentField,
+    random_sample_space,
+    random_tangent_field,
+    standard_acs_field,
+)
 
 J2 = standard_acs(2)
 
@@ -26,6 +33,13 @@ J2 = standard_acs(2)
 def anticommuting(seed, dim, bound=0.9):
     rng = np.random.default_rng(seed)
     return random_anticommuting(rng, standard_acs(dim), bound=bound)
+
+
+def exp_chart(k):
+    """The exponential chart J0 e^K at the standard base, one point."""
+    space = SampleSpace(k.shape[0], np.ones(1))
+    j0 = standard_acs_field(space)
+    return geodesic_ambient(j0, TangentField(space, j0, k[None]), 1.0).ops[0]
 
 
 class TestStandardAcs:
@@ -115,6 +129,15 @@ class TestCayleyMaps:
         j = cayley_to_acs(CayleyCoordinate(j0, k))
         assert max_abs(j @ j + np.eye(dim)) < 1e-12
         assert max_abs(acs_to_cayley(j0, j).K - k) < 1e-11
+
+    def test_exp_chart_origin(self):
+        assert np.array_equal(exp_chart(np.zeros((2, 2))), J2)
+
+    def test_exp_chart_output_is_acs(self):
+        for seed in range(5):
+            k = anticommuting(seed, 4)
+            j = exp_chart(k)
+            assert max_abs(j @ j + np.eye(4)) < 1e-10
 
 
 class TestPushPull:
