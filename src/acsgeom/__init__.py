@@ -12,6 +12,7 @@ from .charts import (
     pullback,
     pushforward,
     random_anticommuting,
+    shape_anticommuting,
     standard_acs,
 )
 from .errors import (
@@ -20,6 +21,7 @@ from .errors import (
     DegeneratePlane,
     DimensionMismatch,
     GeometryError,
+    InvalidStructure,
     IoError,
     NonFiniteValue,
     SingularOperator,

@@ -16,7 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AnticommutationViolation, DimensionMismatch, SingularOperator
+from .errors import (
+    AnticommutationViolation,
+    DimensionMismatch,
+    InvalidStructure,
+    SingularOperator,
+)
 from .fiber import (
     DEFAULT_COND_CAP,
     FiberMetric,
@@ -64,7 +69,7 @@ def check_chart_domain(j0: np.ndarray, k: np.ndarray) -> None:
     (points, n, n) stacks and checks every point."""
     eye = np.eye(j0.shape[-1])
     if max_abs(j0 @ j0 + eye) > COORD_TOL:
-        raise ValueError("base does not square to -identity")
+        raise InvalidStructure("base does not square to -identity")
     if max_abs(k @ j0 + j0 @ k) > COORD_TOL:
         raise AnticommutationViolation(
             "coordinate does not anticommute with the base structure")
@@ -156,22 +161,35 @@ def random_anticommuting(rng: np.random.Generator, j0, *,
     (points, n, n) stack j0.
 
     Dense uniform[-1, 1) entries, drawn for the whole stack at once (the
-    same stream as one draw per slice in order), are projected onto the
-    anticommuting subspace, optionally reduced to the metric-symmetric or
-    antisymmetric part, and each slice whose spectral norm exceeds
-    ``bound`` is rescaled to that norm (which keeps 1 - K invertible with
-    margin whenever bound < 1).
+    same stream as one draw per slice in order), are shaped by
+    :func:`shape_anticommuting`.
+    """
+    j = as_fiber_matrix(j0)
+    return shape_anticommuting(rng.uniform(-1.0, 1.0, size=j.shape), j,
+                               metric=metric, part=part, bound=bound)
+
+
+def shape_anticommuting(raw, j0, *, metric: FiberMetric | None = None,
+                        part: str | None = None, bound: float = 0.9) -> np.ndarray:
+    """Shape a (..., n, n) stack of raw matrices into matrices that
+    anticommute with j0, which is broadcast over the stack.
+
+    Each raw slice is projected onto the anticommuting subspace, optionally
+    reduced to the metric-symmetric or antisymmetric part, and rescaled to
+    spectral norm ``bound`` if its norm exceeds it (which keeps 1 - K
+    invertible with margin whenever bound < 1).  Each slice gets the bits of
+    shaping that slice alone.
 
     Part selection assumes j0 is skew-adjoint for the metric, which holds
     for the standard structure with the identity metric; only then do the
     two parts stay inside the anticommuting subspace.
     """
-    j = as_fiber_matrix(j0)
-    k = anticommute_project(rng.uniform(-1.0, 1.0, size=j.shape), j)
+    m = as_fiber_matrix(raw)
+    k = anticommute_project(m, np.broadcast_to(as_fiber_matrix(j0), m.shape))
     if part is not None:
         if part not in ("symmetric", "antisymmetric"):
             raise ValueError(f"unknown part {part!r}")
-        g = metric if metric is not None else FiberMetric.identity(j.shape[-1])
+        g = metric if metric is not None else FiberMetric.identity(m.shape[-1])
         sharp = g_adjoint(k, g)
         k = 0.5 * (k + sharp) if part == "symmetric" else 0.5 * (k - sharp)
     norm = np.linalg.norm(k, 2, axis=(-2, -1), keepdims=True)

@@ -50,6 +50,7 @@ from .verify import (
     report_document,
     run_check,
     run_suite,
+    tolerance_flag,
 )
 
 OUT_DIR_ENV = "ACSGEOM_OUT_DIR"
@@ -115,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", default=None, metavar="FILE",
                         help="JSON config merged below flags")
     for name in CHECK_NAMES:
-        common.add_argument(f"--tol-{name.replace('_', '-')}",
+        common.add_argument(tolerance_flag(name),
                             dest=f"tol_{name}", type=float, default=None,
                             help=f"primary tolerance override for the {name} check")
 

@@ -14,6 +14,11 @@ class NonFiniteValue(GeometryError, ValueError):
     an operation overflowed."""
 
 
+class InvalidStructure(GeometryError, ValueError):
+    """A matrix expected to be an almost complex structure does not square
+    to -identity."""
+
+
 class SingularOperator(GeometryError):
     """An operator that must be inverted is singular or too ill-conditioned."""
 

@@ -7,6 +7,12 @@ takes a (..., n, n) stack, one matrix per fiber (a single matrix is the
 (n, n) case), and gives each slice the bits of that slice alone.
 Operands are assumed unit-scale (norms of order one); the default
 tolerances used by callers are calibrated for that regime.
+
+The exponentials come from ``scipy.linalg.expm``, imported on the first
+exponential rather than with the package: ``import acsgeom`` and the
+commands that compute no exponential (``signature``, ``curvature``,
+``project``) never load scipy, while ``verify``'s geodesic checks and
+``geodesic`` load it once.
 """
 
 from __future__ import annotations
@@ -14,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import DimensionMismatch, NonFiniteValue, SingularOperator
 
@@ -87,6 +92,8 @@ def mat_inv_guarded(a) -> np.ndarray:
 
 def mat_exp(a) -> np.ndarray:
     """Matrix exponential (scaling and squaring with Pade approximants)."""
+    from scipy.linalg import expm
+
     return expm(as_fiber_matrix(a))
 
 
@@ -98,6 +105,8 @@ def mat_tanh_half(a, t: float) -> np.ndarray:
     approaches an odd multiple of i pi / 2; a failed inversion surfaces as
     :class:`SingularOperator`.
     """
+    from scipy.linalg import expm
+
     m = as_fiber_matrix(a)
     e = expm((0.5 * float(t)) * m)
     f = expm((-0.5 * float(t)) * m)

@@ -32,7 +32,7 @@ from .charts import (
     anticommute_project,
     cayley_to_acs,
     pushforward,
-    random_anticommuting,
+    shape_anticommuting,
     standard_acs,
 )
 from .errors import ConfigError
@@ -198,11 +198,14 @@ def geodesic_equation_residual(a: TangentField, t: float, h: float) -> float:
 def _case_draws(seed: int, name: str, dim: int, cases: int, count: int,
                 bound: float) -> tuple[np.ndarray, ...]:
     """The standard structure and ``count`` anticommuting draws per case as
-    (cases, n, n) stacks; each case draws from its own generator."""
+    (cases, n, n) stacks.  Each case draws its raw matrices from its own
+    generator, the stream of ``count`` calls to :func:`random_anticommuting`;
+    the whole (cases, count, n, n) stack is shaped at once."""
     j0 = standard_acs(dim)
-    draws = [[random_anticommuting(rng, j0, bound=bound) for _ in range(count)]
-             for rng in (derive_rng(seed, name, dim, case) for case in range(cases))]
-    return (np.tile(j0, (cases, 1, 1)), *np.stack(draws, axis=1))
+    raw = np.stack([derive_rng(seed, name, dim, case).uniform(-1.0, 1.0, (count, dim, dim))
+                    for case in range(cases)])
+    draws = shape_anticommuting(raw, j0, bound=bound)
+    return (np.tile(j0, (cases, 1, 1)), *np.moveaxis(draws, 1, 0))
 
 
 def _cases(seed: int, name: str, dim: int, cases: int, points: int):
@@ -563,6 +566,19 @@ def check_signature(seed: int = 0, dims=(2, 4), points: int = 8,
 # in one (points, n, n) stack at the largest dim, and the grid length.
 MAX_STACK_ENTRIES = 2**22
 MAX_T_STEPS = 10**6
+# The command-line flag that sets each field, named in validation messages.
+FLAGS = {"seed": "--seed", "dims": "--dim", "fd_dims": "--dim", "points": "--points",
+         "t_steps": "--t-steps", "h": "--h", "t_max": "--t-max"}
+
+
+def tolerance_flag(name: str) -> str:
+    """The command-line flag that overrides the tolerance of check ``name``."""
+    return f"--tol-{name.replace('_', '-')}"
+
+
+def _named(name: str) -> str:
+    """A field name for a validation message, with the flag that sets it."""
+    return f"{name} ({FLAGS[name]})" if name in FLAGS else name
 
 
 @dataclass
@@ -591,41 +607,42 @@ class VerifyConfig:
         """Raise :class:`ConfigError` for any value the checkers cannot use.
 
         The command line validates its settings here too, so each rule is
-        stated once.
+        stated once; each message names the flag that sets the value.
         """
         _require_int("seed", self.seed, 0)
         for label, dims in (("dims", self.dims), ("fd_dims", self.fd_dims)):
             if len(dims) == 0:
-                raise ConfigError(f"{label} must not be empty")
+                raise ConfigError(f"{_named(label)} must not be empty")
             for d in dims:
                 if not isinstance(d, int) or d < 2 or d % 2 or d > MAX_FIBER_DIM:
-                    raise ConfigError(f"{label} entries must be even integers from 2 to "
-                                      f"{MAX_FIBER_DIM}, got {d!r}")
+                    raise ConfigError(f"{_named(label)} entries must be even integers "
+                                      f"from 2 to {MAX_FIBER_DIM}, got {d!r}")
         for name in ("cases", "fd_cases", "points", "t_steps"):
             _require_int(name, getattr(self, name), 1)
         dim = max(*self.dims, *self.fd_dims)
         if self.points * dim**2 > MAX_STACK_ENTRIES:
-            raise ConfigError(f"points * dim**2 must be at most {MAX_STACK_ENTRIES}, "
-                              f"got {self.points} points at dim {dim}")
+            raise ConfigError(f"points * dim**2 ({FLAGS['points']}, {FLAGS['dims']}) must be "
+                              f"at most {MAX_STACK_ENTRIES}, got {self.points} points at dim {dim}")
         if self.t_steps > MAX_T_STEPS:
-            raise ConfigError(f"t_steps must be at most {MAX_T_STEPS}, got {self.t_steps}")
+            raise ConfigError(f"{_named('t_steps')} must be at most {MAX_T_STEPS}, "
+                              f"got {self.t_steps}")
         _require_positive("h", self.h)
         _require_positive("t_max", self.t_max)
         for name, tol in self.tolerances.items():
             if name not in CHECK_NAMES:
                 raise ConfigError(f"unknown tolerance override {name!r}")
-            _require_positive(f"tolerance override {name!r}", tol)
+            _require_positive(f"tolerance override {name!r} ({tolerance_flag(name)})", tol)
 
 
 def _require_int(name: str, value, least: int) -> None:
     if isinstance(value, bool) or not isinstance(value, int) or value < least:
-        raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+        raise ConfigError(f"{_named(name)} must be an integer >= {least}, got {value!r}")
 
 
 def _require_positive(name: str, value) -> None:
     if isinstance(value, bool) or not isinstance(value, (int, float)) \
             or not (math.isfinite(value) and value > 0):
-        raise ConfigError(f"{name} must be a finite positive number, got {value!r}")
+        raise ConfigError(f"{_named(name)} must be a finite positive number, got {value!r}")
 
 
 def run_check(config: VerifyConfig, name: str) -> CheckReport:

@@ -14,6 +14,7 @@ from acsgeom.charts import (
     pullback,
     pushforward,
     random_anticommuting,
+    shape_anticommuting,
     standard_acs,
 )
 from acsgeom.errors import AnticommutationViolation, SingularOperator
@@ -271,6 +272,19 @@ class TestStacks:
         rng = np.random.default_rng(33)
         sliced = np.stack([random_anticommuting(rng, j0, part=part) for _ in range(9)])
         assert np.array_equal(stacked, sliced)
+
+    @pytest.mark.parametrize("part", [None, "symmetric", "antisymmetric"])
+    @pytest.mark.parametrize("dim", [2, 4, 6, 8])
+    def test_shape_anticommuting_stack_equals_slices(self, dim, part):
+        # j0 broadcasts over a (cases, count, n, n) stack of raw draws
+        j0 = standard_acs(dim)
+        raw = np.random.default_rng(36).uniform(-1.0, 1.0, (5, 2, dim, dim))
+        stacked = shape_anticommuting(raw, j0, part=part, bound=0.7)
+        sliced = np.stack([[shape_anticommuting(m, j0, part=part, bound=0.7) for m in row]
+                           for row in raw])
+        assert np.array_equal(stacked, sliced)
+        tiled = shape_anticommuting(raw, np.tile(j0, (5, 2, 1, 1)), part=part, bound=0.7)
+        assert np.array_equal(stacked, tiled)
 
     def test_zero_part_rescales_without_warning(self):
         # the antisymmetric part is {0} at dim 2, so every norm is zero

@@ -24,6 +24,7 @@ from acsgeom.structures import (
     standard_acs_field,
     sym_antisym_split,
 )
+from acsgeom.verify import CHECK_NAMES, FLAGS, tolerance_flag
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
@@ -95,6 +96,22 @@ class TestExitCodes:
         code, _, err = run_cli(["verify", "--dim", "3"], capsys)
         assert code == 2
         assert "even" in err
+        assert "--dim" in err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--dim", "0"), ("--points", "0"), ("--seed", "-1"), ("--t-steps", "0"),
+        ("--t-steps", "10000000"), ("--h", "-1"), ("--t-max", "0"),
+        ("--tol-metric-structure", "nan"),
+    ])
+    def test_config_errors_name_the_flag(self, capsys, flag, value):
+        code, out, err = run_cli(["signature", flag, value], capsys)
+        assert (code, out) == (2, "")
+        assert flag in err
+
+    def test_validation_names_real_flags(self):
+        parser = build_parser()
+        for flag in {*FLAGS.values(), *map(tolerance_flag, CHECK_NAMES)}:
+            parser.parse_args(["verify", flag, "2"])  # exits on an unknown flag
 
     def test_unknown_flag(self, capsys):
         assert main(["verify", "--frobnicate"]) == 2

@@ -6,7 +6,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 from acsgeom.charts import CayleyCoordinate, acs_to_cayley, standard_acs
-from acsgeom.errors import DegeneratePlane, DimensionMismatch, SingularOperator
+from acsgeom.errors import (
+    DegeneratePlane,
+    DimensionMismatch,
+    GeometryError,
+    InvalidStructure,
+    SingularOperator,
+)
 from acsgeom.fiber import mat_exp, max_abs
 from acsgeom.geometry import (
     ChartField,
@@ -24,6 +30,7 @@ from acsgeom.geometry import (
     shifted,
 )
 from acsgeom.structures import (
+    AcsField,
     SampleSpace,
     TangentField,
     random_sample_space,
@@ -69,6 +76,16 @@ class TestChartField:
         k = tangent(space, j, np.diag([1.0, -1.0]))
         with pytest.raises(SingularOperator):
             ChartField(space, j, k)
+
+    def test_base_not_acs_is_geometry_error(self):
+        # AcsField checks shape and finiteness only, so J^2 != -1 reaches
+        # the chart, which must refuse it with an error the CLI reports
+        space = one_point_space()
+        j = AcsField(space, np.array([[[0.5, -1.0], [1.0, 0.0]]]))
+        k = tangent(space, j, np.zeros((2, 2)))
+        with pytest.raises(GeometryError, match="square to -identity") as info:
+            ChartField(space, j, k)
+        assert isinstance(info.value, InvalidStructure) and isinstance(info.value, ValueError)
 
     def test_resolvents_at_origin(self, origin2):
         space, j, c = origin2

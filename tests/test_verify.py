@@ -196,6 +196,26 @@ class TestCheckers:
         assert_report_invariant(r)
 
 
+class TestCaseDraws:
+    @staticmethod
+    def per_case_calls(seed, name, dim, cases, count, bound):
+        """One random_anticommuting call per draw, case by case."""
+        j0 = charts.standard_acs(dim)
+        draws = [[charts.random_anticommuting(rng, j0, bound=bound) for _ in range(count)]
+                 for rng in (verify.derive_rng(seed, name, dim, case)
+                             for case in range(cases))]
+        return (np.tile(j0, (cases, 1, 1)), *np.stack(draws, axis=1))
+
+    @pytest.mark.parametrize("count", [1, 2])
+    @pytest.mark.parametrize("dim", [2, 4, 6, 8])
+    def test_bits_of_per_case_calls(self, dim, count):
+        for seed in (0, 1, 2, 7):
+            stacked = verify._case_draws(seed, "cayley", dim, 20, count, 0.9)
+            looped = self.per_case_calls(seed, "cayley", dim, 20, count, 0.9)
+            assert len(stacked) == len(looped) == count + 1
+            assert all(np.array_equal(a, b) for a, b in zip(stacked, looped))
+
+
 class TestVerifyConfig:
     def test_defaults_valid(self):
         VerifyConfig().validate()
