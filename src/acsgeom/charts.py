@@ -184,12 +184,11 @@ def shape_anticommuting(raw, j0, *, metric: FiberMetric | None = None,
     for the standard structure with the identity metric; only then do the
     two parts stay inside the anticommuting subspace.
     """
-    m = as_fiber_matrix(raw)
-    k = anticommute_project(m, np.broadcast_to(as_fiber_matrix(j0), m.shape))
+    k = anticommute_project(raw, np.broadcast_to(j0, np.shape(raw)))
     if part is not None:
         if part not in ("symmetric", "antisymmetric"):
             raise ValueError(f"unknown part {part!r}")
-        g = metric if metric is not None else FiberMetric.identity(m.shape[-1])
+        g = metric if metric is not None else FiberMetric.identity(k.shape[-1])
         sharp = g_adjoint(k, g)
         k = 0.5 * (k + sharp) if part == "symmetric" else 0.5 * (k - sharp)
     norm = np.linalg.norm(k, 2, axis=(-2, -1), keepdims=True)

@@ -622,7 +622,8 @@ class VerifyConfig:
         dim = max(*self.dims, *self.fd_dims)
         if self.points * dim**2 > MAX_STACK_ENTRIES:
             raise ConfigError(f"points * dim**2 ({FLAGS['points']}, {FLAGS['dims']}) must be "
-                              f"at most {MAX_STACK_ENTRIES}, got {self.points} points at dim {dim}")
+                              f"at most {MAX_STACK_ENTRIES}, got {self.points} points "
+                              f"at dim {dim}")
         if self.t_steps > MAX_T_STEPS:
             raise ConfigError(f"{_named('t_steps')} must be at most {MAX_T_STEPS}, "
                               f"got {self.t_steps}")
