@@ -1,7 +1,7 @@
 """scipy is loaded on the first matrix exponential, not with the package:
 ``import acsgeom`` and the commands that compute no exponential leave it
 out of ``sys.modules``, which keeps their start-up cheap.  Each case runs
-in a fresh interpreter, since this test session has imported scipy."""
+in a fresh interpreter, because the one running the tests has loaded scipy."""
 
 import json
 import os
