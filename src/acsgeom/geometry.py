@@ -81,10 +81,15 @@ def _weighted_traces(space: SampleSpace, products: np.ndarray,
     return space.weights * scale * np.trace(products, axis1=-2, axis2=-1)
 
 
+def ambient_inner_terms(j: AcsField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The per-point terms w_i tr(A_i B_i) of :func:`ambient_inner`."""
+    return _weighted_traces(j.space, a @ b)
+
+
 def ambient_inner(j: AcsField, a: TangentField, b: TangentField) -> float:
     """(A, B) at J: sum of w_i tr(A_i B_i)."""
     same_space(j, a, b)
-    return point_order_sum(_weighted_traces(a.space, a.ops @ b.ops))
+    return point_order_sum(ambient_inner_terms(j, a.ops, b.ops))
 
 
 def acs_on_tangent(a: TangentField, j: AcsField) -> TangentField:
@@ -93,10 +98,15 @@ def acs_on_tangent(a: TangentField, j: AcsField) -> TangentField:
     return TangentField(a.space, j, a.ops @ j.ops, a.tol)
 
 
+def ambient_omega_terms(j: AcsField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The per-point terms w_i tr(A_i J_i B_i) of :func:`ambient_omega`."""
+    return _weighted_traces(j.space, a @ j.ops @ b)
+
+
 def ambient_omega(j: AcsField, a: TangentField, b: TangentField) -> float:
     """Omega(A, B) at J: sum of w_i tr(A_i J_i B_i)."""
     same_space(j, a, b)
-    return point_order_sum(_weighted_traces(a.space, a.ops @ j.ops @ b.ops))
+    return point_order_sum(ambient_omega_terms(j, a.ops, b.ops))
 
 
 # ---------------------------------------------------------------------------
@@ -118,13 +128,18 @@ def chart_inner(c: ChartField, a: TangentField, b: TangentField) -> float:
     return point_order_sum(chart_inner_terms(c, a.ops, b.ops))
 
 
+def chart_omega_terms(c: ChartField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The per-point terms 4 w_i tr(S_i A_i J0_i S_i B_i) of
+    :func:`chart_omega`, S = (1-K^2)^{-1}."""
+    res = c.resolvents()
+    return _weighted_traces(c.space, res @ a @ c.base.ops @ res @ b, 4.0)
+
+
 def chart_omega(c: ChartField, a: TangentField, b: TangentField) -> float:
     """The 2-form in chart coordinates:
     4 sum of w_i tr((1-K^2)^{-1} A J0 (1-K^2)^{-1} B)."""
     same_space(c.K, a, b)
-    res = c.resolvents()
-    products = res @ a.ops @ c.base.ops @ res @ b.ops
-    return point_order_sum(_weighted_traces(c.space, products, 4.0))
+    return point_order_sum(chart_omega_terms(c, a.ops, b.ops))
 
 
 def christoffel(c: ChartField, a: TangentField, b: TangentField) -> TangentField:

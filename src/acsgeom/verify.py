@@ -32,7 +32,7 @@ from .charts import (
     anticommute_project,
     cayley_to_acs,
     pushforward,
-    shape_anticommuting,
+    random_anticommuting,
     standard_acs,
 )
 from .errors import ConfigError
@@ -40,11 +40,10 @@ from .fiber import mat_inv_guarded, max_abs
 from .geometry import (
     ChartField,
     acs_on_tangent,
-    ambient_inner,
-    ambient_omega,
-    chart_inner,
+    ambient_inner_terms,
+    ambient_omega_terms,
     chart_inner_terms,
-    chart_omega,
+    chart_omega_terms,
     chart_origin,
     christoffel,
     curvature,
@@ -171,9 +170,10 @@ def _outside(value: float, lo: float, hi: float) -> float:
     return _worst(0.0, lo - value, value - hi)
 
 
-def fd_directional(f, c: ChartField, a: TangentField, h: float) -> float:
-    """Central difference of a scalar chart functional along a:
-    (f(K + hA) - f(K - hA)) / (2h), error O(h^2) for smooth f."""
+def fd_directional(f, c: ChartField, a: TangentField, h: float):
+    """Central difference of a chart functional along a:
+    (f(K + hA) - f(K - hA)) / (2h), error O(h^2) for smooth f.  ``f`` gives
+    a scalar, or an array of them (one per case), differenced entrywise."""
     if not h > 0:
         raise ValueError("step size h must be positive")
     return (f(shifted(c, a, h)) - f(shifted(c, a, -h))) / (2.0 * float(h))
@@ -195,26 +195,45 @@ def geodesic_equation_residual(a: TangentField, t: float, h: float) -> float:
 # ---------------------------------------------------------------------------
 # checkers
 
+class _Cases:
+    """The cases of a checker at one dim, drawn per case and computed per
+    stack.  ``uniform`` draws like one generator: a draw whose leading size
+    is ``count * m`` takes m rows from each case's own generator in turn, so
+    the cases lie one after another on the leading (point) axis.  A max-norm
+    residual over a stack is the max over the cases."""
+
+    def __init__(self, seed: int, name: str, dim: int, count: int):
+        self.rngs = [derive_rng(seed, name, dim, case) for case in range(count)]
+
+    def uniform(self, low: float, high: float, size) -> np.ndarray:
+        rows, *rest = np.atleast_1d(size)
+        return np.concatenate([rng.uniform(low, high, (rows // len(self.rngs), *rest))
+                               for rng in self.rngs])
+
+    def sums(self, terms: np.ndarray) -> np.ndarray:
+        """Per case, the point-order sum of the per-point terms of its points."""
+        return np.array([point_order_sum(t) for t in terms.reshape(len(self.rngs), -1)])
+
+    def pairing(self, terms, at, x: TangentField, y: TangentField) -> np.ndarray:
+        """Per case, the pairing of x and y whose per-point terms ``terms`` gives."""
+        return self.sums(terms(at, x.ops, y.ops))
+
+
 def _case_draws(seed: int, name: str, dim: int, cases: int, count: int,
                 bound: float) -> tuple[np.ndarray, ...]:
     """The standard structure and ``count`` anticommuting draws per case as
-    (cases, n, n) stacks.  Each case draws its raw matrices from its own
-    generator, the stream of ``count`` calls to :func:`random_anticommuting`;
-    the whole (cases, count, n, n) stack is shaped at once."""
-    j0 = standard_acs(dim)
-    raw = np.stack([derive_rng(seed, name, dim, case).uniform(-1.0, 1.0, (count, dim, dim))
-                    for case in range(cases)])
-    draws = shape_anticommuting(raw, j0, bound=bound)
-    return (np.tile(j0, (cases, 1, 1)), *np.moveaxis(draws, 1, 0))
+    (cases, n, n) stacks, each case drawing from its own generator."""
+    j0 = np.tile(standard_acs(dim), (cases, 1, 1))
+    by_case = _Cases(seed, name, dim, cases)
+    return (j0, *(random_anticommuting(by_case, j0, bound=bound) for _ in range(count)))
 
 
-def _cases(seed: int, name: str, dim: int, cases: int, points: int):
-    """Per case: its generator, a random sample space drawn from it, and
-    the standard structure on that space."""
-    for case in range(cases):
-        rng = derive_rng(seed, name, dim, case)
-        space = random_sample_space(rng, dim, points)
-        yield rng, space, standard_acs_field(space)
+def _case_space(seed: int, name: str, dim: int, cases: int, points: int):
+    """The cases, a random sample space of ``cases * points`` points drawn
+    from them and the standard structure on it."""
+    by_case = _Cases(seed, name, dim, cases)
+    space = random_sample_space(by_case, dim, cases * points)
+    return by_case, space, standard_acs_field(space)
 
 
 def check_cayley(seed: int = 0, dims=(2, 4, 6), cases: int = 100,
@@ -248,22 +267,23 @@ def check_theorem1(seed: int = 0, dims=(2, 4, 6), cases: int = 100,
 
 
 def _omega_terms(c: ChartField, a0: TangentField, a1: TangentField,
-                 a2: TangentField, h: float) -> tuple[float, ...]:
-    """The three directional-derivative terms of d Omega(a0, a1, a2) at c."""
-    return tuple(fd_directional(lambda cc: chart_omega(cc, x, y), c, d, h)
+                 a2: TangentField, h: float, by_case: _Cases) -> tuple[np.ndarray, ...]:
+    """Per case, the three directional-derivative terms of
+    d Omega(a0, a1, a2) at c."""
+    return tuple(fd_directional(lambda cc: by_case.pairing(chart_omega_terms, cc, x, y), c, d, h)
                  for d, x, y in ((a0, a1, a2), (a1, a0, a2), (a2, a0, a1)))
 
 
 def _omega_ray_derivative(c: ChartField, a0: TangentField, a1: TangentField,
-                          a2: TangentField, t: float) -> float:
-    """Exact d/dt of chart_omega along K = t a0, from the resolvent
-    derivative d/dt (1 - t^2 A^2)^{-1} = S (2t A^2) S."""
+                          a2: TangentField, t: float, by_case: _Cases) -> np.ndarray:
+    """Per case, the exact d/dt of chart_omega along K = t a0, from the
+    resolvent derivative d/dt (1 - t^2 A^2)^{-1} = S (2t A^2) S."""
     x, b1, j0, b2 = a0.ops, a1.ops, c.base.ops, a2.ops
     s = mat_inv_guarded(np.eye(c.space.dim) - (t * x) @ (t * x))
     ds = s @ ((2.0 * t) * (x @ x)) @ s
     traces = (np.trace(ds @ b1 @ j0 @ s @ b2, axis1=1, axis2=2)
               + np.trace(s @ b1 @ j0 @ ds @ b2, axis1=1, axis2=2))
-    return point_order_sum(c.space.weights * 4.0 * traces)
+    return by_case.sums(c.space.weights * 4.0 * traces)
 
 
 def check_theorem2(seed: int = 0, dims=(2, 4), cases: int = 3, points: int = 8,
@@ -278,39 +298,32 @@ def check_theorem2(seed: int = 0, dims=(2, 4), cases: int = 3, points: int = 8,
     args = dict(locals())
     subs = []
     for dim in dims:
-        term_worst, alt_worst = 0.0, 0.0
-        best_rh, best_factor = -1.0, None
-        for rng, space, j0f in _cases(seed, "theorem2", dim, cases, points):
-            a0, a1, a2 = (random_tangent_field(rng, j0f, bound=bound) for _ in range(3))
-            c0 = chart_origin(j0f)
-            t0, t1, t2 = _omega_terms(c0, a0, a1, a2, h)
-            term_worst = _worst(term_worst, abs(t0), abs(t1), abs(t2))
-            alt_worst = _worst(alt_worst, abs(t0 - t1 + t2))
+        by_case, space, j0f = _case_space(seed, "theorem2", dim, cases, points)
+        a0, a1, a2 = (random_tangent_field(by_case, j0f, bound=bound) for _ in range(3))
+        c0 = chart_origin(j0f)
+        t0, t1, t2 = _omega_terms(c0, a0, a1, a2, h, by_case)
 
-            # recenter: the same statement in the chart of a random J_K
-            k1 = random_tangent_field(rng, j0f, bound=bound)
-            j1f = AcsField(space, cayley_to_acs(CayleyCoordinate(j0f.ops, k1.ops)))
-            b0, b1, b2 = (random_tangent_field(rng, j1f, bound=bound) for _ in range(3))
-            c1 = chart_origin(j1f)
-            s0, s1, s2 = _omega_terms(c1, b0, b1, b2, h)
-            term_worst = _worst(term_worst, abs(s0), abs(s1), abs(s2))
-            alt_worst = _worst(alt_worst, abs(s0 - s1 + s2))
+        # recenter: the same statement in the chart of a random J_K
+        k1 = random_tangent_field(by_case, j0f, bound=bound)
+        j1f = AcsField(space, cayley_to_acs(CayleyCoordinate(j0f.ops, k1.ops)))
+        b0, b1, b2 = (random_tangent_field(by_case, j1f, bound=bound) for _ in range(3))
+        s0, s1, s2 = _omega_terms(chart_origin(j1f), b0, b1, b2, h, by_case)
 
-            # order-2 convergence, measured against the analytic value on
-            # the off-center ray K = t a0 (the stencil at the center is
-            # exactly zero and carries no signal)
-            half = random_tangent_field(rng, j0f, bound=0.5)
-            exact = _omega_ray_derivative(c0, half, a1, a2, ray_t)
-            ray = ChartField(space, j0f, TangentField(space, j0f, ray_t * half.ops))
-            r_h, r_h2 = (abs(fd_directional(lambda ch: chart_omega(ch, a1, a2), ray, half, step)
-                             - exact) for step in (h, h / 2.0))
-            if not r_h <= best_rh:  # a NaN r_h is kept as the worst case
-                best_rh = r_h
-                best_factor = r_h / r_h2 if r_h2 > 0.0 else float("inf")
-        subs += [_sub(f"terms_dim{dim}", term_worst, tolerance),
-                 _sub(f"alternating_sum_dim{dim}", alt_worst, tolerance),
-                 _sub(f"fd_order_dim{dim}", _outside(best_factor, *factor_window), 0.0,
-                      factor=best_factor, window=factor_window)]
+        # order-2 convergence, measured against the analytic value on
+        # the off-center ray K = t a0 (the stencil at the center is
+        # exactly zero and carries no signal)
+        half = random_tangent_field(by_case, j0f, bound=0.5)
+        exact = _omega_ray_derivative(c0, half, a1, a2, ray_t, by_case)
+        ray = ChartField(space, j0f, TangentField(space, j0f, ray_t * half.ops))
+        r_h, r_h2 = (np.abs(fd_directional(lambda c: by_case.pairing(chart_omega_terms, c, a1, a2),
+                                          ray, half, step) - exact) for step in (h, h / 2.0))
+        worst = int(np.argmax(r_h))  # the binding case: largest r_h, a NaN first
+        factor = r_h[worst] / r_h2[worst] if r_h2[worst] > 0.0 else float("inf")
+        subs += [_sub(f"terms_dim{dim}", max_abs([t0, t1, t2, s0, s1, s2]), tolerance),
+                 _sub(f"alternating_sum_dim{dim}", max_abs([t0 - t1 + t2, s0 - s1 + s2]),
+                      tolerance),
+                 _sub(f"fd_order_dim{dim}", _outside(factor, *factor_window), 0.0,
+                      factor=factor, window=factor_window)]
     return _compose("theorem2", args, subs)
 
 
@@ -322,21 +335,16 @@ def check_geodesics(seed: int = 0, dims=(2, 4), cases: int = 3, points: int = 8,
     """Geodesic equation K'' + Gamma(K', K') = 0 by central differences,
     and chart/ambient consistency of the two geodesic descriptions."""
     args = dict(locals())
-    full_grid = np.linspace(0.0, t_max, t_steps)
+    full_grid = np.linspace(0.0, t_max, t_steps).tolist()
     subs = []
     for dim in dims:
-        ode_worst, chart_worst = 0.0, 0.0
-        for rng, _, j0f in _cases(seed, "geodesics", dim, cases, points):
-            a = random_tangent_field(rng, j0f, bound=bound)
-            for t in t_grid:
-                ode_worst = _worst(ode_worst, geodesic_equation_residual(a, t, h))
-            for t in full_grid:
-                jt = geodesic_ambient(j0f, a, float(t))
-                kt = geodesic_chart(a, float(t))
-                back = acs_to_cayley(j0f.ops, jt.ops).K
-                chart_worst = _worst(chart_worst, max_abs(back - kt.ops))
-        subs += [_sub(f"ode_residual_dim{dim}", ode_worst, tolerance),
-                 _sub(f"chart_ambient_dim{dim}", chart_worst, chart_tolerance)]
+        by_case, _, j0f = _case_space(seed, "geodesics", dim, cases, points)
+        a = random_tangent_field(by_case, j0f, bound=bound)
+        ode = [geodesic_equation_residual(a, t, h) for t in t_grid]
+        chart = [max_abs(acs_to_cayley(j0f.ops, geodesic_ambient(j0f, a, t).ops).K
+                         - geodesic_chart(a, t).ops) for t in full_grid]
+        subs += [_sub(f"ode_residual_dim{dim}", max_abs(ode), tolerance),
+                 _sub(f"chart_ambient_dim{dim}", max_abs(chart), chart_tolerance)]
     return _compose("geodesics", args, subs)
 
 
@@ -356,35 +364,28 @@ def check_curvature_fd(seed: int = 0, dims=(2, 4), cases: int = 3,
     args = dict(locals())
     subs = []
     for dim in dims:
-        fd_worst = anti_worst = self_worst = bianchi_worst = origin_worst = 0.0
-        for rng, space, j0f in _cases(seed, "curvature_fd", dim, cases, points):
-            k = random_tangent_field(rng, j0f, bound=k_bound)
-            a, b, d = (random_tangent_field(rng, j0f, bound=bound) for _ in range(3))
-            c = ChartField(space, j0f, k)
-            closed = curvature(c, a, b, d)
+        by_case, space, j0f = _case_space(seed, "curvature_fd", dim, cases, points)
+        k = random_tangent_field(by_case, j0f, bound=k_bound)
+        a, b, d = (random_tangent_field(by_case, j0f, bound=bound) for _ in range(3))
+        c = ChartField(space, j0f, k)
+        closed = curvature(c, a, b, d).ops
 
-            def grad(direction: TangentField, x: TangentField, y: TangentField):
-                plus = christoffel(shifted(c, direction, h), x, y).ops
-                minus = christoffel(shifted(c, direction, -h), x, y).ops
-                return (plus - minus) / (2.0 * h)
+        def grad(direction: TangentField, x: TangentField, y: TangentField):
+            plus = christoffel(shifted(c, direction, h), x, y).ops
+            minus = christoffel(shifted(c, direction, -h), x, y).ops
+            return (plus - minus) / (2.0 * h)
 
-            term_a = grad(a, b, d) + christoffel(c, a, christoffel(c, b, d)).ops
-            term_b = grad(b, a, d) + christoffel(c, b, christoffel(c, a, d)).ops
-            fd_worst = _worst(fd_worst, max_abs(term_a - term_b - closed.ops))
-            anti_worst = _worst(anti_worst, max_abs(curvature(c, b, a, d).ops + closed.ops))
-            self_worst = _worst(self_worst, max_abs(curvature(c, a, a, d).ops))
-            bianchi_worst = _worst(bianchi_worst, max_abs(
-                closed.ops + curvature(c, b, d, a).ops + curvature(c, d, a, b).ops))
-
-            c0 = chart_origin(j0f)
-            flat = curvature(c0, a, b, d)
-            ab = a.ops @ b.ops - b.ops @ a.ops
-            origin_worst = _worst(origin_worst, max_abs(flat.ops + (ab @ d.ops - d.ops @ ab)))
-        subs += [_sub(f"fd_match_dim{dim}", fd_worst, tolerance),
-                 _sub(f"antisymmetry_dim{dim}", anti_worst, 0.0),
-                 _sub(f"self_pair_dim{dim}", self_worst, 0.0),
-                 _sub(f"bianchi_dim{dim}", bianchi_worst, bianchi_tolerance),
-                 _sub(f"origin_closed_form_dim{dim}", origin_worst, origin_tolerance)]
+        term_a = grad(a, b, d) + christoffel(c, a, christoffel(c, b, d)).ops
+        term_b = grad(b, a, d) + christoffel(c, b, christoffel(c, a, d)).ops
+        flat = curvature(chart_origin(j0f), a, b, d).ops
+        ab = a.ops @ b.ops - b.ops @ a.ops
+        bianchi = closed + curvature(c, b, d, a).ops + curvature(c, d, a, b).ops
+        subs += [_sub(f"fd_match_dim{dim}", max_abs(term_a - term_b - closed), tolerance),
+                 _sub(f"antisymmetry_dim{dim}", max_abs(curvature(c, b, a, d).ops + closed), 0.0),
+                 _sub(f"self_pair_dim{dim}", max_abs(curvature(c, a, a, d).ops), 0.0),
+                 _sub(f"bianchi_dim{dim}", max_abs(bianchi), bianchi_tolerance),
+                 _sub(f"origin_closed_form_dim{dim}", max_abs(flat + (ab @ d.ops - d.ops @ ab)),
+                      origin_tolerance)]
     return _compose("curvature_fd", args, subs)
 
 
@@ -403,38 +404,36 @@ def check_metric_structure(seed: int = 0, dims=(2, 4), cases: int = 3,
     args = dict(locals())
     subs = []
     for dim in dims:
-        r_herm = r_omega = r_ci = r_co = r_compat = r_fd = 0.0
-        for rng, space, j0f in _cases(seed, "metric_structure", dim, cases, points):
-            a, b = (random_tangent_field(rng, j0f, bound=bound) for _ in range(2))
-            ja, jb = acs_on_tangent(a, j0f), acs_on_tangent(b, j0f)
-            r_herm = _worst(r_herm, abs(ambient_inner(j0f, ja, jb)
-                                        - ambient_inner(j0f, a, b)))
-            r_omega = _worst(r_omega, abs(ambient_omega(j0f, a, b)
-                                          - ambient_inner(j0f, ja, b)))
+        by_case, space, j0f = _case_space(seed, "metric_structure", dim, cases, points)
+        total = by_case.pairing
+        a, b = (random_tangent_field(by_case, j0f, bound=bound) for _ in range(2))
+        ja, jb = acs_on_tangent(a, j0f), acs_on_tangent(b, j0f)
+        r_herm = max_abs(total(ambient_inner_terms, j0f, ja, jb)
+                         - total(ambient_inner_terms, j0f, a, b))
+        r_omega = max_abs(total(ambient_omega_terms, j0f, a, b)
+                          - total(ambient_inner_terms, j0f, ja, b))
 
-            # chart expressions against pushforwards at a random chart point
-            k = random_tangent_field(rng, j0f, bound=bound)
-            c = ChartField(space, j0f, k)
-            coord = CayleyCoordinate(j0f.ops, k.ops)
-            jkf = AcsField(space, cayley_to_acs(coord))
-            astar_f = TangentField(space, jkf, pushforward(coord, a.ops), 1e-9)
-            bstar_f = TangentField(space, jkf, pushforward(coord, b.ops), 1e-9)
-            r_ci = _worst(r_ci, abs(chart_inner(c, a, b)
-                                    - ambient_inner(jkf, astar_f, bstar_f)))
-            r_co = _worst(r_co, abs(chart_omega(c, a, b)
-                                    - ambient_omega(jkf, astar_f, bstar_f)))
-            r_compat = _worst(r_compat, abs(chart_omega(c, a, b)
-                                            - chart_inner(c, ja, b)))
+        # chart expressions against pushforwards at a random chart point
+        k = random_tangent_field(by_case, j0f, bound=bound)
+        c = ChartField(space, j0f, k)
+        coord = CayleyCoordinate(j0f.ops, k.ops)
+        jkf = AcsField(space, cayley_to_acs(coord))
+        astar_f = TangentField(space, jkf, pushforward(coord, a.ops), 1e-9)
+        bstar_f = TangentField(space, jkf, pushforward(coord, b.ops), 1e-9)
+        omega = total(chart_omega_terms, c, a, b)
+        r_ci = max_abs(total(chart_inner_terms, c, a, b)
+                       - total(ambient_inner_terms, jkf, astar_f, bstar_f))
+        r_co = max_abs(omega - total(ambient_omega_terms, jkf, astar_f, bstar_f))
+        r_compat = max_abs(omega - total(chart_inner_terms, c, ja, b))
 
-            # connection compatibility: d_A (B,C) = (Gamma(A,B), C) + (B, Gamma(A,C))
-            kf = random_tangent_field(rng, j0f, bound=k_bound)
-            cf = ChartField(space, j0f, kf)
-            d = random_tangent_field(rng, j0f, bound=bound)
-            lhs = fd_directional(lambda ch: chart_inner(ch, b, d), cf, a, h)
-            rhs = chart_inner(cf, christoffel(cf, a, b), d) \
-                + chart_inner(cf, b, christoffel(cf, a, d))
-            r_fd = _worst(r_fd, abs(lhs - rhs))
-        subs += [_sub(f"metric_compat_fd_dim{dim}", r_fd, tolerance),
+        # connection compatibility: d_A (B,C) = (Gamma(A,B), C) + (B, Gamma(A,C))
+        kf = random_tangent_field(by_case, j0f, bound=k_bound)
+        cf = ChartField(space, j0f, kf)
+        d = random_tangent_field(by_case, j0f, bound=bound)
+        lhs = fd_directional(lambda ch: total(chart_inner_terms, ch, b, d), cf, a, h)
+        rhs = total(chart_inner_terms, cf, christoffel(cf, a, b), d) \
+            + total(chart_inner_terms, cf, b, christoffel(cf, a, d))
+        subs += [_sub(f"metric_compat_fd_dim{dim}", max_abs(lhs - rhs), tolerance),
                  _sub(f"hermitian_dim{dim}", r_herm, hermitian_tolerance),
                  _sub(f"omega_is_inner_dim{dim}", r_omega, omega_tolerance),
                  _sub(f"chart_ambient_inner_dim{dim}", r_ci, chart_ambient_tolerance),
@@ -456,36 +455,28 @@ def check_totally_geodesic(seed: int = 0, dims=(2, 4), cases: int = 3,
     at dim 2) it remains orthogonal with the reference orientation.
     """
     args = dict(locals())
-    grid = np.linspace(0.0, t_max, t_steps)
+    grid = np.linspace(0.0, t_max, t_steps).tolist()
     subs = []
     for dim in dims:
-        assoc_res, min_eig = 0.0, float("inf")
-        orth_res, mismatches = 0.0, 0
-        for rng, space, j0f in _cases(seed, "totally_geodesic", dim, cases, points):
-            wf = standard_symplectic_field(space)
-            gf = identity_metric_field(space)
-
-            a_sym = random_tangent_field(rng, j0f, part="symmetric", bound=bound)
-            for t in grid:
-                jt = geodesic_ambient(j0f, a_sym, float(t))
-                rep = validate_associated(jt, wf, tol=tolerance)
-                assoc_res = _worst(assoc_res, rep.max_residual)
-                min_eig = float(np.min([min_eig, *(e["min_eig"] for e in rep.per_point)]))
-
-            if dim >= 4:
-                a_anti = random_tangent_field(rng, j0f, part="antisymmetric",
-                                              bound=bound)
-                for t in grid:
-                    jt = geodesic_ambient(j0f, a_anti, float(t))
-                    rep = validate_orthogonal(jt, gf, j0f, tol=orthogonal_tolerance)
-                    orth_res = _worst(orth_res, rep.max_residual)
-                    mismatches += sum(e["orientation"] != e["reference_orientation"]
-                                      for e in rep.per_point)
-        subs += [_sub(f"associated_invariance_dim{dim}", assoc_res, tolerance),
-                 _positivity(f"associated_positivity_dim{dim}", min_eig)]
+        by_case, space, j0f = _case_space(seed, "totally_geodesic", dim, cases, points)
+        a_sym = random_tangent_field(by_case, j0f, part="symmetric", bound=bound)
+        wf = standard_symplectic_field(space)
+        reports = (validate_associated(geodesic_ambient(j0f, a_sym, t), wf, tol=tolerance)
+                   for t in grid)  # one at a time: their per-point records are large
+        res, eigs = np.array([(r.max_residual, np.min([e["min_eig"] for e in r.per_point]))
+                              for r in reports]).T
+        subs += [_sub(f"associated_invariance_dim{dim}", max_abs(res), tolerance),
+                 _positivity(f"associated_positivity_dim{dim}", float(np.min(eigs)))]
         if dim >= 4:
-            subs += [_sub(f"orthogonal_invariance_dim{dim}", orth_res, orthogonal_tolerance),
-                     _sub(f"orientation_preserved_dim{dim}", float(mismatches), 0.0)]
+            a_anti = random_tangent_field(by_case, j0f, part="antisymmetric", bound=bound)
+            gf = identity_metric_field(space)
+            reports = (validate_orthogonal(geodesic_ambient(j0f, a_anti, t), gf, j0f,
+                                           tol=orthogonal_tolerance) for t in grid)
+            res, flips = np.array([
+                (r.max_residual, sum(e["orientation"] != e["reference_orientation"]
+                                     for e in r.per_point)) for r in reports]).T
+            subs += [_sub(f"orthogonal_invariance_dim{dim}", max_abs(res), orthogonal_tolerance),
+                     _sub(f"orientation_preserved_dim{dim}", float(np.sum(flips)), 0.0)]
         else:
             subs.append(_sub(f"antisymmetric_trivial_dim{dim}", 0.0, 0.0,
                              note="antisymmetric tangent space is {0} at dim 2"))
@@ -524,7 +515,7 @@ def check_signature(seed: int = 0, dims=(2, 4), points: int = 8,
     args = dict(locals())
     subs = []
     for dim in dims:
-        _, _, j0f = next(_cases(seed, "signature", dim, 1, points))
+        _, _, j0f = _case_space(seed, "signature", dim, 1, points)
         j0 = standard_acs(dim)
         n = dim // 2
         sym_basis = _anticommuting_part_basis(j0, "symmetric")
@@ -562,8 +553,10 @@ def check_signature(seed: int = 0, dims=(2, 4), points: int = 8,
 # ---------------------------------------------------------------------------
 # suite
 
-# Size caps, refused before anything is allocated: points * dim**2 entries
-# in one (points, n, n) stack at the largest dim, and the grid length.
+# Size caps, refused before anything is allocated: the entries of one
+# stack a checker builds at the largest dim, fd_cases * points * dim**2 for
+# the finite-difference checkers (their cases side by side on the point
+# axis) and cases * dim**2 for the algebraic ones; and the grid length.
 MAX_STACK_ENTRIES = 2**22
 MAX_T_STEPS = 10**6
 # The command-line flag that sets each field, named in validation messages.
@@ -620,14 +613,20 @@ class VerifyConfig:
         for name in ("cases", "fd_cases", "points", "t_steps"):
             _require_int(name, getattr(self, name), 1)
         dim = max(*self.dims, *self.fd_dims)
-        if self.points * dim**2 > MAX_STACK_ENTRIES:
-            raise ConfigError(f"points * dim**2 ({FLAGS['points']}, {FLAGS['dims']}) must be "
-                              f"at most {MAX_STACK_ENTRIES}, got {self.points} points "
-                              f"at dim {dim}")
+        if self.fd_cases * self.points * dim**2 > MAX_STACK_ENTRIES:
+            raise ConfigError(f"fd_cases * points * dim**2 ({FLAGS['points']}, {FLAGS['dims']}) "
+                              f"must be at most {MAX_STACK_ENTRIES}, got {self.fd_cases} cases "
+                              f"of {self.points} points at dim {dim}")
+        if self.cases * max(self.dims)**2 > MAX_STACK_ENTRIES:
+            raise ConfigError(f"cases * dim**2 must be at most {MAX_STACK_ENTRIES}, "
+                              f"got {self.cases} cases at dim {max(self.dims)}")
         if self.t_steps > MAX_T_STEPS:
             raise ConfigError(f"{_named('t_steps')} must be at most {MAX_T_STEPS}, "
                               f"got {self.t_steps}")
         _require_positive("h", self.h)
+        least = math.sqrt(np.finfo(float).tiny)  # the least h whose square is a normal float
+        if self.h < least:
+            raise ConfigError(f"{_named('h')} must be at least {least!r}, got {self.h!r}")
         _require_positive("t_max", self.t_max)
         for name, tol in self.tolerances.items():
             if name not in CHECK_NAMES:

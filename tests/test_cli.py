@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from acsgeom import cli
 from acsgeom.charts import standard_acs
 from acsgeom.cli import RunConfig, build_config, build_parser, main
 from acsgeom.errors import ConfigError, IoError
@@ -142,6 +143,14 @@ class TestExitCodes:
         code, _, err = run_cli(["verify", "--dim", "2", *flag], capsys)
         assert code == 2
         assert "finite" in err
+
+    # numpy's RuntimeWarning of a squared step that underflows fails the test
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["verify", "geodesic"])
+    def test_step_whose_square_underflows_is_usage_error(self, capsys, command):
+        code, out, err = run_cli([command, "--dim", "2", "--h", "1e-300"], capsys)
+        assert (code, out) == (2, "")
+        assert "--h" in err and "RuntimeWarning" not in err
 
     @pytest.mark.parametrize("command", ["curvature", "signature"])
     def test_input_rejected_where_unused(self, tmp_path, capsys, command):
@@ -289,10 +298,12 @@ class TestGeodesicCommand:
         assert doc["command"] == "geodesic"
         assert len(doc["rows"]) == 2
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_non_finite_trace_exits_1(self, capsys):
+    def test_non_finite_trace_exits_1(self, capsys, monkeypatch):
+        # no flag value reaches a NaN residual (--h is refused before h**2
+        # underflows), so the residual is replaced by one that is NaN
+        monkeypatch.setattr(cli, "geodesic_equation_residual", lambda a, t, h: math.nan)
         code, out, err = run_cli(["geodesic", "--dim", "2", "--t-steps", "2",
-                                  "--h", "1e-300", "--format", "csv"], capsys)
+                                  "--format", "csv"], capsys)
         assert code == 1
         assert len(out.strip().splitlines()) == 3  # the trace is still written
         assert "nan" in out and "non-finite" in err

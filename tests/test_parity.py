@@ -1,7 +1,8 @@
 """Parity of command-line outputs with the golden files in tests/golden/.
 
 The golden files were written by an earlier version of the package:
-``verify`` at dims 2, 4 and 6, ``geodesic`` at dim 4 (all seed 0),
+``verify`` at dims 2, 4 and 6 (seed 0) and at dim 4 with seed 7 and 3
+points, ``geodesic`` at dim 4 (seed 0),
 ``project`` and ``verify --in`` on ``project_bundle.json``, a dim-4 bundle
 with non-identity metrics, and ``verify --in`` on ``assoc_bundle.json``, a
 dim-4 bundle whose J, W and K fields exercise the bundle validators.  Every
@@ -24,6 +25,8 @@ CASES = {
     "verify_dim2.json": ["verify", "--dim", "2", "--seed", "0"],
     "verify_dim4.json": ["verify", "--dim", "4", "--seed", "0"],
     "verify_dim6.json": ["verify", "--dim", "6", "--seed", "0"],
+    "verify_dim4_seed7_points3.json": ["verify", "--dim", "4", "--seed", "7",
+                                       "--points", "3"],
     "verify_project_bundle.json": ["verify", "--in",
                                    os.path.join(GOLDEN, "project_bundle.json")],
     "verify_assoc_bundle.json": ["verify", "--in",

@@ -189,6 +189,25 @@ class TestCheckers:
         ode = [s for s in r.details if s["name"] == "ode_residual_dim2"]
         assert math.isnan(ode[0]["residual"]) and ode[0]["passed"] is False
 
+    def test_theorem2_binds_a_nan_ray_value(self, monkeypatch):
+        # the analytic ray value is NaN at the first case only; the fd_order
+        # pick must bind that case instead of passing over it
+        original = verify._omega_ray_derivative
+        calls = []
+
+        def first_case_nan(*args):
+            exact = np.array(original(*args), dtype=float)
+            if not calls:
+                exact.flat[0] = math.nan
+            calls.append(None)
+            return exact
+
+        monkeypatch.setattr(verify, "_omega_ray_derivative", first_case_nan)
+        r = check_theorem2(dims=(2,))
+        order = [s for s in r.details if s["name"] == "fd_order_dim2"][0]
+        assert order["passed"] is False and r.passed is False
+        assert not 2.5 <= order["factor"] <= 6.0
+
     def test_failure_is_reported_not_raised(self):
         r = check_cayley(dims=(2,), cases=2, tolerance=1e-30)
         assert not r.passed
@@ -216,6 +235,32 @@ class TestCaseDraws:
             assert all(np.array_equal(a, b) for a, b in zip(stacked, looped))
 
 
+class TestCaseSpace:
+    """The cases of a finite-difference checker, stacked on the point axis,
+    hold the bits of a per-case loop over their own generators."""
+
+    @pytest.mark.parametrize("part", [None, "symmetric", "antisymmetric"])
+    @pytest.mark.parametrize("points", [1, 3])
+    @pytest.mark.parametrize("dim", [2, 4, 6])
+    def test_bits_of_per_case_draws(self, dim, points, part):
+        cases = 3
+        for seed in (0, 1, 7):
+            rng, space, j0f = verify._case_space(seed, "theorem2", dim, cases, points)
+            stacked = [random_tangent_field(rng, j0f, part=part) for _ in range(3)]
+            weights, looped = [], []
+            for case in range(cases):
+                case_rng = verify.derive_rng(seed, "theorem2", dim, case)
+                case_space = random_sample_space(case_rng, dim, points)
+                case_j0f = standard_acs_field(case_space)
+                weights.append(case_space.weights)
+                looped.append([random_tangent_field(case_rng, case_j0f, part=part).ops
+                               for _ in range(3)])
+            assert space.npoints == cases * points
+            assert np.array_equal(space.weights, np.concatenate(weights))
+            for i, field in enumerate(stacked):
+                assert np.array_equal(field.ops, np.concatenate([ops[i] for ops in looped]))
+
+
 class TestVerifyConfig:
     def test_defaults_valid(self):
         VerifyConfig().validate()
@@ -238,6 +283,7 @@ class TestVerifyConfig:
         dict(points=True),
         dict(dims=(MAX_FIBER_DIM + 2,)),
         dict(fd_dims=(2, 10**30)),
+        dict(h=1e-300),
     ])
     def test_rejects(self, bad):
         with pytest.raises(ConfigError):
@@ -249,6 +295,7 @@ class TestVerifyConfig:
         dict(points=MAX_STACK_ENTRIES // MAX_FIBER_DIM**2 + 1, fd_dims=(2, MAX_FIBER_DIM)),
         dict(t_steps=MAX_T_STEPS + 1),
         dict(t_steps=10**30),
+        dict(cases=10**9),
     ])
     def test_size_caps_refuse_before_allocating(self, bad):
         tracemalloc.start()
@@ -261,9 +308,10 @@ class TestVerifyConfig:
         assert peak < 10**6
 
     def test_size_caps_admit_their_bounds(self):
-        VerifyConfig(points=MAX_STACK_ENTRIES // 36, dims=(6,)).validate()
-        VerifyConfig(points=MAX_STACK_ENTRIES // MAX_FIBER_DIM**2,
+        VerifyConfig(points=MAX_STACK_ENTRIES // (3 * 36), dims=(6,)).validate()
+        VerifyConfig(points=MAX_STACK_ENTRIES // (3 * MAX_FIBER_DIM**2),
                      fd_dims=(MAX_FIBER_DIM,)).validate()
+        VerifyConfig(cases=MAX_STACK_ENTRIES // 36).validate()
         VerifyConfig(t_steps=MAX_T_STEPS).validate()
 
 
@@ -322,7 +370,7 @@ class TestRunSuite:
             if getattr(module, "mat_inv_guarded", None) is original:
                 monkeypatch.setattr(module, "mat_inv_guarded", counted)
         assert all(r.passed for r in run_suite(VerifyConfig()))
-        assert 0 < len(calls) <= 500
+        assert 0 < len(calls) <= 150
 
     def test_signature_builds_its_gram_without_chart_inner(self, monkeypatch):
         calls = []
@@ -333,7 +381,8 @@ class TestRunSuite:
             return original(*args, **kwargs)
 
         for module in (geometry, verify):
-            monkeypatch.setattr(module, "chart_inner", counted)
+            if hasattr(module, "chart_inner"):
+                monkeypatch.setattr(module, "chart_inner", counted)
         assert check_signature(seed=0).passed
         assert calls == []
 
