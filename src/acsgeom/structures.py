@@ -11,14 +11,14 @@ Field files are JSON documents with the layout::
 
     {"dim": 4,
      "points": [{"id": 0, "weight": 1.0,
-                 "metric": [...],    # row-major dim*dim floats, omitted = identity
+                 "metric": [...],    # dim*dim floats, flat row-major or nested rows
                  "J": [...], "W": [...], "K": [...]},
                 ...]}
 
-The optional matrices J, W, K and metric must each be present at every
-point or at none.  A K entry requires a J entry (tangent vectors need a
-base structure).  Floats are written with shortest round-trip repr, so a
-save/load cycle is lossless.
+``metric`` may be absent at any point, where it is the identity.  J, W and K
+are each present at every point or at none, and K requires J.  Save writes
+flat lists with shortest round-trip floats, in the indent-1 layout of
+``json.dump`` that a test pins byte for byte; a save/load cycle is lossless.
 """
 
 from __future__ import annotations
@@ -365,50 +365,68 @@ class FieldBundle:
     K: TangentField | None = None
 
 
-def _matrix_to_list(m: np.ndarray) -> list[float]:
-    return [float(x) for x in m.reshape(-1)]
-
-
 def _numbers(values, what: str) -> np.ndarray:
-    """Float array of the finite JSON numbers in ``values``, else IoError."""
+    """Array of the JSON numbers in ``values``, else IoError; not yet checked finite."""
     try:
         arr = np.asarray(values)
     except ValueError:  # ragged nesting
         raise IoError(f"{what} is not a regular array of numbers") from None
-    if arr.dtype.kind not in "iuf" or not np.isfinite(arr).all():
+    if arr.dtype.kind not in "iuf":
         raise IoError(f"{what} must hold finite numbers only")
-    return arr.astype(float)
+    return arr
 
 
-def _matrix_from_list(values, dim: int, name: str, pid) -> np.ndarray:
-    arr = _numbers(values, f"matrix {name!r} at point {pid!r}")
-    if arr.size != dim * dim:
-        raise IoError(f"matrix {name!r} at point {pid!r} has {arr.size} entries, "
-                      f"expected {dim * dim}")
-    return arr.reshape(dim, dim)
+def _matrix_stack(points: list, ids: tuple, key: str, dim: int,
+                  default: np.ndarray | None = None) -> np.ndarray | None:
+    """The ``(points, dim, dim)`` float stack of matrix ``key``, flat or nested
+    at each point, or None if no point holds one; a point without it takes
+    ``default``, if given.  Errors name the point at fault."""
+    rows = []
+    for entry, pid in zip(points, ids):
+        if key not in entry:
+            if default is not None:
+                rows.append(default)
+            continue
+        arr = _numbers(entry[key], f"matrix {key!r} at point {pid!r}")
+        if arr.size != dim * dim:
+            raise IoError(f"matrix {key!r} at point {pid!r} has {arr.size} entries, "
+                          f"expected {dim * dim}")
+        rows.append(arr.reshape(dim, dim))
+    if len(rows) not in (0, len(points)):
+        raise IoError(f"field {key!r} is present at some points only")
+    if not rows:
+        return None
+    stack = np.array(rows, dtype=float)
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    if not finite.all():
+        pid = ids[int(np.argmin(finite))]
+        raise IoError(f"matrix {key!r} at point {pid!r} must hold finite numbers only")
+    return stack
 
 
 def save_bundle(bundle: FieldBundle, path) -> None:
-    """Write a field bundle to a JSON document (see the module docstring)."""
-    space = bundle.space
-    points = []
-    eye = np.eye(space.dim)
-    for i in range(space.npoints):
-        entry = {"id": space.point_ids[i], "weight": float(space.weights[i])}
-        if not np.array_equal(space.metrics[i], eye):
-            entry["metric"] = _matrix_to_list(space.metrics[i])
-        if bundle.J is not None:
-            entry["J"] = _matrix_to_list(bundle.J.ops[i])
-        if bundle.W is not None:
-            entry["W"] = _matrix_to_list(bundle.W.forms[i])
-        if bundle.K is not None:
-            entry["K"] = _matrix_to_list(bundle.K.ops[i])
-        points.append(entry)
-    doc = {"dim": space.dim, "points": points}
+    """Write a field bundle to a JSON document (see the module docstring),
+    streaming point by point the text of ``json.dump(doc, fh, indent=1)``
+    for one dict per point: ``json`` writes finite floats with ``float.__repr__``."""
+    space, encode = bundle.space, json.JSONEncoder(indent=1).encode
+    named = [("metric", space.metrics)] + [
+        (key, f.forms if key == "W" else f.ops)
+        for key, f in (("J", bundle.J), ("W", bundle.W), ("K", bundle.K)) if f is not None]
+    key_texts = [f',\n   "{key}": [\n    ' for key, _ in named]
+    rows = [stack.reshape(space.npoints, -1).tolist() for _, stack in named]
+    custom = (space.metrics != np.eye(space.dim)).any(axis=(1, 2)).tolist()
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=1)
-            fh.write("\n")
+            fh.write(f'{{\n "dim": {encode(space.dim)},\n "points": [')
+            for i, (pid, weight, own_metric, *matrices) in enumerate(
+                    zip(space.point_ids, space.weights.tolist(), custom, *rows)):
+                head = (",\n" if i else "\n") + '  {\n   "id": ' + encode(pid).replace("\n", "\n   ")
+                fh.write(f'{head},\n   "weight": {weight!r}')
+                for k, (key_text, row) in enumerate(zip(key_texts, matrices)):
+                    if k or own_metric:  # an identity metric is left out
+                        fh.write(key_text + ",\n    ".join(map(repr, row)) + "\n   ]")
+                fh.write("\n  }")
+            fh.write("\n ]\n}\n")
     except OSError as exc:
         raise IoError(f"cannot write field file {path}: {exc}") from None
 
@@ -438,40 +456,27 @@ def load_bundle(path) -> FieldBundle:
         raise IoError(f"field file {path} has a malformed dim or points entry")
     if dim > MAX_FIBER_DIM:
         raise IoError(f"field file {path} asks for dim {dim}, above the cap {MAX_FIBER_DIM}")
+    if not all(isinstance(e, dict) and "id" in e and "weight" in e for e in points):
+        raise IoError(f"field file {path} has a point without id or weight")
 
-    ids, weights, metrics = [], [], []
-    stacks: dict[str, list] = {"J": [], "W": [], "K": []}
-    eye = np.eye(dim)
-    for entry in points:
-        if not isinstance(entry, dict) or "id" not in entry or "weight" not in entry:
-            raise IoError(f"field file {path} has a point without id or weight")
-        pid = entry["id"]
-        ids.append(pid)
-        weights.append(entry["weight"])
-        metrics.append(_matrix_from_list(entry["metric"], dim, "metric", pid)
-                       if "metric" in entry else eye)
-        for key in stacks:
-            if key in entry:
-                stacks[key].append(_matrix_from_list(entry[key], dim, key, pid))
-    for key, stack in stacks.items():
-        if stack and len(stack) != len(points):
-            raise IoError(f"field {key!r} is present at some points only")
-
+    ids = tuple(entry["id"] for entry in points)
+    metrics = _matrix_stack(points, ids, "metric", dim, np.eye(dim))
+    j_ops, w_forms, k_ops = (_matrix_stack(points, ids, key, dim) for key in "JWK")
     try:
-        space = SampleSpace(dim, _numbers(weights, "weights"), np.asarray(metrics), tuple(ids))
+        space = SampleSpace(dim, _numbers([e["weight"] for e in points], "weights"), metrics, ids)
     except (DimensionMismatch, ValueError) as exc:
         raise IoError(f"field file {path} holds an invalid sample space: {exc}") from None
 
-    j_field = AcsField(space, np.asarray(stacks["J"])) if stacks["J"] else None
+    j_field = AcsField(space, j_ops) if j_ops is not None else None
     w_field = None
-    if stacks["W"]:
+    if w_forms is not None:
         try:
-            w_field = SymplecticField(space, np.asarray(stacks["W"]))
+            w_field = SymplecticField(space, w_forms)
         except ValueError as exc:
             raise IoError(f"field file {path} holds an invalid form field: {exc}") from None
     k_field = None
-    if stacks["K"]:
+    if k_ops is not None:
         if j_field is None:
             raise IoError("tangent data K requires a base field J in the same file")
-        k_field = TangentField(space, j_field, np.asarray(stacks["K"]))
+        k_field = TangentField(space, j_field, k_ops)
     return FieldBundle(space, j_field, w_field, k_field)

@@ -553,10 +553,10 @@ def check_signature(seed: int = 0, dims=(2, 4), points: int = 8,
 # ---------------------------------------------------------------------------
 # suite
 
-# Size caps, refused before anything is allocated: the entries of one
-# stack a checker builds at the largest dim, fd_cases * points * dim**2 for
-# the finite-difference checkers (their cases side by side on the point
-# axis) and cases * dim**2 for the algebraic ones; and the grid length.
+# Size caps, refused before anything is allocated: the entries of one stack a
+# checker builds at its largest dim, fd_cases * points * dim**2 (the fd cases
+# side by side on the point axis), points * (dim**2 / 2)**2 * dim**2 (the Gram
+# stack of signature) and cases * dim**2 (the algebraic ones); the grid length.
 MAX_STACK_ENTRIES = 2**22
 MAX_T_STEPS = 10**6
 # The command-line flag that sets each field, named in validation messages.
@@ -617,6 +617,11 @@ class VerifyConfig:
             raise ConfigError(f"fd_cases * points * dim**2 ({FLAGS['points']}, {FLAGS['dims']}) "
                               f"must be at most {MAX_STACK_ENTRIES}, got {self.fd_cases} cases "
                               f"of {self.points} points at dim {dim}")
+        top = max(self.fd_dims)  # the largest dim signature runs at
+        if self.points * (top**2 // 2)**2 * top**2 > MAX_STACK_ENTRIES:
+            raise ConfigError(f"points * (dim**2 / 2)**2 * dim**2 ({FLAGS['points']}, "
+                              f"{FLAGS['dims']}) must be at most {MAX_STACK_ENTRIES}, "
+                              f"got {self.points} points at dim {top}")
         if self.cases * max(self.dims)**2 > MAX_STACK_ENTRIES:
             raise ConfigError(f"cases * dim**2 must be at most {MAX_STACK_ENTRIES}, "
                               f"got {self.cases} cases at dim {max(self.dims)}")

@@ -187,6 +187,7 @@ class TestExitCodes:
         ["signature", "--points", "1000000000000000"],
         ["curvature", "--points", "1000000000000000"],
         ["verify", "--dim", "64", "--points", "1025"],
+        ["signature", "--dim", "16", "--points", "1000"],
     ])
     def test_size_above_cap_is_usage_error_before_allocating(self, capsys, argv):
         tracemalloc.start()

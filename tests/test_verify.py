@@ -264,7 +264,8 @@ class TestCaseSpace:
 class TestVerifyConfig:
     def test_defaults_valid(self):
         VerifyConfig().validate()
-        VerifyConfig(dims=(MAX_FIBER_DIM,), fd_dims=(MAX_FIBER_DIM,)).validate()
+        # the largest dims the caps admit: signature's Gram stack holds fd_dims to 16
+        VerifyConfig(dims=(MAX_FIBER_DIM,), fd_dims=(16,), points=1).validate()
 
     @pytest.mark.parametrize("bad", [
         dict(seed=-1),
@@ -296,6 +297,10 @@ class TestVerifyConfig:
         dict(t_steps=MAX_T_STEPS + 1),
         dict(t_steps=10**30),
         dict(cases=10**9),
+        dict(points=MAX_STACK_ENTRIES // (8**2 * 4**2) + 1, fd_dims=(4,)),
+        dict(points=1000, fd_dims=(16,)),
+        dict(points=8, fd_dims=(12,)),
+        dict(points=1, fd_dims=(18,)),
     ])
     def test_size_caps_refuse_before_allocating(self, bad):
         tracemalloc.start()
@@ -308,9 +313,12 @@ class TestVerifyConfig:
         assert peak < 10**6
 
     def test_size_caps_admit_their_bounds(self):
-        VerifyConfig(points=MAX_STACK_ENTRIES // (3 * 36), dims=(6,)).validate()
+        VerifyConfig(points=MAX_STACK_ENTRIES // (3 * 36), dims=(6,), fd_dims=(2,)).validate()
         VerifyConfig(points=MAX_STACK_ENTRIES // (3 * MAX_FIBER_DIM**2),
-                     fd_dims=(MAX_FIBER_DIM,)).validate()
+                     dims=(MAX_FIBER_DIM,), fd_dims=(2,)).validate()
+        # signature's Gram stack: a basis of (dim**2 / 2) = 8 fields at dim 4
+        VerifyConfig(points=MAX_STACK_ENTRIES // (8**2 * 4**2), fd_dims=(4,)).validate()
+        VerifyConfig(points=1, fd_dims=(16,)).validate()
         VerifyConfig(cases=MAX_STACK_ENTRIES // 36).validate()
         VerifyConfig(t_steps=MAX_T_STEPS).validate()
 
