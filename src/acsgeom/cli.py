@@ -76,14 +76,19 @@ class RunConfig:
 
     def validate(self) -> None:
         """Check the settings only the command line has, then every shared
-        one through :meth:`VerifyConfig.validate`."""
+        one through :meth:`VerifyConfig.validate`, with the size caps of the
+        checkers this command runs."""
         if self.command not in COMMANDS:
             raise ConfigError(f"unknown command {self.command!r}")
         if self.format not in ("report", "csv"):
             raise ConfigError(f"format must be 'report' or 'csv', got {self.format!r}")
         if self.command in SINGLE_CHECKS and self.input_path:
             raise ConfigError(f"{self.command} does not read an input bundle (--in)")
-        self.verify_config().validate()
+        if self.command == "verify":
+            checks = CHECK_NAMES
+        else:
+            checks = [SINGLE_CHECKS[self.command]] if self.command in SINGLE_CHECKS else []
+        self.verify_config().validate(checks)
 
     def verify_config(self, bundle: FieldBundle | None = None) -> VerifyConfig:
         return VerifyConfig(seed=self.seed, dims=(self.dim,), fd_dims=(self.dim,),

@@ -556,7 +556,8 @@ def check_signature(seed: int = 0, dims=(2, 4), points: int = 8,
 # Size caps, refused before anything is allocated: the entries of one stack a
 # checker builds at its largest dim, fd_cases * points * dim**2 (the fd cases
 # side by side on the point axis), points * (dim**2 / 2)**2 * dim**2 (the Gram
-# stack of signature) and cases * dim**2 (the algebraic ones); the grid length.
+# stack of signature, capped only where signature runs) and cases * dim**2 (the
+# algebraic ones); the grid length.
 MAX_STACK_ENTRIES = 2**22
 MAX_T_STEPS = 10**6
 # The command-line flag that sets each field, named in validation messages.
@@ -596,10 +597,12 @@ class VerifyConfig:
     tolerances: dict = field(default_factory=dict)
     bundle: FieldBundle | None = None
 
-    def validate(self) -> None:
+    def validate(self, checks=CHECK_NAMES) -> None:
         """Raise :class:`ConfigError` for any value the checkers cannot use.
 
-        The command line validates its settings here too, so each rule is
+        The size cap of a stack only one checker builds applies when
+        ``checks`` (by default all of CHECK_NAMES) names that checker.  The
+        command line validates its settings here too, so each rule is
         stated once; each message names the flag that sets the value.
         """
         _require_int("seed", self.seed, 0)
@@ -618,7 +621,7 @@ class VerifyConfig:
                               f"must be at most {MAX_STACK_ENTRIES}, got {self.fd_cases} cases "
                               f"of {self.points} points at dim {dim}")
         top = max(self.fd_dims)  # the largest dim signature runs at
-        if self.points * (top**2 // 2)**2 * top**2 > MAX_STACK_ENTRIES:
+        if "signature" in checks and self.points * (top**2 // 2)**2 * top**2 > MAX_STACK_ENTRIES:
             raise ConfigError(f"points * (dim**2 / 2)**2 * dim**2 ({FLAGS['points']}, "
                               f"{FLAGS['dims']}) must be at most {MAX_STACK_ENTRIES}, "
                               f"got {self.points} points at dim {top}")

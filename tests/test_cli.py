@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from acsgeom import cli
+from acsgeom import cli, verify
 from acsgeom.charts import standard_acs
 from acsgeom.cli import RunConfig, build_config, build_parser, main
 from acsgeom.errors import ConfigError, IoError
@@ -199,6 +199,28 @@ class TestExitCodes:
         assert code == 2
         assert out == "" and "at most" in err
         assert peak < 10**6
+
+    # the Gram stack of signature grows as points * dim**6 and only
+    # signature builds it, so only the commands that run signature refuse it
+    @pytest.mark.parametrize("command", ["geodesic", "curvature"])
+    def test_gram_cap_spares_commands_without_signature(self, capsys, command):
+        code, out, err = run_cli([command, "--dim", "18"], capsys)
+        assert code == 0, err
+        assert out and err == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["signature", "--dim", "16", "--points", "1000"],
+        ["verify", "--dim", "18"],
+    ])
+    def test_gram_cap_refuses_before_any_check_runs(self, capsys, monkeypatch, argv):
+        def ran(*args, **kwargs):
+            raise AssertionError("a check ran")
+
+        for name in CHECK_NAMES:
+            monkeypatch.setattr(verify, f"check_{name}", ran)
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == "" and "(dim**2 / 2)**2" in err
 
     def test_bundle_dim_above_cap_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "huge.json"

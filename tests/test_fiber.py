@@ -172,6 +172,19 @@ def near_identity_stack(seed, dim, points=7, scale=0.4):
     return np.eye(dim) + scale * rng.uniform(-1.0, 1.0, size=(points, dim, dim))
 
 
+def mixed_stack(seed, dim, scale):
+    """Two each of zero, diagonal, upper-triangular, lower-triangular and
+    generic slices, with entries uniform on [-scale, scale]: every branch
+    of scipy's expm in one stack."""
+    rng = np.random.default_rng(seed)
+    a = scale * rng.uniform(-1.0, 1.0, size=(10, dim, dim))
+    a[:2] = 0.0
+    a[2:4] *= np.eye(dim)
+    a[4:6] = np.triu(a[4:6])
+    a[6:8] = np.tril(a[6:8])
+    return a
+
+
 class TestStacks:
     """A (points, n, n) stack gives, slice for slice, the bits of the
     single-matrix call."""
@@ -185,6 +198,37 @@ class TestStacks:
     def test_mat_exp(self, dim):
         a = near_identity_stack(2, dim) - np.eye(dim)
         assert np.array_equal(mat_exp(a), np.stack([mat_exp(m) for m in a]))
+
+    # scipy needs no squaring at scale 1e-3 and 4 to 6 squarings at scale 50
+    @pytest.mark.parametrize("scale", [1e-3, 0.1, 1.0, 5.0, 50.0])
+    @pytest.mark.parametrize("dim", [2, 4, 6, 8])
+    def test_mat_exp_is_scipy_expm(self, dim, scale):
+        from scipy.linalg import expm
+
+        a = mixed_stack(6, dim, scale)
+        want = expm(a)
+        assert np.array_equal(mat_exp(a), want)
+        assert np.array_equal(mat_exp(a.reshape(2, 5, dim, dim)), want.reshape(2, 5, dim, dim))
+        for m, w in zip(a, want):
+            assert np.array_equal(mat_exp(m), w)
+
+    # at t = 2 the exponents are a and -a; beyond scale 5 the cosh factor
+    # e + f of these draws is too ill-conditioned to invert
+    @pytest.mark.parametrize("scale", [1e-3, 0.1, 1.0, 5.0])
+    @pytest.mark.parametrize("dim", [2, 4, 6, 8])
+    def test_mat_tanh_half_exponentials_are_scipy_expm(self, dim, scale):
+        from scipy.linalg import expm
+
+        def want(m):
+            e, f = expm(m), expm(-m)
+            return mat_inv_guarded(e + f) @ (e - f)
+
+        a = mixed_stack(7, dim, scale)
+        assert np.array_equal(mat_tanh_half(a, 2.0), want(a))
+        assert np.array_equal(mat_tanh_half(a.reshape(2, 5, dim, dim), 2.0),
+                              want(a).reshape(2, 5, dim, dim))
+        for m in a:
+            assert np.array_equal(mat_tanh_half(m, 2.0), want(m))
 
     @pytest.mark.parametrize("dim", [2, 4, 6, 8])
     def test_mat_tanh_half(self, dim):
