@@ -8,7 +8,6 @@ from .charts import (
     anticommute_project,
     cayley_to_acs,
     chart_transition,
-    check_chart_domain,
     pullback,
     pushforward,
     random_anticommuting,

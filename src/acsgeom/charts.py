@@ -4,15 +4,18 @@ Coordinates are matrices K that anticommute with the base.  The chart
 sends K to J0 (1 + K)(1 - K)^{-1}; it is a diffeomorphism onto the set of
 structures J for which 1 - J J0 is invertible, and its inverse is
 K = (1 - J J0)^{-1} (1 + J J0).  The exponential map J0 exp(t A) is the
-geodesic :func:`acsgeom.geometry.geodesic_ambient`.  Every map takes a
-single matrix or a (points, n, n) stack and acts on each fiber
-independently; field-level wrappers live in the structures and geometry
-modules.
+geodesic :func:`acsgeom.geometry.geodesic_ambient`.  A chart point is a
+:class:`CayleyCoordinate`: it alone decides the chart domain, and it holds
+the guarded (1 - K)^{-1} that the chart map and its differential share.
+Every map takes a single matrix or a (points, n, n) stack and acts on each
+fiber independently; field-level wrappers live in the structures and
+geometry modules.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -62,29 +65,15 @@ def anticommute_project(b, j0) -> np.ndarray:
     return 0.5 * (m + j @ m @ j)
 
 
-def check_chart_domain(j0: np.ndarray, k: np.ndarray) -> None:
-    """Raise unless K is a valid rational-chart coordinate at the base J0:
-    J0^2 = -1, K anticommutes with J0, and 1 - K is invertible with
-    condition number at most DEFAULT_COND_CAP.  Takes single matrices or
-    (points, n, n) stacks and checks every point."""
-    eye = np.eye(j0.shape[-1])
-    if max_abs(j0 @ j0 + eye) > COORD_TOL:
-        raise InvalidStructure("base does not square to -identity")
-    if max_abs(k @ j0 + j0 @ k) > COORD_TOL:
-        raise AnticommutationViolation(
-            "coordinate does not anticommute with the base structure")
-    cond = np.linalg.cond(eye - k)
-    if not (np.isfinite(cond) & (cond <= DEFAULT_COND_CAP)).all():
-        raise SingularOperator(f"condition estimate {np.max(cond):.6e} of 1 - K "
-                               f"exceeds cap {DEFAULT_COND_CAP:.6e}")
-
-
 @dataclass(frozen=True)
 class CayleyCoordinate:
     """Points of the rational chart: base structure plus coordinate K,
     single matrices or (points, n, n) stacks of the same shape.
 
-    Construction checks the chart domain with :func:`check_chart_domain`.
+    Construction checks the chart domain at every point: J0^2 = -1, K
+    anticommutes with J0, and 1 - K is invertible with condition number at
+    most DEFAULT_COND_CAP.  The guarded (1 - K)^{-1} that the chart map and
+    its differential share is computed on first use.
     """
 
     base: np.ndarray
@@ -93,7 +82,16 @@ class CayleyCoordinate:
     def __post_init__(self):
         j0 = as_fiber_matrix(self.base)
         k = _like_base(self.K, j0, "coordinate")
-        check_chart_domain(j0, k)
+        eye = np.eye(j0.shape[-1])
+        if max_abs(j0 @ j0 + eye) > COORD_TOL:
+            raise InvalidStructure("base does not square to -identity")
+        if max_abs(k @ j0 + j0 @ k) > COORD_TOL:
+            raise AnticommutationViolation(
+                "coordinate does not anticommute with the base structure")
+        cond = np.linalg.cond(eye - k)
+        if not (np.isfinite(cond) & (cond <= DEFAULT_COND_CAP)).all():
+            raise SingularOperator(f"condition estimate {np.max(cond):.6e} of 1 - K "
+                                   f"exceeds cap {DEFAULT_COND_CAP:.6e}")
         object.__setattr__(self, "base", j0)
         object.__setattr__(self, "K", k)
 
@@ -101,11 +99,17 @@ class CayleyCoordinate:
     def dim(self) -> int:
         return self.base.shape[-1]
 
+    @cached_property
+    def resolvent(self) -> np.ndarray:
+        """(1 - K)^{-1} per point, guarded; computed once, read-only."""
+        r = mat_inv_guarded(np.eye(self.dim) - self.K)
+        r.flags.writeable = False
+        return r
+
 
 def cayley_to_acs(coord: CayleyCoordinate) -> np.ndarray:
     """J0 (1 + K)(1 - K)^{-1}, the rational chart at coord.base."""
-    eye = np.eye(coord.dim)
-    return coord.base @ (eye + coord.K) @ mat_inv_guarded(eye - coord.K)
+    return coord.base @ (np.eye(coord.dim) + coord.K) @ coord.resolvent
 
 
 def acs_to_cayley(j0, j) -> CayleyCoordinate:
@@ -142,7 +146,7 @@ def pushforward(coord: CayleyCoordinate, a) -> np.ndarray:
     structure cayley_to_acs(coord).
     """
     m = _like_base(a, coord.base, "tangent")
-    r = mat_inv_guarded(np.eye(coord.dim) - coord.K)
+    r = coord.resolvent
     return 2.0 * coord.base @ r @ m @ r
 
 

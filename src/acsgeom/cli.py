@@ -12,12 +12,15 @@ usage, configuration or input errors.
 
 Outputs are reproducible byte for byte for identical flags and seed:
 reports carry no timestamps, machine identifiers, or float formatting
-that depends on locale.  CSV cells use 17 significant digits.
+that depends on locale.  CSV numbers use 17 significant digits, and cells
+that hold a comma or a quote are quoted.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import os
 import sys
@@ -149,6 +152,9 @@ def _read_config_file(path: str) -> dict:
             raise ConfigError(f"unknown config key {key!r} in {path!r}")
     if "tolerances" in data and not isinstance(data["tolerances"], dict):
         raise ConfigError("config key 'tolerances' must be an object")
+    for key in ("input", "output"):
+        if key in data and not isinstance(data[key], str):
+            raise ConfigError(f"config key {key!r} must be a path string, got {data[key]!r}")
     return data
 
 
@@ -205,27 +211,26 @@ def _num(x) -> str:
     return format(float(x), ".17g")
 
 
-def _csv(header: list[str], rows: list[list]) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(cell if isinstance(cell, str) else _num(cell)
-                              for cell in row))
-    return "\n".join(lines) + "\n"
-
-
-def _checks_csv(reports) -> str:
-    rows = [[r.name, r.max_residual, r.tolerance, "1" if r.passed else "0"]
-            for r in reports]
-    return _csv(["check", "max_residual", "tolerance", "passed"], rows)
+def _emit(cfg: RunConfig, header: list[str], rows, doc: dict) -> None:
+    """Write ``rows`` under ``header`` as CSV (numbers through :func:`_num`,
+    cells quoted where needed), or ``doc`` as the JSON report."""
+    if cfg.format == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([cell if isinstance(cell, str) else _num(cell) for cell in row]
+                         for row in rows)
+        text = buf.getvalue()
+    else:
+        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    _write_text(cfg, text)
 
 
 def _emit_reports(cfg: RunConfig, reports, vconf: VerifyConfig) -> int:
     doc = report_document(reports, vconf, input_path=cfg.input_path)
-    if cfg.format == "csv":
-        text = _checks_csv(reports)
-    else:
-        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    _write_text(cfg, text)
+    rows = [[r.name, r.max_residual, r.tolerance, "1" if r.passed else "0"]
+            for r in reports]
+    _emit(cfg, ["check", "max_residual", "tolerance", "passed"], rows, doc)
     if cfg.output_path is not None:
         for r in reports:
             status = "PASS" if r.passed else "FAIL"
@@ -281,15 +286,11 @@ def cmd_geodesic(cfg: RunConfig) -> int:
                               f"--h {cfg.h!r}): {exc}") from None
     header = ["t", "k_max", "acs_residual", "geodesic_residual",
               "associated", "orthogonal"]
-    if cfg.format == "csv":
-        text = _csv(header, rows)
-    else:
-        doc = {"command": "geodesic", "columns": header, "rows": rows,
-               "seed": cfg.seed, "dim": space.dim, "points": space.npoints,
-               "h": cfg.h, "t_max": cfg.t_max, "t_steps": cfg.t_steps,
-               "input": cfg.input_path}
-        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    _write_text(cfg, text)
+    _emit(cfg, header, rows,
+          {"command": "geodesic", "columns": header, "rows": rows,
+           "seed": cfg.seed, "dim": space.dim, "points": space.npoints,
+           "h": cfg.h, "t_max": cfg.t_max, "t_steps": cfg.t_steps,
+           "input": cfg.input_path})
     if not np.isfinite([r[:4] for r in rows]).all():
         print("error: the geodesic trace holds a non-finite value", file=sys.stderr)
         return 1
@@ -312,13 +313,8 @@ def cmd_project(cfg: RunConfig) -> int:
                     np.max(np.abs(p), axis=(1, 2)).tolist(),
                     np.max(np.abs(l), axis=(1, 2)).tolist(),
                     point_classes(k, gf)))
-    if cfg.format == "csv":
-        text = _csv(header, rows)
-    else:
-        doc = {"command": "project", "input": cfg.input_path,
-               "points": [dict(zip(header, r)) for r in rows]}
-        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    _write_text(cfg, text)
+    _emit(cfg, header, rows, {"command": "project", "input": cfg.input_path,
+                              "points": [dict(zip(header, r)) for r in rows]})
     return 0
 
 

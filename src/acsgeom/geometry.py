@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .charts import check_chart_domain
+from .charts import CayleyCoordinate
 from .errors import DegeneratePlane
 from .fiber import mat_inv_guarded, mat_tanh_half, mat_exp
 from .structures import AcsField, SampleSpace, TangentField, same_space
@@ -28,19 +28,21 @@ class ChartField:
     """A point of the field-level rational chart: base structure field plus
     a coordinate field K.
 
-    Construction checks the chart domain at every point at once with
-    :func:`check_chart_domain`, then computes the guarded resolvents
-    (1 - K^2)^{-1} that every chart functional reads.
+    Construction builds ``coord``, the :class:`CayleyCoordinate` of the
+    stacks, which checks the chart domain at every point at once, then
+    computes the guarded resolvents (1 - K^2)^{-1} that every chart
+    functional reads.
     """
 
     space: SampleSpace
     base: AcsField
     K: TangentField
+    coord: CayleyCoordinate = field(init=False, repr=False, compare=False)
     _resolvents: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         same_space(self, self.base, self.K)
-        check_chart_domain(self.base.ops, self.K.ops)
+        object.__setattr__(self, "coord", CayleyCoordinate(self.base.ops, self.K.ops))
         k = self.K.ops
         res = mat_inv_guarded(np.eye(self.space.dim) - k @ k)
         res.flags.writeable = False

@@ -29,14 +29,14 @@ import numpy as np
 from .charts import (
     CayleyCoordinate,
     acs_to_cayley,
-    anticommute_project,
     cayley_to_acs,
     pushforward,
     random_anticommuting,
+    shape_anticommuting,
     standard_acs,
 )
 from .errors import ConfigError
-from .fiber import mat_inv_guarded, max_abs
+from .fiber import max_abs
 from .geometry import (
     ChartField,
     acs_on_tangent,
@@ -274,16 +274,17 @@ def _omega_terms(c: ChartField, a0: TangentField, a1: TangentField,
                  for d, x, y in ((a0, a1, a2), (a1, a0, a2), (a2, a0, a1)))
 
 
-def _omega_ray_derivative(c: ChartField, a0: TangentField, a1: TangentField,
+def _omega_ray_derivative(ray: ChartField, a0: TangentField, a1: TangentField,
                           a2: TangentField, t: float, by_case: _Cases) -> np.ndarray:
-    """Per case, the exact d/dt of chart_omega along K = t a0, from the
-    resolvent derivative d/dt (1 - t^2 A^2)^{-1} = S (2t A^2) S."""
-    x, b1, j0, b2 = a0.ops, a1.ops, c.base.ops, a2.ops
-    s = mat_inv_guarded(np.eye(c.space.dim) - (t * x) @ (t * x))
+    """Per case, the exact d/dt of chart_omega along K = t a0 at ``ray``,
+    the chart point t a0, from the resolvent derivative
+    d/dt (1 - t^2 A^2)^{-1} = S (2t A^2) S, with S the ray's resolvents."""
+    x, b1, j0, b2 = a0.ops, a1.ops, ray.base.ops, a2.ops
+    s = ray.resolvents()
     ds = s @ ((2.0 * t) * (x @ x)) @ s
     traces = (np.trace(ds @ b1 @ j0 @ s @ b2, axis1=1, axis2=2)
               + np.trace(s @ b1 @ j0 @ ds @ b2, axis1=1, axis2=2))
-    return by_case.sums(c.space.weights * 4.0 * traces)
+    return by_case.sums(ray.space.weights * 4.0 * traces)
 
 
 def check_theorem2(seed: int = 0, dims=(2, 4), cases: int = 3, points: int = 8,
@@ -313,8 +314,8 @@ def check_theorem2(seed: int = 0, dims=(2, 4), cases: int = 3, points: int = 8,
         # the off-center ray K = t a0 (the stencil at the center is
         # exactly zero and carries no signal)
         half = random_tangent_field(by_case, j0f, bound=0.5)
-        exact = _omega_ray_derivative(c0, half, a1, a2, ray_t, by_case)
         ray = ChartField(space, j0f, TangentField(space, j0f, ray_t * half.ops))
+        exact = _omega_ray_derivative(ray, half, a1, a2, ray_t, by_case)
         r_h, r_h2 = (np.abs(fd_directional(lambda c: by_case.pairing(chart_omega_terms, c, a1, a2),
                                           ray, half, step) - exact) for step in (h, h / 2.0))
         worst = int(np.argmax(r_h))  # the binding case: largest r_h, a NaN first
@@ -371,9 +372,7 @@ def check_curvature_fd(seed: int = 0, dims=(2, 4), cases: int = 3,
         closed = curvature(c, a, b, d).ops
 
         def grad(direction: TangentField, x: TangentField, y: TangentField):
-            plus = christoffel(shifted(c, direction, h), x, y).ops
-            minus = christoffel(shifted(c, direction, -h), x, y).ops
-            return (plus - minus) / (2.0 * h)
+            return fd_directional(lambda cc: christoffel(cc, x, y).ops, c, direction, h)
 
         term_a = grad(a, b, d) + christoffel(c, a, christoffel(c, b, d)).ops
         term_b = grad(b, a, d) + christoffel(c, b, christoffel(c, a, d)).ops
@@ -416,14 +415,12 @@ def check_metric_structure(seed: int = 0, dims=(2, 4), cases: int = 3,
         # chart expressions against pushforwards at a random chart point
         k = random_tangent_field(by_case, j0f, bound=bound)
         c = ChartField(space, j0f, k)
-        coord = CayleyCoordinate(j0f.ops, k.ops)
-        jkf = AcsField(space, cayley_to_acs(coord))
-        astar_f = TangentField(space, jkf, pushforward(coord, a.ops), 1e-9)
-        bstar_f = TangentField(space, jkf, pushforward(coord, b.ops), 1e-9)
+        jkf = AcsField(space, cayley_to_acs(c.coord))
+        astar, bstar = pushforward(c.coord, a.ops), pushforward(c.coord, b.ops)
         omega = total(chart_omega_terms, c, a, b)
         r_ci = max_abs(total(chart_inner_terms, c, a, b)
-                       - total(ambient_inner_terms, jkf, astar_f, bstar_f))
-        r_co = max_abs(omega - total(ambient_omega_terms, jkf, astar_f, bstar_f))
+                       - by_case.sums(ambient_inner_terms(jkf, astar, bstar)))
+        r_co = max_abs(omega - by_case.sums(ambient_omega_terms(jkf, astar, bstar)))
         r_compat = max_abs(omega - total(chart_inner_terms, c, ja, b))
 
         # connection compatibility: d_A (B,C) = (Gamma(A,B), C) + (B, Gamma(A,C))
@@ -487,18 +484,14 @@ def _anticommuting_part_basis(j0: np.ndarray, part: str) -> list[np.ndarray]:
     """Frobenius-orthonormal basis of the anticommuting matrices that are
     plain-symmetric ('symmetric') or plain-antisymmetric ('antisymmetric')."""
     dim = j0.shape[0]
+    units = np.eye(dim * dim).reshape(-1, dim, dim)
     basis: list[np.ndarray] = []
-    for r in range(dim):
-        for s in range(dim):
-            e = np.zeros((dim, dim))
-            e[r, s] = 1.0
-            m = anticommute_project(e, j0)
-            m = 0.5 * (m + m.T) if part == "symmetric" else 0.5 * (m - m.T)
-            for b in basis:
-                m = m - float(np.sum(b * m)) * b
-            norm = float(np.linalg.norm(m))
-            if norm > 1e-8:
-                basis.append(m / norm)
+    for m in shape_anticommuting(units, j0, part=part, bound=np.inf):
+        for b in basis:
+            m = m - float(np.sum(b * m)) * b
+        norm = float(np.linalg.norm(m))
+        if norm > 1e-8:
+            basis.append(m / norm)
     return basis
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from acsgeom import charts
 from acsgeom.charts import (
     CayleyCoordinate,
     acs_to_cayley,
@@ -18,7 +19,7 @@ from acsgeom.charts import (
     standard_acs,
 )
 from acsgeom.errors import AnticommutationViolation, SingularOperator
-from acsgeom.fiber import max_abs
+from acsgeom.fiber import mat_inv_guarded, max_abs
 from acsgeom.geometry import geodesic_ambient
 from acsgeom.structures import (
     SampleSpace,
@@ -99,6 +100,26 @@ class TestCayleyCoordinate:
     def test_dim(self):
         c = CayleyCoordinate(standard_acs(4), np.zeros((4, 4)))
         assert c.dim == 4
+
+    def test_chart_map_and_differential_share_one_inverse(self, monkeypatch):
+        calls = []
+
+        def counted(a):
+            calls.append(None)
+            return mat_inv_guarded(a)
+
+        monkeypatch.setattr(charts, "mat_inv_guarded", counted)
+        j0 = np.tile(standard_acs(4), (3, 1, 1))
+        k = random_anticommuting(np.random.default_rng(5), j0)
+        a, b = (random_anticommuting(np.random.default_rng(s), j0) for s in (6, 7))
+        coord = CayleyCoordinate(j0, k)
+        assert calls == []  # computed on first use only
+        cayley_to_acs(coord)
+        pushforward(coord, a)
+        pushforward(coord, b)
+        assert len(calls) == 1
+        assert not coord.resolvent.flags.writeable
+        assert np.array_equal(coord.resolvent, mat_inv_guarded(np.eye(4) - k))
 
 
 class TestCayleyMaps:

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import os
@@ -127,6 +129,18 @@ class TestExitCodes:
         bad.write_text("{{{{")
         code, _, err = run_cli(["verify", "--in", str(bad)], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["verify", "signature", "project"])
+    @pytest.mark.parametrize("entry", [{"output": 1}, {"input": 0}, {"input": 1},
+                                       {"input": True}],
+                             ids=["output-1", "input-0", "input-1", "input-true"])
+    def test_config_paths_must_be_strings(self, tmp_path, capsys, command, entry):
+        conf = tmp_path / "c.json"
+        conf.write_text(json.dumps(entry))
+        code, out, err = run_cli([command, "--dim", "2", "--config", str(conf)], capsys)
+        (key,) = entry
+        assert code == 2 and out == ""
+        assert f"config key {key!r} must be a path string" in err
 
     def test_check_failure_is_exit_1(self, capsys):
         code, _, _ = run_cli(
@@ -421,6 +435,19 @@ class TestProjectCommand:
         doc = json.loads(out)
         assert [pt["p_norm"] for pt in doc["points"]] == np.max(np.abs(p), axis=(1, 2)).tolist()
         assert [pt["l_norm"] for pt in doc["points"]] == np.max(np.abs(l), axis=(1, 2)).tolist()
+
+    def test_csv_quotes_ids(self, tmp_path, capsys):
+        ids = ["a,b", [1, 2], 'q"x']
+        space = SampleSpace(2, np.ones(3), point_ids=ids)
+        j = standard_acs_field(space)
+        path = tmp_path / "ids.json"
+        save_bundle(FieldBundle(space, J=j, K=TangentField(space, j, np.zeros((3, 2, 2)))),
+                    path)
+        code, out, _ = run_cli(["project", "--in", str(path), "--format", "csv"], capsys)
+        rows = list(csv.reader(io.StringIO(out)))
+        assert code == 0 and rows[0] == ["id", "p_norm", "l_norm", "class"]
+        assert [len(row) for row in rows] == [4, 4, 4, 4]
+        assert [row[0] for row in rows[1:]] == [str(i) for i in ids]
 
     def test_report_format(self, tmp_path, capsys):
         path = tmp_path / "sym.json"

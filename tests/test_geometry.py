@@ -100,6 +100,11 @@ class TestChartField:
         assert not c.resolvents().flags.writeable
         assert_allclose(c.resolvents()[0], np.diag([4.0 / 3.0, 4.0 / 3.0]), rtol=1e-15)
 
+    def test_coord_holds_base_and_coordinate(self, flat2):
+        space, j, c = flat2
+        assert isinstance(c.coord, CayleyCoordinate)
+        assert c.coord.base is j.ops and c.coord.K is c.K.ops
+
     def test_shifted_is_linear_move(self, flat2):
         space, j, c = flat2
         a = tangent(space, j, B_OFF)

@@ -377,8 +377,17 @@ class TestRunSuite:
         for module in (fiber, charts, geometry, verify):
             if getattr(module, "mat_inv_guarded", None) is original:
                 monkeypatch.setattr(module, "mat_inv_guarded", counted)
+        conds = []
+        cond = np.linalg.cond
+
+        def counted_cond(*args, **kwargs):
+            conds.append(None)
+            return cond(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "cond", counted_cond)
         assert all(r.passed for r in run_suite(VerifyConfig()))
-        assert 0 < len(calls) <= 150
+        assert 0 < len(calls) <= 133
+        assert 0 < len(conds) <= 230
 
     def test_signature_builds_its_gram_without_chart_inner(self, monkeypatch):
         calls = []
