@@ -5,8 +5,9 @@ sends K to J0 (1 + K)(1 - K)^{-1}; it is a diffeomorphism onto the set of
 structures J for which 1 - J J0 is invertible, and its inverse is
 K = (1 - J J0)^{-1} (1 + J J0).  The exponential map J0 exp(t A) is the
 geodesic :func:`acsgeom.geometry.geodesic_ambient`.  A chart point is a
-:class:`CayleyCoordinate`: it alone decides the chart domain, and it holds
-the guarded (1 - K)^{-1} that the chart map and its differential share.
+:class:`CayleyCoordinate`: it alone decides the chart domain, by inverting
+1 - K through the guarded inversion once at construction, and it holds that
+inverse for the chart map and its differential to share.
 Every map takes a single matrix or a (points, n, n) stack and acts on each
 fiber independently; field-level wrappers live in the structures and
 geometry modules.
@@ -14,25 +15,12 @@ geometry modules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    AnticommutationViolation,
-    DimensionMismatch,
-    InvalidStructure,
-    SingularOperator,
-)
-from .fiber import (
-    DEFAULT_COND_CAP,
-    FiberMetric,
-    as_fiber_matrix,
-    g_adjoint,
-    mat_inv_guarded,
-    max_abs,
-)
+from .errors import AnticommutationViolation, DimensionMismatch, InvalidStructure
+from .fiber import FiberMetric, as_fiber_matrix, g_adjoint, mat_inv_guarded, max_abs
 
 # Class invariant tolerance for coordinates.
 COORD_TOL = 1e-10
@@ -71,13 +59,14 @@ class CayleyCoordinate:
     single matrices or (points, n, n) stacks of the same shape.
 
     Construction checks the chart domain at every point: J0^2 = -1, K
-    anticommutes with J0, and 1 - K is invertible with condition number at
-    most DEFAULT_COND_CAP.  The guarded (1 - K)^{-1} that the chart map and
-    its differential share is computed on first use.
+    anticommutes with J0, and 1 - K passes :func:`mat_inv_guarded`.  The
+    inverse that guard returns is kept as ``resolvent``, the read-only
+    (1 - K)^{-1} that the chart map and its differential share.
     """
 
     base: np.ndarray
     K: np.ndarray
+    resolvent: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         j0 = as_fiber_matrix(self.base)
@@ -88,23 +77,15 @@ class CayleyCoordinate:
         if max_abs(k @ j0 + j0 @ k) > COORD_TOL:
             raise AnticommutationViolation(
                 "coordinate does not anticommute with the base structure")
-        cond = np.linalg.cond(eye - k)
-        if not (np.isfinite(cond) & (cond <= DEFAULT_COND_CAP)).all():
-            raise SingularOperator(f"condition estimate {np.max(cond):.6e} of 1 - K "
-                                   f"exceeds cap {DEFAULT_COND_CAP:.6e}")
+        resolvent = mat_inv_guarded(eye - k)
+        resolvent.flags.writeable = False
         object.__setattr__(self, "base", j0)
         object.__setattr__(self, "K", k)
+        object.__setattr__(self, "resolvent", resolvent)
 
     @property
     def dim(self) -> int:
         return self.base.shape[-1]
-
-    @cached_property
-    def resolvent(self) -> np.ndarray:
-        """(1 - K)^{-1} per point, guarded; computed once, read-only."""
-        r = mat_inv_guarded(np.eye(self.dim) - self.K)
-        r.flags.writeable = False
-        return r
 
 
 def cayley_to_acs(coord: CayleyCoordinate) -> np.ndarray:

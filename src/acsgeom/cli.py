@@ -85,7 +85,7 @@ class RunConfig:
             raise ConfigError(f"unknown command {self.command!r}")
         if self.format not in ("report", "csv"):
             raise ConfigError(f"format must be 'report' or 'csv', got {self.format!r}")
-        if self.command in SINGLE_CHECKS and self.input_path:
+        if self.command in SINGLE_CHECKS and self.input_path is not None:
             raise ConfigError(f"{self.command} does not read an input bundle (--in)")
         if self.command == "verify":
             checks = CHECK_NAMES
@@ -240,7 +240,7 @@ def _emit_reports(cfg: RunConfig, reports, vconf: VerifyConfig) -> int:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    bundle = load_bundle(cfg.input_path) if cfg.input_path else None
+    bundle = load_bundle(cfg.input_path) if cfg.input_path is not None else None
     vconf = cfg.verify_config(bundle)
     return _emit_reports(cfg, run_suite(vconf), vconf)
 
@@ -254,7 +254,7 @@ def cmd_geodesic(cfg: RunConfig) -> int:
     """Trace t, max|K(t)|, structure residual, geodesic-equation residual
     and the associated/orthogonal validator flags over the grid.  Exits 1
     when a traced value is not finite."""
-    if cfg.input_path:
+    if cfg.input_path is not None:
         bundle = load_bundle(cfg.input_path)
         if bundle.J is None or bundle.K is None:
             raise ConfigError("geodesic needs an input bundle with J and K fields")
@@ -300,7 +300,7 @@ def cmd_geodesic(cfg: RunConfig) -> int:
 def cmd_project(cfg: RunConfig) -> int:
     """Per-point norms of the metric-symmetric and antisymmetric parts of
     an input tangent field, with a class label."""
-    if not cfg.input_path:
+    if cfg.input_path is None:
         raise ConfigError("project requires --in with a bundle holding J and K")
     bundle = load_bundle(cfg.input_path)
     if bundle.J is None or bundle.K is None:

@@ -44,7 +44,8 @@ class ChartField:
         same_space(self, self.base, self.K)
         object.__setattr__(self, "coord", CayleyCoordinate(self.base.ops, self.K.ops))
         k = self.K.ops
-        res = mat_inv_guarded(np.eye(self.space.dim) - k @ k)
+        with np.errstate(over="ignore"):  # an overflowing K^2 is refused as non-finite
+            res = mat_inv_guarded(np.eye(self.space.dim) - k @ k)
         res.flags.writeable = False
         object.__setattr__(self, "_resolvents", res)
 

@@ -168,7 +168,9 @@ class MetricField:
     """A symmetric positive-definite metric per point.
 
     ``fiber_metric`` is the validated :class:`FiberMetric` over the
-    ``metrics`` stack; it holds that same array, not a copy.
+    ``metrics`` stack; it holds that same array, not a copy.  The space's
+    own ``metrics`` were validated with the space, whose ``fiber_metric``
+    is then shared.
     """
 
     space: SampleSpace
@@ -176,6 +178,9 @@ class MetricField:
     fiber_metric: FiberMetric = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.metrics is self.space.metrics:
+            self.fiber_metric = self.space.fiber_metric
+            return
         self.metrics = _as_stack(self.metrics, self.space.dim, self.space.npoints, "metrics")
         self.fiber_metric = FiberMetric(self.metrics)
 

@@ -35,7 +35,7 @@ from .charts import (
     shape_anticommuting,
     standard_acs,
 )
-from .errors import ConfigError
+from .errors import ConfigError, GeometryError
 from .fiber import max_abs
 from .geometry import (
     ChartField,
@@ -653,7 +653,9 @@ def run_check(config: VerifyConfig, name: str) -> CheckReport:
     The checker, looked up in this module at call time, gets the config
     values its signature names and any override of its primary tolerance.
     The two algebraic checks take ``dims`` and ``cases``; the others take
-    ``fd_dims`` and ``fd_cases`` in their place.
+    ``fd_dims`` and ``fd_cases`` in their place.  A :class:`GeometryError`
+    the checker raises is raised again, as the same type, with a prefix
+    that names the check and the flags of the values it took.
     """
     if name not in CHECK_NAMES:
         raise ConfigError(f"unknown check {name!r}")
@@ -665,7 +667,12 @@ def run_check(config: VerifyConfig, name: str) -> CheckReport:
         key = "threshold" if name == "signature" else "tolerance"
         values[key] = float(config.tolerances[name])
     wanted = inspect.signature(check).parameters
-    return check(**{k: v for k, v in values.items() if k in wanted})
+    taken = {k: v for k, v in values.items() if k in wanted}
+    try:
+        return check(**taken)
+    except GeometryError as exc:
+        flags = ", ".join(dict.fromkeys(FLAGS[k] for k in taken if k in FLAGS))
+        raise type(exc)(f"check {name} fails ({flags}): {exc}") from None
 
 
 def _bundle_reports(config: VerifyConfig) -> list[CheckReport]:

@@ -113,7 +113,7 @@ class TestCayleyCoordinate:
         k = random_anticommuting(np.random.default_rng(5), j0)
         a, b = (random_anticommuting(np.random.default_rng(s), j0) for s in (6, 7))
         coord = CayleyCoordinate(j0, k)
-        assert calls == []  # computed on first use only
+        assert len(calls) == 1  # computed once, at construction
         cayley_to_acs(coord)
         pushforward(coord, a)
         pushforward(coord, b)

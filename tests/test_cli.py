@@ -142,6 +142,30 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert f"config key {key!r} must be a path string" in err
 
+    @pytest.mark.parametrize("command", ["verify", "geodesic", "project"])
+    def test_empty_input_path_is_read(self, tmp_path, capsys, command):
+        conf = tmp_path / "c.json"
+        conf.write_text(json.dumps({"input": ""}))
+        for argv in (["--in", ""], ["--config", str(conf)]):
+            code, out, err = run_cli([command, "--dim", "2", *argv], capsys)
+            assert (code, out) == (2, "")
+            assert "cannot read field file" in err
+
+    @pytest.mark.parametrize("command", ["curvature", "signature"])
+    def test_empty_input_path_rejected_where_unused(self, tmp_path, capsys, command):
+        conf = tmp_path / "c.json"
+        conf.write_text(json.dumps({"input": ""}))
+        for argv in (["--in", ""], ["--config", str(conf)]):
+            code, out, err = run_cli([command, "--dim", "2", *argv], capsys)
+            assert (code, out) == (2, "")
+            assert "--in" in err
+
+    def test_failing_checker_names_itself_and_its_flags(self, capsys):
+        code, out, err = run_cli(["verify", "--dim", "2", "--t-max", "300"], capsys)
+        assert (code, out) == (2, "")
+        assert "check geodesics fails" in err and "--t-max" in err
+        assert "exceeds cap" in err  # the original reason is kept
+
     def test_check_failure_is_exit_1(self, capsys):
         code, _, _ = run_cli(
             ["verify", "--dim", "2", "--tol-cayley", "1e-30"], capsys)
@@ -362,7 +386,7 @@ class TestGeodesicCommand:
         assert "J at point 0" in err and "residual 5.000e-01" in err
         assert run_cli(["project", "--in", str(path)], capsys)[0] == 0
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("flags", [["--t-max", "1e300"], ["--h", "1e300"],
                                        ["--h", "1e10"]])
     def test_overflow_names_the_flags(self, capsys, flags):

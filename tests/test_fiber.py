@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from acsgeom.errors import DimensionMismatch, SingularOperator
 from acsgeom.fiber import (
+    DEFAULT_COND_CAP,
     FiberMetric,
     as_fiber_matrix,
     g_adjoint,
@@ -86,6 +87,30 @@ class TestMatInvGuarded:
         ill = np.diag([1.0, 1e-13])
         with pytest.raises(SingularOperator):
             mat_inv_guarded(ill)
+
+    def test_frobenius_estimate_refuses_under_the_2_norm_cap(self):
+        # kappa_2 = 8e11 is under the cap; kappa_F = sqrt(3) * 8e11 is over it
+        ill = np.diag([1.0, 1.0, 1.0, 1.25e-12])
+        assert np.linalg.cond(ill) < DEFAULT_COND_CAP
+        with pytest.raises(SingularOperator, match=r"estimate 1\.385641e\+12 exceeds cap"):
+            mat_inv_guarded(ill)
+
+    def test_refuses_whatever_the_2_norm_refuses(self):
+        rng = np.random.default_rng(3)
+        q, _ = np.linalg.qr(rng.standard_normal((2, 60, 4, 4)))
+        sigma = np.ones((60, 4))
+        sigma[:, -1] = 1.0 / np.logspace(11, 13, 60)
+        stack = q[0] * sigma[:, None, :] @ q[1]
+        for m, kappa in zip(stack, np.linalg.cond(stack)):
+            if kappa > DEFAULT_COND_CAP:
+                with pytest.raises(SingularOperator):
+                    mat_inv_guarded(m)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e-300, 1e300])
+    def test_estimate_does_not_depend_on_scale(self, scale):
+        a = np.array([[2.0, 1.0], [1.0, 3.0]])
+        assert_allclose(scale * mat_inv_guarded(scale * a), mat_inv_guarded(a), rtol=1e-15)
 
 
 class TestMatExp:

@@ -40,8 +40,8 @@ def argvs(draw):
     return argv
 
 
-# extreme steps and grid ends overflow on purpose, with numpy's RuntimeWarning
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+# extreme steps and grid ends overflow on purpose; numpy's RuntimeWarning fails
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(argvs())
 def test_flag_values_exit_cleanly(argv):

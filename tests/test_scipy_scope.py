@@ -1,8 +1,11 @@
-"""scipy is imported by one module only.
+"""scipy is imported by one module only, and so is the SVD condition number.
 
 ``fiber`` calls scipy's private compiled Pade kernels, whose call convention
 is checked against the scipy version that ``pyproject.toml`` requires; any
-other module importing scipy would spread that dependency."""
+other module importing scipy would spread that dependency.  The guarded
+inversion reads its condition estimate from the inverse it returns, so
+``linalg.cond`` (one SVD per slice) is left to ``structures``, which checks
+outside symplectic forms at every scale."""
 
 import ast
 import os
@@ -12,24 +15,38 @@ import acsgeom
 PACKAGE = os.path.dirname(os.path.abspath(acsgeom.__file__))
 
 
-def scipy_importers() -> set[str]:
+def imports_scipy(node) -> bool:
+    if isinstance(node, ast.Import):
+        modules = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom):
+        modules = [node.module or ""]
+    else:
+        return False
+    return any(m == "scipy" or m.startswith("scipy.") for m in modules)
+
+
+def calls_linalg_cond(node) -> bool:
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "cond" and isinstance(node.func.value, ast.Attribute)
+            and node.func.value.attr == "linalg")
+
+
+def modules_where(test) -> set[str]:
+    """The package modules holding a node that passes ``test``."""
     found = set()
     for name in sorted(os.listdir(PACKAGE)):
         if not name.endswith(".py"):
             continue
         with open(os.path.join(PACKAGE, name), encoding="utf-8") as fh:
             tree = ast.parse(fh.read(), filename=name)
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                modules = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                modules = [node.module or ""]
-            else:
-                continue
-            if any(m == "scipy" or m.startswith("scipy.") for m in modules):
-                found.add(name)
+        if any(test(node) for node in ast.walk(tree)):
+            found.add(name)
     return found
 
 
 def test_only_fiber_imports_scipy():
-    assert scipy_importers() == {"fiber.py"}
+    assert modules_where(imports_scipy) == {"fiber.py"}
+
+
+def test_only_structures_calls_linalg_cond():
+    assert modules_where(calls_linalg_cond) == {"structures.py"}

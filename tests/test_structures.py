@@ -152,6 +152,18 @@ class TestFields:
         assert space.fiber_metric.matrix is space.metrics
         assert space.fiber_metric.matrix.shape == (2, 2, 2)
 
+    def test_metric_field_of_space_is_not_validated_again(self, monkeypatch):
+        space = SampleSpace(2, np.ones(2))
+        monkeypatch.setattr(structures, "FiberMetric", None)  # any new one would fail
+        assert MetricField(space, space.metrics).fiber_metric is space.fiber_metric
+
+    def test_metric_field_of_other_array_is_validated(self):
+        space = SampleSpace(2, np.ones(3))
+        g = MetricField(space, space.metrics.copy())
+        assert g.fiber_metric is not space.fiber_metric
+        with pytest.raises(ValueError):
+            MetricField(space, np.tile(np.diag([1.0, -2.0]), (3, 1, 1)))
+
 
 class TestValidateAcs:
     def test_standard_passes_exactly(self, space4):
