@@ -10,16 +10,12 @@ tolerances used by callers are calibrated for that regime.  The guarded
 inversion, the package's only inversion guard, reads kappa_F from the
 inverse it returns: no SVD, and up to n times tighter than kappa_2.
 
-The exponentials are scipy's compiled Pade kernels (the private
-``scipy.linalg._matfuncs_expm``, which no other module imports), driven
-across a whole stack: one stacked classification of the slices, one
-kernel call per generic slice and stacked squarings, bit-identical to
-``scipy.linalg.expm`` slice for slice.  scipy is imported on the first
-exponential rather than with the package: ``import acsgeom`` and the
-commands that compute no exponential (``signature``, ``curvature``,
-``project``) never load it, while ``verify``'s geodesic checks and
-``geodesic`` load it once.  An exponential that overflows raises
-:class:`NonFiniteValue` without a numpy warning.
+The exponentials need numpy only: one scaling-and-squaring Pade-13
+(Higham 2005) runs over a whole stack, with one stacked solve and masked,
+stacked squarings, and ``mat_tanh_half`` makes one such call per sign of
+its exponent.  The package imports no scipy.  An exponential whose norm
+or result is not finite raises :class:`NonFiniteValue` without a numpy
+warning.
 """
 
 from __future__ import annotations
@@ -104,62 +100,61 @@ def mat_inv_guarded(a) -> np.ndarray:
     return inv
 
 
-@np.errstate(over="ignore", invalid="ignore")  # overflow is caught below
+# Pade-13 coefficients b_0 .. b_13 and the 1-norm up to which the
+# approximant alone is accurate to unit roundoff (Higham 2005, Table 2.3)
+PADE_13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0,
+           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
+           16380.0, 182.0, 1.0)
+THETA_13 = 5.371920351148152
+
+
+# overflow and nan are refused below; log2(0) of a tiny norm is clipped to s = 0
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _expm(m: np.ndarray) -> np.ndarray:
-    """``scipy.linalg.expm`` of every slice of a float64 (..., n, n) stack,
-    bit for bit, without scipy's per-slice Python wrapper.
+    """Matrix exponential of every slice of a float64 (..., n, n) stack by
+    scaling and squaring with the degree-13 Pade approximant (Higham 2005).
 
-    One stacked test sorts the slices by where their nonzeros lie, which is
-    the test scipy's ``bandwidth`` makes per slice.  Diagonal slices take
-    one ``np.exp`` over their diagonals.  Triangular slices, for which scipy
-    recomputes the diagonals during the squarings (Al-Mohy & Higham 2009,
-    Code Fragment 2.1), go to ``scipy.linalg.expm`` as one stack.  Each
-    generic slice runs scipy's compiled Pade kernels in a reused scratch
-    array, and the squarings are then done stacked: at step k, every slice
-    that needs more than k squarings is squared in one matmul.  An
-    exponential that overflows raises :class:`NonFiniteValue`.
+    One stacked test finds the diagonal slices, which take ``np.exp`` of
+    their diagonals, so a zero slice gives the identity exactly.  Every
+    other slice is scaled by 2^-s, s = max(0, ceil(log2(||A||_1 / theta_13))),
+    and the approximant r = (V - U)^{-1} (V + U) is built over the whole
+    stack with one stacked solve; at squaring step k, every slice with
+    s > k is squared in one matmul.  A non-finite norm or result raises
+    :class:`NonFiniteValue`.
     """
-    from scipy.linalg import expm
-    from scipy.linalg._matfuncs_expm import pade_UV_calc, pick_pade_structure
-
     n = m.shape[-1]
     a = m.reshape(-1, n, n)
     out = np.zeros(a.shape)
-    nonzero = a != 0
-    lower = np.tri(n, k=-1, dtype=bool)
-    below = (nonzero & lower).any(axis=(1, 2))
-    above = (nonzero & lower.T).any(axis=(1, 2))
-
-    diagonal = ~(below | above)
+    diagonal = (a[:, ~np.eye(n, dtype=bool)] == 0).all(axis=1)
     np.einsum("kii->ki", out)[diagonal] = np.exp(np.einsum("kii->ki", a)[diagonal])
-    triangular = below != above
-    if triangular.any():
-        out[triangular] = expm(a[triangular])
-
-    generic = np.flatnonzero(below & above)
-    squarings = np.empty(len(generic), dtype=int)
-    scratch = np.empty((5, n, n))
-    for i, k in enumerate(generic):
-        scratch[0] = a[k]
-        order, squarings[i] = pick_pade_structure(scratch)
-        if order < 0:
-            raise MemoryError(f"expm could not allocate its Pade workspace (code {order})")
-        info = pade_UV_calc(scratch, order)
-        if info != 0:
-            raise RuntimeError(f"expm failed in its Pade solve (code {info})")
-        out[k] = scratch[0]
+    x = a[~diagonal]
+    norm = np.abs(x).sum(axis=1).max(axis=-1)
+    if not np.isfinite(norm).all():
+        raise NonFiniteValue("matrix exponential entries must be finite")
+    squarings = np.maximum(np.ceil(np.log2(norm / THETA_13)), 0.0).astype(int)
+    x = np.ldexp(x, -squarings[:, None, None])
+    b, eye = PADE_13, np.eye(n)
+    x2 = x @ x
+    x4 = x2 @ x2
+    x6 = x4 @ x2
+    u = x @ (x6 @ (b[13] * x6 + b[11] * x4 + b[9] * x2)
+             + b[7] * x6 + b[5] * x4 + b[3] * x2 + b[1] * eye)
+    v = (x6 @ (b[12] * x6 + b[10] * x4 + b[8] * x2)
+         + b[6] * x6 + b[4] * x4 + b[2] * x2 + b[0] * eye)
+    r = np.linalg.solve(v - u, v + u)
     for step in range(squarings.max(initial=0)):
-        todo = generic[squarings > step]
-        out[todo] = out[todo] @ out[todo]
+        todo = squarings > step
+        r[todo] = r[todo] @ r[todo]
+    out[~diagonal] = r
     if not np.isfinite(out).all():
         raise NonFiniteValue("matrix exponential entries must be finite")
     return out.reshape(m.shape)
 
 
 def mat_exp(a) -> np.ndarray:
-    """Matrix exponential of every slice: scipy's compiled Pade kernels with
-    a stacked classification and stacked squarings, bit-identical to
-    ``scipy.linalg.expm`` (see :func:`_expm`)."""
+    """Matrix exponential of every slice: a stacked scaling-and-squaring
+    Pade-13 in numpy (see :func:`_expm`)."""
     return _expm(as_fiber_matrix(a))
 
 
@@ -167,13 +162,16 @@ def mat_tanh_half(a, t: float) -> np.ndarray:
     """tanh((t/2) a), computed as the quotient of exponentials.
 
     Returns (e + f)^{-1} (e - f) with e = exp(t a / 2) and f = exp(-t a / 2),
-    both from one :func:`_expm` call over the two stacks, so each is
-    bit-identical to ``scipy.linalg.expm``.  The cosh factor e + f can only
+    one :func:`_expm` call per sign, so the stack of one sign is the only
+    transient.  Swapping the signs swaps e and f, so tanh is odd in t bit
+    for bit and t = 0 gives exactly 0.  The cosh factor e + f can only
     degenerate when the spectrum of (t/2) a approaches an odd multiple of
     i pi / 2; a failed inversion surfaces as :class:`SingularOperator`.
     """
     m = as_fiber_matrix(a)
-    e, f = _expm(np.stack(((0.5 * float(t)) * m, (-0.5 * float(t)) * m)))
+    with np.errstate(invalid="ignore"):  # inf * 0 is refused by _expm
+        h = (0.5 * float(t)) * m
+    e, f = _expm(h), _expm(-h)
     return mat_inv_guarded(e + f) @ (e - f)
 
 

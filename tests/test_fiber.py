@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from acsgeom.errors import DimensionMismatch, SingularOperator
+from acsgeom.errors import DimensionMismatch, NonFiniteValue, SingularOperator
 from acsgeom.fiber import (
     DEFAULT_COND_CAP,
     FiberMetric,
@@ -199,8 +199,8 @@ def near_identity_stack(seed, dim, points=7, scale=0.4):
 
 def mixed_stack(seed, dim, scale):
     """Two each of zero, diagonal, upper-triangular, lower-triangular and
-    generic slices, with entries uniform on [-scale, scale]: every branch
-    of scipy's expm in one stack."""
+    generic slices, with entries uniform on [-scale, scale]: the diagonal
+    branch of mat_exp, and every branch of scipy's expm, in one stack."""
     rng = np.random.default_rng(seed)
     a = scale * rng.uniform(-1.0, 1.0, size=(10, dim, dim))
     a[:2] = 0.0
@@ -208,6 +208,13 @@ def mixed_stack(seed, dim, scale):
     a[4:6] = np.triu(a[4:6])
     a[6:8] = np.tril(a[6:8])
     return a
+
+
+def relative_error(got, want, floor=0.0):
+    """Largest entrywise error of each slice, over the largest entry of
+    ``want`` in that slice (or ``floor``, if larger)."""
+    scale = np.maximum(np.abs(want).max(axis=(-2, -1)), floor)
+    return np.abs(got - want).max(axis=(-2, -1)) / scale
 
 
 class TestStacks:
@@ -224,36 +231,47 @@ class TestStacks:
         a = near_identity_stack(2, dim) - np.eye(dim)
         assert np.array_equal(mat_exp(a), np.stack([mat_exp(m) for m in a]))
 
-    # scipy needs no squaring at scale 1e-3 and 4 to 6 squarings at scale 50
+    # scipy.linalg.expm is the oracle; mat_exp squares 3 to 6 times at scale 50
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("scale", [1e-3, 0.1, 1.0, 5.0, 50.0])
     @pytest.mark.parametrize("dim", [2, 4, 6, 8])
     def test_mat_exp_is_scipy_expm(self, dim, scale):
         from scipy.linalg import expm
 
         a = mixed_stack(6, dim, scale)
-        want = expm(a)
-        assert np.array_equal(mat_exp(a), want)
-        assert np.array_equal(mat_exp(a.reshape(2, 5, dim, dim)), want.reshape(2, 5, dim, dim))
-        for m, w in zip(a, want):
-            assert np.array_equal(mat_exp(m), w)
+        got, want = mat_exp(a), expm(a)
+        assert (relative_error(got, want) <= (1e-14 if scale <= 1.0 else 1e-12)).all()
+        assert np.array_equal(got[:2], np.broadcast_to(np.eye(dim), (2, dim, dim)))
+        assert np.array_equal(got[2:4], np.exp(a[2:4]) * np.eye(dim))
+        assert np.array_equal(mat_exp(a.reshape(2, 5, dim, dim)), got.reshape(2, 5, dim, dim))
+        for m, g in zip(a, got):
+            assert np.array_equal(mat_exp(m), g)
+        with pytest.raises(NonFiniteValue, match="matrix exponential entries must be finite"):
+            mat_exp(1.7e308 * (a / scale))
 
     # at t = 2 the exponents are a and -a; beyond scale 5 the cosh factor
-    # e + f of these draws is too ill-conditioned to invert
+    # e + f of these draws is too ill-conditioned to invert.  For small
+    # exponents e - f cancels to about 2a, so the error is read against
+    # max(1, largest entry), the scale of e and f
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("scale", [1e-3, 0.1, 1.0, 5.0])
     @pytest.mark.parametrize("dim", [2, 4, 6, 8])
     def test_mat_tanh_half_exponentials_are_scipy_expm(self, dim, scale):
         from scipy.linalg import expm
 
-        def want(m):
-            e, f = expm(m), expm(-m)
-            return mat_inv_guarded(e + f) @ (e - f)
-
         a = mixed_stack(7, dim, scale)
-        assert np.array_equal(mat_tanh_half(a, 2.0), want(a))
+        e, f = expm(a), expm(-a)
+        want = mat_inv_guarded(e + f) @ (e - f)
+        got = mat_tanh_half(a, 2.0)
+        assert (relative_error(got, want, floor=1.0) <= (1e-14 if scale <= 1.0 else 1e-12)).all()
+        assert np.array_equal(got[:2], np.zeros((2, dim, dim)))
+        assert np.array_equal(mat_tanh_half(a, -2.0), -got)
         assert np.array_equal(mat_tanh_half(a.reshape(2, 5, dim, dim), 2.0),
-                              want(a).reshape(2, 5, dim, dim))
-        for m in a:
-            assert np.array_equal(mat_tanh_half(m, 2.0), want(m))
+                              got.reshape(2, 5, dim, dim))
+        for m, g in zip(a, got):
+            assert np.array_equal(mat_tanh_half(m, 2.0), g)
+        with pytest.raises(NonFiniteValue, match="matrix exponential entries must be finite"):
+            mat_tanh_half(a, math.inf)
 
     @pytest.mark.parametrize("dim", [2, 4, 6, 8])
     def test_mat_tanh_half(self, dim):

@@ -1,11 +1,10 @@
-"""scipy is imported by one module only, and so is the SVD condition number.
+"""No module imports scipy, and one module only calls the SVD condition number.
 
-``fiber`` calls scipy's private compiled Pade kernels, whose call convention
-is checked against the scipy version that ``pyproject.toml`` requires; any
-other module importing scipy would spread that dependency.  The guarded
-inversion reads its condition estimate from the inverse it returns, so
-``linalg.cond`` (one SVD per slice) is left to ``structures``, which checks
-outside symplectic forms at every scale."""
+The package depends on numpy alone; scipy is a test dependency, the
+oracle of the exponential tests.  The guarded inversion reads its
+condition estimate from the inverse it returns, so ``linalg.cond`` (one
+SVD per slice) is left to ``structures``, which checks outside symplectic
+forms at every scale."""
 
 import ast
 import os
@@ -44,8 +43,8 @@ def modules_where(test) -> set[str]:
     return found
 
 
-def test_only_fiber_imports_scipy():
-    assert modules_where(imports_scipy) == {"fiber.py"}
+def test_no_module_imports_scipy():
+    assert modules_where(imports_scipy) == set()
 
 
 def test_only_structures_calls_linalg_cond():
