@@ -53,11 +53,11 @@ from .structures import (
     TangentField,
     load_bundle,
     orientation_marker,
-    point_classes,
     random_sample_space,
     random_tangent_field,
     same_space,
     save_bundle,
+    split_and_classify,
     standard_acs_field,
     standard_symplectic_field,
     sym_antisym_split,

@@ -35,12 +35,11 @@ from .structures import (
     FieldBundle,
     MetricField,
     load_bundle,
-    point_classes,
     random_sample_space,
     random_tangent_field,
+    split_and_classify,
     standard_acs_field,
     standard_symplectic_field,
-    sym_antisym_split,
     validate_acs,
     validate_associated,
     validate_orthogonal,
@@ -211,6 +210,45 @@ def _num(x) -> str:
     return format(float(x), ".17g")
 
 
+def _records_text(records) -> str | None:
+    """The text of ``records`` as a value of a top-level key in
+    ``json.dumps(doc, indent=2, sort_keys=True)``, when it is a list of dicts
+    with the same str keys and str, int, float, bool or None values; else
+    None.  The values take one pass of the C encoder, split on the raw
+    newlines it writes between them and never inside a string."""
+    if not isinstance(records, list) or set(map(type, records)) != {dict}:
+        return None
+    keys = list(records[0])
+    if not keys or {type(k) for k in keys} != {str} or set(map(len, records)) != {len(keys)}:
+        return None
+    keys.sort()
+    try:
+        values = [record[k] for record in records for k in keys]
+    except KeyError:
+        return None
+    if not set(map(type, values)) <= {str, int, float, bool, type(None)}:
+        return None
+    texts = json.dumps(values, separators=("\n", ":"))[1:-1].split("\n")
+    heads = [f"\n      {json.dumps(k)}: ".replace("%", "%%") for k in keys]
+    record = "{" + "%s,".join(heads) + "%s\n    }"
+    return "[\n    " + ",\n    ".join(map(record.__mod__, zip(*[iter(texts)] * len(keys)))) \
+        + "\n  ]"
+
+
+def _json_text(doc: dict) -> str:
+    """``json.dumps(doc, indent=2, sort_keys=True) + "\\n"`` for a dict with
+    str keys, byte for byte.  ``json`` indents only in its pure-Python
+    encoder, so each top-level list of flat records, such as ``project``'s
+    points, is written through :func:`_records_text` instead."""
+    parts = []
+    for key in sorted(doc):
+        text = _records_text(doc[key])
+        if text is None:
+            text = json.dumps(doc[key], indent=2, sort_keys=True).replace("\n", "\n  ")
+        parts.append(f"\n  {json.dumps(key)}: {text}")
+    return "{" + ",".join(parts) + "\n}\n" if parts else "{}\n"
+
+
 def _emit(cfg: RunConfig, header: list[str], rows, doc: dict) -> None:
     """Write ``rows`` under ``header`` as CSV (numbers through :func:`_num`,
     cells quoted where needed), or ``doc`` as the JSON report."""
@@ -222,7 +260,7 @@ def _emit(cfg: RunConfig, header: list[str], rows, doc: dict) -> None:
                          for row in rows)
         text = buf.getvalue()
     else:
-        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        text = _json_text(doc)
     _write_text(cfg, text)
 
 
@@ -253,7 +291,8 @@ def cmd_single_check(cfg: RunConfig) -> int:
 def cmd_geodesic(cfg: RunConfig) -> int:
     """Trace t, max|K(t)|, structure residual, geodesic-equation residual
     and the associated/orthogonal validator flags over the grid.  Exits 1
-    when a traced value is not finite."""
+    when a traced value is not finite or J_t fails :func:`validate_acs`,
+    naming the first t at fault; the trace is written either way."""
     if cfg.input_path is not None:
         bundle = load_bundle(cfg.input_path)
         if bundle.J is None or bundle.K is None:
@@ -272,18 +311,22 @@ def cmd_geodesic(cfg: RunConfig) -> int:
         wf = standard_symplectic_field(space)
     gf = MetricField(space, space.metrics)
 
-    rows = []
+    rows, not_acs = [], None
     for t in np.linspace(0.0, cfg.t_max, cfg.t_steps):
         t = float(t)
         try:
             jt = geodesic_ambient(j0f, a, t)
+            acs = validate_acs(jt)
             assoc = validate_associated(jt, wf).passed
             orth = validate_orthogonal(jt, gf, j0f).passed
-            rows.append([t, max_abs(geodesic_chart(a, t).ops), validate_acs(jt).max_residual,
+            rows.append([t, max_abs(geodesic_chart(a, t).ops), acs.max_residual,
                          geodesic_equation_residual(a, t, cfg.h), int(assoc), int(orth)])
         except GeometryError as exc:
             raise ConfigError(f"geodesic trace fails at t={t!r} (--t-max {cfg.t_max!r}, "
                               f"--h {cfg.h!r}): {exc}") from None
+        if not_acs is None and not acs.passed:
+            not_acs = (f"J_t first fails to square to -identity at t={t!r}: "
+                       f"acs_residual {acs.max_residual:.3e} exceeds {acs.tolerance:.0e}")
     header = ["t", "k_max", "acs_residual", "geodesic_residual",
               "associated", "orthogonal"]
     _emit(cfg, header, rows,
@@ -291,10 +334,12 @@ def cmd_geodesic(cfg: RunConfig) -> int:
            "seed": cfg.seed, "dim": space.dim, "points": space.npoints,
            "h": cfg.h, "t_max": cfg.t_max, "t_steps": cfg.t_steps,
            "input": cfg.input_path})
+    problems = [not_acs] if not_acs else []
     if not np.isfinite([r[:4] for r in rows]).all():
-        print("error: the geodesic trace holds a non-finite value", file=sys.stderr)
-        return 1
-    return 0
+        problems.insert(0, "the geodesic trace holds a non-finite value")
+    for problem in problems:
+        print(f"error: {problem}", file=sys.stderr)
+    return 1 if problems else 0
 
 
 def cmd_project(cfg: RunConfig) -> int:
@@ -306,13 +351,12 @@ def cmd_project(cfg: RunConfig) -> int:
     if bundle.J is None or bundle.K is None:
         raise ConfigError("project needs an input bundle with J and K fields")
     space, k = bundle.space, bundle.K
-    gf = MetricField(space, space.metrics)
-    p, l = sym_antisym_split(k, gf)
+    p, l, classes = split_and_classify(k, MetricField(space, space.metrics))
     header = ["id", "p_norm", "l_norm", "class"]
     rows = list(zip(map(str, space.point_ids),
                     np.max(np.abs(p), axis=(1, 2)).tolist(),
                     np.max(np.abs(l), axis=(1, 2)).tolist(),
-                    point_classes(k, gf)))
+                    classes))
     _emit(cfg, header, rows, {"command": "project", "input": cfg.input_path,
                               "points": [dict(zip(header, r)) for r in rows]})
     return 0

@@ -231,27 +231,29 @@ def _sharps(a: TangentField | AcsField, g: MetricField) -> np.ndarray:
     return g_adjoint(a.ops, g.fiber_metric)
 
 
-def sym_antisym_split(k: TangentField, g: MetricField) -> tuple[np.ndarray, np.ndarray]:
+def split_and_classify(k: TangentField, g: MetricField, tol: float = 1e-10
+                       ) -> tuple[np.ndarray, np.ndarray, list[str]]:
     """Split a tangent field into metric-symmetric and antisymmetric parts,
-    returned as (points, n, n) stacks.
+    returned as (points, n, n) stacks, and classify it at each point as
+    'symmetric', 'antisymmetric' or 'mixed', by the max norms of K - K^sharp
+    and K + K^sharp there; one metric adjoint K^sharp per point serves both.
 
     P = (K + K^sharp)/2 and L = K - P, so P + L reproduces K to one
     rounding of the final subtraction (exactly, at dim 2).  The parts are
     plain arrays, not tangent fields: they anticommute with the base only
     when the base operators are skew-adjoint for g.
     """
-    p = 0.5 * (k.ops + _sharps(k, g))
-    return p, k.ops - p
+    sharp = _sharps(k, g)
+    p = 0.5 * (k.ops + sharp)
+    rs, ra = _residuals(k.ops - sharp), _residuals(k.ops + sharp)
+    classes = ["symmetric" if s <= tol else "antisymmetric" if t <= tol else "mixed"
+               for s, t in zip(rs, ra)]
+    return p, k.ops - p, classes
 
 
-def point_classes(a: TangentField, g: MetricField, tol: float = 1e-10) -> list[str]:
-    """Classify a tangent field at each point as 'symmetric',
-    'antisymmetric' or 'mixed', by the max norms of A - A^sharp and
-    A + A^sharp there."""
-    sharp = _sharps(a, g)
-    rs, ra = _residuals(a.ops - sharp), _residuals(a.ops + sharp)
-    return ["symmetric" if s <= tol else "antisymmetric" if t <= tol else "mixed"
-            for s, t in zip(rs, ra)]
+def sym_antisym_split(k: TangentField, g: MetricField) -> tuple[np.ndarray, np.ndarray]:
+    """The parts P and L of :func:`split_and_classify`."""
+    return split_and_classify(k, g)[:2]
 
 
 def validate_associated(j: AcsField, w: SymplecticField,
@@ -381,27 +383,50 @@ def _numbers(values, what: str) -> np.ndarray:
     return arr
 
 
+def _flat_stack(points: list, key: str, dim: int) -> np.ndarray | None:
+    """``key``'s float stack from one ``np.asarray`` over all points, or None
+    unless every point holds a flat list of dim*dim numbers that converts to
+    float.  Each list then has the values it has alone, and the dtype, except
+    that booleans turn into 0.0 and 1.0; so rows of zeros and ones are checked
+    for the all-boolean lists :func:`_numbers` refuses."""
+    try:
+        rows = [entry[key] for entry in points]
+        flat = np.asarray(rows)
+    except (KeyError, ValueError):  # absent at a point; ragged
+        return None
+    if flat.dtype != float or flat.shape != (len(points), dim * dim):
+        return None
+    zeros_and_ones = np.flatnonzero(((flat == 0.0) | (flat == 1.0)).all(axis=1))
+    if any(set(map(type, rows[i])) == {bool} for i in zeros_and_ones):
+        return None
+    return flat.reshape(-1, dim, dim)
+
+
 def _matrix_stack(points: list, ids: tuple, key: str, dim: int,
                   default: np.ndarray | None = None) -> np.ndarray | None:
     """The ``(points, dim, dim)`` float stack of matrix ``key``, flat or nested
     at each point, or None if no point holds one; a point without it takes
-    ``default``, if given.  Errors name the point at fault."""
-    rows = []
-    for entry, pid in zip(points, ids):
-        if key not in entry:
-            if default is not None:
-                rows.append(default)
-            continue
-        arr = _numbers(entry[key], f"matrix {key!r} at point {pid!r}")
-        if arr.size != dim * dim:
-            raise IoError(f"matrix {key!r} at point {pid!r} has {arr.size} entries, "
-                          f"expected {dim * dim}")
-        rows.append(arr.reshape(dim, dim))
-    if len(rows) not in (0, len(points)):
-        raise IoError(f"field {key!r} is present at some points only")
-    if not rows:
-        return None
-    stack = np.array(rows, dtype=float)
+    ``default``, if given.  Errors name the point at fault.  The layout
+    :func:`save_bundle` writes converts in one pass; other layouts, and
+    fields a point holds in error, are read point by point."""
+    stack = _flat_stack(points, key, dim)
+    if stack is None:
+        rows = []
+        for entry, pid in zip(points, ids):
+            if key not in entry:
+                if default is not None:
+                    rows.append(default)
+                continue
+            arr = _numbers(entry[key], f"matrix {key!r} at point {pid!r}")
+            if arr.size != dim * dim:
+                raise IoError(f"matrix {key!r} at point {pid!r} has {arr.size} entries, "
+                              f"expected {dim * dim}")
+            rows.append(arr.reshape(dim, dim))
+        if len(rows) not in (0, len(points)):
+            raise IoError(f"field {key!r} is present at some points only")
+        if not rows:
+            return None
+        stack = np.array(rows, dtype=float)
     finite = np.isfinite(stack).all(axis=(1, 2))
     if not finite.all():
         pid = ids[int(np.argmin(finite))]
@@ -412,8 +437,10 @@ def _matrix_stack(points: list, ids: tuple, key: str, dim: int,
 def save_bundle(bundle: FieldBundle, path) -> None:
     """Write a field bundle to a JSON document (see the module docstring),
     streaming point by point the text of ``json.dump(doc, fh, indent=1)``
-    for one dict per point: ``json`` writes finite floats with ``float.__repr__``."""
-    space, encode = bundle.space, json.JSONEncoder(indent=1).encode
+    for one dict per point: ``json`` writes finite floats with ``float.__repr__``.
+    Only list and dict ids need the indenting encoder, which is pure Python;
+    the others take the C encoder of ``json.dumps``."""
+    space, indented = bundle.space, json.JSONEncoder(indent=1).encode
     named = [("metric", space.metrics)] + [
         (key, f.forms if key == "W" else f.ops)
         for key, f in (("J", bundle.J), ("W", bundle.W), ("K", bundle.K)) if f is not None]
@@ -422,10 +449,14 @@ def save_bundle(bundle: FieldBundle, path) -> None:
     custom = (space.metrics != np.eye(space.dim)).any(axis=(1, 2)).tolist()
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f'{{\n "dim": {encode(space.dim)},\n "points": [')
+            fh.write(f'{{\n "dim": {json.dumps(space.dim)},\n "points": [')
             for i, (pid, weight, own_metric, *matrices) in enumerate(
                     zip(space.point_ids, space.weights.tolist(), custom, *rows)):
-                head = (",\n" if i else "\n") + '  {\n   "id": ' + encode(pid).replace("\n", "\n   ")
+                if isinstance(pid, (list, tuple, dict)):
+                    pid_text = indented(pid).replace("\n", "\n   ")
+                else:
+                    pid_text = json.dumps(pid)
+                head = (",\n" if i else "\n") + '  {\n   "id": ' + pid_text
                 fh.write(f'{head},\n   "weight": {weight!r}')
                 for k, (key_text, row) in enumerate(zip(key_texts, matrices)):
                     if k or own_metric:  # an identity metric is left out

@@ -6,10 +6,14 @@ document as the dict-per-point writer did (``metric`` left out where it is
 the identity) and requires the same bytes as ``json.dumps(doc, indent=1)``
 plus a newline.  The load tests pin how ``load_bundle`` reads each point:
 which matrices it refuses, which point an error names, and that the arrays
-it returns are the ones saved, bit for bit.
+it returns are the ones saved, bit for bit.  ``load_bundle`` converts a
+field in one pass when every point holds a flat row; the per-point reader
+it replaced is kept here as the oracle of that pass, over save-layout
+documents with at most one defect.
 """
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -17,8 +21,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from acsgeom import structures
 from acsgeom.charts import standard_acs
-from acsgeom.errors import IoError
+from acsgeom.errors import GeometryError, IoError
 from acsgeom.structures import (
     AcsField,
     FieldBundle,
@@ -202,3 +207,160 @@ def test_metric_at_some_points_only_is_the_identity_elsewhere(tmp_path):
                             {"id": 2, "weight": 1.0}])
     assert back.space.metrics[[0, 2]].tobytes() == np.tile(np.eye(2), (2, 1, 1)).tobytes()
     assert back.space.metrics[1].reshape(-1).tolist() == metric
+
+
+def per_point_stack(points: list, ids: tuple, key: str, dim: int,
+                    default: np.ndarray | None = None) -> np.ndarray | None:
+    """The per-point reader of a matrix field that ``load_bundle`` used
+    before it converted whole fields: the oracle for ``_matrix_stack``."""
+    rows = []
+    for entry, pid in zip(points, ids):
+        if key not in entry:
+            if default is not None:
+                rows.append(default)
+            continue
+        what = f"matrix {key!r} at point {pid!r}"
+        try:
+            arr = np.asarray(entry[key])
+        except ValueError:
+            raise IoError(f"{what} is not a regular array of numbers") from None
+        if arr.dtype.kind not in "iuf":
+            raise IoError(f"{what} must hold finite numbers only")
+        if arr.size != dim * dim:
+            raise IoError(f"{what} has {arr.size} entries, expected {dim * dim}")
+        rows.append(arr.reshape(dim, dim))
+    if len(rows) not in (0, len(points)):
+        raise IoError(f"field {key!r} is present at some points only")
+    if not rows:
+        return None
+    stack = np.array(rows, dtype=float)
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    if not finite.all():
+        pid = ids[int(np.argmin(finite))]
+        raise IoError(f"matrix {key!r} at point {pid!r} must hold finite numbers only")
+    return stack
+
+
+def _row_defect(row: list, kind: str, at: int, dim: int):
+    """``row`` (dim*dim floats) with one defect of ``kind`` at entry ``at``."""
+    row = list(row)
+    if kind == "all_bool":
+        return [bool(at >> (i % 8) & 1) for i in range(len(row))]
+    if kind == "all_int":
+        return [int(x) for x in row]
+    if kind == "short":
+        return row[:-1]
+    if kind == "nested":
+        return [row[i:i + dim] for i in range(0, len(row), dim)]
+    row[at] = {"bool_mix": at % 2 == 0, "string": "1.0", "null": None, "int_1e30": 10**30,
+               "int_2_63": 2**63, "int_2_53": -(2**53 + 1), "nan": math.nan}[kind]
+    return row
+
+
+ROW_DEFECTS = ("all_bool", "bool_mix", "string", "null", "int_1e30", "int_2_63", "int_2_53",
+               "nan", "short", "nested", "all_int")
+
+
+@st.composite
+def save_layout_documents(draw):
+    """A document in the layout save_bundle writes (flat float rows, the
+    metric at every point or at none), with at most one defect: one of
+    ROW_DEFECTS in one row, or the metric absent at one point."""
+    dim = draw(st.sampled_from([2, 4]))
+    n = draw(st.integers(1, 5))
+    j0 = standard_acs(dim)
+    k0 = np.zeros((dim, dim))
+    k0[0, 0], k0[1, 1] = 0.5, -0.5  # anticommutes with j0
+    fields = {"metric": np.diag(np.arange(1.0, dim + 1.0)), "J": j0, "W": j0.T, "K": k0}
+    keys = draw(st.lists(st.sampled_from(list(fields)), unique=True))
+    points = [{"id": draw(IDS), "weight": draw(st.floats(0.5, 1.5)),
+               **{key: (draw(SCALES) * fields[key]).reshape(-1).tolist() for key in keys}}
+              for _ in range(n)]
+    defect = draw(st.sampled_from((None, "absent_metric") + ROW_DEFECTS))
+    point = draw(st.sampled_from(points))
+    if defect == "absent_metric":
+        point.pop("metric", None)
+    elif defect is not None and keys:
+        key = draw(st.sampled_from(keys))
+        point[key] = _row_defect(point[key], defect, draw(st.integers(0, dim * dim - 1)), dim)
+    return {"dim": dim, "points": points}
+
+
+def _outcome(load, path):
+    """The arrays ``load(path)`` returns as bytes, or its exception."""
+    try:
+        b = load(path)
+    except GeometryError as exc:
+        return type(exc), str(exc)
+    return [None if a is None else (a.dtype, a.shape, a.tobytes())
+            for a in (b.space.weights, b.space.metrics, b.J and b.J.ops, b.W and b.W.forms,
+                      b.K and b.K.ops)] + [b.space.point_ids]
+
+
+# extreme-scale tangents overflow in the anticommutation check, with numpy's RuntimeWarning
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(save_layout_documents())
+def test_one_pass_load_matches_the_per_point_reader(tmp_path_factory, doc):
+    path = tmp_path_factory.mktemp("parity") / "doc.json"
+    path.write_text(json.dumps(doc))
+    points = json.loads(path.read_text())["points"]
+    ids, dim = tuple(e["id"] for e in points), doc["dim"]
+    for key in ("metric", "J", "W", "K"):
+        default = np.eye(dim) if key == "metric" else None
+        outcomes = []
+        for reader in (structures._matrix_stack, per_point_stack):
+            try:
+                got = reader(points, ids, key, dim, default)
+                outcomes.append(None if got is None else (got.dtype, got.shape, got.tobytes()))
+            except IoError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1], key
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(structures, "_matrix_stack", per_point_stack)
+        oracle = _outcome(load_bundle, path)
+    assert _outcome(load_bundle, path) == oracle
+
+
+@pytest.mark.parametrize("defect", ROW_DEFECTS)
+def test_each_row_defect_beside_flat_rows_reads_as_the_per_point_reader(tmp_path, defect):
+    points = [{"id": i, "weight": 1.0, "J": [float(x) for x in J2]} for i in range(4)]
+    points[2]["J"] = _row_defect(points[2]["J"], defect, 1, 2)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"dim": 2, "points": points}))
+    points = json.loads(path.read_text())["points"]
+    ids = tuple(range(4))
+    try:
+        want = per_point_stack(points, ids, "J", 2).tobytes()
+    except IoError as exc:
+        want = str(exc)
+    try:
+        got = structures._matrix_stack(points, ids, "J", 2).tobytes()
+    except IoError as exc:
+        got = str(exc)
+    assert got == want
+
+
+def test_thousand_point_load_converts_each_field_in_one_pass(tmp_path, monkeypatch):
+    rng = np.random.default_rng(5)
+    dim, n = 4, 1000
+    a = rng.normal(size=(n, dim, dim))
+    space = SampleSpace(dim, rng.uniform(0.5, 1.5, n), a @ a.mT + dim * np.eye(dim))
+    j = standard_acs_field(space)
+    bundle = FieldBundle(space, j, SymplecticField(space, np.tile(standard_acs(dim).T, (n, 1, 1))),
+                         random_tangent_field(rng, j))
+    path = tmp_path / "bundle.json"
+    save_bundle(bundle, path)
+    calls = []
+    asarray = np.asarray
+
+    def counted(a, *args, **kwargs):
+        calls.append(isinstance(a, np.ndarray))
+        return asarray(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "asarray", counted)
+    back = load_bundle(path)
+    assert _arrays(back) == _arrays(bundle)
+    # the per-point reader converted one list per point and field (4000 here);
+    # the field constructors' checks add a few calls on arrays
+    assert 0 < calls.count(False) <= 8 and len(calls) <= 16

@@ -369,6 +369,22 @@ class TestGeodesicCommand:
         assert len(out.strip().splitlines()) == 3  # the trace is still written
         assert "nan" in out and "non-finite" in err
 
+    def test_structure_defect_exits_1_and_names_the_first_t(self, capsys):
+        code, out, err = run_cli(["geodesic", "--dim", "2", "--t-max", "30",
+                                  "--t-steps", "31"], capsys)
+        assert code == 1
+        doc = json.loads(out)  # the trace is still written, in the same document
+        assert len(doc["rows"]) == 31 and doc["rows"][-1][2] > 1e6
+        first = next(row for row in doc["rows"] if row[2] > 1e-10)
+        assert all(row[2] <= 1e-10 for row in doc["rows"] if row[0] < first[0])
+        assert err == (f"error: J_t first fails to square to -identity at t={first[0]!r}: "
+                       f"acs_residual {first[2]:.3e} exceeds 1e-10\n")
+
+    def test_default_flags_exit_0(self, capsys):
+        code, out, err = run_cli(["geodesic"], capsys)
+        assert (code, err) == (0, "")
+        assert max(row[2] for row in json.loads(out)["rows"]) <= 1e-10
+
     def test_input_without_k(self, tmp_path, capsys):
         space = SampleSpace(2, np.ones(2))
         path = tmp_path / "j_only.json"
