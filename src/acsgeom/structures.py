@@ -185,44 +185,46 @@ class MetricField:
         self.fiber_metric = FiberMetric(self.metrics)
 
 
-@dataclass
+@dataclass(eq=False)
 class FieldReport:
-    """Outcome of a field validator.
-
-    ``max_residual`` is the worst identity residual over all points; extra
-    conditions (positivity, orientation) contribute to ``passed`` and are
-    recorded per point.
-    """
+    """Outcome of a field validator, held as the per-point arrays it is
+    computed from: identity ``residuals``, verdicts ``ok`` (residual within
+    ``tolerance``, cleared where positivity or orientation fails) and named
+    per-point ``values``.  ``max_residual`` and ``worst_point`` are those of
+    the first point of largest residual, a NaN counting as largest."""
 
     name: str
-    passed: bool
-    max_residual: float
+    point_ids: tuple
+    residuals: np.ndarray
+    ok: np.ndarray
     tolerance: float
-    worst_point: object = None
-    per_point: list = field(default_factory=list)
+    values: dict = field(default_factory=dict)
+    passed: bool = field(init=False)
+    max_residual: float = field(init=False)
+    worst_point: object = field(init=False)
+
+    def __post_init__(self):
+        worst = np.argmax(self.residuals)
+        self.passed, self.max_residual = bool(self.ok.all()), float(self.residuals[worst])
+        self.worst_point = self.point_ids[worst]
+
+    @property
+    def per_point(self) -> list[dict]:
+        """One record per point: ``id``, ``residual``, the named values, ``passed``."""
+        keys = ["id", "residual", *self.values, "passed"]
+        columns = [c.tolist() for c in (self.residuals, *self.values.values(), self.ok)]
+        return [dict(zip(keys, row)) for row in zip(self.point_ids, *columns)]
 
 
-def _residuals(stack: np.ndarray) -> list[float]:
+def _residuals(stack: np.ndarray) -> np.ndarray:
     """Per-point max norms of a (points, n, n) stack of identity defects."""
-    return np.max(np.abs(stack), axis=(1, 2)).tolist()
-
-
-def _field_report(name: str, space: SampleSpace, residuals: list, entries: list,
-                  tol: float) -> FieldReport:
-    """Report over per-point ``entries`` (each with its own "passed"),
-    headed by the first point of largest residual."""
-    per_point = [{"id": pid, "residual": r, **e}
-                 for pid, r, e in zip(space.point_ids, residuals, entries)]
-    worst = int(np.argmax(residuals))
-    return FieldReport(name, all(e["passed"] for e in entries), residuals[worst], tol,
-                       space.point_ids[worst], per_point)
+    return np.max(np.abs(stack), axis=(1, 2))
 
 
 def validate_acs(j: AcsField, tol: float = 1e-10) -> FieldReport:
     """Check J^2 = -identity at every point."""
     residuals = _residuals(j.ops @ j.ops + np.eye(j.space.dim))
-    return _field_report("acs", j.space, residuals,
-                         [{"passed": r <= tol} for r in residuals], tol)
+    return FieldReport("acs", j.space.point_ids, residuals, residuals <= tol, tol)
 
 
 def _sharps(a: TangentField | AcsField, g: MetricField) -> np.ndarray:
@@ -246,9 +248,8 @@ def split_and_classify(k: TangentField, g: MetricField, tol: float = 1e-10
     sharp = _sharps(k, g)
     p = 0.5 * (k.ops + sharp)
     rs, ra = _residuals(k.ops - sharp), _residuals(k.ops + sharp)
-    classes = ["symmetric" if s <= tol else "antisymmetric" if t <= tol else "mixed"
-               for s, t in zip(rs, ra)]
-    return p, k.ops - p, classes
+    classes = np.where(rs <= tol, "symmetric", np.where(ra <= tol, "antisymmetric", "mixed"))
+    return p, k.ops - p, classes.tolist()
 
 
 def sym_antisym_split(k: TangentField, g: MetricField) -> tuple[np.ndarray, np.ndarray]:
@@ -266,10 +267,9 @@ def validate_associated(j: AcsField, w: SymplecticField,
     same_space(j, w)
     residuals = _residuals(j.ops.mT @ w.forms @ j.ops - w.forms)
     prod = w.forms @ j.ops
-    min_eigs = np.linalg.eigvalsh(0.5 * (prod + prod.mT))[:, 0].tolist()
-    entries = [{"min_eig": e, "passed": r <= tol and e > POSITIVITY_FLOOR}
-               for r, e in zip(residuals, min_eigs)]
-    return _field_report("associated", j.space, residuals, entries, tol)
+    min_eig = np.linalg.eigvalsh(0.5 * (prod + prod.mT))[:, 0]
+    return FieldReport("associated", j.space.point_ids, residuals,
+                       (residuals <= tol) & (min_eig > POSITIVITY_FLOOR), tol, {"min_eig": min_eig})
 
 
 def orientation_marker(j):
@@ -318,11 +318,10 @@ def validate_orthogonal(j: AcsField, g: MetricField, j_ref: AcsField,
     """
     same_space(j, g, j_ref)
     residuals = _residuals(_sharps(j, g) @ j.ops - np.eye(j.space.dim))
-    markers = orientation_marker(j.ops).tolist()
-    ref_markers = orientation_marker(j_ref.ops).tolist()
-    entries = [{"orientation": m, "reference_orientation": ref, "passed": r <= tol and m == ref}
-               for r, m, ref in zip(residuals, markers, ref_markers)]
-    return _field_report("orthogonal", j.space, residuals, entries, tol)
+    markers, ref_markers = orientation_marker(j.ops), orientation_marker(j_ref.ops)
+    return FieldReport("orthogonal", j.space.point_ids, residuals,
+                       (residuals <= tol) & (markers == ref_markers), tol,
+                       {"orientation": markers, "reference_orientation": ref_markers})
 
 
 # ---------------------------------------------------------------------------

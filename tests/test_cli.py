@@ -175,6 +175,15 @@ class TestExitCodes:
         code, _, err = run_cli(["project"], capsys)
         assert code == 2
 
+    def test_step_too_small_to_move_the_grid_fails_geodesics(self, capsys):
+        # 0.2 + 1e-20 == 0.2: the stencil would collapse to a residual of 0
+        code, out, _ = run_cli(["verify", "--dim", "2", "--h", "1e-20"], capsys)
+        assert code == 1
+        check = next(c for c in json.loads(out)["checks"] if c["name"] == "geodesics")
+        ode = next(s for s in check["details"] if s["name"] == "ode_residual_dim2")
+        assert math.isnan(ode["residual"]) and ode["passed"] is False
+        assert check["passed"] is False and math.isnan(check["max_residual"])
+
     @pytest.mark.parametrize("flag", [["--h", "inf"], ["--t-max", "inf"],
                                       ["--tol-cayley", "inf"], ["--tol-signature", "nan"]])
     def test_non_finite_flag_is_usage_error(self, capsys, flag):
@@ -368,6 +377,16 @@ class TestGeodesicCommand:
         assert code == 1
         assert len(out.strip().splitlines()) == 3  # the trace is still written
         assert "nan" in out and "non-finite" in err
+
+    @pytest.mark.parametrize("flags", [["--dim", "4", "--h", "1e-17"],
+                                       ["--dim", "2", "--h", "1e-150"]])
+    def test_step_too_small_to_move_the_grid_exits_1(self, capsys, flags):
+        code, out, err = run_cli(["geodesic", *flags], capsys)
+        assert code == 1
+        assert err == "error: the geodesic trace holds a non-finite value\n"
+        rows = json.loads(out)["rows"]
+        assert rows[0][3] == 0.0  # t = 0: t + h moves, and the residual is 0 by oddness
+        assert all(math.isnan(row[3]) for row in rows[1:])
 
     def test_structure_defect_exits_1_and_names_the_first_t(self, capsys):
         code, out, err = run_cli(["geodesic", "--dim", "2", "--t-max", "30",

@@ -4,14 +4,17 @@ and an exit 0 never reports a non-finite number.
 
 Valid values are small, so each run is quick.  Invalid values are zero,
 negative, odd dimensions, sizes above the caps up to 10**30 (refused before
-anything is allocated) and non-finite or extreme floats.
+anything is allocated) and non-finite or extreme floats.  Steps from 1e-30
+to 1e-17 are too small to move some grid times; a ``geodesic`` run that
+exits 0 must then show a non-zero residual at every t > 0.
 """
 
 import contextlib
 import io
+import json
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from acsgeom.cli import main
 from acsgeom.structures import MAX_FIBER_DIM
@@ -27,7 +30,8 @@ FLAGS = {
     "--t-steps": st.one_of(st.integers(1, 5), NEGATIVE,
                            st.integers(MAX_T_STEPS + 1, 10**30)),
     "--seed": st.one_of(st.integers(0, 3), NEGATIVE, st.integers(2**64, 10**30)),
-    "--h": st.one_of(st.floats(1e-5, 1e-2), st.floats(allow_nan=True, allow_infinity=True)),
+    "--h": st.one_of(st.floats(1e-5, 1e-2), st.floats(1e-30, 1e-17),
+                     st.floats(allow_nan=True, allow_infinity=True)),
     "--t-max": st.one_of(st.floats(0.1, 3.0), st.floats(allow_nan=True, allow_infinity=True)),
 }
 
@@ -44,6 +48,7 @@ def argvs(draw):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(argvs())
+@example(["geodesic", "--dim", "4", "--h", "1e-17"])  # collapses at every t > 0
 def test_flag_values_exit_cleanly(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -53,6 +58,9 @@ def test_flag_values_exit_cleanly(argv):
     if code == 0:
         text = out.getvalue()
         assert "NaN" not in text and "Infinity" not in text, argv
+        if argv[0] == "geodesic":
+            # 0 at t = 0 by oddness; elsewhere an exact 0 is a collapsed stencil
+            assert all(row[3] != 0.0 for row in json.loads(text)["rows"][1:]), argv
     if code == 2:
         assert out.getvalue() == ""
 

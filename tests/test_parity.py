@@ -3,13 +3,16 @@
 The golden files hold ``verify`` at dims 2, 4 and 6 (seed 0) and at dim 4
 with seed 7 and 3 points, ``geodesic`` at dim 4 (seed 0), ``project`` and
 ``verify --in`` on ``project_bundle.json``, a dim-4 bundle with
-non-identity metrics, and ``verify --in`` on ``assoc_bundle.json``, a dim-4
-bundle whose J, W and K fields exercise the bundle validators.  Every output
+non-identity metrics, ``verify --in`` on ``assoc_bundle.json``, a dim-4
+bundle whose J, W and K fields exercise the bundle validators, and
+``geodesic --in`` on both bundles, which runs ``validate_associated``
+against the bundle's W and ``validate_orthogonal`` against its metrics at
+every t.  Every output
 must keep the same pass set and agree with its golden file in every number
 to 1e-12 relative.
 
 A rewrite that changes bits is accepted against the code it replaces, run
-from a copy of the parent commit on these 8 cases and on the command-line
+from a copy of the parent commit on these 10 cases and on the command-line
 runs that reach its edge cases, by these rules:
 
 - exit codes, pass sets and strings stay identical;
@@ -52,6 +55,10 @@ CASES = {
     "verify_assoc_bundle.json": ["verify", "--in",
                                  os.path.join(GOLDEN, "assoc_bundle.json")],
     "geodesic_dim4.json": ["geodesic", "--dim", "4"],
+    "geodesic_assoc_bundle.json": ["geodesic", "--in",
+                                   os.path.join(GOLDEN, "assoc_bundle.json")],
+    "geodesic_project_bundle.json": ["geodesic", "--in",
+                                     os.path.join(GOLDEN, "project_bundle.json")],
     "project.json": ["project", "--in", os.path.join(GOLDEN, "project_bundle.json")],
 }
 

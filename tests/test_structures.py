@@ -13,9 +13,11 @@ from acsgeom.errors import (
     DimensionMismatch,
     IoError,
 )
-from acsgeom.fiber import mat_exp, max_abs
+from acsgeom.fiber import g_adjoint, mat_exp, max_abs
+from acsgeom.geometry import geodesic_ambient
 from acsgeom.structures import (
     MAX_FIBER_DIM,
+    POSITIVITY_FLOOR,
     AcsField,
     FieldBundle,
     MetricField,
@@ -178,6 +180,131 @@ class TestValidateAcs:
         assert not rep.passed
         assert rep.worst_point == 1
         assert [e["passed"] for e in rep.per_point] == [True, False, True]
+
+
+def record_report(space, residuals: list, entries: list, tol: float) -> dict:
+    """The validators' reports as one record per point, built the way they
+    were before the reports held arrays: the oracle of :class:`FieldReport`."""
+    per_point = [{"id": pid, "residual": r, **e}
+                 for pid, r, e in zip(space.point_ids, residuals, entries)]
+    worst = int(np.argmax(residuals))
+    return {"passed": all(e["passed"] for e in entries), "max_residual": residuals[worst],
+            "tolerance": tol, "worst_point": space.point_ids[worst], "per_point": per_point}
+
+
+def record_residuals(stack) -> list:
+    return np.max(np.abs(stack), axis=(1, 2)).tolist()
+
+
+def record_acs(j, tol):
+    residuals = record_residuals(j.ops @ j.ops + np.eye(j.space.dim))
+    return record_report(j.space, residuals, [{"passed": r <= tol} for r in residuals], tol)
+
+
+def record_associated(j, w, tol):
+    residuals = record_residuals(j.ops.mT @ w.forms @ j.ops - w.forms)
+    prod = w.forms @ j.ops
+    min_eigs = np.linalg.eigvalsh(0.5 * (prod + prod.mT))[:, 0].tolist()
+    entries = [{"min_eig": e, "passed": r <= tol and e > POSITIVITY_FLOOR}
+               for r, e in zip(residuals, min_eigs)]
+    return record_report(j.space, residuals, entries, tol)
+
+
+def record_orthogonal(j, g, j_ref, tol):
+    residuals = record_residuals(g_adjoint(j.ops, g.fiber_metric) @ j.ops - np.eye(j.space.dim))
+    markers = orientation_marker(j.ops).tolist()
+    ref_markers = orientation_marker(j_ref.ops).tolist()
+    entries = [{"orientation": m, "reference_orientation": ref, "passed": r <= tol and m == ref}
+               for r, m, ref in zip(residuals, markers, ref_markers)]
+    return record_report(j.space, residuals, entries, tol)
+
+
+def assert_same(got, want, where="$"):
+    """Equal values of the same types, NaN equal to NaN, dict keys in the
+    same order."""
+    assert type(got) is type(want), (where, got, want)
+    if isinstance(want, dict):
+        assert list(got) == list(want), where
+        for key in want:
+            assert_same(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, (list, tuple)):
+        assert len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_same(g, w, f"{where}[{i}]")
+    elif isinstance(want, float) and math.isnan(want):
+        assert math.isnan(got), where
+    else:
+        assert got == want, (where, got, want)
+
+
+def validator_case(kind: str, dim: int, seed: int):
+    """Random inputs of one validator on 12 points with str and int ids.
+
+    Even points lie on a symmetric geodesic (associated with the standard
+    form), odd points on an antisymmetric one (orthogonal; J0 at dim 2).
+    Point 1 fails every identity by a little, points 2 and 5 tie at the
+    largest residual, point 3 is negated (invariance holds, positivity
+    fails), point 4 is conjugated by a reflection (orthogonality holds,
+    the orientation flips) and point 9 has a non-identity metric.  Seeds
+    2 and 3 put NaN residuals at points 8 and 10, through entries set after
+    the finiteness checks of construction, except for the associated check
+    at dims 4 and 6, where eigvalsh refuses a NaN.  Odd seeds test at 1e-5,
+    even ones at 1e-10.  Returns the validator's arguments, the tolerance
+    and the expected worst point.
+    """
+    rng = np.random.default_rng([dim, seed])
+    points = 12
+    space = SampleSpace(dim, rng.uniform(0.5, 1.5, points),
+                        point_ids=[f"p{i}" if i % 3 == 0 else i for i in range(points)])
+    j0 = standard_acs_field(space)
+    sym = geodesic_ambient(j0, random_tangent_field(rng, j0, part="symmetric"), 1.0).ops
+    anti = (geodesic_ambient(j0, random_tangent_field(rng, j0, part="antisymmetric"), 1.0).ops
+            if dim >= 4 else j0.ops)
+    ops = np.where((np.arange(points) % 2 == 0)[:, None, None], sym, anti)
+    ops[1] += 1e-6 * rng.standard_normal((dim, dim))
+    ops[2] += 3.0 * rng.standard_normal((dim, dim))
+    ops[5] = ops[2]
+    ops[3] = -sym[3]
+    r = np.diag([-1.0] + [1.0] * (dim - 1))
+    ops[4] = r @ anti[4] @ r
+    metrics = np.tile(np.eye(dim), (points, 1, 1))
+    m = rng.standard_normal((dim, dim))
+    metrics[9] += 0.1 * m @ m.T
+    j, g = AcsField(space, ops), MetricField(space, metrics)
+    nan = seed >= 2 and (kind != "associated" or dim == 2)
+    if nan:
+        if kind == "orthogonal":
+            g.fiber_metric.matrix[[8, 10], 0, 0] = np.nan
+        else:
+            j.ops[[8, 10], 0, 0] = np.nan
+    args = {"acs": (j,), "associated": (j, standard_symplectic_field(space)),
+            "orthogonal": (j, g, j0)}[kind]
+    return args, (1e-10, 1e-5)[seed % 2], space.point_ids[8 if nan else 2]
+
+
+class TestFieldReportRecords:
+    VALIDATORS = {"acs": (validate_acs, record_acs),
+                  "associated": (validate_associated, record_associated),
+                  "orthogonal": (validate_orthogonal, record_orthogonal)}
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("dim", [2, 4, 6])
+    @pytest.mark.parametrize("kind", sorted(VALIDATORS))
+    def test_matches_the_per_point_records(self, kind, dim, seed):
+        validator, oracle = self.VALIDATORS[kind]
+        args, tol, worst = validator_case(kind, dim, seed)
+        with np.errstate(invalid="ignore"):
+            want = oracle(*args, tol)
+            rep = validator(*args, tol=tol)
+        assert want["worst_point"] == worst  # the tie or the first NaN heads the report
+        if kind == "associated":
+            assert want["per_point"][3]["residual"] <= tol and want["per_point"][3]["min_eig"] < 0
+        if kind == "orthogonal":
+            assert want["per_point"][4]["residual"] <= tol
+            assert want["per_point"][4]["orientation"] != want["per_point"][4]["reference_orientation"]
+        assert any(e["passed"] for e in want["per_point"])
+        got = {key: getattr(rep, key) for key in want}
+        assert_same(got, want)
 
 
 class TestSplit:
