@@ -12,10 +12,11 @@ inverse it returns: no SVD, and up to n times tighter than kappa_2.
 
 The exponentials need numpy only: one scaling-and-squaring Pade-13
 (Higham 2005) runs over a whole stack, with one stacked solve and masked,
-stacked squarings, and ``mat_tanh_half`` makes one such call per sign of
-its exponent.  The package imports no scipy.  An exponential whose norm
-or result is not finite raises :class:`NonFiniteValue` without a numpy
-warning.
+stacked squarings.  ``mat_tanh_half`` builds the polynomial once for both
+signs of its exponent, which share the scaling and swap the approximant's
+numerator and denominator.  The package imports no scipy.  An exponential
+whose norm or result is not finite raises :class:`NonFiniteValue` without
+a numpy warning.
 """
 
 from __future__ import annotations
@@ -111,23 +112,15 @@ THETA_13 = 5.371920351148152
 
 # overflow and nan are refused below; log2(0) of a tiny norm is clipped to s = 0
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _expm(m: np.ndarray) -> np.ndarray:
-    """Matrix exponential of every slice of a float64 (..., n, n) stack by
-    scaling and squaring with the degree-13 Pade approximant (Higham 2005).
-
-    One stacked test finds the diagonal slices, which take ``np.exp`` of
-    their diagonals, so a zero slice gives the identity exactly.  Every
-    other slice is scaled by 2^-s, s = max(0, ceil(log2(||A||_1 / theta_13))),
-    and the approximant r = (V - U)^{-1} (V + U) is built over the whole
-    stack with one stacked solve; at squaring step k, every slice with
-    s > k is squared in one matmul.  A non-finite norm or result raises
-    :class:`NonFiniteValue`.
-    """
-    n = m.shape[-1]
-    a = m.reshape(-1, n, n)
-    out = np.zeros(a.shape)
+def _pade_13(a: np.ndarray):
+    """Scaled Pade-13 parts of a float64 (k, n, n) stack (Higham 2005):
+    the mask of diagonal slices, and for each other slice A its squaring
+    count s = max(0, ceil(log2(||A||_1 / theta_13))) and the numerator
+    V + U and denominator V - U at 2^-s A.  U is odd and V even, and
+    negation is exact, so -a gets the same mask and s with the two swapped,
+    bit for bit.  A non-finite norm raises :class:`NonFiniteValue`."""
+    n = a.shape[-1]
     diagonal = (a[:, ~np.eye(n, dtype=bool)] == 0).all(axis=1)
-    np.einsum("kii->ki", out)[diagonal] = np.exp(np.einsum("kii->ki", a)[diagonal])
     x = a[~diagonal]
     norm = np.abs(x).sum(axis=1).max(axis=-1)
     if not np.isfinite(norm).all():
@@ -142,37 +135,55 @@ def _expm(m: np.ndarray) -> np.ndarray:
              + b[7] * x6 + b[5] * x4 + b[3] * x2 + b[1] * eye)
     v = (x6 @ (b[12] * x6 + b[10] * x4 + b[8] * x2)
          + b[6] * x6 + b[4] * x4 + b[2] * x2 + b[0] * eye)
-    r = np.linalg.solve(v - u, v + u)
+    return diagonal, squarings, v + u, v - u
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _expm(a, diagonal, squarings, num, den) -> np.ndarray:
+    """exp of every slice of a (k, n, n) stack from its :func:`_pade_13`
+    parts.  Diagonal slices take ``np.exp`` of their diagonals, so a zero
+    slice gives the identity exactly; the others solve den r = num in one
+    stacked solve and are squared back, every slice with s > k in one
+    matmul at step k.  A non-finite result raises :class:`NonFiniteValue`."""
+    out = np.zeros(a.shape)
+    np.einsum("kii->ki", out)[diagonal] = np.exp(np.einsum("kii->ki", a)[diagonal])
+    r = np.linalg.solve(den, num)
     for step in range(squarings.max(initial=0)):
         todo = squarings > step
         r[todo] = r[todo] @ r[todo]
     out[~diagonal] = r
     if not np.isfinite(out).all():
         raise NonFiniteValue("matrix exponential entries must be finite")
-    return out.reshape(m.shape)
+    return out
 
 
 def mat_exp(a) -> np.ndarray:
     """Matrix exponential of every slice: a stacked scaling-and-squaring
-    Pade-13 in numpy (see :func:`_expm`)."""
-    return _expm(as_fiber_matrix(a))
+    Pade-13 in numpy (see :func:`_pade_13` and :func:`_expm`)."""
+    m = as_fiber_matrix(a)
+    stack = m.reshape(-1, m.shape[-1], m.shape[-1])
+    return _expm(stack, *_pade_13(stack)).reshape(m.shape)
 
 
 def mat_tanh_half(a, t: float) -> np.ndarray:
     """tanh((t/2) a), computed as the quotient of exponentials.
 
-    Returns (e + f)^{-1} (e - f) with e = exp(t a / 2) and f = exp(-t a / 2),
-    one :func:`_expm` call per sign, so the stack of one sign is the only
-    transient.  Swapping the signs swaps e and f, so tanh is odd in t bit
-    for bit and t = 0 gives exactly 0.  The cosh factor e + f can only
-    degenerate when the spectrum of (t/2) a approaches an odd multiple of
-    i pi / 2; a failed inversion surfaces as :class:`SingularOperator`.
+    Returns (e + f)^{-1} (e - f) with e = exp(h) and f = exp(-h), h = t a / 2.
+    Both come from one Pade polynomial: -h shares the scaling of h, with
+    numerator and denominator swapped, so one stacked solve and one run of
+    squarings over the doubled stack give e and f with the bits of two
+    :func:`mat_exp` calls.  Swapping the signs swaps e and f, so tanh is
+    odd in t bit for bit and t = 0 gives exactly 0.  The cosh factor e + f
+    can only degenerate when the spectrum of h approaches an odd multiple
+    of i pi / 2; a failed inversion surfaces as :class:`SingularOperator`.
     """
     m = as_fiber_matrix(a)
-    with np.errstate(invalid="ignore"):  # inf * 0 is refused by _expm
-        h = (0.5 * float(t)) * m
-    e, f = _expm(h), _expm(-h)
-    return mat_inv_guarded(e + f) @ (e - f)
+    with np.errstate(invalid="ignore"):  # inf * 0 is refused by _pade_13
+        h = (0.5 * float(t)) * m.reshape(-1, m.shape[-1], m.shape[-1])
+    diagonal, squarings, num, den = _pade_13(h)
+    e, f = np.split(_expm(np.concatenate([h, -h]), np.tile(diagonal, 2), np.tile(squarings, 2),
+                          np.concatenate([num, den]), np.concatenate([den, num])), 2)
+    return (mat_inv_guarded(e + f) @ (e - f)).reshape(m.shape)
 
 
 def g_adjoint(a, g: FiberMetric) -> np.ndarray:

@@ -273,38 +273,35 @@ def validate_associated(j: AcsField, w: SymplecticField,
 
 
 def orientation_marker(j):
-    """Sign of the determinant of a greedily built adapted basis.
+    """J's complex orientation: the sign of the Pfaffian of Omega = J^T - J.
 
-    Starting from the standard vectors, each new basis direction is the
-    Gram-Schmidt residual u of the first standard vector outside the span
-    so far, immediately followed by J u.  For any J with J^2 = -identity
-    the resulting frame is nondegenerate, so the sign is well defined.
+    For J^2 = -identity, Omega tames J: x^T Omega J x = |J x|^2 + |x|^2 > 0,
+    so sign Pf(Omega) is the orientation of J's complex frames (x, J x),
+    +1 at the standard structure.  It is read by Parlett-Reid elimination
+    with pivoting (Wimmer 2012), n/2 stacked steps of a row and column swap
+    and a rank-2 update, with no QR, determinant or SVD.  A zero or NaN Pfaffian reads
+    -1.  For J far from squaring to -identity, which fails
+    :func:`validate_acs`, the sign need not match any frame: at n = 2,
+    J = [[0, 1], [1, 0]] reads -1.
 
     ``j`` is one matrix, giving an ``int``, or a ``(..., n, n)`` stack,
-    giving an int array of shape ``(...)``; the whole stack runs through
-    one batched QR per standard vector.
+    giving an int array of shape ``(...)``.
     """
     m = np.asarray(j, dtype=float)
     n = m.shape[-1]
-    stack = m.reshape(-1, n, n)
-    cols = np.zeros_like(stack)  # each frame, zero-padded after its count
-    count = np.zeros(len(stack), dtype=int)
-    for c in range(n):
-        if not (count < n).any():
-            break
-        e = np.zeros((len(stack), n, 1))
-        e[:, c] = 1.0
-        if c:
-            q, _ = np.linalg.qr(cols)
-            q = q * (np.arange(n) < count[:, None, None])
-            e = e - q @ (q.mT @ e)
-        norm = np.linalg.norm(e[..., 0], axis=-1)
-        take = np.nonzero((count < n) & (norm >= 1e-8))[0]
-        u = e[take] / norm[take, None, None]
-        cols[take, :, count[take]] = u[..., 0]
-        cols[take, :, count[take] + 1] = (stack[take] @ u)[..., 0]
-        count[take] += 2
-    signs = np.where(np.linalg.det(cols) > 0, 1, -1)
+    a = m.reshape(-1, n, n)
+    a, sign = a.mT - a, np.ones(len(a))
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero pivot reads -1
+        for _ in range(n // 2):
+            p = np.argmax(np.abs(a[:, 1:, 0]), axis=-1)  # pivot row less one
+            s, p = np.nonzero(p)[0], p[p > 0] + 1  # the slices that swap
+            sign[s] *= -1
+            a[s, 1], a[s, p] = a[s, p], a[s, 1]
+            a[s, :, 1], a[s, :, p] = a[s, :, p], a[s, :, 1]
+            sign *= np.sign(a[:, 0, 1])
+            w0, w1 = a[:, 2:, :1], a[:, 2:, 1:2]
+            a = a[:, 2:, 2:] + (w1 * w0.mT - w0 * w1.mT) / a[:, 0, 1, None, None]
+        signs = np.where(sign > 0, 1, -1)
     return int(signs[0]) if m.ndim == 2 else signs.reshape(m.shape[:-2])
 
 

@@ -369,8 +369,9 @@ class TestGeodesicCommand:
         assert len(doc["rows"]) == 2
 
     def test_non_finite_trace_exits_1(self, capsys, monkeypatch):
-        # no flag value reaches a NaN residual (--h is refused before h**2
-        # underflows), so the residual is replaced by one that is NaN
+        # `geodesic --dim 4 --h 1e-17` reads a NaN residual too, since its
+        # step rounds away (test_step_too_small_to_move_the_grid_exits_1);
+        # here the residual is replaced by NaN at the default step
         monkeypatch.setattr(cli, "geodesic_equation_residual", lambda a, t, h: math.nan)
         code, out, err = run_cli(["geodesic", "--dim", "2", "--t-steps", "2",
                                   "--format", "csv"], capsys)

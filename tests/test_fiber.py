@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from acsgeom.errors import DimensionMismatch, NonFiniteValue, SingularOperator
 from acsgeom.fiber import (
     DEFAULT_COND_CAP,
+    THETA_13,
     FiberMetric,
     as_fiber_matrix,
     g_adjoint,
@@ -272,6 +273,35 @@ class TestStacks:
             assert np.array_equal(mat_tanh_half(m, 2.0), g)
         with pytest.raises(NonFiniteValue, match="matrix exponential entries must be finite"):
             mat_tanh_half(a, math.inf)
+
+    # the quotient of two mat_exp calls, one per sign, is the oracle bit for
+    # bit; at scale 5 some slices of h are squared before the quotient
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e-3, 0.1, 1.0, 5.0])
+    @pytest.mark.parametrize("dim", [2, 4, 6, 8])
+    def test_mat_tanh_half_is_the_quotient_of_exponentials(self, dim, scale):
+        a = mixed_stack(8, dim, scale)
+        for t in (0.0, 0.5, -0.5, 2.0, -2.0):
+            h = 0.5 * t * a
+            if scale == 5.0 and abs(t) == 2.0:
+                assert (np.abs(h).sum(axis=-2).max(axis=-1) > THETA_13).any()
+            e, f = mat_exp(h), mat_exp(-h)
+            assert np.array_equal(mat_tanh_half(a, t), mat_inv_guarded(e + f) @ (e - f))
+        with pytest.raises(NonFiniteValue, match="matrix exponential entries must be finite"):
+            mat_tanh_half(a, math.inf)
+
+    def test_mat_tanh_half_builds_one_pade_polynomial(self, monkeypatch):
+        shapes, original = [], np.linalg.solve
+
+        def solve(a, b):
+            shapes.append(np.shape(a))
+            return original(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        mat_tanh_half(mixed_stack(9, 4, 1.0), 2.0)
+        # the Pade solve of the 6 non-diagonal slices at both signs, then the
+        # guard's inversion of the 10 cosh factors
+        assert shapes == [(12, 4, 4), (10, 4, 4)]
 
     @pytest.mark.parametrize("dim", [2, 4, 6, 8])
     def test_mat_tanh_half(self, dim):

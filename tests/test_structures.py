@@ -420,6 +420,55 @@ class TestOrthogonal:
             stack = j0.ops @ mat_exp(t * a.ops)
             assert orientation_marker(stack).tolist() == [greedy_marker(m) for m in stack]
 
+    @pytest.mark.parametrize("dim", [2, 6, 8])
+    def test_marker_is_constant_along_skew_geodesics_of_either_orientation(self, dim):
+        # J(t) = J0 exp(tA) from J_std and from its reflection R J_std R
+        space = SampleSpace(dim, np.ones(20))
+        reflection = np.diag([1.0] * (dim - 1) + [-1.0])
+        for base, marker in ((standard_acs(dim), 1), (reflection @ standard_acs(dim) @ reflection, -1)):
+            j0 = AcsField(space, np.broadcast_to(base, (20, dim, dim)))
+            a = random_tangent_field(np.random.default_rng(dim), j0, part="antisymmetric")
+            for t in np.linspace(0.0, 3.0, 7):
+                stack = j0.ops @ mat_exp(t * a.ops)
+                expected = [greedy_marker(m) for m in stack]
+                assert expected == [marker] * 20
+                assert orientation_marker(stack).tolist() == expected
+
+    @pytest.mark.parametrize("n,count", [(10, 40), (32, 40), (64, 40)])
+    def test_marker_stack_matches_oracle_on_large_conjugates(self, n, count):
+        rng = np.random.default_rng(n)
+        p = rng.standard_normal((count, n, n))
+        stack = p @ standard_acs(n) @ np.linalg.inv(p)
+        expected = [greedy_marker(m) for m in stack]
+        assert set(expected) == {-1, 1}
+        assert orientation_marker(stack).tolist() == expected
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    def test_marker_stack_matches_oracle_on_ill_conditioned_conjugates(self, n):
+        # P = U diag(1 .. 1e-4) V with random orthogonal U, V: cond(P) = 1e4;
+        # a QR's Q has one determinant sign, so every other U is reflected
+        rng = np.random.default_rng(100 + n)
+        u = np.linalg.qr(rng.standard_normal((200, n, n)))[0]
+        v = np.linalg.qr(rng.standard_normal((200, n, n)))[0]
+        u[::2, :, 0] *= -1
+        p = u @ (np.logspace(0, -4, n)[:, None] * v)
+        stack = p @ standard_acs(n) @ np.linalg.inv(p)
+        expected = [greedy_marker(m) for m in stack]
+        assert set(expected) == {-1, 1}
+        assert orientation_marker(stack).tolist() == expected
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    def test_marker_under_negation_and_reflection(self, n):
+        rng = np.random.default_rng(200 + n)
+        p = rng.standard_normal((100, n, n))
+        stack = p @ standard_acs(n) @ np.linalg.inv(p)
+        reflection = np.diag([1.0] * (n - 1) + [-1.0])
+        markers = orientation_marker(stack)
+        assert set(markers.tolist()) == {-1, 1}
+        assert np.array_equal(orientation_marker(-stack), (-1) ** (n // 2) * markers)
+        assert np.array_equal(orientation_marker(reflection @ stack @ reflection), -markers)
+
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("n", [4, 6])
     def test_marker_stack_on_degenerate_input(self, n):
         e0, ones = np.eye(n)[0], np.ones(n)
@@ -428,6 +477,15 @@ class TestOrthogonal:
         expected = [greedy_marker(m) for m in stack]
         assert expected == [-1] * 4
         assert orientation_marker(stack).tolist() == expected
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_marker_reads_nan_as_minus_one(self, n):
+        stack = np.broadcast_to(standard_acs(n), (3, n, n)).copy()
+        stack[0] = np.nan
+        stack[1, -1, -2] = np.nan
+        assert orientation_marker(stack).tolist() == [-1, -1, 1]
+        assert orientation_marker(np.full((n, n), np.nan)) == -1
 
     def test_marker_shapes(self):
         j0 = standard_acs(4)
@@ -442,7 +500,7 @@ class TestOrthogonal:
         a = random_tangent_field(np.random.default_rng(6), j0, part="antisymmetric")
         j = AcsField(space, j0.ops @ mat_exp(a.ops))
         g = identity_metric_field(space)
-        qr_calls, marker_calls = [], []
+        factor_calls, marker_calls = [], []
 
         def counting(original, calls):
             def counted(*args, **kwargs):
@@ -450,12 +508,13 @@ class TestOrthogonal:
                 return original(*args, **kwargs)
             return counted
 
-        monkeypatch.setattr(np.linalg, "qr", counting(np.linalg.qr, qr_calls))
+        for name in ("qr", "det", "svd"):
+            monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name), factor_calls))
         monkeypatch.setattr(structures, "orientation_marker",
                             counting(structures.orientation_marker, marker_calls))
         assert validate_orthogonal(j, g, j0).passed
         assert len(marker_calls) == 2
-        assert 0 < len(qr_calls) <= 2 * (space.dim - 1)
+        assert factor_calls == []
 
     def test_standard_passes(self, space4):
         j = standard_acs_field(space4)
