@@ -17,7 +17,6 @@ from .charts import (
 from .errors import (
     AnticommutationViolation,
     ConfigError,
-    DegeneratePlane,
     DimensionMismatch,
     GeometryError,
     InvalidStructure,
@@ -29,8 +28,6 @@ from .fiber import FiberMetric, g_adjoint, mat_exp, mat_inv_guarded, mat_tanh_ha
 from .geometry import (
     ChartField,
     acs_on_tangent,
-    ambient_inner,
-    ambient_omega,
     chart_inner,
     chart_inner_terms,
     chart_omega,
@@ -39,7 +36,6 @@ from .geometry import (
     curvature,
     geodesic_ambient,
     geodesic_chart,
-    sectional_curvature,
     shifted,
 )
 from .structures import (

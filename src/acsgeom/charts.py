@@ -22,7 +22,7 @@ import numpy as np
 from .errors import AnticommutationViolation, DimensionMismatch, InvalidStructure
 from .fiber import FiberMetric, as_fiber_matrix, g_adjoint, mat_inv_guarded, max_abs
 
-# Class invariant tolerance for coordinates.
+# Tolerance of the chart domain checks; caller-made tangents meet it too.
 COORD_TOL = 1e-10
 
 

@@ -163,9 +163,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(command=args.command)
 
     def pick(flag_value, key, default):
-        if flag_value is not None:
-            return flag_value
-        return filed.get(key, default)
+        return flag_value if flag_value is not None else filed.get(key, default)
 
     for key in ("dim", "points", "seed", "t_max", "t_steps", "h", "format"):
         setattr(cfg, key, pick(getattr(args, key), key, getattr(cfg, key)))
@@ -182,13 +180,9 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _resolve_out(path: str | None) -> str | None:
-    if path is None:
-        return None
-    if not os.path.isabs(path):
-        base = os.environ.get(OUT_DIR_ENV)
-        if base:
-            return os.path.join(base, path)
-    return path
+    if path is None or os.path.isabs(path) or not os.environ.get(OUT_DIR_ENV):
+        return path
+    return os.path.join(os.environ[OUT_DIR_ENV], path)
 
 
 def _write_text(cfg: RunConfig, text: str) -> None:
@@ -204,10 +198,6 @@ def _write_text(cfg: RunConfig, text: str) -> None:
             fh.write(text)
     except OSError as exc:
         raise IoError(f"cannot write output file {path!r}: {exc}") from exc
-
-
-def _num(x) -> str:
-    return format(float(x), ".17g")
 
 
 def _records_text(records) -> str | None:
@@ -250,13 +240,13 @@ def _json_text(doc: dict) -> str:
 
 
 def _emit(cfg: RunConfig, header: list[str], rows, doc: dict) -> None:
-    """Write ``rows`` under ``header`` as CSV (numbers through :func:`_num`,
+    """Write ``rows`` under ``header`` as CSV (numbers to 17 significant digits,
     cells quoted where needed), or ``doc`` as the JSON report."""
     if cfg.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows([cell if isinstance(cell, str) else _num(cell) for cell in row]
+        writer.writerows([c if isinstance(c, str) else format(float(c), ".17g") for c in row]
                          for row in rows)
         text = buf.getvalue()
     else:

@@ -27,10 +27,6 @@ class AnticommutationViolation(GeometryError):
     """A matrix expected to anticommute with the base structure does not."""
 
 
-class DegeneratePlane(GeometryError):
-    """The Gram determinant of a tangent plane is too close to zero."""
-
-
 class ConfigError(GeometryError):
     """Invalid run configuration."""
 

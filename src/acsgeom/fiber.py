@@ -7,8 +7,9 @@ takes a (..., n, n) stack, one matrix per fiber (a single matrix is the
 (n, n) case), and gives each slice the bits of that slice alone.
 Operands are assumed unit-scale (norms of order one); the default
 tolerances used by callers are calibrated for that regime.  The guarded
-inversion, the package's only inversion guard, reads kappa_F from the
-inverse it returns: no SVD, and up to n times tighter than kappa_2.
+inversion reads kappa_F from the inverse it returns: no SVD, and up to n
+times tighter than kappa_2.  ``SymplecticField`` tests nondegeneracy
+against the same cap with ``np.linalg.cond``, one SVD per point.
 
 The exponentials need numpy only: one scaling-and-squaring Pade-13
 (Higham 2005) runs over a whole stack, with one stacked solve and masked,
@@ -59,8 +60,9 @@ class FiberMetric:
 
     def __post_init__(self):
         m = as_fiber_matrix(self.matrix)
-        if max_abs(m - m.mT) > 1e-12:
-            raise ValueError("fiber metric must be symmetric within 1e-12")
+        with np.errstate(over="ignore"):  # an overflow reads as asymmetric
+            if max_abs(m - m.mT) > 1e-12:
+                raise ValueError("fiber metric must be symmetric within 1e-12")
         if not (np.linalg.eigvalsh(m)[..., 0] > 0.0).all():
             raise ValueError("fiber metric must be positive definite")
         object.__setattr__(self, "matrix", m)

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .charts import CayleyCoordinate
-from .errors import DegeneratePlane
 from .fiber import mat_inv_guarded, mat_tanh_half, mat_exp
 from .structures import AcsField, SampleSpace, TangentField, same_space
 
@@ -56,14 +55,12 @@ class ChartField:
 
 def chart_origin(j: AcsField) -> ChartField:
     """The chart centered at j with coordinate zero."""
-    zero = TangentField(j.space, j, np.zeros_like(j.ops))
-    return ChartField(j.space, j, zero)
+    return ChartField(j.space, j, TangentField.derived(j, np.zeros_like(j.ops)))
 
 
 def shifted(c: ChartField, a: TangentField, h: float) -> ChartField:
     """The chart point with coordinate K + h a (used by difference stencils)."""
-    moved = TangentField(c.space, c.base, c.K.ops + float(h) * a.ops, c.K.tol)
-    return ChartField(c.space, c.base, moved)
+    return ChartField(c.space, c.base, TangentField.derived(c.base, c.K.ops + float(h) * a.ops))
 
 
 # ---------------------------------------------------------------------------
@@ -85,31 +82,19 @@ def _weighted_traces(space: SampleSpace, products: np.ndarray,
 
 
 def ambient_inner_terms(j: AcsField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The per-point terms w_i tr(A_i B_i) of :func:`ambient_inner`."""
+    """The per-point terms w_i tr(A_i B_i) of the pairing (A, B) at J."""
     return _weighted_traces(j.space, a @ b)
-
-
-def ambient_inner(j: AcsField, a: TangentField, b: TangentField) -> float:
-    """(A, B) at J: sum of w_i tr(A_i B_i)."""
-    same_space(j, a, b)
-    return point_order_sum(ambient_inner_terms(j, a.ops, b.ops))
 
 
 def acs_on_tangent(a: TangentField, j: AcsField) -> TangentField:
     """The almost complex structure of the ambient space: A -> A J."""
     same_space(a, j)
-    return TangentField(a.space, j, a.ops @ j.ops, a.tol)
+    return TangentField.derived(j, a.ops @ j.ops)
 
 
 def ambient_omega_terms(j: AcsField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The per-point terms w_i tr(A_i J_i B_i) of :func:`ambient_omega`."""
+    """The per-point terms w_i tr(A_i J_i B_i) of the 2-form Omega(A, B) at J."""
     return _weighted_traces(j.space, a @ j.ops @ b)
-
-
-def ambient_omega(j: AcsField, a: TangentField, b: TangentField) -> float:
-    """Omega(A, B) at J: sum of w_i tr(A_i J_i B_i)."""
-    same_space(j, a, b)
-    return point_order_sum(ambient_omega_terms(j, a.ops, b.ops))
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +136,7 @@ def christoffel(c: ChartField, a: TangentField, b: TangentField) -> TangentField
     same_space(c.K, a, b)
     k, res = c.K.ops, c.resolvents()
     stack = a.ops @ k @ res @ b.ops + b.ops @ k @ res @ a.ops
-    return TangentField(c.space, c.base, stack, 1e-9)
+    return TangentField.derived(c.base, stack)
 
 
 def curvature(c: ChartField, a: TangentField, b: TangentField,
@@ -163,26 +148,7 @@ def curvature(c: ChartField, a: TangentField, b: TangentField,
     x, y, z = res @ a.ops, res @ b.ops, res @ d.ops
     xy = x @ y - y @ x
     stack = -(np.eye(c.space.dim) - k @ k) @ (xy @ z - z @ xy)
-    return TangentField(c.space, c.base, stack, 1e-9)
-
-
-def sectional_curvature(c: ChartField, a: TangentField, b: TangentField,
-                        degenerate_tol: float = 1e-10) -> float:
-    """Sectional curvature of the plane spanned by a and b:
-    (R(A,B)B, A) / ((A,A)(B,B) - (A,B)^2) in the chart pairing.
-
-    Raises :class:`DegeneratePlane` when the Gram determinant is smaller
-    than ``degenerate_tol`` in absolute value; the pairing is indefinite,
-    so near-null planes have no meaningful sectional curvature.
-    """
-    aa = chart_inner(c, a, a)
-    bb = chart_inner(c, b, b)
-    ab = chart_inner(c, a, b)
-    denom = aa * bb - ab * ab
-    if abs(denom) < degenerate_tol:
-        raise DegeneratePlane(
-            f"Gram determinant {denom:.3e} is below {degenerate_tol:.1e}")
-    return chart_inner(c, curvature(c, a, b, b), a) / denom
+    return TangentField.derived(c.base, stack)
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +161,7 @@ def geodesic_chart(a: TangentField, t: float) -> TangentField:
     The curve satisfies K'' + Gamma(K', K') = 0 with Gamma the bilinear
     connection term returned by :func:`christoffel`.
     """
-    return TangentField(a.space, a.base, mat_tanh_half(a.ops, t), a.tol)
+    return TangentField.derived(a.base, mat_tanh_half(a.ops, t))
 
 
 def geodesic_ambient(j0: AcsField, a: TangentField, t: float) -> AcsField:

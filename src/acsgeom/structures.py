@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .charts import random_anticommuting, standard_acs
+from .charts import COORD_TOL, random_anticommuting, standard_acs
 from .errors import (
     AnticommutationViolation,
     DimensionMismatch,
@@ -37,7 +37,6 @@ from .errors import (
 )
 from .fiber import DEFAULT_COND_CAP, FiberMetric, g_adjoint, max_abs
 
-TANGENT_TOL = 1e-10
 # Largest fiber dimension a sample space, a suite config or a bundle may
 # ask for; larger requests are input errors, refused before any dim x dim
 # array exists.  The suite itself runs dims 2 to 6.
@@ -129,20 +128,29 @@ class AcsField:
 @dataclass
 class TangentField:
     """A tangent direction at a structure field: per-point matrices
-    anticommuting with the base operators (checked at construction)."""
+    anticommuting with the base operators, checked to ``COORD_TOL`` where a
+    caller builds one; tangents computed from checked ones are not checked
+    again (:meth:`derived`)."""
 
     space: SampleSpace
     base: AcsField
     ops: np.ndarray
-    tol: float = TANGENT_TOL
 
     def __post_init__(self):
         self.ops = _as_stack(self.ops, self.space.dim, self.space.npoints, "ops")
         same_space(self, self.base)
-        worst = max_abs(self.ops @ self.base.ops + self.base.ops @ self.ops)
-        if worst > self.tol:
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite residual refuses
+            worst = max_abs(self.ops @ self.base.ops + self.base.ops @ self.ops)
+        if not worst <= COORD_TOL:
             raise AnticommutationViolation(
                 f"tangent ops fail to anticommute with the base, residual {worst:.3e}")
+
+    @classmethod
+    def derived(cls, base: AcsField, ops: np.ndarray) -> TangentField:
+        """The tangent ``ops`` at ``base``, computed from checked ones; unchecked."""
+        tangent = cls.__new__(cls)
+        tangent.space, tangent.base, tangent.ops = base.space, base, ops
+        return tangent
 
 
 @dataclass
@@ -154,7 +162,8 @@ class SymplecticField:
 
     def __post_init__(self):
         w = self.forms = _as_stack(self.forms, self.space.dim, self.space.npoints, "forms")
-        skew = np.max(np.abs(w + w.mT), axis=(1, 2)) > 1e-12
+        with np.errstate(over="ignore"):  # an overflow reads as skew
+            skew = np.max(np.abs(w + w.mT), axis=(1, 2)) > 1e-12
         cond = np.linalg.cond(w)
         bad = skew | ~(np.isfinite(cond) & (cond <= DEFAULT_COND_CAP))
         if bad.any():
@@ -223,7 +232,8 @@ def _residuals(stack: np.ndarray) -> np.ndarray:
 
 def validate_acs(j: AcsField, tol: float = 1e-10) -> FieldReport:
     """Check J^2 = -identity at every point."""
-    residuals = _residuals(j.ops @ j.ops + np.eye(j.space.dim))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite residual fails
+        residuals = _residuals(j.ops @ j.ops + np.eye(j.space.dim))
     return FieldReport("acs", j.space.point_ids, residuals, residuals <= tol, tol)
 
 
@@ -265,9 +275,10 @@ def validate_associated(j: AcsField, w: SymplecticField,
     of the symmetric part of W J exceeds ``POSITIVITY_FLOOR``.
     """
     same_space(j, w)
-    residuals = _residuals(j.ops.mT @ w.forms @ j.ops - w.forms)
-    prod = w.forms @ j.ops
-    min_eig = np.linalg.eigvalsh(0.5 * (prod + prod.mT))[:, 0]
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite residual fails
+        residuals = _residuals(j.ops.mT @ w.forms @ j.ops - w.forms)
+        prod = w.forms @ j.ops
+        min_eig = np.linalg.eigvalsh(0.5 * (prod + prod.mT))[:, 0]
     return FieldReport("associated", j.space.point_ids, residuals,
                        (residuals <= tol) & (min_eig > POSITIVITY_FLOOR), tol, {"min_eig": min_eig})
 

@@ -185,10 +185,8 @@ def geodesic_equation_residual(a: TangentField, t: float, h: float) -> float:
     NaN where t + h or t - h rounds to t and the stencil collapses."""
     if t + h == t or t - h == t:
         return math.nan
-    kp = geodesic_chart(a, t + h)
-    kc = geodesic_chart(a, t)
-    km = geodesic_chart(a, t - h)
-    kdot = TangentField(a.space, a.base, (kp.ops - km.ops) / (2.0 * h), 1e-9)
+    kp, kc, km = (geodesic_chart(a, s) for s in (t + h, t, t - h))
+    kdot = TangentField.derived(a.base, (kp.ops - km.ops) / (2.0 * h))
     kdd = (kp.ops - 2.0 * kc.ops + km.ops) / h**2
     gamma = christoffel(ChartField(a.space, a.base, kc), kdot, kdot)
     return max_abs(kdd + gamma.ops)
@@ -316,7 +314,7 @@ def check_theorem2(seed: int = 0, dims=(2, 4), cases: int = 3, points: int = 8,
         # the off-center ray K = t a0 (the stencil at the center is
         # exactly zero and carries no signal)
         half = random_tangent_field(by_case, j0f, bound=0.5)
-        ray = ChartField(space, j0f, TangentField(space, j0f, ray_t * half.ops))
+        ray = ChartField(space, j0f, TangentField.derived(j0f, ray_t * half.ops))
         exact = _omega_ray_derivative(ray, half, a1, a2, ray_t, by_case)
         r_h, r_h2 = (np.abs(fd_directional(lambda c: by_case.pairing(chart_omega_terms, c, a1, a2),
                                           ray, half, step) - exact) for step in (h, h / 2.0))

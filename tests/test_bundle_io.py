@@ -297,8 +297,6 @@ def _outcome(load, path):
                       b.K and b.K.ops)] + [b.space.point_ids]
 
 
-# extreme-scale tangents overflow in the anticommutation check, with numpy's RuntimeWarning
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(save_layout_documents())
 def test_one_pass_load_matches_the_per_point_reader(tmp_path_factory, doc):

@@ -184,6 +184,44 @@ class TestExitCodes:
         assert math.isnan(ode["residual"]) and ode["passed"] is False
         assert check["passed"] is False and math.isnan(check["max_residual"])
 
+    @pytest.mark.parametrize("dim, h, residual", [("2", "1e-9", 638.3), ("4", "1e-8", 7.215)])
+    def test_step_swamped_by_rounding_fails_geodesics(self, capsys, dim, h, residual):
+        # rounding of order eps/h swamps the difference quotient: a large
+        # residual fails the check, where it once was refused as input
+        code, out, err = run_cli(["verify", "--dim", dim, "--h", h], capsys)
+        assert (code, err) == (1, "")
+        check = next(c for c in json.loads(out)["checks"] if c["name"] == "geodesics")
+        assert check["passed"] is False and check["tolerance"] == 1e-6
+        assert check["max_residual"] == pytest.approx(residual, rel=1e-3)
+
+    @pytest.mark.parametrize("command, points, code, err", [
+        ("verify", [{"id": 0, "weight": 1.0, "J": [1e200, -1e200, 1e200, 1e200],
+                     "W": [0, 1e200, -1e200, 0]}], 1, ""),
+        ("project", [{"id": 0, "weight": 1.0, "J": [0, -1, 1, 0], "K": [1e308, 0, 0, 1e308]}],
+         2, "error: tangent ops fail to anticommute with the base, residual inf\n"),
+    ], ids=["verify_jw", "project_k"])
+    def test_overflowing_bundle_prints_no_warning(self, tmp_path, command, points, code, err):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"dim": 2, "points": points}))
+        proc = subprocess.run([sys.executable, "-m", "acsgeom.cli", command, "--in", str(path)],
+                              capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (code, err)
+        if command == "verify":
+            failed = [c["name"] for c in json.loads(proc.stdout)["checks"] if not c["passed"]]
+            assert failed == ["field_acs", "field_associated"]
+
+    def test_tangent_with_nan_residual_is_input_error(self, tmp_path, capsys):
+        # finite J and K whose anticommutator overflows to inf - inf
+        path = tmp_path / "nan_k.json"
+        path.write_text(json.dumps({"dim": 4, "points": [{"id": 0, "weight": 1.0, "J": [
+            2.0, -2.0, 1.0, 1.0, 1e308, 2.0, 2.0, 0.0, -1e308, -1e308, -1e308, 1e308,
+            -2.0, -1e308, 0.0, 1.0], "K": [
+            0.0, -1e308, 1.0, 1.0, -1.0, -1.0, 1.0, 1.0, -1.0, 0.0, -1e200, 1.0,
+            1.0, -1e308, 1e200, 1e308]}]}))
+        code, out, err = run_cli(["project", "--in", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: tangent ops fail to anticommute with the base, residual nan\n"
+
     @pytest.mark.parametrize("flag", [["--h", "inf"], ["--t-max", "inf"],
                                       ["--tol-cayley", "inf"], ["--tol-signature", "nan"]])
     def test_non_finite_flag_is_usage_error(self, capsys, flag):
@@ -388,6 +426,13 @@ class TestGeodesicCommand:
         rows = json.loads(out)["rows"]
         assert rows[0][3] == 0.0  # t = 0: t + h moves, and the residual is 0 by oddness
         assert all(math.isnan(row[3]) for row in rows[1:])
+
+    def test_step_swamped_by_rounding_gives_finite_residuals(self, capsys):
+        code, out, err = run_cli(["geodesic", "--h", "1e-9"], capsys)
+        assert (code, err) == (0, "")
+        rows = json.loads(out)["rows"]
+        assert all(math.isfinite(row[3]) for row in rows)
+        assert max(row[3] for row in rows) > 1e-6  # rounding swamps the stencil
 
     def test_structure_defect_exits_1_and_names_the_first_t(self, capsys):
         code, out, err = run_cli(["geodesic", "--dim", "2", "--t-max", "30",

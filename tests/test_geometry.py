@@ -1,13 +1,16 @@
 import dataclasses
+import json
 import math
+import re
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from acsgeom import verify
 from acsgeom.charts import CayleyCoordinate, acs_to_cayley, standard_acs
 from acsgeom.errors import (
-    DegeneratePlane,
+    AnticommutationViolation,
     DimensionMismatch,
     GeometryError,
     InvalidStructure,
@@ -17,8 +20,8 @@ from acsgeom.fiber import mat_exp, max_abs
 from acsgeom.geometry import (
     ChartField,
     acs_on_tangent,
-    ambient_inner,
-    ambient_omega,
+    ambient_inner_terms,
+    ambient_omega_terms,
     chart_inner,
     chart_omega,
     chart_origin,
@@ -26,13 +29,14 @@ from acsgeom.geometry import (
     curvature,
     geodesic_ambient,
     geodesic_chart,
-    sectional_curvature,
+    point_order_sum,
     shifted,
 )
 from acsgeom.structures import (
     AcsField,
     SampleSpace,
     TangentField,
+    load_bundle,
     random_sample_space,
     random_tangent_field,
     standard_acs_field,
@@ -41,6 +45,16 @@ from acsgeom.structures import (
 
 def one_point_space():
     return SampleSpace(2, np.ones(1))
+
+
+def ambient_inner(j, a, b):
+    """(A, B) at J: sum of w_i tr(A_i B_i)."""
+    return point_order_sum(ambient_inner_terms(j, a.ops, b.ops))
+
+
+def ambient_omega(j, a, b):
+    """Omega(A, B) at J: sum of w_i tr(A_i J_i B_i)."""
+    return point_order_sum(ambient_omega_terms(j, a.ops, b.ops))
 
 
 def tangent(space, j, *mats):
@@ -118,7 +132,7 @@ class TestChartField:
         a = tangent(s1, j1, A_DIAG)
         b = TangentField(s2, j2, np.tile(A_DIAG, (2, 1, 1)))
         with pytest.raises(DimensionMismatch):
-            ambient_inner(j1, a, b)
+            chart_inner(chart_origin(j1), a, b)
 
 
 class TestAmbientOps:
@@ -257,23 +271,6 @@ class TestSectional:
         assert_allclose(chart_inner(c, curvature(c, a, b, b), a), -32.0, rtol=1e-14)
         gram = chart_inner(c, a, a) * chart_inner(c, b, b) - chart_inner(c, a, b) ** 2
         assert_allclose(gram, 64.0, rtol=1e-14)
-        assert_allclose(sectional_curvature(c, a, b), -0.5, rtol=1e-14)
-
-    def test_degenerate_plane(self, origin2):
-        space, j, c = origin2
-        a = tangent(space, j, A_DIAG)
-        with pytest.raises(DegeneratePlane):
-            sectional_curvature(c, a, a)
-
-    def test_scale_invariance(self):
-        space = random_sample_space(np.random.default_rng(21), 4, 3)
-        j = standard_acs_field(space)
-        c = ChartField(space, j, random_tangent_field(np.random.default_rng(22), j, bound=0.5))
-        a = random_tangent_field(np.random.default_rng(23), j)
-        b = random_tangent_field(np.random.default_rng(24), j)
-        k1 = sectional_curvature(c, a, b)
-        a3 = TangentField(space, j, 3.0 * a.ops)
-        assert abs(sectional_curvature(c, a3, b) - k1) < 1e-10 * max(1.0, abs(k1))
 
 
 class TestGeodesics:
@@ -340,3 +337,68 @@ class TestGeodesics:
         h = 1e-6
         kdot = (geodesic_chart(a, h).ops - geodesic_chart(a, -h).ops) / (2 * h)
         assert max_abs(kdot - 0.5 * a.ops) < 1e-10
+
+
+class TestDerivedTangents:
+    """A tangent is checked where a caller builds it; tangents the geometry
+    computes from checked ones are not checked again."""
+
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        counts = {"checks": 0, "draws": 0}
+        check, draw = TangentField.__post_init__, verify.random_tangent_field
+
+        def counted_check(self):
+            counts["checks"] += 1
+            check(self)
+
+        def counted_draw(*args, **kwargs):
+            counts["draws"] += 1
+            return draw(*args, **kwargs)
+
+        monkeypatch.setattr(TangentField, "__post_init__", counted_check)
+        monkeypatch.setattr(verify, "random_tangent_field", counted_draw)
+        return counts
+
+    def test_derived_sites_run_no_check(self, checks):
+        space = random_sample_space(np.random.default_rng(31), 4, 3)
+        j = standard_acs_field(space)
+        a, b, k = (random_tangent_field(np.random.default_rng(s), j, bound=0.5)
+                   for s in (32, 33, 34))
+        checks["checks"] = 0
+        c = ChartField(space, j, k)
+        chart_origin(j)
+        shifted(c, a, 1e-3)
+        acs_on_tangent(a, j)
+        christoffel(c, a, b)
+        curvature(c, a, b, a)
+        geodesic_chart(a, 0.5)
+        verify.geodesic_equation_residual(a, 0.5, 1e-4)
+        assert checks["checks"] == 0
+        # theorem2 builds its ray from a draw; only the draws are checked
+        verify.check_theorem2(dims=(2,), cases=1, points=2)
+        assert checks["draws"] == 8 and checks["checks"] == 8
+
+    def test_caller_made_tangents_are_still_checked(self, tmp_path):
+        space = one_point_space()
+        j = standard_acs_field(space)
+        message = re.escape("tangent ops fail to anticommute with the base, residual 2.000e+00")
+        with pytest.raises(AnticommutationViolation, match=f"^{message}$"):
+            TangentField(space, j, np.eye(2)[None])
+        path = tmp_path / "bad_k.json"
+        path.write_text(json.dumps({"dim": 2, "points": [
+            {"id": 0, "weight": 1.0, "J": [0, -1, 1, 0], "K": [1, 0, 0, 1]}]}))
+        with pytest.raises(AnticommutationViolation, match=f"^{message}$"):
+            load_bundle(path)
+
+    def test_non_finite_residual_is_refused(self):
+        # finite entries whose products overflow to inf - inf: the residual
+        # is NaN, which must refuse rather than pass
+        space = SampleSpace(4, np.ones(1))
+        j = AcsField(space, np.array([[[2.0, -2.0, 1.0, 1.0], [1e308, 2.0, 2.0, 0.0],
+                                       [-1e308, -1e308, -1e308, 1e308],
+                                       [-2.0, -1e308, 0.0, 1.0]]]))
+        k = np.array([[[0.0, -1e308, 1.0, 1.0], [-1.0, -1.0, 1.0, 1.0],
+                       [-1.0, 0.0, -1e200, 1.0], [1.0, -1e308, 1e200, 1e308]]])
+        with pytest.raises(AnticommutationViolation, match="residual nan"):
+            TangentField(space, j, k)
