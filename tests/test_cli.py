@@ -186,8 +186,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("dim, h, residual", [("2", "1e-9", 638.3), ("4", "1e-8", 7.215)])
     def test_step_swamped_by_rounding_fails_geodesics(self, capsys, dim, h, residual):
-        # rounding of order eps/h swamps the difference quotient: a large
-        # residual fails the check, where it once was refused as input
+        # rounding of order eps/h swamps the difference quotient: the check
+        # fails on a large residual, and the step is not an input error
         code, out, err = run_cli(["verify", "--dim", dim, "--h", h], capsys)
         assert (code, err) == (1, "")
         check = next(c for c in json.loads(out)["checks"] if c["name"] == "geodesics")
