@@ -1,8 +1,10 @@
 """Command-line frontend.
 
 Subcommands: ``verify`` (full checker suite), ``geodesic`` (trace table),
-``curvature`` / ``signature`` (single checkers), ``project``
-(symmetric/antisymmetric decomposition of a tangent field from a file).
+``curvature`` / ``signature`` (single checkers), ``project`` (symmetric /
+antisymmetric split of a tangent field from a file).  ``COMMANDS`` gives
+each the checks it runs and the settings it reads, hence its flags, config
+keys and size caps; an unread or abbreviated flag or key is a usage error.
 
 Precedence of settings: flags > config file (``--config``, JSON with the
 same keys) > built-in defaults.  Relative ``--out`` paths are resolved
@@ -24,11 +26,12 @@ import io
 import json
 import os
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, GeometryError, IoError
+from .errors import ConfigError, GeometryError, IoError, NonFiniteValue
 from .fiber import max_abs
 from .geometry import geodesic_ambient, geodesic_chart
 from .structures import (
@@ -46,20 +49,39 @@ from .structures import (
 )
 from .verify import (
     CHECK_NAMES,
+    FLAGS,
     VerifyConfig,
     derive_rng,
     geodesic_equation_residual,
     report_document,
-    run_check,
     run_suite,
     tolerance_flag,
 )
 
 OUT_DIR_ENV = "ACSGEOM_OUT_DIR"
-# the single-check commands and the checker each runs; they take no --in
-SINGLE_CHECKS = {"curvature": "curvature_fd", "signature": "signature"}
-CONFIG_KEYS = ("dim", "points", "seed", "t_max", "t_steps", "h",
-               "tolerances", "input", "output", "format")
+# Settings a subcommand may read besides output and format: config key -> flag, type, help
+SETTINGS = {
+    "dim": (FLAGS["dims"], int, "fiber dimension 2n (default 4)"),
+    "points": (FLAGS["points"], int, "sample points in the weighted space (default 8)"),
+    "seed": (FLAGS["seed"], int, "master seed for all random draws (default 0)"),
+    "t_max": (FLAGS["t_max"], float, "end of the geodesic parameter grid (default 2.0)"),
+    "t_steps": (FLAGS["t_steps"], int, "number of grid points on [0, t-max] (default 9)"),
+    "h": (FLAGS["h"], float, "finite-difference step (default 1e-4)"),
+    "input": ("--in", str, "input field bundle (JSON)"),
+}
+
+
+@dataclass(frozen=True)
+class Command:
+    """A subcommand: its help and handler, the checkers it runs (their ``--tol-*``
+    flags and size caps), the settings it reads besides output and format, and
+    those of them an input bundle fixes, refused beside ``--in``."""
+
+    help: str
+    handler: Callable
+    checks: tuple = ()
+    settings: tuple = ()
+    bundle_fixes: tuple = ()
 
 
 @dataclass
@@ -72,25 +94,18 @@ class RunConfig:
     t_steps: int = VerifyConfig.t_steps
     h: float = VerifyConfig.h
     tolerances: dict = field(default_factory=dict)
-    input_path: str | None = None
-    output_path: str | None = None
+    input: str | None = None
+    output: str | None = None
     format: str = "report"
 
     def validate(self) -> None:
-        """Check the settings only the command line has, then every shared
-        one through :meth:`VerifyConfig.validate`, with the size caps of the
-        checkers this command runs."""
+        """Check the command and format, then the shared settings through
+        :meth:`VerifyConfig.validate`, with the caps and tolerances of its checks."""
         if self.command not in COMMANDS:
             raise ConfigError(f"unknown command {self.command!r}")
         if self.format not in ("report", "csv"):
             raise ConfigError(f"format must be 'report' or 'csv', got {self.format!r}")
-        if self.command in SINGLE_CHECKS and self.input_path is not None:
-            raise ConfigError(f"{self.command} does not read an input bundle (--in)")
-        if self.command == "verify":
-            checks = CHECK_NAMES
-        else:
-            checks = [SINGLE_CHECKS[self.command]] if self.command in SINGLE_CHECKS else []
-        self.verify_config().validate(checks)
+        self.verify_config().validate(COMMANDS[self.command].checks)
 
     def verify_config(self, bundle: FieldBundle | None = None) -> VerifyConfig:
         return VerifyConfig(seed=self.seed, dims=(self.dim,), fd_dims=(self.dim,),
@@ -100,43 +115,31 @@ class RunConfig:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--dim", type=int, default=None,
-                        help="fiber dimension 2n (default 4)")
-    common.add_argument("--points", type=int, default=None,
-                        help="sample points in the weighted space (default 8)")
-    common.add_argument("--seed", type=int, default=None,
-                        help="master seed for all random draws (default 0)")
-    common.add_argument("--t-max", type=float, default=None,
-                        help="end of the geodesic parameter grid (default 2.0)")
-    common.add_argument("--t-steps", type=int, default=None,
-                        help="number of grid points on [0, t-max] (default 9)")
-    common.add_argument("--h", type=float, default=None,
-                        help="finite-difference step (default 1e-4)")
-    common.add_argument("--in", dest="input_path", default=None, metavar="FILE",
-                        help="input field bundle (JSON)")
-    common.add_argument("--out", dest="output_path", default=None, metavar="FILE",
-                        help=f"output file; relative paths resolve against ${OUT_DIR_ENV} "
-                             "when set (default: stdout)")
-    common.add_argument("--format", choices=("report", "csv"), default=None,
-                        help="output format (default report)")
-    common.add_argument("--config", default=None, metavar="FILE",
-                        help="JSON config merged below flags")
-    for name in CHECK_NAMES:
-        common.add_argument(tolerance_flag(name),
-                            dest=f"tol_{name}", type=float, default=None,
-                            help=f"primary tolerance override for the {name} check")
-
+    """One subparser per command, with the flags of the settings it reads and
+    of the checks it runs; an unread or abbreviated flag is an error."""
     parser = argparse.ArgumentParser(
         prog="acsgeom",
         description="numerical geometry of the space of almost complex structures")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, _) in COMMANDS.items():
-        sub.add_parser(name, parents=[common], help=help_text)
+    for name, command in COMMANDS.items():
+        cmd = sub.add_parser(name, help=command.help, allow_abbrev=False)
+        for key in command.settings:
+            flag, kind, text = SETTINGS[key]
+            cmd.add_argument(flag, dest=key, type=kind, help=text,
+                             metavar="FILE" if key == "input" else None)
+        cmd.add_argument("--out", dest="output", metavar="FILE",
+                         help=f"output file; relative paths resolve against ${OUT_DIR_ENV} "
+                              "when set (default: stdout)")
+        cmd.add_argument("--format", choices=("report", "csv"),
+                         help="output format (default report)")
+        cmd.add_argument("--config", metavar="FILE", help="JSON config merged below flags")
+        for check in command.checks:
+            cmd.add_argument(tolerance_flag(check), dest=f"tol_{check}", type=float,
+                             help=f"primary tolerance override for the {check} check")
     return parser
 
 
-def _read_config_file(path: str) -> dict:
+def _read_config_file(path: str, command: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -146,35 +149,34 @@ def _read_config_file(path: str) -> dict:
         raise ConfigError(f"config file {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path!r} must hold a JSON object")
-    for key in data:
-        if key not in CONFIG_KEYS:
-            raise ConfigError(f"unknown config key {key!r} in {path!r}")
     if "tolerances" in data and not isinstance(data["tolerances"], dict):
         raise ConfigError("config key 'tolerances' must be an object")
     for key in ("input", "output"):
         if key in data and not isinstance(data[key], str):
             raise ConfigError(f"config key {key!r} must be a path string, got {data[key]!r}")
+    spec = COMMANDS[command]
+    read = (*spec.settings, "output", "format") + (("tolerances",) if spec.checks else ())
+    for key in data:
+        if key not in read:
+            flag = f" ({SETTINGS[key][0]})" if key in SETTINGS else ""
+            raise ConfigError(f"{command} does not read config key {key!r}{flag} in {path!r}")
     return data
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
     """Merge flags over the optional config file over defaults."""
-    filed = _read_config_file(args.config) if args.config else {}
-    cfg = RunConfig(command=args.command)
-
-    def pick(flag_value, key, default):
-        return flag_value if flag_value is not None else filed.get(key, default)
-
-    for key in ("dim", "points", "seed", "t_max", "t_steps", "h", "format"):
-        setattr(cfg, key, pick(getattr(args, key), key, getattr(cfg, key)))
-    cfg.input_path = pick(args.input_path, "input", None)
-    cfg.output_path = pick(args.output_path, "output", None)
+    command = COMMANDS[args.command]
+    filed = _read_config_file(args.config, args.command) if args.config else {}
+    keys = (*command.settings, "output", "format")
+    values = {key: filed[key] for key in keys if key in filed}
+    values.update((key, getattr(args, key)) for key in keys if getattr(args, key) is not None)
+    fixed = [SETTINGS[k][0] for k in command.bundle_fixes if k in values and "input" in values]
+    if fixed:
+        raise ConfigError(f"{args.command} reads the space from --in, not {', '.join(fixed)}")
     tolerances = dict(filed.get("tolerances", {}))
-    for name in CHECK_NAMES:
-        value = getattr(args, f"tol_{name}")
-        if value is not None:
-            tolerances[name] = value
-    cfg.tolerances = tolerances
+    tolerances.update((name, getattr(args, f"tol_{name}")) for name in command.checks
+                      if getattr(args, f"tol_{name}") is not None)
+    cfg = RunConfig(args.command, tolerances=tolerances, **values)
     cfg.validate()
     return cfg
 
@@ -186,7 +188,7 @@ def _resolve_out(path: str | None) -> str | None:
 
 
 def _write_text(cfg: RunConfig, text: str) -> None:
-    path = _resolve_out(cfg.output_path)
+    path = _resolve_out(cfg.output)
     if path is None:
         sys.stdout.write(text)
         return
@@ -255,11 +257,11 @@ def _emit(cfg: RunConfig, header: list[str], rows, doc: dict) -> None:
 
 
 def _emit_reports(cfg: RunConfig, reports, vconf: VerifyConfig) -> int:
-    doc = report_document(reports, vconf, input_path=cfg.input_path)
+    doc = report_document(reports, vconf, input_path=cfg.input)
     rows = [[r.name, r.max_residual, r.tolerance, "1" if r.passed else "0"]
             for r in reports]
     _emit(cfg, ["check", "max_residual", "tolerance", "passed"], rows, doc)
-    if cfg.output_path is not None:
+    if cfg.output is not None:
         for r in reports:
             status = "PASS" if r.passed else "FAIL"
             print(f"{status} {r.name}: max_residual={r.max_residual:.3e} "
@@ -267,15 +269,10 @@ def _emit_reports(cfg: RunConfig, reports, vconf: VerifyConfig) -> int:
     return 0 if doc["passed"] else 1
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    bundle = load_bundle(cfg.input_path) if cfg.input_path is not None else None
+def cmd_checks(cfg: RunConfig) -> int:
+    bundle = load_bundle(cfg.input) if cfg.input is not None else None
     vconf = cfg.verify_config(bundle)
-    return _emit_reports(cfg, run_suite(vconf), vconf)
-
-
-def cmd_single_check(cfg: RunConfig) -> int:
-    vconf = cfg.verify_config()
-    return _emit_reports(cfg, [run_check(vconf, SINGLE_CHECKS[cfg.command])], vconf)
+    return _emit_reports(cfg, run_suite(vconf, COMMANDS[cfg.command].checks), vconf)
 
 
 def cmd_geodesic(cfg: RunConfig) -> int:
@@ -283,8 +280,8 @@ def cmd_geodesic(cfg: RunConfig) -> int:
     and the associated/orthogonal validator flags over the grid.  Exits 1
     when a traced value is not finite or J_t fails :func:`validate_acs`,
     naming the first t at fault; the trace is written either way."""
-    if cfg.input_path is not None:
-        bundle = load_bundle(cfg.input_path)
+    if cfg.input is not None:
+        bundle = load_bundle(cfg.input)
         if bundle.J is None or bundle.K is None:
             raise ConfigError("geodesic needs an input bundle with J and K fields")
         space, j0f, a = bundle.space, bundle.J, bundle.K
@@ -323,7 +320,7 @@ def cmd_geodesic(cfg: RunConfig) -> int:
           {"command": "geodesic", "columns": header, "rows": rows,
            "seed": cfg.seed, "dim": space.dim, "points": space.npoints,
            "h": cfg.h, "t_max": cfg.t_max, "t_steps": cfg.t_steps,
-           "input": cfg.input_path})
+           "input": cfg.input})
     problems = [not_acs] if not_acs else []
     if not np.isfinite([r[:4] for r in rows]).all():
         problems.insert(0, "the geodesic trace holds a non-finite value")
@@ -334,44 +331,48 @@ def cmd_geodesic(cfg: RunConfig) -> int:
 
 def cmd_project(cfg: RunConfig) -> int:
     """Per-point norms of the metric-symmetric and antisymmetric parts of
-    an input tangent field, with a class label."""
-    if cfg.input_path is None:
+    an input tangent field, with a class label; a part that overflows is refused."""
+    if cfg.input is None:
         raise ConfigError("project requires --in with a bundle holding J and K")
-    bundle = load_bundle(cfg.input_path)
+    bundle = load_bundle(cfg.input)
     if bundle.J is None or bundle.K is None:
         raise ConfigError("project needs an input bundle with J and K fields")
     space, k = bundle.space, bundle.K
     p, l, classes = split_and_classify(k, MetricField(space, space.metrics))
+    norms = [np.max(np.abs(part), axis=(1, 2)) for part in (p, l)]
+    bad = np.flatnonzero(~np.isfinite(norms).all(axis=0))
+    if bad.size:
+        raise NonFiniteValue(f"the parts of K overflow at point {space.point_ids[bad[0]]!r}")
     header = ["id", "p_norm", "l_norm", "class"]
-    rows = list(zip(map(str, space.point_ids),
-                    np.max(np.abs(p), axis=(1, 2)).tolist(),
-                    np.max(np.abs(l), axis=(1, 2)).tolist(),
-                    classes))
-    _emit(cfg, header, rows, {"command": "project", "input": cfg.input_path,
+    rows = list(zip(map(str, space.point_ids), *(n.tolist() for n in norms), classes))
+    _emit(cfg, header, rows, {"command": "project", "input": cfg.input,
                               "points": [dict(zip(header, r)) for r in rows]})
     return 0
 
 
-# subcommand -> (help text, handler)
 COMMANDS = {
-    "verify": ("run the full verification suite", cmd_verify),
-    "geodesic": ("trace a geodesic and its validators", cmd_geodesic),
-    "curvature": ("finite-difference curvature check", cmd_single_check),
-    "project": ("split an input tangent field into symmetric and antisymmetric parts",
-                cmd_project),
-    "signature": ("signature of the metric at the chart origin", cmd_single_check),
+    "verify": Command("run the full verification suite", cmd_checks, CHECK_NAMES,
+                      ("dim", "points", "seed", "t_max", "t_steps", "h", "input")),
+    "geodesic": Command("trace a geodesic and its validators", cmd_geodesic, (),
+                        ("dim", "points", "seed", "t_max", "t_steps", "h", "input"),
+                        bundle_fixes=("dim", "points", "seed")),
+    "curvature": Command("finite-difference curvature check", cmd_checks,
+                         ("curvature_fd",), ("dim", "points", "seed", "h")),
+    "project": Command("split an input tangent field into symmetric and antisymmetric parts",
+                       cmd_project, settings=("input",)),
+    "signature": Command("signature of the metric at the chart origin", cmd_checks,
+                         ("signature",), ("dim", "points", "seed")),
 }
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
         cfg = build_config(args)
-        return COMMANDS[cfg.command][1](cfg)
+        return COMMANDS[cfg.command].handler(cfg)
     except GeometryError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

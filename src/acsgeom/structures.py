@@ -256,8 +256,9 @@ def split_and_classify(k: TangentField, g: MetricField, tol: float = 1e-10
     when the base operators are skew-adjoint for g.
     """
     sharp = _sharps(k, g)
-    p = 0.5 * (k.ops + sharp)
-    rs, ra = _residuals(k.ops - sharp), _residuals(k.ops + sharp)
+    with np.errstate(over="ignore", invalid="ignore"):  # the caller refuses a non-finite part
+        p = 0.5 * (k.ops + sharp)
+        rs, ra = _residuals(k.ops - sharp), _residuals(k.ops + sharp)
     classes = np.where(rs <= tol, "symmetric", np.where(ra <= tol, "antisymmetric", "mixed"))
     return p, k.ops - p, classes.tolist()
 

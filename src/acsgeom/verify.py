@@ -592,8 +592,8 @@ class VerifyConfig:
     def validate(self, checks=CHECK_NAMES) -> None:
         """Raise :class:`ConfigError` for any value the checkers cannot use.
 
-        The size cap of a stack only one checker builds applies when
-        ``checks`` (by default all of CHECK_NAMES) names that checker.  The
+        A tolerance override, and the size cap of a stack only one checker
+        builds, apply when ``checks`` (default all of CHECK_NAMES) names it.  The
         command line validates its settings here too, so each rule is
         stated once; each message names the flag that sets the value.
         """
@@ -629,7 +629,7 @@ class VerifyConfig:
             raise ConfigError(f"{_named('h')} must be at least {least!r}, got {self.h!r}")
         _require_positive("t_max", self.t_max)
         for name, tol in self.tolerances.items():
-            if name not in CHECK_NAMES:
+            if name not in checks:
                 raise ConfigError(f"unknown tolerance override {name!r}")
             _require_positive(f"tolerance override {name!r} ({tolerance_flag(name)})", tol)
 
@@ -696,16 +696,16 @@ def _from_field_report(name: str, fr: FieldReport, args: dict, subchecks: list) 
     return report
 
 
-def run_suite(config: VerifyConfig) -> list[CheckReport]:
-    """Run every checker with seeds derived from the master seed.
+def run_suite(config: VerifyConfig, checks=CHECK_NAMES) -> list[CheckReport]:
+    """Run the checkers ``checks`` (default all) with seeds derived from the master seed.
 
     Returns the reports sorted by checker name; overall success is their
     conjunction.  Only configuration problems raise; check failures are
     reported, not raised.
     """
-    config.validate()
+    config.validate(checks)
     reports = _bundle_reports(config) if config.bundle is not None else []
-    reports.extend(run_check(config, name) for name in CHECK_NAMES)
+    reports.extend(run_check(config, name) for name in checks)
     reports.sort(key=lambda r: r.name)
     return reports
 

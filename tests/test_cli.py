@@ -1,8 +1,10 @@
 import csv
+import inspect
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -92,6 +94,8 @@ class TestConfigMerging:
             RunConfig("verify", h=-1.0).validate()
         with pytest.raises(ConfigError):
             RunConfig("verify", tolerances={"bogus": 1.0}).validate()
+        with pytest.raises(ConfigError, match="'cayley'"):
+            RunConfig("curvature", tolerances={"cayley": 1.0}).validate()
 
 
 class TestExitCodes:
@@ -107,7 +111,9 @@ class TestExitCodes:
         ("--tol-metric-structure", "nan"),
     ])
     def test_config_errors_name_the_flag(self, capsys, flag, value):
-        code, out, err = run_cli(["signature", flag, value], capsys)
+        command = {"--t-steps": "geodesic", "--h": "curvature", "--t-max": "geodesic",
+                   "--tol-metric-structure": "verify"}.get(flag, "signature")
+        code, out, err = run_cli([command, flag, value], capsys)
         assert (code, out) == (2, "")
         assert flag in err
 
@@ -137,7 +143,8 @@ class TestExitCodes:
     def test_config_paths_must_be_strings(self, tmp_path, capsys, command, entry):
         conf = tmp_path / "c.json"
         conf.write_text(json.dumps(entry))
-        code, out, err = run_cli([command, "--dim", "2", "--config", str(conf)], capsys)
+        dim = [] if command == "project" else ["--dim", "2"]
+        code, out, err = run_cli([command, *dim, "--config", str(conf)], capsys)
         (key,) = entry
         assert code == 2 and out == ""
         assert f"config key {key!r} must be a path string" in err
@@ -146,8 +153,9 @@ class TestExitCodes:
     def test_empty_input_path_is_read(self, tmp_path, capsys, command):
         conf = tmp_path / "c.json"
         conf.write_text(json.dumps({"input": ""}))
+        dim = ["--dim", "2"] if command == "verify" else []
         for argv in (["--in", ""], ["--config", str(conf)]):
-            code, out, err = run_cli([command, "--dim", "2", *argv], capsys)
+            code, out, err = run_cli([command, *dim, *argv], capsys)
             assert (code, out) == (2, "")
             assert "cannot read field file" in err
 
@@ -199,13 +207,17 @@ class TestExitCodes:
                      "W": [0, 1e200, -1e200, 0]}], 1, ""),
         ("project", [{"id": 0, "weight": 1.0, "J": [0, -1, 1, 0], "K": [1e308, 0, 0, 1e308]}],
          2, "error: tangent ops fail to anticommute with the base, residual inf\n"),
-    ], ids=["verify_jw", "project_k"])
+        # K anticommutes exactly and loads, but K + K^sharp overflows
+        ("project", [{"id": 0, "weight": 1.0, "J": [0, -1, 1, 0], "K": [1e308, 0, 0, -1e308]}],
+         2, "error: the parts of K overflow at point 0\n"),
+    ], ids=["verify_jw", "project_k", "project_split"])
     def test_overflowing_bundle_prints_no_warning(self, tmp_path, command, points, code, err):
         path = tmp_path / "big.json"
         path.write_text(json.dumps({"dim": 2, "points": points}))
         proc = subprocess.run([sys.executable, "-m", "acsgeom.cli", command, "--in", str(path)],
                               capture_output=True, text=True, timeout=120)
         assert (proc.returncode, proc.stderr) == (code, err)
+        assert code != 2 or proc.stdout == ""
         if command == "verify":
             failed = [c["name"] for c in json.loads(proc.stdout)["checks"] if not c["passed"]]
             assert failed == ["field_acs", "field_associated"]
@@ -313,6 +325,99 @@ class TestExitCodes:
         code, out, err = run_cli(["project", "--in", str(path)], capsys)
         assert code == 2
         assert out == "" and f"above the cap {MAX_FIBER_DIM}" in err
+
+
+# The flags each subcommand reads besides --out, --format and --config, and
+# the config key of each; a --tol-<check> flag goes under "tolerances".
+READS = {
+    "verify": ["--dim", "--points", "--seed", "--t-max", "--t-steps", "--h", "--in",
+               *map(tolerance_flag, CHECK_NAMES)],
+    "geodesic": ["--dim", "--points", "--seed", "--t-max", "--t-steps", "--h", "--in"],
+    "curvature": ["--dim", "--points", "--seed", "--h", "--tol-curvature-fd"],
+    "project": ["--in"],
+    "signature": ["--dim", "--points", "--seed", "--tol-signature"],
+}
+CONFIG = {"--dim": ("dim", 2), "--points": ("points", 1), "--seed": ("seed", 1),
+          "--t-max": ("t_max", 1.0), "--t-steps": ("t_steps", 2), "--h": ("h", 1e-3),
+          "--in": ("input", "b.json"),
+          **{tolerance_flag(name): ("tolerances", {name: 1.0}) for name in CHECK_NAMES}}
+UNREAD = [(command, flag) for command in READS for flag in READS["verify"]
+          if flag not in READS[command]]
+
+
+def config_entry(command, flag):
+    """The config entry of ``flag`` and the name a refusal of it by ``command``
+    must show: the check, where ``command`` reads other tolerances."""
+    key, value = CONFIG[flag]
+    reads_tolerances = any(f.startswith("--tol-") for f in READS[command])
+    return {key: value}, repr(next(iter(value)) if key == "tolerances" and reads_tolerances
+                              else key)
+
+
+class TestCommandTable:
+    def test_counts(self):
+        assert sum(len(flags) + 3 for flags in READS.values()) == 47
+        assert len(UNREAD) == 43
+        keys = {command: {"output", "format", *(CONFIG[f][0] for f in flags)}
+                for command, flags in READS.items()}
+        assert sum(map(len, keys.values())) == 35
+
+    @pytest.mark.parametrize("command, flag", UNREAD)
+    def test_unread_flag_or_key_is_usage_error(self, tmp_path, capsys, command, flag):
+        code, out, err = run_cli([command, flag, "1"], capsys)
+        assert (code, out) == (2, "")
+        assert f"unrecognized arguments: {flag} 1" in err
+        entry, name = config_entry(command, flag)
+        conf = tmp_path / "c.json"
+        conf.write_text(json.dumps(entry))
+        code, out, err = run_cli([command, "--config", str(conf)], capsys)
+        assert (code, out) == (2, "")
+        assert name in err
+
+    @pytest.mark.parametrize("command", sorted(READS))
+    def test_read_keys_are_accepted(self, tmp_path, command):
+        conf = tmp_path / "c.json"
+        for flag in READS[command]:
+            conf.write_text(json.dumps(config_entry(command, flag)[0]))
+            build_config(build_parser().parse_args([command, "--config", str(conf)]))
+        conf.write_text(json.dumps({"output": "o.json", "format": "csv"}))
+        cfg = build_config(build_parser().parse_args([command, "--config", str(conf)]))
+        assert (cfg.output, cfg.format) == ("o.json", "csv")
+
+    def test_abbreviated_flag_is_usage_error(self, capsys):
+        # without allow_abbrev=False, argparse reads `--h` as `--help` and exits 0
+        assert run_cli(["signature", "--h", "1"], capsys)[:2] == (2, "")
+        code, out, err = run_cli(["verify", "--poi", "3"], capsys)
+        assert (code, out) == (2, "") and "--poi" in err
+
+    @pytest.mark.parametrize("command", sorted(READS))
+    def test_help_lists_the_flags_read(self, capsys, command):
+        code, out, _ = run_cli([command, "--help"], capsys)
+        assert code == 0
+        listed = re.findall(r"^  (?:-h, )?(--[a-z0-9-]+)", out, re.M)
+        assert sorted(listed) == sorted(["--help", *READS[command], "--out", "--format",
+                                         "--config"])
+
+    @pytest.mark.parametrize("command", ["verify", "curvature", "signature"])
+    def test_settings_are_what_the_checkers_take(self, command):
+        spec = cli.COMMANDS[command]
+        taken = {FLAGS[key] for name in spec.checks
+                 for key in inspect.signature(getattr(verify, f"check_{name}")).parameters
+                 if key in FLAGS}
+        assert {cli.SETTINGS[key][0] for key in spec.settings} \
+            == taken | ({"--in"} if command == "verify" else set())
+
+    @pytest.mark.parametrize("given", [["--dim", "4"], ["--points", "3"], ["--seed", "9"],
+                                       ["--seed", "9", "--dim", "6"]])
+    def test_geodesic_input_refuses_what_the_bundle_fixes(self, tmp_path, capsys, given):
+        bundle = os.path.join(GOLDEN, "project_bundle.json")
+        conf = tmp_path / "c.json"
+        conf.write_text(json.dumps({CONFIG[f][0]: int(v) for f, v in zip(given[::2], given[1::2])}))
+        for argv in (["--in", bundle, *given], ["--in", bundle, "--config", str(conf)]):
+            code, out, err = run_cli(["geodesic", *argv], capsys)
+            assert (code, out) == (2, "")
+            assert "reads the space from --in" in err
+            assert all(flag in err for flag in given[::2])
 
 
 class TestVerifyCommand:

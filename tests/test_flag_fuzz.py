@@ -1,6 +1,7 @@
 """Property tests of command-line flag values: ``signature``, ``curvature``
-and ``geodesic`` exit 0, 1 or 2 for every value, never with a traceback,
-and an exit 0 never reports a non-finite number.
+and ``geodesic`` exit 0, 1 or 2 for every value of the flags they read,
+never with a traceback, and an exit 0 never reports a non-finite number.
+A flag a command does not read exits 2 with nothing on stdout.
 
 Valid values are small, so each run is quick.  Invalid values are zero,
 negative, odd dimensions, sizes above the caps up to 10**30 (refused before
@@ -16,9 +17,9 @@ import json
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from acsgeom.cli import main
+from acsgeom.cli import COMMANDS, SETTINGS, main
 from acsgeom.structures import MAX_FIBER_DIM
-from acsgeom.verify import MAX_STACK_ENTRIES, MAX_T_STEPS
+from acsgeom.verify import CHECK_NAMES, MAX_STACK_ENTRIES, MAX_T_STEPS, tolerance_flag
 
 NEGATIVE = st.integers(-10**30, 0)
 
@@ -36,12 +37,31 @@ FLAGS = {
 }
 
 
+ALL_FLAGS = sorted({flag for flag, _, _ in SETTINGS.values()}
+                   | set(map(tolerance_flag, CHECK_NAMES)))
+
+
+def flags_read(command):
+    """The flags ``command`` reads, from the command table."""
+    spec = COMMANDS[command]
+    return {SETTINGS[key][0] for key in spec.settings} | set(map(tolerance_flag, spec.checks))
+
+
 @st.composite
 def argvs(draw):
     argv = [draw(st.sampled_from(["signature", "curvature", "geodesic"]))]
-    for flag in draw(st.lists(st.sampled_from(sorted(FLAGS)), unique=True)):
+    own = sorted(flags_read(argv[0]) & set(FLAGS))
+    for flag in draw(st.lists(st.sampled_from(own), unique=True)):
         argv += [flag, repr(draw(FLAGS[flag]))]
     return argv
+
+
+@st.composite
+def argvs_with_an_unread_flag(draw):
+    argv = draw(argvs())
+    flag = draw(st.sampled_from([f for f in ALL_FLAGS if f not in flags_read(argv[0])]))
+    at = 1 + 2 * draw(st.integers(0, len(argv) // 2))
+    return argv[:at] + [flag, repr(draw(st.floats(0.1, 3.0)))] + argv[at:]
 
 
 # extreme steps and grid ends overflow on purpose; numpy's RuntimeWarning fails
@@ -64,3 +84,10 @@ def test_flag_values_exit_cleanly(argv):
     if code == 2:
         assert out.getvalue() == ""
 
+
+@settings(max_examples=50, deadline=None)
+@given(argvs_with_an_unread_flag())
+def test_unread_flag_exits_2(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert (main(argv), out.getvalue()) == (2, ""), argv

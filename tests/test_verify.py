@@ -410,6 +410,10 @@ class TestRunSuite:
         assert run_check(cfg, "signature").params["threshold"] == 1e-8
         with pytest.raises(ConfigError):
             run_check(cfg, "bogus")
+        (report,) = run_suite(cfg, ("signature",))
+        assert report.to_dict() == by_name["signature"].to_dict()
+        with pytest.raises(ConfigError, match="'signature'"):
+            run_suite(cfg, ("cayley",))  # an override of a check that does not run
 
     def test_invalid_config_raises(self):
         with pytest.raises(ConfigError):
