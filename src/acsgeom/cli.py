@@ -66,7 +66,6 @@ SETTINGS = {
     "seed": (FLAGS["seed"], int, "master seed for all random draws (default 0)"),
     "t_max": (FLAGS["t_max"], float, "end of the geodesic parameter grid (default 2.0)"),
     "t_steps": (FLAGS["t_steps"], int, "number of grid points on [0, t-max] (default 9)"),
-    "h": (FLAGS["h"], float, "finite-difference step (default 1e-4)"),
     "input": ("--in", str, "input field bundle (JSON)"),
 }
 
@@ -92,7 +91,6 @@ class RunConfig:
     seed: int = VerifyConfig.seed
     t_max: float = VerifyConfig.t_max
     t_steps: int = VerifyConfig.t_steps
-    h: float = VerifyConfig.h
     tolerances: dict = field(default_factory=dict)
     input: str | None = None
     output: str | None = None
@@ -109,7 +107,7 @@ class RunConfig:
 
     def verify_config(self, bundle: FieldBundle | None = None) -> VerifyConfig:
         return VerifyConfig(seed=self.seed, dims=(self.dim,), fd_dims=(self.dim,),
-                            points=self.points, h=self.h, t_max=self.t_max,
+                            points=self.points, t_max=self.t_max,
                             t_steps=self.t_steps, tolerances=self.tolerances,
                             bundle=bundle)
 
@@ -307,10 +305,10 @@ def cmd_geodesic(cfg: RunConfig) -> int:
             assoc = validate_associated(jt, wf).passed
             orth = validate_orthogonal(jt, gf, j0f).passed
             rows.append([t, max_abs(geodesic_chart(a, t).ops), acs.max_residual,
-                         geodesic_equation_residual(a, t, cfg.h), int(assoc), int(orth)])
+                         geodesic_equation_residual(a, t), int(assoc), int(orth)])
         except GeometryError as exc:
-            raise ConfigError(f"geodesic trace fails at t={t!r} (--t-max {cfg.t_max!r}, "
-                              f"--h {cfg.h!r}): {exc}") from None
+            raise ConfigError(f"geodesic trace fails at t={t!r} (--t-max {cfg.t_max!r}): "
+                              f"{exc}") from None
         if not_acs is None and not acs.passed:
             not_acs = (f"J_t first fails to square to -identity at t={t!r}: "
                        f"acs_residual {acs.max_residual:.3e} exceeds {acs.tolerance:.0e}")
@@ -319,7 +317,7 @@ def cmd_geodesic(cfg: RunConfig) -> int:
     _emit(cfg, header, rows,
           {"command": "geodesic", "columns": header, "rows": rows,
            "seed": cfg.seed, "dim": space.dim, "points": space.npoints,
-           "h": cfg.h, "t_max": cfg.t_max, "t_steps": cfg.t_steps,
+           "t_max": cfg.t_max, "t_steps": cfg.t_steps,
            "input": cfg.input})
     problems = [not_acs] if not_acs else []
     if not np.isfinite([r[:4] for r in rows]).all():
@@ -352,12 +350,12 @@ def cmd_project(cfg: RunConfig) -> int:
 
 COMMANDS = {
     "verify": Command("run the full verification suite", cmd_checks, CHECK_NAMES,
-                      ("dim", "points", "seed", "t_max", "t_steps", "h", "input")),
+                      ("dim", "points", "seed", "t_max", "t_steps", "input")),
     "geodesic": Command("trace a geodesic and its validators", cmd_geodesic, (),
-                        ("dim", "points", "seed", "t_max", "t_steps", "h", "input"),
+                        ("dim", "points", "seed", "t_max", "t_steps", "input"),
                         bundle_fixes=("dim", "points", "seed")),
     "curvature": Command("finite-difference curvature check", cmd_checks,
-                         ("curvature_fd",), ("dim", "points", "seed", "h")),
+                         ("curvature_fd",), ("dim", "points", "seed")),
     "project": Command("split an input tangent field into symmetric and antisymmetric parts",
                        cmd_project, settings=("input",)),
     "signature": Command("signature of the metric at the chart origin", cmd_checks,
@@ -365,9 +363,25 @@ COMMANDS = {
 }
 
 
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """``argv`` with each float flag and a following word that starts with one
+    '-' joined as ``FLAG=VALUE``: argparse reads -0.5 as a value, but -1e-3
+    and -inf as flags, and the value would never reach the rule that refuses it."""
+    floats = {flag for flag, kind, _ in SETTINGS.values() if kind is float} \
+        | set(map(tolerance_flag, CHECK_NAMES))
+    joined = []
+    for arg in argv:
+        if joined and joined[-1] in floats and arg[:1] == "-" and arg[1:2] != "-":
+            joined[-1] += f"={arg}"
+        else:
+            joined.append(arg)
+    return joined
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser().parse_args(
+            _join_negative_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

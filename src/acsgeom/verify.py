@@ -170,7 +170,13 @@ def _outside(value: float, lo: float, hi: float) -> float:
     return _worst(0.0, lo - value, value - hi)
 
 
-def fd_directional(f, c: ChartField, a: TangentField, h: float):
+# The step of every central difference, a constant of the method: of its four
+# stencils, which differ in order, a smaller step swamps geodesics in rounding
+# and a larger one raises metric_compat_fd's truncation error as its square.
+FD_STEP = 1e-4
+
+
+def fd_directional(f, c: ChartField, a: TangentField, h: float = FD_STEP):
     """Central difference of a chart functional along a:
     (f(K + hA) - f(K - hA)) / (2h), error O(h^2) for smooth f.  ``f`` gives
     a scalar, or an array of them (one per case), differenced entrywise."""
@@ -179,10 +185,11 @@ def fd_directional(f, c: ChartField, a: TangentField, h: float):
     return (f(shifted(c, a, h)) - f(shifted(c, a, -h))) / (2.0 * float(h))
 
 
-def geodesic_equation_residual(a: TangentField, t: float, h: float) -> float:
+def geodesic_equation_residual(a: TangentField, t: float) -> float:
     """Max-norm residual of K'' + Gamma(K', K') = 0 at time t along the
-    chart geodesic K(t) = tanh((t/2) A), by central differences of step h;
-    NaN where t + h or t - h rounds to t and the stencil collapses."""
+    chart geodesic K(t) = tanh((t/2) A), by central differences of step
+    FD_STEP; NaN where t + h or t - h rounds to t and the stencil collapses."""
+    h = FD_STEP
     if t + h == t or t - h == t:
         return math.nan
     kp, kc, km = (geodesic_chart(a, s) for s in (t + h, t, t - h))
@@ -219,13 +226,12 @@ class _Cases:
         return self.sums(terms(at, x.ops, y.ops))
 
 
-def _case_draws(seed: int, name: str, dim: int, cases: int, count: int,
-                bound: float) -> tuple[np.ndarray, ...]:
+def _case_draws(seed: int, name: str, dim: int, cases: int, count: int) -> tuple[np.ndarray, ...]:
     """The standard structure and ``count`` anticommuting draws per case as
     (cases, n, n) stacks, each case drawing from its own generator."""
     j0 = np.tile(standard_acs(dim), (cases, 1, 1))
     by_case = _Cases(seed, name, dim, cases)
-    return (j0, *(random_anticommuting(by_case, j0, bound=bound) for _ in range(count)))
+    return (j0, *(random_anticommuting(by_case, j0) for _ in range(count)))
 
 
 def _case_space(seed: int, name: str, dim: int, cases: int, points: int):
@@ -237,28 +243,27 @@ def _case_space(seed: int, name: str, dim: int, cases: int, points: int):
 
 
 def check_cayley(seed: int = 0, dims=(2, 4, 6), cases: int = 100,
-                 tolerance: float = 1e-9, acs_tolerance: float = 1e-10,
-                 bound: float = 0.9) -> CheckReport:
+                 tolerance: float = 1e-9) -> CheckReport:
     """Chart bijection: coordinate -> structure -> coordinate round trip,
     and validity of every produced structure."""
     args = dict(locals())
     subs = []
     for dim in dims:
-        j0, k = _case_draws(seed, "cayley", dim, cases, 1, bound)
+        j0, k = _case_draws(seed, "cayley", dim, cases, 1)
         j = cayley_to_acs(CayleyCoordinate(j0, k))
         subs += [_sub(f"roundtrip_dim{dim}", max_abs(acs_to_cayley(j0, j).K - k), tolerance),
-                 _sub(f"acs_identity_dim{dim}", max_abs(j @ j + np.eye(dim)), acs_tolerance)]
+                 _sub(f"acs_identity_dim{dim}", max_abs(j @ j + np.eye(dim)), 1e-10)]
     return _compose("cayley", args, subs)
 
 
 def check_theorem1(seed: int = 0, dims=(2, 4, 6), cases: int = 100,
-                   tolerance: float = 1e-9, bound: float = 0.9) -> CheckReport:
+                   tolerance: float = 1e-9) -> CheckReport:
     """Pushforward intertwines the complex structures:
     pushforward(A J0) = pushforward(A) J_K."""
     args = dict(locals())
     subs = []
     for dim in dims:
-        j0, k, a = _case_draws(seed, "theorem1", dim, cases, 2, bound)
+        j0, k, a = _case_draws(seed, "theorem1", dim, cases, 2)
         coord = CayleyCoordinate(j0, k)
         jk = cayley_to_acs(coord)
         worst = max_abs(pushforward(coord, a @ j0) - pushforward(coord, a) @ jk)
@@ -267,10 +272,10 @@ def check_theorem1(seed: int = 0, dims=(2, 4, 6), cases: int = 100,
 
 
 def _omega_terms(c: ChartField, a0: TangentField, a1: TangentField,
-                 a2: TangentField, h: float, by_case: _Cases) -> tuple[np.ndarray, ...]:
+                 a2: TangentField, by_case: _Cases) -> tuple[np.ndarray, ...]:
     """Per case, the three directional-derivative terms of
     d Omega(a0, a1, a2) at c."""
-    return tuple(fd_directional(lambda cc: by_case.pairing(chart_omega_terms, cc, x, y), c, d, h)
+    return tuple(fd_directional(lambda cc: by_case.pairing(chart_omega_terms, cc, x, y), c, d)
                  for d, x, y in ((a0, a1, a2), (a1, a0, a2), (a2, a0, a1)))
 
 
@@ -288,91 +293,85 @@ def _omega_ray_derivative(ray: ChartField, a0: TangentField, a1: TangentField,
 
 
 def check_theorem2(seed: int = 0, dims=(2, 4), cases: int = 3, points: int = 8,
-                   h: float = 1e-4, tolerance: float = 1e-6,
-                   factor_window=(2.5, 6.0), ray_t: float = 0.3,
-                   bound: float = 0.9) -> CheckReport:
+                   tolerance: float = 1e-6) -> CheckReport:
     """Closedness of the 2-form: every directional-derivative term of
     d Omega vanishes at the chart center, both at the reference structure
     and after recentering at a random chart point; plus an order-2
     convergence check of the difference stencil against the analytic
-    derivative along a coordinate ray."""
+    derivative at t = 0.3 on a coordinate ray: halving the step must
+    divide the error by a factor in [2.5, 6]."""
     args = dict(locals())
     subs = []
     for dim in dims:
         by_case, space, j0f = _case_space(seed, "theorem2", dim, cases, points)
-        a0, a1, a2 = (random_tangent_field(by_case, j0f, bound=bound) for _ in range(3))
-        c0 = chart_origin(j0f)
-        t0, t1, t2 = _omega_terms(c0, a0, a1, a2, h, by_case)
+        a0, a1, a2 = (random_tangent_field(by_case, j0f) for _ in range(3))
+        t0, t1, t2 = _omega_terms(chart_origin(j0f), a0, a1, a2, by_case)
 
         # recenter: the same statement in the chart of a random J_K
-        k1 = random_tangent_field(by_case, j0f, bound=bound)
+        k1 = random_tangent_field(by_case, j0f)
         j1f = AcsField(space, cayley_to_acs(CayleyCoordinate(j0f.ops, k1.ops)))
-        b0, b1, b2 = (random_tangent_field(by_case, j1f, bound=bound) for _ in range(3))
-        s0, s1, s2 = _omega_terms(chart_origin(j1f), b0, b1, b2, h, by_case)
+        b0, b1, b2 = (random_tangent_field(by_case, j1f) for _ in range(3))
+        s0, s1, s2 = _omega_terms(chart_origin(j1f), b0, b1, b2, by_case)
 
         # order-2 convergence, measured against the analytic value on
         # the off-center ray K = t a0 (the stencil at the center is
         # exactly zero and carries no signal)
         half = random_tangent_field(by_case, j0f, bound=0.5)
-        ray = ChartField(space, j0f, TangentField.derived(j0f, ray_t * half.ops))
-        exact = _omega_ray_derivative(ray, half, a1, a2, ray_t, by_case)
+        ray = ChartField(space, j0f, TangentField.derived(j0f, 0.3 * half.ops))
+        exact = _omega_ray_derivative(ray, half, a1, a2, 0.3, by_case)
         r_h, r_h2 = (np.abs(fd_directional(lambda c: by_case.pairing(chart_omega_terms, c, a1, a2),
-                                          ray, half, step) - exact) for step in (h, h / 2.0))
+                                          ray, half, step) - exact)
+                     for step in (FD_STEP, FD_STEP / 2.0))
         worst = int(np.argmax(r_h))  # the binding case: largest r_h, a NaN first
         factor = r_h[worst] / r_h2[worst] if r_h2[worst] > 0.0 else float("inf")
+        window = (2.5, 6.0)  # about 4, the factor of an order-2 stencil
         subs += [_sub(f"terms_dim{dim}", max_abs([t0, t1, t2, s0, s1, s2]), tolerance),
                  _sub(f"alternating_sum_dim{dim}", max_abs([t0 - t1 + t2, s0 - s1 + s2]),
                       tolerance),
-                 _sub(f"fd_order_dim{dim}", _outside(factor, *factor_window), 0.0,
-                      factor=factor, window=factor_window)]
+                 _sub(f"fd_order_dim{dim}", _outside(factor, *window), 0.0,
+                      factor=factor, window=window)]
     return _compose("theorem2", args, subs)
 
 
 def check_geodesics(seed: int = 0, dims=(2, 4), cases: int = 3, points: int = 8,
-                    t_grid=(0.2, 0.6, 1.0), h: float = 1e-4,
-                    tolerance: float = 1e-6, chart_tolerance: float = 1e-9,
-                    t_max: float = 2.0, t_steps: int = 9,
-                    bound: float = 0.9) -> CheckReport:
-    """Geodesic equation K'' + Gamma(K', K') = 0 by central differences,
-    and chart/ambient consistency of the two geodesic descriptions."""
+                    tolerance: float = 1e-6, t_max: float = 2.0, t_steps: int = 9) -> CheckReport:
+    """Geodesic equation K'' + Gamma(K', K') = 0 by central differences at
+    t = 0.2, 0.6 and 1.0, and chart/ambient consistency of the two geodesic
+    descriptions on the grid of t_steps points on [0, t_max]."""
     args = dict(locals())
     full_grid = np.linspace(0.0, t_max, t_steps).tolist()
     subs = []
     for dim in dims:
         by_case, _, j0f = _case_space(seed, "geodesics", dim, cases, points)
-        a = random_tangent_field(by_case, j0f, bound=bound)
-        ode = [geodesic_equation_residual(a, t, h) for t in t_grid]
+        a = random_tangent_field(by_case, j0f)
+        ode = [geodesic_equation_residual(a, t) for t in (0.2, 0.6, 1.0)]
         chart = [max_abs(acs_to_cayley(j0f.ops, geodesic_ambient(j0f, a, t).ops).K
                          - geodesic_chart(a, t).ops) for t in full_grid]
         subs += [_sub(f"ode_residual_dim{dim}", max_abs(ode), tolerance),
-                 _sub(f"chart_ambient_dim{dim}", max_abs(chart), chart_tolerance)]
+                 _sub(f"chart_ambient_dim{dim}", max_abs(chart), 1e-9)]
     return _compose("geodesics", args, subs)
 
 
 def check_curvature_fd(seed: int = 0, dims=(2, 4), cases: int = 3,
-                       points: int = 8, h: float = 1e-4,
-                       tolerance: float = 1e-5, k_bound: float = 0.5,
-                       bianchi_tolerance: float = 1e-10,
-                       origin_tolerance: float = 1e-12,
-                       bound: float = 0.9) -> CheckReport:
+                       points: int = 8, tolerance: float = 1e-5) -> CheckReport:
     """Curvature as the commutator of covariant derivatives, assembled by
     finite differences of the connection, against the closed form; plus
     the exact antisymmetry, first Bianchi, and flat-origin identities.
 
-    The coordinate K is kept at spectral radius <= k_bound so the stepped
+    The coordinate K is drawn at spectral radius <= 0.5 so the stepped
     points K +- h A stay deep inside the chart.
     """
     args = dict(locals())
     subs = []
     for dim in dims:
         by_case, space, j0f = _case_space(seed, "curvature_fd", dim, cases, points)
-        k = random_tangent_field(by_case, j0f, bound=k_bound)
-        a, b, d = (random_tangent_field(by_case, j0f, bound=bound) for _ in range(3))
+        k = random_tangent_field(by_case, j0f, bound=0.5)
+        a, b, d = (random_tangent_field(by_case, j0f) for _ in range(3))
         c = ChartField(space, j0f, k)
         closed = curvature(c, a, b, d).ops
 
         def grad(direction: TangentField, x: TangentField, y: TangentField):
-            return fd_directional(lambda cc: christoffel(cc, x, y).ops, c, direction, h)
+            return fd_directional(lambda cc: christoffel(cc, x, y).ops, c, direction)
 
         term_a = grad(a, b, d) + christoffel(c, a, christoffel(c, b, d)).ops
         term_b = grad(b, a, d) + christoffel(c, b, christoffel(c, a, d)).ops
@@ -382,21 +381,14 @@ def check_curvature_fd(seed: int = 0, dims=(2, 4), cases: int = 3,
         subs += [_sub(f"fd_match_dim{dim}", max_abs(term_a - term_b - closed), tolerance),
                  _sub(f"antisymmetry_dim{dim}", max_abs(curvature(c, b, a, d).ops + closed), 0.0),
                  _sub(f"self_pair_dim{dim}", max_abs(curvature(c, a, a, d).ops), 0.0),
-                 _sub(f"bianchi_dim{dim}", max_abs(bianchi), bianchi_tolerance),
+                 _sub(f"bianchi_dim{dim}", max_abs(bianchi), 1e-10),
                  _sub(f"origin_closed_form_dim{dim}", max_abs(flat + (ab @ d.ops - d.ops @ ab)),
-                      origin_tolerance)]
+                      1e-12)]
     return _compose("curvature_fd", args, subs)
 
 
 def check_metric_structure(seed: int = 0, dims=(2, 4), cases: int = 3,
-                           points: int = 8, h: float = 1e-4,
-                           tolerance: float = 1e-6,
-                           hermitian_tolerance: float = 1e-10,
-                           omega_tolerance: float = 1e-12,
-                           chart_ambient_tolerance: float = 1e-9,
-                           compat_tolerance: float = 1e-10,
-                           k_bound: float = 0.5,
-                           bound: float = 0.9) -> CheckReport:
+                           points: int = 8, tolerance: float = 1e-6) -> CheckReport:
     """Structural identities of the metric, the complex structure and the
     2-form, in ambient and chart form, plus metric compatibility of the
     connection by finite differences (primary tolerance)."""
@@ -405,7 +397,7 @@ def check_metric_structure(seed: int = 0, dims=(2, 4), cases: int = 3,
     for dim in dims:
         by_case, space, j0f = _case_space(seed, "metric_structure", dim, cases, points)
         total = by_case.pairing
-        a, b = (random_tangent_field(by_case, j0f, bound=bound) for _ in range(2))
+        a, b = (random_tangent_field(by_case, j0f) for _ in range(2))
         ja, jb = acs_on_tangent(a, j0f), acs_on_tangent(b, j0f)
         r_herm = max_abs(total(ambient_inner_terms, j0f, ja, jb)
                          - total(ambient_inner_terms, j0f, a, b))
@@ -413,7 +405,7 @@ def check_metric_structure(seed: int = 0, dims=(2, 4), cases: int = 3,
                           - total(ambient_inner_terms, j0f, ja, b))
 
         # chart expressions against pushforwards at a random chart point
-        k = random_tangent_field(by_case, j0f, bound=bound)
+        k = random_tangent_field(by_case, j0f)
         c = ChartField(space, j0f, k)
         jkf = AcsField(space, cayley_to_acs(c.coord))
         astar, bstar = pushforward(c.coord, a.ops), pushforward(c.coord, b.ops)
@@ -424,26 +416,24 @@ def check_metric_structure(seed: int = 0, dims=(2, 4), cases: int = 3,
         r_compat = max_abs(omega - total(chart_inner_terms, c, ja, b))
 
         # connection compatibility: d_A (B,C) = (Gamma(A,B), C) + (B, Gamma(A,C))
-        kf = random_tangent_field(by_case, j0f, bound=k_bound)
+        kf = random_tangent_field(by_case, j0f, bound=0.5)
         cf = ChartField(space, j0f, kf)
-        d = random_tangent_field(by_case, j0f, bound=bound)
-        lhs = fd_directional(lambda ch: total(chart_inner_terms, ch, b, d), cf, a, h)
+        d = random_tangent_field(by_case, j0f)
+        lhs = fd_directional(lambda ch: total(chart_inner_terms, ch, b, d), cf, a)
         rhs = total(chart_inner_terms, cf, christoffel(cf, a, b), d) \
             + total(chart_inner_terms, cf, b, christoffel(cf, a, d))
         subs += [_sub(f"metric_compat_fd_dim{dim}", max_abs(lhs - rhs), tolerance),
-                 _sub(f"hermitian_dim{dim}", r_herm, hermitian_tolerance),
-                 _sub(f"omega_is_inner_dim{dim}", r_omega, omega_tolerance),
-                 _sub(f"chart_ambient_inner_dim{dim}", r_ci, chart_ambient_tolerance),
-                 _sub(f"chart_ambient_omega_dim{dim}", r_co, chart_ambient_tolerance),
-                 _sub(f"omega_compat_dim{dim}", r_compat, compat_tolerance)]
+                 _sub(f"hermitian_dim{dim}", r_herm, 1e-10),
+                 _sub(f"omega_is_inner_dim{dim}", r_omega, 1e-12),
+                 _sub(f"chart_ambient_inner_dim{dim}", r_ci, 1e-9),
+                 _sub(f"chart_ambient_omega_dim{dim}", r_co, 1e-9),
+                 _sub(f"omega_compat_dim{dim}", r_compat, 1e-10)]
     return _compose("metric_structure", args, subs)
 
 
 def check_totally_geodesic(seed: int = 0, dims=(2, 4), cases: int = 3,
                            points: int = 8, t_max: float = 2.0,
-                           t_steps: int = 9, tolerance: float = 1e-9,
-                           orthogonal_tolerance: float = 1e-10,
-                           bound: float = 0.9) -> CheckReport:
+                           t_steps: int = 9, tolerance: float = 1e-9) -> CheckReport:
     """Geodesics stay inside the two submanifolds.
 
     For a metric-symmetric initial velocity the whole geodesic remains
@@ -456,7 +446,7 @@ def check_totally_geodesic(seed: int = 0, dims=(2, 4), cases: int = 3,
     subs = []
     for dim in dims:
         by_case, space, j0f = _case_space(seed, "totally_geodesic", dim, cases, points)
-        a_sym = random_tangent_field(by_case, j0f, part="symmetric", bound=bound)
+        a_sym = random_tangent_field(by_case, j0f, part="symmetric")
         wf = standard_symplectic_field(space)
         reports = [validate_associated(geodesic_ambient(j0f, a_sym, t), wf, tol=tolerance)
                    for t in grid]
@@ -464,13 +454,13 @@ def check_totally_geodesic(seed: int = 0, dims=(2, 4), cases: int = 3,
         subs += [_sub(f"associated_invariance_dim{dim}", max_abs(res), tolerance),
                  _positivity(f"associated_positivity_dim{dim}", float(np.min(eigs)))]
         if dim >= 4:
-            a_anti = random_tangent_field(by_case, j0f, part="antisymmetric", bound=bound)
+            a_anti = random_tangent_field(by_case, j0f, part="antisymmetric")
             gf = identity_metric_field(space)
-            reports = [validate_orthogonal(geodesic_ambient(j0f, a_anti, t), gf, j0f,
-                                           tol=orthogonal_tolerance) for t in grid]
+            reports = [validate_orthogonal(geodesic_ambient(j0f, a_anti, t), gf, j0f)
+                       for t in grid]
             res, marks, refs = zip(*[(r.residuals, r.values["orientation"],
                                       r.values["reference_orientation"]) for r in reports])
-            subs += [_sub(f"orthogonal_invariance_dim{dim}", max_abs(res), orthogonal_tolerance),
+            subs += [_sub(f"orthogonal_invariance_dim{dim}", max_abs(res), 1e-10),
                      _sub(f"orientation_preserved_dim{dim}",
                           float(np.count_nonzero(np.not_equal(marks, refs))), 0.0)]
         else:
@@ -554,7 +544,7 @@ MAX_STACK_ENTRIES = 2**22
 MAX_T_STEPS = 10**6
 # The command-line flag that sets each field, named in validation messages.
 FLAGS = {"seed": "--seed", "dims": "--dim", "fd_dims": "--dim", "points": "--points",
-         "t_steps": "--t-steps", "h": "--h", "t_max": "--t-max"}
+         "t_steps": "--t-steps", "t_max": "--t-max"}
 
 
 def tolerance_flag(name: str) -> str:
@@ -583,7 +573,6 @@ class VerifyConfig:
     cases: int = 100
     fd_cases: int = 3
     points: int = 8
-    h: float = 1e-4
     t_max: float = 2.0
     t_steps: int = 9
     tolerances: dict = field(default_factory=dict)
@@ -623,10 +612,6 @@ class VerifyConfig:
         if self.t_steps > MAX_T_STEPS:
             raise ConfigError(f"{_named('t_steps')} must be at most {MAX_T_STEPS}, "
                               f"got {self.t_steps}")
-        _require_positive("h", self.h)
-        least = math.sqrt(np.finfo(float).tiny)  # the least h whose square is a normal float
-        if self.h < least:
-            raise ConfigError(f"{_named('h')} must be at least {least!r}, got {self.h!r}")
         _require_positive("t_max", self.t_max)
         for name, tol in self.tolerances.items():
             if name not in checks:

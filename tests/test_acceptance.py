@@ -42,10 +42,16 @@ def subs_by_prefix(report, prefix):
     return picked
 
 
+def held_to(report, **stated):
+    """Whether each sub-check named by a prefix in ``stated`` is held to the
+    stated tolerance: the checkers fix their sub-tolerances themselves."""
+    return all({s["tolerance"] for s in subs_by_prefix(report, prefix)} == {tol}
+               for prefix, tol in stated.items())
+
+
 def test_01_cayley_bijection():
-    rep = check_cayley(seed=0, dims=(2, 4, 6), cases=100,
-                       tolerance=1e-9, acs_tolerance=1e-10)
-    ok = rep.passed
+    rep = check_cayley(seed=0, dims=(2, 4, 6), cases=100, tolerance=1e-9)
+    ok = rep.passed and held_to(rep, roundtrip_dim=1e-9, acs_identity_dim=1e-10)
     scorecard(1, "Cayley round-trip <= 1e-9 and J^2 = -Id <= 1e-10 "
                  "over 100 draws per dim in {2, 4, 6}",
               ok, f"max_residual={rep.max_residual:.3g}")
@@ -62,12 +68,12 @@ def test_02_pushforward_intertwines():
 
 
 def test_03_fundamental_form_closed():
-    rep = check_theorem2(seed=0, dims=(2, 4), h=1e-4, tolerance=1e-6,
-                         factor_window=(2.5, 6.0))
+    rep = check_theorem2(seed=0, dims=(2, 4), tolerance=1e-6)
     terms_ok = all(s["passed"] for s in subs_by_prefix(rep, "terms_dim"))
-    factors = [s["factor"] for s in subs_by_prefix(rep, "fd_order_dim")]
-    order_ok = all(2.5 <= f <= 6.0 for f in factors)
-    ok = rep.passed and terms_ok and order_ok
+    order = subs_by_prefix(rep, "fd_order_dim")
+    factors = [s["factor"] for s in order]
+    order_ok = all(2.5 <= f <= 6.0 and s["window"] == [2.5, 6.0] for s, f in zip(order, factors))
+    ok = rep.passed and terms_ok and order_ok and held_to(rep, terms_dim=1e-6)
     scorecard(3, "every d-omega finite-difference term <= 1e-6 at the chart "
                  "center, original and recentered, with halving factor in "
                  "[2.5, 6]",
@@ -76,9 +82,9 @@ def test_03_fundamental_form_closed():
 
 
 def test_04_curvature_tensor():
-    rep = check_curvature_fd(seed=0, dims=(2, 4), tolerance=1e-5,
-                             k_bound=0.5, bianchi_tolerance=1e-10,
-                             origin_tolerance=1e-12)
+    rep = check_curvature_fd(seed=0, dims=(2, 4), tolerance=1e-5)
+    stated = held_to(rep, fd_match_dim=1e-5, antisymmetry_dim=0.0, bianchi_dim=1e-10,
+                     origin_closed_form_dim=1e-12)
 
     # hand-checked value at the chart origin in dim 2
     space = SampleSpace(2, np.ones(1))
@@ -88,7 +94,7 @@ def test_04_curvature_tensor():
     b = TangentField(space, j0, np.array([[[0.0, 1.0], [1.0, 0.0]]]))
     r = curvature(c, a, b, b)
     hand = max_abs(r.ops[0] - np.diag([-4.0, 4.0]))
-    ok = rep.passed and hand < 1e-13
+    ok = rep.passed and stated and hand < 1e-13
     scorecard(4, "finite-difference second derivatives match the closed-form "
                  "curvature <= 1e-5, antisymmetry exact, Bianchi <= 1e-10, "
                  "flat-origin commutator <= 1e-12, hand case R(A,B)B = "
@@ -98,12 +104,10 @@ def test_04_curvature_tensor():
 
 
 def test_05_geodesics():
-    rep = check_geodesics(seed=0, dims=(2, 4), t_grid=(0.2, 0.6, 1.0),
-                          h=1e-4, tolerance=1e-6, chart_tolerance=1e-9,
-                          t_max=2.0, t_steps=9)
+    rep = check_geodesics(seed=0, dims=(2, 4), tolerance=1e-6, t_max=2.0, t_steps=9)
     ode = max(s["residual"] for s in subs_by_prefix(rep, "ode_residual_dim"))
     chart = max(s["residual"] for s in subs_by_prefix(rep, "chart_ambient_dim"))
-    ok = rep.passed
+    ok = rep.passed and held_to(rep, ode_residual_dim=1e-6, chart_ambient_dim=1e-9)
     scorecard(5, "geodesic-equation residual <= 1e-6 at t in {0.2, 0.6, 1.0} "
                  "and chart/ambient agreement <= 1e-9 on the 9-point grid",
               ok, f"ode={ode:.3g}, chart={chart:.3g}")
@@ -111,10 +115,7 @@ def test_05_geodesics():
 
 
 def test_06_metric_structure():
-    rep = check_metric_structure(seed=0, dims=(2, 4), tolerance=1e-6,
-                                 hermitian_tolerance=1e-10,
-                                 omega_tolerance=1e-12,
-                                 chart_ambient_tolerance=1e-9)
+    rep = check_metric_structure(seed=0, dims=(2, 4), tolerance=1e-6)
     worst = {
         "hermitian": max(s["residual"]
                          for s in subs_by_prefix(rep, "hermitian_dim")),
@@ -127,7 +128,9 @@ def test_06_metric_structure():
         "compat_fd": max(s["residual"]
                          for s in subs_by_prefix(rep, "metric_compat_fd_dim")),
     }
-    ok = rep.passed
+    ok = rep.passed and held_to(rep, hermitian_dim=1e-10, omega_is_inner_dim=1e-12,
+                                chart_ambient_inner_dim=1e-9, chart_ambient_omega_dim=1e-9,
+                                metric_compat_fd_dim=1e-6)
     scorecard(6, "Hermitian invariance <= 1e-10, omega = (JA, B) <= 1e-12, "
                  "chart/ambient inner and omega <= 1e-9, metric "
                  "compatibility FD <= 1e-6",
@@ -150,10 +153,10 @@ def test_07_signature_split():
 
 
 def test_08_totally_geodesic_submanifolds():
-    rep = check_totally_geodesic(seed=0, dims=(2, 4), t_max=2.0, t_steps=9,
-                                 tolerance=1e-9, orthogonal_tolerance=1e-10)
+    rep = check_totally_geodesic(seed=0, dims=(2, 4), t_max=2.0, t_steps=9, tolerance=1e-9)
     names = {s["name"] for s in rep.details}
     ok = (rep.passed
+          and held_to(rep, associated_invariance_dim=1e-9, orthogonal_invariance_dim=1e-10)
           and "associated_invariance_dim2" in names
           and "associated_invariance_dim4" in names
           and "orthogonal_invariance_dim4" in names

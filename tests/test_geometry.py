@@ -373,7 +373,7 @@ class TestDerivedTangents:
         christoffel(c, a, b)
         curvature(c, a, b, a)
         geodesic_chart(a, 0.5)
-        verify.geodesic_equation_residual(a, 0.5, 1e-4)
+        verify.geodesic_equation_residual(a, 0.5)
         assert checks["checks"] == 0
         # theorem2 builds its ray from a draw; only the draws are checked
         verify.check_theorem2(dims=(2,), cases=1, points=2)
