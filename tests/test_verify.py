@@ -155,6 +155,17 @@ class TestCheckers:
         full = by_name["full_indefinite_dim4"]
         assert full["min_eig"] < -1e-10 < 1e-10 < full["max_eig"]
 
+    def test_every_checker_reports_step_and_tolerance(self):
+        # the difference checkers report their tolerance in params; their
+        # step is the one method constant FD_STEP, so no report echoes it
+        step = inspect.signature(verify.fd_directional).parameters["h"].default
+        assert step == verify.FD_STEP == 1e-4
+        for check in (check_theorem2, check_geodesics, check_curvature_fd,
+                      check_metric_structure):
+            r = check(dims=(2,), cases=1, points=2)
+            assert "tolerance" in r.params and "h" not in r.params, r.name
+            assert "h" not in inspect.signature(check).parameters, r.name
+
     def test_deterministic(self):
         a = check_cayley(dims=(2,), cases=5)
         b = check_cayley(dims=(2,), cases=5)
