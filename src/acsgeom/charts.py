@@ -5,9 +5,11 @@ sends K to J0 (1 + K)(1 - K)^{-1}; it is a diffeomorphism onto the set of
 structures J for which 1 - J J0 is invertible, and its inverse is
 K = (1 - J J0)^{-1} (1 + J J0).  The exponential map J0 exp(t A) is the
 geodesic :func:`acsgeom.geometry.geodesic_ambient`.  A chart point is a
-:class:`CayleyCoordinate`: it alone decides the chart domain, by inverting
-1 - K through the guarded inversion once at construction, and it holds that
-inverse for the chart map and its differential to share.
+:class:`CayleyCoordinate`: it alone decides the chart domain, by one guarded
+inversion at construction, and it holds (1 - K)^{-1} for the chart map and
+its differential to share.  That inversion is of 1 - K, or, for the chart
+fields of the geometry module, of 1 - K^2, from which (1 - K)^{-1} =
+(1 + K)(1 - K^2)^{-1} follows with one matmul.
 Every map takes a single matrix or a (points, n, n) stack and acts on each
 fiber independently; field-level wrappers live in the structures and
 geometry modules.
@@ -20,7 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AnticommutationViolation, DimensionMismatch, InvalidStructure
-from .fiber import FiberMetric, as_fiber_matrix, g_adjoint, mat_inv_guarded, max_abs
+from .fiber import (FiberMetric, as_fiber_matrix, g_adjoint, guard_inverse, mat_inv,
+                    mat_inv_guarded, max_abs)
 
 # Tolerance of the chart domain checks; caller-made tangents meet it too.
 COORD_TOL = 1e-10
@@ -58,15 +61,28 @@ class CayleyCoordinate:
     """Points of the rational chart: base structure plus coordinate K,
     single matrices or (points, n, n) stacks of the same shape.
 
-    Construction checks the chart domain at every point: J0^2 = -1, K
-    anticommutes with J0, and 1 - K passes :func:`mat_inv_guarded`.  The
-    inverse that guard returns is kept as ``resolvent``, the read-only
-    (1 - K)^{-1} that the chart map and its differential share.
+    Construction checks the chart domain at every point, in this order:
+    J0^2 = -1, K anticommutes with J0, and 1 - K passes
+    :func:`guard_inverse`.  The inverse that guard reads is kept as
+    ``resolvent``, the read-only (1 - K)^{-1} that the chart map and its
+    differential share; by default it is solved for.
+
+    With ``via_square=True`` the coordinate inverts 1 - K^2 instead, once,
+    and derives resolvent = (1 + K)(1 - K^2)^{-1}.  That is exact for any
+    K, since 1 + K and 1 - K commute; no identity of J0 is used.  Its
+    rounding error is about eps kappa(1 - K^2) ||1 + K|| ||(1 - K^2)^{-1}||,
+    against eps kappa(1 - K) ||(1 - K)^{-1}|| for the solve; both are of
+    order eps when 1 - K^2 is well conditioned.  After the guard of 1 - K,
+    1 - K^2 passes :func:`guard_inverse` too, and its inverse is kept as the
+    read-only ``square_resolvent`` (None by default).
     """
 
     base: np.ndarray
     K: np.ndarray
+    via_square: bool = field(default=False, repr=False, compare=False)
     resolvent: np.ndarray = field(init=False, repr=False, compare=False)
+    square_resolvent: np.ndarray | None = field(init=False, default=None, repr=False,
+                                                compare=False)
 
     def __post_init__(self):
         j0 = as_fiber_matrix(self.base)
@@ -77,7 +93,19 @@ class CayleyCoordinate:
         if max_abs(k @ j0 + j0 @ k) > COORD_TOL:
             raise AnticommutationViolation(
                 "coordinate does not anticommute with the base structure")
-        resolvent = mat_inv_guarded(eye - k)
+        if self.via_square:
+            with np.errstate(over="ignore"):
+                square = eye - k @ k
+            if not np.isfinite(square).all():  # refused as non-finite, after 1 - K's guard
+                mat_inv_guarded(eye - k)
+                as_fiber_matrix(square)
+            inv = mat_inv(square)
+            resolvent = guard_inverse(eye - k, (eye + k) @ inv)
+            inv = guard_inverse(square, inv)
+            inv.flags.writeable = False
+            object.__setattr__(self, "square_resolvent", inv)
+        else:
+            resolvent = mat_inv_guarded(eye - k)
         resolvent.flags.writeable = False
         object.__setattr__(self, "base", j0)
         object.__setattr__(self, "K", k)

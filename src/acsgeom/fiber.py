@@ -6,23 +6,27 @@ scaled matrix, and adjoints with respect to a fiber metric.  Each kernel
 takes a (..., n, n) stack, one matrix per fiber (a single matrix is the
 (n, n) case), and gives each slice the bits of that slice alone.
 Operands are assumed unit-scale (norms of order one); the default
-tolerances used by callers are calibrated for that regime.  The guarded
-inversion reads kappa_F from the inverse it returns: no SVD, and up to n
-times tighter than kappa_2.  ``SymplecticField`` tests nondegeneracy
-against the same cap with ``np.linalg.cond``, one SVD per point.
+tolerances used by callers are calibrated for that regime.  The guard
+(:func:`guard_inverse`) reads kappa_F from an inverse it is given, solved
+or derived in closed form: no SVD, and up to n times tighter than
+kappa_2.  ``SymplecticField`` tests nondegeneracy against the same cap
+with ``np.linalg.cond``, one SVD per point.  A :class:`FiberMetric`
+inverts itself once, on first use, and every metric adjoint reads that.
 
 The exponentials need numpy only: one scaling-and-squaring Pade-13
 (Higham 2005) runs over a whole stack, with one stacked solve and masked,
 stacked squarings.  ``mat_tanh_half`` builds the polynomial once for both
 signs of its exponent, which share the scaling and swap the approximant's
-numerator and denominator.  The package imports no scipy.  An exponential
-whose norm or result is not finite raises :class:`NonFiniteValue` without
-a numpy warning.
+numerator and denominator; where no squaring is needed it takes the
+quotient from those two parts, with no exponential and only the guarded
+solve.  The package imports no scipy.  An exponential whose norm or result
+is not finite raises :class:`NonFiniteValue` without a numpy warning.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -54,7 +58,9 @@ def max_abs(a) -> float:
 @dataclass(frozen=True)
 class FiberMetric:
     """Symmetric positive-definite inner products: one matrix, or a
-    (points, n, n) stack with one per fiber."""
+    (points, n, n) stack with one per fiber.  Its inverse, which every
+    metric adjoint reads, is computed on first use and kept (so a metric
+    that is only loaded or validated pays no inversion)."""
 
     matrix: np.ndarray
 
@@ -71,28 +77,30 @@ class FiberMetric:
     def dim(self) -> int:
         return self.matrix.shape[-1]
 
+    @cached_property
+    def inverse(self) -> np.ndarray:
+        """G^{-1} per fiber, read-only; one stacked solve, on first use."""
+        inv = mat_inv(self.matrix)
+        inv.flags.writeable = False
+        return inv
+
     @classmethod
     def identity(cls, dim: int) -> "FiberMetric":
         return cls(np.eye(dim))
 
 
-def mat_inv_guarded(a) -> np.ndarray:
-    """Invert every matrix of a stack, refusing ill-conditioned input.
+def guard_inverse(m: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """Return ``inv``, the inverse of every matrix of the stack ``m``,
+    unless some slice is ill-conditioned.
 
-    Each slice is solved first; its condition is then read from that same
-    inverse as kappa_F = ||M||_F ||M^{-1}||_F, which bounds the 2-norm
-    condition number from above (kappa_2 <= kappa_F <= n kappa_2), so it
-    costs no SVD and refuses at most n times more than kappa_2 would.  If
-    any estimate is above ``DEFAULT_COND_CAP`` or not finite (an overflow
-    reads as inf), :class:`SingularOperator` names the largest instead of
-    returning garbage.  Chart operations rely on this guard to surface
-    domain violations (1 - K close to singular) as errors rather than noise.
+    The condition of each slice is read as kappa_F = ||M||_F ||M^{-1}||_F,
+    which bounds the 2-norm condition number from above (kappa_2 <= kappa_F
+    <= n kappa_2), so it costs no SVD and refuses at most n times more than
+    kappa_2 would.  If any estimate is above ``DEFAULT_COND_CAP`` or not
+    finite (an overflow reads as inf), :class:`SingularOperator` names the
+    largest instead of returning garbage.  ``inv`` may come from a solve of
+    ``m`` or from a closed form; the rule is the same.
     """
-    m = as_fiber_matrix(a)
-    try:
-        inv = np.linalg.solve(m, np.eye(m.shape[-1]))
-    except np.linalg.LinAlgError as exc:  # exactly singular
-        raise SingularOperator(str(exc)) from None
     # rescaled by each slice's largest entry, so no square leaves the range
     scale = np.max(np.abs(m), axis=(-2, -1), keepdims=True)
     with np.errstate(over="ignore"):
@@ -101,6 +109,26 @@ def mat_inv_guarded(a) -> np.ndarray:
         raise SingularOperator(
             f"condition estimate {np.max(cond):.6e} exceeds cap {DEFAULT_COND_CAP:.6e}")
     return inv
+
+
+def mat_inv(m: np.ndarray) -> np.ndarray:
+    """Inverse of every matrix of a float64 stack, in one stacked solve and
+    unguarded: a caller passes it to :func:`guard_inverse`, at once or after
+    a refusal that must come first.  An exactly singular slice raises
+    :class:`SingularOperator`."""
+    try:
+        return np.linalg.solve(m, np.eye(m.shape[-1]))
+    except np.linalg.LinAlgError as exc:
+        raise SingularOperator(str(exc)) from None
+
+
+def mat_inv_guarded(a) -> np.ndarray:
+    """Invert every matrix of a stack, refusing ill-conditioned input: the
+    inverse of :func:`mat_inv` passes :func:`guard_inverse`.  Chart
+    operations rely on this guard to surface domain violations (1 - K close
+    to singular) as errors rather than noise."""
+    m = as_fiber_matrix(a)
+    return guard_inverse(m, mat_inv(m))
 
 
 # Pade-13 coefficients b_0 .. b_13 and the 1-norm up to which the
@@ -144,12 +172,12 @@ def _pade_13(a: np.ndarray):
 def _expm(a, diagonal, squarings, num, den) -> np.ndarray:
     """exp of every slice of a (k, n, n) stack from its :func:`_pade_13`
     parts.  Diagonal slices take ``np.exp`` of their diagonals, so a zero
-    slice gives the identity exactly; the others solve den r = num in one
-    stacked solve and are squared back, every slice with s > k in one
+    slice gives the identity exactly; the others, if any, solve den r = num
+    in one stacked solve and are squared back, every slice with s > k in one
     matmul at step k.  A non-finite result raises :class:`NonFiniteValue`."""
     out = np.zeros(a.shape)
     np.einsum("kii->ki", out)[diagonal] = np.exp(np.einsum("kii->ki", a)[diagonal])
-    r = np.linalg.solve(den, num)
+    r = np.linalg.solve(den, num) if len(num) else num
     for step in range(squarings.max(initial=0)):
         todo = squarings > step
         r[todo] = r[todo] @ r[todo]
@@ -168,31 +196,50 @@ def mat_exp(a) -> np.ndarray:
 
 
 def mat_tanh_half(a, t: float) -> np.ndarray:
-    """tanh((t/2) a), computed as the quotient of exponentials.
+    """tanh((t/2) a), the quotient (e + f)^{-1} (e - f) of e = exp(h) and
+    f = exp(-h), h = t a / 2, in one guarded inversion over the stack.
 
-    Returns (e + f)^{-1} (e - f) with e = exp(h) and f = exp(-h), h = t a / 2.
-    Both come from one Pade polynomial: -h shares the scaling of h, with
-    numerator and denominator swapped, so one stacked solve and one run of
-    squarings over the doubled stack give e and f with the bits of two
-    :func:`mat_exp` calls.  Swapping the signs swaps e and f, so tanh is
-    odd in t bit for bit and t = 0 gives exactly 0.  The cosh factor e + f
-    can only degenerate when the spectrum of h approaches an odd multiple
-    of i pi / 2; a failed inversion surfaces as :class:`SingularOperator`.
+    Both exponentials come from one Pade polynomial: -h shares the scaling
+    of h, with numerator N and denominator D swapped.  Where h needs no
+    squaring (s = 0), e = D^{-1} N and f = N^{-1} D commute, so the quotient
+    is (N^2 + D^2)^{-1} (N^2 - D^2): two matmuls and no exponential.  Its
+    guard reads kappa_F(N^2 + D^2); N^2 + D^2 = D N (e + f), so that differs
+    from kappa_F(e + f) by at most a factor kappa(D N).  D N = V^2 - U^2 is
+    close to a multiple of the identity: kappa(D N) stayed below 1.5 over
+    900 random h with ||h||_1 at theta_13, dims 2 to 8.  Diagonal slices and slices with s > 0 take e and
+    f from one stacked solve and one run of squarings over their doubled
+    stack, with the bits of two :func:`mat_exp` calls.  Swapping the signs
+    swaps N and D, and e and f, so tanh is odd in t bit for bit, and t = 0
+    gives exactly 0.  The cosh factor can only degenerate when the spectrum
+    of h approaches an odd multiple of i pi / 2; a failed inversion
+    surfaces as :class:`SingularOperator`.
     """
     m = as_fiber_matrix(a)
     with np.errstate(invalid="ignore"):  # inf * 0 is refused by _pade_13
         h = (0.5 * float(t)) * m.reshape(-1, m.shape[-1], m.shape[-1])
     diagonal, squarings, num, den = _pade_13(h)
-    e, f = np.split(_expm(np.concatenate([h, -h]), np.tile(diagonal, 2), np.tile(squarings, 2),
-                          np.concatenate([num, den]), np.concatenate([den, num])), 2)
-    return (mat_inv_guarded(e + f) @ (e - f)).reshape(m.shape)
+    cosh, sinh = np.empty_like(h), np.empty_like(h)
+    unscaled = squarings == 0
+    quotient = np.zeros_like(diagonal)  # the slices that take (N^2 + D^2)^{-1} (N^2 - D^2)
+    quotient[~diagonal] = unscaled
+    x, y = num[unscaled], den[unscaled]
+    n2, d2 = x @ x, y @ y
+    cosh[quotient], sinh[quotient] = n2 + d2, n2 - d2
+    if not quotient.all():
+        rest, x, y = h[~quotient], num[~unscaled], den[~unscaled]
+        e, f = np.split(_expm(np.concatenate([rest, -rest]), np.tile(diagonal[~quotient], 2),
+                              np.tile(squarings[~unscaled], 2), np.concatenate([x, y]),
+                              np.concatenate([y, x])), 2)
+        cosh[~quotient], sinh[~quotient] = e + f, e - f
+    return (mat_inv_guarded(cosh) @ sinh).reshape(m.shape)
 
 
 def g_adjoint(a, g: FiberMetric) -> np.ndarray:
-    """Adjoint of ``a`` with respect to the fiber metric: G^{-1} a^T G,
-    slice by slice; a single metric matrix serves a whole stack."""
+    """Adjoint of ``a`` with respect to the fiber metric: G^{-1} (a^T G),
+    slice by slice, from the metric's kept inverse, so no call solves;
+    a single metric matrix serves a whole stack."""
     m = as_fiber_matrix(a)
     if m.shape[-1] != g.dim:
         raise DimensionMismatch(
             f"operand dimension {m.shape[-1]} does not match metric dimension {g.dim}")
-    return np.linalg.solve(g.matrix, m.mT @ g.matrix)
+    return g.inverse @ (m.mT @ g.matrix)

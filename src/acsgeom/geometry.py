@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .charts import CayleyCoordinate
-from .fiber import mat_inv_guarded, mat_tanh_half, mat_exp
+from .fiber import mat_tanh_half, mat_exp
 from .structures import AcsField, SampleSpace, TangentField, same_space
 
 
@@ -28,29 +28,25 @@ class ChartField:
     a coordinate field K.
 
     Construction builds ``coord``, the :class:`CayleyCoordinate` of the
-    stacks, which checks the chart domain at every point at once, then
-    computes the guarded resolvents (1 - K^2)^{-1} that every chart
-    functional reads.
+    stacks with ``via_square=True``, which checks the chart domain at every
+    point at once and inverts 1 - K^2 only: the guarded resolvents
+    (1 - K^2)^{-1} that every chart functional reads, and the chart
+    resolvent (1 - K)^{-1} = (1 + K)(1 - K^2)^{-1} derived from them.
     """
 
     space: SampleSpace
     base: AcsField
     K: TangentField
     coord: CayleyCoordinate = field(init=False, repr=False, compare=False)
-    _resolvents: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         same_space(self, self.base, self.K)
-        object.__setattr__(self, "coord", CayleyCoordinate(self.base.ops, self.K.ops))
-        k = self.K.ops
-        with np.errstate(over="ignore"):  # an overflowing K^2 is refused as non-finite
-            res = mat_inv_guarded(np.eye(self.space.dim) - k @ k)
-        res.flags.writeable = False
-        object.__setattr__(self, "_resolvents", res)
+        object.__setattr__(self, "coord",
+                           CayleyCoordinate(self.base.ops, self.K.ops, via_square=True))
 
     def resolvents(self) -> np.ndarray:
         """(1 - K^2)^{-1} per point, guarded; computed once, read-only."""
-        return self._resolvents
+        return self.coord.square_resolvent
 
 
 def chart_origin(j: AcsField) -> ChartField:

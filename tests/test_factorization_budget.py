@@ -1,0 +1,63 @@
+"""The number of LAPACK factorizations in one chart op is pinned.
+
+The op is the one the ``field_1000`` benchmark workload repeats, on 16
+points instead of 1000: the chart geodesic K(t), the chart field at K(t)
+with its connection, curvature, pairing and 2-form, and two ambient
+geodesics with their validators.  Its cost is dominated by stacked
+factorizations, so a change that adds one has to change this count.
+"""
+
+import numpy as np
+import pytest
+
+from acsgeom import geometry as ge
+from acsgeom import structures as st
+
+FACTORIZATIONS = ("solve", "inv", "svd", "eigvalsh")
+# per op, once every metric has kept its inverse: the guarded tanh
+# quotient, the guarded (1 - K^2)^{-1} of the chart field, and one Pade
+# solve per ambient exponential; the eigenvalues are validate_associated's
+BUDGET = {"solve": 4, "inv": 0, "svd": 0, "eigvalsh": 1}
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    counts = dict.fromkeys(FACTORIZATIONS, 0)
+
+    def counting(name, original):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+        return call
+
+    for name in FACTORIZATIONS:
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    return counts
+
+
+def chart_op(fields, t):
+    space, j0, a, b, a_sym, a_anti, w, g = fields
+    kt = ge.geodesic_chart(a, t)
+    c = ge.ChartField(space, j0, kt)
+    ge.christoffel(c, a, b)
+    ge.curvature(c, a, b, b)
+    ge.chart_inner(c, a, b)
+    ge.chart_omega(c, a, b)
+    assoc = st.validate_associated(ge.geodesic_ambient(j0, a_sym, t), w)
+    orth = st.validate_orthogonal(ge.geodesic_ambient(j0, a_anti, t), g, j0)
+    return assoc.passed and orth.passed
+
+
+def test_warmed_chart_op_keeps_its_factorization_budget(counted):
+    rng = np.random.default_rng(0)
+    space = st.random_sample_space(rng, 4, 16)
+    j0 = st.standard_acs_field(space)
+    a, b = st.random_tangent_field(rng, j0), st.random_tangent_field(rng, j0)
+    a_sym = st.random_tangent_field(rng, j0, part="symmetric")
+    a_anti = st.random_tangent_field(rng, j0, part="antisymmetric")
+    fields = (space, j0, a, b, a_sym, a_anti, st.standard_symplectic_field(space),
+              st.identity_metric_field(space))
+    assert chart_op(fields, 2.0)  # warm-up: the metric of the validator keeps its inverse
+    counted.update(dict.fromkeys(FACTORIZATIONS, 0))
+    assert chart_op(fields, 1.5)
+    assert counted == BUDGET

@@ -192,6 +192,25 @@ class TestGAdjoint:
         with pytest.raises(DimensionMismatch):
             g_adjoint(np.eye(4), FiberMetric.identity(2))
 
+    def test_metric_inverts_once_on_first_use(self, monkeypatch):
+        calls, original = [], np.linalg.solve
+
+        def solve(a, b):
+            calls.append(np.shape(a))
+            return original(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        g = FiberMetric(near_identity_stack(4, 4) @ near_identity_stack(4, 4).mT)
+        assert calls == []  # a metric that is only validated pays no inversion
+        a = near_identity_stack(5, 4)
+        sharp = g_adjoint(a, g)
+        assert np.array_equal(g_adjoint(a, g), sharp)
+        assert calls == [(7, 4, 4)]
+        assert g.inverse is g.inverse and not g.inverse.flags.writeable
+        # G^{-1} (a^T G) against the solve of G x = a^T G
+        want = original(g.matrix, a.mT @ g.matrix)
+        assert (relative_error(sharp, want) <= 1e-14).all()
+
 
 def near_identity_stack(seed, dim, points=7, scale=0.4):
     rng = np.random.default_rng(seed)
@@ -274,19 +293,29 @@ class TestStacks:
         with pytest.raises(NonFiniteValue, match="matrix exponential entries must be finite"):
             mat_tanh_half(a, math.inf)
 
-    # the quotient of two mat_exp calls, one per sign, is the oracle bit for
-    # bit; at scale 5 some slices of h are squared before the quotient
+    # the quotient of two mat_exp calls, one per sign, is the oracle: bit for
+    # bit on diagonal slices and on slices squared before the quotient (at
+    # scale 5 some are), and within the 1e-14 of the scipy test above on the
+    # slices whose quotient comes from the Pade parts alone
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("scale", [1e-3, 0.1, 1.0, 5.0])
     @pytest.mark.parametrize("dim", [2, 4, 6, 8])
     def test_mat_tanh_half_is_the_quotient_of_exponentials(self, dim, scale):
         a = mixed_stack(8, dim, scale)
+        diagonal = (a * (1.0 - np.eye(dim)) == 0.0).all(axis=(-2, -1))
         for t in (0.0, 0.5, -0.5, 2.0, -2.0):
             h = 0.5 * t * a
+            squared = np.abs(h).sum(axis=-2).max(axis=-1) > THETA_13
             if scale == 5.0 and abs(t) == 2.0:
-                assert (np.abs(h).sum(axis=-2).max(axis=-1) > THETA_13).any()
+                assert squared.any() and not squared.all()
             e, f = mat_exp(h), mat_exp(-h)
-            assert np.array_equal(mat_tanh_half(a, t), mat_inv_guarded(e + f) @ (e - f))
+            want = mat_inv_guarded(e + f) @ (e - f)
+            got = mat_tanh_half(a, t)
+            exact = diagonal | squared
+            assert np.array_equal(got[exact], want[exact])
+            assert (relative_error(got, want, floor=1.0) <= 1e-14).all()
+            assert np.array_equal(mat_tanh_half(a, -t), -got)
+        assert np.array_equal(mat_tanh_half(a, 0.0), np.zeros_like(a))
         with pytest.raises(NonFiniteValue, match="matrix exponential entries must be finite"):
             mat_tanh_half(a, math.inf)
 
@@ -299,9 +328,16 @@ class TestStacks:
 
         monkeypatch.setattr(np.linalg, "solve", solve)
         mat_tanh_half(mixed_stack(9, 4, 1.0), 2.0)
-        # the Pade solve of the 6 non-diagonal slices at both signs, then the
-        # guard's inversion of the 10 cosh factors
-        assert shapes == [(12, 4, 4), (10, 4, 4)]
+        # no slice is squared: only the guard's inversion of the 10 cosh
+        # factors, four of them diagonal
+        assert shapes == [(10, 4, 4)]
+        shapes.clear()
+        a = mixed_stack(9, 4, 5.0)
+        squared = int((np.abs(a).sum(axis=-2).max(axis=-1) > THETA_13).sum())
+        assert squared > 0
+        mat_tanh_half(a, 2.0)
+        # the Pade solve of the squared slices at both signs, then the guard's
+        assert shapes == [(2 * squared, 4, 4), (10, 4, 4)]
 
     @pytest.mark.parametrize("dim", [2, 4, 6, 8])
     def test_mat_tanh_half(self, dim):

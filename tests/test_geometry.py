@@ -8,15 +8,16 @@ import pytest
 from numpy.testing import assert_allclose
 
 from acsgeom import verify
-from acsgeom.charts import CayleyCoordinate, acs_to_cayley, standard_acs
+from acsgeom.charts import CayleyCoordinate, acs_to_cayley, random_anticommuting, standard_acs
 from acsgeom.errors import (
     AnticommutationViolation,
     DimensionMismatch,
     GeometryError,
     InvalidStructure,
+    NonFiniteValue,
     SingularOperator,
 )
-from acsgeom.fiber import mat_exp, max_abs
+from acsgeom.fiber import mat_exp, mat_inv_guarded, max_abs
 from acsgeom.geometry import (
     ChartField,
     acs_on_tangent,
@@ -133,6 +134,102 @@ class TestChartField:
         b = TangentField(s2, j2, np.tile(A_DIAG, (2, 1, 1)))
         with pytest.raises(DimensionMismatch):
             chart_inner(chart_origin(j1), a, b)
+
+
+def one_point_field(base, k):
+    """A chart field at one point; K is not checked, so the chart's own
+    domain checks are the first to see it."""
+    space = SampleSpace(base.shape[-1], np.ones(1))
+    j = AcsField(space, base[None])
+    return space, j, TangentField.derived(j, np.asarray(k, dtype=float)[None])
+
+
+def refusal(make):
+    """(class, message) of the error ``make()`` raises."""
+    with pytest.raises(GeometryError) as info:
+        make()
+    return type(info.value), str(info.value)
+
+
+class TestChartFieldResolvents:
+    """A chart field inverts 1 - K^2 once and derives (1 - K)^{-1} from it."""
+
+    # J0 = P J_std P^{-1}, non-orthogonal for conjugated=True
+    @pytest.mark.parametrize("conjugated", [False, True])
+    @pytest.mark.parametrize("dim", [2, 4, 6])
+    def test_derived_resolvent_is_the_direct_inverse(self, dim, conjugated):
+        rng = np.random.default_rng(dim)
+        p = np.eye(dim) + (0.3 * rng.uniform(-1.0, 1.0, (dim, dim)) if conjugated else 0.0)
+        j0 = p @ standard_acs(dim) @ np.linalg.inv(p)
+        space = SampleSpace(dim, np.ones(64))
+        j = AcsField(space, np.tile(j0, (64, 1, 1)))
+        # K = P K_std P^{-1}, spectral radius up to 0.999 for the last draws
+        k_std = np.concatenate([random_anticommuting(rng, np.tile(standard_acs(dim), (16, 1, 1)),
+                                                     bound=b) for b in (0.5, 0.9, 0.99, 0.999)])
+        k = TangentField.derived(j, p @ k_std @ np.linalg.inv(p))
+        c = ChartField(space, j, k)
+        eye = np.eye(dim)
+        direct, s = mat_inv_guarded(eye - k.ops), c.resolvents()
+        # each inverse is within n eps kappa_F of the exact one, so the two
+        # differ by at most the sum of the derived route's bound
+        # (kappa_F(1 - K^2) ||1 + K||_F ||S||_F, from S and the product) and
+        # the direct one's (kappa_F(1 - K) ||(1 - K)^{-1}||_F)
+        norm = lambda m: np.linalg.norm(m, axis=(-2, -1))
+        bound = dim * np.finfo(float).eps * (
+            norm(eye - k.ops @ k.ops) * norm(s) * norm(eye + k.ops) * norm(s)
+            + norm(eye - k.ops) * norm(direct) * norm(direct))
+        assert (norm(c.coord.resolvent - direct) <= bound).all()
+        assert not c.coord.resolvent.flags.writeable
+        assert np.array_equal(s, mat_inv_guarded(eye - k.ops @ k.ops))
+
+    def test_functionals_read_the_guarded_inverse_of_1_minus_k2(self):
+        rng = np.random.default_rng(3)
+        space = random_sample_space(rng, 4, 8)
+        j = standard_acs_field(space)
+        k, a, b, d = (random_tangent_field(rng, j) for _ in range(4))
+        c = ChartField(space, j, k)
+        s = mat_inv_guarded(np.eye(4) - k.ops @ k.ops)
+        # the same chart point with the resolvents inverted directly
+        direct = dataclasses.replace(c)
+        object.__setattr__(direct, "resolvents", lambda: s)
+        assert direct.resolvents() is s and c.resolvents() is not s
+        for f, args in ((christoffel, (a, b)), (curvature, (a, b, d))):
+            assert np.array_equal(f(c, *args).ops, f(direct, *args).ops)
+        for f in (chart_inner, chart_omega):
+            assert f(c, a, b) == f(direct, a, b)
+
+    def test_refusal_order(self):
+        j2, j4 = standard_acs(2), standard_acs(4)
+        eye2, eye4 = np.eye(2), np.eye(4)
+
+        def chart(base, k):
+            return lambda: ChartField(*one_point_field(base, k))
+
+        # J0^2 = -1 first, then anticommutation: K = 1 fails both that and
+        # the invertibility of 1 - K^2 = 0
+        assert refusal(chart(np.array([[0.5, -1.0], [1.0, 0.0]]), eye2)) == (
+            InvalidStructure, "base does not square to -identity")
+        assert refusal(chart(j2, eye2)) == (
+            AnticommutationViolation, "coordinate does not anticommute with the base structure")
+        # then 1 - K: exactly singular, or past the cap while 1 - K^2 is too
+        singular = np.diag([1.0, -1.0])
+        assert refusal(chart(j2, singular)) == refusal(lambda: mat_inv_guarded(eye2 - singular))
+        d = 2.0 ** -43  # 1 - K^2 = diag(2d, 2d, 1, 1), exactly
+        both = np.diag([1.0 - d, d - 1.0, 0.0, 0.0])
+        kind, message = refusal(chart(j4, both))
+        assert (kind, message) == refusal(lambda: mat_inv_guarded(eye4 - both))
+        assert (kind, message) != refusal(lambda: mat_inv_guarded(eye4 - both @ both))
+        # then 1 - K^2, when only it is past the cap: K anticommutes with J0
+        # within 5.8e-11, and has eigenvalues near -1 and 1 at different distances
+        square = np.diag([2.0 ** -50 - 1.0, 1.0 - 2.0 ** -34, 0.0, 0.0])
+        CayleyCoordinate(j4, square)
+        assert refusal(chart(j4, square)) == refusal(
+            lambda: mat_inv_guarded(eye4 - square @ square))
+        # an overflowing K^2 is refused as non-finite, after 1 - K's guard
+        huge = np.diag([1e200, -1e200])
+        assert refusal(chart(j2, huge)) == (NonFiniteValue, "matrix entries must be finite")
+        ill = np.diag([1e200, -1e200, 0.0, 0.0])
+        assert refusal(chart(j4, ill)) == refusal(lambda: mat_inv_guarded(eye4 - ill))
 
 
 class TestAmbientOps:
