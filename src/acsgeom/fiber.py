@@ -13,26 +13,42 @@ kappa_2.  ``SymplecticField`` tests nondegeneracy against the same cap
 with ``np.linalg.cond``, one SVD per point.  A :class:`FiberMetric`
 inverts itself once, on first use, and every metric adjoint reads that.
 
+Chart tangents anticommute with the standard structure J_std, so every
+operator the chart inverts (1 - K^2, the tanh denominator N^2 + D^2, the
+exponential's D N) commutes with it and is an (n/2) x (n/2) complex
+matrix.  :func:`mat_inv` inverts such a slice in complex form: a complex
+division at n = 2 and a 2 x 2 adjugate at n = 4, with no LAPACK call.  A
+slice takes that path when its commuting defect is at most
+``COMMUTING_GATE`` = 64 eps times its largest entry; the complex form then
+adds at most kappa 64 eps n relative error, the order of LU's own backward
+error.  Every other slice takes a stacked real solve.
+
 The exponentials need numpy only: one scaling-and-squaring Pade-13
-(Higham 2005) runs over a whole stack, with one stacked solve and masked,
-stacked squarings.  ``mat_tanh_half`` builds the polynomial once for both
-signs of its exponent, which share the scaling and swap the approximant's
-numerator and denominator; where no squaring is needed it takes the
-quotient from those two parts, with no exponential and only the guarded
-solve.  The package imports no scipy.  An exponential whose norm or result
-is not finite raises :class:`NonFiniteValue` without a numpy warning.
+(Higham 2005) runs over a whole stack, with one stacked inversion and
+masked, stacked squarings.  ``mat_tanh_half`` builds the polynomial once
+for both signs of its exponent, which share the scaling and swap the
+approximant's numerator and denominator; where no squaring is needed it
+takes the quotient from those two parts, with no exponential and only the
+guarded inversion.  The package imports no scipy.  An exponential whose
+norm or result is not finite raises :class:`NonFiniteValue` without a
+numpy warning.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteValue, SingularOperator
 
 DEFAULT_COND_CAP = 1e12
+# Largest commuting defect with J_std, relative to a slice's largest entry,
+# at which mat_inv inverts the slice in complex form: the operators the
+# chart inverts commute with J_std only to a few ulps, not bit for bit.
+COMMUTING_GATE = 64 * np.finfo(float).eps
+ADJUGATE_SIGN = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 
 def as_fiber_matrix(a) -> np.ndarray:
@@ -79,7 +95,7 @@ class FiberMetric:
 
     @cached_property
     def inverse(self) -> np.ndarray:
-        """G^{-1} per fiber, read-only; one stacked solve, on first use."""
+        """G^{-1} per fiber, read-only; one :func:`mat_inv`, on first use."""
         inv = mat_inv(self.matrix)
         inv.flags.writeable = False
         return inv
@@ -111,15 +127,88 @@ def guard_inverse(m: np.ndarray, inv: np.ndarray) -> np.ndarray:
     return inv
 
 
-def mat_inv(m: np.ndarray) -> np.ndarray:
-    """Inverse of every matrix of a float64 stack, in one stacked solve and
-    unguarded: a caller passes it to :func:`guard_inverse`, at once or after
-    a refusal that must come first.  An exactly singular slice raises
-    :class:`SingularOperator`."""
+@cache
+def _pair_swap(n: int):
+    """Column order that swaps the two columns of every 2x2 block of a row
+    of n entries, and the signs (-1, +1) of each pair.  A matrix commutes
+    with J_std exactly when each odd row is the even row above it, swapped
+    and signed so: the blocks are [[a, -b], [b, a]]."""
+    swap = np.arange(n).reshape(-1, 2)[:, ::-1].ravel()
+    sign = np.tile([-1.0, 1.0], n // 2)
+    swap.flags.writeable = sign.flags.writeable = False
+    return swap, sign
+
+
+def _solve_eye(m: np.ndarray) -> np.ndarray:
+    """Inverse of every matrix of a real or complex stack, in one stacked
+    solve; an exactly singular slice raises :class:`SingularOperator`."""
     try:
         return np.linalg.solve(m, np.eye(m.shape[-1]))
     except np.linalg.LinAlgError as exc:
         raise SingularOperator(str(exc)) from None
+
+
+def _complex_inv(rows: np.ndarray) -> np.ndarray:
+    """Real form of the inverse of every slice of a (k, n/2, n/2) complex
+    stack, read from the even rows of J_std-commuting real slices (entry
+    a - ib of each block [[a, -b], [b, a]]): 1/z at n = 2, the adjugate
+    over the determinant at n = 4, one stacked complex solve above.  The
+    inverse of that conjugate matrix is the conjugate of the inverse, so
+    its entries are the even rows of the real inverse and i times them the
+    odd rows.  A zero determinant raises :class:`SingularOperator` as LAPACK
+    would; an overflow leaves inf or nan for :func:`guard_inverse`."""
+    k, h = rows.shape[:2]
+    if h == 1:
+        if not rows.all():
+            raise SingularOperator("Singular matrix")
+        inv = 1.0 / rows
+    elif h == 2:
+        det = rows[:, 0, 0] * rows[:, 1, 1] - rows[:, 0, 1] * rows[:, 1, 0]
+        if not det.all():
+            raise SingularOperator("Singular matrix")
+        inv = rows[:, ::-1, ::-1].mT * ADJUGATE_SIGN / det[:, None, None]
+    else:
+        inv = _solve_eye(rows)
+    out = np.empty((k, h, 2, h), dtype=complex)
+    out[:, :, 0] = inv
+    np.multiply(inv, 1j, out=out[:, :, 1])
+    return out.view(float).reshape(k, 2 * h, 2 * h)
+
+
+# the overflow of a nearly singular slice leaves inf or nan, for the
+# caller's guard to refuse
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def mat_inv(m: np.ndarray) -> np.ndarray:
+    """Inverse of every matrix of a float64 (..., n, n) stack, unguarded: a
+    caller passes it to :func:`guard_inverse`, at once or after a refusal
+    that must come first.  An exactly singular slice raises
+    :class:`SingularOperator`.
+
+    A slice that commutes with J_std (``charts.standard_acs``) is an
+    (n/2) x (n/2) complex matrix and is inverted in that form, with no
+    LAPACK call at n = 2 and 4.  It counts as commuting when its defect
+    max(|a - d|, |b + c|) over the 2x2 blocks [[a, c], [b, d]] is at most
+    ``COMMUTING_GATE`` = 64 eps times its largest entry.  The complex form
+    inverts the commuting part of the slice, which is that close to it, so
+    it adds at most kappa 64 eps n relative error, the order of LU's own
+    backward error.  Every other slice takes one stacked real solve.  The
+    choice is made per slice, from that slice alone, so each slice gets the
+    bits of inverting it alone.
+    """
+    n = m.shape[-1]
+    stack = np.ascontiguousarray(m).reshape(-1, n, n)
+    swap, sign = _pair_swap(n)
+    even = stack[:, 0::2]
+    defect = np.abs(stack[:, 1::2] - even[:, :, swap] * sign).max(axis=(1, 2))
+    linear = defect <= COMMUTING_GATE * np.abs(stack).max(axis=(1, 2))
+    if not linear.any():
+        return _solve_eye(stack).reshape(m.shape)
+    if linear.all():
+        return _complex_inv(even.view(complex)).reshape(m.shape)
+    out = np.empty_like(stack)
+    out[linear] = _complex_inv(even[linear].view(complex))
+    out[~linear] = _solve_eye(stack[~linear])
+    return out.reshape(m.shape)
 
 
 def mat_inv_guarded(a) -> np.ndarray:
@@ -156,7 +245,8 @@ def _pade_13(a: np.ndarray):
     if not np.isfinite(norm).all():
         raise NonFiniteValue("matrix exponential entries must be finite")
     squarings = np.maximum(np.ceil(np.log2(norm / THETA_13)), 0.0).astype(int)
-    x = np.ldexp(x, -squarings[:, None, None])
+    if squarings.any():
+        x = np.ldexp(x, -squarings[:, None, None])
     b, eye = PADE_13, np.eye(n)
     x2 = x @ x
     x4 = x2 @ x2
@@ -172,12 +262,17 @@ def _pade_13(a: np.ndarray):
 def _expm(a, diagonal, squarings, num, den) -> np.ndarray:
     """exp of every slice of a (k, n, n) stack from its :func:`_pade_13`
     parts.  Diagonal slices take ``np.exp`` of their diagonals, so a zero
-    slice gives the identity exactly; the others, if any, solve den r = num
-    in one stacked solve and are squared back, every slice with s > k in one
-    matmul at step k.  A non-finite result raises :class:`NonFiniteValue`."""
+    slice gives the identity exactly; the others, if any, take
+    r = den^{-1} num as (den num)^{-1} num^2, exact since the even and odd
+    parts V and U commute, and are squared back, every slice with s > k in
+    one matmul at step k.  den num = V^2 - U^2 is even in the exponent, so
+    it commutes with J_std whenever the exponent anticommutes with it, and
+    :func:`mat_inv` inverts it in complex form.  Swapping num and den gives
+    exp(-a) by the same steps.  A non-finite result raises
+    :class:`NonFiniteValue`."""
     out = np.zeros(a.shape)
     np.einsum("kii->ki", out)[diagonal] = np.exp(np.einsum("kii->ki", a)[diagonal])
-    r = np.linalg.solve(den, num) if len(num) else num
+    r = mat_inv(den @ num) @ (num @ num) if len(num) else num
     for step in range(squarings.max(initial=0)):
         todo = squarings > step
         r[todo] = r[todo] @ r[todo]
@@ -206,13 +301,15 @@ def mat_tanh_half(a, t: float) -> np.ndarray:
     guard reads kappa_F(N^2 + D^2); N^2 + D^2 = D N (e + f), so that differs
     from kappa_F(e + f) by at most a factor kappa(D N).  D N = V^2 - U^2 is
     close to a multiple of the identity: kappa(D N) stayed below 1.5 over
-    900 random h with ||h||_1 at theta_13, dims 2 to 8.  Diagonal slices and slices with s > 0 take e and
-    f from one stacked solve and one run of squarings over their doubled
-    stack, with the bits of two :func:`mat_exp` calls.  Swapping the signs
-    swaps N and D, and e and f, so tanh is odd in t bit for bit, and t = 0
-    gives exactly 0.  The cosh factor can only degenerate when the spectrum
-    of h approaches an odd multiple of i pi / 2; a failed inversion
-    surfaces as :class:`SingularOperator`.
+    900 random h with ||h||_1 at theta_13, dims 2 to 8.  Diagonal slices
+    and slices with s > 0 take e and f from one stacked inversion and one
+    run of squarings over their doubled stack, with the bits of two
+    :func:`mat_exp` calls.  Swapping the signs swaps N and D, and e and f,
+    so tanh is odd in t bit for bit, and t = 0 gives exactly 0.  For an h
+    that anticommutes with J_std, N^2 + D^2 commutes with it and is
+    inverted in complex form.  The cosh factor can only degenerate when the
+    spectrum of h approaches an odd multiple of i pi / 2; a failed
+    inversion surfaces as :class:`SingularOperator`.
     """
     m = as_fiber_matrix(a)
     with np.errstate(invalid="ignore"):  # inf * 0 is refused by _pade_13

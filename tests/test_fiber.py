@@ -4,18 +4,35 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from acsgeom.charts import random_anticommuting, standard_acs
 from acsgeom.errors import DimensionMismatch, NonFiniteValue, SingularOperator
 from acsgeom.fiber import (
+    COMMUTING_GATE,
     DEFAULT_COND_CAP,
     THETA_13,
     FiberMetric,
     as_fiber_matrix,
     g_adjoint,
     mat_exp,
+    mat_inv,
     mat_inv_guarded,
     mat_tanh_half,
     max_abs,
 )
+
+
+@pytest.fixture
+def lapack(monkeypatch):
+    """Record the shape of every np.linalg.solve call; returns the list and
+    the unwrapped solve."""
+    shapes, original = [], np.linalg.solve
+
+    def solve(a, b):
+        shapes.append(np.shape(a))
+        return original(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    return shapes, original
 
 
 def series_exp(a, terms=30):
@@ -192,14 +209,8 @@ class TestGAdjoint:
         with pytest.raises(DimensionMismatch):
             g_adjoint(np.eye(4), FiberMetric.identity(2))
 
-    def test_metric_inverts_once_on_first_use(self, monkeypatch):
-        calls, original = [], np.linalg.solve
-
-        def solve(a, b):
-            calls.append(np.shape(a))
-            return original(a, b)
-
-        monkeypatch.setattr(np.linalg, "solve", solve)
+    def test_metric_inverts_once_on_first_use(self, lapack):
+        calls, original = lapack
         g = FiberMetric(near_identity_stack(4, 4) @ near_identity_stack(4, 4).mT)
         assert calls == []  # a metric that is only validated pays no inversion
         a = near_identity_stack(5, 4)
@@ -319,25 +330,20 @@ class TestStacks:
         with pytest.raises(NonFiniteValue, match="matrix exponential entries must be finite"):
             mat_tanh_half(a, math.inf)
 
-    def test_mat_tanh_half_builds_one_pade_polynomial(self, monkeypatch):
-        shapes, original = [], np.linalg.solve
-
-        def solve(a, b):
-            shapes.append(np.shape(a))
-            return original(a, b)
-
-        monkeypatch.setattr(np.linalg, "solve", solve)
+    def test_mat_tanh_half_builds_one_pade_polynomial(self, lapack):
+        shapes, _ = lapack
         mat_tanh_half(mixed_stack(9, 4, 1.0), 2.0)
         # no slice is squared: only the guard's inversion of the 10 cosh
-        # factors, four of them diagonal
-        assert shapes == [(10, 4, 4)]
+        # factors, four of them diagonal.  Those of the two zero slices, 2 I,
+        # commute with J_std and are inverted in complex form, not by LAPACK
+        assert shapes == [(8, 4, 4)]
         shapes.clear()
         a = mixed_stack(9, 4, 5.0)
         squared = int((np.abs(a).sum(axis=-2).max(axis=-1) > THETA_13).sum())
         assert squared > 0
         mat_tanh_half(a, 2.0)
-        # the Pade solve of the squared slices at both signs, then the guard's
-        assert shapes == [(2 * squared, 4, 4), (10, 4, 4)]
+        # the Pade inversion of the squared slices at both signs, then the guard's
+        assert shapes == [(2 * squared, 4, 4), (8, 4, 4)]
 
     @pytest.mark.parametrize("dim", [2, 4, 6, 8])
     def test_mat_tanh_half(self, dim):
@@ -373,3 +379,87 @@ class TestStacks:
         assert as_fiber_matrix(np.zeros((3, 4, 4))).shape == (3, 4, 4)
         with pytest.raises(DimensionMismatch):
             as_fiber_matrix(np.zeros((3, 4, 2)))
+
+
+def real_form(c):
+    """The real 2h x 2h matrices of a (k, h, h) complex stack: 2x2 blocks
+    [[Re, -Im], [Im, Re]], the matrices that commute with J_std."""
+    c = np.asarray(c, dtype=complex)
+    out = np.empty((len(c), 2 * c.shape[-1], 2 * c.shape[-1]))
+    out[:, 0::2, 0::2] = out[:, 1::2, 1::2] = c.real
+    out[:, 1::2, 0::2] = c.imag
+    out[:, 0::2, 1::2] = -c.imag
+    return out
+
+
+def regular_complex_stack(h, points=5):
+    rng = np.random.default_rng(h)
+    raw = rng.uniform(-0.2, 0.2, size=(2, points, h, h))
+    return np.eye(h) + raw[0] + 1j * raw[1]
+
+
+# singular (h, h) complex matrices whose determinant, or LU pivot, is 0 exactly
+SINGULAR = {1: [[0.0]],
+            2: [[1 + 1j, 2 - 1j], [2 + 2j, 4 - 2j]],
+            3: (1 + 1j) * np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 0.0, 1.0]])}
+
+
+class TestComplexForm:
+    """mat_inv inverts the slices that commute with J_std in complex form,
+    and every other slice by the stacked real solve it replaced."""
+
+    # 1 - K^2 at 1200 chart draws, 100 of them moved to a commuting defect
+    # of 1e-12, above the gate, and 100 generic slices
+    @pytest.mark.parametrize("dim", [2, 4, 6])
+    def test_parity_with_the_real_solve(self, dim, lapack):
+        shapes, solve = lapack
+        rng = np.random.default_rng(dim)
+        k = random_anticommuting(rng, np.tile(standard_acs(dim), (1200, 1, 1)), bound=0.9)
+        square = np.eye(dim) - k @ k
+        above = square[:100].copy()
+        above[:, 0, 0] += 1e-12
+        generic = np.eye(dim) + 0.4 * rng.uniform(-1.0, 1.0, size=(100, dim, dim))
+        stack = np.concatenate([square, above, generic])
+        got = mat_inv(stack)
+        # every 1 - K^2 takes the complex path: a complex solve only at dim 6
+        assert shapes == [(1200, 3, 3), (200, 6, 6)] if dim == 6 else [(200, dim, dim)]
+        want = solve(stack, np.eye(dim))
+        assert (relative_error(got[:1200], want[:1200]) <= 2e-15).all()
+        assert np.array_equal(got[1200:], want[1200:])
+        for m, g in zip(stack, got):
+            assert np.array_equal(mat_inv(m), g)
+
+    def test_gate_is_relative_to_the_largest_entry(self, lapack):
+        shapes, _ = lapack
+        m = 1e6 * real_form(regular_complex_stack(2))
+        scale = np.abs(m).max(axis=(-2, -1))
+        for defect, calls in ((COMMUTING_GATE / 2, []), (2 * COMMUTING_GATE, [(5, 4, 4)])):
+            moved = m.copy()
+            moved[:, 0, 0] += defect * scale
+            shapes.clear()
+            assert max_abs(mat_inv(moved) @ moved - np.eye(4)) < 1e-12
+            assert shapes == calls
+
+    @pytest.mark.parametrize("h", [1, 2, 3])
+    def test_zero_determinant_raises_as_lapack_does(self, h):
+        c = regular_complex_stack(h)
+        c[2] = SINGULAR[h]
+        m = real_form(c)
+        with pytest.raises(SingularOperator, match="^Singular matrix$"):
+            mat_inv(m)
+        with pytest.raises(SingularOperator, match="^Singular matrix$"):
+            mat_inv_guarded(m)
+
+    # 1/det overflows: the slice's inverse is not finite and the guard
+    # refuses it, with no numpy warning on the way
+    @pytest.mark.parametrize("h", [1, 2, 3])
+    def test_overflowing_inverse_is_refused_by_the_guard(self, h):
+        c = regular_complex_stack(h)
+        c[2, -1] = 0.0
+        c[2, -1, -1] = 1e-310
+        m = real_form(c)
+        inv = mat_inv(m)
+        finite = np.isfinite(inv).all(axis=(-2, -1))
+        assert not finite[2] and np.delete(finite, 2).all()
+        with pytest.raises(SingularOperator, match="^condition estimate"):
+            mat_inv_guarded(m)
