@@ -7,8 +7,6 @@ from .charts import (
     acs_to_cayley,
     anticommute_project,
     cayley_to_acs,
-    chart_transition,
-    pullback,
     pushforward,
     random_anticommuting,
     shape_anticommuting,

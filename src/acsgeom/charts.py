@@ -5,11 +5,10 @@ sends K to J0 (1 + K)(1 - K)^{-1}; it is a diffeomorphism onto the set of
 structures J for which 1 - J J0 is invertible, and its inverse is
 K = (1 - J J0)^{-1} (1 + J J0).  The exponential map J0 exp(t A) is the
 geodesic :func:`acsgeom.geometry.geodesic_ambient`.  A chart point is a
-:class:`CayleyCoordinate`: it alone decides the chart domain, by one guarded
-inversion at construction, and it holds (1 - K)^{-1} for the chart map and
-its differential to share.  That inversion is of 1 - K, or, for the chart
-fields of the geometry module, of 1 - K^2, from which (1 - K)^{-1} =
-(1 + K)(1 - K^2)^{-1} follows with one matmul.
+:class:`CayleyCoordinate`: it alone decides the chart domain, by one
+inversion of 1 - K^2 at construction, from which the (1 - K)^{-1} =
+(1 + K)(1 - K^2)^{-1} that the chart map and its differential share
+follows with one matmul.
 Every map takes a single matrix or a (points, n, n) stack and acts on each
 fiber independently; field-level wrappers live in the structures and
 geometry modules.
@@ -62,27 +61,22 @@ class CayleyCoordinate:
     single matrices or (points, n, n) stacks of the same shape.
 
     Construction checks the chart domain at every point, in this order:
-    J0^2 = -1, K anticommutes with J0, and 1 - K passes
-    :func:`guard_inverse`.  The inverse that guard reads is kept as
-    ``resolvent``, the read-only (1 - K)^{-1} that the chart map and its
-    differential share; by default it is solved for.
-
-    With ``via_square=True`` the coordinate inverts 1 - K^2 instead, once,
-    and derives resolvent = (1 + K)(1 - K^2)^{-1}.  That is exact for any
-    K, since 1 + K and 1 - K commute; no identity of J0 is used.  Its
-    rounding error is about eps kappa(1 - K^2) ||1 + K|| ||(1 - K^2)^{-1}||,
-    against eps kappa(1 - K) ||(1 - K)^{-1}|| for the solve; both are of
-    order eps when 1 - K^2 is well conditioned.  After the guard of 1 - K,
-    1 - K^2 passes :func:`guard_inverse` too, and its inverse is kept as the
-    read-only ``square_resolvent`` (None by default).
+    J0^2 = -1, K anticommutes with J0, 1 - K passes :func:`guard_inverse`,
+    and then so does 1 - K^2.  1 - K^2 commutes with J0, since K
+    anticommutes with it; it is inverted once, and its inverse is kept as
+    the read-only ``square_resolvent``.  The read-only ``resolvent``, the (1 - K)^{-1}
+    that the chart map and its differential share, is derived as
+    (1 + K)(1 - K^2)^{-1}.  That is exact for any K, since 1 + K and 1 - K
+    commute; no identity of J0 is used.  Its rounding error is about
+    eps kappa(1 - K^2) ||1 + K|| ||(1 - K^2)^{-1}||, against
+    eps kappa(1 - K) ||(1 - K)^{-1}|| for a solve of 1 - K; both are of
+    order eps when 1 - K^2 is well conditioned.
     """
 
     base: np.ndarray
     K: np.ndarray
-    via_square: bool = field(default=False, repr=False, compare=False)
     resolvent: np.ndarray = field(init=False, repr=False, compare=False)
-    square_resolvent: np.ndarray | None = field(init=False, default=None, repr=False,
-                                                compare=False)
+    square_resolvent: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         j0 = as_fiber_matrix(self.base)
@@ -93,23 +87,19 @@ class CayleyCoordinate:
         if max_abs(k @ j0 + j0 @ k) > COORD_TOL:
             raise AnticommutationViolation(
                 "coordinate does not anticommute with the base structure")
-        if self.via_square:
-            with np.errstate(over="ignore"):
-                square = eye - k @ k
-            if not np.isfinite(square).all():  # refused as non-finite, after 1 - K's guard
-                mat_inv_guarded(eye - k)
-                as_fiber_matrix(square)
-            inv = mat_inv(square)
-            resolvent = guard_inverse(eye - k, (eye + k) @ inv)
-            inv = guard_inverse(square, inv)
-            inv.flags.writeable = False
-            object.__setattr__(self, "square_resolvent", inv)
-        else:
-            resolvent = mat_inv_guarded(eye - k)
-        resolvent.flags.writeable = False
+        with np.errstate(over="ignore"):
+            square = eye - k @ k
+        if not np.isfinite(square).all():  # refused as non-finite, after 1 - K's guard
+            mat_inv_guarded(eye - k)
+            as_fiber_matrix(square)
+        inv = mat_inv(square)
+        resolvent = guard_inverse(eye - k, (eye + k) @ inv)
+        inv = guard_inverse(square, inv)
+        resolvent.flags.writeable = inv.flags.writeable = False
         object.__setattr__(self, "base", j0)
         object.__setattr__(self, "K", k)
         object.__setattr__(self, "resolvent", resolvent)
+        object.__setattr__(self, "square_resolvent", inv)
 
     @property
     def dim(self) -> int:
@@ -135,18 +125,6 @@ def acs_to_cayley(j0, j) -> CayleyCoordinate:
     return CayleyCoordinate(base, k)
 
 
-def chart_transition(coord: CayleyCoordinate, j1) -> np.ndarray:
-    """Coordinate of the same structure in the rational chart at j1.
-
-    With T = (1 - K)(1 + K)^{-1} J0 J1, the new coordinate is
-    (1 - T)^{-1} (1 + T); it anticommutes with j1.
-    """
-    new_base = _like_base(j1, coord.base, "new base")
-    eye = np.eye(coord.dim)
-    t = (eye - coord.K) @ mat_inv_guarded(eye + coord.K) @ coord.base @ new_base
-    return mat_inv_guarded(eye - t) @ (eye + t)
-
-
 def pushforward(coord: CayleyCoordinate, a) -> np.ndarray:
     """Differential of the rational chart at coord applied to a.
 
@@ -157,13 +135,6 @@ def pushforward(coord: CayleyCoordinate, a) -> np.ndarray:
     m = _like_base(a, coord.base, "tangent")
     r = coord.resolvent
     return 2.0 * coord.base @ r @ m @ r
-
-
-def pullback(coord: CayleyCoordinate, a_star) -> np.ndarray:
-    """Inverse of :func:`pushforward`: -(1/2) (1-K) J0 a* (1-K)."""
-    m = _like_base(a_star, coord.base, "tangent")
-    eye_k = np.eye(coord.dim) - coord.K
-    return -0.5 * eye_k @ coord.base @ m @ eye_k
 
 
 def random_anticommuting(rng: np.random.Generator, j0, *,

@@ -112,16 +112,21 @@ def guard_inverse(m: np.ndarray, inv: np.ndarray) -> np.ndarray:
     The condition of each slice is read as kappa_F = ||M||_F ||M^{-1}||_F,
     which bounds the 2-norm condition number from above (kappa_2 <= kappa_F
     <= n kappa_2), so it costs no SVD and refuses at most n times more than
-    kappa_2 would.  If any estimate is above ``DEFAULT_COND_CAP`` or not
-    finite (an overflow reads as inf), :class:`SingularOperator` names the
-    largest instead of returning garbage.  ``inv`` may come from a solve of
+    kappa_2 would.  Instead of returning garbage, :class:`SingularOperator`
+    names the first slice whose estimate is not finite (an inverse that
+    overflowed, to inf or to inf * 0 = nan), or else the largest estimate
+    if it is above ``DEFAULT_COND_CAP``.  ``inv`` may come from a solve of
     ``m`` or from a closed form; the rule is the same.
     """
     # rescaled by each slice's largest entry, so no square leaves the range
     scale = np.max(np.abs(m), axis=(-2, -1), keepdims=True)
     with np.errstate(over="ignore"):
         cond = np.linalg.norm(m / scale, axis=(-2, -1)) * np.linalg.norm(inv * scale, axis=(-2, -1))
-    if not (np.isfinite(cond) & (cond <= DEFAULT_COND_CAP)).all():
+    finite = np.isfinite(cond)
+    if not finite.all():
+        raise SingularOperator(
+            f"condition estimate of slice {np.flatnonzero(~finite)[0]} is not finite")
+    if (cond > DEFAULT_COND_CAP).any():
         raise SingularOperator(
             f"condition estimate {np.max(cond):.6e} exceeds cap {DEFAULT_COND_CAP:.6e}")
     return inv

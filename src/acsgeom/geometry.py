@@ -28,10 +28,10 @@ class ChartField:
     a coordinate field K.
 
     Construction builds ``coord``, the :class:`CayleyCoordinate` of the
-    stacks with ``via_square=True``, which checks the chart domain at every
-    point at once and inverts 1 - K^2 only: the guarded resolvents
-    (1 - K^2)^{-1} that every chart functional reads, and the chart
-    resolvent (1 - K)^{-1} = (1 + K)(1 - K^2)^{-1} derived from them.
+    stacks, which checks the chart domain at every point at once and
+    inverts 1 - K^2 only: the guarded resolvents (1 - K^2)^{-1} that every
+    chart functional reads, and the chart resolvent
+    (1 - K)^{-1} = (1 + K)(1 - K^2)^{-1} derived from them.
     """
 
     space: SampleSpace
@@ -41,8 +41,7 @@ class ChartField:
 
     def __post_init__(self):
         same_space(self, self.base, self.K)
-        object.__setattr__(self, "coord",
-                           CayleyCoordinate(self.base.ops, self.K.ops, via_square=True))
+        object.__setattr__(self, "coord", CayleyCoordinate(self.base.ops, self.K.ops))
 
     def resolvents(self) -> np.ndarray:
         """(1 - K^2)^{-1} per point, guarded; computed once, read-only."""

@@ -5,6 +5,8 @@ points instead of 1000: the chart geodesic K(t), the chart field at K(t)
 with its connection, curvature, pairing and 2-form, and two ambient
 geodesics with their validators.  Its cost is dominated by stacked
 factorizations, so a change that adds one has to change this count.
+The stacked solves of the ``cayley`` and ``theorem1`` checkers are pinned
+too.
 """
 
 import numpy as np
@@ -12,6 +14,7 @@ import pytest
 
 from acsgeom import geometry as ge
 from acsgeom import structures as st
+from acsgeom.verify import check_cayley, check_theorem1
 
 FACTORIZATIONS = ("solve", "inv", "svd", "eigvalsh")
 # per op, once every metric has kept its inverse.  The guarded tanh
@@ -63,3 +66,12 @@ def test_warmed_chart_op_keeps_its_factorization_budget(counted):
     counted.update(dict.fromkeys(FACTORIZATIONS, 0))
     assert chart_op(fields, 1.5)
     assert counted == BUDGET
+
+
+# a chart point inverts 1 - K^2 in complex form at dims 2 and 4; only
+# acs_to_cayley's 1 - J J0, which does not commute with J_std, takes a
+# stacked real solve, one per dim
+@pytest.mark.parametrize("check, solves", [(check_theorem1, 0), (check_cayley, 2)])
+def test_chart_checkers_solve_only_what_does_not_commute(counted, check, solves):
+    assert check(dims=(2, 4)).passed
+    assert counted["solve"] == solves

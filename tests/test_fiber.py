@@ -461,5 +461,6 @@ class TestComplexForm:
         inv = mat_inv(m)
         finite = np.isfinite(inv).all(axis=(-2, -1))
         assert not finite[2] and np.delete(finite, 2).all()
-        with pytest.raises(SingularOperator, match="^condition estimate"):
+        with pytest.raises(SingularOperator, match="^condition estimate") as info:
             mat_inv_guarded(m)
+        assert "slice 2 " in str(info.value) and "nan" not in str(info.value)

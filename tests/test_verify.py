@@ -390,7 +390,7 @@ class TestRunSuite:
 
         monkeypatch.setattr(np.linalg, "cond", counted_cond)
         assert all(r.passed for r in run_suite(VerifyConfig()))
-        assert 0 < len(calls) <= 218
+        assert 0 < len(calls) <= 57
         assert 0 < len(conds) <= 2  # the two SymplecticFields; the guard takes no SVD
 
     def test_signature_builds_its_gram_without_chart_inner(self, monkeypatch):
