@@ -9,9 +9,8 @@ Operands are assumed unit-scale (norms of order one); the default
 tolerances used by callers are calibrated for that regime.  The guard
 (:func:`guard_inverse`) reads kappa_F from an inverse it is given, solved
 or derived in closed form: no SVD, and up to n times tighter than
-kappa_2.  ``SymplecticField`` tests nondegeneracy against the same cap
-with ``np.linalg.cond``, one SVD per point.  A :class:`FiberMetric`
-inverts itself once, on first use, and every metric adjoint reads that.
+kappa_2.  A :class:`FiberMetric` inverts itself once, on first use, and
+every metric adjoint reads that.
 
 Chart tangents anticommute with the standard structure J_std, so every
 operator the chart inverts (1 - K^2, the tanh denominator N^2 + D^2, the

@@ -61,12 +61,13 @@ def shifted(c: ChartField, a: TangentField, h: float) -> ChartField:
 # ---------------------------------------------------------------------------
 # ambient functionals (fields of structures and tangents, no chart)
 
-def point_order_sum(terms: np.ndarray) -> float:
-    """Sum of per-point terms, accumulated left to right in point order."""
-    total = 0.0
-    for term in terms.tolist():
-        total += term
-    return total
+def point_order_sum(terms: np.ndarray):
+    """Per-point terms summed along the last axis, left to right from 0.0 (no
+    sum reads -0.0): a float for one row, an array for a stack of rows.  As in
+    a Python loop, an overflow or inf - inf reads inf or NaN without a warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = 0.0 + np.cumsum(terms, axis=-1)[..., -1]
+    return float(sums) if np.ndim(sums) == 0 else sums
 
 
 def _weighted_traces(space: SampleSpace, products: np.ndarray,

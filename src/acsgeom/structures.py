@@ -44,6 +44,8 @@ MAX_FIBER_DIM = 64
 # Positivity of an associated pair: the smallest eigenvalue of the
 # symmetric part of W J must exceed this at every point.
 POSITIVITY_FLOOR = 1e-12
+# The largest max norm of a point's identity defect that the validators pass.
+FIELD_TOL = 1e-10
 
 
 def _as_stack(ops, dim: int, npoints: int, name: str) -> np.ndarray:
@@ -155,7 +157,7 @@ class TangentField:
 
 @dataclass
 class SymplecticField:
-    """A nondegenerate antisymmetric form per point."""
+    """A nondegenerate antisymmetric form per point: kappa_F <= DEFAULT_COND_CAP."""
 
     space: SampleSpace
     forms: np.ndarray
@@ -164,7 +166,8 @@ class SymplecticField:
         w = self.forms = _as_stack(self.forms, self.space.dim, self.space.npoints, "forms")
         with np.errstate(over="ignore"):  # an overflow reads as skew
             skew = np.max(np.abs(w + w.mT), axis=(1, 2)) > 1e-12
-        cond = np.linalg.cond(w)
+        scale = np.max(np.abs(w), axis=(1, 2), keepdims=True)
+        cond = np.linalg.cond(w / np.where(scale > 0.0, scale, 1.0), "fro")
         bad = skew | ~(np.isfinite(cond) & (cond <= DEFAULT_COND_CAP))
         if bad.any():
             i = int(np.argmax(bad))
@@ -230,11 +233,11 @@ def _residuals(stack: np.ndarray) -> np.ndarray:
     return np.max(np.abs(stack), axis=(1, 2))
 
 
-def validate_acs(j: AcsField, tol: float = 1e-10) -> FieldReport:
+def validate_acs(j: AcsField) -> FieldReport:
     """Check J^2 = -identity at every point."""
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite residual fails
         residuals = _residuals(j.ops @ j.ops + np.eye(j.space.dim))
-    return FieldReport("acs", j.space.point_ids, residuals, residuals <= tol, tol)
+    return FieldReport("acs", j.space.point_ids, residuals, residuals <= FIELD_TOL, FIELD_TOL)
 
 
 def _sharps(a: TangentField | AcsField, g: MetricField) -> np.ndarray:
@@ -243,12 +246,12 @@ def _sharps(a: TangentField | AcsField, g: MetricField) -> np.ndarray:
     return g_adjoint(a.ops, g.fiber_metric)
 
 
-def split_and_classify(k: TangentField, g: MetricField, tol: float = 1e-10
-                       ) -> tuple[np.ndarray, np.ndarray, list[str]]:
+def split_and_classify(k: TangentField, g: MetricField) -> tuple[np.ndarray, np.ndarray, list[str]]:
     """Split a tangent field into metric-symmetric and antisymmetric parts,
     returned as (points, n, n) stacks, and classify it at each point as
     'symmetric', 'antisymmetric' or 'mixed', by the max norms of K - K^sharp
-    and K + K^sharp there; one metric adjoint K^sharp per point serves both.
+    and K + K^sharp there against ``FIELD_TOL``; one metric adjoint K^sharp
+    per point serves both.
 
     P = (K + K^sharp)/2 and L = K - P, so P + L reproduces K to one
     rounding of the final subtraction (exactly, at dim 2).  The parts are
@@ -259,7 +262,8 @@ def split_and_classify(k: TangentField, g: MetricField, tol: float = 1e-10
     with np.errstate(over="ignore", invalid="ignore"):  # the caller refuses a non-finite part
         p = 0.5 * (k.ops + sharp)
         rs, ra = _residuals(k.ops - sharp), _residuals(k.ops + sharp)
-    classes = np.where(rs <= tol, "symmetric", np.where(ra <= tol, "antisymmetric", "mixed"))
+    classes = np.where(rs <= FIELD_TOL, "symmetric",
+                       np.where(ra <= FIELD_TOL, "antisymmetric", "mixed"))
     return p, k.ops - p, classes.tolist()
 
 
@@ -269,7 +273,7 @@ def sym_antisym_split(k: TangentField, g: MetricField) -> tuple[np.ndarray, np.n
 
 
 def validate_associated(j: AcsField, w: SymplecticField,
-                        tol: float = 1e-10) -> FieldReport:
+                        tol: float = FIELD_TOL) -> FieldReport:
     """Check that j is positively associated with w at every point.
 
     Invariance means J^T W J = W; positivity means the smallest eigenvalue
@@ -317,8 +321,7 @@ def orientation_marker(j):
     return int(signs[0]) if m.ndim == 2 else signs.reshape(m.shape[:-2])
 
 
-def validate_orthogonal(j: AcsField, g: MetricField, j_ref: AcsField,
-                        tol: float = 1e-10) -> FieldReport:
+def validate_orthogonal(j: AcsField, g: MetricField, j_ref: AcsField) -> FieldReport:
     """Check that j is g-orthogonal and matches the reference orientation.
 
     Orthogonality g(JX, JY) = g(X, Y) reads J^sharp J = identity; combined
@@ -329,7 +332,7 @@ def validate_orthogonal(j: AcsField, g: MetricField, j_ref: AcsField,
     residuals = _residuals(_sharps(j, g) @ j.ops - np.eye(j.space.dim))
     markers, ref_markers = orientation_marker(j.ops), orientation_marker(j_ref.ops)
     return FieldReport("orthogonal", j.space.point_ids, residuals,
-                       (residuals <= tol) & (markers == ref_markers), tol,
+                       (residuals <= FIELD_TOL) & (markers == ref_markers), FIELD_TOL,
                        {"orientation": markers, "reference_orientation": ref_markers})
 
 

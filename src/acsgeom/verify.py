@@ -174,6 +174,9 @@ def _outside(value: float, lo: float, hi: float) -> float:
 # stencils, which differ in order, a smaller step swamps geodesics in rounding
 # and a larger one raises metric_compat_fd's truncation error as its square.
 FD_STEP = 1e-4
+# Cases drawn per dim: CASES by cayley and theorem1, FD_CASES by the other checkers.
+CASES = 100
+FD_CASES = 3
 
 
 def fd_directional(f, c: ChartField, a: TangentField, h: float = FD_STEP):
@@ -219,18 +222,18 @@ class _Cases:
 
     def sums(self, terms: np.ndarray) -> np.ndarray:
         """Per case, the point-order sum of the per-point terms of its points."""
-        return np.array([point_order_sum(t) for t in terms.reshape(len(self.rngs), -1)])
+        return point_order_sum(terms.reshape(len(self.rngs), -1))
 
     def pairing(self, terms, at, x: TangentField, y: TangentField) -> np.ndarray:
         """Per case, the pairing of x and y whose per-point terms ``terms`` gives."""
         return self.sums(terms(at, x.ops, y.ops))
 
 
-def _case_draws(seed: int, name: str, dim: int, cases: int, count: int) -> tuple[np.ndarray, ...]:
+def _case_draws(seed: int, name: str, dim: int, count: int) -> tuple[np.ndarray, ...]:
     """The standard structure and ``count`` anticommuting draws per case as
-    (cases, n, n) stacks, each case drawing from its own generator."""
-    j0 = np.tile(standard_acs(dim), (cases, 1, 1))
-    by_case = _Cases(seed, name, dim, cases)
+    (CASES, n, n) stacks, each case drawing from its own generator."""
+    j0 = np.tile(standard_acs(dim), (CASES, 1, 1))
+    by_case = _Cases(seed, name, dim, CASES)
     return (j0, *(random_anticommuting(by_case, j0) for _ in range(count)))
 
 
@@ -242,28 +245,26 @@ def _case_space(seed: int, name: str, dim: int, cases: int, points: int):
     return by_case, space, standard_acs_field(space)
 
 
-def check_cayley(seed: int = 0, dims=(2, 4, 6), cases: int = 100,
-                 tolerance: float = 1e-9) -> CheckReport:
+def check_cayley(seed: int = 0, dims=(2, 4, 6), tolerance: float = 1e-9) -> CheckReport:
     """Chart bijection: coordinate -> structure -> coordinate round trip,
     and validity of every produced structure."""
     args = dict(locals())
     subs = []
     for dim in dims:
-        j0, k = _case_draws(seed, "cayley", dim, cases, 1)
+        j0, k = _case_draws(seed, "cayley", dim, 1)
         j = cayley_to_acs(CayleyCoordinate(j0, k))
         subs += [_sub(f"roundtrip_dim{dim}", max_abs(acs_to_cayley(j0, j).K - k), tolerance),
                  _sub(f"acs_identity_dim{dim}", max_abs(j @ j + np.eye(dim)), 1e-10)]
     return _compose("cayley", args, subs)
 
 
-def check_theorem1(seed: int = 0, dims=(2, 4, 6), cases: int = 100,
-                   tolerance: float = 1e-9) -> CheckReport:
+def check_theorem1(seed: int = 0, dims=(2, 4, 6), tolerance: float = 1e-9) -> CheckReport:
     """Pushforward intertwines the complex structures:
     pushforward(A J0) = pushforward(A) J_K."""
     args = dict(locals())
     subs = []
     for dim in dims:
-        j0, k, a = _case_draws(seed, "theorem1", dim, cases, 2)
+        j0, k, a = _case_draws(seed, "theorem1", dim, 2)
         coord = CayleyCoordinate(j0, k)
         jk = cayley_to_acs(coord)
         worst = max_abs(pushforward(coord, a @ j0) - pushforward(coord, a) @ jk)
@@ -292,7 +293,7 @@ def _omega_ray_derivative(ray: ChartField, a0: TangentField, a1: TangentField,
     return by_case.sums(ray.space.weights * 4.0 * traces)
 
 
-def check_theorem2(seed: int = 0, dims=(2, 4), cases: int = 3, points: int = 8,
+def check_theorem2(seed: int = 0, dims=(2, 4), points: int = 8,
                    tolerance: float = 1e-6) -> CheckReport:
     """Closedness of the 2-form: every directional-derivative term of
     d Omega vanishes at the chart center, both at the reference structure
@@ -303,7 +304,7 @@ def check_theorem2(seed: int = 0, dims=(2, 4), cases: int = 3, points: int = 8,
     args = dict(locals())
     subs = []
     for dim in dims:
-        by_case, space, j0f = _case_space(seed, "theorem2", dim, cases, points)
+        by_case, space, j0f = _case_space(seed, "theorem2", dim, FD_CASES, points)
         a0, a1, a2 = (random_tangent_field(by_case, j0f) for _ in range(3))
         t0, t1, t2 = _omega_terms(chart_origin(j0f), a0, a1, a2, by_case)
 
@@ -333,8 +334,8 @@ def check_theorem2(seed: int = 0, dims=(2, 4), cases: int = 3, points: int = 8,
     return _compose("theorem2", args, subs)
 
 
-def check_geodesics(seed: int = 0, dims=(2, 4), cases: int = 3, points: int = 8,
-                    tolerance: float = 1e-6, t_max: float = 2.0, t_steps: int = 9) -> CheckReport:
+def check_geodesics(seed: int = 0, dims=(2, 4), points: int = 8, tolerance: float = 1e-6,
+                    t_max: float = 2.0, t_steps: int = 9) -> CheckReport:
     """Geodesic equation K'' + Gamma(K', K') = 0 by central differences at
     t = 0.2, 0.6 and 1.0, and chart/ambient consistency of the two geodesic
     descriptions on the grid of t_steps points on [0, t_max]."""
@@ -342,7 +343,7 @@ def check_geodesics(seed: int = 0, dims=(2, 4), cases: int = 3, points: int = 8,
     full_grid = np.linspace(0.0, t_max, t_steps).tolist()
     subs = []
     for dim in dims:
-        by_case, _, j0f = _case_space(seed, "geodesics", dim, cases, points)
+        by_case, _, j0f = _case_space(seed, "geodesics", dim, FD_CASES, points)
         a = random_tangent_field(by_case, j0f)
         ode = [geodesic_equation_residual(a, t) for t in (0.2, 0.6, 1.0)]
         chart = [max_abs(acs_to_cayley(j0f.ops, geodesic_ambient(j0f, a, t).ops).K
@@ -352,8 +353,8 @@ def check_geodesics(seed: int = 0, dims=(2, 4), cases: int = 3, points: int = 8,
     return _compose("geodesics", args, subs)
 
 
-def check_curvature_fd(seed: int = 0, dims=(2, 4), cases: int = 3,
-                       points: int = 8, tolerance: float = 1e-5) -> CheckReport:
+def check_curvature_fd(seed: int = 0, dims=(2, 4), points: int = 8,
+                       tolerance: float = 1e-5) -> CheckReport:
     """Curvature as the commutator of covariant derivatives, assembled by
     finite differences of the connection, against the closed form; plus
     the exact antisymmetry, first Bianchi, and flat-origin identities.
@@ -364,7 +365,7 @@ def check_curvature_fd(seed: int = 0, dims=(2, 4), cases: int = 3,
     args = dict(locals())
     subs = []
     for dim in dims:
-        by_case, space, j0f = _case_space(seed, "curvature_fd", dim, cases, points)
+        by_case, space, j0f = _case_space(seed, "curvature_fd", dim, FD_CASES, points)
         k = random_tangent_field(by_case, j0f, bound=0.5)
         a, b, d = (random_tangent_field(by_case, j0f) for _ in range(3))
         c = ChartField(space, j0f, k)
@@ -387,15 +388,15 @@ def check_curvature_fd(seed: int = 0, dims=(2, 4), cases: int = 3,
     return _compose("curvature_fd", args, subs)
 
 
-def check_metric_structure(seed: int = 0, dims=(2, 4), cases: int = 3,
-                           points: int = 8, tolerance: float = 1e-6) -> CheckReport:
+def check_metric_structure(seed: int = 0, dims=(2, 4), points: int = 8,
+                           tolerance: float = 1e-6) -> CheckReport:
     """Structural identities of the metric, the complex structure and the
     2-form, in ambient and chart form, plus metric compatibility of the
     connection by finite differences (primary tolerance)."""
     args = dict(locals())
     subs = []
     for dim in dims:
-        by_case, space, j0f = _case_space(seed, "metric_structure", dim, cases, points)
+        by_case, space, j0f = _case_space(seed, "metric_structure", dim, FD_CASES, points)
         total = by_case.pairing
         a, b = (random_tangent_field(by_case, j0f) for _ in range(2))
         ja, jb = acs_on_tangent(a, j0f), acs_on_tangent(b, j0f)
@@ -431,8 +432,7 @@ def check_metric_structure(seed: int = 0, dims=(2, 4), cases: int = 3,
     return _compose("metric_structure", args, subs)
 
 
-def check_totally_geodesic(seed: int = 0, dims=(2, 4), cases: int = 3,
-                           points: int = 8, t_max: float = 2.0,
+def check_totally_geodesic(seed: int = 0, dims=(2, 4), points: int = 8, t_max: float = 2.0,
                            t_steps: int = 9, tolerance: float = 1e-9) -> CheckReport:
     """Geodesics stay inside the two submanifolds.
 
@@ -445,7 +445,7 @@ def check_totally_geodesic(seed: int = 0, dims=(2, 4), cases: int = 3,
     grid = np.linspace(0.0, t_max, t_steps).tolist()
     subs = []
     for dim in dims:
-        by_case, space, j0f = _case_space(seed, "totally_geodesic", dim, cases, points)
+        by_case, space, j0f = _case_space(seed, "totally_geodesic", dim, FD_CASES, points)
         a_sym = random_tangent_field(by_case, j0f, part="symmetric")
         wf = standard_symplectic_field(space)
         reports = [validate_associated(geodesic_ambient(j0f, a_sym, t), wf, tol=tolerance)
@@ -535,11 +535,10 @@ def check_signature(seed: int = 0, dims=(2, 4), points: int = 8,
 # ---------------------------------------------------------------------------
 # suite
 
-# Size caps, refused before anything is allocated: the entries of one stack a
-# checker builds at its largest dim, fd_cases * points * dim**2 (the fd cases
-# side by side on the point axis), points * (dim**2 / 2)**2 * dim**2 (the Gram
-# stack of signature, capped only where signature runs) and cases * dim**2 (the
-# algebraic ones); the grid length.
+# Size caps, refused before anything is allocated: the grid length, and the
+# entries of one stack a checker builds at its largest dim, FD_CASES * points *
+# dim**2 and signature's Gram stack points * (dim**2 / 2)**2 * dim**2 (capped
+# only where signature runs); CASES * dim**2 fits at any dim.
 MAX_STACK_ENTRIES = 2**22
 MAX_T_STEPS = 10**6
 # The command-line flag that sets each field, named in validation messages.
@@ -570,8 +569,6 @@ class VerifyConfig:
     seed: int = 0
     dims: tuple = (2, 4, 6)
     fd_dims: tuple = (2, 4)
-    cases: int = 100
-    fd_cases: int = 3
     points: int = 8
     t_max: float = 2.0
     t_steps: int = 9
@@ -594,21 +591,18 @@ class VerifyConfig:
                 if not isinstance(d, int) or d < 2 or d % 2 or d > MAX_FIBER_DIM:
                     raise ConfigError(f"{_named(label)} entries must be even integers "
                                       f"from 2 to {MAX_FIBER_DIM}, got {d!r}")
-        for name in ("cases", "fd_cases", "points", "t_steps"):
+        for name in ("points", "t_steps"):
             _require_int(name, getattr(self, name), 1)
         dim = max(*self.dims, *self.fd_dims)
-        if self.fd_cases * self.points * dim**2 > MAX_STACK_ENTRIES:
+        if FD_CASES * self.points * dim**2 > MAX_STACK_ENTRIES:
             raise ConfigError(f"fd_cases * points * dim**2 ({FLAGS['points']}, {FLAGS['dims']}) "
-                              f"must be at most {MAX_STACK_ENTRIES}, got {self.fd_cases} cases "
+                              f"must be at most {MAX_STACK_ENTRIES}, got {FD_CASES} cases "
                               f"of {self.points} points at dim {dim}")
         top = max(self.fd_dims)  # the largest dim signature runs at
         if "signature" in checks and self.points * (top**2 // 2)**2 * top**2 > MAX_STACK_ENTRIES:
             raise ConfigError(f"points * (dim**2 / 2)**2 * dim**2 ({FLAGS['points']}, "
                               f"{FLAGS['dims']}) must be at most {MAX_STACK_ENTRIES}, "
                               f"got {self.points} points at dim {top}")
-        if self.cases * max(self.dims)**2 > MAX_STACK_ENTRIES:
-            raise ConfigError(f"cases * dim**2 must be at most {MAX_STACK_ENTRIES}, "
-                              f"got {self.cases} cases at dim {max(self.dims)}")
         if self.t_steps > MAX_T_STEPS:
             raise ConfigError(f"{_named('t_steps')} must be at most {MAX_T_STEPS}, "
                               f"got {self.t_steps}")
@@ -636,17 +630,17 @@ def run_check(config: VerifyConfig, name: str) -> CheckReport:
 
     The checker, looked up in this module at call time, gets the config
     values its signature names and any override of its primary tolerance.
-    The two algebraic checks take ``dims`` and ``cases``; the others take
-    ``fd_dims`` and ``fd_cases`` in their place.  A :class:`GeometryError`
-    the checker raises is raised again, as the same type, with a prefix
-    that names the check and the flags of the values it took.
+    The two algebraic checks take ``dims``; the others take ``fd_dims`` in
+    its place.  A :class:`GeometryError` the checker raises is raised again,
+    as the same type, with a prefix that names the check and the flags of
+    the values it took.
     """
     if name not in CHECK_NAMES:
         raise ConfigError(f"unknown check {name!r}")
     check = globals()[f"check_{name}"]
     values = {f.name: getattr(config, f.name) for f in fields(config)}
     if name not in ("cayley", "theorem1"):
-        values.update(dims=config.fd_dims, cases=config.fd_cases)
+        values["dims"] = config.fd_dims
     if name in config.tolerances:
         key = "threshold" if name == "signature" else "tolerance"
         values[key] = float(config.tolerances[name])

@@ -50,7 +50,7 @@ def held_to(report, **stated):
 
 
 def test_01_cayley_bijection():
-    rep = check_cayley(seed=0, dims=(2, 4, 6), cases=100, tolerance=1e-9)
+    rep = check_cayley(seed=0, dims=(2, 4, 6), tolerance=1e-9)
     ok = rep.passed and held_to(rep, roundtrip_dim=1e-9, acs_identity_dim=1e-10)
     scorecard(1, "Cayley round-trip <= 1e-9 and J^2 = -Id <= 1e-10 "
                  "over 100 draws per dim in {2, 4, 6}",
@@ -59,7 +59,7 @@ def test_01_cayley_bijection():
 
 
 def test_02_pushforward_intertwines():
-    rep = check_theorem1(seed=0, dims=(2, 4, 6), cases=100, tolerance=1e-9)
+    rep = check_theorem1(seed=0, dims=(2, 4, 6), tolerance=1e-9)
     ok = rep.passed
     scorecard(2, "pushforward(A J0) - pushforward(A) J_K <= 1e-9 "
                  "over the same ensemble",

@@ -32,8 +32,15 @@ runs that reach its edge cases, by these rules:
 
 The goldens that differ are then rewritten, and every changed number is
 recorded as old -> new with its tolerance.  No tolerance is loosened.
+
+Each golden file is the byte-exact output of its command run from the
+repository root, with input paths relative to it.  Run as a script,
+``PYTHONPATH=src python tests/test_parity.py`` rewrites all ten; on an
+unchanged tree it leaves them as they are.
 """
 
+import contextlib
+import io
 import json
 import os
 
@@ -41,8 +48,12 @@ import pytest
 
 from acsgeom.cli import main
 
-GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+GOLDEN = os.path.join(ROOT, "tests", "golden")
 REL = 1e-12
+# input bundles, relative to the repository root, where the commands run
+PROJECT_BUNDLE = os.path.join("tests", "golden", "project_bundle.json")
+ASSOC_BUNDLE = os.path.join("tests", "golden", "assoc_bundle.json")
 
 CASES = {
     "verify_dim2.json": ["verify", "--dim", "2", "--seed", "0"],
@@ -50,16 +61,12 @@ CASES = {
     "verify_dim6.json": ["verify", "--dim", "6", "--seed", "0"],
     "verify_dim4_seed7_points3.json": ["verify", "--dim", "4", "--seed", "7",
                                        "--points", "3"],
-    "verify_project_bundle.json": ["verify", "--in",
-                                   os.path.join(GOLDEN, "project_bundle.json")],
-    "verify_assoc_bundle.json": ["verify", "--in",
-                                 os.path.join(GOLDEN, "assoc_bundle.json")],
+    "verify_project_bundle.json": ["verify", "--in", PROJECT_BUNDLE],
+    "verify_assoc_bundle.json": ["verify", "--in", ASSOC_BUNDLE],
     "geodesic_dim4.json": ["geodesic", "--dim", "4"],
-    "geodesic_assoc_bundle.json": ["geodesic", "--in",
-                                   os.path.join(GOLDEN, "assoc_bundle.json")],
-    "geodesic_project_bundle.json": ["geodesic", "--in",
-                                     os.path.join(GOLDEN, "project_bundle.json")],
-    "project.json": ["project", "--in", os.path.join(GOLDEN, "project_bundle.json")],
+    "geodesic_assoc_bundle.json": ["geodesic", "--in", ASSOC_BUNDLE],
+    "geodesic_project_bundle.json": ["geodesic", "--in", PROJECT_BUNDLE],
+    "project.json": ["project", "--in", PROJECT_BUNDLE],
 }
 
 
@@ -86,15 +93,30 @@ def passed_checks(doc):
 
 
 @pytest.mark.parametrize("golden", sorted(CASES))
-def test_matches_golden(golden, capsys):
+def test_matches_golden(golden, capsys, monkeypatch):
+    monkeypatch.chdir(ROOT)
     code = main(CASES[golden])
     got = json.loads(capsys.readouterr().out)
     with open(os.path.join(GOLDEN, golden), encoding="utf-8") as fh:
         want = json.load(fh)
     assert code == 0
-    # the input path is where the bundle was read from, not a result
-    for doc in (got, want):
-        doc.pop("input", None)
-        doc.get("config", {}).pop("input", None)
     assert passed_checks(got) == passed_checks(want)
     assert_close(got, want)
+
+
+def write_goldens() -> None:
+    """Rewrite every golden file with the output of its command, run from
+    the repository root; a command that does not exit 0 stops the rewrite."""
+    os.chdir(ROOT)
+    for golden, argv in CASES.items():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+        if code != 0:
+            raise SystemExit(f"{golden}: acsgeom {' '.join(argv)} exits {code}")
+        with open(os.path.join(GOLDEN, golden), "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(out.getvalue())
+
+
+if __name__ == "__main__":
+    write_goldens()

@@ -1,10 +1,10 @@
-"""No module imports scipy, and one module only calls the SVD condition number.
+"""No module imports scipy, and one module only calls ``linalg.cond``.
 
 The package depends on numpy alone; scipy is a test dependency, the
 oracle of the exponential tests.  The guarded inversion reads its
-condition estimate from the inverse it returns, so ``linalg.cond`` (one
-SVD per slice) is left to ``structures``, which checks outside symplectic
-forms at every scale."""
+condition estimate from the inverse it returns, so ``linalg.cond`` (its
+Frobenius-norm form, one inversion per slice and no SVD) is left to
+``structures``, which checks outside symplectic forms at every scale."""
 
 import ast
 import os

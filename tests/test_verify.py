@@ -8,7 +8,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from acsgeom import charts, fiber, geometry, verify
+from acsgeom import charts, cli, fiber, geometry, verify
 from acsgeom.errors import ConfigError
 from acsgeom.geometry import chart_inner, chart_origin
 from acsgeom.structures import (
@@ -22,7 +22,9 @@ from acsgeom.structures import (
     standard_symplectic_field,
 )
 from acsgeom.verify import (
+    CASES,
     CHECK_NAMES,
+    FD_CASES,
     MAX_STACK_ENTRIES,
     MAX_T_STEPS,
     VerifyConfig,
@@ -40,11 +42,11 @@ from acsgeom.verify import (
     run_suite,
 )
 
-FAST = dict(dims=(2, 4), cases=3)
+FAST = dict(dims=(2, 4))
 
 
 def small_suite_config(**over):
-    base = dict(dims=(2,), fd_dims=(2,), cases=5, fd_cases=1, points=3)
+    base = dict(dims=(2,), fd_dims=(2,), points=3)
     base.update(over)
     return VerifyConfig(**base)
 
@@ -108,7 +110,7 @@ class TestCheckers:
         assert_report_invariant(r)
 
     def test_theorem2(self):
-        r = check_theorem2(dims=(2,), cases=1, points=3)
+        r = check_theorem2(dims=(2,), points=3)
         assert r.passed
         assert_report_invariant(r)
         order = [s for s in r.details if s["name"] == "fd_order_dim2"][0]
@@ -118,24 +120,24 @@ class TestCheckers:
         assert terms["residual"] == 0.0
 
     def test_geodesics(self):
-        r = check_geodesics(dims=(2,), cases=1, points=3)
+        r = check_geodesics(dims=(2,), points=3)
         assert r.passed
         assert_report_invariant(r)
 
     def test_curvature_fd(self):
-        r = check_curvature_fd(dims=(2,), cases=1, points=3)
+        r = check_curvature_fd(dims=(2,), points=3)
         assert r.passed
         assert_report_invariant(r)
         anti = [s for s in r.details if s["name"] == "antisymmetry_dim2"][0]
         assert anti["residual"] == 0.0 and anti["tolerance"] == 0.0
 
     def test_metric_structure(self):
-        r = check_metric_structure(dims=(2,), cases=1, points=3)
+        r = check_metric_structure(dims=(2,), points=3)
         assert r.passed
         assert_report_invariant(r)
 
     def test_totally_geodesic(self):
-        r = check_totally_geodesic(dims=(2, 4), cases=1, points=3)
+        r = check_totally_geodesic(dims=(2, 4), points=3)
         assert r.passed
         assert_report_invariant(r)
         names = {s["name"] for s in r.details}
@@ -162,18 +164,18 @@ class TestCheckers:
         assert step == verify.FD_STEP == 1e-4
         for check in (check_theorem2, check_geodesics, check_curvature_fd,
                       check_metric_structure):
-            r = check(dims=(2,), cases=1, points=2)
+            r = check(dims=(2,), points=2)
             assert "tolerance" in r.params and "h" not in r.params, r.name
             assert "h" not in inspect.signature(check).parameters, r.name
 
     def test_deterministic(self):
-        a = check_cayley(dims=(2,), cases=5)
-        b = check_cayley(dims=(2,), cases=5)
+        a = check_cayley(dims=(2,))
+        b = check_cayley(dims=(2,))
         assert a.to_dict() == b.to_dict()
 
     def test_seed_changes_draws(self):
-        a = check_cayley(seed=0, dims=(4,), cases=5)
-        b = check_cayley(seed=1, dims=(4,), cases=5)
+        a = check_cayley(seed=0, dims=(4,))
+        b = check_cayley(seed=1, dims=(4,))
         assert a.max_residual != b.max_residual
 
     def test_nan_subcheck_ranks_worst(self):
@@ -213,7 +215,7 @@ class TestCheckers:
         assert not 2.5 <= order["factor"] <= 6.0
 
     def test_failure_is_reported_not_raised(self):
-        r = check_cayley(dims=(2,), cases=2, tolerance=1e-30)
+        r = check_cayley(dims=(2,), tolerance=1e-30)
         assert not r.passed
         assert r.max_residual > r.tolerance
         assert_report_invariant(r)
@@ -221,20 +223,20 @@ class TestCheckers:
 
 class TestCaseDraws:
     @staticmethod
-    def per_case_calls(seed, name, dim, cases, count, bound):
+    def per_case_calls(seed, name, dim, count, bound):
         """One random_anticommuting call per draw, case by case."""
         j0 = charts.standard_acs(dim)
         draws = [[charts.random_anticommuting(rng, j0, bound=bound) for _ in range(count)]
                  for rng in (verify.derive_rng(seed, name, dim, case)
-                             for case in range(cases))]
-        return (np.tile(j0, (cases, 1, 1)), *np.stack(draws, axis=1))
+                             for case in range(CASES))]
+        return (np.tile(j0, (CASES, 1, 1)), *np.stack(draws, axis=1))
 
     @pytest.mark.parametrize("count", [1, 2])
     @pytest.mark.parametrize("dim", [2, 4, 6, 8])
     def test_bits_of_per_case_calls(self, dim, count):
         for seed in (0, 1, 2, 7):
-            stacked = verify._case_draws(seed, "cayley", dim, 20, count)
-            looped = self.per_case_calls(seed, "cayley", dim, 20, count, 0.9)
+            stacked = verify._case_draws(seed, "cayley", dim, count)
+            looped = self.per_case_calls(seed, "cayley", dim, count, 0.9)
             assert len(stacked) == len(looped) == count + 1
             assert all(np.array_equal(a, b) for a, b in zip(stacked, looped))
 
@@ -276,9 +278,7 @@ class TestVerifyConfig:
         dict(dims=()),
         dict(dims=(3,)),
         dict(fd_dims=(0,)),
-        dict(cases=0),
         dict(points=0),
-        dict(fd_cases=0),
         dict(t_max=-1.0),
         dict(tolerances={"nope": 1e-9}),
         dict(tolerances={"cayley": -1e-9}),
@@ -300,7 +300,6 @@ class TestVerifyConfig:
         dict(points=MAX_STACK_ENTRIES // MAX_FIBER_DIM**2 + 1, fd_dims=(2, MAX_FIBER_DIM)),
         dict(t_steps=MAX_T_STEPS + 1),
         dict(t_steps=10**30),
-        dict(cases=10**9),
         dict(points=MAX_STACK_ENTRIES // (8**2 * 4**2) + 1, fd_dims=(4,)),
         dict(points=1000, fd_dims=(16,)),
         dict(points=8, fd_dims=(12,)),
@@ -317,14 +316,25 @@ class TestVerifyConfig:
         assert peak < 10**6
 
     def test_size_caps_admit_their_bounds(self):
-        VerifyConfig(points=MAX_STACK_ENTRIES // (3 * 36), dims=(6,), fd_dims=(2,)).validate()
-        VerifyConfig(points=MAX_STACK_ENTRIES // (3 * MAX_FIBER_DIM**2),
+        VerifyConfig(points=MAX_STACK_ENTRIES // (FD_CASES * 36), dims=(6,),
+                     fd_dims=(2,)).validate()
+        VerifyConfig(points=MAX_STACK_ENTRIES // (FD_CASES * MAX_FIBER_DIM**2),
                      dims=(MAX_FIBER_DIM,), fd_dims=(2,)).validate()
         # signature's Gram stack: a basis of (dim**2 / 2) = 8 fields at dim 4
         VerifyConfig(points=MAX_STACK_ENTRIES // (8**2 * 4**2), fd_dims=(4,)).validate()
         VerifyConfig(points=1, fd_dims=(16,)).validate()
-        VerifyConfig(cases=MAX_STACK_ENTRIES // 36).validate()
         VerifyConfig(t_steps=MAX_T_STEPS).validate()
+
+    def test_algebraic_stacks_are_within_the_cap(self):
+        # so VerifyConfig needs no cap of its own for cayley and theorem1
+        assert CASES * MAX_FIBER_DIM**2 <= MAX_STACK_ENTRIES
+
+    def test_every_setting_is_set_by_a_flag(self):
+        # a value no flag sets is a constant of the method, not a field
+        settings = {f.name for f in fields(VerifyConfig)} - {"bundle", "tolerances"}
+        assert settings == set(verify.FLAGS)
+        verify_flags = {cli.SETTINGS[key][0] for key in cli.COMMANDS["verify"].settings}
+        assert set(verify.FLAGS.values()) <= verify_flags
 
 
 class TestRunSuite:
@@ -391,7 +401,7 @@ class TestRunSuite:
         monkeypatch.setattr(np.linalg, "cond", counted_cond)
         assert all(r.passed for r in run_suite(VerifyConfig()))
         assert 0 < len(calls) <= 57
-        assert 0 < len(conds) <= 2  # the two SymplecticFields; the guard takes no SVD
+        assert 0 < len(conds) <= 2  # the two SymplecticFields; the guard calls no cond
 
     def test_signature_builds_its_gram_without_chart_inner(self, monkeypatch):
         calls = []
@@ -431,7 +441,7 @@ class TestCheckerSkeleton:
     def test_params_are_the_signature_minus_seed_and_dims(self):
         # and each a setting: a config value or the overridable primary
         # tolerance; method constants are no keywords and echo nowhere
-        settings = {"cases", "points", "t_max", "t_steps"}
+        settings = {"points", "t_max", "t_steps"}
         keywords = 0
         for report in run_suite(small_suite_config()):
             check = getattr(verify, f"check_{report.name}")
@@ -440,20 +450,17 @@ class TestCheckerSkeleton:
             primary = "threshold" if report.name == "signature" else "tolerance"
             assert names - settings == {primary}, report.name
             keywords += len(names) + 2
-        assert keywords == 41
-        assert len(fields(VerifyConfig)) == 10
+        assert keywords == 34
+        assert len(fields(VerifyConfig)) == 8
 
     def test_config_binding(self):
-        cfg = small_suite_config(dims=(4,), cases=2, fd_cases=1, seed=3,
-                                 t_max=1.5, t_steps=4,
+        cfg = small_suite_config(dims=(4,), seed=3, t_max=1.5, t_steps=4,
                                  tolerances={name: 0.5 for name in CHECK_NAMES})
         for name in CHECK_NAMES:
             report = run_check(cfg, name)
             algebraic = name in ("cayley", "theorem1")
             assert report.seed == 3
             assert report.dims == (cfg.dims if algebraic else cfg.fd_dims)
-            if "cases" in report.params:
-                assert report.params["cases"] == (cfg.cases if algebraic else cfg.fd_cases)
             for key in ("points", "t_max", "t_steps"):
                 if key in report.params:
                     assert report.params[key] == getattr(cfg, key)
