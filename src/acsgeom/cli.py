@@ -27,7 +27,7 @@ import json
 import os
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,7 +55,6 @@ from .verify import (
     geodesic_equation_residual,
     report_document,
     run_suite,
-    tolerance_flag,
 )
 
 OUT_DIR_ENV = "ACSGEOM_OUT_DIR"
@@ -72,9 +71,10 @@ SETTINGS = {
 
 @dataclass(frozen=True)
 class Command:
-    """A subcommand: its help and handler, the checkers it runs (their ``--tol-*``
-    flags and size caps), the settings it reads besides output and format, and
-    those of them an input bundle fixes, refused beside ``--in``."""
+    """A subcommand: its help and handler, the checkers it runs (their size
+    caps), the settings it reads besides output and format, and those of them
+    an input bundle fixes, refused beside ``--in``.  Each checker states its
+    own tolerances, which no flag or config key sets."""
 
     help: str
     handler: Callable
@@ -91,14 +91,13 @@ class RunConfig:
     seed: int = VerifyConfig.seed
     t_max: float = VerifyConfig.t_max
     t_steps: int = VerifyConfig.t_steps
-    tolerances: dict = field(default_factory=dict)
     input: str | None = None
     output: str | None = None
     format: str = "report"
 
     def validate(self) -> None:
         """Check the command and format, then the shared settings through
-        :meth:`VerifyConfig.validate`, with the caps and tolerances of its checks."""
+        :meth:`VerifyConfig.validate`, with the caps of its checks."""
         if self.command not in COMMANDS:
             raise ConfigError(f"unknown command {self.command!r}")
         if self.format not in ("report", "csv"):
@@ -108,13 +107,12 @@ class RunConfig:
     def verify_config(self, bundle: FieldBundle | None = None) -> VerifyConfig:
         return VerifyConfig(seed=self.seed, dims=(self.dim,), fd_dims=(self.dim,),
                             points=self.points, t_max=self.t_max,
-                            t_steps=self.t_steps, tolerances=self.tolerances,
-                            bundle=bundle)
+                            t_steps=self.t_steps, bundle=bundle)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """One subparser per command, with the flags of the settings it reads and
-    of the checks it runs; an unread or abbreviated flag is an error."""
+    """One subparser per command, with the flags of the settings it reads; an
+    unread or abbreviated flag is an error."""
     parser = argparse.ArgumentParser(
         prog="acsgeom",
         description="numerical geometry of the space of almost complex structures")
@@ -131,9 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--format", choices=("report", "csv"),
                          help="output format (default report)")
         cmd.add_argument("--config", metavar="FILE", help="JSON config merged below flags")
-        for check in command.checks:
-            cmd.add_argument(tolerance_flag(check), dest=f"tol_{check}", type=float,
-                             help=f"primary tolerance override for the {check} check")
     return parser
 
 
@@ -143,17 +138,14 @@ def _read_config_file(path: str, command: str) -> dict:
             data = json.load(fh)
     except OSError as exc:
         raise IoError(f"cannot read config file {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError
         raise ConfigError(f"config file {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path!r} must hold a JSON object")
-    if "tolerances" in data and not isinstance(data["tolerances"], dict):
-        raise ConfigError("config key 'tolerances' must be an object")
     for key in ("input", "output"):
         if key in data and not isinstance(data[key], str):
             raise ConfigError(f"config key {key!r} must be a path string, got {data[key]!r}")
-    spec = COMMANDS[command]
-    read = (*spec.settings, "output", "format") + (("tolerances",) if spec.checks else ())
+    read = (*COMMANDS[command].settings, "output", "format")
     for key in data:
         if key not in read:
             flag = f" ({SETTINGS[key][0]})" if key in SETTINGS else ""
@@ -171,10 +163,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     fixed = [SETTINGS[k][0] for k in command.bundle_fixes if k in values and "input" in values]
     if fixed:
         raise ConfigError(f"{args.command} reads the space from --in, not {', '.join(fixed)}")
-    tolerances = dict(filed.get("tolerances", {}))
-    tolerances.update((name, getattr(args, f"tol_{name}")) for name in command.checks
-                      if getattr(args, f"tol_{name}") is not None)
-    cfg = RunConfig(args.command, tolerances=tolerances, **values)
+    cfg = RunConfig(args.command, **values)
     cfg.validate()
     return cfg
 
@@ -367,8 +356,7 @@ def _join_negative_values(argv: list[str]) -> list[str]:
     """``argv`` with each float flag and a following word that starts with one
     '-' joined as ``FLAG=VALUE``: argparse reads -0.5 as a value, but -1e-3
     and -inf as flags, and the value would never reach the rule that refuses it."""
-    floats = {flag for flag, kind, _ in SETTINGS.values() if kind is float} \
-        | set(map(tolerance_flag, CHECK_NAMES))
+    floats = {flag for flag, kind, _ in SETTINGS.values() if kind is float}
     joined = []
     for arg in argv:
         if joined and joined[-1] in floats and arg[:1] == "-" and arg[1:2] != "-":

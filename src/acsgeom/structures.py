@@ -272,8 +272,7 @@ def sym_antisym_split(k: TangentField, g: MetricField) -> tuple[np.ndarray, np.n
     return split_and_classify(k, g)[:2]
 
 
-def validate_associated(j: AcsField, w: SymplecticField,
-                        tol: float = FIELD_TOL) -> FieldReport:
+def validate_associated(j: AcsField, w: SymplecticField) -> FieldReport:
     """Check that j is positively associated with w at every point.
 
     Invariance means J^T W J = W; positivity means the smallest eigenvalue
@@ -285,7 +284,8 @@ def validate_associated(j: AcsField, w: SymplecticField,
         prod = w.forms @ j.ops
         min_eig = np.linalg.eigvalsh(0.5 * (prod + prod.mT))[:, 0]
     return FieldReport("associated", j.space.point_ids, residuals,
-                       (residuals <= tol) & (min_eig > POSITIVITY_FLOOR), tol, {"min_eig": min_eig})
+                       (residuals <= FIELD_TOL) & (min_eig > POSITIVITY_FLOOR), FIELD_TOL,
+                       {"min_eig": min_eig})
 
 
 def orientation_marker(j):
@@ -307,7 +307,7 @@ def orientation_marker(j):
     n = m.shape[-1]
     a = m.reshape(-1, n, n)
     a, sign = a.mT - a, np.ones(len(a))
-    with np.errstate(divide="ignore", invalid="ignore"):  # a zero pivot reads -1
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # a zero pivot reads -1
         for _ in range(n // 2):
             p = np.argmax(np.abs(a[:, 1:, 0]), axis=-1)  # pivot row less one
             s, p = np.nonzero(p)[0], p[p > 0] + 1  # the slices that swap
@@ -329,7 +329,8 @@ def validate_orthogonal(j: AcsField, g: MetricField, j_ref: AcsField) -> FieldRe
     each point must equal that of the reference structure.
     """
     same_space(j, g, j_ref)
-    residuals = _residuals(_sharps(j, g) @ j.ops - np.eye(j.space.dim))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite residual fails
+        residuals = _residuals(_sharps(j, g) @ j.ops - np.eye(j.space.dim))
     markers, ref_markers = orientation_marker(j.ops), orientation_marker(j_ref.ops)
     return FieldReport("orthogonal", j.space.point_ids, residuals,
                        (residuals <= FIELD_TOL) & (markers == ref_markers), FIELD_TOL,

@@ -245,7 +245,7 @@ def _case_space(seed: int, name: str, dim: int, cases: int, points: int):
     return by_case, space, standard_acs_field(space)
 
 
-def check_cayley(seed: int = 0, dims=(2, 4, 6), tolerance: float = 1e-9) -> CheckReport:
+def check_cayley(seed: int = 0, dims=(2, 4, 6)) -> CheckReport:
     """Chart bijection: coordinate -> structure -> coordinate round trip,
     and validity of every produced structure."""
     args = dict(locals())
@@ -253,12 +253,12 @@ def check_cayley(seed: int = 0, dims=(2, 4, 6), tolerance: float = 1e-9) -> Chec
     for dim in dims:
         j0, k = _case_draws(seed, "cayley", dim, 1)
         j = cayley_to_acs(CayleyCoordinate(j0, k))
-        subs += [_sub(f"roundtrip_dim{dim}", max_abs(acs_to_cayley(j0, j).K - k), tolerance),
+        subs += [_sub(f"roundtrip_dim{dim}", max_abs(acs_to_cayley(j0, j).K - k), 1e-9),
                  _sub(f"acs_identity_dim{dim}", max_abs(j @ j + np.eye(dim)), 1e-10)]
     return _compose("cayley", args, subs)
 
 
-def check_theorem1(seed: int = 0, dims=(2, 4, 6), tolerance: float = 1e-9) -> CheckReport:
+def check_theorem1(seed: int = 0, dims=(2, 4, 6)) -> CheckReport:
     """Pushforward intertwines the complex structures:
     pushforward(A J0) = pushforward(A) J_K."""
     args = dict(locals())
@@ -268,7 +268,7 @@ def check_theorem1(seed: int = 0, dims=(2, 4, 6), tolerance: float = 1e-9) -> Ch
         coord = CayleyCoordinate(j0, k)
         jk = cayley_to_acs(coord)
         worst = max_abs(pushforward(coord, a @ j0) - pushforward(coord, a) @ jk)
-        subs.append(_sub(f"intertwine_dim{dim}", worst, tolerance))
+        subs.append(_sub(f"intertwine_dim{dim}", worst, 1e-9))
     return _compose("theorem1", args, subs)
 
 
@@ -293,8 +293,7 @@ def _omega_ray_derivative(ray: ChartField, a0: TangentField, a1: TangentField,
     return by_case.sums(ray.space.weights * 4.0 * traces)
 
 
-def check_theorem2(seed: int = 0, dims=(2, 4), points: int = 8,
-                   tolerance: float = 1e-6) -> CheckReport:
+def check_theorem2(seed: int = 0, dims=(2, 4), points: int = 8) -> CheckReport:
     """Closedness of the 2-form: every directional-derivative term of
     d Omega vanishes at the chart center, both at the reference structure
     and after recentering at a random chart point; plus an order-2
@@ -326,16 +325,16 @@ def check_theorem2(seed: int = 0, dims=(2, 4), points: int = 8,
         worst = int(np.argmax(r_h))  # the binding case: largest r_h, a NaN first
         factor = r_h[worst] / r_h2[worst] if r_h2[worst] > 0.0 else float("inf")
         window = (2.5, 6.0)  # about 4, the factor of an order-2 stencil
-        subs += [_sub(f"terms_dim{dim}", max_abs([t0, t1, t2, s0, s1, s2]), tolerance),
+        subs += [_sub(f"terms_dim{dim}", max_abs([t0, t1, t2, s0, s1, s2]), 1e-6),
                  _sub(f"alternating_sum_dim{dim}", max_abs([t0 - t1 + t2, s0 - s1 + s2]),
-                      tolerance),
+                      1e-6),
                  _sub(f"fd_order_dim{dim}", _outside(factor, *window), 0.0,
                       factor=factor, window=window)]
     return _compose("theorem2", args, subs)
 
 
-def check_geodesics(seed: int = 0, dims=(2, 4), points: int = 8, tolerance: float = 1e-6,
-                    t_max: float = 2.0, t_steps: int = 9) -> CheckReport:
+def check_geodesics(seed: int = 0, dims=(2, 4), points: int = 8, t_max: float = 2.0,
+                    t_steps: int = 9) -> CheckReport:
     """Geodesic equation K'' + Gamma(K', K') = 0 by central differences at
     t = 0.2, 0.6 and 1.0, and chart/ambient consistency of the two geodesic
     descriptions on the grid of t_steps points on [0, t_max]."""
@@ -348,13 +347,12 @@ def check_geodesics(seed: int = 0, dims=(2, 4), points: int = 8, tolerance: floa
         ode = [geodesic_equation_residual(a, t) for t in (0.2, 0.6, 1.0)]
         chart = [max_abs(acs_to_cayley(j0f.ops, geodesic_ambient(j0f, a, t).ops).K
                          - geodesic_chart(a, t).ops) for t in full_grid]
-        subs += [_sub(f"ode_residual_dim{dim}", max_abs(ode), tolerance),
+        subs += [_sub(f"ode_residual_dim{dim}", max_abs(ode), 1e-6),
                  _sub(f"chart_ambient_dim{dim}", max_abs(chart), 1e-9)]
     return _compose("geodesics", args, subs)
 
 
-def check_curvature_fd(seed: int = 0, dims=(2, 4), points: int = 8,
-                       tolerance: float = 1e-5) -> CheckReport:
+def check_curvature_fd(seed: int = 0, dims=(2, 4), points: int = 8) -> CheckReport:
     """Curvature as the commutator of covariant derivatives, assembled by
     finite differences of the connection, against the closed form; plus
     the exact antisymmetry, first Bianchi, and flat-origin identities.
@@ -379,7 +377,7 @@ def check_curvature_fd(seed: int = 0, dims=(2, 4), points: int = 8,
         flat = curvature(chart_origin(j0f), a, b, d).ops
         ab = a.ops @ b.ops - b.ops @ a.ops
         bianchi = closed + curvature(c, b, d, a).ops + curvature(c, d, a, b).ops
-        subs += [_sub(f"fd_match_dim{dim}", max_abs(term_a - term_b - closed), tolerance),
+        subs += [_sub(f"fd_match_dim{dim}", max_abs(term_a - term_b - closed), 1e-5),
                  _sub(f"antisymmetry_dim{dim}", max_abs(curvature(c, b, a, d).ops + closed), 0.0),
                  _sub(f"self_pair_dim{dim}", max_abs(curvature(c, a, a, d).ops), 0.0),
                  _sub(f"bianchi_dim{dim}", max_abs(bianchi), 1e-10),
@@ -388,11 +386,10 @@ def check_curvature_fd(seed: int = 0, dims=(2, 4), points: int = 8,
     return _compose("curvature_fd", args, subs)
 
 
-def check_metric_structure(seed: int = 0, dims=(2, 4), points: int = 8,
-                           tolerance: float = 1e-6) -> CheckReport:
+def check_metric_structure(seed: int = 0, dims=(2, 4), points: int = 8) -> CheckReport:
     """Structural identities of the metric, the complex structure and the
     2-form, in ambient and chart form, plus metric compatibility of the
-    connection by finite differences (primary tolerance)."""
+    connection by finite differences."""
     args = dict(locals())
     subs = []
     for dim in dims:
@@ -423,7 +420,7 @@ def check_metric_structure(seed: int = 0, dims=(2, 4), points: int = 8,
         lhs = fd_directional(lambda ch: total(chart_inner_terms, ch, b, d), cf, a)
         rhs = total(chart_inner_terms, cf, christoffel(cf, a, b), d) \
             + total(chart_inner_terms, cf, b, christoffel(cf, a, d))
-        subs += [_sub(f"metric_compat_fd_dim{dim}", max_abs(lhs - rhs), tolerance),
+        subs += [_sub(f"metric_compat_fd_dim{dim}", max_abs(lhs - rhs), 1e-6),
                  _sub(f"hermitian_dim{dim}", r_herm, 1e-10),
                  _sub(f"omega_is_inner_dim{dim}", r_omega, 1e-12),
                  _sub(f"chart_ambient_inner_dim{dim}", r_ci, 1e-9),
@@ -433,7 +430,7 @@ def check_metric_structure(seed: int = 0, dims=(2, 4), points: int = 8,
 
 
 def check_totally_geodesic(seed: int = 0, dims=(2, 4), points: int = 8, t_max: float = 2.0,
-                           t_steps: int = 9, tolerance: float = 1e-9) -> CheckReport:
+                           t_steps: int = 9) -> CheckReport:
     """Geodesics stay inside the two submanifolds.
 
     For a metric-symmetric initial velocity the whole geodesic remains
@@ -448,10 +445,9 @@ def check_totally_geodesic(seed: int = 0, dims=(2, 4), points: int = 8, t_max: f
         by_case, space, j0f = _case_space(seed, "totally_geodesic", dim, FD_CASES, points)
         a_sym = random_tangent_field(by_case, j0f, part="symmetric")
         wf = standard_symplectic_field(space)
-        reports = [validate_associated(geodesic_ambient(j0f, a_sym, t), wf, tol=tolerance)
-                   for t in grid]
+        reports = [validate_associated(geodesic_ambient(j0f, a_sym, t), wf) for t in grid]
         res, eigs = zip(*[(r.residuals, r.values["min_eig"]) for r in reports])
-        subs += [_sub(f"associated_invariance_dim{dim}", max_abs(res), tolerance),
+        subs += [_sub(f"associated_invariance_dim{dim}", max_abs(res), 1e-9),
                  _positivity(f"associated_positivity_dim{dim}", float(np.min(eigs)))]
         if dim >= 4:
             a_anti = random_tangent_field(by_case, j0f, part="antisymmetric")
@@ -484,17 +480,17 @@ def _anticommuting_part_basis(j0: np.ndarray, part: str) -> list[np.ndarray]:
     return basis
 
 
-def check_signature(seed: int = 0, dims=(2, 4), points: int = 8,
-                    threshold: float = 1e-10) -> CheckReport:
+def check_signature(seed: int = 0, dims=(2, 4), points: int = 8) -> CheckReport:
     """Signature of the pairing at the chart origin.
 
     On single-point tangent fields spanning the metric-symmetric part the
     Gram matrix of chart_inner must be positive definite; on the
     antisymmetric part (dim >= 4) negative definite; on the full tangent
-    space indefinite.  Basis dimensions per fiber must be n^2 + n and
-    n^2 - n.
+    space indefinite, each eigenvalue clearing 0 by the margin 1e-10.
+    Basis dimensions per fiber must be n^2 + n and n^2 - n.
     """
     args = dict(locals())
+    margin = 1e-10
     subs = []
     for dim in dims:
         _, _, j0f = _case_space(seed, "signature", dim, 1, points)
@@ -519,15 +515,15 @@ def check_signature(seed: int = 0, dims=(2, 4), points: int = 8,
             return np.sort(np.linalg.eigvalsh(blocks, UPLO="U"), axis=None)
 
         lo = float(gram_eigs(sym_basis)[0])
-        subs.append(_sub(f"symmetric_positive_dim{dim}", _worst(0.0, threshold - lo), 0.0,
+        subs.append(_sub(f"symmetric_positive_dim{dim}", _worst(0.0, margin - lo), 0.0,
                          min_eig=lo))
         if anti_basis:
             hi = float(gram_eigs(anti_basis)[-1])
-            subs.append(_sub(f"antisymmetric_negative_dim{dim}", _worst(0.0, hi + threshold),
+            subs.append(_sub(f"antisymmetric_negative_dim{dim}", _worst(0.0, hi + margin),
                              0.0, max_eig=hi))
             lo, hi = (float(x) for x in gram_eigs(sym_basis + anti_basis)[[0, -1]])
             subs.append(_sub(f"full_indefinite_dim{dim}",
-                             _worst(0.0, lo + threshold, threshold - hi), 0.0,
+                             _worst(0.0, lo + margin, margin - hi), 0.0,
                              min_eig=lo, max_eig=hi))
     return _compose("signature", args, subs)
 
@@ -546,11 +542,6 @@ FLAGS = {"seed": "--seed", "dims": "--dim", "fd_dims": "--dim", "points": "--poi
          "t_steps": "--t-steps", "t_max": "--t-max"}
 
 
-def tolerance_flag(name: str) -> str:
-    """The command-line flag that overrides the tolerance of check ``name``."""
-    return f"--tol-{name.replace('_', '-')}"
-
-
 def _named(name: str) -> str:
     """A field name for a validation message, with the flag that sets it."""
     return f"{name} ({FLAGS[name]})" if name in FLAGS else name
@@ -561,9 +552,9 @@ class VerifyConfig:
     """Configuration of the full suite.
 
     ``dims`` drive the cheap algebraic ensembles; ``fd_dims`` the
-    finite-difference and eigenbasis checks.  ``tolerances`` may override
-    each checker's primary tolerance by name (see CHECK_NAMES).  An
-    optional input ``bundle`` is validated ahead of the theorem checks.
+    finite-difference and eigenbasis checks.  An optional input ``bundle``
+    is validated ahead of the theorem checks.  Tolerances are no settings:
+    each checker states its own.
     """
 
     seed: int = 0
@@ -572,16 +563,15 @@ class VerifyConfig:
     points: int = 8
     t_max: float = 2.0
     t_steps: int = 9
-    tolerances: dict = field(default_factory=dict)
     bundle: FieldBundle | None = None
 
     def validate(self, checks=CHECK_NAMES) -> None:
         """Raise :class:`ConfigError` for any value the checkers cannot use.
 
-        A tolerance override, and the size cap of a stack only one checker
-        builds, apply when ``checks`` (default all of CHECK_NAMES) names it.  The
-        command line validates its settings here too, so each rule is
-        stated once; each message names the flag that sets the value.
+        The size cap of a stack only one checker builds applies when
+        ``checks`` (default all of CHECK_NAMES) names it.  The command line
+        validates its settings here too, so each rule is stated once; each
+        message names the flag that sets the value.
         """
         _require_int("seed", self.seed, 0)
         for label, dims in (("dims", self.dims), ("fd_dims", self.fd_dims)):
@@ -607,10 +597,6 @@ class VerifyConfig:
             raise ConfigError(f"{_named('t_steps')} must be at most {MAX_T_STEPS}, "
                               f"got {self.t_steps}")
         _require_positive("t_max", self.t_max)
-        for name, tol in self.tolerances.items():
-            if name not in checks:
-                raise ConfigError(f"unknown tolerance override {name!r}")
-            _require_positive(f"tolerance override {name!r} ({tolerance_flag(name)})", tol)
 
 
 def _require_int(name: str, value, least: int) -> None:
@@ -629,11 +615,10 @@ def run_check(config: VerifyConfig, name: str) -> CheckReport:
     :func:`run_suite` runs it.  ``config`` must already be validated.
 
     The checker, looked up in this module at call time, gets the config
-    values its signature names and any override of its primary tolerance.
-    The two algebraic checks take ``dims``; the others take ``fd_dims`` in
-    its place.  A :class:`GeometryError` the checker raises is raised again,
-    as the same type, with a prefix that names the check and the flags of
-    the values it took.
+    values its signature names.  The two algebraic checks take ``dims``;
+    the others take ``fd_dims`` in its place.  A :class:`GeometryError` the
+    checker raises is raised again, as the same type, with a prefix that
+    names the check and the flags of the values it took.
     """
     if name not in CHECK_NAMES:
         raise ConfigError(f"unknown check {name!r}")
@@ -641,9 +626,6 @@ def run_check(config: VerifyConfig, name: str) -> CheckReport:
     values = {f.name: getattr(config, f.name) for f in fields(config)}
     if name not in ("cayley", "theorem1"):
         values["dims"] = config.fd_dims
-    if name in config.tolerances:
-        key = "threshold" if name == "signature" else "tolerance"
-        values[key] = float(config.tolerances[name])
     wanted = inspect.signature(check).parameters
     taken = {k: v for k, v in values.items() if k in wanted}
     try:

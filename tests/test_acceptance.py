@@ -50,7 +50,7 @@ def held_to(report, **stated):
 
 
 def test_01_cayley_bijection():
-    rep = check_cayley(seed=0, dims=(2, 4, 6), tolerance=1e-9)
+    rep = check_cayley(seed=0, dims=(2, 4, 6))
     ok = rep.passed and held_to(rep, roundtrip_dim=1e-9, acs_identity_dim=1e-10)
     scorecard(1, "Cayley round-trip <= 1e-9 and J^2 = -Id <= 1e-10 "
                  "over 100 draws per dim in {2, 4, 6}",
@@ -59,8 +59,8 @@ def test_01_cayley_bijection():
 
 
 def test_02_pushforward_intertwines():
-    rep = check_theorem1(seed=0, dims=(2, 4, 6), tolerance=1e-9)
-    ok = rep.passed
+    rep = check_theorem1(seed=0, dims=(2, 4, 6))
+    ok = rep.passed and held_to(rep, intertwine_dim=1e-9)
     scorecard(2, "pushforward(A J0) - pushforward(A) J_K <= 1e-9 "
                  "over the same ensemble",
               ok, f"max_residual={rep.max_residual:.3g}")
@@ -68,12 +68,13 @@ def test_02_pushforward_intertwines():
 
 
 def test_03_fundamental_form_closed():
-    rep = check_theorem2(seed=0, dims=(2, 4), tolerance=1e-6)
+    rep = check_theorem2(seed=0, dims=(2, 4))
     terms_ok = all(s["passed"] for s in subs_by_prefix(rep, "terms_dim"))
     order = subs_by_prefix(rep, "fd_order_dim")
     factors = [s["factor"] for s in order]
     order_ok = all(2.5 <= f <= 6.0 and s["window"] == [2.5, 6.0] for s, f in zip(order, factors))
-    ok = rep.passed and terms_ok and order_ok and held_to(rep, terms_dim=1e-6)
+    ok = (rep.passed and terms_ok and order_ok
+          and held_to(rep, terms_dim=1e-6, alternating_sum_dim=1e-6))
     scorecard(3, "every d-omega finite-difference term <= 1e-6 at the chart "
                  "center, original and recentered, with halving factor in "
                  "[2.5, 6]",
@@ -82,7 +83,7 @@ def test_03_fundamental_form_closed():
 
 
 def test_04_curvature_tensor():
-    rep = check_curvature_fd(seed=0, dims=(2, 4), tolerance=1e-5)
+    rep = check_curvature_fd(seed=0, dims=(2, 4))
     stated = held_to(rep, fd_match_dim=1e-5, antisymmetry_dim=0.0, bianchi_dim=1e-10,
                      origin_closed_form_dim=1e-12)
 
@@ -104,7 +105,7 @@ def test_04_curvature_tensor():
 
 
 def test_05_geodesics():
-    rep = check_geodesics(seed=0, dims=(2, 4), tolerance=1e-6, t_max=2.0, t_steps=9)
+    rep = check_geodesics(seed=0, dims=(2, 4), t_max=2.0, t_steps=9)
     ode = max(s["residual"] for s in subs_by_prefix(rep, "ode_residual_dim"))
     chart = max(s["residual"] for s in subs_by_prefix(rep, "chart_ambient_dim"))
     ok = rep.passed and held_to(rep, ode_residual_dim=1e-6, chart_ambient_dim=1e-9)
@@ -115,7 +116,7 @@ def test_05_geodesics():
 
 
 def test_06_metric_structure():
-    rep = check_metric_structure(seed=0, dims=(2, 4), tolerance=1e-6)
+    rep = check_metric_structure(seed=0, dims=(2, 4))
     worst = {
         "hermitian": max(s["residual"]
                          for s in subs_by_prefix(rep, "hermitian_dim")),
@@ -139,7 +140,7 @@ def test_06_metric_structure():
 
 
 def test_07_signature_split():
-    rep = check_signature(seed=0, dims=(2, 4), threshold=1e-10)
+    rep = check_signature(seed=0, dims=(2, 4))
     sym = subs_by_prefix(rep, "symmetric_positive_dim4")[0]
     anti = subs_by_prefix(rep, "antisymmetric_negative_dim4")[0]
     full = subs_by_prefix(rep, "full_indefinite_dim4")[0]
@@ -153,7 +154,7 @@ def test_07_signature_split():
 
 
 def test_08_totally_geodesic_submanifolds():
-    rep = check_totally_geodesic(seed=0, dims=(2, 4), t_max=2.0, t_steps=9, tolerance=1e-9)
+    rep = check_totally_geodesic(seed=0, dims=(2, 4), t_max=2.0, t_steps=9)
     names = {s["name"] for s in rep.details}
     ok = (rep.passed
           and held_to(rep, associated_invariance_dim=1e-9, orthogonal_invariance_dim=1e-10)

@@ -29,7 +29,7 @@ from acsgeom.structures import (
     standard_acs_field,
     sym_antisym_split,
 )
-from acsgeom.verify import CHECK_NAMES, FLAGS, tolerance_flag
+from acsgeom.verify import CHECK_NAMES, FLAGS
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
@@ -73,14 +73,6 @@ class TestConfigMerging:
         assert cfg.dim == 6        # flag beats file
         assert cfg.seed == 7       # file beats default
 
-    def test_file_tolerances_merge(self, tmp_path):
-        conf = tmp_path / "c.json"
-        conf.write_text(json.dumps({"tolerances": {"cayley": 1e-7,
-                                                   "theorem1": 1e-7}}))
-        cfg = build_config(self.parse(
-            ["verify", "--config", str(conf), "--tol-cayley", "1e-5"]))
-        assert cfg.tolerances == {"cayley": 1e-5, "theorem1": 1e-7}
-
     def test_unknown_config_key(self, tmp_path):
         conf = tmp_path / "c.json"
         conf.write_text(json.dumps({"dims": [2, 4]}))
@@ -90,10 +82,8 @@ class TestConfigMerging:
     def test_validation(self):
         with pytest.raises(ConfigError):
             RunConfig("verify", dim=3).validate()
-        with pytest.raises(ConfigError):
-            RunConfig("verify", tolerances={"bogus": 1.0}).validate()
-        with pytest.raises(ConfigError, match="'cayley'"):
-            RunConfig("curvature", tolerances={"cayley": 1.0}).validate()
+        with pytest.raises(TypeError):
+            RunConfig("verify", tolerances={"cayley": 1e-8})
 
 
 class TestExitCodes:
@@ -109,7 +99,8 @@ class TestExitCodes:
         ("--tol-metric-structure", "nan"),
     ])
     def test_config_errors_name_the_flag(self, capsys, flag, value):
-        # --h, which no subcommand reads, is refused by name too
+        # --h and --tol-metric-structure, which no subcommand reads, are
+        # refused by name too
         command = {"--t-steps": "geodesic", "--h": "curvature", "--t-max": "geodesic",
                    "--tol-metric-structure": "verify"}.get(flag, "signature")
         code, out, err = run_cli([command, flag, value], capsys)
@@ -118,7 +109,7 @@ class TestExitCodes:
 
     def test_validation_names_real_flags(self):
         parser = build_parser()
-        for flag in {*FLAGS.values(), *map(tolerance_flag, CHECK_NAMES)}:
+        for flag in FLAGS.values():
             parser.parse_args(["verify", flag, "2"])  # exits on an unknown flag
 
     def test_unknown_flag(self, capsys):
@@ -173,10 +164,25 @@ class TestExitCodes:
         assert "check geodesics fails" in err and "--t-max" in err
         assert "exceeds cap" in err  # the original reason is kept
 
-    def test_check_failure_is_exit_1(self, capsys):
-        code, _, _ = run_cli(
-            ["verify", "--dim", "2", "--tol-cayley", "1e-30"], capsys)
+    def test_check_failure_is_exit_1(self, tmp_path, capsys):
+        # a J that misses J^2 = -identity by 0.1 fails field_acs, and only it
+        path = tmp_path / "b.json"
+        path.write_text(json.dumps({"dim": 2, "points": [
+            {"id": 0, "weight": 1.0, "J": [0.0, -1.0, 1.1, 0.0]}]}))
+        code, out, _ = run_cli(["verify", "--dim", "2", "--in", str(path),
+                                "--out", str(tmp_path / "r.json")], capsys)
         assert code == 1
+        assert [line.split(":")[0] for line in out.splitlines() if line.startswith("FAIL")] \
+            == ["FAIL field_acs"]
+
+    @pytest.mark.parametrize("text", [b"\xff\xfe{}", b"[" * 100000 + b"]" * 100000],
+                             ids=["invalid-utf8", "nested-100000"])
+    def test_malformed_config_file_is_usage_error(self, tmp_path, capsys, text):
+        conf = tmp_path / "c.json"
+        conf.write_bytes(text)
+        code, out, err = run_cli(["verify", "--config", str(conf)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: config file {str(conf)!r} is not valid JSON")
 
     def test_project_requires_input(self, capsys):
         code, _, err = run_cli(["project"], capsys)
@@ -226,7 +232,7 @@ class TestExitCodes:
         assert err == "error: tangent ops fail to anticommute with the base, residual nan\n"
 
     @pytest.mark.parametrize("flag", [flag for flag, kind, _ in cli.SETTINGS.values()
-                                      if kind is float] + list(map(tolerance_flag, CHECK_NAMES)))
+                                      if kind is float])
     def test_negative_value_in_exponent_form_reaches_the_rule(self, capsys, flag):
         # argparse alone reads "-1e-3" after a flag as another flag
         for argv in ([flag, "-1e-3"], [f"{flag}=-1e-3"]):
@@ -235,7 +241,7 @@ class TestExitCodes:
             assert err.endswith(f"({flag}) must be a finite positive number, got -0.001\n")
 
     @pytest.mark.parametrize("flag", [["--t-max", "-inf"], ["--t-max", "inf"],
-                                      ["--tol-cayley", "inf"], ["--tol-signature", "nan"]])
+                                      ["--t-max", "nan"], ["--t-max", "1e309"]])
     def test_non_finite_flag_is_usage_error(self, capsys, flag):
         code, _, err = run_cli(["verify", "--dim", "2", *flag], capsys)
         assert code == 2
@@ -320,48 +326,47 @@ class TestExitCodes:
 
 
 # The flags each subcommand reads besides --out, --format and --config, and
-# the config key of each; a --tol-<check> flag goes under "tolerances".
+# the config key of each.
 READS = {
-    "verify": ["--dim", "--points", "--seed", "--t-max", "--t-steps", "--in",
-               *map(tolerance_flag, CHECK_NAMES)],
+    "verify": ["--dim", "--points", "--seed", "--t-max", "--t-steps", "--in"],
     "geodesic": ["--dim", "--points", "--seed", "--t-max", "--t-steps", "--in"],
-    "curvature": ["--dim", "--points", "--seed", "--tol-curvature-fd"],
+    "curvature": ["--dim", "--points", "--seed"],
     "project": ["--in"],
-    "signature": ["--dim", "--points", "--seed", "--tol-signature"],
+    "signature": ["--dim", "--points", "--seed"],
 }
+# Flags of settings that are now constants of the method: --h set the
+# finite-difference step and --tol-<check> a check's primary tolerance (config
+# key "tolerances").  Every subcommand refuses the flag and the config key like
+# any it does not read.
+REMOVED = ["--h", *(f"--tol-{name.replace('_', '-')}" for name in CHECK_NAMES)]
 CONFIG = {"--dim": ("dim", 2), "--points": ("points", 1), "--seed": ("seed", 1),
           "--t-max": ("t_max", 1.0), "--t-steps": ("t_steps", 2), "--in": ("input", "b.json"),
           "--h": ("h", 0.001),
-          **{tolerance_flag(name): ("tolerances", {name: 1.0}) for name in CHECK_NAMES}}
-# --h set the finite-difference step, now a constant of the method: every
-# subcommand refuses the flag and the config key like any it does not read
-UNREAD = [(command, flag) for command in READS for flag in [*READS["verify"], "--h"]
+          **{flag: ("tolerances", {name: 1.0}) for flag, name in zip(REMOVED[1:], CHECK_NAMES)}}
+UNREAD = [(command, flag) for command in READS for flag in [*READS["verify"], *REMOVED]
           if flag not in READS[command]]
 
 
-def config_entry(command, flag):
-    """The config entry of ``flag`` and the name a refusal of it by ``command``
-    must show: the check, where ``command`` reads other tolerances."""
+def config_entry(flag):
+    """The config entry of ``flag`` and the name a refusal of it must show."""
     key, value = CONFIG[flag]
-    reads_tolerances = any(f.startswith("--tol-") for f in READS[command])
-    return {key: value}, repr(next(iter(value)) if key == "tolerances" and reads_tolerances
-                              else key)
+    return {key: value}, repr(key)
 
 
 class TestCommandTable:
     def test_counts(self):
-        assert sum(len(flags) + 3 for flags in READS.values()) == 44
-        assert len(UNREAD) == 46
+        assert sum(len(flags) + 3 for flags in READS.values()) == 34
+        assert len(UNREAD) == 56
         keys = {command: {"output", "format", *(CONFIG[f][0] for f in flags)}
                 for command, flags in READS.items()}
-        assert sum(map(len, keys.values())) == 32
+        assert sum(map(len, keys.values())) == 29
 
     @pytest.mark.parametrize("command, flag", UNREAD)
     def test_unread_flag_or_key_is_usage_error(self, tmp_path, capsys, command, flag):
         code, out, err = run_cli([command, flag, "1"], capsys)
         assert (code, out) == (2, "")
         assert f"unrecognized arguments: {flag} 1" in err
-        entry, name = config_entry(command, flag)
+        entry, name = config_entry(flag)
         conf = tmp_path / "c.json"
         conf.write_text(json.dumps(entry))
         code, out, err = run_cli([command, "--config", str(conf)], capsys)
@@ -372,7 +377,7 @@ class TestCommandTable:
     def test_read_keys_are_accepted(self, tmp_path, command):
         conf = tmp_path / "c.json"
         for flag in READS[command]:
-            conf.write_text(json.dumps(config_entry(command, flag)[0]))
+            conf.write_text(json.dumps(config_entry(flag)[0]))
             build_config(build_parser().parse_args([command, "--config", str(conf)]))
         conf.write_text(json.dumps({"output": "o.json", "format": "csv"}))
         cfg = build_config(build_parser().parse_args([command, "--config", str(conf)]))

@@ -19,7 +19,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from acsgeom.cli import COMMANDS, SETTINGS, main
 from acsgeom.structures import MAX_FIBER_DIM
-from acsgeom.verify import CHECK_NAMES, MAX_STACK_ENTRIES, MAX_T_STEPS, tolerance_flag
+from acsgeom.verify import CHECK_NAMES, MAX_STACK_ENTRIES, MAX_T_STEPS
 
 NEGATIVE = st.integers(-10**30, 0)
 
@@ -35,14 +35,20 @@ FLAGS = {
 }
 
 
-ALL_FLAGS = sorted({flag for flag, _, _ in SETTINGS.values()}
-                   | set(map(tolerance_flag, CHECK_NAMES)))
+# the settings' flags, and those of settings that are now method constants:
+# the difference step and each check's primary tolerance
+ALL_FLAGS = sorted({flag for flag, _, _ in SETTINGS.values()} | {"--h"}
+                   | {f"--tol-{name.replace('_', '-')}" for name in CHECK_NAMES})
 
 
 def flags_read(command):
     """The flags ``command`` reads, from the command table."""
-    spec = COMMANDS[command]
-    return {SETTINGS[key][0] for key in spec.settings} | set(map(tolerance_flag, spec.checks))
+    return {SETTINGS[key][0] for key in COMMANDS[command].settings}
+
+
+def test_flag_table_counts():
+    # with --out, --format and --config, which every subcommand reads
+    assert sum(len(flags_read(command)) + 3 for command in COMMANDS) == 34
 
 
 @st.composite

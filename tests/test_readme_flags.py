@@ -1,11 +1,12 @@
-"""The README's table of subcommand flags matches the command table.
+"""The README's tables match the code.
 
 ``README.md`` lists, per subcommand, the flags it reads besides ``--out``,
-``--format`` and ``--config``; ``acsgeom.cli.COMMANDS`` decides them.  This
-test reads the table's rows and compares each with the flags of the
-subcommand's settings and of the checks it runs, so the docs cannot drift
-from the command table.  In a row, ``--tol-<check>`` stands for the
-``--tol-*`` flag of every check the subcommand runs.
+``--format`` and ``--config``; ``acsgeom.cli.COMMANDS`` decides them.  It
+also states the primary tolerance of each check, that of its first
+sub-check, which the checker writes where it builds that sub-check.  These
+tests read the tables' rows and compare the first with the flags of each
+subcommand's settings and the second with the first sub-check of each
+report of a small suite run, so the docs cannot drift from the code.
 """
 
 import os
@@ -14,24 +15,26 @@ import re
 import pytest
 
 from acsgeom.cli import COMMANDS, SETTINGS
-from acsgeom.verify import tolerance_flag
+from acsgeom.verify import CHECK_NAMES, VerifyConfig, run_suite
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
 
-def _documented() -> dict[str, set[str]]:
-    """Subcommand -> flags, from the rows of the table headed ``| subcommand | flags |``."""
+def _rows(header: str) -> list[str]:
+    """The rows of the README table whose header line is ``header``."""
     with open(README, encoding="utf-8") as fh:
         text = fh.read()
-    table = text.split("| subcommand | flags |\n| --- | --- |\n", 1)[1].split("\n\n", 1)[0]
+    columns = header.count("|") - 1
+    rule = "|" + " --- |" * columns
+    return text.split(f"{header}\n{rule}\n", 1)[1].split("\n\n", 1)[0].splitlines()
+
+
+def _documented() -> dict[str, set[str]]:
+    """Subcommand -> flags, from the rows of the table headed ``| subcommand | flags |``."""
     rows = {}
-    for line in table.splitlines():
+    for line in _rows("| subcommand | flags |"):
         command, flags = re.fullmatch(r"\| `(\w+)` \| (.*) \|", line).groups()
-        spec = COMMANDS[command]
-        found = set(re.findall(r"--[a-z0-9-]+(?![<\w-])", flags))
-        if "--tol-<check>" in flags:
-            found |= set(map(tolerance_flag, spec.checks))
-        rows[command] = found
+        rows[command] = set(re.findall(r"--[a-z0-9-]+", flags))
     return rows
 
 
@@ -44,6 +47,21 @@ def test_every_subcommand_has_a_row():
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
 def test_row_lists_the_flags_read(command):
-    spec = COMMANDS[command]
-    read = {SETTINGS[key][0] for key in spec.settings} | set(map(tolerance_flag, spec.checks))
-    assert DOCUMENTED[command] == read
+    assert DOCUMENTED[command] == {SETTINGS[key][0] for key in COMMANDS[command].settings}
+
+
+def test_tolerance_table_states_each_first_sub_check():
+    stated = {}
+    for line in _rows("| check | first sub-check | tolerance |"):
+        check, prefix, tol = re.fullmatch(r"\| `(\w+)` \| `(\w+)\*` \| (\S+) \|", line).groups()
+        stated[check] = (prefix, float(tol))
+    # signature's margin is stated in prose: its sub-checks hold 0
+    assert sorted(stated) == sorted(set(CHECK_NAMES) - {"signature"})
+    reports = run_suite(VerifyConfig(dims=(2,), fd_dims=(2,), points=1))
+    for report in reports:
+        first = report.details[0]
+        if report.name == "signature":
+            assert first["tolerance"] == 0.0
+            continue
+        prefix, tol = stated[report.name]
+        assert (first["name"].startswith(prefix), first["tolerance"]) == (True, tol), report.name

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -561,6 +562,19 @@ class TestOrthogonal:
                                   identity_metric_field(space), j0)
         assert rep.passed
         assert rep.max_residual < 1e-13
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_overflow_fails_without_a_warning(self, dim):
+        # J^sharp J and the Pfaffian's rank-2 updates overflow; the point fails
+        space = SampleSpace(dim, np.ones(1))
+        ops = 1e200 * (np.eye(dim) if dim == 2
+                       else np.random.default_rng(0).standard_normal((dim, dim)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = validate_orthogonal(AcsField(space, [ops]), identity_metric_field(space),
+                                      standard_acs_field(space))
+        assert not rep.passed
+        assert not math.isfinite(rep.max_residual) or rep.max_residual > 1e300
 
     def test_reflected_structure_fails_orientation(self):
         # conjugation by diag(1,-1) flips the complex orientation at dim 2
