@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, GeometryError, IoError, NonFiniteValue
-from .fiber import max_abs
+from .fiber import max_abs, slice_max_abs
 from .geometry import geodesic_ambient, geodesic_chart
 from .structures import (
     FieldBundle,
@@ -326,7 +326,7 @@ def cmd_project(cfg: RunConfig) -> int:
         raise ConfigError("project needs an input bundle with J and K fields")
     space, k = bundle.space, bundle.K
     p, l, classes = split_and_classify(k, MetricField(space, space.metrics))
-    norms = [np.max(np.abs(part), axis=(1, 2)) for part in (p, l)]
+    norms = [slice_max_abs(part) for part in (p, l)]
     bad = np.flatnonzero(~np.isfinite(norms).all(axis=0))
     if bad.size:
         raise NonFiniteValue(f"the parts of K overflow at point {space.point_ids[bad[0]]!r}")

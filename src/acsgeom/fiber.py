@@ -31,6 +31,15 @@ takes the quotient from those two parts, with no exponential and only the
 guarded inversion.  The package imports no scipy.  An exponential whose
 norm or result is not finite raises :class:`NonFiniteValue` without a
 numpy warning.
+
+A per-slice reduction of a stack (the gate's defect and scale, the
+guard's scale, the Pade 1-norm and diagonal mask, the validators'
+residuals) goes through :func:`slice_max_abs` or
+:func:`diagonal_and_norm_1`.  They copy |entries| of up to
+``REDUCE_BLOCK`` slices into a buffer with the slice index last and
+reduce it row by row across slices, where numpy would run one short loop
+per slice.  Their results are bit for bit those of the plain numpy
+reductions, NaN included.
 """
 
 from __future__ import annotations
@@ -68,6 +77,52 @@ def max_abs(a) -> float:
     """Entrywise max norm, the residual measure used throughout."""
     arr = np.asarray(a, dtype=float)
     return float(np.max(np.abs(arr))) if arr.size else 0.0
+
+
+# Slices per block of a per-slice reduction, and the most entries per slice
+# at which reducing a block row by row beats numpy's own per-slice loop; a
+# block of the widest slices is 512 KB.
+REDUCE_BLOCK = 1024
+REDUCE_WIDEST = 64
+
+
+def slice_max_abs(x: np.ndarray) -> np.ndarray:
+    """Largest |entry| of each (n, m) slice of a float64 (..., n, m) stack,
+    shape (...): the bits of ``np.abs(x).max(axis=(-2, -1))``, a NaN entry
+    giving NaN.  numpy reduces a 16-entry slice in a short loop of its own;
+    here |x| of up to ``REDUCE_BLOCK`` slices is written with the slice
+    index last, into one contiguous (n m, b) block, and reduced row by row.
+    A max is exact in any order.  Slices of more than ``REDUCE_WIDEST``
+    entries keep numpy's reduce, which is then as fast."""
+    flat = x.reshape(-1, x.shape[-2] * x.shape[-1])
+    if flat.shape[1] > REDUCE_WIDEST:
+        return np.abs(flat).max(axis=1).reshape(x.shape[:-2])
+    out = np.empty(len(flat))
+    for at in range(0, len(flat), REDUCE_BLOCK):
+        block = np.abs(flat[at:at + REDUCE_BLOCK].T, order="C")
+        block.max(axis=0, out=out[at:at + REDUCE_BLOCK])
+    return out.reshape(x.shape[:-2])
+
+
+def diagonal_and_norm_1(a: np.ndarray):
+    """The mask of diagonal slices of a float64 (k, n, n) stack (every
+    off-diagonal entry == 0) and each slice's 1-norm, its largest column
+    sum of |entries|, from (n, n, b) blocks as in :func:`slice_max_abs`.
+    The column sums add the rows in order, as ``np.abs(a).sum(axis=1)``
+    does, so both keep the bits of the plain numpy expressions, NaN
+    included."""
+    k, n = a.shape[:2]
+    if n * n > REDUCE_WIDEST:
+        diagonal = (a[:, ~np.eye(n, dtype=bool)] == 0).all(axis=1)
+        return diagonal, np.abs(a).sum(axis=1).max(axis=-1)
+    diagonal, norm = np.empty(k, dtype=bool), np.empty(k)
+    for at in range(0, k, REDUCE_BLOCK):
+        block = np.abs(a[at:at + REDUCE_BLOCK].transpose(1, 2, 0), order="C")
+        block.sum(axis=0).max(axis=0, out=norm[at:at + REDUCE_BLOCK])
+        rows = block.reshape(n * n, -1)
+        rows[::n + 1] = 0.0
+        np.equal(rows.max(axis=0), 0.0, out=diagonal[at:at + REDUCE_BLOCK])
+    return diagonal, norm
 
 
 @dataclass(frozen=True)
@@ -118,7 +173,7 @@ def guard_inverse(m: np.ndarray, inv: np.ndarray) -> np.ndarray:
     ``m`` or from a closed form; the rule is the same.
     """
     # rescaled by each slice's largest entry, so no square leaves the range
-    scale = np.max(np.abs(m), axis=(-2, -1), keepdims=True)
+    scale = slice_max_abs(m)[..., None, None]
     with np.errstate(over="ignore"):
         cond = np.linalg.norm(m / scale, axis=(-2, -1)) * np.linalg.norm(inv * scale, axis=(-2, -1))
     finite = np.isfinite(cond)
@@ -203,8 +258,8 @@ def mat_inv(m: np.ndarray) -> np.ndarray:
     stack = np.ascontiguousarray(m).reshape(-1, n, n)
     swap, sign = _pair_swap(n)
     even = stack[:, 0::2]
-    defect = np.abs(stack[:, 1::2] - even[:, :, swap] * sign).max(axis=(1, 2))
-    linear = defect <= COMMUTING_GATE * np.abs(stack).max(axis=(1, 2))
+    defect = slice_max_abs(stack[:, 1::2] - even[:, :, swap] * sign)
+    linear = defect <= COMMUTING_GATE * slice_max_abs(stack)
     if not linear.any():
         return _solve_eye(stack).reshape(m.shape)
     if linear.all():
@@ -243,9 +298,8 @@ def _pade_13(a: np.ndarray):
     negation is exact, so -a gets the same mask and s with the two swapped,
     bit for bit.  A non-finite norm raises :class:`NonFiniteValue`."""
     n = a.shape[-1]
-    diagonal = (a[:, ~np.eye(n, dtype=bool)] == 0).all(axis=1)
-    x = a[~diagonal]
-    norm = np.abs(x).sum(axis=1).max(axis=-1)
+    diagonal, norm = diagonal_and_norm_1(a)
+    x, norm = a[~diagonal], norm[~diagonal]
     if not np.isfinite(norm).all():
         raise NonFiniteValue("matrix exponential entries must be finite")
     squarings = np.maximum(np.ceil(np.log2(norm / THETA_13)), 0.0).astype(int)

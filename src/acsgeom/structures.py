@@ -35,7 +35,7 @@ from .errors import (
     IoError,
     NonFiniteValue,
 )
-from .fiber import DEFAULT_COND_CAP, FiberMetric, g_adjoint, max_abs
+from .fiber import DEFAULT_COND_CAP, FiberMetric, g_adjoint, max_abs, slice_max_abs
 
 # Largest fiber dimension a sample space, a suite config or a bundle may
 # ask for; larger requests are input errors, refused before any dim x dim
@@ -165,8 +165,8 @@ class SymplecticField:
     def __post_init__(self):
         w = self.forms = _as_stack(self.forms, self.space.dim, self.space.npoints, "forms")
         with np.errstate(over="ignore"):  # an overflow reads as skew
-            skew = np.max(np.abs(w + w.mT), axis=(1, 2)) > 1e-12
-        scale = np.max(np.abs(w), axis=(1, 2), keepdims=True)
+            skew = slice_max_abs(w + w.mT) > 1e-12
+        scale = slice_max_abs(w)[:, None, None]
         cond = np.linalg.cond(w / np.where(scale > 0.0, scale, 1.0), "fro")
         bad = skew | ~(np.isfinite(cond) & (cond <= DEFAULT_COND_CAP))
         if bad.any():
@@ -228,15 +228,10 @@ class FieldReport:
         return [dict(zip(keys, row)) for row in zip(self.point_ids, *columns)]
 
 
-def _residuals(stack: np.ndarray) -> np.ndarray:
-    """Per-point max norms of a (points, n, n) stack of identity defects."""
-    return np.max(np.abs(stack), axis=(1, 2))
-
-
 def validate_acs(j: AcsField) -> FieldReport:
     """Check J^2 = -identity at every point."""
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite residual fails
-        residuals = _residuals(j.ops @ j.ops + np.eye(j.space.dim))
+        residuals = slice_max_abs(j.ops @ j.ops + np.eye(j.space.dim))
     return FieldReport("acs", j.space.point_ids, residuals, residuals <= FIELD_TOL, FIELD_TOL)
 
 
@@ -261,7 +256,7 @@ def split_and_classify(k: TangentField, g: MetricField) -> tuple[np.ndarray, np.
     sharp = _sharps(k, g)
     with np.errstate(over="ignore", invalid="ignore"):  # the caller refuses a non-finite part
         p = 0.5 * (k.ops + sharp)
-        rs, ra = _residuals(k.ops - sharp), _residuals(k.ops + sharp)
+        rs, ra = slice_max_abs(k.ops - sharp), slice_max_abs(k.ops + sharp)
     classes = np.where(rs <= FIELD_TOL, "symmetric",
                        np.where(ra <= FIELD_TOL, "antisymmetric", "mixed"))
     return p, k.ops - p, classes.tolist()
@@ -280,7 +275,7 @@ def validate_associated(j: AcsField, w: SymplecticField) -> FieldReport:
     """
     same_space(j, w)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite residual fails
-        residuals = _residuals(j.ops.mT @ w.forms @ j.ops - w.forms)
+        residuals = slice_max_abs(j.ops.mT @ w.forms @ j.ops - w.forms)
         prod = w.forms @ j.ops
         min_eig = np.linalg.eigvalsh(0.5 * (prod + prod.mT))[:, 0]
     return FieldReport("associated", j.space.point_ids, residuals,
@@ -330,7 +325,7 @@ def validate_orthogonal(j: AcsField, g: MetricField, j_ref: AcsField) -> FieldRe
     """
     same_space(j, g, j_ref)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite residual fails
-        residuals = _residuals(_sharps(j, g) @ j.ops - np.eye(j.space.dim))
+        residuals = slice_max_abs(_sharps(j, g) @ j.ops - np.eye(j.space.dim))
     markers, ref_markers = orientation_marker(j.ops), orientation_marker(j_ref.ops)
     return FieldReport("orthogonal", j.space.point_ids, residuals,
                        (residuals <= FIELD_TOL) & (markers == ref_markers), FIELD_TOL,
@@ -439,7 +434,7 @@ def _matrix_stack(points: list, ids: tuple, key: str, dim: int,
         if not rows:
             return None
         stack = np.array(rows, dtype=float)
-    finite = np.isfinite(stack).all(axis=(1, 2))
+    finite = slice_max_abs(stack) < np.inf  # a NaN or infinite entry fails
     if not finite.all():
         pid = ids[int(np.argmin(finite))]
         raise IoError(f"matrix {key!r} at point {pid!r} must hold finite numbers only")
@@ -458,7 +453,8 @@ def save_bundle(bundle: FieldBundle, path) -> None:
         for key, f in (("J", bundle.J), ("W", bundle.W), ("K", bundle.K)) if f is not None]
     key_texts = [f',\n   "{key}": [\n    ' for key, _ in named]
     rows = [stack.reshape(space.npoints, -1).tolist() for _, stack in named]
-    custom = (space.metrics != np.eye(space.dim)).any(axis=(1, 2)).tolist()
+    # finite floats differ by exactly 0 where they are equal
+    custom = (slice_max_abs(space.metrics - np.eye(space.dim)) > 0.0).tolist()
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(f'{{\n "dim": {json.dumps(space.dim)},\n "points": [')

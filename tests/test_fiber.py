@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from acsgeom.charts import random_anticommuting, standard_acs
@@ -12,12 +13,14 @@ from acsgeom.fiber import (
     THETA_13,
     FiberMetric,
     as_fiber_matrix,
+    diagonal_and_norm_1,
     g_adjoint,
     mat_exp,
     mat_inv,
     mat_inv_guarded,
     mat_tanh_half,
     max_abs,
+    slice_max_abs,
 )
 
 
@@ -464,3 +467,41 @@ class TestComplexForm:
         with pytest.raises(SingularOperator, match="^condition estimate") as info:
             mat_inv_guarded(m)
         assert "slice 2 " in str(info.value) and "nan" not in str(info.value)
+
+
+SPECIAL = (np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e308)
+
+
+class TestSliceReductions:
+    """The blocked per-slice reductions give the bits of the plain numpy
+    expressions they replace, which stay here as the oracle."""
+
+    # 1025 slices cross a block of 1024; 10 x 10 and 16 x 16 slices take
+    # numpy's own reduce
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.sampled_from([0, 1, 8, 1000, 1025]), n=st.sampled_from([2, 4, 6, 8, 10, 16]),
+           seed=st.integers(0, 2**32 - 1), diagonal_share=st.sampled_from([0.0, 0.5, 1.0]),
+           densities=st.lists(st.sampled_from([0.0, 1e-3, 0.05]), min_size=6, max_size=6))
+    @example(k=0, n=4, seed=0, diagonal_share=0.0, densities=[0.0] * 6)
+    def test_bits_of_the_numpy_reductions(self, k, n, seed, diagonal_share, densities):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((k, n, n))
+        x[rng.random(k) < diagonal_share] *= np.eye(n)  # off-diagonal 0.0 and -0.0
+        for value, density in zip(SPECIAL, densities):
+            x[rng.random(x.shape) < density] = value
+        with np.errstate(over="ignore"):  # 1e308 sums overflow to inf
+            diagonal, norm = diagonal_and_norm_1(x)
+            assert np.array_equal(norm, np.abs(x).sum(axis=1).max(axis=-1), equal_nan=True)
+        assert np.array_equal(diagonal, (x[:, ~np.eye(n, dtype=bool)] == 0).all(axis=1))
+        assert np.array_equal(slice_max_abs(x), np.abs(x).max(axis=(1, 2)), equal_nan=True)
+        # the commuting gate's (k, n/2, n) defect, a strided view
+        assert np.array_equal(slice_max_abs(x[:, 1::2]), np.abs(x[:, 1::2]).max(axis=(1, 2)),
+                              equal_nan=True)
+
+    def test_any_leading_shape(self):
+        x = np.random.default_rng(0).standard_normal((3, 5, 4, 4))
+        assert np.array_equal(slice_max_abs(x), np.abs(x).max(axis=(-2, -1)))
+        assert slice_max_abs(x[0, 0]) == np.abs(x[0, 0]).max()
+
+    def test_empty_stack(self):
+        assert mat_exp(np.zeros((0, 4, 4))).shape == (0, 4, 4)

@@ -6,8 +6,10 @@ A flag a command does not read exits 2 with nothing on stdout.
 Valid values are small, so each run is quick.  Invalid values are zero,
 negative, odd dimensions, sizes above the caps up to 10**30 (refused before
 anything is allocated) and non-finite or extreme floats.  A ``geodesic``
-run that exits 0 must show a non-zero residual at every t > 0: an exact 0
-would be a collapsed stencil.
+run that exits 0 must show a non-zero residual at every t > 0 with
+t + h != h, h = ``FD_STEP``.  Below half an ulp of h, t +- h round to +-h,
+and the central difference of the odd K(t) is exactly 0 with the stencil
+intact; a collapsed stencil reads NaN and exits 1.
 """
 
 import contextlib
@@ -19,7 +21,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from acsgeom.cli import COMMANDS, SETTINGS, main
 from acsgeom.structures import MAX_FIBER_DIM
-from acsgeom.verify import CHECK_NAMES, MAX_STACK_ENTRIES, MAX_T_STEPS
+from acsgeom.verify import CHECK_NAMES, FD_STEP, MAX_STACK_ENTRIES, MAX_T_STEPS
 
 NEGATIVE = st.integers(-10**30, 0)
 
@@ -73,6 +75,7 @@ def argvs_with_an_unread_flag(draw):
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(argvs())
 @example(["geodesic", "--t-max", "-1e-05"])  # a negative value in exponent form
+@example(["geodesic", "--dim", "2", "--t-steps", "2", "--points", "1", "--t-max", "5e-324"])
 def test_flag_values_exit_cleanly(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -83,8 +86,9 @@ def test_flag_values_exit_cleanly(argv):
         text = out.getvalue()
         assert "NaN" not in text and "Infinity" not in text, argv
         if argv[0] == "geodesic":
-            # 0 at t = 0 by oddness; elsewhere an exact 0 is a collapsed stencil
-            assert all(row[3] != 0.0 for row in json.loads(text)["rows"][1:]), argv
+            # 0 at t = 0 by oddness, and where t +- h round to +-h
+            assert all(row[3] != 0.0 for row in json.loads(text)["rows"]
+                       if row[0] + FD_STEP != FD_STEP), argv
     if code == 2:
         assert out.getvalue() == ""
 
