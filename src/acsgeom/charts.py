@@ -63,8 +63,9 @@ class CayleyCoordinate:
     Construction checks the chart domain at every point, in this order:
     J0^2 = -1, K anticommutes with J0, 1 - K passes :func:`guard_inverse`,
     and then so does 1 - K^2.  1 - K^2 commutes with J0, since K
-    anticommutes with it; it is inverted once, and its inverse is kept as
-    the read-only ``square_resolvent``.  The read-only ``resolvent``, the (1 - K)^{-1}
+    anticommutes with it; it is kept as the read-only ``square``, inverted
+    once, and its inverse is kept as the read-only ``square_resolvent``.
+    The read-only ``resolvent``, the (1 - K)^{-1}
     that the chart map and its differential share, is derived as
     (1 + K)(1 - K^2)^{-1}.  That is exact for any K, since 1 + K and 1 - K
     commute; no identity of J0 is used.  Its rounding error is about
@@ -76,6 +77,7 @@ class CayleyCoordinate:
     base: np.ndarray
     K: np.ndarray
     resolvent: np.ndarray = field(init=False, repr=False, compare=False)
+    square: np.ndarray = field(init=False, repr=False, compare=False)
     square_resolvent: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -95,10 +97,11 @@ class CayleyCoordinate:
         inv = mat_inv(square)
         resolvent = guard_inverse(eye - k, (eye + k) @ inv)
         inv = guard_inverse(square, inv)
-        resolvent.flags.writeable = inv.flags.writeable = False
+        resolvent.flags.writeable = square.flags.writeable = inv.flags.writeable = False
         object.__setattr__(self, "base", j0)
         object.__setattr__(self, "K", k)
         object.__setattr__(self, "resolvent", resolvent)
+        object.__setattr__(self, "square", square)
         object.__setattr__(self, "square_resolvent", inv)
 
     @property

@@ -9,8 +9,10 @@ Operands are assumed unit-scale (norms of order one); the default
 tolerances used by callers are calibrated for that regime.  The guard
 (:func:`guard_inverse`) reads kappa_F from an inverse it is given, solved
 or derived in closed form: no SVD, and up to n times tighter than
-kappa_2.  A :class:`FiberMetric` inverts itself once, on first use, and
-every metric adjoint reads that.
+kappa_2.  Its two Frobenius norms come from :func:`slice_norm_fro`, the
+sum of squares ``np.linalg.norm`` takes, without the copy of its conj.
+A :class:`FiberMetric` inverts itself once, on first use, and every
+metric adjoint reads that.
 
 Chart tangents anticommute with the standard structure J_std, so every
 operator the chart inverts (1 - K^2, the tanh denominator N^2 + D^2, the
@@ -28,7 +30,10 @@ masked, stacked squarings.  ``mat_tanh_half`` builds the polynomial once
 for both signs of its exponent, which share the scaling and swap the
 approximant's numerator and denominator; where no squaring is needed it
 takes the quotient from those two parts, with no exponential and only the
-guarded inversion.  The package imports no scipy.  An exponential whose
+guarded inversion.  A one-path stack (no diagonal slice, and for tanh no
+slice that needs squaring: every chart geodesic at t != 0) takes no
+boolean mask, gather or scatter; a mixed stack splits by masks, with the
+same bits per slice.  The package imports no scipy.  An exponential whose
 norm or result is not finite raises :class:`NonFiniteValue` without a
 numpy warning.
 
@@ -45,7 +50,7 @@ reductions, NaN included.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
@@ -125,6 +130,14 @@ def diagonal_and_norm_1(a: np.ndarray):
     return diagonal, norm
 
 
+def slice_norm_fro(x: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each (n, m) slice of a float64 (..., n, m) stack,
+    shape (...): the sum of squares ``np.linalg.norm(x, axis=(-2, -1))``
+    takes for real input, without its copy of ``x.conj()``; the same
+    pairwise sums, so the same bits, an overflow to inf and NaN included."""
+    return np.sqrt(np.add.reduce(x * x, axis=(-2, -1)))
+
+
 @dataclass(frozen=True)
 class FiberMetric:
     """Symmetric positive-definite inner products: one matrix, or a
@@ -175,7 +188,7 @@ def guard_inverse(m: np.ndarray, inv: np.ndarray) -> np.ndarray:
     # rescaled by each slice's largest entry, so no square leaves the range
     scale = slice_max_abs(m)[..., None, None]
     with np.errstate(over="ignore"):
-        cond = np.linalg.norm(m / scale, axis=(-2, -1)) * np.linalg.norm(inv * scale, axis=(-2, -1))
+        cond = slice_norm_fro(m / scale) * slice_norm_fro(inv * scale)
     finite = np.isfinite(cond)
     if not finite.all():
         raise SingularOperator(
@@ -186,16 +199,15 @@ def guard_inverse(m: np.ndarray, inv: np.ndarray) -> np.ndarray:
     return inv
 
 
-@cache
-def _pair_swap(n: int):
-    """Column order that swaps the two columns of every 2x2 block of a row
-    of n entries, and the signs (-1, +1) of each pair.  A matrix commutes
-    with J_std exactly when each odd row is the even row above it, swapped
-    and signed so: the blocks are [[a, -b], [b, a]]."""
-    swap = np.arange(n).reshape(-1, 2)[:, ::-1].ravel()
-    sign = np.tile([-1.0, 1.0], n // 2)
-    swap.flags.writeable = sign.flags.writeable = False
-    return swap, sign
+def _commuting_defect(stack: np.ndarray) -> np.ndarray:
+    """max(|b + c|, |d - a|) over the 2x2 blocks [[a, c], [b, d]] of each
+    slice of a (k, n, n) stack, 0 exactly when the slice commutes with
+    J_std (blocks [[a, -b], [b, a]]).  b + c and d - a come from strided
+    views of the odd and even rows, with no gather, and the larger of
+    their |entries| is reduced once per slice; a NaN gives NaN."""
+    even, odd = stack[:, 0::2], stack[:, 1::2]
+    return slice_max_abs(np.maximum(np.abs(odd[:, :, 0::2] + even[:, :, 1::2]),
+                                    np.abs(odd[:, :, 1::2] - even[:, :, 0::2])))
 
 
 def _solve_eye(m: np.ndarray) -> np.ndarray:
@@ -256,10 +268,8 @@ def mat_inv(m: np.ndarray) -> np.ndarray:
     """
     n = m.shape[-1]
     stack = np.ascontiguousarray(m).reshape(-1, n, n)
-    swap, sign = _pair_swap(n)
     even = stack[:, 0::2]
-    defect = slice_max_abs(stack[:, 1::2] - even[:, :, swap] * sign)
-    linear = defect <= COMMUTING_GATE * slice_max_abs(stack)
+    linear = _commuting_defect(stack) <= COMMUTING_GATE * slice_max_abs(stack)
     if not linear.any():
         return _solve_eye(stack).reshape(m.shape)
     if linear.all():
@@ -299,7 +309,9 @@ def _pade_13(a: np.ndarray):
     bit for bit.  A non-finite norm raises :class:`NonFiniteValue`."""
     n = a.shape[-1]
     diagonal, norm = diagonal_and_norm_1(a)
-    x, norm = a[~diagonal], norm[~diagonal]
+    x = a
+    if diagonal.any():
+        x, norm = a[~diagonal], norm[~diagonal]
     if not np.isfinite(norm).all():
         raise NonFiniteValue("matrix exponential entries must be finite")
     squarings = np.maximum(np.ceil(np.log2(norm / THETA_13)), 0.0).astype(int)
@@ -328,13 +340,15 @@ def _expm(a, diagonal, squarings, num, den) -> np.ndarray:
     :func:`mat_inv` inverts it in complex form.  Swapping num and den gives
     exp(-a) by the same steps.  A non-finite result raises
     :class:`NonFiniteValue`."""
-    out = np.zeros(a.shape)
-    np.einsum("kii->ki", out)[diagonal] = np.exp(np.einsum("kii->ki", a)[diagonal])
     r = mat_inv(den @ num) @ (num @ num) if len(num) else num
     for step in range(squarings.max(initial=0)):
         todo = squarings > step
         r[todo] = r[todo] @ r[todo]
-    out[~diagonal] = r
+    out = r
+    if diagonal.any():
+        out = np.zeros(a.shape)
+        np.einsum("kii->ki", out)[diagonal] = np.exp(np.einsum("kii->ki", a)[diagonal])
+        out[~diagonal] = r
     if not np.isfinite(out).all():
         raise NonFiniteValue("matrix exponential entries must be finite")
     return out
@@ -373,6 +387,9 @@ def mat_tanh_half(a, t: float) -> np.ndarray:
     with np.errstate(invalid="ignore"):  # inf * 0 is refused by _pade_13
         h = (0.5 * float(t)) * m.reshape(-1, m.shape[-1], m.shape[-1])
     diagonal, squarings, num, den = _pade_13(h)
+    if not (diagonal.any() or squarings.any()):  # one path: no masks
+        n2, d2 = num @ num, den @ den
+        return (mat_inv_guarded(n2 + d2) @ (n2 - d2)).reshape(m.shape)
     cosh, sinh = np.empty_like(h), np.empty_like(h)
     unscaled = squarings == 0
     quotient = np.zeros_like(diagonal)  # the slices that take (N^2 + D^2)^{-1} (N^2 - D^2)

@@ -138,12 +138,13 @@ def christoffel(c: ChartField, a: TangentField, b: TangentField) -> TangentField
 def curvature(c: ChartField, a: TangentField, b: TangentField,
               d: TangentField) -> TangentField:
     """Curvature in chart coordinates:
-    R(A, B) D = -(1-K^2) [[X, Y], Z] with X = (1-K^2)^{-1} A and so on."""
+    R(A, B) D = -(1-K^2) [[X, Y], Z] with X = (1-K^2)^{-1} A and so on;
+    1 - K^2 is the chart point's own."""
     same_space(c.K, a, b, d)
-    k, res = c.K.ops, c.resolvents()
+    res = c.resolvents()
     x, y, z = res @ a.ops, res @ b.ops, res @ d.ops
     xy = x @ y - y @ x
-    stack = -(np.eye(c.space.dim) - k @ k) @ (xy @ z - z @ xy)
+    stack = -c.coord.square @ (xy @ z - z @ xy)
     return TangentField.derived(c.base, stack)
 
 

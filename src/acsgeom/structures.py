@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -117,7 +118,9 @@ class AcsField:
 
     Construction checks shape and finiteness only; whether each operator
     actually squares to -identity is the job of :func:`validate_acs`, so
-    that defective input data can be loaded and then diagnosed.
+    that defective input data can be loaded and then diagnosed.  Instances
+    are treated as immutable once constructed: ``orientation`` is computed
+    on first read and kept.
     """
 
     space: SampleSpace
@@ -125,6 +128,15 @@ class AcsField:
 
     def __post_init__(self):
         self.ops = _as_stack(self.ops, self.space.dim, self.space.npoints, "ops")
+
+    @cached_property
+    def orientation(self) -> np.ndarray:
+        """:func:`orientation_marker` of ``ops`` per point, read-only; one
+        call, on first read, so a reference field reused over many
+        validations pays once."""
+        markers = orientation_marker(self.ops)
+        markers.flags.writeable = False
+        return markers
 
 
 @dataclass
@@ -321,12 +333,13 @@ def validate_orthogonal(j: AcsField, g: MetricField, j_ref: AcsField) -> FieldRe
 
     Orthogonality g(JX, JY) = g(X, Y) reads J^sharp J = identity; combined
     with J^2 = -identity it says J is g-skew.  The orientation marker at
-    each point must equal that of the reference structure.
+    each point must equal that of the reference structure; both are the
+    fields' kept ``orientation``.
     """
     same_space(j, g, j_ref)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite residual fails
         residuals = slice_max_abs(_sharps(j, g) @ j.ops - np.eye(j.space.dim))
-    markers, ref_markers = orientation_marker(j.ops), orientation_marker(j_ref.ops)
+    markers, ref_markers = j.orientation, j_ref.orientation
     return FieldReport("orthogonal", j.space.point_ids, residuals,
                        (residuals <= FIELD_TOL) & (markers == ref_markers), FIELD_TOL,
                        {"orientation": markers, "reference_orientation": ref_markers})

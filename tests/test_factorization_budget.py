@@ -4,9 +4,11 @@ The op is the one the ``field_1000`` benchmark workload repeats, on 16
 points instead of 1000: the chart geodesic K(t), the chart field at K(t)
 with its connection, curvature, pairing and 2-form, and two ambient
 geodesics with their validators.  Its cost is dominated by stacked
-factorizations, so a change that adds one has to change this count.
-The stacked solves of the ``cayley`` and ``theorem1`` checkers are pinned
-too.
+factorizations, so a change that adds one has to change this count.  So
+are two bookkeeping counts: the orientation markers (the reference field
+keeps its own) and the ``np.linalg.norm`` calls (the guard reads
+``fiber.slice_norm_fro``).  The stacked solves of the ``cayley`` and
+``theorem1`` checkers are pinned too.
 """
 
 import numpy as np
@@ -16,18 +18,21 @@ from acsgeom import geometry as ge
 from acsgeom import structures as st
 from acsgeom.verify import check_cayley, check_theorem1
 
-FACTORIZATIONS = ("solve", "inv", "svd", "eigvalsh")
-# per op, once every metric has kept its inverse.  The guarded tanh
-# quotient, the guarded (1 - K^2)^{-1} of the chart field and the Pade
-# inversion of each ambient exponential all invert operators that commute
-# with the standard base, which fiber.mat_inv inverts in complex form with
-# no LAPACK call at dim 4; the eigenvalues are validate_associated's
-BUDGET = {"solve": 0, "inv": 0, "svd": 0, "eigvalsh": 1}
+COUNTED = {np.linalg: ("solve", "inv", "svd", "eigvalsh", "norm"),
+           st: ("orientation_marker",)}
+# per op, once every metric has kept its inverse and the reference its
+# orientation.  The guarded tanh quotient, the guarded (1 - K^2)^{-1} of
+# the chart field and the Pade inversion of each ambient exponential all
+# invert operators that commute with the standard base, which
+# fiber.mat_inv inverts in complex form with no LAPACK call at dim 4; the
+# eigenvalues are validate_associated's, the marker the orthogonal
+# geodesic's
+BUDGET = {"solve": 0, "inv": 0, "svd": 0, "eigvalsh": 1, "norm": 0, "orientation_marker": 1}
 
 
 @pytest.fixture
 def counted(monkeypatch):
-    counts = dict.fromkeys(FACTORIZATIONS, 0)
+    counts = dict.fromkeys(BUDGET, 0)
 
     def counting(name, original):
         def call(*args, **kwargs):
@@ -35,8 +40,9 @@ def counted(monkeypatch):
             return original(*args, **kwargs)
         return call
 
-    for name in FACTORIZATIONS:
-        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    for module, names in COUNTED.items():
+        for name in names:
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     return counts
 
 
@@ -62,8 +68,9 @@ def test_warmed_chart_op_keeps_its_factorization_budget(counted):
     a_anti = st.random_tangent_field(rng, j0, part="antisymmetric")
     fields = (space, j0, a, b, a_sym, a_anti, st.standard_symplectic_field(space),
               st.identity_metric_field(space))
-    assert chart_op(fields, 2.0)  # warm-up: the metric of the validator keeps its inverse
-    counted.update(dict.fromkeys(FACTORIZATIONS, 0))
+    # warm-up: the metric of the validator keeps its inverse, j0 its orientation
+    assert chart_op(fields, 2.0)
+    counted.update(dict.fromkeys(BUDGET, 0))
     assert chart_op(fields, 1.5)
     assert counted == BUDGET
 

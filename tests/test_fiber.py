@@ -10,8 +10,11 @@ from acsgeom.errors import DimensionMismatch, NonFiniteValue, SingularOperator
 from acsgeom.fiber import (
     COMMUTING_GATE,
     DEFAULT_COND_CAP,
+    PADE_13,
     THETA_13,
     FiberMetric,
+    _commuting_defect,
+    _pade_13,
     as_fiber_matrix,
     diagonal_and_norm_1,
     g_adjoint,
@@ -21,6 +24,7 @@ from acsgeom.fiber import (
     mat_tanh_half,
     max_abs,
     slice_max_abs,
+    slice_norm_fro,
 )
 
 
@@ -505,3 +509,145 @@ class TestSliceReductions:
 
     def test_empty_stack(self):
         assert mat_exp(np.zeros((0, 4, 4))).shape == (0, 4, 4)
+
+
+class TestFrobeniusNorm:
+    """slice_norm_fro gives the bits of np.linalg.norm over the matrix axes."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.sampled_from([0, 1, 8, 1000]), n=st.sampled_from([2, 4, 6, 8, 16]),
+           seed=st.integers(0, 2**32 - 1),
+           densities=st.lists(st.sampled_from([0.0, 1e-3, 0.05]), min_size=6, max_size=6))
+    @example(k=8, n=4, seed=0, densities=[0.0, 0.0, 0.0, 0.5, 0.5, 0.5])
+    def test_bits_of_np_linalg_norm(self, k, n, seed, densities):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((k, n, n))
+        for value, density in zip(SPECIAL, densities):
+            x[rng.random(x.shape) < density] = value
+        with np.errstate(over="ignore", invalid="ignore"):  # 1e308 squared overflows to inf
+            got, want = slice_norm_fro(x), np.linalg.norm(x, axis=(-2, -1))
+        assert np.array_equal(got, want, equal_nan=True)
+
+    def test_edge_values(self):
+        x = np.zeros((5, 2, 4))
+        x[0, 1, 2] = -0.0
+        x[1] = 1e200
+        x[2, 0, 0] = np.nan
+        x[3, 0, 0], x[3, 1, 1] = np.inf, -np.inf
+        x[4, 0, 0] = 5e-324
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = slice_norm_fro(x)
+            assert np.array_equal(got, np.linalg.norm(x, axis=(-2, -1)), equal_nan=True)
+        assert got[0] == 0.0 and not np.signbit(got[0])
+        assert got[1] == np.inf and np.isnan(got[2]) and got[3] == np.inf and got[4] == 0.0
+        assert slice_norm_fro(np.zeros((0, 4, 4))).shape == (0,)
+        y = np.random.default_rng(0).standard_normal((3, 5, 4, 4))
+        assert np.array_equal(slice_norm_fro(y), np.linalg.norm(y, axis=(-2, -1)))
+
+
+def old_commuting_defect(stack):
+    """The gate defect as mat_inv took it before its strided halves: each
+    odd row minus the even row above it with its pairs swapped and signed."""
+    n = stack.shape[-1]
+    swap = np.arange(n).reshape(-1, 2)[:, ::-1].ravel()
+    sign = np.tile([-1.0, 1.0], n // 2)
+    even = stack[:, 0::2]
+    return np.abs(stack[:, 1::2] - even[:, :, swap] * sign).max(axis=(1, 2))
+
+
+def masked_pade_13(a):
+    """The Pade-13 parts as the masked expression, whatever the stack holds:
+    the non-diagonal slices and their norms gathered by a[~diagonal]."""
+    n = a.shape[-1]
+    diagonal, norm = diagonal_and_norm_1(a)
+    x, norm = a[~diagonal], norm[~diagonal]
+    with np.errstate(divide="ignore"):
+        squarings = np.maximum(np.ceil(np.log2(norm / THETA_13)), 0.0).astype(int)
+    if squarings.any():
+        x = np.ldexp(x, -squarings[:, None, None])
+    b, eye = PADE_13, np.eye(n)
+    x2 = x @ x
+    x4 = x2 @ x2
+    x6 = x4 @ x2
+    u = x @ (x6 @ (b[13] * x6 + b[11] * x4 + b[9] * x2)
+             + b[7] * x6 + b[5] * x4 + b[3] * x2 + b[1] * eye)
+    v = (x6 @ (b[12] * x6 + b[10] * x4 + b[8] * x2)
+         + b[6] * x6 + b[4] * x4 + b[2] * x2 + b[0] * eye)
+    return diagonal, squarings, v + u, v - u
+
+
+def path_stack(seed, n, one_path, diagonal, zero, scaled):
+    """A shuffled stack of ``one_path`` non-diagonal slices of 1-norm 2 (no
+    squaring for h = t a / 2 at |t| <= 2), ``scaled`` ones of 1-norm 30
+    (squared at |t| >= 0.5), ``diagonal`` diagonal and ``zero`` zero
+    slices.  The non-diagonal slices are symmetric, so tanh's cosh factor
+    has a real spectrum and stays invertible; every other one anticommutes
+    with J_std, so its inverses take the complex form."""
+    rng = np.random.default_rng(seed)
+    raw = rng.uniform(-1.0, 1.0, size=(one_path + scaled, n, n))
+    dense = raw + raw.mT
+    j = standard_acs(n)
+    dense[::2] = 0.5 * (dense[::2] + j @ dense[::2] @ j)
+    dense /= np.abs(dense).sum(axis=-2).max(axis=-1)[:, None, None]
+    dense[:one_path] *= 2.0
+    dense[one_path:] *= 30.0
+    diagonals = rng.uniform(-3.0, 3.0, size=(diagonal, n))[:, :, None] * np.eye(n)
+    stack = np.concatenate([dense, diagonals, np.zeros((zero, n, n))])
+    return stack[rng.permutation(len(stack))]
+
+
+def per_slice(f, a):
+    """f of each slice alone, stacked."""
+    return np.array([f(m) for m in a]).reshape(a.shape)
+
+
+class TestOnePathStacks:
+    """A stack with no diagonal slice, and for tanh none that needs squaring,
+    takes no mask; mixed stacks take masks.  Both give each slice the bits
+    of the single-slice call, and the Pade parts and the gate defect keep
+    the bits of the masked and gathered expressions they replace."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.sampled_from([2, 4, 6, 8]), seed=st.integers(0, 2**32 - 1),
+           one_path=st.integers(0, 5), diagonal=st.integers(0, 2), zero=st.integers(0, 2),
+           scaled=st.integers(0, 2), t=st.sampled_from([0.5, 1.0, 2.0]))
+    @example(n=4, seed=0, one_path=0, diagonal=0, zero=0, scaled=0, t=1.0)
+    @example(n=4, seed=0, one_path=5, diagonal=0, zero=0, scaled=0, t=2.0)
+    def test_stacks_agree_with_single_slices(self, n, seed, one_path, diagonal, zero,
+                                             scaled, t):
+        a = path_stack(seed, n, one_path, diagonal, zero, scaled)
+        got = mat_exp(a)
+        assert np.array_equal(got, per_slice(mat_exp, a))
+        assert np.array_equal(mat_exp(a.mT), mat_exp(np.ascontiguousarray(a.mT)))
+        tanh = {s: mat_tanh_half(a, s) for s in (0.0, t, -t)}
+        for s, want in tanh.items():
+            assert np.array_equal(want, per_slice(lambda m: mat_tanh_half(m, s), a))
+        # the same slices with a zero slice appended take the masked path
+        mixed = np.concatenate([a, np.zeros((1, n, n))])
+        assert np.array_equal(mat_exp(mixed)[:-1], got)
+        for s, want in tanh.items():
+            assert np.array_equal(mat_tanh_half(mixed, s)[:-1], want)
+        for h in (a, -a, 0.5 * t * a, a.mT):
+            for part, oracle in zip(_pade_13(h), masked_pade_13(h)):
+                assert np.array_equal(part, oracle)
+
+    # 1025 slices cross a block of the per-slice max; exactly commuting
+    # slices read 0
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.sampled_from([0, 1, 8, 1025]), n=st.sampled_from(range(2, 18, 2)),
+           seed=st.integers(0, 2**32 - 1), commuting_share=st.sampled_from([0.0, 0.5, 1.0]),
+           densities=st.lists(st.sampled_from([0.0, 1e-3, 0.05]), min_size=6, max_size=6))
+    @example(k=8, n=4, seed=0, commuting_share=0.5, densities=[0.05] * 6)
+    def test_gate_defect_keeps_the_gathered_bits(self, k, n, seed, commuting_share, densities):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((k, n, n))
+        commuting = rng.random(k) < commuting_share
+        c = x[commuting]
+        c[:, 1::2, 0::2], c[:, 1::2, 1::2] = -c[:, 0::2, 1::2], c[:, 0::2, 0::2]
+        x[commuting] = c
+        assert not _commuting_defect(x)[commuting].any()
+        for value, density in zip(SPECIAL, densities):
+            x[rng.random(x.shape) < density] = value
+        with np.errstate(over="ignore", invalid="ignore"):  # inf - inf
+            got, want = _commuting_defect(x), old_commuting_defect(x)
+        assert np.array_equal(got, want, equal_nan=True)

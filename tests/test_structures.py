@@ -536,6 +536,33 @@ class TestOrthogonal:
         assert len(marker_calls) == 2
         assert factor_calls == []
 
+    def test_reference_reused_over_a_grid_is_marked_once(self, monkeypatch):
+        space = SampleSpace(4, np.ones(16))
+        j0 = standard_acs_field(space)
+        a = random_tangent_field(np.random.default_rng(7), j0, part="antisymmetric")
+        g = identity_metric_field(space)
+        r = np.diag([-1.0, 1.0, 1.0, 1.0])
+        fields = []
+        for t in np.linspace(0.0, 2.0, 9):
+            ops = geodesic_ambient(j0, a, t).ops
+            ops[3] = r @ ops[3] @ r  # orthogonal, of the other orientation
+            fields.append(AcsField(space, ops))
+        # the oracle: fresh copies of both fields, so no kept marker is read
+        want = [validate_orthogonal(AcsField(space, j.ops.copy()), g, AcsField(space, j0.ops.copy()))
+                for j in fields]
+        marked, original = [], structures.orientation_marker
+        monkeypatch.setattr(structures, "orientation_marker",
+                            lambda ops: marked.append(ops) or original(ops))
+        got = [validate_orthogonal(j, g, j0) for j in fields]
+        assert len(marked) == 10 and sum(ops is j0.ops for ops in marked) == 1
+        for rep, ref in zip(got, want):
+            assert not rep.passed and rep.values["orientation"][3] == -1
+            assert rep.per_point == ref.per_point
+            assert (rep.passed, rep.max_residual, rep.worst_point) == (
+                ref.passed, ref.max_residual, ref.worst_point)
+        assert not j0.orientation.flags.writeable
+        assert np.array_equal(j0.orientation, np.ones(16, dtype=int))
+
     def test_standard_passes(self, space4):
         j = standard_acs_field(space4)
         rep = validate_orthogonal(j, identity_metric_field(space4), j)
