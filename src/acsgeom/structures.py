@@ -24,6 +24,7 @@ flat lists with shortest round-trip floats, in the indent-1 layout of
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -209,20 +210,41 @@ class MetricField:
         self.fiber_metric = FiberMetric(self.metrics)
 
 
+class ValuesOnRead(Mapping):
+    """Named per-point values of a report, each computed by its function on
+    first read and then kept; iterated in the order they were named."""
+
+    def __init__(self, **compute):
+        self._compute, self._kept = compute, {}
+
+    def __getitem__(self, key):
+        if key not in self._kept:
+            self._kept[key] = self._compute[key]()
+        return self._kept[key]
+
+    def __iter__(self):
+        return iter(self._compute)
+
+    def __len__(self):
+        return len(self._compute)
+
+
 @dataclass(eq=False)
 class FieldReport:
     """Outcome of a field validator, held as the per-point arrays it is
     computed from: identity ``residuals``, verdicts ``ok`` (residual within
     ``tolerance``, cleared where positivity or orientation fails) and named
-    per-point ``values``.  ``max_residual`` and ``worst_point`` are those of
-    the first point of largest residual, a NaN counting as largest."""
+    per-point ``values``, a mapping that may compute a value on its first
+    read (:class:`ValuesOnRead`), so a caller that reads only ``passed`` or
+    ``ok`` never pays for it.  ``max_residual`` and ``worst_point`` are those
+    of the first point of largest residual, a NaN counting as largest."""
 
     name: str
     point_ids: tuple
     residuals: np.ndarray
     ok: np.ndarray
     tolerance: float
-    values: dict = field(default_factory=dict)
+    values: Mapping = field(default_factory=dict)
     passed: bool = field(init=False)
     max_residual: float = field(init=False)
     worst_point: object = field(init=False)
@@ -279,20 +301,76 @@ def sym_antisym_split(k: TangentField, g: MetricField) -> tuple[np.ndarray, np.n
     return split_and_classify(k, g)[:2]
 
 
+def _min_eig(sym: np.ndarray) -> np.ndarray:
+    """The smallest eigenvalue of each slice of a symmetric stack, from
+    ``eigvalsh`` at the finite slices and NaN at the others, where LAPACK
+    refuses (dims >= 4) or reads an arbitrary number (dim 2)."""
+    finite = slice_max_abs(sym) < np.inf
+    min_eig = np.full(len(sym), np.nan)
+    min_eig[finite] = np.linalg.eigvalsh(sym[finite])[:, 0]
+    return min_eig
+
+
+def _certified_positive(sym: np.ndarray) -> bool:
+    """Whether one stacked Cholesky of S - tau I runs to completion, with
+    tau = POSITIVITY_FLOOR + 8 n^3 eps max|S| per slice.  tau covers the
+    Cholesky's backward error (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., Thm 10.3) and eigvalsh's, p(n) eps ||S||_2 (LAPACK
+    Users' Guide, sec. 4.7), so True means every slice's smallest
+    eigenvalue, exact or from eigvalsh, exceeds the floor.  False where a
+    slice is not finite, fails or lies within tau of the floor: numpy
+    refuses the whole stack when one slice fails."""
+    scale = slice_max_abs(sym)
+    if not (scale < np.inf).all():
+        return False
+    n = sym.shape[-1]
+    shifted = sym.reshape(len(sym), n * n).copy()
+    shifted[:, ::n + 1] -= (POSITIVITY_FLOOR + 8 * n**3 * np.finfo(float).eps * scale)[:, None]
+    try:
+        np.linalg.cholesky(shifted.reshape(sym.shape))
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def validate_associated(j: AcsField, w: SymplecticField) -> FieldReport:
     """Check that j is positively associated with w at every point.
 
     Invariance means J^T W J = W; positivity means the smallest eigenvalue
-    of the symmetric part of W J exceeds ``POSITIVITY_FLOOR``.
+    ``min_eig`` of S, the symmetric part of W J, exceeds
+    ``POSITIVITY_FLOOR``.  The verdict is eigvalsh's: read from one
+    Cholesky (:func:`_certified_positive`), else from ``min_eig``, which
+    the report otherwise computes from the kept, read-only S on the first
+    read of ``values["min_eig"]`` or ``per_point``.
     """
     same_space(j, w)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite residual fails
         residuals = slice_max_abs(j.ops.mT @ w.forms @ j.ops - w.forms)
         prod = w.forms @ j.ops
-        min_eig = np.linalg.eigvalsh(0.5 * (prod + prod.mT))[:, 0]
+        sym = 0.5 * (prod + prod.mT)
+    sym.flags.writeable = False
+    values = ValuesOnRead(min_eig=lambda: _min_eig(sym))
+    positive = _certified_positive(sym) or values["min_eig"] > POSITIVITY_FLOOR
     return FieldReport("associated", j.space.point_ids, residuals,
-                       (residuals <= FIELD_TOL) & (min_eig > POSITIVITY_FLOOR), FIELD_TOL,
-                       {"min_eig": min_eig})
+                       (residuals <= FIELD_TOL) & positive, FIELD_TOL, values)
+
+
+def _parlett_reid_signs(a: np.ndarray) -> np.ndarray:
+    """sign Pf of each slice of a (k, n, n) antisymmetric stack, by
+    Parlett-Reid elimination with pivoting (Wimmer 2012): n/2 stacked steps
+    of a row and column swap and a rank-2 update, with no QR, determinant
+    or SVD; a zero or NaN Pfaffian reads -1.  Overwrites ``a``."""
+    sign = np.ones(len(a))
+    for _ in range(a.shape[-1] // 2):
+        p = np.argmax(np.abs(a[:, 1:, 0]), axis=-1)  # pivot row less one
+        s, p = np.nonzero(p)[0], p[p > 0] + 1  # the slices that swap
+        sign[s] *= -1
+        a[s, 1], a[s, p] = a[s, p], a[s, 1]
+        a[s, :, 1], a[s, :, p] = a[s, :, p], a[s, :, 1]
+        sign *= np.sign(a[:, 0, 1])
+        w0, w1 = a[:, 2:, :1], a[:, 2:, 1:2]
+        a = a[:, 2:, 2:] + (w1 * w0.mT - w0 * w1.mT) / a[:, 0, 1, None, None]
+    return np.where(sign > 0, 1, -1)
 
 
 def orientation_marker(j):
@@ -300,31 +378,33 @@ def orientation_marker(j):
 
     For J^2 = -identity, Omega tames J: x^T Omega J x = |J x|^2 + |x|^2 > 0,
     so sign Pf(Omega) is the orientation of J's complex frames (x, J x),
-    +1 at the standard structure.  It is read by Parlett-Reid elimination
-    with pivoting (Wimmer 2012), n/2 stacked steps of a row and column swap
-    and a rank-2 update, with no QR, determinant or SVD.  A zero or NaN Pfaffian reads
-    -1.  For J far from squaring to -identity, which fails
-    :func:`validate_acs`, the sign need not match any frame: at n = 2,
-    J = [[0, 1], [1, 0]] reads -1.
+    +1 at the standard structure.  At n = 2 and 4 it is read from the
+    closed forms Pf = Omega_01 and Omega_01 Omega_23 - Omega_02 Omega_13 +
+    Omega_03 Omega_12; above, by Parlett-Reid elimination
+    (:func:`_parlett_reid_signs`).  A zero or NaN Pfaffian reads -1.  For J
+    far from squaring to -identity, which fails :func:`validate_acs`, the
+    sign need not match any frame: at n = 2, J = [[0, 1], [1, 0]] reads -1;
+    and where Pf is zero to rounding or overflows, the two ways of reading
+    it may give either sign.
 
     ``j`` is one matrix, giving an ``int``, or a ``(..., n, n)`` stack,
     giving an int array of shape ``(...)``.
     """
     m = np.asarray(j, dtype=float)
     n = m.shape[-1]
-    a = m.reshape(-1, n, n)
-    a, sign = a.mT - a, np.ones(len(a))
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # a zero pivot reads -1
-        for _ in range(n // 2):
-            p = np.argmax(np.abs(a[:, 1:, 0]), axis=-1)  # pivot row less one
-            s, p = np.nonzero(p)[0], p[p > 0] + 1  # the slices that swap
-            sign[s] *= -1
-            a[s, 1], a[s, p] = a[s, p], a[s, 1]
-            a[s, :, 1], a[s, :, p] = a[s, :, p], a[s, :, 1]
-            sign *= np.sign(a[:, 0, 1])
-            w0, w1 = a[:, 2:, :1], a[:, 2:, 1:2]
-            a = a[:, 2:, 2:] + (w1 * w0.mT - w0 * w1.mT) / a[:, 0, 1, None, None]
-        signs = np.where(sign > 0, 1, -1)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # a zero Pf reads -1
+        if n <= 4:
+            flat = m.reshape(-1, n * n).T
+
+            def omega(r, c):  # the entries Omega_rc of all slices
+                return flat[n * c + r] - flat[n * r + c]
+
+            pf = omega(0, 1) if n == 2 else (omega(0, 1) * omega(2, 3) - omega(0, 2) * omega(1, 3)
+                                             + omega(0, 3) * omega(1, 2))
+            signs = np.where(pf > 0, 1, -1)
+        else:
+            a = m.reshape(-1, n, n)
+            signs = _parlett_reid_signs(a.mT - a)
     return int(signs[0]) if m.ndim == 2 else signs.reshape(m.shape[:-2])
 
 

@@ -199,25 +199,33 @@ class TestExitCodes:
         assert math.isnan(ode["residual"]) and ode["passed"] is False
         assert check["passed"] is False and math.isnan(check["max_residual"])
 
-    @pytest.mark.parametrize("command, points, code, err", [
-        ("verify", [{"id": 0, "weight": 1.0, "J": [1e200, -1e200, 1e200, 1e200],
-                     "W": [0, 1e200, -1e200, 0]}], 1, ""),
-        ("project", [{"id": 0, "weight": 1.0, "J": [0, -1, 1, 0], "K": [1e308, 0, 0, 1e308]}],
+    @pytest.mark.parametrize("command, dim, points, code, err", [
+        ("verify", 2, [{"id": 0, "weight": 1.0, "J": [1e200, -1e200, 1e200, 1e200],
+                        "W": [0, 1e200, -1e200, 0]}], 1, ""),
+        # finite, antisymmetric and nondegenerate W, but W J is inf - inf = NaN,
+        # which eigvalsh refuses at dim 4: min_eig reads NaN and the run reports
+        ("verify", 4, [{"id": 0, "weight": 1.0, "J": [1.5e308] * 16,
+                        "W": [0, 2, 0, -2, -2, 0, 1, 0, 0, -1, 0, 3, 2, 0, -3, 0]}], 1, ""),
+        ("project", 2, [{"id": 0, "weight": 1.0, "J": [0, -1, 1, 0], "K": [1e308, 0, 0, 1e308]}],
          2, "error: tangent ops fail to anticommute with the base, residual inf\n"),
         # K anticommutes exactly and loads, but K + K^sharp overflows
-        ("project", [{"id": 0, "weight": 1.0, "J": [0, -1, 1, 0], "K": [1e308, 0, 0, -1e308]}],
+        ("project", 2, [{"id": 0, "weight": 1.0, "J": [0, -1, 1, 0], "K": [1e308, 0, 0, -1e308]}],
          2, "error: the parts of K overflow at point 0\n"),
-    ], ids=["verify_jw", "project_k", "project_split"])
-    def test_overflowing_bundle_prints_no_warning(self, tmp_path, command, points, code, err):
+    ], ids=["verify_jw", "verify_jw_nan_dim4", "project_k", "project_split"])
+    def test_overflowing_bundle_prints_no_warning(self, tmp_path, command, dim, points, code, err):
         path = tmp_path / "big.json"
-        path.write_text(json.dumps({"dim": 2, "points": points}))
+        path.write_text(json.dumps({"dim": dim, "points": points}))
         proc = subprocess.run([sys.executable, "-m", "acsgeom.cli", command, "--in", str(path)],
                               capture_output=True, text=True, timeout=120)
         assert (proc.returncode, proc.stderr) == (code, err)
         assert code != 2 or proc.stdout == ""
         if command == "verify":
-            failed = [c["name"] for c in json.loads(proc.stdout)["checks"] if not c["passed"]]
-            assert failed == ["field_acs", "field_associated"]
+            checks = {c["name"]: c for c in json.loads(proc.stdout)["checks"]}
+            assert [name for name, c in checks.items() if not c["passed"]] \
+                == ["field_acs", "field_associated"]
+            if dim == 4:
+                assert math.isnan(checks["field_associated"]["max_residual"])
+                assert math.isnan(checks["field_associated"]["details"][-1]["min_eig"])
 
     def test_tangent_with_nan_residual_is_input_error(self, tmp_path, capsys):
         # finite J and K whose anticommutator overflows to inf - inf

@@ -8,26 +8,30 @@ factorizations, so a change that adds one has to change this count.  So
 are two bookkeeping counts: the orientation markers (the reference field
 keeps its own) and the ``np.linalg.norm`` calls (the guard reads
 ``fiber.slice_norm_fro``).  The stacked solves of the ``cayley`` and
-``theorem1`` checkers are pinned too.
+``theorem1`` checkers are pinned too, and so is the absence of
+``eigvalsh`` from a ``geodesic`` trace, which reads only the validators'
+verdicts.
 """
 
 import numpy as np
 import pytest
 
+from acsgeom import cli
 from acsgeom import geometry as ge
 from acsgeom import structures as st
 from acsgeom.verify import check_cayley, check_theorem1
 
-COUNTED = {np.linalg: ("solve", "inv", "svd", "eigvalsh", "norm"),
+COUNTED = {np.linalg: ("solve", "inv", "svd", "eigvalsh", "cholesky", "norm"),
            st: ("orientation_marker",)}
 # per op, once every metric has kept its inverse and the reference its
 # orientation.  The guarded tanh quotient, the guarded (1 - K^2)^{-1} of
 # the chart field and the Pade inversion of each ambient exponential all
 # invert operators that commute with the standard base, which
 # fiber.mat_inv inverts in complex form with no LAPACK call at dim 4; the
-# eigenvalues are validate_associated's, the marker the orthogonal
-# geodesic's
-BUDGET = {"solve": 0, "inv": 0, "svd": 0, "eigvalsh": 1, "norm": 0, "orientation_marker": 1}
+# Cholesky certifies validate_associated's positivity, whose min_eig
+# (eigvalsh) no one reads; the marker is the orthogonal geodesic's
+BUDGET = {"solve": 0, "inv": 0, "svd": 0, "eigvalsh": 0, "cholesky": 1, "norm": 0,
+          "orientation_marker": 1}
 
 
 @pytest.fixture
@@ -82,3 +86,19 @@ def test_warmed_chart_op_keeps_its_factorization_budget(counted):
 def test_chart_checkers_solve_only_what_does_not_commute(counted, check, solves):
     assert check(dims=(2, 4)).passed
     assert counted["solve"] == solves
+
+
+def test_geodesic_trace_makes_no_eigenvalue_call(counted, monkeypatch, capsys):
+    # counted from the moment the sample space, whose metric eigvalsh
+    # validates, is built; the trace itself reads only the verdicts
+    build = cli.random_sample_space
+
+    def built_then_counted(*args, **kwargs):
+        space = build(*args, **kwargs)
+        counted.update(dict.fromkeys(counted, 0))
+        return space
+
+    monkeypatch.setattr(cli, "random_sample_space", built_then_counted)
+    assert cli.main(["geodesic"]) == 0
+    assert capsys.readouterr().out.count("\n") > 9
+    assert (counted["eigvalsh"], counted["cholesky"]) == (0, 9)  # one Cholesky per t

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from acsgeom import structures
@@ -221,10 +222,18 @@ def record_acs(j, tol):
     return record_report(j.space, residuals, [{"passed": r <= tol} for r in residuals], tol)
 
 
+def inline_min_eig(sym):
+    """eigvalsh's smallest eigenvalue of each finite slice, NaN at the
+    others: the oracle of the report's ``min_eig``."""
+    finite = np.isfinite(sym).all(axis=(1, 2))
+    return np.where(finite, np.linalg.eigvalsh(np.where(finite[:, None, None], sym, 0.0))[:, 0],
+                    np.nan)
+
+
 def record_associated(j, w, tol):
     residuals = record_residuals(j.ops.mT @ w.forms @ j.ops - w.forms)
     prod = w.forms @ j.ops
-    min_eigs = np.linalg.eigvalsh(0.5 * (prod + prod.mT))[:, 0].tolist()
+    min_eigs = inline_min_eig(0.5 * (prod + prod.mT)).tolist()
     entries = [{"min_eig": e, "passed": r <= tol and e > POSITIVITY_FLOOR}
                for r, e in zip(residuals, min_eigs)]
     return record_report(j.space, residuals, entries, tol)
@@ -267,9 +276,8 @@ def validator_case(kind: str, dim: int, seed: int):
     fails), point 4 is conjugated by a reflection (orthogonality holds,
     the orientation flips) and point 9 has a non-identity metric.  Seeds
     2 and 3 put NaN residuals at points 8 and 10, through entries set after
-    the finiteness checks of construction, except for the associated check
-    at dims 4 and 6, where eigvalsh refuses a NaN.  Returns the validator's
-    arguments and the expected worst point.
+    the finiteness checks of construction; their ``min_eig`` reads NaN.
+    Returns the validator's arguments and the expected worst point.
     """
     rng = np.random.default_rng([dim, seed])
     points = 12
@@ -290,7 +298,7 @@ def validator_case(kind: str, dim: int, seed: int):
     m = rng.standard_normal((dim, dim))
     metrics[9] += 0.1 * m @ m.T
     j, g = AcsField(space, ops), MetricField(space, metrics)
-    nan = seed >= 2 and (kind != "associated" or dim == 2)
+    nan = seed >= 2
     if nan:
         if kind == "orthogonal":
             g.fiber_metric.matrix[[8, 10], 0, 0] = np.nan
@@ -408,6 +416,127 @@ class TestAssociated:
                         rtol=1e-15)
 
 
+def planted_stack(rng, k: int, n: int, near: bool) -> np.ndarray:
+    """(k, n, n) symmetric slices Q diag(lambda) Q^T, Q random orthogonal,
+    with a scale 10^U(-3, 6) per slice: the eigenvalues are U(0.1, 1) times
+    the scale, but the smallest is POSITIVITY_FLOOR plus, times the scale,
+    +-10^U(-17, -9) where ``near`` (within rounding of the floor) and
+    10^U(-9, -1) elsewhere (clearly above it)."""
+    scale = 10.0 ** rng.uniform(-3, 6, k)
+    lam = rng.uniform(0.1, 1.0, (k, n)) * scale[:, None]
+    offset = (rng.choice([-1.0, 1.0], k) * 10.0 ** rng.uniform(-17, -9, k) if near
+              else 10.0 ** rng.uniform(-9, -1, k))
+    lam[:, 0] = POSITIVITY_FLOOR + offset * scale
+    q = np.linalg.qr(rng.standard_normal((k, n, n)))[0]
+    s = (q * lam[:, None, :]) @ q.mT
+    return 0.5 * (s + s.mT)
+
+
+def fields_with_sym(sym):
+    """J = J_std S against the standard form W = J_std^T, so that W J = S
+    exactly: +-1 and 0 entries multiply exactly."""
+    space = SampleSpace(sym.shape[-1], np.ones(len(sym)))
+    return AcsField(space, standard_acs(space.dim) @ sym), standard_symplectic_field(space)
+
+
+def oracle_positive(j, w):
+    """eigvalsh's positivity verdict per point, from the inline expression."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        prod = w.forms @ j.ops
+        return inline_min_eig(0.5 * (prod + prod.mT)) > POSITIVITY_FLOOR
+
+
+def refusing_cholesky(a):
+    """A cholesky that refuses every stack, as numpy does when one slice fails."""
+    raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+
+def counting(original, calls):
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+    return counted
+
+
+class TestPositivityCertificate:
+    """One Cholesky certifies positivity only where eigvalsh would read it
+    (Higham, Accuracy and Stability of Numerical Algorithms, Thm 10.3), and
+    the validator's verdict is eigvalsh's on every stack."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.sampled_from([2, 4, 6, 8, 16]), seed=st.integers(0, 2**32 - 1))
+    def test_a_certified_slice_reads_above_the_floor(self, n, seed):
+        stack = planted_stack(np.random.default_rng(seed), 200, n, near=True)
+        certified = [structures._certified_positive(s[None]) for s in stack]
+        assert (np.linalg.eigvalsh(stack)[certified, 0] > POSITIVITY_FLOOR).all()
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.sampled_from([2, 4, 6, 8, 16]), seed=st.integers(0, 2**32 - 1))
+    def test_slices_clear_of_the_floor_are_certified_at_once(self, n, seed):
+        stack = planted_stack(np.random.default_rng(seed), 200, n, near=False)
+        assert structures._certified_positive(stack)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.sampled_from([2, 4, 6, 8]), seed=st.integers(0, 2**32 - 1),
+           flaw=st.sampled_from(["none", "near", "indefinite", "nan", "overflow", "cholesky"]))
+    @example(n=4, seed=0, flaw="none")
+    def test_verdict_is_that_of_eigvalsh(self, n, seed, flaw):
+        rng = np.random.default_rng(seed)
+        sym, at = planted_stack(rng, 16, n, near=False), rng.integers(16)
+        if flaw == "near":
+            sym[at] = planted_stack(rng, 1, n, near=True)[0]
+        j, w = fields_with_sym(sym)
+        if flaw == "indefinite":
+            j.ops[at] *= -1.0  # a negative definite slice
+        elif flaw == "nan":
+            j.ops[at, 0, rng.integers(n)] = np.nan
+        elif flaw == "overflow":
+            j.ops[at] = 1.5e308  # S overflows to inf
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(structures, "FIELD_TOL", np.inf)  # ok is then the positivity verdict
+            if flaw == "cholesky":
+                mp.setattr(np.linalg, "cholesky", refusing_cholesky)
+            rep = validate_associated(j, w)
+        assert np.array_equal(rep.ok, oracle_positive(j, w))
+        if flaw != "near":
+            assert np.flatnonzero(~rep.ok).tolist() == ([] if flaw in ("none", "cholesky") else [at])
+
+    def test_a_raising_cholesky_leaves_the_report_unchanged(self, monkeypatch):
+        args, _ = validator_case("associated", 4, 2)
+        want = record_associated(*args, 1e-10)
+        monkeypatch.setattr(np.linalg, "cholesky", refusing_cholesky)
+        rep = validate_associated(*args)
+        assert_same({key: getattr(rep, key) for key in want}, want)
+
+
+class TestMinEigOnRead:
+    """The associated report computes min_eig on its first read and keeps it."""
+
+    @pytest.mark.parametrize("flaw, on_validation", [(None, 0), ("indefinite", 1), ("nan", 1)])
+    def test_computed_once_and_only_when_read_or_needed(self, monkeypatch, flaw, on_validation):
+        j, w = fields_with_sym(planted_stack(np.random.default_rng(5), 12, 4, near=False))
+        if flaw == "indefinite":
+            j.ops[3] *= -1.0
+        elif flaw == "nan":
+            j.ops[[5, 7], 0, 0] = np.nan
+        calls = []
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting(np.linalg.eigvalsh, calls))
+        rep = validate_associated(j, w)
+        assert not rep.passed and rep.ok.shape == (12,)  # J = J_std S fails invariance
+        assert len(calls) == on_validation  # the verdict reads eigvalsh only past a failed certificate
+        min_eig = rep.values["min_eig"]
+        records = rep.per_point
+        assert rep.values["min_eig"] is min_eig and list(rep.values) == ["min_eig"]
+        assert len(calls) == 1
+        monkeypatch.undo()
+        with np.errstate(over="ignore", invalid="ignore"):
+            prod = w.forms @ j.ops
+            want = inline_min_eig(0.5 * (prod + prod.mT))
+        assert np.array_equal(min_eig, want, equal_nan=True)
+        assert np.isnan(min_eig).sum() == 2 * (flaw == "nan")
+        assert_same(records, record_associated(j, w, 1e-10)["per_point"])
+
+
 class TestOrthogonal:
     def test_orientation_marker_standard(self):
         assert orientation_marker(standard_acs(2)) == 1
@@ -521,13 +650,6 @@ class TestOrthogonal:
         j = AcsField(space, j0.ops @ mat_exp(a.ops))
         g = identity_metric_field(space)
         factor_calls, marker_calls = [], []
-
-        def counting(original, calls):
-            def counted(*args, **kwargs):
-                calls.append(None)
-                return original(*args, **kwargs)
-            return counted
-
         for name in ("qr", "det", "svd"):
             monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name), factor_calls))
         monkeypatch.setattr(structures, "orientation_marker",
@@ -613,6 +735,58 @@ class TestOrthogonal:
         assert not rep.passed
         assert rep.max_residual == 0.0  # orthogonality itself is intact
         assert rep.per_point[0]["orientation"] == -1
+
+
+class TestPfaffianClosedForm:
+    """At n = 2 and 4 the marker reads Pf(Omega) in closed form; Parlett-Reid
+    elimination, which reads it at n >= 6, is the reference."""
+
+    @staticmethod
+    def parlett_reid(stack) -> list:
+        with np.errstate(all="ignore"):
+            return structures._parlett_reid_signs(stack.mT - stack).tolist()
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.sampled_from([2, 4]), seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(["random", "conjugate", "inverse_conjugate"]))
+    def test_matches_parlett_reid(self, n, seed, kind):
+        # P J_std^{+-1} P^{-1}: a random P has either sign of det, so both
+        # orientations come up
+        rng = np.random.default_rng(seed)
+        if kind == "random":
+            stack = rng.standard_normal((200, n, n))
+        else:
+            p = rng.standard_normal((200, n, n))
+            j0 = standard_acs(n) if kind == "conjugate" else np.linalg.inv(standard_acs(n))
+            stack = p @ j0 @ np.linalg.inv(p)
+        got = orientation_marker(stack).tolist()
+        assert got == self.parlett_reid(stack)
+        assert kind == "random" or set(got) == {-1, 1}
+
+    def test_reflected_dim2_structure(self):
+        r = np.diag([1.0, -1.0])
+        stack = np.stack([standard_acs(2), r @ standard_acs(2) @ r])
+        assert orientation_marker(stack).tolist() == self.parlett_reid(stack) == [1, -1]
+
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=60, deadline=None)
+    @given(case=st.sampled_from([("rank2", 4), ("huge", 2), ("huge", 4)]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_a_zero_or_overflowing_pf_reads_either_sign(self, case, seed):
+        # Omega of rank 2 (J = u v^T at n = 4) has Pf zero up to rounding, and
+        # entries near 1e200 overflow its products: the closed form and
+        # Parlett-Reid may then read different signs, and either is
+        # accepted.  Every such J fails validate_acs, so no report rests on it.
+        (kind, n), rng = case, np.random.default_rng(seed)
+        if kind == "rank2":
+            u, v = rng.standard_normal((2, 100, n, 1))
+            stack = u @ v.mT
+        else:
+            stack = 1e200 * rng.standard_normal((100, n, n))
+        got = orientation_marker(stack)
+        assert set(got.tolist()) <= {-1, 1} and set(self.parlett_reid(stack)) <= {-1, 1}
+        space = SampleSpace(n, np.ones(100))
+        assert not validate_acs(AcsField(space, stack)).ok.any()
 
 
 class TestBundleIo:
