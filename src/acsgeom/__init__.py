@@ -41,7 +41,6 @@ from .structures import (
     AcsField,
     FieldBundle,
     FieldReport,
-    MetricField,
     SampleSpace,
     SymplecticField,
     TangentField,

@@ -36,7 +36,6 @@ from .fiber import max_abs, slice_max_abs
 from .geometry import geodesic_ambient, geodesic_chart
 from .structures import (
     FieldBundle,
-    MetricField,
     load_bundle,
     random_sample_space,
     random_tangent_field,
@@ -283,7 +282,6 @@ def cmd_geodesic(cfg: RunConfig) -> int:
         j0f = standard_acs_field(space)
         a = random_tangent_field(rng, j0f)
         wf = standard_symplectic_field(space)
-    gf = MetricField(space, space.metrics)
 
     rows, not_acs = [], None
     for t in np.linspace(0.0, cfg.t_max, cfg.t_steps):
@@ -292,7 +290,7 @@ def cmd_geodesic(cfg: RunConfig) -> int:
             jt = geodesic_ambient(j0f, a, t)
             acs = validate_acs(jt)
             assoc = validate_associated(jt, wf).passed
-            orth = validate_orthogonal(jt, gf, j0f).passed
+            orth = validate_orthogonal(jt, space.fiber_metric, j0f).passed
             rows.append([t, max_abs(geodesic_chart(a, t).ops), acs.max_residual,
                          geodesic_equation_residual(a, t), int(assoc), int(orth)])
         except GeometryError as exc:
@@ -325,7 +323,7 @@ def cmd_project(cfg: RunConfig) -> int:
     if bundle.J is None or bundle.K is None:
         raise ConfigError("project needs an input bundle with J and K fields")
     space, k = bundle.space, bundle.K
-    p, l, classes = split_and_classify(k, MetricField(space, space.metrics))
+    p, l, classes = split_and_classify(k)
     norms = [slice_max_abs(part) for part in (p, l)]
     bad = np.flatnonzero(~np.isfinite(norms).all(axis=0))
     if bad.size:

@@ -73,10 +73,11 @@ def same_space(*fields) -> None:
 class SampleSpace:
     """Weighted sample points with a base fiber metric at each.
 
-    Instances are treated as immutable once constructed.  ``metrics`` may
-    be omitted, in which case every point carries the identity metric.
-    ``fiber_metric`` is the validated :class:`FiberMetric` over the whole
-    ``metrics`` stack.
+    Instances are treated as immutable once constructed.  ``fiber_metric``
+    is the space's one validated :class:`FiberMetric`: over the given
+    ``metrics`` stack, holding that array, or, where ``metrics`` is omitted
+    and every point carries the identity, the one n x n identity; the
+    tiled identity ``metrics`` is then kept for :func:`save_bundle`.
     """
 
     dim: int
@@ -97,9 +98,10 @@ class SampleSpace:
         self.weights = w
         if self.metrics is None:
             self.metrics = np.tile(np.eye(self.dim), (w.size, 1, 1))
+            self.fiber_metric = FiberMetric.identity(self.dim)
         else:
             self.metrics = _as_stack(self.metrics, self.dim, w.size, "metrics")
-        self.fiber_metric = FiberMetric(self.metrics)
+            self.fiber_metric = FiberMetric(self.metrics)
         if self.point_ids is None:
             self.point_ids = tuple(range(w.size))
         else:
@@ -188,28 +190,6 @@ class SymplecticField:
             raise ValueError(f"form at point {self.space.point_ids[i]} {flaw}")
 
 
-@dataclass
-class MetricField:
-    """A symmetric positive-definite metric per point.
-
-    ``fiber_metric`` is the validated :class:`FiberMetric` over the
-    ``metrics`` stack; it holds that same array, not a copy.  The space's
-    own ``metrics`` were validated with the space, whose ``fiber_metric``
-    is then shared.
-    """
-
-    space: SampleSpace
-    metrics: np.ndarray
-    fiber_metric: FiberMetric = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.metrics is self.space.metrics:
-            self.fiber_metric = self.space.fiber_metric
-            return
-        self.metrics = _as_stack(self.metrics, self.space.dim, self.space.npoints, "metrics")
-        self.fiber_metric = FiberMetric(self.metrics)
-
-
 class ValuesOnRead(Mapping):
     """Named per-point values of a report, each computed by its function on
     first read and then kept; iterated in the order they were named."""
@@ -269,25 +249,19 @@ def validate_acs(j: AcsField) -> FieldReport:
     return FieldReport("acs", j.space.point_ids, residuals, residuals <= FIELD_TOL, FIELD_TOL)
 
 
-def _sharps(a: TangentField | AcsField, g: MetricField) -> np.ndarray:
-    """Metric adjoints A^sharp of a field's operators, one per point."""
-    same_space(a, g)
-    return g_adjoint(a.ops, g.fiber_metric)
-
-
-def split_and_classify(k: TangentField, g: MetricField) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    """Split a tangent field into metric-symmetric and antisymmetric parts,
-    returned as (points, n, n) stacks, and classify it at each point as
-    'symmetric', 'antisymmetric' or 'mixed', by the max norms of K - K^sharp
-    and K + K^sharp there against ``FIELD_TOL``; one metric adjoint K^sharp
-    per point serves both.
+def split_and_classify(k: TangentField) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """Split a tangent field into parts symmetric and antisymmetric for its
+    space's metric ``fiber_metric``, returned as (points, n, n) stacks, and
+    classify it at each point as 'symmetric', 'antisymmetric' or 'mixed', by
+    the max norms of K - K^sharp and K + K^sharp there against
+    ``FIELD_TOL``; one metric adjoint K^sharp per point serves both.
 
     P = (K + K^sharp)/2 and L = K - P, so P + L reproduces K to one
     rounding of the final subtraction (exactly, at dim 2).  The parts are
     plain arrays, not tangent fields: they anticommute with the base only
-    when the base operators are skew-adjoint for g.
+    when the base operators are skew-adjoint for the metric.
     """
-    sharp = _sharps(k, g)
+    sharp = g_adjoint(k.ops, k.space.fiber_metric)
     with np.errstate(over="ignore", invalid="ignore"):  # the caller refuses a non-finite part
         p = 0.5 * (k.ops + sharp)
         rs, ra = slice_max_abs(k.ops - sharp), slice_max_abs(k.ops + sharp)
@@ -296,9 +270,9 @@ def split_and_classify(k: TangentField, g: MetricField) -> tuple[np.ndarray, np.
     return p, k.ops - p, classes.tolist()
 
 
-def sym_antisym_split(k: TangentField, g: MetricField) -> tuple[np.ndarray, np.ndarray]:
+def sym_antisym_split(k: TangentField) -> tuple[np.ndarray, np.ndarray]:
     """The parts P and L of :func:`split_and_classify`."""
-    return split_and_classify(k, g)[:2]
+    return split_and_classify(k)[:2]
 
 
 def _min_eig(sym: np.ndarray) -> np.ndarray:
@@ -408,17 +382,21 @@ def orientation_marker(j):
     return int(signs[0]) if m.ndim == 2 else signs.reshape(m.shape[:-2])
 
 
-def validate_orthogonal(j: AcsField, g: MetricField, j_ref: AcsField) -> FieldReport:
+def validate_orthogonal(j: AcsField, g: FiberMetric, j_ref: AcsField) -> FieldReport:
     """Check that j is g-orthogonal and matches the reference orientation.
 
-    Orthogonality g(JX, JY) = g(X, Y) reads J^sharp J = identity; combined
-    with J^2 = -identity it says J is g-skew.  The orientation marker at
-    each point must equal that of the reference structure; both are the
-    fields' kept ``orientation``.
+    ``g`` is one n x n metric for every point or a (points, n, n) stack; a
+    caller passes its space's ``fiber_metric``.  Orthogonality
+    g(JX, JY) = g(X, Y) reads J^sharp J = identity; combined with
+    J^2 = -identity it says J is g-skew.  The orientation marker at each
+    point must equal that of the reference structure; both are the fields'
+    kept ``orientation``.
     """
-    same_space(j, g, j_ref)
+    same_space(j, j_ref)
+    if g.matrix.shape[:-2] not in ((), (j.space.npoints,)):
+        raise DimensionMismatch(f"metric of shape {g.matrix.shape} for {j.space.npoints} points")
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite residual fails
-        residuals = slice_max_abs(_sharps(j, g) @ j.ops - np.eye(j.space.dim))
+        residuals = slice_max_abs(g_adjoint(j.ops, g) @ j.ops - np.eye(j.space.dim))
     markers, ref_markers = j.orientation, j_ref.orientation
     return FieldReport("orthogonal", j.space.point_ids, residuals,
                        (residuals <= FIELD_TOL) & (markers == ref_markers), FIELD_TOL,
@@ -447,8 +425,9 @@ def standard_symplectic_field(space: SampleSpace) -> SymplecticField:
                                           (space.npoints, 1, 1)))
 
 
-def identity_metric_field(space: SampleSpace) -> MetricField:
-    return MetricField(space, np.tile(np.eye(space.dim), (space.npoints, 1, 1)))
+def identity_metric_field(space: SampleSpace) -> FiberMetric:
+    """The identity metric of ``space``'s fibers: one n x n matrix."""
+    return FiberMetric.identity(space.dim)
 
 
 def random_tangent_field(rng: np.random.Generator, j: AcsField, *,

@@ -59,7 +59,6 @@ from .structures import (
     FieldBundle,
     FieldReport,
     TangentField,
-    identity_metric_field,
     random_sample_space,
     random_tangent_field,
     standard_acs_field,
@@ -451,9 +450,8 @@ def check_totally_geodesic(seed: int = 0, dims=(2, 4), points: int = 8, t_max: f
                  _positivity(f"associated_positivity_dim{dim}", float(np.min(eigs)))]
         if dim >= 4:
             a_anti = random_tangent_field(by_case, j0f, part="antisymmetric")
-            gf = identity_metric_field(space)
-            reports = [validate_orthogonal(geodesic_ambient(j0f, a_anti, t), gf, j0f)
-                       for t in grid]
+            reports = [validate_orthogonal(geodesic_ambient(j0f, a_anti, t),
+                                           space.fiber_metric, j0f) for t in grid]
             res, marks, refs = zip(*[(r.residuals, r.values["orientation"],
                                       r.values["reference_orientation"]) for r in reports])
             subs += [_sub(f"orthogonal_invariance_dim{dim}", max_abs(res), 1e-10),

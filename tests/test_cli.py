@@ -16,11 +16,10 @@ from acsgeom import cli, verify
 from acsgeom.charts import standard_acs
 from acsgeom.cli import RunConfig, build_config, build_parser, main
 from acsgeom.errors import ConfigError, IoError
-from acsgeom.fiber import max_abs
+from acsgeom.fiber import FiberMetric, max_abs
 from acsgeom.structures import (
     MAX_FIBER_DIM,
     FieldBundle,
-    MetricField,
     SampleSpace,
     TangentField,
     load_bundle,
@@ -645,7 +644,7 @@ class TestProjectCommand:
         assert code == 0 and err == ""
         bundle = load_bundle(path)
         j, k = bundle.J.ops, bundle.K.ops
-        p, l = sym_antisym_split(bundle.K, MetricField(bundle.space, bundle.space.metrics))
+        p, l = sym_antisym_split(bundle.K)
         assert max_abs(p @ j + j @ p) > 1e-3
         assert max_abs(p + l - k) <= 2 * np.spacing(max_abs(k))
         doc = json.loads(out)
@@ -672,6 +671,18 @@ class TestProjectCommand:
         doc = json.loads(out)
         assert code == 0
         assert all(p["class"] == "symmetric" for p in doc["points"])
+
+
+@pytest.mark.parametrize("command", ["project", "geodesic"])
+def test_bundle_metric_is_validated_once(monkeypatch, capsys, command):
+    # the loaded space's metric is the one FiberMetric; the split and the
+    # orthogonality validator read it and build no other
+    built, original = [], FiberMetric.__post_init__
+    monkeypatch.setattr(FiberMetric, "__post_init__",
+                        lambda self: built.append(self) or original(self))
+    code, _, _ = run_cli([command, "--in", os.path.join(GOLDEN, "assoc_bundle.json")], capsys)
+    assert code == 0
+    assert len(built) == 1 and built[0].matrix.ndim == 3
 
 
 class TestSingleCheckCommands:

@@ -8,9 +8,9 @@ factorizations, so a change that adds one has to change this count.  So
 are two bookkeeping counts: the orientation markers (the reference field
 keeps its own) and the ``np.linalg.norm`` calls (the guard reads
 ``fiber.slice_norm_fro``).  The stacked solves of the ``cayley`` and
-``theorem1`` checkers are pinned too, and so is the absence of
-``eigvalsh`` from a ``geodesic`` trace, which reads only the validators'
-verdicts.
+``theorem1`` checkers are pinned too, and so is the one ``eigvalsh`` of a
+default ``geodesic`` command, which validates its space's n x n identity
+metric; the trace reads only the validators' verdicts.
 """
 
 import numpy as np
@@ -71,8 +71,8 @@ def test_warmed_chart_op_keeps_its_factorization_budget(counted):
     a_sym = st.random_tangent_field(rng, j0, part="symmetric")
     a_anti = st.random_tangent_field(rng, j0, part="antisymmetric")
     fields = (space, j0, a, b, a_sym, a_anti, st.standard_symplectic_field(space),
-              st.identity_metric_field(space))
-    # warm-up: the metric of the validator keeps its inverse, j0 its orientation
+              space.fiber_metric)
+    # warm-up: the space's metric keeps its inverse, j0 its orientation
     assert chart_op(fields, 2.0)
     counted.update(dict.fromkeys(BUDGET, 0))
     assert chart_op(fields, 1.5)
@@ -88,17 +88,13 @@ def test_chart_checkers_solve_only_what_does_not_commute(counted, check, solves)
     assert counted["solve"] == solves
 
 
-def test_geodesic_trace_makes_no_eigenvalue_call(counted, monkeypatch, capsys):
-    # counted from the moment the sample space, whose metric eigvalsh
-    # validates, is built; the trace itself reads only the verdicts
-    build = cli.random_sample_space
-
-    def built_then_counted(*args, **kwargs):
-        space = build(*args, **kwargs)
-        counted.update(dict.fromkeys(counted, 0))
-        return space
-
-    monkeypatch.setattr(cli, "random_sample_space", built_then_counted)
+def test_geodesic_makes_one_eigenvalue_call_on_one_matrix(counted, monkeypatch, capsys):
+    # counted from the start of the command: the space's identity metric is
+    # one n x n matrix, validated once; the trace reads only the verdicts
+    shapes, eigvalsh = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda m: shapes.append(np.shape(m)) or eigvalsh(m))
     assert cli.main(["geodesic"]) == 0
     assert capsys.readouterr().out.count("\n") > 9
-    assert (counted["eigvalsh"], counted["cholesky"]) == (0, 9)  # one Cholesky per t
+    assert shapes == [(4, 4)]
+    assert counted["cholesky"] == 9  # one Cholesky per t

@@ -15,18 +15,16 @@ from acsgeom.errors import (
     DimensionMismatch,
     IoError,
 )
-from acsgeom.fiber import DEFAULT_COND_CAP, g_adjoint, mat_exp, max_abs
+from acsgeom.fiber import DEFAULT_COND_CAP, FiberMetric, g_adjoint, mat_exp, max_abs
 from acsgeom.geometry import geodesic_ambient
 from acsgeom.structures import (
     MAX_FIBER_DIM,
     POSITIVITY_FLOOR,
     AcsField,
     FieldBundle,
-    MetricField,
     SampleSpace,
     SymplecticField,
     TangentField,
-    identity_metric_field,
     load_bundle,
     orientation_marker,
     random_sample_space,
@@ -163,29 +161,43 @@ class TestFields:
         else:
             SymplecticField(space, forms)
 
-    def test_metric_field_spd(self, space2):
-        with pytest.raises(ValueError):
-            MetricField(space2, np.tile(np.diag([1.0, -2.0]), (3, 1, 1)))
+    def test_metric_field_spd(self):
+        # the indefinite case is TestSampleSpace's; here one asymmetric point
+        metrics = np.tile(np.eye(2), (3, 1, 1))
+        metrics[2, 0, 1] = 0.5
+        with pytest.raises(ValueError, match="symmetric"):
+            SampleSpace(2, np.ones(3), metrics=metrics)
 
     def test_metric_field_of_space_shares_its_fiber_metrics(self):
         space = SampleSpace(2, np.ones(2), metrics=np.tile(np.diag([1.0, 4.0]), (2, 1, 1)))
-        g = MetricField(space, space.metrics)
         # one FiberMetric over the whole stack, holding the space's own array
-        assert g.fiber_metric.matrix is space.fiber_metric.matrix
         assert space.fiber_metric.matrix is space.metrics
         assert space.fiber_metric.matrix.shape == (2, 2, 2)
 
+    def test_identity_space_holds_one_identity(self):
+        space = SampleSpace(4, np.ones(3))
+        assert np.array_equal(space.fiber_metric.matrix, np.eye(4))
+        assert np.array_equal(space.metrics, np.tile(np.eye(4), (3, 1, 1)))
+
     def test_metric_field_of_space_is_not_validated_again(self, monkeypatch):
-        space = SampleSpace(2, np.ones(2))
+        space = SampleSpace(4, np.ones(2))
+        j0 = standard_acs_field(space)
+        k = random_tangent_field(np.random.default_rng(0), j0)
         monkeypatch.setattr(structures, "FiberMetric", None)  # any new one would fail
-        assert MetricField(space, space.metrics).fiber_metric is space.fiber_metric
+        assert split_and_classify(k)[2] == ["mixed"] * 2
+        assert validate_orthogonal(j0, space.fiber_metric, j0).passed
 
     def test_metric_field_of_other_array_is_validated(self):
-        space = SampleSpace(2, np.ones(3))
-        g = MetricField(space, space.metrics.copy())
-        assert g.fiber_metric is not space.fiber_metric
+        # a metric other than the space's is validated where it is built,
+        # and its point count where a validator reads it
+        space = SampleSpace(4, np.ones(3))
+        j0 = standard_acs_field(space)
         with pytest.raises(ValueError):
-            MetricField(space, np.tile(np.diag([1.0, -2.0]), (3, 1, 1)))
+            FiberMetric(np.tile(np.diag([1.0, -2.0, 1.0, 1.0]), (3, 1, 1)))
+        for points in (2, 4):
+            g = FiberMetric(np.tile(np.eye(4), (points, 1, 1)))
+            with pytest.raises(DimensionMismatch, match="for 3 points"):
+                validate_orthogonal(j0, g, j0)
 
 
 class TestValidateAcs:
@@ -240,7 +252,7 @@ def record_associated(j, w, tol):
 
 
 def record_orthogonal(j, g, j_ref, tol):
-    residuals = record_residuals(g_adjoint(j.ops, g.fiber_metric) @ j.ops - np.eye(j.space.dim))
+    residuals = record_residuals(g_adjoint(j.ops, g) @ j.ops - np.eye(j.space.dim))
     markers = orientation_marker(j.ops).tolist()
     ref_markers = orientation_marker(j_ref.ops).tolist()
     entries = [{"orientation": m, "reference_orientation": ref, "passed": r <= tol and m == ref}
@@ -297,11 +309,11 @@ def validator_case(kind: str, dim: int, seed: int):
     metrics = np.tile(np.eye(dim), (points, 1, 1))
     m = rng.standard_normal((dim, dim))
     metrics[9] += 0.1 * m @ m.T
-    j, g = AcsField(space, ops), MetricField(space, metrics)
+    j, g = AcsField(space, ops), FiberMetric(metrics)
     nan = seed >= 2
     if nan:
         if kind == "orthogonal":
-            g.fiber_metric.matrix[[8, 10], 0, 0] = np.nan
+            g.matrix[[8, 10], 0, 0] = np.nan
         else:
             j.ops[[8, 10], 0, 0] = np.nan
     args = {"acs": (j,), "associated": (j, standard_symplectic_field(space)),
@@ -335,52 +347,97 @@ class TestFieldReportRecords:
         assert_same(got, want)
 
 
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def same_report_bits(got, want) -> bool:
+    return (same_bits(got.residuals, want.residuals) and same_bits(got.ok, want.ok)
+            and list(got.values) == list(want.values)
+            and all(same_bits(got.values[key], want.values[key]) for key in want.values))
+
+
+class TestOneIdentityMetric:
+    """A space built without metrics holds one n x n identity; every draw,
+    split and validation on it has the bits of the same space given the
+    identity tiled over its points."""
+
+    @staticmethod
+    def spaces(dim, seed):
+        w = np.random.default_rng([dim, seed]).uniform(0.5, 1.5, 12)
+        return SampleSpace(dim, w), SampleSpace(dim, w, metrics=np.tile(np.eye(dim), (12, 1, 1)))
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("dim", [2, 4, 6])
+    def test_draws_and_splits_match_tiled_identity(self, dim, seed):
+        implicit, tiled = self.spaces(dim, seed)
+        assert implicit.fiber_metric.matrix.shape == (dim, dim)
+        assert tiled.fiber_metric.matrix.shape == (12, dim, dim)
+        for part in (None, "symmetric", "antisymmetric"):
+            k1, k2 = (random_tangent_field(np.random.default_rng([seed, dim]),
+                                           standard_acs_field(space), part=part)
+                      for space in (implicit, tiled))
+            assert same_bits(k1.ops, k2.ops)
+            (p1, l1, c1), (p2, l2, c2) = split_and_classify(k1), split_and_classify(k2)
+            assert same_bits(p1, p2) and same_bits(l1, l2) and c1 == c2
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("dim", [2, 4, 6])
+    def test_orthogonal_matches_tiled_metric(self, dim, seed):
+        (j, _, j0), _ = validator_case("orthogonal", dim, seed)
+        implicit, tiled = self.spaces(dim, seed)
+        want = validate_orthogonal(j, tiled.fiber_metric, j0)
+        assert same_report_bits(validate_orthogonal(j, implicit.fiber_metric, j0), want)
+        # any one matrix has the bits of itself tiled over the points
+        m = np.random.default_rng([seed, dim]).standard_normal((dim, dim))
+        g = np.eye(dim) + 0.1 * m @ m.T
+        want = validate_orthogonal(j, FiberMetric(np.tile(g, (12, 1, 1))), j0)
+        assert same_report_bits(validate_orthogonal(j, FiberMetric(g), j0), want)
+
+
 class TestSplit:
     def test_dim2_antisymmetric_part_vanishes(self, space2):
         # every 2x2 anticommuting matrix is symmetric, so L = 0 exactly
         j = standard_acs_field(space2)
-        g = identity_metric_field(space2)
         for seed in range(10):
             k = random_tangent_field(np.random.default_rng(seed), j)
-            p, l = sym_antisym_split(k, g)
+            p, l = sym_antisym_split(k)
             assert max_abs(l) == 0.0
             assert np.array_equal(p, k.ops)
 
     def test_transpose_average_oracle(self, space4):
         j = standard_acs_field(space4)
-        g = identity_metric_field(space4)
         k = random_tangent_field(np.random.default_rng(1), j)
-        p, l = sym_antisym_split(k, g)
+        p, l = sym_antisym_split(k)
         for i in range(space4.npoints):
             assert max_abs(p[i] - 0.5 * (k.ops[i] + k.ops[i].T)) < 1e-12
             assert max_abs(l[i] - 0.5 * (k.ops[i] - k.ops[i].T)) < 1e-12
 
     def test_sum_is_exact(self, space4):
         j = standard_acs_field(space4)
-        g = identity_metric_field(space4)
         k = random_tangent_field(np.random.default_rng(2), j)
-        p, l = sym_antisym_split(k, g)
+        p, l = sym_antisym_split(k)
         assert max_abs(p + l - k.ops) < 1e-15
 
     def test_classes(self, space4):
         j = standard_acs_field(space4)
-        g = identity_metric_field(space4)
         sym = random_tangent_field(np.random.default_rng(3), j, part="symmetric")
         skew = random_tangent_field(np.random.default_rng(3), j, part="antisymmetric")
         n = space4.npoints
 
-        def point_classes(a, g):
-            return split_and_classify(a, g)[2]
+        def point_classes(a):
+            return split_and_classify(a)[2]
 
-        assert point_classes(sym, g) == ["symmetric"] * n
-        assert point_classes(skew, g) == ["antisymmetric"] * n
+        assert point_classes(sym) == ["symmetric"] * n
+        assert point_classes(skew) == ["antisymmetric"] * n
         mixed = TangentField(space4, j, sym.ops + skew.ops)
-        assert point_classes(mixed, g) == ["mixed"] * n
+        assert point_classes(mixed) == ["mixed"] * n
         # per point: symmetric at 0, antisymmetric at 1, mixed elsewhere
         ops = mixed.ops.copy()
         ops[0], ops[1] = sym.ops[0], skew.ops[1]
         per_point = TangentField(space4, j, ops)
-        assert point_classes(per_point, g) == ["symmetric", "antisymmetric"] + \
+        assert point_classes(per_point) == ["symmetric", "antisymmetric"] + \
             ["mixed"] * (n - 2)
 
 
@@ -648,7 +705,7 @@ class TestOrthogonal:
         j0 = standard_acs_field(space)
         a = random_tangent_field(np.random.default_rng(6), j0, part="antisymmetric")
         j = AcsField(space, j0.ops @ mat_exp(a.ops))
-        g = identity_metric_field(space)
+        g = space.fiber_metric
         factor_calls, marker_calls = [], []
         for name in ("qr", "det", "svd"):
             monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name), factor_calls))
@@ -662,7 +719,7 @@ class TestOrthogonal:
         space = SampleSpace(4, np.ones(16))
         j0 = standard_acs_field(space)
         a = random_tangent_field(np.random.default_rng(7), j0, part="antisymmetric")
-        g = identity_metric_field(space)
+        g = space.fiber_metric
         r = np.diag([-1.0, 1.0, 1.0, 1.0])
         fields = []
         for t in np.linspace(0.0, 2.0, 9):
@@ -687,7 +744,7 @@ class TestOrthogonal:
 
     def test_standard_passes(self, space4):
         j = standard_acs_field(space4)
-        rep = validate_orthogonal(j, identity_metric_field(space4), j)
+        rep = validate_orthogonal(j, space4.fiber_metric, j)
         assert rep.passed
         assert rep.max_residual == 0.0
 
@@ -696,7 +753,7 @@ class TestOrthogonal:
         space = SampleSpace(2, np.ones(1))
         a = np.diag([1.0, -1.0])
         j = AcsField(space, [standard_acs(2) @ mat_exp(a)])
-        rep = validate_orthogonal(j, identity_metric_field(space),
+        rep = validate_orthogonal(j, space.fiber_metric,
                                   standard_acs_field(space))
         assert not rep.passed
         assert_allclose(rep.max_residual, math.exp(2.0) - 1.0, rtol=1e-12)
@@ -708,7 +765,7 @@ class TestOrthogonal:
                                     part="antisymmetric")
         ops = np.stack([j0.ops[i] @ mat_exp(skew.ops[i]) for i in range(2)])
         rep = validate_orthogonal(AcsField(space, ops),
-                                  identity_metric_field(space), j0)
+                                  space.fiber_metric, j0)
         assert rep.passed
         assert rep.max_residual < 1e-13
 
@@ -720,7 +777,7 @@ class TestOrthogonal:
                        else np.random.default_rng(0).standard_normal((dim, dim)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rep = validate_orthogonal(AcsField(space, [ops]), identity_metric_field(space),
+            rep = validate_orthogonal(AcsField(space, [ops]), space.fiber_metric,
                                       standard_acs_field(space))
         assert not rep.passed
         assert not math.isfinite(rep.max_residual) or rep.max_residual > 1e300
@@ -730,7 +787,7 @@ class TestOrthogonal:
         space = SampleSpace(2, np.ones(1))
         r = np.diag([1.0, -1.0])
         j = AcsField(space, [r @ standard_acs(2) @ r])
-        rep = validate_orthogonal(j, identity_metric_field(space),
+        rep = validate_orthogonal(j, space.fiber_metric,
                                   standard_acs_field(space))
         assert not rep.passed
         assert rep.max_residual == 0.0  # orthogonality itself is intact
