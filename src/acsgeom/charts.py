@@ -8,7 +8,10 @@ geodesic :func:`acsgeom.geometry.geodesic_ambient`.  A chart point is a
 :class:`CayleyCoordinate`: it alone decides the chart domain, by one
 inversion of 1 - K^2 at construction, from which the (1 - K)^{-1} =
 (1 + K)(1 - K^2)^{-1} that the chart map and its differential share
-follows with one matmul.
+follows with one matmul.  On raw arrays it checks J0^2 = -1 and the
+anticommutation of K first; a field-level caller that already holds those
+checks (:class:`acsgeom.geometry.ChartField`) passes them in, so each runs
+once.
 Every map takes a single matrix or a (points, n, n) stack and acts on each
 fiber independently; field-level wrappers live in the structures and
 geometry modules.
@@ -16,13 +19,13 @@ geometry modules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
 from .errors import AnticommutationViolation, DimensionMismatch, InvalidStructure
 from .fiber import (FiberMetric, as_fiber_matrix, g_adjoint, guard_inverse, mat_inv,
-                    mat_inv_guarded, max_abs)
+                    mat_inv_guarded, max_abs, slice_max_abs)
 
 # Tolerance of the chart domain checks; caller-made tangents meet it too.
 COORD_TOL = 1e-10
@@ -62,9 +65,14 @@ class CayleyCoordinate:
 
     Construction checks the chart domain at every point, in this order:
     J0^2 = -1, K anticommutes with J0, 1 - K passes :func:`guard_inverse`,
-    and then so does 1 - K^2.  1 - K^2 commutes with J0, since K
-    anticommutes with it; it is kept as the read-only ``square``, inverted
-    once, and its inverse is kept as the read-only ``square_resolvent``.
+    and then so does 1 - K^2.  A NaN residual fails.  A caller that has
+    checked part of this passes what it knows: ``base_residuals``, the kept
+    per-point max |J0^2 + 1| of its base, is read in place of computing
+    J0^2, and ``anticommuting=True`` says K was checked against this very
+    base where it was made, so that check is skipped.  1 - K^2 commutes with
+    J0, since K anticommutes with it; it is kept as the read-only
+    ``square``, inverted once, and its inverse is kept as the read-only
+    ``square_resolvent``; its gate and its guard read one slice scale.
     The read-only ``resolvent``, the (1 - K)^{-1}
     that the chart map and its differential share, is derived as
     (1 + K)(1 - K^2)^{-1}.  That is exact for any K, since 1 + K and 1 - K
@@ -76,27 +84,36 @@ class CayleyCoordinate:
 
     base: np.ndarray
     K: np.ndarray
+    base_residuals: InitVar[np.ndarray | None] = None
+    anticommuting: InitVar[bool] = False
     resolvent: np.ndarray = field(init=False, repr=False, compare=False)
     square: np.ndarray = field(init=False, repr=False, compare=False)
     square_resolvent: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    def __post_init__(self, base_residuals, anticommuting):
         j0 = as_fiber_matrix(self.base)
         k = _like_base(self.K, j0, "coordinate")
         eye = np.eye(j0.shape[-1])
-        if max_abs(j0 @ j0 + eye) > COORD_TOL:
+        if base_residuals is None:
+            with np.errstate(over="ignore", invalid="ignore"):  # a non-finite residual fails
+                base_residuals = max_abs(j0 @ j0 + eye)
+        if not np.all(base_residuals <= COORD_TOL):
             raise InvalidStructure("base does not square to -identity")
-        if max_abs(k @ j0 + j0 @ k) > COORD_TOL:
-            raise AnticommutationViolation(
-                "coordinate does not anticommute with the base structure")
+        if not anticommuting:
+            with np.errstate(over="ignore", invalid="ignore"):
+                worst = max_abs(k @ j0 + j0 @ k)
+            if not worst <= COORD_TOL:
+                raise AnticommutationViolation(
+                    "coordinate does not anticommute with the base structure")
         with np.errstate(over="ignore"):
             square = eye - k @ k
         if not np.isfinite(square).all():  # refused as non-finite, after 1 - K's guard
             mat_inv_guarded(eye - k)
             as_fiber_matrix(square)
-        inv = mat_inv(square)
+        scale = slice_max_abs(square)
+        inv = mat_inv(square, scale)
         resolvent = guard_inverse(eye - k, (eye + k) @ inv)
-        inv = guard_inverse(square, inv)
+        inv = guard_inverse(square, inv, scale)
         resolvent.flags.writeable = square.flags.writeable = inv.flags.writeable = False
         object.__setattr__(self, "base", j0)
         object.__setattr__(self, "K", k)

@@ -9,10 +9,11 @@ Operands are assumed unit-scale (norms of order one); the default
 tolerances used by callers are calibrated for that regime.  The guard
 (:func:`guard_inverse`) reads kappa_F from an inverse it is given, solved
 or derived in closed form: no SVD, and up to n times tighter than
-kappa_2.  Its two Frobenius norms come from :func:`slice_norm_fro`, the
-sum of squares ``np.linalg.norm`` takes, without the copy of its conj.
-A :class:`FiberMetric` inverts itself once, on first use, and every
-metric adjoint reads that.
+kappa_2.  It reads each sum of squares with one ``np.einsum``, with no
+squared temporary, and takes each slice's scale from the caller where
+:func:`mat_inv`'s gate has already computed it.  A :class:`FiberMetric`
+inverts itself once, on first use, and every metric adjoint reads that;
+the identity metric inverts nothing, and its adjoint is the transpose.
 
 Chart tangents anticommute with the standard structure J_std, so every
 operator the chart inverts (1 - K^2, the tanh denominator N^2 + D^2, the
@@ -43,13 +44,15 @@ residuals) goes through :func:`slice_max_abs` or
 :func:`diagonal_and_norm_1`.  They copy |entries| of up to
 ``REDUCE_BLOCK`` slices into a buffer with the slice index last and
 reduce it row by row across slices, where numpy would run one short loop
-per slice.  Their results are bit for bit those of the plain numpy
-reductions, NaN included.
+per slice.  A stack of fewer than ``REDUCE_FEWEST`` slices, such as the 8
+points of a default command, or of slices wider than ``REDUCE_WIDEST``
+entries, keeps numpy's own reduce, which is then faster.  Their results
+are bit for bit those of the plain numpy reductions, NaN included.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -84,10 +87,11 @@ def max_abs(a) -> float:
     return float(np.max(np.abs(arr))) if arr.size else 0.0
 
 
-# Slices per block of a per-slice reduction, and the most entries per slice
-# at which reducing a block row by row beats numpy's own per-slice loop; a
-# block of the widest slices is 512 KB.
+# Slices per block of a per-slice reduction, the fewest slices and the most
+# entries per slice at which reducing a block row by row beats numpy's own
+# per-slice loop; a block of the widest slices is 512 KB.
 REDUCE_BLOCK = 1024
+REDUCE_FEWEST = 16
 REDUCE_WIDEST = 64
 
 
@@ -97,10 +101,11 @@ def slice_max_abs(x: np.ndarray) -> np.ndarray:
     giving NaN.  numpy reduces a 16-entry slice in a short loop of its own;
     here |x| of up to ``REDUCE_BLOCK`` slices is written with the slice
     index last, into one contiguous (n m, b) block, and reduced row by row.
-    A max is exact in any order.  Slices of more than ``REDUCE_WIDEST``
-    entries keep numpy's reduce, which is then as fast."""
+    A max is exact in any order.  Fewer than ``REDUCE_FEWEST`` slices, or
+    slices of more than ``REDUCE_WIDEST`` entries, keep numpy's reduce,
+    which is then faster."""
     flat = x.reshape(-1, x.shape[-2] * x.shape[-1])
-    if flat.shape[1] > REDUCE_WIDEST:
+    if len(flat) < REDUCE_FEWEST or flat.shape[1] > REDUCE_WIDEST:
         return np.abs(flat).max(axis=1).reshape(x.shape[:-2])
     out = np.empty(len(flat))
     for at in range(0, len(flat), REDUCE_BLOCK):
@@ -115,11 +120,16 @@ def diagonal_and_norm_1(a: np.ndarray):
     sum of |entries|, from (n, n, b) blocks as in :func:`slice_max_abs`.
     The column sums add the rows in order, as ``np.abs(a).sum(axis=1)``
     does, so both keep the bits of the plain numpy expressions, NaN
-    included."""
+    included.  A slice is diagonal where its largest off-diagonal |entry|
+    is 0; fewer or wider slices than the blocks take are reduced by numpy
+    in the same way, one (k, n, n) stack at once."""
     k, n = a.shape[:2]
-    if n * n > REDUCE_WIDEST:
-        diagonal = (a[:, ~np.eye(n, dtype=bool)] == 0).all(axis=1)
-        return diagonal, np.abs(a).sum(axis=1).max(axis=-1)
+    if k < REDUCE_FEWEST or n * n > REDUCE_WIDEST:
+        stack = np.abs(a)
+        norm = stack.sum(axis=1).max(axis=-1)
+        rows = stack.reshape(k, n * n)
+        rows[:, ::n + 1] = 0.0
+        return rows.max(axis=1) == 0.0, norm
     diagonal, norm = np.empty(k, dtype=bool), np.empty(k)
     for at in range(0, k, REDUCE_BLOCK):
         block = np.abs(a[at:at + REDUCE_BLOCK].transpose(1, 2, 0), order="C")
@@ -130,22 +140,17 @@ def diagonal_and_norm_1(a: np.ndarray):
     return diagonal, norm
 
 
-def slice_norm_fro(x: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each (n, m) slice of a float64 (..., n, m) stack,
-    shape (...): the sum of squares ``np.linalg.norm(x, axis=(-2, -1))``
-    takes for real input, without its copy of ``x.conj()``; the same
-    pairwise sums, so the same bits, an overflow to inf and NaN included."""
-    return np.sqrt(np.add.reduce(x * x, axis=(-2, -1)))
-
-
 @dataclass(frozen=True)
 class FiberMetric:
     """Symmetric positive-definite inner products: one matrix, or a
     (points, n, n) stack with one per fiber.  Its inverse, which every
     metric adjoint reads, is computed on first use and kept (so a metric
-    that is only loaded or validated pays no inversion)."""
+    that is only loaded or validated pays no inversion).  A single matrix
+    that is exactly the identity is ``is_identity``: it is never inverted,
+    since its adjoint is the transpose."""
 
     matrix: np.ndarray
+    is_identity: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = as_fiber_matrix(self.matrix)
@@ -155,6 +160,8 @@ class FiberMetric:
         if not (np.linalg.eigvalsh(m)[..., 0] > 0.0).all():
             raise ValueError("fiber metric must be positive definite")
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "is_identity",
+                           m.ndim == 2 and bool((m == np.eye(m.shape[-1])).all()))
 
     @property
     def dim(self) -> int:
@@ -172,7 +179,8 @@ class FiberMetric:
         return cls(np.eye(dim))
 
 
-def guard_inverse(m: np.ndarray, inv: np.ndarray) -> np.ndarray:
+def guard_inverse(m: np.ndarray, inv: np.ndarray,
+                  scale: np.ndarray | None = None) -> np.ndarray:
     """Return ``inv``, the inverse of every matrix of the stack ``m``,
     unless some slice is ill-conditioned.
 
@@ -183,12 +191,19 @@ def guard_inverse(m: np.ndarray, inv: np.ndarray) -> np.ndarray:
     names the first slice whose estimate is not finite (an inverse that
     overflowed, to inf or to inf * 0 = nan), or else the largest estimate
     if it is above ``DEFAULT_COND_CAP``.  ``inv`` may come from a solve of
-    ``m`` or from a closed form; the rule is the same.
+    ``m`` or from a closed form; the rule is the same.  Each slice is
+    rescaled by its largest |entry|, ``scale`` (``slice_max_abs(m)``, of
+    shape ``m.shape[:-2]``), which a caller that has it passes, so no
+    square leaves the range; each sum of squares is one ``np.einsum``.
     """
-    # rescaled by each slice's largest entry, so no square leaves the range
-    scale = slice_max_abs(m)[..., None, None]
+    if scale is None:
+        scale = slice_max_abs(m)
+    scale = scale[..., None, None]
     with np.errstate(over="ignore"):
-        cond = slice_norm_fro(m / scale) * slice_norm_fro(inv * scale)
+        scaled = m / scale
+        norm = np.einsum("...ij,...ij->...", scaled, scaled)
+        np.multiply(inv, scale, out=scaled)
+        cond = np.sqrt(norm) * np.sqrt(np.einsum("...ij,...ij->...", scaled, scaled))
     finite = np.isfinite(cond)
     if not finite.all():
         raise SingularOperator(
@@ -226,22 +241,23 @@ def _complex_inv(rows: np.ndarray) -> np.ndarray:
     over the determinant at n = 4, one stacked complex solve above.  The
     inverse of that conjugate matrix is the conjugate of the inverse, so
     its entries are the even rows of the real inverse and i times them the
-    odd rows.  A zero determinant raises :class:`SingularOperator` as LAPACK
+    odd rows.  The inverse is divided straight into the even rows of the
+    output.  A zero determinant raises :class:`SingularOperator` as LAPACK
     would; an overflow leaves inf or nan for :func:`guard_inverse`."""
     k, h = rows.shape[:2]
+    out = np.empty((k, h, 2, h), dtype=complex)
+    inv = out[:, :, 0]
     if h == 1:
         if not rows.all():
             raise SingularOperator("Singular matrix")
-        inv = 1.0 / rows
+        np.divide(1.0, rows, out=inv)
     elif h == 2:
         det = rows[:, 0, 0] * rows[:, 1, 1] - rows[:, 0, 1] * rows[:, 1, 0]
         if not det.all():
             raise SingularOperator("Singular matrix")
-        inv = rows[:, ::-1, ::-1].mT * ADJUGATE_SIGN / det[:, None, None]
+        np.divide(rows[:, ::-1, ::-1].mT * ADJUGATE_SIGN, det[:, None, None], out=inv)
     else:
-        inv = _solve_eye(rows)
-    out = np.empty((k, h, 2, h), dtype=complex)
-    out[:, :, 0] = inv
+        inv[...] = _solve_eye(rows)
     np.multiply(inv, 1j, out=out[:, :, 1])
     return out.view(float).reshape(k, 2 * h, 2 * h)
 
@@ -249,7 +265,7 @@ def _complex_inv(rows: np.ndarray) -> np.ndarray:
 # the overflow of a nearly singular slice leaves inf or nan, for the
 # caller's guard to refuse
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def mat_inv(m: np.ndarray) -> np.ndarray:
+def mat_inv(m: np.ndarray, scale: np.ndarray | None = None) -> np.ndarray:
     """Inverse of every matrix of a float64 (..., n, n) stack, unguarded: a
     caller passes it to :func:`guard_inverse`, at once or after a refusal
     that must come first.  An exactly singular slice raises
@@ -264,12 +280,16 @@ def mat_inv(m: np.ndarray) -> np.ndarray:
     it adds at most kappa 64 eps n relative error, the order of LU's own
     backward error.  Every other slice takes one stacked real solve.  The
     choice is made per slice, from that slice alone, so each slice gets the
-    bits of inverting it alone.
+    bits of inverting it alone.  ``scale``, each slice's largest |entry|
+    (``slice_max_abs(m)``), is taken from a caller that has it, such as one
+    that passes it on to :func:`guard_inverse`.
     """
     n = m.shape[-1]
     stack = np.ascontiguousarray(m).reshape(-1, n, n)
     even = stack[:, 0::2]
-    linear = _commuting_defect(stack) <= COMMUTING_GATE * slice_max_abs(stack)
+    if scale is None:
+        scale = slice_max_abs(stack)
+    linear = _commuting_defect(stack) <= COMMUTING_GATE * scale.reshape(-1)
     if not linear.any():
         return _solve_eye(stack).reshape(m.shape)
     if linear.all():
@@ -284,9 +304,11 @@ def mat_inv_guarded(a) -> np.ndarray:
     """Invert every matrix of a stack, refusing ill-conditioned input: the
     inverse of :func:`mat_inv` passes :func:`guard_inverse`.  Chart
     operations rely on this guard to surface domain violations (1 - K close
-    to singular) as errors rather than noise."""
+    to singular) as errors rather than noise.  The gate and the guard read
+    one slice scale."""
     m = as_fiber_matrix(a)
-    return guard_inverse(m, mat_inv(m))
+    scale = slice_max_abs(m)
+    return guard_inverse(m, mat_inv(m, scale), scale)
 
 
 # Pade-13 coefficients b_0 .. b_13 and the 1-norm up to which the
@@ -409,9 +431,14 @@ def mat_tanh_half(a, t: float) -> np.ndarray:
 def g_adjoint(a, g: FiberMetric) -> np.ndarray:
     """Adjoint of ``a`` with respect to the fiber metric: G^{-1} (a^T G),
     slice by slice, from the metric's kept inverse, so no call solves;
-    a single metric matrix serves a whole stack."""
+    a single metric matrix serves a whole stack.  For the identity metric
+    it is a C-ordered copy of a^T, with no matmul; its entries are those
+    of the product, up to the sign of a zero.  (A transposed view would
+    send ``a^T @ a`` to a per-slice syrk, slower than the copy.)"""
     m = as_fiber_matrix(a)
     if m.shape[-1] != g.dim:
         raise DimensionMismatch(
             f"operand dimension {m.shape[-1]} does not match metric dimension {g.dim}")
+    if g.is_identity:
+        return m.mT.copy()
     return g.inverse @ (m.mT @ g.matrix)

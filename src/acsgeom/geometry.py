@@ -8,7 +8,9 @@ rational chart at a base field all three have closed forms in the
 coordinate K, as do the Levi-Civita connection, its curvature and its
 geodesics.  Each is computed on the (points, n, n) stacks at once; only
 the final sums over the points are accumulated left to right in point
-order, so results are reproducible bit for bit.
+order, so results are reproducible bit for bit.  A chart field checks
+its domain once: its base's J0^2 residuals are kept on the base field,
+and a coordinate made at that base was checked where it was made.
 """
 
 from __future__ import annotations
@@ -31,7 +33,13 @@ class ChartField:
     stacks, which checks the chart domain at every point at once and
     inverts 1 - K^2 only: the guarded resolvents (1 - K^2)^{-1} that every
     chart functional reads, and the chart resolvent
-    (1 - K)^{-1} = (1 + K)(1 - K^2)^{-1} derived from them.
+    (1 - K)^{-1} = (1 + K)(1 - K^2)^{-1} derived from them.  Each check
+    runs once: J0^2 = -1 is read from the base's kept
+    ``square_residuals``, and the anticommutation of K is checked only
+    when K was made at another base field, since a :class:`TangentField`
+    is checked against its own base where a caller makes it
+    (:meth:`TangentField.derived` exempts by design the tangents the
+    geometry computes).
     """
 
     space: SampleSpace
@@ -41,7 +49,9 @@ class ChartField:
 
     def __post_init__(self):
         same_space(self, self.base, self.K)
-        object.__setattr__(self, "coord", CayleyCoordinate(self.base.ops, self.K.ops))
+        object.__setattr__(self, "coord", CayleyCoordinate(
+            self.base.ops, self.K.ops, base_residuals=self.base.square_residuals,
+            anticommuting=self.K.base is self.base))
 
     def resolvents(self) -> np.ndarray:
         """(1 - K^2)^{-1} per point, guarded; computed once, read-only."""

@@ -5,7 +5,10 @@ points whose fibers are independent; integral functionals become weighted
 sums over the points.  A field assigns one matrix per point: almost
 complex operators, tangent directions, symplectic forms, or metrics.
 Closedness of the symplectic form is a statement about the manifold
-coordinates, not the fibers, and is outside this model's scope.
+coordinates, not the fibers, and is outside this model's scope.  A field
+is treated as immutable once built, so what its checks read of it (the
+J^2 + 1 residuals and the orientation of a structure field) is computed on
+first read and kept.
 
 Field files are JSON documents with the layout::
 
@@ -76,8 +79,9 @@ class SampleSpace:
     Instances are treated as immutable once constructed.  ``fiber_metric``
     is the space's one validated :class:`FiberMetric`: over the given
     ``metrics`` stack, holding that array, or, where ``metrics`` is omitted
-    and every point carries the identity, the one n x n identity; the
-    tiled identity ``metrics`` is then kept for :func:`save_bundle`.
+    or every point carries exactly the identity (a loaded bundle without
+    custom metrics), the one n x n identity; the tiled identity
+    ``metrics`` is then kept for :func:`save_bundle`.
     """
 
     dim: int
@@ -96,11 +100,14 @@ class SampleSpace:
         if not np.isfinite(w).all() or not (w > 0).all():
             raise ValueError("weights must be finite and strictly positive")
         self.weights = w
+        eye = np.eye(self.dim)
         if self.metrics is None:
-            self.metrics = np.tile(np.eye(self.dim), (w.size, 1, 1))
-            self.fiber_metric = FiberMetric.identity(self.dim)
+            self.metrics = np.tile(eye, (w.size, 1, 1))
         else:
             self.metrics = _as_stack(self.metrics, self.dim, w.size, "metrics")
+        if (self.metrics == eye).all():
+            self.fiber_metric = FiberMetric.identity(self.dim)
+        else:
             self.fiber_metric = FiberMetric(self.metrics)
         if self.point_ids is None:
             self.point_ids = tuple(range(w.size))
@@ -122,8 +129,8 @@ class AcsField:
     Construction checks shape and finiteness only; whether each operator
     actually squares to -identity is the job of :func:`validate_acs`, so
     that defective input data can be loaded and then diagnosed.  Instances
-    are treated as immutable once constructed: ``orientation`` is computed
-    on first read and kept.
+    are treated as immutable once constructed: ``square_residuals`` and
+    ``orientation`` are computed on first read and kept.
     """
 
     space: SampleSpace
@@ -131,6 +138,16 @@ class AcsField:
 
     def __post_init__(self):
         self.ops = _as_stack(self.ops, self.space.dim, self.space.npoints, "ops")
+
+    @cached_property
+    def square_residuals(self) -> np.ndarray:
+        """max |J^2 + 1| per point, read-only, NaN or inf where J^2
+        overflows; one computation, on first read, which
+        :func:`validate_acs` and every chart field at this base share."""
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite residual fails
+            residuals = slice_max_abs(self.ops @ self.ops + np.eye(self.space.dim))
+        residuals.flags.writeable = False
+        return residuals
 
     @cached_property
     def orientation(self) -> np.ndarray:
@@ -243,9 +260,9 @@ class FieldReport:
 
 
 def validate_acs(j: AcsField) -> FieldReport:
-    """Check J^2 = -identity at every point."""
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite residual fails
-        residuals = slice_max_abs(j.ops @ j.ops + np.eye(j.space.dim))
+    """Check J^2 = -identity at every point, from the field's kept
+    ``square_residuals``."""
+    residuals = j.square_residuals
     return FieldReport("acs", j.space.point_ids, residuals, residuals <= FIELD_TOL, FIELD_TOL)
 
 
@@ -286,25 +303,37 @@ def _min_eig(sym: np.ndarray) -> np.ndarray:
 
 
 def _certified_positive(sym: np.ndarray) -> bool:
-    """Whether one stacked Cholesky of S - tau I runs to completion, with
-    tau = POSITIVITY_FLOOR + 8 n^3 eps max|S| per slice.  tau covers the
-    Cholesky's backward error (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2nd ed., Thm 10.3) and eigvalsh's, p(n) eps ||S||_2 (LAPACK
-    Users' Guide, sec. 4.7), so True means every slice's smallest
-    eigenvalue, exact or from eigvalsh, exceeds the floor.  False where a
-    slice is not finite, fails or lies within tau of the floor: numpy
-    refuses the whole stack when one slice fails."""
+    """Whether a Cholesky of S - tau I runs to completion at every slice of
+    a symmetric stack, with tau = POSITIVITY_FLOOR + 8 n^3 eps max|S| per
+    slice.  tau covers the Cholesky's backward error (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., Thm 10.3, which holds for
+    any order of the inner products) and eigvalsh's, p(n) eps ||S||_2
+    (LAPACK Users' Guide, sec. 4.7), so True means every slice's smallest
+    eigenvalue, exact or from eigvalsh, exceeds the floor.
+
+    The factorization is written out with the slice index last: an
+    (n, n, k) copy of S - tau I is overwritten by L column by column, each
+    step a few vector operations across all k slices, with no LAPACK call.
+    It completes where every pivot is positive and finite: no pivot exceeds
+    its finite diagonal entry, and a pivot that is not positive leaves NaN
+    or -inf in its slice from there on, so the smallest square root of a
+    pivot decides.  False where a slice is not finite, fails or lies within
+    tau of the floor."""
     scale = slice_max_abs(sym)
     if not (scale < np.inf).all():
         return False
-    n = sym.shape[-1]
-    shifted = sym.reshape(len(sym), n * n).copy()
-    shifted[:, ::n + 1] -= (POSITIVITY_FLOOR + 8 * n**3 * np.finfo(float).eps * scale)[:, None]
-    try:
-        np.linalg.cholesky(shifted.reshape(sym.shape))
-    except np.linalg.LinAlgError:
-        return False
-    return True
+    k, n = sym.shape[:2]
+    a = sym.reshape(k, n * n).T.copy()  # row r n + c holds entry (r, c) of every slice
+    a[::n + 1] -= POSITIVITY_FLOOR + 8 * n**3 * np.finfo(float).eps * scale
+    a = a.reshape(n, n, k)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for j in range(n):
+            if j:
+                a[j:, j] -= np.einsum("ipk,pk->ik", a[j:, :j], a[j, :j])
+            np.sqrt(a[j, j], out=a[j, j])
+            a[j + 1:, j] /= a[j, j]
+        roots = a.reshape(n * n, k)[::n + 1]  # the square roots of the pivots
+        return bool(roots.min(initial=np.inf) > 0.0)  # a NaN fails
 
 
 def validate_associated(j: AcsField, w: SymplecticField) -> FieldReport:
@@ -313,9 +342,9 @@ def validate_associated(j: AcsField, w: SymplecticField) -> FieldReport:
     Invariance means J^T W J = W; positivity means the smallest eigenvalue
     ``min_eig`` of S, the symmetric part of W J, exceeds
     ``POSITIVITY_FLOOR``.  The verdict is eigvalsh's: read from one
-    Cholesky (:func:`_certified_positive`), else from ``min_eig``, which
-    the report otherwise computes from the kept, read-only S on the first
-    read of ``values["min_eig"]`` or ``per_point``.
+    Cholesky written out in numpy (:func:`_certified_positive`), else from
+    ``min_eig``, which the report otherwise computes from the kept,
+    read-only S on the first read of ``values["min_eig"]`` or ``per_point``.
     """
     same_space(j, w)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite residual fails

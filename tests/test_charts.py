@@ -103,9 +103,9 @@ class TestCayleyCoordinate:
         calls = []
         original = charts.mat_inv
 
-        def counted(a):
+        def counted(*args):
             calls.append(None)
-            return original(a)
+            return original(*args)
 
         monkeypatch.setattr(charts, "mat_inv", counted)
         j0 = np.tile(standard_acs(4), (3, 1, 1))

@@ -23,9 +23,11 @@ from acsgeom.structures import (
     SampleSpace,
     TangentField,
     load_bundle,
+    random_sample_space,
     random_tangent_field,
     save_bundle,
     standard_acs_field,
+    standard_symplectic_field,
     sym_antisym_split,
 )
 from acsgeom.verify import CHECK_NAMES, FLAGS
@@ -683,6 +685,31 @@ def test_bundle_metric_is_validated_once(monkeypatch, capsys, command):
     code, _, _ = run_cli([command, "--in", os.path.join(GOLDEN, "assoc_bundle.json")], capsys)
     assert code == 0
     assert len(built) == 1 and built[0].matrix.ndim == 3
+
+
+@pytest.mark.parametrize("command", ["project", "verify", "geodesic"])
+def test_identity_bundle_holds_one_identity_metric(monkeypatch, capsys, tmp_path, command):
+    # a bundle saved without custom metrics loads as a space holding the
+    # one n x n identity, never inverted: its adjoints are transposes
+    rng = np.random.default_rng(4)
+    space = random_sample_space(rng, 4, 6)
+    j = standard_acs_field(space)
+    path = tmp_path / "identity.json"
+    save_bundle(FieldBundle(space, j, standard_symplectic_field(space),
+                            random_tangent_field(rng, j)), path)
+    built, original = [], FiberMetric.__post_init__
+    monkeypatch.setattr(FiberMetric, "__post_init__",
+                        lambda self: built.append(self) or original(self))
+    code, _, _ = run_cli([command, "--in", str(path)], capsys)
+    assert code == 0
+    # the loaded space's metric comes first; verify's suite builds its own spaces
+    assert len(built) == 1 or command == "verify"
+    assert built[0].matrix.shape == (4, 4) and built[0].is_identity
+    assert "inverse" not in vars(built[0])
+    # the tiled metrics are kept, so a save writes the same bytes
+    again = tmp_path / "again.json"
+    save_bundle(load_bundle(path), again)
+    assert again.read_bytes() == path.read_bytes()
 
 
 class TestSingleCheckCommands:

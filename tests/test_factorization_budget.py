@@ -3,14 +3,16 @@
 The op is the one the ``field_1000`` benchmark workload repeats, on 16
 points instead of 1000: the chart geodesic K(t), the chart field at K(t)
 with its connection, curvature, pairing and 2-form, and two ambient
-geodesics with their validators.  Its cost is dominated by stacked
-factorizations, so a change that adds one has to change this count.  So
-are two bookkeeping counts: the orientation markers (the reference field
-keeps its own) and the ``np.linalg.norm`` calls (the guard reads
-``fiber.slice_norm_fro``).  The stacked solves of the ``cayley`` and
-``theorem1`` checkers are pinned too, and so is the one ``eigvalsh`` of a
-default ``geodesic`` command, which validates its space's n x n identity
-metric; the trace reads only the validators' verdicts.
+geodesics with their validators.  It makes no LAPACK call, so a change
+that adds one has to change this count.  So are three bookkeeping
+counts: the orientation markers (the reference field keeps its own), the
+``np.linalg.norm`` calls (the guard sums squares with ``np.einsum``) and
+the base's J^2 + 1 residuals, which the base field keeps across every
+grid time.  The stacked solves of the ``cayley`` and ``theorem1``
+checkers are pinned too, and so is the one ``eigvalsh`` of a default
+``geodesic`` command, which validates its space's n x n identity metric;
+the trace reads only the validators' verdicts, whose positivity a
+Cholesky written out in numpy certifies.
 """
 
 import numpy as np
@@ -23,15 +25,17 @@ from acsgeom.verify import check_cayley, check_theorem1
 
 COUNTED = {np.linalg: ("solve", "inv", "svd", "eigvalsh", "cholesky", "norm"),
            st: ("orientation_marker",)}
-# per op, once every metric has kept its inverse and the reference its
-# orientation.  The guarded tanh quotient, the guarded (1 - K^2)^{-1} of
-# the chart field and the Pade inversion of each ambient exponential all
-# invert operators that commute with the standard base, which
-# fiber.mat_inv inverts in complex form with no LAPACK call at dim 4; the
-# Cholesky certifies validate_associated's positivity, whose min_eig
-# (eigvalsh) no one reads; the marker is the orthogonal geodesic's
-BUDGET = {"solve": 0, "inv": 0, "svd": 0, "eigvalsh": 0, "cholesky": 1, "norm": 0,
+# per op, once the reference has kept its orientation.  The guarded tanh
+# quotient, the guarded (1 - K^2)^{-1} of the chart field and the Pade
+# inversion of each ambient exponential all invert operators that commute
+# with the standard base, which fiber.mat_inv inverts in complex form with
+# no LAPACK call at dim 4; validate_associated's positivity is certified
+# by a Cholesky written out in numpy, and its min_eig (eigvalsh) no one
+# reads; the identity metric's adjoint is a transpose; the marker is the
+# orthogonal geodesic's
+BUDGET = {"solve": 0, "inv": 0, "svd": 0, "eigvalsh": 0, "cholesky": 0, "norm": 0,
           "orientation_marker": 1}
+GRID = np.linspace(0.0, 2.0, 9)
 
 
 @pytest.fixture
@@ -72,11 +76,32 @@ def test_warmed_chart_op_keeps_its_factorization_budget(counted):
     a_anti = st.random_tangent_field(rng, j0, part="antisymmetric")
     fields = (space, j0, a, b, a_sym, a_anti, st.standard_symplectic_field(space),
               space.fiber_metric)
-    # warm-up: the space's metric keeps its inverse, j0 its orientation
+    # warm-up: j0 keeps its orientation
     assert chart_op(fields, 2.0)
     counted.update(dict.fromkeys(BUDGET, 0))
     assert chart_op(fields, 1.5)
     assert counted == BUDGET
+
+
+def test_base_square_residuals_are_computed_once_over_the_grid(monkeypatch):
+    rng = np.random.default_rng(1)
+    space = st.random_sample_space(rng, 4, 16)
+    j0 = st.standard_acs_field(space)
+    a, b = st.random_tangent_field(rng, j0), st.random_tangent_field(rng, j0)
+    a_sym = st.random_tangent_field(rng, j0, part="symmetric")
+    a_anti = st.random_tangent_field(rng, j0, part="antisymmetric")
+    fields = (space, j0, a, b, a_sym, a_anti, st.standard_symplectic_field(space),
+              space.fiber_metric)
+    kept = st.AcsField.__dict__["square_residuals"]
+    computed = []
+    monkeypatch.setattr(kept, "func", lambda j, f=kept.func: computed.append(j) or f(j))
+    for t in GRID:
+        assert chart_op(fields, t)
+    # the chart fields' base; the ambient geodesics' fields are validated
+    # by validate_associated and validate_orthogonal, which read no J^2
+    assert computed == [j0]
+    assert st.validate_acs(j0).residuals is j0.square_residuals
+    assert computed == [j0]
 
 
 # a chart point inverts 1 - K^2 in complex form at dims 2 and 4; only
@@ -90,11 +115,12 @@ def test_chart_checkers_solve_only_what_does_not_commute(counted, check, solves)
 
 def test_geodesic_makes_one_eigenvalue_call_on_one_matrix(counted, monkeypatch, capsys):
     # counted from the start of the command: the space's identity metric is
-    # one n x n matrix, validated once; the trace reads only the verdicts
+    # one n x n matrix, validated once; the trace reads only the verdicts,
+    # and each t's positivity is certified without LAPACK
     shapes, eigvalsh = [], np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh",
                         lambda m: shapes.append(np.shape(m)) or eigvalsh(m))
     assert cli.main(["geodesic"]) == 0
     assert capsys.readouterr().out.count("\n") > 9
     assert shapes == [(4, 4)]
-    assert counted["cholesky"] == 9  # one Cholesky per t
+    assert counted["cholesky"] == 0

@@ -5,12 +5,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from acsgeom import fiber
 from acsgeom.charts import random_anticommuting, standard_acs
 from acsgeom.errors import DimensionMismatch, NonFiniteValue, SingularOperator
 from acsgeom.fiber import (
     COMMUTING_GATE,
     DEFAULT_COND_CAP,
     PADE_13,
+    REDUCE_FEWEST,
     THETA_13,
     FiberMetric,
     _commuting_defect,
@@ -18,13 +20,13 @@ from acsgeom.fiber import (
     as_fiber_matrix,
     diagonal_and_norm_1,
     g_adjoint,
+    guard_inverse,
     mat_exp,
     mat_inv,
     mat_inv_guarded,
     mat_tanh_half,
     max_abs,
     slice_max_abs,
-    slice_norm_fro,
 )
 
 
@@ -188,6 +190,22 @@ class TestGAdjoint:
     def test_identity_metric_is_transpose(self):
         a = np.array([[1.0, 2.0], [3.0, 4.0]])
         assert np.array_equal(g_adjoint(a, FiberMetric.identity(2)), a.T)
+
+    def test_identity_metric_never_inverts_and_makes_no_matmul(self, monkeypatch):
+        inversions = []
+        monkeypatch.setattr(fiber, "mat_inv", lambda *args: inversions.append(args))
+        g = FiberMetric.identity(4)
+        a = near_identity_stack(3, 4, points=1000)
+        a[:, 1, 0] = -0.0  # a product with the identity would read +0.0 there
+        sharp = g_adjoint(a, g)
+        assert np.array_equal(sharp, a.mT) and np.signbit(sharp[:, 0, 1]).all()
+        assert sharp.flags.c_contiguous and not np.shares_memory(sharp, a)
+        assert np.signbit((np.eye(4) @ (a.mT @ np.eye(4)))[:, 0, 1]).sum() == 0
+        assert np.array_equal(g_adjoint(a[0], g), a[0].T)
+        assert g.is_identity and inversions == [] and "inverse" not in vars(g)
+        # only a single matrix that is exactly the identity is one
+        assert not FiberMetric(np.tile(np.eye(4), (2, 1, 1))).is_identity
+        assert not FiberMetric(np.diag([1.0, 1.0, 1.0, 1.0 + 2**-52])).is_identity
 
     def test_weighted_metric(self):
         a = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -480,10 +498,11 @@ class TestSliceReductions:
     """The blocked per-slice reductions give the bits of the plain numpy
     expressions they replace, which stay here as the oracle."""
 
-    # 1025 slices cross a block of 1024; 10 x 10 and 16 x 16 slices take
-    # numpy's own reduce
+    # 1025 slices cross a block of 1024; 10 x 10 and 16 x 16 slices, and
+    # stacks of fewer than REDUCE_FEWEST slices, take numpy's own reduce
     @settings(max_examples=60, deadline=None)
-    @given(k=st.sampled_from([0, 1, 8, 1000, 1025]), n=st.sampled_from([2, 4, 6, 8, 10, 16]),
+    @given(k=st.sampled_from([0, 1, 8, REDUCE_FEWEST - 1, REDUCE_FEWEST, 1000, 1025]),
+           n=st.sampled_from([2, 4, 6, 8, 10, 16]),
            seed=st.integers(0, 2**32 - 1), diagonal_share=st.sampled_from([0.0, 0.5, 1.0]),
            densities=st.lists(st.sampled_from([0.0, 1e-3, 0.05]), min_size=6, max_size=6))
     @example(k=0, n=4, seed=0, diagonal_share=0.0, densities=[0.0] * 6)
@@ -502,6 +521,26 @@ class TestSliceReductions:
         assert np.array_equal(slice_max_abs(x[:, 1::2]), np.abs(x[:, 1::2]).max(axis=(1, 2)),
                               equal_nan=True)
 
+    @pytest.mark.parametrize("k", [2, 8, REDUCE_FEWEST - 1, REDUCE_FEWEST, REDUCE_FEWEST + 1, 64])
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_both_sides_of_the_small_stack_cut(self, k, n):
+        # a NaN slice first, a diagonal slice with a -0.0 off the diagonal
+        # last, and between them an inf and a diagonal slice with a NaN on it
+        x = np.random.default_rng([k, n]).standard_normal((k, n, n))
+        x[0, 0, 1] = np.nan
+        x[-1] = np.diag(np.arange(1.0, n + 1.0))
+        x[-1, 1, 0] = -0.0
+        if k > 2:
+            x[1, n - 1, 0] = -np.inf
+            x[2] *= np.eye(n)
+            x[2, 0, 0] = np.nan
+        diagonal, norm = diagonal_and_norm_1(x)
+        assert np.array_equal(norm, np.abs(x).sum(axis=1).max(axis=-1), equal_nan=True)
+        assert np.array_equal(diagonal, (x[:, ~np.eye(n, dtype=bool)] == 0).all(axis=1))
+        assert diagonal[-1] and not diagonal[0] and (k <= 2 or diagonal[2])
+        assert np.array_equal(slice_max_abs(x), np.abs(x).max(axis=(1, 2)), equal_nan=True)
+        assert np.isnan(slice_max_abs(x)[0]) and np.isnan(norm[0])
+
     def test_any_leading_shape(self):
         x = np.random.default_rng(0).standard_normal((3, 5, 4, 4))
         assert np.array_equal(slice_max_abs(x), np.abs(x).max(axis=(-2, -1)))
@@ -511,38 +550,66 @@ class TestSliceReductions:
         assert mat_exp(np.zeros((0, 4, 4))).shape == (0, 4, 4)
 
 
-class TestFrobeniusNorm:
-    """slice_norm_fro gives the bits of np.linalg.norm over the matrix axes."""
+def np_kappa_f(m, inv):
+    """kappa_F of each slice as np.linalg.norm reads it, both factors
+    rescaled by the slice's largest |entry|: the guard's oracle."""
+    scale = np.abs(m).max(axis=(-2, -1), keepdims=True)
+    return np.linalg.norm(m / scale, axis=(-2, -1)) * np.linalg.norm(inv * scale, axis=(-2, -1))
+
+
+def guard_refusal(m, inv, scale=None):
+    """The message guard_inverse refuses with, or None if it passes ``inv``."""
+    try:
+        assert guard_inverse(m, inv, scale) is inv
+    except SingularOperator as exc:
+        return str(exc)
+    return None
+
+
+class TestGuardEstimate:
+    """guard_inverse reads kappa_F from einsum sums of squares: within a few
+    ulps of np.linalg.norm's, so it refuses where that estimate is past the
+    cap or not finite, and names the same slice or largest estimate."""
 
     @settings(max_examples=60, deadline=None)
-    @given(k=st.sampled_from([0, 1, 8, 1000]), n=st.sampled_from([2, 4, 6, 8, 16]),
-           seed=st.integers(0, 2**32 - 1),
-           densities=st.lists(st.sampled_from([0.0, 1e-3, 0.05]), min_size=6, max_size=6))
-    @example(k=8, n=4, seed=0, densities=[0.0, 0.0, 0.0, 0.5, 0.5, 0.5])
-    def test_bits_of_np_linalg_norm(self, k, n, seed, densities):
+    @given(k=st.sampled_from([1, 8, 1000]), n=st.sampled_from([2, 4, 6, 8, 16]),
+           seed=st.integers(0, 2**32 - 1), log_scale=st.floats(-200, 200),
+           log_cond=st.floats(8, 16))
+    @example(k=8, n=4, seed=0, log_scale=0.0, log_cond=math.log10(DEFAULT_COND_CAP))
+    def test_refuses_as_np_linalg_norm_reads(self, k, n, seed, log_scale, log_cond):
+        # orthogonal Q D Q^T with singular values from 1 to 10^-log_cond at
+        # one slice, scaled by 10^log_scale; its exact inverse from Q
         rng = np.random.default_rng(seed)
-        x = rng.standard_normal((k, n, n))
-        for value, density in zip(SPECIAL, densities):
-            x[rng.random(x.shape) < density] = value
-        with np.errstate(over="ignore", invalid="ignore"):  # 1e308 squared overflows to inf
-            got, want = slice_norm_fro(x), np.linalg.norm(x, axis=(-2, -1))
-        assert np.array_equal(got, want, equal_nan=True)
+        q = np.linalg.qr(rng.standard_normal((k, n, n)))[0]
+        d = np.ones((k, n))
+        d[rng.integers(k), -1] = 10.0 ** -log_cond
+        m = (q * (10.0 ** log_scale * d)[:, None, :]) @ q.mT
+        inv = (q / (10.0 ** log_scale * d)[:, None, :]) @ q.mT
+        want = np_kappa_f(m, inv)
+        got = guard_refusal(m, inv)
+        assert got == guard_refusal(m, inv, slice_max_abs(m))
+        worst = want.max()
+        if worst < DEFAULT_COND_CAP * (1.0 - 1e-12):
+            assert got is None
+        elif worst > DEFAULT_COND_CAP * (1.0 + 1e-12):
+            assert got.startswith("condition estimate ")
+            assert float(got.split()[2]) == pytest.approx(worst, rel=1e-6)  # printed to 7 digits
 
     def test_edge_values(self):
-        x = np.zeros((5, 2, 4))
-        x[0, 1, 2] = -0.0
-        x[1] = 1e200
-        x[2, 0, 0] = np.nan
-        x[3, 0, 0], x[3, 1, 1] = np.inf, -np.inf
-        x[4, 0, 0] = 5e-324
-        with np.errstate(over="ignore", invalid="ignore"):
-            got = slice_norm_fro(x)
-            assert np.array_equal(got, np.linalg.norm(x, axis=(-2, -1)), equal_nan=True)
-        assert got[0] == 0.0 and not np.signbit(got[0])
-        assert got[1] == np.inf and np.isnan(got[2]) and got[3] == np.inf and got[4] == 0.0
-        assert slice_norm_fro(np.zeros((0, 4, 4))).shape == (0,)
-        y = np.random.default_rng(0).standard_normal((3, 5, 4, 4))
-        assert np.array_equal(slice_norm_fro(y), np.linalg.norm(y, axis=(-2, -1)))
+        m = np.tile(np.eye(4), (5, 1, 1))
+        inv = m.copy()
+        inv[1, 0, 0] = np.inf  # an overflowed inverse
+        inv[2, 3, 1] = np.nan  # inf * 0
+        assert guard_refusal(m, inv) == "condition estimate of slice 1 is not finite"
+        inv[1] = np.eye(4)
+        assert guard_refusal(m, inv) == "condition estimate of slice 2 is not finite"
+        # entries near the top of the range: no square overflows
+        huge = 1e200 * np.eye(4) + 1e199
+        assert guard_refusal(huge, np.linalg.inv(huge)) is None
+        assert np_kappa_f(huge, np.linalg.inv(huge)) < 10.0
+        # one matrix, whose scale is a 0-d array
+        assert guard_refusal(np.eye(2), np.eye(2), slice_max_abs(np.eye(2))) is None
+        assert guard_inverse(np.zeros((0, 4, 4)), np.zeros((0, 4, 4))).shape == (0, 4, 4)
 
 
 def old_commuting_defect(stack):

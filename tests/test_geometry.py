@@ -211,8 +211,23 @@ class TestChartFieldResolvents:
         # the invertibility of 1 - K^2 = 0
         assert refusal(chart(np.array([[0.5, -1.0], [1.0, 0.0]]), eye2)) == (
             InvalidStructure, "base does not square to -identity")
-        assert refusal(chart(j2, eye2)) == (
-            AnticommutationViolation, "coordinate does not anticommute with the base structure")
+        anticommutation = (AnticommutationViolation,
+                           "coordinate does not anticommute with the base structure")
+        assert refusal(lambda: CayleyCoordinate(j2, eye2)) == anticommutation
+        # a chart field checks K only if it was made at another base field:
+        # one made at its own base was checked there (or derived, unchecked)
+        space, j, k = one_point_field(j2, eye2)
+        other = AcsField(space, j.ops.copy())
+        assert refusal(lambda: ChartField(space, j, TangentField.derived(other, k.ops))) == (
+            anticommutation)
+        assert refusal(chart(j2, eye2)) == refusal(lambda: mat_inv_guarded(eye2 - eye2))
+        # a base whose square overflows is refused, on raw arrays and from
+        # the chart field's kept residual
+        huge_base = np.array([[1e200, 1e200], [-1e200, 0.0]])
+        assert refusal(lambda: CayleyCoordinate(huge_base, np.zeros((2, 2)))) == (
+            InvalidStructure, "base does not square to -identity")
+        assert refusal(chart(huge_base, np.zeros((2, 2)))) == (
+            InvalidStructure, "base does not square to -identity")
         # then 1 - K: exactly singular, or past the cap while 1 - K^2 is too
         singular = np.diag([1.0, -1.0])
         assert refusal(chart(j2, singular)) == refusal(lambda: mat_inv_guarded(eye2 - singular))

@@ -1,15 +1,13 @@
-"""Every per-slice reduction of a stack goes through ``fiber.slice_max_abs``,
-``fiber.diagonal_and_norm_1`` or ``fiber.slice_norm_fro``, so each has one
-implementation.
+"""Every per-slice reduction of a stack goes through ``fiber.slice_max_abs``
+or ``fiber.diagonal_and_norm_1``, so each has one implementation.
 
 No package module calls ``max``, ``min``, ``sum``, ``any``, ``all`` (a
 numpy function or an array method) or a ufunc's ``reduce`` over the two
 matrix axes, ``axis=(1, 2)`` or ``axis=(-2, -1)``, and none takes a
 Frobenius ``np.linalg.norm`` (no ``ord``) over them.  The guard's kappa_F
-reads ``fiber.slice_norm_fro``, the one place that sums squares over the
-matrix axes; it keeps the pairwise order of ``np.linalg.norm``, and so its
-bits, without the copy of its conj.  ``charts.shape_anticommuting``'s
-spectral norm (``ord=2``) is an SVD, not a reduction, and stays."""
+sums its squares with ``np.einsum``, which names no axes and no module
+reduces with otherwise.  ``charts.shape_anticommuting``'s spectral norm
+(``ord=2``) is an SVD, not a reduction, and stays."""
 
 import ast
 import os
@@ -20,8 +18,9 @@ PACKAGE = os.path.dirname(os.path.abspath(acsgeom.__file__))
 REDUCTIONS = {"max", "min", "sum", "any", "all", "amax", "amin", "reduce"}
 MATRIX_AXES = {(1, 2), (2, 1), (-2, -1), (-1, -2)}
 FROBENIUS = {None, "fro", "f"}
-# the helpers that own a reduction over the matrix axes, by module
-HELPERS = {"fiber.py": {"slice_norm_fro"}}
+# the functions exempt from the rule, by module; the two helpers reduce
+# (n m, b) blocks or flattened slices, not the matrix axes, so none is
+HELPERS = {}
 
 
 def literal(node):

@@ -359,14 +359,20 @@ def same_report_bits(got, want) -> bool:
 
 
 class TestOneIdentityMetric:
-    """A space built without metrics holds one n x n identity; every draw,
-    split and validation on it has the bits of the same space given the
-    identity tiled over its points."""
+    """A space built without metrics, or given metrics that are all exactly
+    the identity, holds one n x n identity, whose adjoint is the transpose;
+    every draw, split and validation on it has the bits of the same space
+    holding the identity tiled over its points as a (points, n, n) metric,
+    whose adjoint is a matmul with it and its inverse."""
 
     @staticmethod
     def spaces(dim, seed):
         w = np.random.default_rng([dim, seed]).uniform(0.5, 1.5, 12)
-        return SampleSpace(dim, w), SampleSpace(dim, w, metrics=np.tile(np.eye(dim), (12, 1, 1)))
+        tiled = SampleSpace(dim, w, metrics=np.tile(np.eye(dim), (12, 1, 1)))
+        assert tiled.fiber_metric.is_identity and tiled.fiber_metric.matrix.shape == (dim, dim)
+        tiled.fiber_metric = FiberMetric(tiled.metrics)  # the stacked path, as a reference
+        assert not tiled.fiber_metric.is_identity
+        return SampleSpace(dim, w), tiled
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("dim", [2, 4, 6])
@@ -515,10 +521,128 @@ def counting(original, calls):
     return counted
 
 
+def lapack_certified(sym):
+    """Per slice, whether np.linalg.cholesky of S - tau I completes: the
+    certificate as LAPACK computed it, the reference of the one written
+    out in numpy."""
+    n = sym.shape[-1]
+    tau = POSITIVITY_FLOOR + 8 * n**3 * np.finfo(float).eps * np.abs(sym).max(axis=(1, 2))
+    certified = []
+    for s, t in zip(sym, tau):
+        try:
+            np.linalg.cholesky(s - t * np.eye(n))
+        except np.linalg.LinAlgError:
+            certified.append(False)
+        else:
+            certified.append(True)
+    return np.array(certified)
+
+
+def planted_at_tau(rng, multiples, n):
+    """One symmetric slice per multiple m, as in :func:`planted_stack`, with
+    its smallest eigenvalue at POSITIVITY_FLOOR + m tau', where
+    tau' = 8 n^3 eps times the largest eigenvalue, which bounds max|S|:
+    the certificate's shift less the floor is at most tau'."""
+    k = len(multiples)
+    scale = 10.0 ** rng.uniform(-3, 6, k)
+    lam = rng.uniform(0.1, 1.0, (k, n)) * scale[:, None]
+    lam[:, -1] = scale
+    lam[:, 0] = POSITIVITY_FLOOR + np.asarray(multiples) * 8 * n**3 * np.finfo(float).eps * scale
+    q = np.linalg.qr(rng.standard_normal((k, n, n)))[0]
+    s = (q * lam[:, None, :]) @ q.mT
+    return 0.5 * (s + s.mT)
+
+
 class TestPositivityCertificate:
-    """One Cholesky certifies positivity only where eigvalsh would read it
-    (Higham, Accuracy and Stability of Numerical Algorithms, Thm 10.3), and
-    the validator's verdict is eigvalsh's on every stack."""
+    """A Cholesky written out in numpy certifies positivity only where
+    eigvalsh would read it (Higham, Accuracy and Stability of Numerical
+    Algorithms, Thm 10.3), and the validator's verdict is eigvalsh's on
+    every stack."""
+
+    MULTIPLES = (-64.0, -4.0, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 4.0, 64.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.sampled_from([2, 4, 6]), seed=st.integers(0, 2**32 - 1))
+    def test_planted_within_a_few_tau_of_the_floor(self, n, seed):
+        sym = planted_at_tau(np.random.default_rng(seed), self.MULTIPLES, n)
+        certified = np.array([structures._certified_positive(s[None]) for s in sym])
+        # certified => eigvalsh reads above the floor
+        assert (np.linalg.eigvalsh(sym)[certified, 0] > POSITIVITY_FLOOR).all()
+        m = np.array(self.MULTIPLES)
+        assert not certified[m <= -1.0].any()  # S - tau I is then indefinite by tau'
+        assert certified[m >= 64.0].all()
+        # LAPACK's Cholesky agrees wherever the slice is clear of the shift
+        clear = np.abs(m) >= 4.0
+        assert np.array_equal(certified[clear], lapack_certified(sym)[clear])
+        assert structures._certified_positive(sym) == certified.all()
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    @pytest.mark.parametrize("flaw", ["zero", "nan", "inf", "-inf"])
+    def test_zero_and_non_finite_slices_are_not_certified(self, n, flaw):
+        sym = planted_stack(np.random.default_rng(n), 8, n, near=False)
+        assert structures._certified_positive(sym)
+        sym[5] = 0.0
+        if flaw != "zero":
+            sym[5, 1, 1] = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf}[flaw]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not structures._certified_positive(sym)
+        if flaw == "zero":  # no field holds the others; J holds them below
+            j, w = fields_with_sym(sym)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(structures, "FIELD_TOL", np.inf)
+                rep = validate_associated(j, w)
+            assert np.flatnonzero(~rep.ok).tolist() == [5]
+            assert np.array_equal(rep.ok, oracle_positive(j, w))
+
+    def test_a_zero_pivot_is_not_positive(self):
+        # S - tau I = diag(1 - tau, 0) exactly: its second pivot is 0
+        tau = POSITIVITY_FLOOR + 8 * 2**3 * np.finfo(float).eps * 1.0
+        assert not structures._certified_positive(np.diag([1.0, tau])[None])
+        assert structures._certified_positive(np.diag([1.0, np.nextafter(tau, 1.0)])[None])
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_one_failing_slice_among_1000(self, n):
+        rng = np.random.default_rng(n)
+        sym = planted_stack(rng, 1000, n, near=False)
+        assert structures._certified_positive(sym)
+        sym[617] = planted_at_tau(rng, [-4.0], n)[0]
+        assert not structures._certified_positive(sym)
+        assert structures._certified_positive(np.delete(sym, 617, axis=0))
+        j, w = fields_with_sym(sym)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(structures, "FIELD_TOL", np.inf)
+            rep = validate_associated(j, w)
+        assert np.flatnonzero(~rep.ok).tolist() == [617]
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.sampled_from([2, 4, 6]), seed=st.integers(0, 2**32 - 1),
+           flaws=st.lists(st.sampled_from(["near", "indefinite", "nan", "overflow"]),
+                          max_size=3))
+    def test_report_is_that_of_eigvalsh_alone(self, n, seed, flaws):
+        # verdicts and min_eig against an eigvalsh-only reference
+        rng = np.random.default_rng(seed)
+        sym = planted_stack(rng, 40, n, near=False)
+        for flaw in flaws:
+            if flaw == "near":
+                sym[rng.integers(40)] = planted_stack(rng, 1, n, near=True)[0]
+        j, w = fields_with_sym(sym)
+        for flaw in flaws:
+            at = rng.integers(40)
+            if flaw == "indefinite":
+                j.ops[at] *= -1.0
+            elif flaw == "nan":
+                j.ops[at, 0, rng.integers(n)] = np.nan
+            elif flaw == "overflow":
+                j.ops[at] = 1.5e308
+        rep = validate_associated(j, w)
+        with np.errstate(over="ignore", invalid="ignore"):
+            residuals = np.abs(j.ops.mT @ w.forms @ j.ops - w.forms).max(axis=(1, 2))
+        assert np.array_equal(rep.ok, (residuals <= 1e-10) & oracle_positive(j, w))
+        with np.errstate(over="ignore", invalid="ignore"):
+            prod = w.forms @ j.ops
+            want = inline_min_eig(0.5 * (prod + prod.mT))
+        assert np.array_equal(rep.values["min_eig"], want, equal_nan=True)
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.sampled_from([2, 4, 6, 8, 16]), seed=st.integers(0, 2**32 - 1))
