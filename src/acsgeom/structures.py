@@ -314,10 +314,10 @@ def _certified_positive(sym: np.ndarray) -> bool:
     The factorization is written out with the slice index last: an
     (n, n, k) copy of S - tau I is overwritten by L column by column, each
     step a few vector operations across all k slices, with no LAPACK call.
-    It completes where every pivot is positive and finite: no pivot exceeds
-    its finite diagonal entry, and a pivot that is not positive leaves NaN
-    or -inf in its slice from there on, so the smallest square root of a
-    pivot decides.  False where a slice is not finite, fails or lies within
+    It completes where every pivot is positive and finite.  No pivot
+    exceeds its finite diagonal entry, so the smallest square root of a
+    pivot decides: a zero pivot leaves a root of 0, and a negative or NaN
+    one a NaN.  False where a slice is not finite, fails or lies within
     tau of the floor."""
     scale = slice_max_abs(sym)
     if not (scale < np.inf).all():
