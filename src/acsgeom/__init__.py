@@ -5,7 +5,6 @@ of independent fibers, with a verification suite for its theorems."""
 from .charts import (
     CayleyCoordinate,
     acs_to_cayley,
-    anticommute_project,
     cayley_to_acs,
     pushforward,
     random_anticommuting,

@@ -8,10 +8,11 @@ geodesic :func:`acsgeom.geometry.geodesic_ambient`.  A chart point is a
 :class:`CayleyCoordinate`: it alone decides the chart domain, by one
 inversion of 1 - K^2 at construction, from which the (1 - K)^{-1} =
 (1 + K)(1 - K^2)^{-1} that the chart map and its differential share
-follows with one matmul.  On raw arrays it checks J0^2 = -1 and the
+follows with one matmul.  On raw arrays it admits J0 and K
+(:func:`acsgeom.fiber.as_fiber_matrix`) and checks J0^2 = -1 and the
 anticommutation of K first; a field-level caller that already holds those
-checks (:class:`acsgeom.geometry.ChartField`) passes them in, so each runs
-once.
+checks (:class:`acsgeom.geometry.ChartField`) passes them in, and they
+vouch for admission too, so each runs once.
 Every map takes a single matrix or a (points, n, n) stack and acts on each
 fiber independently; field-level wrappers live in the structures and
 geometry modules.
@@ -42,22 +43,6 @@ def standard_acs(dim: int) -> np.ndarray:
     return j
 
 
-def _like_base(a, base: np.ndarray, what: str) -> np.ndarray:
-    """``a`` as fiber matrices, required to have the shape of ``base``."""
-    m = as_fiber_matrix(a)
-    if m.shape != base.shape:
-        raise DimensionMismatch(
-            f"{what} shape {m.shape} does not match base shape {base.shape}")
-    return m
-
-
-def anticommute_project(b, j0) -> np.ndarray:
-    """Project onto the subspace anticommuting with j0: (b + j0 b j0)/2."""
-    j = as_fiber_matrix(j0)
-    m = _like_base(b, j, "matrix")
-    return 0.5 * (m + j @ m @ j)
-
-
 @dataclass(frozen=True)
 class CayleyCoordinate:
     """Points of the rational chart: base structure plus coordinate K,
@@ -69,7 +54,10 @@ class CayleyCoordinate:
     checked part of this passes what it knows: ``base_residuals``, the kept
     per-point max |J0^2 + 1| of its base, is read in place of computing
     J0^2, and ``anticommuting=True`` says K was checked against this very
-    base where it was made, so that check is skipped.  1 - K^2 commutes with
+    base where it was made, so that check is skipped.  Each also vouches
+    for admission: the base, or K, is then a field's admitted stack, taken
+    as it is; a non-finite derived K is refused at 1 - K^2, where
+    :func:`mat_inv_guarded` of 1 - K admits it first.  1 - K^2 commutes with
     J0, since K anticommutes with it; it is kept as the read-only
     ``square``, inverted once, and its inverse is kept as the read-only
     ``square_resolvent``; its gate and its guard read one slice scale.
@@ -91,8 +79,8 @@ class CayleyCoordinate:
     square_resolvent: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self, base_residuals, anticommuting):
-        j0 = as_fiber_matrix(self.base)
-        k = _like_base(self.K, j0, "coordinate")
+        j0 = self.base if base_residuals is not None else as_fiber_matrix(self.base)
+        k = self.K if anticommuting else as_fiber_matrix(self.K, j0.shape, "coordinate")
         eye = np.eye(j0.shape[-1])
         if base_residuals is None:
             with np.errstate(over="ignore", invalid="ignore"):  # a non-finite residual fails
@@ -105,12 +93,12 @@ class CayleyCoordinate:
             if not worst <= COORD_TOL:
                 raise AnticommutationViolation(
                     "coordinate does not anticommute with the base structure")
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             square = eye - k @ k
-        if not np.isfinite(square).all():  # refused as non-finite, after 1 - K's guard
+        scale = slice_max_abs(square)
+        if not (scale < np.inf).all():  # a NaN too: refused as non-finite, after 1 - K's guard
             mat_inv_guarded(eye - k)
             as_fiber_matrix(square)
-        scale = slice_max_abs(square)
         inv = mat_inv(square, scale)
         resolvent = guard_inverse(eye - k, (eye + k) @ inv)
         inv = guard_inverse(square, inv, scale)
@@ -138,7 +126,7 @@ def acs_to_cayley(j0, j) -> CayleyCoordinate:
     outside the chart (1 - J J0 singular, e.g. j = -j0).
     """
     base = as_fiber_matrix(j0)
-    target = _like_base(j, base, "structure")
+    target = as_fiber_matrix(j, base.shape, "structure")
     eye = np.eye(base.shape[-1])
     jj0 = target @ base
     k = mat_inv_guarded(eye - jj0) @ (eye + jj0)
@@ -152,7 +140,7 @@ def pushforward(coord: CayleyCoordinate, a) -> np.ndarray:
     base) is carried to 2 J0 (1-K)^{-1} a (1-K)^{-1}, a tangent at the
     structure cayley_to_acs(coord).
     """
-    m = _like_base(a, coord.base, "tangent")
+    m = as_fiber_matrix(a, coord.base.shape, "tangent")
     r = coord.resolvent
     return 2.0 * coord.base @ r @ m @ r
 
@@ -168,8 +156,7 @@ def random_anticommuting(rng: np.random.Generator, j0, *,
     same stream as one draw per slice in order), are shaped by
     :func:`shape_anticommuting`.
     """
-    j = as_fiber_matrix(j0)
-    return shape_anticommuting(rng.uniform(-1.0, 1.0, size=j.shape), j,
+    return shape_anticommuting(rng.uniform(-1.0, 1.0, size=np.shape(j0)), j0,
                                metric=metric, part=part, bound=bound)
 
 
@@ -178,17 +165,19 @@ def shape_anticommuting(raw, j0, *, metric: FiberMetric | None = None,
     """Shape a (..., n, n) stack of raw matrices into matrices that
     anticommute with j0, which is broadcast over the stack.
 
-    Each raw slice is projected onto the anticommuting subspace, optionally
-    reduced to the metric-symmetric or antisymmetric part, and rescaled to
-    spectral norm ``bound`` if its norm exceeds it (which keeps 1 - K
-    invertible with margin whenever bound < 1).  Each slice gets the bits of
-    shaping that slice alone.
+    Each raw slice b is projected onto the anticommuting subspace, as
+    (b + j0 b j0)/2, optionally reduced to the metric-symmetric or
+    antisymmetric part, and rescaled to spectral norm ``bound`` if its norm
+    exceeds it (which keeps 1 - K invertible with margin whenever
+    bound < 1).  Each slice gets the bits of shaping that slice alone.
 
     Part selection assumes j0 is skew-adjoint for the metric, which holds
     for the standard structure with the identity metric; only then do the
     two parts stay inside the anticommuting subspace.
     """
-    k = anticommute_project(raw, np.broadcast_to(j0, np.shape(raw)))
+    j, m = as_fiber_matrix(j0), as_fiber_matrix(raw)
+    j = np.broadcast_to(j, m.shape)
+    k = 0.5 * (m + j @ m @ j)
     if part is not None:
         if part not in ("symmetric", "antisymmetric"):
             raise ValueError(f"unknown part {part!r}")

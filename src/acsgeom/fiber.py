@@ -44,10 +44,9 @@ residuals) goes through :func:`slice_max_abs` or
 :func:`diagonal_and_norm_1`.  They copy |entries| of up to
 ``REDUCE_BLOCK`` slices into a buffer with the slice index last and
 reduce it row by row across slices, where numpy would run one short loop
-per slice.  A stack of fewer than ``REDUCE_FEWEST`` slices, such as the 8
-points of a default command, or of slices wider than ``REDUCE_WIDEST``
-entries, keeps numpy's own reduce, which is then faster.  Their results
-are bit for bit those of the plain numpy reductions, NaN included.
+per slice.  A stack of slices wider than ``REDUCE_WIDEST`` entries keeps
+numpy's own reduce, which is then faster.  Their results are bit for bit
+those of the plain numpy reductions, NaN included.
 """
 
 from __future__ import annotations
@@ -67,17 +66,21 @@ COMMUTING_GATE = 64 * np.finfo(float).eps
 ADJUGATE_SIGN = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 
-def as_fiber_matrix(a) -> np.ndarray:
-    """Coerce to a float64 (..., n, n) stack of square matrices of even
-    dimension n >= 2."""
+def as_fiber_matrix(a, shape: tuple | None = None, what: str = "matrix") -> np.ndarray:
+    """The one admission rule for array input: a float64 (..., n, n) stack
+    of square matrices of even dimension n >= 2, of ``shape`` if one is
+    given, with finite entries.  Each public function or field that takes
+    arrays calls it once, where they enter; its refusals name ``what``."""
     m = np.asarray(a, dtype=float)
+    if shape is not None and m.shape != shape:
+        raise DimensionMismatch(f"{what} must have shape {shape}, got {m.shape}")
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise DimensionMismatch(f"expected square matrices, got shape {m.shape}")
     if m.shape[-1] < 2 or m.shape[-1] % 2:
         raise DimensionMismatch(
             f"fiber dimension must be even and >= 2, got {m.shape[-1]}")
     if not np.isfinite(m).all():
-        raise NonFiniteValue("matrix entries must be finite")
+        raise NonFiniteValue(f"{what} entries must be finite")
     return m
 
 
@@ -87,11 +90,10 @@ def max_abs(a) -> float:
     return float(np.max(np.abs(arr))) if arr.size else 0.0
 
 
-# Slices per block of a per-slice reduction, the fewest slices and the most
-# entries per slice at which reducing a block row by row beats numpy's own
-# per-slice loop; a block of the widest slices is 512 KB.
+# Slices per block of a per-slice reduction, and the most entries per slice
+# at which reducing a block row by row beats numpy's own per-slice loop; a
+# block of the widest slices is 512 KB.
 REDUCE_BLOCK = 1024
-REDUCE_FEWEST = 16
 REDUCE_WIDEST = 64
 
 
@@ -101,11 +103,10 @@ def slice_max_abs(x: np.ndarray) -> np.ndarray:
     giving NaN.  numpy reduces a 16-entry slice in a short loop of its own;
     here |x| of up to ``REDUCE_BLOCK`` slices is written with the slice
     index last, into one contiguous (n m, b) block, and reduced row by row.
-    A max is exact in any order.  Fewer than ``REDUCE_FEWEST`` slices, or
-    slices of more than ``REDUCE_WIDEST`` entries, keep numpy's reduce,
-    which is then faster."""
+    A max is exact in any order.  Slices of more than ``REDUCE_WIDEST``
+    entries keep numpy's reduce, which is then faster."""
     flat = x.reshape(-1, x.shape[-2] * x.shape[-1])
-    if len(flat) < REDUCE_FEWEST or flat.shape[1] > REDUCE_WIDEST:
+    if flat.shape[1] > REDUCE_WIDEST:
         return np.abs(flat).max(axis=1).reshape(x.shape[:-2])
     out = np.empty(len(flat))
     for at in range(0, len(flat), REDUCE_BLOCK):
@@ -121,10 +122,10 @@ def diagonal_and_norm_1(a: np.ndarray):
     The column sums add the rows in order, as ``np.abs(a).sum(axis=1)``
     does, so both keep the bits of the plain numpy expressions, NaN
     included.  A slice is diagonal where its largest off-diagonal |entry|
-    is 0; fewer or wider slices than the blocks take are reduced by numpy
-    in the same way, one (k, n, n) stack at once."""
+    is 0; slices wider than the blocks take are reduced by numpy in the
+    same way, one (k, n, n) stack at once."""
     k, n = a.shape[:2]
-    if k < REDUCE_FEWEST or n * n > REDUCE_WIDEST:
+    if n * n > REDUCE_WIDEST:
         stack = np.abs(a)
         norm = stack.sum(axis=1).max(axis=-1)
         rows = stack.reshape(k, n * n)

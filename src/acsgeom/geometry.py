@@ -39,7 +39,8 @@ class ChartField:
     when K was made at another base field, since a :class:`TangentField`
     is checked against its own base where a caller makes it
     (:meth:`TangentField.derived` exempts by design the tangents the
-    geometry computes).
+    geometry computes).  No array is admitted again: the base's stack, and
+    K's when made at that base, are the fields' own, taken as they are.
     """
 
     space: SampleSpace

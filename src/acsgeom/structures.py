@@ -34,13 +34,9 @@ from functools import cached_property
 import numpy as np
 
 from .charts import COORD_TOL, random_anticommuting, standard_acs
-from .errors import (
-    AnticommutationViolation,
-    DimensionMismatch,
-    IoError,
-    NonFiniteValue,
-)
-from .fiber import DEFAULT_COND_CAP, FiberMetric, g_adjoint, max_abs, slice_max_abs
+from .errors import AnticommutationViolation, DimensionMismatch, IoError
+from .fiber import (DEFAULT_COND_CAP, FiberMetric, as_fiber_matrix, g_adjoint, max_abs,
+                    slice_max_abs)
 
 # Largest fiber dimension a sample space, a suite config or a bundle may
 # ask for; larger requests are input errors, refused before any dim x dim
@@ -51,16 +47,6 @@ MAX_FIBER_DIM = 64
 POSITIVITY_FLOOR = 1e-12
 # The largest max norm of a point's identity defect that the validators pass.
 FIELD_TOL = 1e-10
-
-
-def _as_stack(ops, dim: int, npoints: int, name: str) -> np.ndarray:
-    arr = np.asarray(ops, dtype=float)
-    if arr.shape != (npoints, dim, dim):
-        raise DimensionMismatch(
-            f"{name} must have shape {(npoints, dim, dim)}, got {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise NonFiniteValue(f"{name} entries must be finite")
-    return arr
 
 
 def same_space(*fields) -> None:
@@ -104,7 +90,7 @@ class SampleSpace:
         if self.metrics is None:
             self.metrics = np.tile(eye, (w.size, 1, 1))
         else:
-            self.metrics = _as_stack(self.metrics, self.dim, w.size, "metrics")
+            self.metrics = as_fiber_matrix(self.metrics, (w.size, self.dim, self.dim), "metrics")
         if (self.metrics == eye).all():
             self.fiber_metric = FiberMetric.identity(self.dim)
         else:
@@ -137,7 +123,8 @@ class AcsField:
     ops: np.ndarray
 
     def __post_init__(self):
-        self.ops = _as_stack(self.ops, self.space.dim, self.space.npoints, "ops")
+        points, dim = self.space.npoints, self.space.dim
+        self.ops = as_fiber_matrix(self.ops, (points, dim, dim), "ops")
 
     @cached_property
     def square_residuals(self) -> np.ndarray:
@@ -171,7 +158,8 @@ class TangentField:
     ops: np.ndarray
 
     def __post_init__(self):
-        self.ops = _as_stack(self.ops, self.space.dim, self.space.npoints, "ops")
+        points, dim = self.space.npoints, self.space.dim
+        self.ops = as_fiber_matrix(self.ops, (points, dim, dim), "ops")
         same_space(self, self.base)
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite residual refuses
             worst = max_abs(self.ops @ self.base.ops + self.base.ops @ self.ops)
@@ -195,7 +183,8 @@ class SymplecticField:
     forms: np.ndarray
 
     def __post_init__(self):
-        w = self.forms = _as_stack(self.forms, self.space.dim, self.space.npoints, "forms")
+        points, dim = self.space.npoints, self.space.dim
+        w = self.forms = as_fiber_matrix(self.forms, (points, dim, dim), "forms")
         with np.errstate(over="ignore"):  # an overflow reads as skew
             skew = slice_max_abs(w + w.mT) > 1e-12
         scale = slice_max_abs(w)[:, None, None]

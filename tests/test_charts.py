@@ -9,7 +9,6 @@ from acsgeom import charts
 from acsgeom.charts import (
     CayleyCoordinate,
     acs_to_cayley,
-    anticommute_project,
     cayley_to_acs,
     pushforward,
     random_anticommuting,
@@ -57,28 +56,31 @@ class TestStandardAcs:
 
 
 class TestAnticommuteProject:
+    """The projection (b + j0 b j0)/2 alone: shaping with no part and no
+    rescale."""
+
     def test_fixes_anticommuting_input(self):
         k = np.array([[0.3, 0.1], [0.1, -0.3]])
-        assert np.array_equal(anticommute_project(k, J2), k)
+        assert np.array_equal(shape_anticommuting(k, J2, bound=np.inf), k)
 
     def test_kills_commuting_input(self):
         # J0 itself commutes with J0
-        assert max_abs(anticommute_project(J2, J2)) == 0.0
+        assert max_abs(shape_anticommuting(J2, J2, bound=np.inf)) == 0.0
 
     def test_output_anticommutes(self):
         rng = np.random.default_rng(0)
         for dim in (2, 4, 6):
             j0 = standard_acs(dim)
             b = rng.uniform(-1, 1, size=(dim, dim))
-            m = anticommute_project(b, j0)
+            m = shape_anticommuting(b, j0, bound=np.inf)
             assert max_abs(m @ j0 + j0 @ m) < 1e-14
 
     def test_idempotent(self):
         rng = np.random.default_rng(1)
         b = rng.uniform(-1, 1, size=(4, 4))
         j0 = standard_acs(4)
-        once = anticommute_project(b, j0)
-        assert max_abs(anticommute_project(once, j0) - once) < 1e-15
+        once = shape_anticommuting(b, j0, bound=np.inf)
+        assert max_abs(shape_anticommuting(once, j0, bound=np.inf) - once) < 1e-15
 
 
 class TestCayleyCoordinate:

@@ -12,13 +12,14 @@ grid time.  The stacked solves of the ``cayley`` and ``theorem1``
 checkers are pinned too, and so is the one ``eigvalsh`` of a default
 ``geodesic`` command, which validates its space's n x n identity metric;
 the trace reads only the validators' verdicts, whose positivity a
-Cholesky written out in numpy certifies.
+Cholesky written out in numpy certifies.  Building a chart field admits
+no array again, and its only finiteness tests are its two guards'.
 """
 
 import numpy as np
 import pytest
 
-from acsgeom import cli
+from acsgeom import charts, cli
 from acsgeom import geometry as ge
 from acsgeom import structures as st
 from acsgeom.verify import check_cayley, check_theorem1
@@ -38,20 +39,23 @@ BUDGET = {"solve": 0, "inv": 0, "svd": 0, "eigvalsh": 0, "cholesky": 0, "norm": 
 GRID = np.linspace(0.0, 2.0, 9)
 
 
-@pytest.fixture
-def counted(monkeypatch):
-    counts = dict.fromkeys(BUDGET, 0)
-
+def count_calls(monkeypatch, counted_names, counts):
+    """Count into ``counts`` the calls of each module's named functions."""
     def counting(name, original):
         def call(*args, **kwargs):
             counts[name] += 1
             return original(*args, **kwargs)
         return call
 
-    for module, names in COUNTED.items():
+    for module, names in counted_names.items():
         for name in names:
             monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     return counts
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    return count_calls(monkeypatch, COUNTED, dict.fromkeys(BUDGET, 0))
 
 
 def chart_op(fields, t):
@@ -102,6 +106,19 @@ def test_base_square_residuals_are_computed_once_over_the_grid(monkeypatch):
     assert computed == [j0]
     assert st.validate_acs(j0).residuals is j0.square_residuals
     assert computed == [j0]
+
+
+def test_chart_field_admits_nothing_again(monkeypatch):
+    # the base and K are fields' admitted stacks; the two finiteness tests
+    # are the guards' on their condition estimates
+    rng = np.random.default_rng(2)
+    space = st.random_sample_space(rng, 4, 16)
+    j0 = st.standard_acs_field(space)
+    kt = ge.geodesic_chart(st.random_tangent_field(rng, j0), 1.5)
+    counts = count_calls(monkeypatch, {np: ("isfinite",), charts: ("as_fiber_matrix",)},
+                         {"isfinite": 0, "as_fiber_matrix": 0})
+    ge.ChartField(space, j0, kt)
+    assert counts == {"isfinite": 2, "as_fiber_matrix": 0}
 
 
 # a chart point inverts 1 - K^2 in complex form at dims 2 and 4; only
