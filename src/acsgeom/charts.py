@@ -56,7 +56,9 @@ class CayleyCoordinate:
     J0^2, and ``anticommuting=True`` says K was checked against this very
     base where it was made, so that check is skipped.  Each also vouches
     for admission: the base, or K, is then a field's admitted stack, taken
-    as it is; a non-finite derived K is refused at 1 - K^2, where
+    as it is, with no pass over its entries; a vouched K that is not an
+    array of the base's shape is refused as :class:`DimensionMismatch`, and
+    a non-finite derived K is refused at 1 - K^2, where
     :func:`mat_inv_guarded` of 1 - K admits it first.  1 - K^2 commutes with
     J0, since K anticommutes with it; it is kept as the read-only
     ``square``, inverted once, and its inverse is kept as the read-only
@@ -81,6 +83,9 @@ class CayleyCoordinate:
     def __post_init__(self, base_residuals, anticommuting):
         j0 = self.base if base_residuals is not None else as_fiber_matrix(self.base)
         k = self.K if anticommuting else as_fiber_matrix(self.K, j0.shape, "coordinate")
+        if not (isinstance(k, np.ndarray) and k.shape == j0.shape):  # a vouched K
+            got = k.shape if isinstance(k, np.ndarray) else type(k).__name__
+            raise DimensionMismatch(f"coordinate must have shape {j0.shape}, got {got}")
         eye = np.eye(j0.shape[-1])
         if base_residuals is None:
             with np.errstate(over="ignore", invalid="ignore"):  # a non-finite residual fails

@@ -23,11 +23,22 @@ division at n = 2 and a 2 x 2 adjugate at n = 4, with no LAPACK call.  A
 slice takes that path when its commuting defect is at most
 ``COMMUTING_GATE`` = 64 eps times its largest entry; the complex form then
 adds at most kappa 64 eps n relative error, the order of LU's own backward
-error.  Every other slice takes a stacked real solve.
+error.  Every other slice takes a stacked real solve.  :func:`mat_inv`
+reads a stack once, into a copy with the slice index last, and computes
+the scale, the gate and the complex inverse from it as vector operations
+across slices, with the complex arithmetic of a per-slice call.
 
 The exponentials need numpy only: one scaling-and-squaring Pade-13
 (Higham 2005) runs over a whole stack, with one stacked inversion and
-masked, stacked squarings.  ``mat_tanh_half`` builds the polynomial once
+masked, stacked squarings.  A geodesic takes exp(t A) and tanh((t/2) A)
+of one velocity A at many t, so A's part of the approximant, its
+:class:`PadeBasis` (the diagonal mask, the 1-norms and the powers A^2,
+A^4 and A^6), is computed once and kept (``TangentField.pade``).  At an
+exponent c A the approximant's coefficients b_j are scaled by c^j, with
+three matmuls instead of six and no 1-norm pass; a slice whose squaring
+count at c is not its count at 1 forms its powers afresh.  A kernel
+given a stack builds a fresh basis, so each formula has one
+implementation, and at c = 1 nothing is scaled.  ``mat_tanh_half`` builds the polynomial once
 for both signs of its exponent, which share the scaling and swap the
 approximant's numerator and denominator; where no squaring is needed it
 takes the quotient from those two parts, with no exponential and only the
@@ -38,15 +49,14 @@ same bits per slice.  The package imports no scipy.  An exponential whose
 norm or result is not finite raises :class:`NonFiniteValue` without a
 numpy warning.
 
-A per-slice reduction of a stack (the gate's defect and scale, the
-guard's scale, the Pade 1-norm and diagonal mask, the validators'
-residuals) goes through :func:`slice_max_abs` or
-:func:`diagonal_and_norm_1`.  They copy |entries| of up to
-``REDUCE_BLOCK`` slices into a buffer with the slice index last and
-reduce it row by row across slices, where numpy would run one short loop
-per slice.  A stack of slices wider than ``REDUCE_WIDEST`` entries keeps
-numpy's own reduce, which is then faster.  Their results are bit for bit
-those of the plain numpy reductions, NaN included.
+A per-slice reduction of a stack (the guard's scale, the Pade 1-norm and
+diagonal mask, the validators' residuals) goes through
+:func:`slice_max_abs` or :func:`diagonal_and_norm_1`.  They copy
+|entries| of up to ``REDUCE_BLOCK`` slices into a buffer with the slice
+index last and reduce it row by row across slices, where numpy would run
+one short loop per slice.  A stack of slices wider than ``REDUCE_WIDEST``
+entries keeps numpy's own reduce, which is then faster.  Their results
+are bit for bit those of the plain numpy reductions, NaN included.
 """
 
 from __future__ import annotations
@@ -215,15 +225,16 @@ def guard_inverse(m: np.ndarray, inv: np.ndarray,
     return inv
 
 
-def _commuting_defect(stack: np.ndarray) -> np.ndarray:
+def _commuting_defect(blocks: np.ndarray) -> np.ndarray:
     """max(|b + c|, |d - a|) over the 2x2 blocks [[a, c], [b, d]] of each
-    slice of a (k, n, n) stack, 0 exactly when the slice commutes with
-    J_std (blocks [[a, -b], [b, a]]).  b + c and d - a come from strided
-    views of the odd and even rows, with no gather, and the larger of
-    their |entries| is reduced once per slice; a NaN gives NaN."""
-    even, odd = stack[:, 0::2], stack[:, 1::2]
-    return slice_max_abs(np.maximum(np.abs(odd[:, :, 0::2] + even[:, :, 1::2]),
-                                    np.abs(odd[:, :, 1::2] - even[:, :, 0::2])))
+    slice of a (k, n, n) stack, from ``blocks``, its entries with the slice
+    index last (entry (2r + p, 2c + q) of slice s at [r, p, c, q, s]): 0
+    exactly when the slice commutes with J_std (blocks [[a, -b], [b, a]]),
+    NaN where an entry is.  Each operation runs across all slices."""
+    h, k = len(blocks), blocks.shape[-1]
+    defect = np.maximum(np.abs(blocks[:, 1, :, 0] + blocks[:, 0, :, 1]),
+                        np.abs(blocks[:, 1, :, 1] - blocks[:, 0, :, 0]))
+    return defect.reshape(h * h, k).max(axis=0)
 
 
 def _solve_eye(m: np.ndarray) -> np.ndarray:
@@ -235,37 +246,65 @@ def _solve_eye(m: np.ndarray) -> np.ndarray:
         raise SingularOperator(str(exc)) from None
 
 
-def _complex_inv(rows: np.ndarray) -> np.ndarray:
-    """Real form of the inverse of every slice of a (k, n/2, n/2) complex
-    stack, read from the even rows of J_std-commuting real slices (entry
-    a - ib of each block [[a, -b], [b, a]]): 1/z at n = 2, the adjugate
-    over the determinant at n = 4, one stacked complex solve above.  The
-    inverse of that conjugate matrix is the conjugate of the inverse, so
-    its entries are the even rows of the real inverse and i times them the
-    odd rows.  The inverse is divided straight into the even rows of the
-    output.  A zero determinant raises :class:`SingularOperator` as LAPACK
-    would; an overflow leaves inf or nan for :func:`guard_inverse`."""
-    k, h = rows.shape[:2]
-    out = np.empty((k, h, 2, h), dtype=complex)
-    inv = out[:, :, 0]
-    if h == 1:
-        if not rows.all():
-            raise SingularOperator("Singular matrix")
-        np.divide(1.0, rows, out=inv)
-    elif h == 2:
-        det = rows[:, 0, 0] * rows[:, 1, 1] - rows[:, 0, 1] * rows[:, 1, 0]
+def _complex_inv(blocks: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """Real form of the inverse of every slice of a (k, n, n) stack of
+    J_std-commuting slices, each the (n/2) x (n/2) complex matrix of
+    entries a - ib, read from the even row of each block [[a, -b], [b, a]].
+    At n = 2 and 4 the entries come from ``blocks``, the slices' entries
+    with the slice index last (entry (2r + p, 2c + q) of slice s at
+    [r, p, c, q, s]), and the inverse is 1/z or the adjugate over the
+    determinant, each a vector operation across slices with the complex
+    arithmetic of a per-slice call; above, one stacked complex solve of the
+    even rows of ``stack``.  The inverse of that conjugate matrix is the
+    conjugate of the inverse, so its entries are the even rows of the real
+    inverse and i times them the odd rows.  A zero determinant raises
+    :class:`SingularOperator` as LAPACK would; an overflow leaves inf or nan
+    for :func:`guard_inverse`."""
+    h, k = len(blocks), blocks.shape[-1]
+    if h > 2:
+        inv = _solve_eye(stack[:, 0::2].view(complex)).transpose(1, 2, 0)
+    else:
+        z = np.empty((h, h, k), dtype=complex)
+        z.real, z.imag = blocks[:, 0, :, 0], blocks[:, 0, :, 1]
+        if h == 1:
+            det, adjugate = z, 1.0
+        else:
+            det = z[0, 0] * z[1, 1] - z[0, 1] * z[1, 0]
+            adjugate = z[::-1, ::-1].transpose(1, 0, 2) * ADJUGATE_SIGN[..., None]
         if not det.all():
             raise SingularOperator("Singular matrix")
-        np.divide(rows[:, ::-1, ::-1].mT * ADJUGATE_SIGN, det[:, None, None], out=inv)
-    else:
-        inv[...] = _solve_eye(rows)
-    np.multiply(inv, 1j, out=out[:, :, 1])
-    return out.view(float).reshape(k, 2 * h, 2 * h)
+        inv = np.divide(adjugate, det)
+    out = np.empty((h, 2, h, k), dtype=complex)
+    out[:, 0] = inv
+    np.multiply(inv, 1j, out=out[:, 1])
+    return np.ascontiguousarray(out.transpose(3, 0, 1, 2)).view(float).reshape(k, 2 * h, 2 * h)
 
 
 # the overflow of a nearly singular slice leaves inf or nan, for the
 # caller's guard to refuse
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _inverse_and_scale(m: np.ndarray, scale: np.ndarray | None = None):
+    """:func:`mat_inv` of ``m`` and each slice's largest |entry|, the
+    ``scale`` given or the one its gate computed."""
+    n = m.shape[-1]
+    stack = np.ascontiguousarray(m).reshape(-1, n, n)
+    k = len(stack)
+    flat = stack.reshape(k, n * n).T.copy()  # row r n + c holds entry (r, c) of every slice
+    if scale is None:
+        scale = np.abs(flat).max(axis=0).reshape(m.shape[:-2])
+    blocks = flat.reshape(n // 2, 2, n // 2, 2, k)
+    linear = _commuting_defect(blocks) <= COMMUTING_GATE * scale.reshape(-1)
+    if not linear.any():
+        inv = _solve_eye(stack)
+    elif linear.all():
+        inv = _complex_inv(blocks, stack)
+    else:
+        inv = np.empty_like(stack)
+        inv[linear] = _complex_inv(blocks[..., linear], stack[linear])
+        inv[~linear] = _solve_eye(stack[~linear])
+    return inv.reshape(m.shape), scale
+
+
 def mat_inv(m: np.ndarray, scale: np.ndarray | None = None) -> np.ndarray:
     """Inverse of every matrix of a float64 (..., n, n) stack, unguarded: a
     caller passes it to :func:`guard_inverse`, at once or after a refusal
@@ -281,24 +320,15 @@ def mat_inv(m: np.ndarray, scale: np.ndarray | None = None) -> np.ndarray:
     it adds at most kappa 64 eps n relative error, the order of LU's own
     backward error.  Every other slice takes one stacked real solve.  The
     choice is made per slice, from that slice alone, so each slice gets the
-    bits of inverting it alone.  ``scale``, each slice's largest |entry|
-    (``slice_max_abs(m)``), is taken from a caller that has it, such as one
-    that passes it on to :func:`guard_inverse`.
+    bits of inverting it alone.
+
+    The stack is read once, into a copy with the slice index last; the
+    scale, the gate and, at n = 2 and 4, the complex inverse are vector
+    operations across slices on that copy, so a mixed or non-commuting
+    stack computes its gate once too.  ``scale``, each slice's largest
+    |entry| (``slice_max_abs(m)``), is taken from a caller that has it.
     """
-    n = m.shape[-1]
-    stack = np.ascontiguousarray(m).reshape(-1, n, n)
-    even = stack[:, 0::2]
-    if scale is None:
-        scale = slice_max_abs(stack)
-    linear = _commuting_defect(stack) <= COMMUTING_GATE * scale.reshape(-1)
-    if not linear.any():
-        return _solve_eye(stack).reshape(m.shape)
-    if linear.all():
-        return _complex_inv(even.view(complex)).reshape(m.shape)
-    out = np.empty_like(stack)
-    out[linear] = _complex_inv(even[linear].view(complex))
-    out[~linear] = _solve_eye(stack[~linear])
-    return out.reshape(m.shape)
+    return _inverse_and_scale(m, scale)[0]
 
 
 def mat_inv_guarded(a) -> np.ndarray:
@@ -308,8 +338,7 @@ def mat_inv_guarded(a) -> np.ndarray:
     to singular) as errors rather than noise.  The gate and the guard read
     one slice scale."""
     m = as_fiber_matrix(a)
-    scale = slice_max_abs(m)
-    return guard_inverse(m, mat_inv(m, scale), scale)
+    return guard_inverse(m, *_inverse_and_scale(m))
 
 
 # Pade-13 coefficients b_0 .. b_13 and the 1-norm up to which the
@@ -319,75 +348,162 @@ PADE_13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
            670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
            16380.0, 182.0, 1.0)
 THETA_13 = 5.371920351148152
+# Largest |c| whose powers c^j, j <= 13, scale the approximant's
+# coefficients: c^13 stays below 2^832
+SCALE_MAX = 2.0 ** 64
 
 
-# overflow and nan are refused below; log2(0) of a tiny norm is clipped to s = 0
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _pade_13(a: np.ndarray):
-    """Scaled Pade-13 parts of a float64 (k, n, n) stack (Higham 2005):
-    the mask of diagonal slices, and for each other slice A its squaring
-    count s = max(0, ceil(log2(||A||_1 / theta_13))) and the numerator
-    V + U and denominator V - U at 2^-s A.  U is odd and V even, and
-    negation is exact, so -a gets the same mask and s with the two swapped,
-    bit for bit.  A non-finite norm raises :class:`NonFiniteValue`."""
-    n = a.shape[-1]
-    diagonal, norm = diagonal_and_norm_1(a)
-    x = a
-    if diagonal.any():
-        x, norm = a[~diagonal], norm[~diagonal]
-    if not np.isfinite(norm).all():
-        raise NonFiniteValue("matrix exponential entries must be finite")
-    squarings = np.maximum(np.ceil(np.log2(norm / THETA_13)), 0.0).astype(int)
-    if squarings.any():
-        x = np.ldexp(x, -squarings[:, None, None])
-    b, eye = PADE_13, np.eye(n)
+@dataclass(frozen=True, eq=False)
+class PadeBasis:
+    """What the Pade-13 exponential of c A needs of a float64 (k, n, n)
+    stack A for every scalar c, computed once by :func:`pade_basis`.  A
+    sweep over c (a geodesic over t) reads it at each c, where forming the
+    approximant's parts takes three matmuls instead of six, and no 1-norm
+    pass.
+
+    ``diagonal`` masks the slices whose off-diagonal entries are all 0;
+    ``norm`` is the 1-norm of every other slice, ``squarings`` its count s
+    at c = 1 (:func:`_squarings`), and ``powers`` its X, X^2, X^4 and X^6
+    for X = 2^-s A.  ``largest`` is the largest |entry| of A."""
+
+    shape: tuple
+    stack: np.ndarray
+    largest: float
+    diagonal: np.ndarray
+    norm: np.ndarray
+    squarings: np.ndarray
+    powers: tuple
+
+
+@np.errstate(divide="ignore")  # log2(0) of a tiny norm is clipped to s = 0
+def _squarings(norm: np.ndarray) -> np.ndarray:
+    """The squaring count s = max(0, ceil(log2(||A||_1 / theta_13))) of each
+    1-norm (Higham 2005); an infinite norm, which the exponential refuses,
+    reads 2000."""
+    return np.clip(np.ceil(np.log2(norm / THETA_13)), 0.0, 2000.0).astype(int)
+
+
+def _powers(x: np.ndarray) -> tuple:
+    """x, x^2, x^4 and x^6 of a stack, in three matmuls."""
     x2 = x @ x
     x4 = x2 @ x2
-    x6 = x4 @ x2
+    return x, x2, x4, x4 @ x2
+
+
+# an infinite norm overflows its powers; the exponential refuses it
+@np.errstate(over="ignore", invalid="ignore")
+def pade_basis(a) -> PadeBasis:
+    """The :class:`PadeBasis` of a (..., n, n) stack, admitted first."""
+    m = as_fiber_matrix(a)
+    stack = m.reshape(-1, m.shape[-1], m.shape[-1])
+    diagonal, norm = diagonal_and_norm_1(stack)
+    x = stack
+    if diagonal.any():
+        x, norm = stack[~diagonal], norm[~diagonal]
+    squarings = _squarings(norm)
+    if squarings.any():
+        x = np.ldexp(x, -squarings[:, None, None])
+    return PadeBasis(m.shape, stack, max_abs(stack), diagonal, norm, squarings, _powers(x))
+
+
+def _pade_parts(x, x2, x4, x6, c: float):
+    """Numerator V + U and denominator V - U of the Pade-13 approximant at
+    c x, from the powers of x: each coefficient b_j is scaled by c^j, so
+    no power of c x is formed, and at c = 1 nothing is scaled."""
+    b, scale = [], 1.0
+    for coefficient in PADE_13:
+        b.append(coefficient * scale)
+        scale *= c
+    eye = np.eye(x.shape[-1])
     u = x @ (x6 @ (b[13] * x6 + b[11] * x4 + b[9] * x2)
              + b[7] * x6 + b[5] * x4 + b[3] * x2 + b[1] * eye)
     v = (x6 @ (b[12] * x6 + b[10] * x4 + b[8] * x2)
          + b[6] * x6 + b[4] * x4 + b[2] * x2 + b[0] * eye)
-    return diagonal, squarings, v + u, v - u
+    return v + u, v - u
+
+
+# overflow and nan are refused below
+@np.errstate(over="ignore", invalid="ignore")
+def _pade_13(basis: PadeBasis, c: float):
+    """Scaled Pade-13 parts of c A, for the stack A of ``basis`` (Higham
+    2005): the mask of diagonal slices (every slice at c = 0), their
+    diagonals times c, and for each other slice its squaring count s at
+    |c| ||A||_1 and the numerator V + U and denominator V - U at 2^-s c A.
+
+    A slice whose s is its count at c = 1 takes them from its kept powers,
+    with the coefficients scaled by c^j (:func:`_pade_parts`).  A slice
+    whose s moves, and every slice when |c| > ``SCALE_MAX``, forms the
+    powers of 2^-s c A afresh; the choice is the slice's own, so each slice
+    keeps the bits of that slice alone.  At c = 1 nothing is scaled, and
+    the parts are those of A's own 2^-s A, bit for bit.  U is odd and V
+    even, and negation is exact, so -c gets the same mask and s with the
+    two swapped, bit for bit.  A non-finite norm raises
+    :class:`NonFiniteValue`."""
+    diagonal, stack = basis.diagonal, basis.stack
+    if c == 0.0:
+        diagonal = np.ones_like(diagonal)
+    entries = c * np.einsum("kii->ki", stack)[diagonal]
+    if diagonal.all():
+        empty = np.zeros((0,) + stack.shape[1:])
+        return diagonal, entries, np.zeros(0, dtype=int), empty, empty
+    norm = abs(c) * basis.norm
+    if not np.isfinite(norm).all():
+        raise NonFiniteValue("matrix exponential entries must be finite")
+    squarings = _squarings(norm)
+    moved = squarings != basis.squarings if abs(c) <= SCALE_MAX else np.ones_like(squarings, bool)
+    if not moved.any():  # one path: no masks
+        return diagonal, entries, squarings, *_pade_parts(*basis.powers, c)
+    x = np.ldexp(c * stack[~diagonal][moved], -squarings[moved, None, None])
+    num, den = np.empty((2, len(moved)) + stack.shape[1:])
+    num[moved], den[moved] = _pade_parts(*_powers(x), 1.0)
+    num[~moved], den[~moved] = _pade_parts(*(p[~moved] for p in basis.powers), c)
+    return diagonal, entries, squarings, num, den
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _expm(a, diagonal, squarings, num, den) -> np.ndarray:
+def _expm(diagonal, entries, squarings, num, den) -> np.ndarray:
     """exp of every slice of a (k, n, n) stack from its :func:`_pade_13`
-    parts.  Diagonal slices take ``np.exp`` of their diagonals, so a zero
-    slice gives the identity exactly; the others, if any, take
+    parts.  Diagonal slices take ``np.exp`` of their diagonals ``entries``,
+    so a zero slice gives the identity exactly; the others, if any, take
     r = den^{-1} num as (den num)^{-1} num^2, exact since the even and odd
     parts V and U commute, and are squared back, every slice with s > k in
     one matmul at step k.  den num = V^2 - U^2 is even in the exponent, so
     it commutes with J_std whenever the exponent anticommutes with it, and
-    :func:`mat_inv` inverts it in complex form.  Swapping num and den gives
-    exp(-a) by the same steps.  A non-finite result raises
-    :class:`NonFiniteValue`."""
+    :func:`mat_inv` inverts it in complex form.  Swapping num and den (and
+    negating ``entries``) gives exp(-a) by the same steps.  A non-finite
+    result raises :class:`NonFiniteValue`."""
     r = mat_inv(den @ num) @ (num @ num) if len(num) else num
     for step in range(squarings.max(initial=0)):
         todo = squarings > step
         r[todo] = r[todo] @ r[todo]
     out = r
     if diagonal.any():
-        out = np.zeros(a.shape)
-        np.einsum("kii->ki", out)[diagonal] = np.exp(np.einsum("kii->ki", a)[diagonal])
+        n = entries.shape[-1]
+        out = np.zeros((len(diagonal), n, n))
+        np.einsum("kii->ki", out)[diagonal] = np.exp(entries)
         out[~diagonal] = r
     if not np.isfinite(out).all():
         raise NonFiniteValue("matrix exponential entries must be finite")
     return out
 
 
-def mat_exp(a) -> np.ndarray:
-    """Matrix exponential of every slice: a stacked scaling-and-squaring
-    Pade-13 in numpy (see :func:`_pade_13` and :func:`_expm`)."""
-    m = as_fiber_matrix(a)
-    stack = m.reshape(-1, m.shape[-1], m.shape[-1])
-    return _expm(stack, *_pade_13(stack)).reshape(m.shape)
+def mat_exp(a, t: float = 1.0) -> np.ndarray:
+    """exp(t a) of every slice: a stacked scaling-and-squaring Pade-13 in
+    numpy (see :func:`_pade_13` and :func:`_expm`).  ``a`` is a stack or
+    its :class:`PadeBasis`, which a caller that sweeps t keeps; a stack
+    builds a fresh one, so at t = 1 no power is scaled.  A non-finite t a
+    is refused as the stack t a would be."""
+    basis = a if isinstance(a, PadeBasis) else pade_basis(a)
+    t = float(t)
+    if not abs(t) * basis.largest < np.inf:
+        raise NonFiniteValue("matrix entries must be finite")
+    return _expm(*_pade_13(basis, t)).reshape(basis.shape)
 
 
 def mat_tanh_half(a, t: float) -> np.ndarray:
     """tanh((t/2) a), the quotient (e + f)^{-1} (e - f) of e = exp(h) and
     f = exp(-h), h = t a / 2, in one guarded inversion over the stack.
+    ``a`` is a stack or its :class:`PadeBasis`, as for :func:`mat_exp`.
 
     Both exponentials come from one Pade polynomial: -h shares the scaling
     of h, with numerator N and denominator D swapped.  Where h needs no
@@ -398,22 +514,20 @@ def mat_tanh_half(a, t: float) -> np.ndarray:
     close to a multiple of the identity: kappa(D N) stayed below 1.5 over
     900 random h with ||h||_1 at theta_13, dims 2 to 8.  Diagonal slices
     and slices with s > 0 take e and f from one stacked inversion and one
-    run of squarings over their doubled stack, with the bits of two
-    :func:`mat_exp` calls.  Swapping the signs swaps N and D, and e and f,
-    so tanh is odd in t bit for bit, and t = 0 gives exactly 0.  For an h
-    that anticommutes with J_std, N^2 + D^2 commutes with it and is
-    inverted in complex form.  The cosh factor can only degenerate when the
-    spectrum of h approaches an odd multiple of i pi / 2; a failed
-    inversion surfaces as :class:`SingularOperator`.
+    run of squarings over their doubled stack, with the bits of
+    ``mat_exp(a, t / 2)`` and ``mat_exp(a, -t / 2)``.  Swapping the signs
+    swaps N and D, and e and f, so tanh is odd in t bit for bit, and t = 0
+    gives exactly 0.  For an h that anticommutes with J_std, N^2 + D^2
+    commutes with it and is inverted in complex form.  The cosh factor can
+    only degenerate when the spectrum of h approaches an odd multiple of
+    i pi / 2; a failed inversion surfaces as :class:`SingularOperator`.
     """
-    m = as_fiber_matrix(a)
-    with np.errstate(invalid="ignore"):  # inf * 0 is refused by _pade_13
-        h = (0.5 * float(t)) * m.reshape(-1, m.shape[-1], m.shape[-1])
-    diagonal, squarings, num, den = _pade_13(h)
+    basis = a if isinstance(a, PadeBasis) else pade_basis(a)
+    diagonal, entries, squarings, num, den = _pade_13(basis, 0.5 * float(t))
     if not (diagonal.any() or squarings.any()):  # one path: no masks
         n2, d2 = num @ num, den @ den
-        return (mat_inv_guarded(n2 + d2) @ (n2 - d2)).reshape(m.shape)
-    cosh, sinh = np.empty_like(h), np.empty_like(h)
+        return (mat_inv_guarded(n2 + d2) @ (n2 - d2)).reshape(basis.shape)
+    cosh, sinh = np.empty(basis.stack.shape), np.empty(basis.stack.shape)
     unscaled = squarings == 0
     quotient = np.zeros_like(diagonal)  # the slices that take (N^2 + D^2)^{-1} (N^2 - D^2)
     quotient[~diagonal] = unscaled
@@ -421,12 +535,12 @@ def mat_tanh_half(a, t: float) -> np.ndarray:
     n2, d2 = x @ x, y @ y
     cosh[quotient], sinh[quotient] = n2 + d2, n2 - d2
     if not quotient.all():
-        rest, x, y = h[~quotient], num[~unscaled], den[~unscaled]
-        e, f = np.split(_expm(np.concatenate([rest, -rest]), np.tile(diagonal[~quotient], 2),
+        x, y = num[~unscaled], den[~unscaled]
+        e, f = np.split(_expm(np.tile(diagonal[~quotient], 2), np.concatenate([entries, -entries]),
                               np.tile(squarings[~unscaled], 2), np.concatenate([x, y]),
                               np.concatenate([y, x])), 2)
         cosh[~quotient], sinh[~quotient] = e + f, e - f
-    return (mat_inv_guarded(cosh) @ sinh).reshape(m.shape)
+    return (mat_inv_guarded(cosh) @ sinh).reshape(basis.shape)
 
 
 def g_adjoint(a, g: FiberMetric) -> np.ndarray:

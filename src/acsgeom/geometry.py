@@ -164,15 +164,17 @@ def curvature(c: ChartField, a: TangentField, b: TangentField,
 
 def geodesic_chart(a: TangentField, t: float) -> TangentField:
     """Chart coordinate of the geodesic through the base with velocity a:
-    K(t) = tanh((t/2) A) per point.
+    K(t) = tanh((t/2) A) per point, from the velocity's kept Pade basis
+    (``a.pade``), so a sweep over t pays for A's powers once.
 
     The curve satisfies K'' + Gamma(K', K') = 0 with Gamma the bilinear
     connection term returned by :func:`christoffel`.
     """
-    return TangentField.derived(a.base, mat_tanh_half(a.ops, t))
+    return TangentField.derived(a.base, mat_tanh_half(a.pade, t))
 
 
 def geodesic_ambient(j0: AcsField, a: TangentField, t: float) -> AcsField:
-    """The same geodesic as a structure field: J(t) = J0 exp(t A)."""
+    """The same geodesic as a structure field: J(t) = J0 exp(t A), from
+    the velocity's kept Pade basis, as :func:`geodesic_chart`."""
     same_space(j0, a)
-    return AcsField(a.space, j0.ops @ mat_exp(float(t) * a.ops))
+    return AcsField(a.space, j0.ops @ mat_exp(a.pade, t))

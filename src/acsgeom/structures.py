@@ -35,8 +35,8 @@ import numpy as np
 
 from .charts import COORD_TOL, random_anticommuting, standard_acs
 from .errors import AnticommutationViolation, DimensionMismatch, IoError
-from .fiber import (DEFAULT_COND_CAP, FiberMetric, as_fiber_matrix, g_adjoint, max_abs,
-                    slice_max_abs)
+from .fiber import (DEFAULT_COND_CAP, FiberMetric, PadeBasis, as_fiber_matrix, g_adjoint,
+                    max_abs, pade_basis, slice_max_abs)
 
 # Largest fiber dimension a sample space, a suite config or a bundle may
 # ask for; larger requests are input errors, refused before any dim x dim
@@ -151,7 +151,9 @@ class TangentField:
     """A tangent direction at a structure field: per-point matrices
     anticommuting with the base operators, checked to ``COORD_TOL`` where a
     caller builds one; tangents computed from checked ones are not checked
-    again (:meth:`derived`)."""
+    again (:meth:`derived`).  Treated as immutable once built: ``pade``,
+    what the exponential of a multiple of it needs, is computed on first
+    read and kept."""
 
     space: SampleSpace
     base: AcsField
@@ -166,6 +168,13 @@ class TangentField:
         if not worst <= COORD_TOL:
             raise AnticommutationViolation(
                 f"tangent ops fail to anticommute with the base, residual {worst:.3e}")
+
+    @cached_property
+    def pade(self) -> PadeBasis:
+        """The :func:`~acsgeom.fiber.pade_basis` of ``ops``, built on first
+        read and kept: the geodesic kernels read it at every t, so a sweep
+        over t pays for the velocity's powers once."""
+        return pade_basis(self.ops)
 
     @classmethod
     def derived(cls, base: AcsField, ops: np.ndarray) -> TangentField:

@@ -82,3 +82,12 @@ def test_chart_field_refuses_a_non_finite_derived_coordinate(value):
     k = TangentField.derived(J0, with_entry(value))
     assert refusal(lambda: ChartField(SPACE, J0, k)) == (
         NonFiniteValue, "matrix entries must be finite")
+
+
+# a vouched K is taken as it is, with no pass over its entries: one type
+# test and one shape compare
+@pytest.mark.parametrize("k, got", [(np.zeros((4, 4)), "(4, 4)"),
+                                    (np.zeros((3, 4, 4)).tolist(), "list")])
+def test_vouched_coordinate_must_be_an_array_of_the_base_shape(k, got):
+    assert refusal(lambda: CayleyCoordinate(J0.ops, k, anticommuting=True)) == (
+        DimensionMismatch, f"coordinate must have shape (3, 4, 4), got {got}")

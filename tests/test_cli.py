@@ -564,6 +564,22 @@ class TestGeodesicCommand:
         assert err == (f"error: J_t first fails to square to -identity at t={first[0]!r}: "
                        f"acs_residual {first[2]:.3e} exceeds 1e-10\n")
 
+    def test_long_trace_at_dim4_names_the_first_t_at_fault(self, capsys):
+        # dim 4, 8 points, seed 0: J(t) is a structure to working precision,
+        # but ||J(t)|| grows to about 2e4 at t = 11.25, where J^2 + 1 rounds
+        # above 1e-10; the residual's digits sit at that rounding floor and
+        # move with the kernels' bits, so only its form is pinned
+        code, out, err = run_cli(["geodesic", "--t-max", "30"], capsys)
+        assert code == 1
+        doc = json.loads(out)  # the trace is still written, in the same document
+        assert (doc["dim"], doc["points"], doc["seed"]) == (4, 8, 0)
+        assert [row[0] for row in doc["rows"]] == np.linspace(0.0, 30.0, 9).tolist()
+        first = next(row for row in doc["rows"] if row[2] > 1e-10)
+        assert first[0] == 11.25 and first[2] < 1e-6
+        assert re.fullmatch(r"error: J_t first fails to square to -identity at t=11\.25: "
+                            r"acs_residual \d\.\d{3}e-0\d exceeds 1e-10\n", err)
+        assert err.split("acs_residual ")[1].startswith(f"{first[2]:.3e} ")
+
     def test_default_flags_exit_0(self, capsys):
         code, out, err = run_cli(["geodesic"], capsys)
         assert (code, err) == (0, "")

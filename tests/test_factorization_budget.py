@@ -13,19 +13,21 @@ checkers are pinned too, and so is the one ``eigvalsh`` of a default
 ``geodesic`` command, which validates its space's n x n identity metric;
 the trace reads only the validators' verdicts, whose positivity a
 Cholesky written out in numpy certifies.  Building a chart field admits
-no array again, and its only finiteness tests are its two guards'.
+no array again, and its only finiteness tests are its two guards'.  Each
+velocity builds its Pade basis once: a default ``geodesic`` builds one
+for its 45 kernel calls, and a warmed op builds none.
 """
 
 import numpy as np
 import pytest
 
-from acsgeom import charts, cli
+from acsgeom import charts, cli, fiber
 from acsgeom import geometry as ge
 from acsgeom import structures as st
 from acsgeom.verify import check_cayley, check_theorem1
 
 COUNTED = {np.linalg: ("solve", "inv", "svd", "eigvalsh", "cholesky", "norm"),
-           st: ("orientation_marker",)}
+           st: ("orientation_marker", "pade_basis"), fiber: ("pade_basis",)}
 # per op, once the reference has kept its orientation.  The guarded tanh
 # quotient, the guarded (1 - K^2)^{-1} of the chart field and the Pade
 # inversion of each ambient exponential all invert operators that commute
@@ -33,9 +35,9 @@ COUNTED = {np.linalg: ("solve", "inv", "svd", "eigvalsh", "cholesky", "norm"),
 # no LAPACK call at dim 4; validate_associated's positivity is certified
 # by a Cholesky written out in numpy, and its min_eig (eigvalsh) no one
 # reads; the identity metric's adjoint is a transpose; the marker is the
-# orthogonal geodesic's
+# orthogonal geodesic's; the three velocities keep their Pade bases
 BUDGET = {"solve": 0, "inv": 0, "svd": 0, "eigvalsh": 0, "cholesky": 0, "norm": 0,
-          "orientation_marker": 1}
+          "orientation_marker": 1, "pade_basis": 0}
 GRID = np.linspace(0.0, 2.0, 9)
 
 
@@ -80,8 +82,9 @@ def test_warmed_chart_op_keeps_its_factorization_budget(counted):
     a_anti = st.random_tangent_field(rng, j0, part="antisymmetric")
     fields = (space, j0, a, b, a_sym, a_anti, st.standard_symplectic_field(space),
               space.fiber_metric)
-    # warm-up: j0 keeps its orientation
+    # warm-up: j0 keeps its orientation, and each velocity its Pade basis
     assert chart_op(fields, 2.0)
+    assert counted["pade_basis"] == 3
     counted.update(dict.fromkeys(BUDGET, 0))
     assert chart_op(fields, 1.5)
     assert counted == BUDGET
@@ -141,3 +144,5 @@ def test_geodesic_makes_one_eigenvalue_call_on_one_matrix(counted, monkeypatch, 
     assert capsys.readouterr().out.count("\n") > 9
     assert shapes == [(4, 4)]
     assert counted["cholesky"] == 0
+    # one velocity: 9 times, each with one exponential and four tanh
+    assert counted["pade_basis"] == 1

@@ -25,6 +25,7 @@ from acsgeom.fiber import (
     mat_inv_guarded,
     mat_tanh_half,
     max_abs,
+    pade_basis,
     slice_max_abs,
 )
 
@@ -304,6 +305,34 @@ class TestStacks:
         with pytest.raises(NonFiniteValue, match="matrix exponential entries must be finite"):
             mat_exp(1.7e308 * (a / scale))
 
+    # a kept basis serves every scale c of its stack: a slice whose squaring
+    # count at c is below or above its count at 1 forms its powers afresh,
+    # and the others scale the approximant's coefficients by c^j
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("dim", [2, 4, 6, 8])
+    def test_kept_basis_is_scipy_expm_at_every_scale(self, dim):
+        from scipy.linalg import expm
+
+        a = mixed_stack(10, dim, 5.0)
+        basis = pade_basis(a)
+        assert basis.squarings.any()
+        for c in (-4.0, -0.5, 0.01, 0.3, 1.0, 2.0, 4.0):
+            got = mat_exp(basis, c)
+            # beyond |c| = 1 a non-normal 2 x 2 draw loses a few digits to
+            # cancellation, on the fresh route as well
+            tol = 1e-13 if abs(c) <= 0.5 else 1e-11
+            assert (relative_error(got, expm(c * a)) <= tol).all(), c
+            assert np.array_equal(got, mat_exp(a, c))
+        # beyond SCALE_MAX, where c^13 could overflow, every slice forms its
+        # powers afresh, with the bits of the stack c a
+        tiny = 1e-21 * a
+        assert 1e20 > fiber.SCALE_MAX
+        assert np.array_equal(mat_exp(pade_basis(tiny), 1e20), mat_exp(1e20 * tiny))
+        for t in (-0.5, 0.02, 0.6):
+            e, f = expm(0.5 * t * a), expm(-0.5 * t * a)
+            want = mat_inv_guarded(e + f) @ (e - f)
+            assert (relative_error(mat_tanh_half(basis, t), want, floor=1.0) <= 1e-13).all(), t
+
     # at t = 2 the exponents are a and -a; beyond scale 5 the cosh factor
     # e + f of these draws is too ill-conditioned to invert.  For small
     # exponents e - f cancels to about 2a, so the error is read against
@@ -328,22 +357,22 @@ class TestStacks:
         with pytest.raises(NonFiniteValue, match="matrix exponential entries must be finite"):
             mat_tanh_half(a, math.inf)
 
-    # the quotient of two mat_exp calls, one per sign, is the oracle: bit for
-    # bit on diagonal slices and on slices squared before the quotient (at
-    # scale 5 some are), and within the 1e-14 of the scipy test above on the
-    # slices whose quotient comes from the Pade parts alone
+    # the quotient of two mat_exp calls at -+t/2, one per sign, is the
+    # oracle: bit for bit on diagonal slices and on slices squared before the
+    # quotient (at scale 5 some are), and within the 1e-14 of the scipy test
+    # above on the slices whose quotient comes from the Pade parts alone
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("scale", [1e-3, 0.1, 1.0, 5.0])
     @pytest.mark.parametrize("dim", [2, 4, 6, 8])
     def test_mat_tanh_half_is_the_quotient_of_exponentials(self, dim, scale):
         a = mixed_stack(8, dim, scale)
         diagonal = (a * (1.0 - np.eye(dim)) == 0.0).all(axis=(-2, -1))
-        for t in (0.0, 0.5, -0.5, 2.0, -2.0):
+        for t in (0.0, 0.5, -0.5, 0.7, 2.0, -2.0, 2.3):
             h = 0.5 * t * a
             squared = np.abs(h).sum(axis=-2).max(axis=-1) > THETA_13
             if scale == 5.0 and abs(t) == 2.0:
                 assert squared.any() and not squared.all()
-            e, f = mat_exp(h), mat_exp(-h)
+            e, f = mat_exp(a, 0.5 * t), mat_exp(a, -0.5 * t)
             want = mat_inv_guarded(e + f) @ (e - f)
             got = mat_tanh_half(a, t)
             exact = diagonal | squared
@@ -488,6 +517,93 @@ class TestComplexForm:
         with pytest.raises(SingularOperator, match="^condition estimate") as info:
             mat_inv_guarded(m)
         assert "slice 2 " in str(info.value) and "nan" not in str(info.value)
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def parent_mat_inv(m):
+    """mat_inv as it was before the slice-last copy: the scale and the gate
+    defect reduced per (k, n, n) slice, and the complex inverse written
+    from the even rows, viewed as a (k, n/2, n/2) complex stack."""
+    n = m.shape[-1]
+    stack = np.ascontiguousarray(m).reshape(-1, n, n)
+    even, odd = stack[:, 0::2], stack[:, 1::2]
+    defect = slice_max_abs(np.maximum(np.abs(odd[:, :, 0::2] + even[:, :, 1::2]),
+                                      np.abs(odd[:, :, 1::2] - even[:, :, 0::2])))
+    linear = defect <= COMMUTING_GATE * slice_max_abs(stack)
+    rows = even[linear].view(complex)
+    k, h = rows.shape[:2]
+    complex_out = np.empty((k, h, 2, h), dtype=complex)
+    inv = complex_out[:, :, 0]
+    if h == 1:
+        np.divide(1.0, rows, out=inv)
+    else:
+        det = rows[:, 0, 0] * rows[:, 1, 1] - rows[:, 0, 1] * rows[:, 1, 0]
+        np.divide(rows[:, ::-1, ::-1].mT * np.array([[1.0, -1.0], [-1.0, 1.0]]),
+                  det[:, None, None], out=inv)
+    np.multiply(inv, 1j, out=complex_out[:, :, 1])
+    out = np.empty_like(stack)
+    out[linear] = complex_out.view(float).reshape(k, n, n)
+    out[~linear] = np.linalg.solve(stack[~linear], np.eye(n))
+    return out.reshape(m.shape)
+
+
+def inverse_cases(n, k, seed):
+    """All-commuting (1 - K^2 at chart draws, one of them within 2^-30 of
+    singular), mixed (every third slice generic, from the first) and
+    generic (k, n, n) stacks."""
+    rng = np.random.default_rng(seed)
+    kk = random_anticommuting(rng, np.tile(standard_acs(n), (k, 1, 1)), bound=0.9)
+    commuting = np.eye(n) - kk @ kk
+    commuting[k // 2] = real_form(np.diag([2.0 ** -30] + [1.0] * (n // 2 - 1))[None])[0]
+    generic = np.eye(n) + 0.4 * rng.uniform(-1.0, 1.0, size=(k, n, n))
+    mixed = commuting.copy()
+    mixed[::3] = generic[::3]
+    return {"commuting": commuting, "mixed": mixed, "generic": generic}
+
+
+class TestSliceLastInverse:
+    """mat_inv reads a stack once, with the slice index last, and keeps the
+    bits of the per-slice route it replaced, which stays here as the
+    oracle; its refusals keep their classes and messages."""
+
+    @pytest.mark.parametrize("k", [1, 8, 1000, 1025])
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_bits_of_the_per_slice_route(self, n, k):
+        for kind, stack in inverse_cases(n, k, 10 * n + k).items():
+            got = mat_inv(stack)
+            assert np.array_equal(got, parent_mat_inv(stack)), kind
+            assert np.array_equal(mat_inv(stack, slice_max_abs(stack)), got), kind
+            assert np.array_equal(mat_inv_guarded(stack), got), kind
+            assert np.array_equal(mat_inv(stack.reshape(1, k, n, n)), got[None]), kind
+        assert np.array_equal(mat_inv(stack[0]), got[0])  # one matrix
+
+    @pytest.mark.parametrize("k", [1, 8, 1000, 1025])
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_zero_determinant_raises(self, n, k):
+        for kind, stack in inverse_cases(n, k, n + k).items():
+            # the last slice, or in the mixed stack the last commuting one
+            at = k - 1 if kind == "commuting" or (k - 1) % 3 else k - 2
+            if kind == "generic" or at < 0:
+                continue
+            stack[at] = real_form(SINGULAR[n // 2])[0]
+            for call in (mat_inv, mat_inv_guarded):
+                with pytest.raises(SingularOperator, match="^Singular matrix$"):
+                    call(stack)
+
+    @pytest.mark.parametrize("k", [1, 8, 1000, 1025])
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_overflowing_inverse_keeps_the_guard_message(self, n, k):
+        c = np.eye(n // 2, dtype=complex)
+        c[-1, -1] = 1e-310  # 1/det overflows
+        for kind, stack in inverse_cases(n, k, 2 * n + k).items():
+            stack[-1] = real_form(c[None])[0]
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = guard_refusal(stack, parent_mat_inv(stack))
+            assert want == f"condition estimate of slice {k - 1} is not finite", kind
+            with pytest.raises(SingularOperator) as info:
+                mat_inv_guarded(stack)
+            assert str(info.value) == want, kind
+            assert np.array_equal(mat_inv(stack), parent_mat_inv(stack), equal_nan=True), kind
 
 
 SPECIAL = (np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e308)
@@ -642,13 +758,39 @@ def masked_pade_13(a):
     return diagonal, squarings, v + u, v - u
 
 
+def parent_mat_exp(a):
+    """The exponential as the kernel took it before the kept basis: the
+    masked Pade parts of ``a`` itself, then the inversion, the squarings
+    and the diagonal slices."""
+    n = a.shape[-1]
+    diagonal, squarings, num, den = masked_pade_13(a)
+    r = mat_inv(den @ num) @ (num @ num) if len(num) else num
+    for step in range(squarings.max(initial=0)):
+        todo = squarings > step
+        r[todo] = r[todo] @ r[todo]
+    out = np.zeros(a.shape)
+    np.einsum("kii->ki", out)[diagonal] = np.exp(np.einsum("kii->ki", a)[diagonal])
+    out[~diagonal] = r
+    return out
+
+
+def slice_last_blocks(x):
+    """The entries of a (k, n, n) stack with the slice index last, entry
+    (2r + p, 2c + q) of slice s at [r, p, c, q, s]."""
+    k, n = x.shape[:2]
+    return x.reshape(k, n * n).T.reshape(n // 2, 2, n // 2, 2, k)
+
+
 def path_stack(seed, n, one_path, diagonal, zero, scaled):
     """A shuffled stack of ``one_path`` non-diagonal slices of 1-norm 2 (no
-    squaring for h = t a / 2 at |t| <= 2), ``scaled`` ones of 1-norm 30
+    squaring for h = t a / 2 at |t| <= 2), ``scaled`` ones of 1-norm 24
     (squared at |t| >= 0.5), ``diagonal`` diagonal and ``zero`` zero
     slices.  The non-diagonal slices are symmetric, so tanh's cosh factor
-    has a real spectrum and stays invertible; every other one anticommutes
-    with J_std, so its inverses take the complex form."""
+    has a real spectrum and stays invertible, with kappa_2 at most
+    cosh(24) = 1.3e10 at |t| <= 2, under the guard's cap even as n kappa_2
+    (at 1-norm 30, cosh(30) = 5.3e12 let the guard refuse about 1 draw in
+    100 at n = 2); every other one anticommutes with J_std, so its inverses
+    take the complex form."""
     rng = np.random.default_rng(seed)
     raw = rng.uniform(-1.0, 1.0, size=(one_path + scaled, n, n))
     dense = raw + raw.mT
@@ -656,7 +798,7 @@ def path_stack(seed, n, one_path, diagonal, zero, scaled):
     dense[::2] = 0.5 * (dense[::2] + j @ dense[::2] @ j)
     dense /= np.abs(dense).sum(axis=-2).max(axis=-1)[:, None, None]
     dense[:one_path] *= 2.0
-    dense[one_path:] *= 30.0
+    dense[one_path:] *= 24.0
     diagonals = rng.uniform(-3.0, 3.0, size=(diagonal, n))[:, :, None] * np.eye(n)
     stack = np.concatenate([dense, diagonals, np.zeros((zero, n, n))])
     return stack[rng.permutation(len(stack))]
@@ -694,8 +836,20 @@ class TestOnePathStacks:
         for s, want in tanh.items():
             assert np.array_equal(mat_tanh_half(mixed, s)[:-1], want)
         for h in (a, -a, 0.5 * t * a, a.mT):
-            for part, oracle in zip(_pade_13(h), masked_pade_13(h)):
+            diagonal, entries, *parts = _pade_13(pade_basis(h), 1.0)
+            assert np.array_equal(entries, np.einsum("kii->ki", h)[diagonal])
+            for part, oracle in zip([diagonal, *parts], masked_pade_13(h)):
                 assert np.array_equal(part, oracle)
+        # a kept basis gives each slice the bits of the single-slice call,
+        # at any scale of the exponent
+        basis = pade_basis(a)
+        for s in (t, -t, 0.3, 1.7):
+            assert np.array_equal(mat_exp(basis, s), per_slice(lambda m: mat_exp(m, s), a))
+            assert np.array_equal(mat_exp(basis, s), mat_exp(a, s))
+            assert np.array_equal(mat_tanh_half(basis, s),
+                                  per_slice(lambda m: mat_tanh_half(pade_basis(m), s), a))
+        assert np.array_equal(mat_exp(basis), got)
+        assert np.array_equal(mat_exp(a), parent_mat_exp(a))  # c = 1 scales nothing
 
     # 1025 slices cross a block of the per-slice max; exactly commuting
     # slices read 0
@@ -711,9 +865,9 @@ class TestOnePathStacks:
         c = x[commuting]
         c[:, 1::2, 0::2], c[:, 1::2, 1::2] = -c[:, 0::2, 1::2], c[:, 0::2, 0::2]
         x[commuting] = c
-        assert not _commuting_defect(x)[commuting].any()
+        assert not _commuting_defect(slice_last_blocks(x))[commuting].any()
         for value, density in zip(SPECIAL, densities):
             x[rng.random(x.shape) < density] = value
         with np.errstate(over="ignore", invalid="ignore"):  # inf - inf
-            got, want = _commuting_defect(x), old_commuting_defect(x)
+            got, want = _commuting_defect(slice_last_blocks(x)), old_commuting_defect(x)
         assert np.array_equal(got, want, equal_nan=True)
