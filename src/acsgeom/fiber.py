@@ -16,38 +16,53 @@ inverts itself once, on first use, and every metric adjoint reads that;
 the identity metric inverts nothing, and its adjoint is the transpose.
 
 Chart tangents anticommute with the standard structure J_std, so every
-operator the chart inverts (1 - K^2, the tanh denominator N^2 + D^2, the
-exponential's D N) commutes with it and is an (n/2) x (n/2) complex
-matrix.  :func:`mat_inv` inverts such a slice in complex form: a complex
-division at n = 2 and a 2 x 2 adjugate at n = 4, with no LAPACK call.  A
-slice takes that path when its commuting defect is at most
-``COMMUTING_GATE`` = 64 eps times its largest entry; the complex form then
-adds at most kappa 64 eps n relative error, the order of LU's own backward
-error.  Every other slice takes a stacked real solve.  :func:`mat_inv`
-reads a stack once, into a copy with the slice index last, and computes
-the scale, the gate and the complex inverse from it as vector operations
-across slices, with the complex arithmetic of a per-slice call.
+operator the chart inverts (1 - K^2, and on the exponentials' matrix route
+the tanh denominator N^2 + D^2 and D N) commutes with it and is an
+(n/2) x (n/2) complex matrix.  :func:`mat_inv` inverts such a slice in
+complex form: a complex division at n = 2 and a 2 x 2 adjugate at n = 4,
+with no LAPACK call.  A slice takes that path when its commuting defect is
+at most ``COMMUTING_GATE`` = 64 eps times its largest entry; the complex
+form then adds at most kappa 64 eps n relative error, the order of LU's
+own backward error.  Every other slice takes a stacked real solve.
+:func:`mat_inv` reads a stack once, into a copy with the slice index last,
+and computes the scale, the gate and the complex inverse from it as vector
+operations across slices, with the complex arithmetic of a per-slice call.
 
 The exponentials need numpy only: one scaling-and-squaring Pade-13
-(Higham 2005) runs over a whole stack, with one stacked inversion and
-masked, stacked squarings.  A geodesic takes exp(t A) and tanh((t/2) A)
-of one velocity A at many t, so A's part of the approximant, its
-:class:`PadeBasis` (the diagonal mask, the 1-norms and the powers A^2,
-A^4 and A^6), is computed once and kept (``TangentField.pade``).  At an
-exponent c A the approximant's coefficients b_j are scaled by c^j, with
-three matmuls instead of six and no 1-norm pass; a slice whose squaring
-count at c is not its count at 1 forms its powers afresh.  A kernel
-given a stack builds a fresh basis, so each formula has one
-implementation, and at c = 1 nothing is scaled.  ``mat_tanh_half`` builds the polynomial once
-for both signs of its exponent, which share the scaling and swap the
-approximant's numerator and denominator; where no squaring is needed it
-takes the quotient from those two parts, with no exponential and only the
-guarded inversion.  A one-path stack (no diagonal slice, and for tanh no
-slice that needs squaring: every chart geodesic at t != 0) takes no
-boolean mask, gather or scatter; a mixed stack splits by masks, with the
-same bits per slice.  The package imports no scipy.  An exponential whose
-norm or result is not finite raises :class:`NonFiniteValue` without a
-numpy warning.
+(Higham 2005) runs over a whole stack.  A geodesic takes exp(t A) and
+tanh((t/2) A) of one velocity A at many t, so A's part of the
+approximant, its :class:`PadeBasis`, is computed once and kept
+(``TangentField.pade``).  Each slice takes one of three routes, chosen
+from that slice alone.  A diagonal slice takes ``np.exp`` of its
+diagonal, so t = 0 gives exactly I and exactly 0.  At n <= 4 a slice
+takes the algebra route where |tr A| <= ``EVEN_GATE`` m and
+|tr A^3| <= ``EVEN_GATE`` m^3, m its largest entry within 2^-120 .. 2^120
+(``EVEN_GATE`` = 64 eps, ``EVEN_RANGE``): every slice that anticommutes
+with a structure passes.  The odd coefficients of its characteristic
+polynomial are then rounding noise, and Cayley-Hamilton gives
+Y^2 = sigma Y - pi I for Y = A^2.  Every polynomial
+in A is then c0 I + c1 A + c2 Y + c3 AY, four scalars per slice, and the
+same approximant runs on (k,) arrays: one Horner pass for its even part V
+and odd cofactor Q, its quotients in closed form in R[Y], its squarings
+as products of those scalars, and one matrix per slice at the end, with
+no stacked inversion.  The gate drops e1 A^3 - e3 A from A^4, at most
+about 64 eps n m ||A||^3: up to 64 times the rounding n eps ||A||^4 of
+forming A^4 itself, as ``COMMUTING_GATE`` is to LU's backward error.
+Every other slice (each one at n >= 6) takes the matrix route: its kept
+powers A^2, A^4 and A^6 serve every exponent c A with the coefficients
+b_j scaled by c^j, three matmuls instead of six and no 1-norm pass, with
+one stacked inversion and masked, stacked squarings; a slice whose
+squaring count at c is not its count at 1 forms its powers afresh.  A
+kernel given a stack builds a fresh basis, so each formula has one
+implementation, and at c = 1 nothing is scaled.  ``mat_tanh_half``
+builds the polynomial once for both signs of its exponent, which share
+the scaling and swap the approximant's numerator and denominator; where
+no squaring is needed it takes the quotient from those two parts, with
+no exponential, and its guard reads kappa_F of the cosh factor on both
+routes, in stack order.  A one-route stack takes no boolean mask, gather
+or scatter; a mixed stack splits by masks, with the same bits per slice.
+The package imports no scipy.  An exponential whose norm or result is not
+finite raises :class:`NonFiniteValue` without a numpy warning.
 
 A per-slice reduction of a stack (the guard's scale, the Pade 1-norm and
 diagonal mask, the validators' residuals) goes through
@@ -63,6 +78,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -207,6 +223,12 @@ def guard_inverse(m: np.ndarray, inv: np.ndarray,
     shape ``m.shape[:-2]``), which a caller that has it passes, so no
     square leaves the range; each sum of squares is one ``np.einsum``.
     """
+    _refuse_ill_conditioned(_condition_f(m, inv, scale))
+    return inv
+
+
+def _condition_f(m: np.ndarray, inv: np.ndarray, scale: np.ndarray | None = None) -> np.ndarray:
+    """kappa_F of every slice, as :func:`guard_inverse` reads it."""
     if scale is None:
         scale = slice_max_abs(m)
     scale = scale[..., None, None]
@@ -214,7 +236,11 @@ def guard_inverse(m: np.ndarray, inv: np.ndarray,
         scaled = m / scale
         norm = np.einsum("...ij,...ij->...", scaled, scaled)
         np.multiply(inv, scale, out=scaled)
-        cond = np.sqrt(norm) * np.sqrt(np.einsum("...ij,...ij->...", scaled, scaled))
+        return np.sqrt(norm) * np.sqrt(np.einsum("...ij,...ij->...", scaled, scaled))
+
+
+def _refuse_ill_conditioned(cond: np.ndarray) -> None:
+    """:func:`guard_inverse`'s rule on the condition estimates ``cond``."""
     finite = np.isfinite(cond)
     if not finite.all():
         raise SingularOperator(
@@ -222,7 +248,6 @@ def guard_inverse(m: np.ndarray, inv: np.ndarray,
     if (cond > DEFAULT_COND_CAP).any():
         raise SingularOperator(
             f"condition estimate {np.max(cond):.6e} exceeds cap {DEFAULT_COND_CAP:.6e}")
-    return inv
 
 
 def _commuting_defect(blocks: np.ndarray) -> np.ndarray:
@@ -351,25 +376,60 @@ THETA_13 = 5.371920351148152
 # Largest |c| whose powers c^j, j <= 13, scale the approximant's
 # coefficients: c^13 stays below 2^832
 SCALE_MAX = 2.0 ** 64
+# Column j holds (b_2j, b_2j, b_2j+1, b_2j+1): one Horner pass evaluates the
+# rows [V, V, Q, Q] of the approximant's even part V and odd cofactor Q
+PADE_ROWS = np.array(PADE_13).reshape(7, 2)[:, [0, 0, 1, 1], None]
+# Largest |tr A|, relative to a slice's largest entry m, and |tr A^3|,
+# relative to m^3, at which the slice's exponentials run in the algebra of
+# A^2: tangents anticommute with their base only to a few ulps, so their
+# odd characteristic coefficients are rounding noise, not 0 (they read up
+# to 15 of the 64 at bases P J_std P^-1 with kappa(P) <= 6).  m lies within
+# 1 / EVEN_RANGE .. EVEN_RANGE there, so that no power of the scaled
+# exponent, down to pi c'^4, leaves the floating-point range
+EVEN_GATE = 64 * np.finfo(float).eps
+EVEN_RANGE = 2.0 ** 120
+
+
+class EvenAlgebra(NamedTuple):
+    """The slices of a :class:`PadeBasis` on the algebra route: their
+    1-norms (``norm``; ``norm_max`` is the largest), sigma = tr(Y) / 2 and
+    pi = (sigma^2 - tr(Y^2) / 2) / 2 of Y = A^2, so Y^2 = sigma Y - pi I,
+    ``spread`` = ||Y - (tr Y / n) I||_F^2, and ``span``, the entries of A,
+    AY and Y with the slice index last, shape (3, n n, g)."""
+
+    norm: np.ndarray
+    norm_max: float
+    sigma: np.ndarray
+    pi: np.ndarray
+    spread: np.ndarray
+    span: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
 class PadeBasis:
     """What the Pade-13 exponential of c A needs of a float64 (k, n, n)
     stack A for every scalar c, computed once by :func:`pade_basis`.  A
-    sweep over c (a geodesic over t) reads it at each c, where forming the
-    approximant's parts takes three matmuls instead of six, and no 1-norm
-    pass.
+    sweep over c (a geodesic over t) reads it at each c.
 
-    ``diagonal`` masks the slices whose off-diagonal entries are all 0;
-    ``norm`` is the 1-norm of every other slice, ``squarings`` its count s
-    at c = 1 (:func:`_squarings`), and ``powers`` its X, X^2, X^4 and X^6
-    for X = 2^-s A.  ``largest`` is the largest |entry| of A."""
+    Each slice takes one route; each route's mask is None where no slice
+    takes it.  ``diagonal`` masks the slices whose off-diagonal entries are
+    all 0, whose exponentials are exact.  ``even`` masks those that pass the
+    algebra route's gate (:func:`_even_algebra`); ``algebra`` is their
+    :class:`EvenAlgebra`.  ``matrix`` masks the others (every non-diagonal
+    slice at n >= 6): ``rest`` holds them, ``norm`` their 1-norms,
+    ``squarings`` their counts s at c = 1 (:func:`_squarings`) and ``powers``
+    their X, X^2, X^4 and X^6 for X = 2^-s A, from which the approximant's
+    parts take three matmuls instead of six and no 1-norm pass.
+    ``largest`` is the largest |entry| of A."""
 
     shape: tuple
     stack: np.ndarray
     largest: float
-    diagonal: np.ndarray
+    diagonal: np.ndarray | None
+    even: np.ndarray | None
+    matrix: np.ndarray | None
+    algebra: EvenAlgebra | None
+    rest: np.ndarray
     norm: np.ndarray
     squarings: np.ndarray
     powers: tuple
@@ -390,45 +450,123 @@ def _powers(x: np.ndarray) -> tuple:
     return x, x2, x4, x4 @ x2
 
 
+def _take(mask: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The slices of ``x`` under ``mask``: ``x`` itself when the mask holds
+    them all, so a one-route stack takes no gather."""
+    return x if mask.all() else x[mask]
+
+
+def _scatter(parts: list, shape: tuple) -> np.ndarray:
+    """The stack of ``shape`` that the (mask, slices) ``parts`` of its
+    routes fill; the one part of a one-route stack is returned as it is."""
+    if len(parts) == 1:
+        return parts[0][1]
+    out = np.empty(shape)
+    for mask, part in parts:
+        out[mask] = part
+    return out
+
+
+def _even_algebra(x: np.ndarray, norm: np.ndarray):
+    """The gate of the algebra route for each slice of a (k, n, n) stack of
+    non-diagonal slices at n <= 4, with 1-norms ``norm``, and the
+    :class:`EvenAlgebra` of the slices that pass it (None if none does).
+
+    A slice passes when |tr A| <= ``EVEN_GATE`` m and |tr A^3| <=
+    ``EVEN_GATE`` m^3, m its largest |entry|, with m inside
+    [1 / ``EVEN_RANGE``, ``EVEN_RANGE``].  tr A and tr A^3 fix, by Newton's
+    identities, the odd coefficients of the characteristic polynomial
+    lambda^4 - e1 lambda^3 + e2 lambda^2 - e3 lambda + e4 (e1 = tr A,
+    3 e3 = tr A^3 + O(e1)).  Where they vanish, Cayley-Hamilton gives
+    Y^2 = sigma Y - pi I (sigma = -e2, pi = e4; at n = 2, Y = sigma I and
+    pi = 0).  The gate drops e1 A^3 - e3 A from A^4, at most about
+    64 eps n m ||A||^3: up to 64 times the rounding n eps ||A||^4 of
+    forming A^4 by matmuls, which the matrix route's powers carry."""
+    n = x.shape[-1]
+    y = x @ x
+    ay = x @ y
+    m = slice_max_abs(x)
+    gate = ((np.abs(np.einsum("kii->k", x)) <= EVEN_GATE * m)
+            & (np.abs(np.einsum("kii->k", ay)) <= EVEN_GATE * m ** 3)
+            & (1.0 / EVEN_RANGE <= m) & (m <= EVEN_RANGE))
+    if not gate.any():
+        return gate, None
+    x, y, ay, norm = (_take(gate, v) for v in (x, y, ay, norm))
+    sigma = 0.5 * np.einsum("kii->k", y)
+    pi = 0.5 * (sigma * sigma - 0.5 * np.einsum("kij,kji->k", y, y))
+    spread = y - (2.0 / n) * sigma[:, None, None] * np.eye(n)
+    span = np.empty((3, n * n, len(x)))
+    for row, power in zip(span, (x, ay, y)):
+        row[...] = power.reshape(-1, n * n).T
+    return gate, EvenAlgebra(norm, float(norm.max()), sigma, pi,
+                             np.einsum("kij,kij->k", spread, spread), span)
+
+
 # an infinite norm overflows its powers; the exponential refuses it
 @np.errstate(over="ignore", invalid="ignore")
 def pade_basis(a) -> PadeBasis:
     """The :class:`PadeBasis` of a (..., n, n) stack, admitted first."""
     m = as_fiber_matrix(a)
-    stack = m.reshape(-1, m.shape[-1], m.shape[-1])
+    n = m.shape[-1]
+    stack = m.reshape(-1, n, n)
     diagonal, norm = diagonal_and_norm_1(stack)
-    x = stack
-    if diagonal.any():
-        x, norm = stack[~diagonal], norm[~diagonal]
+    even, algebra = np.zeros_like(diagonal), None
+    if n <= 4 and not diagonal.all():
+        even[~diagonal], algebra = _even_algebra(_take(~diagonal, stack), _take(~diagonal, norm))
+    matrix = ~(diagonal | even)
+    rest, norm = _take(matrix, stack), _take(matrix, norm)
     squarings = _squarings(norm)
-    if squarings.any():
-        x = np.ldexp(x, -squarings[:, None, None])
-    return PadeBasis(m.shape, stack, max_abs(stack), diagonal, norm, squarings, _powers(x))
+    x = np.ldexp(rest, -squarings[:, None, None]) if squarings.any() else rest
+    diagonal, even, matrix = (mask if mask.any() else None for mask in (diagonal, even, matrix))
+    return PadeBasis(m.shape, stack, max_abs(stack), diagonal, even, matrix, algebra, rest,
+                     norm, squarings, _powers(x) if matrix is not None else ())
+
+
+def _routes(basis: PadeBasis, c: float) -> tuple:
+    """The masks of the diagonal, algebra and matrix routes at c A, None
+    where a route is empty: at c = 0 every slice is diagonal."""
+    if c == 0.0:
+        return np.ones(len(basis.stack), dtype=bool), None, None
+    return basis.diagonal, basis.even, basis.matrix
+
+
+def _require_finite(x: np.ndarray) -> None:
+    if not np.isfinite(x).all():
+        raise NonFiniteValue("matrix exponential entries must be finite")
+
+
+@np.errstate(over="ignore", invalid="ignore")  # refused by the caller
+def _diagonal_exp(stack: np.ndarray, c: float) -> np.ndarray:
+    """exp(c A) of diagonal slices: ``np.exp`` of c times their diagonals,
+    so a zero slice gives the identity exactly."""
+    out = np.zeros(stack.shape)
+    np.einsum("kii->ki", out)[...] = np.exp(c * np.einsum("kii->ki", stack))
+    return out
 
 
 def _pade_parts(x, x2, x4, x6, c: float):
     """Numerator V + U and denominator V - U of the Pade-13 approximant at
     c x, from the powers of x: each coefficient b_j is scaled by c^j, so
-    no power of c x is formed, and at c = 1 nothing is scaled."""
+    no power of c x is formed, and at c = 1 nothing is scaled.  b_1 and b_0
+    are added to the diagonals in place."""
     b, scale = [], 1.0
     for coefficient in PADE_13:
         b.append(coefficient * scale)
         scale *= c
-    eye = np.eye(x.shape[-1])
-    u = x @ (x6 @ (b[13] * x6 + b[11] * x4 + b[9] * x2)
-             + b[7] * x6 + b[5] * x4 + b[3] * x2 + b[1] * eye)
-    v = (x6 @ (b[12] * x6 + b[10] * x4 + b[8] * x2)
-         + b[6] * x6 + b[4] * x4 + b[2] * x2 + b[0] * eye)
+    u = x6 @ (b[13] * x6 + b[11] * x4 + b[9] * x2) + b[7] * x6 + b[5] * x4 + b[3] * x2
+    np.einsum("...ii->...i", u)[...] += b[1]
+    u = x @ u
+    v = x6 @ (b[12] * x6 + b[10] * x4 + b[8] * x2) + b[6] * x6 + b[4] * x4 + b[2] * x2
+    np.einsum("...ii->...i", v)[...] += b[0]
     return v + u, v - u
 
 
 # overflow and nan are refused below
 @np.errstate(over="ignore", invalid="ignore")
 def _pade_13(basis: PadeBasis, c: float):
-    """Scaled Pade-13 parts of c A, for the stack A of ``basis`` (Higham
-    2005): the mask of diagonal slices (every slice at c = 0), their
-    diagonals times c, and for each other slice its squaring count s at
-    |c| ||A||_1 and the numerator V + U and denominator V - U at 2^-s c A.
+    """Scaled Pade-13 parts of c A for the matrix route's slices of
+    ``basis`` (Higham 2005): each slice's squaring count s at |c| ||A||_1
+    and the numerator V + U and denominator V - U at 2^-s c A.
 
     A slice whose s is its count at c = 1 takes them from its kept powers,
     with the coefficients scaled by c^j (:func:`_pade_parts`).  A slice
@@ -436,111 +574,273 @@ def _pade_13(basis: PadeBasis, c: float):
     powers of 2^-s c A afresh; the choice is the slice's own, so each slice
     keeps the bits of that slice alone.  At c = 1 nothing is scaled, and
     the parts are those of A's own 2^-s A, bit for bit.  U is odd and V
-    even, and negation is exact, so -c gets the same mask and s with the
-    two swapped, bit for bit.  A non-finite norm raises
+    even, and negation is exact, so -c gets the same s with the two
+    swapped, bit for bit.  A non-finite norm raises
     :class:`NonFiniteValue`."""
-    diagonal, stack = basis.diagonal, basis.stack
-    if c == 0.0:
-        diagonal = np.ones_like(diagonal)
-    entries = c * np.einsum("kii->ki", stack)[diagonal]
-    if diagonal.all():
-        empty = np.zeros((0,) + stack.shape[1:])
-        return diagonal, entries, np.zeros(0, dtype=int), empty, empty
     norm = abs(c) * basis.norm
     if not np.isfinite(norm).all():
         raise NonFiniteValue("matrix exponential entries must be finite")
     squarings = _squarings(norm)
     moved = squarings != basis.squarings if abs(c) <= SCALE_MAX else np.ones_like(squarings, bool)
     if not moved.any():  # one path: no masks
-        return diagonal, entries, squarings, *_pade_parts(*basis.powers, c)
-    x = np.ldexp(c * stack[~diagonal][moved], -squarings[moved, None, None])
-    num, den = np.empty((2, len(moved)) + stack.shape[1:])
+        return squarings, *_pade_parts(*basis.powers, c)
+    x = np.ldexp(c * basis.rest[moved], -squarings[moved, None, None])
+    num, den = np.empty((2,) + basis.rest.shape)
     num[moved], den[moved] = _pade_parts(*_powers(x), 1.0)
     num[~moved], den[~moved] = _pade_parts(*(p[~moved] for p in basis.powers), c)
-    return diagonal, entries, squarings, num, den
+    return squarings, num, den
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _expm(diagonal, entries, squarings, num, den) -> np.ndarray:
-    """exp of every slice of a (k, n, n) stack from its :func:`_pade_13`
-    parts.  Diagonal slices take ``np.exp`` of their diagonals ``entries``,
-    so a zero slice gives the identity exactly; the others, if any, take
+def _expm(squarings, num, den) -> np.ndarray:
+    """exp of the matrix route's slices from their :func:`_pade_13` parts:
     r = den^{-1} num as (den num)^{-1} num^2, exact since the even and odd
-    parts V and U commute, and are squared back, every slice with s > k in
-    one matmul at step k.  den num = V^2 - U^2 is even in the exponent, so
-    it commutes with J_std whenever the exponent anticommutes with it, and
-    :func:`mat_inv` inverts it in complex form.  Swapping num and den (and
-    negating ``entries``) gives exp(-a) by the same steps.  A non-finite
-    result raises :class:`NonFiniteValue`."""
-    r = mat_inv(den @ num) @ (num @ num) if len(num) else num
+    parts V and U commute, squared back, every slice with s > k in one
+    matmul at step k.  den num = V^2 - U^2 is even in the exponent, so it
+    commutes with J_std whenever the exponent anticommutes with it, and
+    :func:`mat_inv` inverts it in complex form.  Swapping num and den gives
+    exp(-a) by the same steps.  A non-finite result raises
+    :class:`NonFiniteValue`."""
+    r = mat_inv(den @ num) @ (num @ num)
     for step in range(squarings.max(initial=0)):
         todo = squarings > step
         r[todo] = r[todo] @ r[todo]
-    out = r
-    if diagonal.any():
-        n = entries.shape[-1]
-        out = np.zeros((len(diagonal), n, n))
-        np.einsum("kii->ki", out)[diagonal] = np.exp(entries)
-        out[~diagonal] = r
-    if not np.isfinite(out).all():
+    _require_finite(r)
+    return r
+
+
+# The algebra route.  With A' = c' A and Z = A'^2 = w Y (w = c'^2), an
+# element x0 + x1 Z of R[Z], where Z^2 = sz Z - pz I, is the pair (x0, x1),
+# and an element p + A' q of the algebra, p and q in R[Z], is the pair of
+# rows ([p0, p0, q0, q0], [p1, p1, q1, q1]), so that p^2, p q and q^2 are
+# products of views.  z = (sz, pz, -pz).
+
+def _times(x, y, z):
+    """x y in R[Z] for pairs x and y, whose components broadcast."""
+    (x0, x1), (y0, y1) = x, y
+    p = x1 * y1
+    return x0 * y0 - p * z[1], x0 * y1 + x1 * y0 + p * z[0]
+
+
+def _over(x, y, z):
+    """x y^{-1} in R[Z], as x y* / det: y* = y0 + y1 sz - y1 Z is y's
+    conjugate and det = y y* = y0^2 + y0 y1 sz + y1^2 pz a scalar.  x y* =
+    (x0 (y0 + y1 sz) + x1 y1 pz) + (x1 y0 - x0 y1) Z is written out, so no
+    two x1 y1 sz terms cancel when y's coefficients are large, as after
+    squarings.  Also returns y*'s scalar part and det."""
+    (x0, x1), (y0, y1) = x, y
+    conj = y0 + y1 * z[0]
+    det = y0 * conj + y1 * y1 * z[1]
+    return ((x0 * conj + x1 * y1 * z[1]) / det, (x1 * y0 - x0 * y1) / det), conj, det
+
+
+def _squares(x, z):
+    """Of x = p + A' q in rows: the even part p^2 + Z q^2 and the odd part
+    2 p q of x^2, and x x* = p^2 - Z q^2 (x* = p - A' q), three pairs."""
+    x0, x1 = x
+    (pp0, pq0, qq0), (pp1, pq1, qq1) = _times((x0[:3], x1[:3]), (x0[1:], x1[1:]), z)
+    zq0, zq1 = qq1 * z[2], qq0 + qq1 * z[0]
+    return (pp0 + zq0, pp1 + zq1), (pq0 + pq0, pq1 + pq1), (pp0 - zq0, pp1 - zq1)
+
+
+def _rows(p, q):
+    """The element p + A' q in rows."""
+    return np.array([p[0], p[0], q[0], q[0]]), np.array([p[1], p[1], q[1], q[1]])
+
+
+def _even_pade(alg: EvenAlgebra, c: float):
+    """The Pade-13 approximant of c A on the algebra route, before
+    squaring: s per slice (None where no slice squares), c' = 2^-s c,
+    w = c'^2, z, and the squares of N = V + A' Q (:func:`_squares`), whose
+    r = D^{-1} N = N^2 / (D N), D = V - A' Q.  V and Q come from one
+    Horner pass in R[Z] over their stacked rows, a few dozen vector
+    operations.  A non-finite norm raises :class:`NonFiniteValue`."""
+    if not abs(c) * alg.norm_max < np.inf:
         raise NonFiniteValue("matrix exponential entries must be finite")
-    return out
+    c, squarings = np.float64(c), None
+    scale = c
+    if not abs(c) * alg.norm_max / THETA_13 <= 1.0:  # some slice squares
+        squarings = _squarings(abs(c) * alg.norm)
+        scale = np.ldexp(c, -squarings)
+    w = scale * scale
+    sz, pz = w * alg.sigma, (w * w) * alg.pi
+    z = sz, pz, -pz
+    x0, x1 = PADE_ROWS[5], PADE_ROWS[6]
+    for column in PADE_ROWS[4::-1]:
+        x0, x1 = column + x1 * z[2], x0 + x1 * sz
+    return squarings, scale, w, z, _squares((x0, x1), z)
+
+
+def _even_squared(num, den, squarings, z):
+    """r = num / den in rows, squared s times per slice in the algebra; a
+    non-finite r raises :class:`NonFiniteValue`."""
+    r = _over(num, den, z)[0]
+    for step in range(squarings.max()):
+        todo = squarings > step
+        even, odd, _ = _squares(r, z)
+        square = _rows(even, odd)
+        r = square if todo.all() else tuple(np.where(todo, new, old) for new, old in zip(square, r))
+    for part in r:
+        _require_finite(part)
+    return r
+
+
+# overflow and nan are refused by the caller
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _even_exp(basis: PadeBasis, c: float) -> np.ndarray:
+    """exp(c A) of the algebra route's slices: r = a + A' b from
+    :func:`_even_pade`, squared in the algebra, as the matrices
+    a0 I + w a1 Y + c' b0 A + c' w b1 AY."""
+    alg, n = basis.algebra, basis.shape[-1]
+    squarings, scale, w, z, (even, odd, norm) = _even_pade(alg, c)
+    num = _rows(even, odd)
+    r0, r1 = _over(num, norm, z)[0] if squarings is None else _even_squared(num, norm, squarings, z)
+    out = alg.span[0] * (scale * r0[2])
+    out += alg.span[1] * ((scale * w) * r1[2])
+    out += alg.span[2] * (w * r1[0])
+    out[::n + 1] += r0[0]
+    return np.ascontiguousarray(out.T).reshape(-1, n, n)
+
+
+# overflow and nan are refused, here or by the guard
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _even_tanh(basis: PadeBasis, c: float):
+    """tanh(c A) of the algebra route's slices and kappa_F of its cosh
+    factor C.  tanh = A' C^{-1} S, where C = N^2 + D^2 = 2 E and
+    A' S = N^2 - D^2 = 2 A' O from the even and odd parts E and O of N^2
+    where no squaring is needed, else C = a and S = b of the squared
+    r = a + A' b, both over |a0| + |a1| so that det C stays in range.
+    kappa_F = ||C||_F ||C^{-1}||_F, with C^{-1} = C* / det and
+    ||x0 I + x1 Z||_F^2 = n (x0 + x1 tr(Z) / n)^2 + x1^2 ||Z - tr(Z) / n I||_F^2,
+    a sum of two squares."""
+    alg, n = basis.algebra, basis.shape[-1]
+    squarings, scale, w, z, (cosh, sinh, norm) = _even_pade(alg, c)
+    if squarings is not None:
+        (a0, _, b0, _), (a1, _, b1, _) = _even_squared(_rows(cosh, sinh), norm, squarings, z)
+        size, squared = np.abs(a0) + np.abs(a1), squarings > 0
+        cosh = np.where(squared, a0 / size, cosh[0]), np.where(squared, a1 / size, cosh[1])
+        sinh = np.where(squared, b0 / size, sinh[0]), np.where(squared, b1 / size, sinh[1])
+    (t0, t1), conj, det = _over(sinh, cosh, z)
+    tau, rest = (2.0 / n) * z[0], cosh[1] * cosh[1] * ((w * w) * alg.spread)
+    u, v = cosh[0] + cosh[1] * tau, conj - cosh[1] * tau
+    cond = np.sqrt((n * (u * u) + rest) * (n * (v * v) + rest)) / np.abs(det)
+    out = alg.span[0] * (scale * t0)
+    out += alg.span[1] * ((scale * w) * t1)
+    return np.ascontiguousarray(out.T).reshape(-1, n, n), cond
 
 
 def mat_exp(a, t: float = 1.0) -> np.ndarray:
     """exp(t a) of every slice: a stacked scaling-and-squaring Pade-13 in
-    numpy (see :func:`_pade_13` and :func:`_expm`).  ``a`` is a stack or
-    its :class:`PadeBasis`, which a caller that sweeps t keeps; a stack
-    builds a fresh one, so at t = 1 no power is scaled.  A non-finite t a
-    is refused as the stack t a would be."""
+    numpy.  ``a`` is a stack or its :class:`PadeBasis`, which a caller that
+    sweeps t keeps; a stack builds a fresh one, so at t = 1 no power is
+    scaled.  Each slice takes its route, with the squaring count s of
+    Higham 2005 on every one: a diagonal slice ``np.exp`` of its diagonal
+    (the identity, exactly, at t = 0); a slice that passes ``EVEN_GATE``
+    (n <= 4, tr A and tr A^3 rounding noise: every tangent of a structure)
+    the algebra of Y = A^2, in which exp(t a) = c0 I + c1 A + c2 Y + c3 AY
+    comes from four scalars per slice (:func:`_even_exp`), the same
+    approximant to within the dropped odd coefficients, at most about
+    64 eps n m ||A||^3, m the slice's largest entry; any other slice the
+    matrix route (:func:`_pade_13`, :func:`_expm`), bit for bit as before
+    the algebra route.  A non-finite t a is refused as the stack t a would
+    be, and a non-finite result raises :class:`NonFiniteValue`."""
     basis = a if isinstance(a, PadeBasis) else pade_basis(a)
     t = float(t)
     if not abs(t) * basis.largest < np.inf:
         raise NonFiniteValue("matrix entries must be finite")
-    return _expm(*_pade_13(basis, t)).reshape(basis.shape)
+    diagonal, even, matrix = _routes(basis, t)
+    parts = []
+    if diagonal is not None:
+        parts.append((diagonal, _diagonal_exp(_take(diagonal, basis.stack), t)))
+    if even is not None:
+        parts.append((even, _even_exp(basis, t)))
+    if matrix is not None:
+        parts.append((matrix, _expm(*_pade_13(basis, t))))
+    out = _scatter(parts, basis.stack.shape)
+    _require_finite(out)
+    return out.reshape(basis.shape)
+
+
+def _cosh_sinh(basis: PadeBasis, c: float, diagonal, matrix):
+    """The cosh and sinh factors of tanh(c A) of the slices on the diagonal
+    and matrix routes, in stack order: N^2 + D^2 and N^2 - D^2 of the Pade
+    parts where no squaring is needed, else e + f and e - f of e = exp(c A)
+    and f = exp(-c A), with the bits of ``mat_exp(a, c)`` and
+    ``mat_exp(a, -c)``: one stacked inversion and one run of squarings
+    over the doubled stack."""
+    guarded = diagonal if matrix is None else matrix if diagonal is None else diagonal | matrix
+    parts = []
+    if diagonal is not None:
+        stack = _take(diagonal, basis.stack)
+        e, f = _diagonal_exp(stack, c), _diagonal_exp(stack, -c)
+        _require_finite(e)
+        _require_finite(f)
+        parts.append((diagonal[guarded], e + f, e - f))
+    if matrix is not None:
+        squarings, num, den = _pade_13(basis, c)
+        unscaled, inner = squarings == 0, matrix[guarded]
+        quotient, squared = inner.copy(), inner.copy()
+        quotient[inner], squared[inner] = unscaled, ~unscaled
+        if unscaled.any():
+            x, y = _take(unscaled, num), _take(unscaled, den)
+            n2, d2 = x @ x, y @ y
+            parts.append((quotient, n2 + d2, n2 - d2))
+        if not unscaled.all():
+            x, y = num[~unscaled], den[~unscaled]
+            e, f = np.split(_expm(np.tile(squarings[~unscaled], 2), np.concatenate([x, y]),
+                                  np.concatenate([y, x])), 2)
+            parts.append((squared, e + f, e - f))
+    shape = (len(parts[0][0]),) + basis.stack.shape[1:]
+    return (_scatter([(mask, cosh) for mask, cosh, _ in parts], shape),
+            _scatter([(mask, sinh) for mask, _, sinh in parts], shape), guarded)
 
 
 def mat_tanh_half(a, t: float) -> np.ndarray:
     """tanh((t/2) a), the quotient (e + f)^{-1} (e - f) of e = exp(h) and
-    f = exp(-h), h = t a / 2, in one guarded inversion over the stack.
-    ``a`` is a stack or its :class:`PadeBasis`, as for :func:`mat_exp`.
+    f = exp(-h), h = t a / 2, refused by :func:`guard_inverse`'s rule on
+    kappa_F of the cosh factor.  ``a`` is a stack or its
+    :class:`PadeBasis`, as for :func:`mat_exp`.
 
     Both exponentials come from one Pade polynomial: -h shares the scaling
     of h, with numerator N and denominator D swapped.  Where h needs no
     squaring (s = 0), e = D^{-1} N and f = N^{-1} D commute, so the quotient
-    is (N^2 + D^2)^{-1} (N^2 - D^2): two matmuls and no exponential.  Its
-    guard reads kappa_F(N^2 + D^2); N^2 + D^2 = D N (e + f), so that differs
-    from kappa_F(e + f) by at most a factor kappa(D N).  D N = V^2 - U^2 is
-    close to a multiple of the identity: kappa(D N) stayed below 1.5 over
-    900 random h with ||h||_1 at theta_13, dims 2 to 8.  Diagonal slices
-    and slices with s > 0 take e and f from one stacked inversion and one
-    run of squarings over their doubled stack, with the bits of
-    ``mat_exp(a, t / 2)`` and ``mat_exp(a, -t / 2)``.  Swapping the signs
-    swaps N and D, and e and f, so tanh is odd in t bit for bit, and t = 0
-    gives exactly 0.  For an h that anticommutes with J_std, N^2 + D^2
-    commutes with it and is inverted in complex form.  The cosh factor can
-    only degenerate when the spectrum of h approaches an odd multiple of
-    i pi / 2; a failed inversion surfaces as :class:`SingularOperator`.
+    is (N^2 + D^2)^{-1} (N^2 - D^2): no exponential.  Its guard reads
+    kappa_F(N^2 + D^2); N^2 + D^2 = D N (e + f), so that differs from
+    kappa_F(e + f) by at most a factor kappa(D N).  D N = V^2 - U^2 is close
+    to a multiple of the identity: kappa(D N) stayed below 1.5 over 900
+    random h with ||h||_1 at theta_13, dims 2 to 8.  Slices with s > 0 take
+    e and f, squared.  A slice that passes ``EVEN_GATE`` does all of it in
+    the algebra of Y = A^2, as :func:`mat_exp` does, with its cosh factor
+    inverted in closed form and tanh = A (w0 I + w1 Y) from two scalars per
+    slice (:func:`_even_tanh`); its guard reads the same kappa_F in closed
+    form.  The other slices (diagonal, and on the matrix route) take their
+    cosh factors' inverses from one stacked inversion (:func:`_cosh_sinh`),
+    inverted in complex form where h anticommutes with J_std.  The guard
+    reads both routes' kappa_F in stack order, with its cap and messages.
+    Swapping the signs swaps N and D, and e and f (on the algebra route,
+    negates A's odd part exactly), so tanh is odd in t bit for bit, and
+    t = 0 gives exactly 0.  The cosh factor can only degenerate when the
+    spectrum of h approaches an odd multiple of i pi / 2; a failed
+    inversion surfaces as :class:`SingularOperator`.
     """
     basis = a if isinstance(a, PadeBasis) else pade_basis(a)
-    diagonal, entries, squarings, num, den = _pade_13(basis, 0.5 * float(t))
-    if not (diagonal.any() or squarings.any()):  # one path: no masks
-        n2, d2 = num @ num, den @ den
-        return (mat_inv_guarded(n2 + d2) @ (n2 - d2)).reshape(basis.shape)
-    cosh, sinh = np.empty(basis.stack.shape), np.empty(basis.stack.shape)
-    unscaled = squarings == 0
-    quotient = np.zeros_like(diagonal)  # the slices that take (N^2 + D^2)^{-1} (N^2 - D^2)
-    quotient[~diagonal] = unscaled
-    x, y = num[unscaled], den[unscaled]
-    n2, d2 = x @ x, y @ y
-    cosh[quotient], sinh[quotient] = n2 + d2, n2 - d2
-    if not quotient.all():
-        x, y = num[~unscaled], den[~unscaled]
-        e, f = np.split(_expm(np.tile(diagonal[~quotient], 2), np.concatenate([entries, -entries]),
-                              np.tile(squarings[~unscaled], 2), np.concatenate([x, y]),
-                              np.concatenate([y, x])), 2)
-        cosh[~quotient], sinh[~quotient] = e + f, e - f
-    return (mat_inv_guarded(cosh) @ sinh).reshape(basis.shape)
+    c = 0.5 * float(t)
+    diagonal, even, matrix = _routes(basis, c)
+    shape = basis.stack.shape
+    tanh, cond = [], []
+    if even is not None:
+        part, kappa = _even_tanh(basis, c)
+        tanh.append((even, part))
+        cond.append((even, kappa))
+    if diagonal is not None or matrix is not None:
+        cosh, sinh, guarded = _cosh_sinh(basis, c, diagonal, matrix)
+        m = as_fiber_matrix(cosh)
+        inv, scale = _inverse_and_scale(m)
+        cond.append((guarded, _condition_f(m, inv, scale)))
+    _refuse_ill_conditioned(_scatter(cond, shape[:1]))
+    if diagonal is not None or matrix is not None:
+        tanh.append((guarded, inv @ sinh))
+    return _scatter(tanh, shape).reshape(basis.shape)
 
 
 def g_adjoint(a, g: FiberMetric) -> np.ndarray:

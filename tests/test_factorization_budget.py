@@ -15,7 +15,11 @@ the trace reads only the validators' verdicts, whose positivity a
 Cholesky written out in numpy certifies.  Building a chart field admits
 no array again, and its only finiteness tests are its two guards'.  Each
 velocity builds its Pade basis once: a default ``geodesic`` builds one
-for its 45 kernel calls, and a warmed op builds none.
+for its 45 kernel calls, and a warmed op builds none.  The warmed op makes
+one stacked inversion, the chart field's (1 - K^2)^{-1}: its tanh and both
+exponentials run in the algebra of A^2, which inverts in closed form.  It
+is counted under both public names in every module that binds them, and
+at ``fiber._inverse_and_scale``, which every route passes through.
 """
 
 import numpy as np
@@ -27,17 +31,22 @@ from acsgeom import structures as st
 from acsgeom.verify import check_cayley, check_theorem1
 
 COUNTED = {np.linalg: ("solve", "inv", "svd", "eigvalsh", "cholesky", "norm"),
-           st: ("orientation_marker", "pade_basis"), fiber: ("pade_basis",)}
-# per op, once the reference has kept its orientation.  The guarded tanh
-# quotient, the guarded (1 - K^2)^{-1} of the chart field and the Pade
-# inversion of each ambient exponential all invert operators that commute
-# with the standard base, which fiber.mat_inv inverts in complex form with
-# no LAPACK call at dim 4; validate_associated's positivity is certified
+           st: ("orientation_marker", "pade_basis"),
+           fiber: ("pade_basis", "mat_inv", "mat_inv_guarded", "_inverse_and_scale"),
+           charts: ("mat_inv", "mat_inv_guarded")}
+# per op, once the reference has kept its orientation.  The one stacked
+# inversion left (4 before the algebra route: the chart field's, the tanh
+# quotient's and each ambient exponential's) is the chart field's guarded
+# (1 - K^2)^{-1}, of an operator that commutes with the standard base,
+# which fiber.mat_inv inverts in complex form with no LAPACK call at dim 4;
+# the tanh quotient and the exponentials run in the algebra of A^2 and
+# invert in closed form.  validate_associated's positivity is certified
 # by a Cholesky written out in numpy, and its min_eig (eigvalsh) no one
 # reads; the identity metric's adjoint is a transpose; the marker is the
 # orthogonal geodesic's; the three velocities keep their Pade bases
 BUDGET = {"solve": 0, "inv": 0, "svd": 0, "eigvalsh": 0, "cholesky": 0, "norm": 0,
-          "orientation_marker": 1, "pade_basis": 0}
+          "orientation_marker": 1, "pade_basis": 0,
+          "mat_inv": 1, "mat_inv_guarded": 0, "_inverse_and_scale": 1}
 GRID = np.linspace(0.0, 2.0, 9)
 
 

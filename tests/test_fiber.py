@@ -11,6 +11,7 @@ from acsgeom.errors import DimensionMismatch, NonFiniteValue, SingularOperator
 from acsgeom.fiber import (
     COMMUTING_GATE,
     DEFAULT_COND_CAP,
+    EVEN_GATE,
     PADE_13,
     THETA_13,
     FiberMetric,
@@ -804,6 +805,14 @@ def path_stack(seed, n, one_path, diagonal, zero, scaled):
     return stack[rng.permutation(len(stack))]
 
 
+def route_masks(basis):
+    """The diagonal, algebra and matrix routes' masks of a basis, an empty
+    route's as all False."""
+    k = len(basis.stack)
+    return tuple(np.zeros(k, bool) if mask is None else mask
+                 for mask in (basis.diagonal, basis.even, basis.matrix))
+
+
 def per_slice(f, a):
     """f of each slice alone, stacked."""
     return np.array([f(m) for m in a]).reshape(a.shape)
@@ -836,10 +845,13 @@ class TestOnePathStacks:
         for s, want in tanh.items():
             assert np.array_equal(mat_tanh_half(mixed, s)[:-1], want)
         for h in (a, -a, 0.5 * t * a, a.mT):
-            diagonal, entries, *parts = _pade_13(pade_basis(h), 1.0)
-            assert np.array_equal(entries, np.einsum("kii->ki", h)[diagonal])
-            for part, oracle in zip([diagonal, *parts], masked_pade_13(h)):
-                assert np.array_equal(part, oracle)
+            # the matrix route's parts keep the bits of the masked expression
+            basis, (diagonal, *oracle) = pade_basis(h), masked_pade_13(h)
+            on_diagonal, _, on_matrix = route_masks(basis)
+            assert np.array_equal(on_diagonal, diagonal)
+            if on_matrix.any():
+                for part, want in zip(_pade_13(basis, 1.0), oracle):
+                    assert np.array_equal(part, want[on_matrix[~diagonal]])
         # a kept basis gives each slice the bits of the single-slice call,
         # at any scale of the exponent
         basis = pade_basis(a)
@@ -849,7 +861,15 @@ class TestOnePathStacks:
             assert np.array_equal(mat_tanh_half(basis, s),
                                   per_slice(lambda m: mat_tanh_half(pade_basis(m), s), a))
         assert np.array_equal(mat_exp(basis), got)
-        assert np.array_equal(mat_exp(a), parent_mat_exp(a))  # c = 1 scales nothing
+        # c = 1 scales nothing: the diagonal and matrix routes keep the
+        # parent's bits.  The algebra route agrees with it to 1e-14, and to
+        # 2^s 1e-14 where s squarings double both routes' rounding, which
+        # lies on either side of exp (about 8e-15 each at s = 3)
+        parent, even = parent_mat_exp(a), route_masks(basis)[1]
+        assert np.array_equal(got[~even], parent[~even])
+        doubled = 2.0 ** np.maximum(np.ceil(np.log2(
+            np.abs(a[even]).sum(axis=-2).max(axis=-1) / THETA_13)), 0.0)
+        assert (relative_error(got[even], parent[even]) <= 1e-14 * doubled).all()
 
     # 1025 slices cross a block of the per-slice max; exactly commuting
     # slices read 0
@@ -871,3 +891,120 @@ class TestOnePathStacks:
         with np.errstate(over="ignore", invalid="ignore"):  # inf - inf
             got, want = _commuting_defect(slice_last_blocks(x)), old_commuting_defect(x)
         assert np.array_equal(got, want, equal_nan=True)
+
+
+def anticommuting_stack(seed, n, k=64, kappa=1.0):
+    """k slices of 1-norm 1 that anticommute with P J_std P^-1, one P per
+    slice with singular values spanning [1, kappa] (P = I at kappa = 1)."""
+    rng = np.random.default_rng(seed)
+    j = standard_acs(n)
+    a = rng.standard_normal((k, n, n))
+    a = a + j @ a @ j
+    if kappa > 1.0:
+        u, v = (np.linalg.qr(rng.standard_normal((k, n, n)))[0] for _ in range(2))
+        s = rng.uniform(1.0, kappa, size=(k, n))
+        s[:, 0], s[:, -1] = 1.0, kappa
+        p = u * s[:, None, :] @ v.mT
+        a = p @ a @ np.linalg.inv(p)
+    return a / np.abs(a).sum(axis=-2).max(axis=-1)[:, None, None]
+
+
+def gate_ratios(a):
+    """|tr A| / (eps m) and |tr A^3| / (eps m^3) of each slice, m its
+    largest |entry|: the algebra route takes a slice where both are <= 64."""
+    eps, m = np.finfo(float).eps, slice_max_abs(a)
+    return (np.abs(np.einsum("kii->k", a)) / (eps * m),
+            np.abs(np.einsum("kii->k", a @ a @ a)) / (eps * m ** 3))
+
+
+# the grid times of the field_1000 benchmark workload
+GRID = tuple(float(t) for t in np.linspace(0.0, 2.0, 9))
+
+
+class TestAlgebraRoute:
+    """At n = 2 and 4 a slice that anticommutes with a structure takes its
+    exponentials in the algebra of A^2, four scalars per slice: the same
+    Pade-13 approximant as the matrix route, to rounding, with each slice's
+    bits its own and tanh odd in t bit for bit."""
+
+    @pytest.mark.parametrize("kappa", [1.0, 6.0])
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_anticommuting_stacks_take_the_algebra_route(self, n, kappa):
+        a = anticommuting_stack(1, n, kappa=kappa)
+        assert max(ratio.max() for ratio in gate_ratios(a)) <= 15.0
+        basis = pade_basis(a)
+        assert basis.even.all() and basis.diagonal is None and basis.matrix is None
+        assert basis.algebra.span.shape == (3, n * n, len(a))
+
+    # scipy's expm is the oracle, to test_mat_exp_is_scipy_expm's 1e-14
+    # over the field_1000 grid (|c| ||A||_1 <= 2) and 1e-12 beyond
+    # theta_13, where slices of 1-norm 0.5 to 2 square 0 to 2 times
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kappa", [1.0, 6.0])
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_algebra_route_is_scipy_expm(self, n, kappa):
+        from scipy.linalg import expm
+
+        a = anticommuting_stack(2, n, kappa=kappa)
+        spread = a * np.linspace(0.5, 2.0, len(a))[:, None, None]
+        for stack, times, tol in ((a, GRID + (-0.5,), 1e-14), (spread, (3.5, -4.0), 1e-12)):
+            basis = pade_basis(stack)
+            for c in times:
+                got = mat_exp(basis, c)
+                assert (relative_error(got, expm(c * stack)) <= tol).all(), c
+                assert np.array_equal(got, mat_exp(stack, c))
+                assert np.array_equal(got, per_slice(lambda m: mat_exp(m, c), stack))
+        assert np.array_equal(mat_exp(a, 0.0), np.broadcast_to(np.eye(n), a.shape))
+
+    # the quotient of two mat_exp calls at -+t/2 is the oracle, as in
+    # test_mat_tanh_half_is_the_quotient_of_exponentials
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kappa", [1.0, 6.0])
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_tanh_is_the_quotient_of_exponentials(self, n, kappa):
+        a = anticommuting_stack(3, n, kappa=kappa) * np.linspace(0.5, 2.0, 64)[:, None, None]
+        basis = pade_basis(a)
+        for t in GRID + (-0.5, 6.5, -8.0):
+            e, f = mat_exp(basis, 0.5 * t), mat_exp(basis, -0.5 * t)
+            want = mat_inv_guarded(e + f) @ (e - f)
+            got = mat_tanh_half(basis, t)
+            assert (relative_error(got, want, floor=1.0) <= 1e-14).all(), t
+            assert np.array_equal(mat_tanh_half(basis, -t), -got)
+            assert np.array_equal(got, per_slice(lambda m: mat_tanh_half(m, t), a))
+        assert np.array_equal(mat_tanh_half(basis, 0.0), np.zeros_like(a))
+        with pytest.raises(NonFiniteValue, match="matrix exponential entries must be finite"):
+            mat_tanh_half(basis, math.inf)
+
+    # an offset of the odd coefficients by twice the gate moves a slice to
+    # the matrix route, with the parent's bits, and one of a tenth keeps it
+    # on the algebra route.  At n = 2 the offset is on tr A (there
+    # tr A^3 = tr A (tr A^2 - det A) moves with it), at n = 4 on tr A^3
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_gate_offsets_of_the_odd_coefficients(self, n):
+        a = anticommuting_stack(4, n, k=3)
+        for slice_, share in ((1, 2.0), (2, 0.1)):
+            x, m = a[slice_], np.abs(a[slice_]).max()
+            if n == 2:
+                a[slice_] = x + 0.5 * share * EVEN_GATE * m * np.eye(2)
+            else:
+                y = x @ x
+                shift = y.T - 0.25 * np.trace(y) * np.eye(4)
+                a[slice_] = x + share * EVEN_GATE * m ** 3 / (3.0 * np.einsum("ij,ji->", y, shift)) * shift
+        worst = np.maximum(*gate_ratios(a))
+        assert worst[1] > 1.5 * 64 and worst[2] < 64
+        basis = pade_basis(a)
+        assert list(basis.even) == [True, False, True] and list(basis.matrix) == [False, True, False]
+        got = mat_exp(a)
+        assert np.array_equal(got[1], parent_mat_exp(a)[1])
+        assert np.array_equal(got, per_slice(mat_exp, a))
+
+    # below 2^-120 (and above 2^120) the scaled powers of A would leave the
+    # floating-point range: 2^-300 A at c = 2^300 overflowed w = c'^2 into a
+    # NonFiniteValue on the algebra route.  Such slices take the matrix
+    # route, where c > SCALE_MAX forms the powers of c A afresh
+    def test_slices_out_of_range_take_the_matrix_route(self):
+        a = anticommuting_stack(5, 4, k=4)
+        for scale in (2.0 ** -125, 2.0 ** 125):  # every slice has 1/4 < m <= 1
+            basis = pade_basis(scale * a)
+            assert basis.even is None and basis.matrix.all()
+        assert np.array_equal(mat_exp(pade_basis(2.0 ** -300 * a), 2.0 ** 300), parent_mat_exp(a))
