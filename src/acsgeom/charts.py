@@ -12,8 +12,14 @@ follows with one matmul.  On raw arrays it admits J0 and K
 (:func:`acsgeom.fiber.as_fiber_matrix`) and checks J0^2 = -1 and the
 anticommutation of K first; a field-level caller that already holds those
 checks (:class:`acsgeom.geometry.ChartField`) passes them in, and they
-vouch for admission too, so each runs once.
-Every map takes a single matrix or a (points, n, n) stack and acts on each
+vouch for admission too, so each runs once.  Given K's complex form Q at
+a base that is exactly J_std, as a chart field passes it where K passes
+the gate of :func:`acsgeom.fiber.antilinear_form` (its antilinear defect
+at most 64 eps of its largest entry), the chart point computes in complex
+form: 1 - K^2 = 1 - Q Q-bar, its inverse S by the complex adjugate at
+dims 2 and 4 and a complex solve above, (1 - K)^{-1} = S + Q S-bar, and
+both guards in closed form, within about kappa 64 eps n relative of the
+real route.  Every map takes a single matrix or a (points, n, n) stack and acts on each
 fiber independently; field-level wrappers live in the structures and
 geometry modules.
 """
@@ -21,12 +27,15 @@ geometry modules.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import AnticommutationViolation, DimensionMismatch, InvalidStructure
-from .fiber import (FiberMetric, as_fiber_matrix, g_adjoint, guard_inverse, mat_inv,
-                    mat_inv_guarded, max_abs, slice_max_abs)
+from .fiber import (FiberMetric, as_fiber_matrix, complex_inverse, complex_product, form_scale,
+                    g_adjoint, guard_forms, guard_inverse, mat_inv, mat_inv_guarded, max_abs,
+                    real_form, slice_max_abs)
 
 # Tolerance of the chart domain checks; caller-made tangents meet it too.
 COORD_TOL = 1e-10
@@ -41,6 +50,19 @@ def standard_acs(dim: int) -> np.ndarray:
         j[i, i + 1] = -1.0
         j[i + 1, i] = 1.0
     return j
+
+
+class ComplexChart(NamedTuple):
+    """A chart point at the base J_std in complex form, every array with the
+    point index last, shape (n/2, n/2, points)
+    (:func:`~acsgeom.fiber.antilinear_form`):
+    K maps z to Q z-bar, 1 - K^2 = P = 1 - Q Q-bar, S = P^{-1}, and
+    (1 - K)^{-1} = (1 + K) S = S + R with antilinear part R = Q S-bar."""
+
+    q: np.ndarray
+    p: np.ndarray
+    s: np.ndarray
+    r: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -59,28 +81,45 @@ class CayleyCoordinate:
     as it is, with no pass over its entries; a vouched K that is not an
     array of the base's shape is refused as :class:`DimensionMismatch`, and
     a non-finite derived K is refused at 1 - K^2, where
-    :func:`mat_inv_guarded` of 1 - K admits it first.  1 - K^2 commutes with
-    J0, since K anticommutes with it; it is kept as the read-only
-    ``square``, inverted once, and its inverse is kept as the read-only
-    ``square_resolvent``; its gate and its guard read one slice scale.
-    The read-only ``resolvent``, the (1 - K)^{-1}
-    that the chart map and its differential share, is derived as
-    (1 + K)(1 - K^2)^{-1}.  That is exact for any K, since 1 + K and 1 - K
-    commute; no identity of J0 is used.  Its rounding error is about
+    :func:`mat_inv_guarded` of 1 - K admits it first.
+
+    1 - K^2 commutes with J0, since K anticommutes with it; it is kept as
+    the read-only ``square``, inverted once, and its inverse is kept as the
+    read-only ``square_resolvent``; its gate and its guard read one slice
+    scale.  The read-only ``resolvent``, the (1 - K)^{-1} that the chart
+    map and its differential share, is derived as (1 + K)(1 - K^2)^{-1}.
+    That is exact for any K, since 1 + K and 1 - K commute; no identity of
+    J0 is used.  Its rounding error is about
     eps kappa(1 - K^2) ||1 + K|| ||(1 - K^2)^{-1}||, against
     eps kappa(1 - K) ||(1 - K)^{-1}|| for a solve of 1 - K; both are of
     order eps when 1 - K^2 is well conditioned.
+
+    ``antilinear``, K's :func:`~acsgeom.fiber.antilinear_form` Q, says that
+    the base is exactly J_std at every point and that K passes the form's
+    gate, as the caller's fields have checked
+    (:class:`acsgeom.geometry.ChartField`).
+    The chart point then computes in complex form, kept as ``form`` (a
+    :class:`ComplexChart`): P = 1 - Q Q-bar, S = P^{-1} by
+    :func:`complex_inverse` (the adjugate at dims 2 and 4, a complex solve
+    above), R = Q S-bar, and both guards' kappa_F in closed form
+    (:func:`guard_forms`), in the same order, with the same rule and
+    messages.  The gate bounds the antilinear defect of K by 64 eps of its
+    largest entry, so the complex form adds at most about kappa 64 eps n
+    relative error, as :func:`mat_inv`'s does.  ``square``,
+    ``square_resolvent`` and ``resolvent`` are then real stacks computed on
+    first read.  A 1 - K^2 that is not finite takes the real route, which
+    refuses it as above; ``form`` is then None, as it is without
+    ``antilinear``.
     """
 
     base: np.ndarray
     K: np.ndarray
     base_residuals: InitVar[np.ndarray | None] = None
     anticommuting: InitVar[bool] = False
-    resolvent: np.ndarray = field(init=False, repr=False, compare=False)
-    square: np.ndarray = field(init=False, repr=False, compare=False)
-    square_resolvent: np.ndarray = field(init=False, repr=False, compare=False)
+    antilinear: InitVar[np.ndarray | None] = None
+    form: ComplexChart | None = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self, base_residuals, anticommuting):
+    def __post_init__(self, base_residuals, anticommuting, antilinear):
         j0 = self.base if base_residuals is not None else as_fiber_matrix(self.base)
         k = self.K if anticommuting else as_fiber_matrix(self.K, j0.shape, "coordinate")
         if not (isinstance(k, np.ndarray) and k.shape == j0.shape):  # a vouched K
@@ -98,6 +137,12 @@ class CayleyCoordinate:
             if not worst <= COORD_TOL:
                 raise AnticommutationViolation(
                     "coordinate does not anticommute with the base structure")
+        object.__setattr__(self, "base", j0)
+        object.__setattr__(self, "K", k)
+        form = None if antilinear is None else _complex_chart(antilinear)
+        object.__setattr__(self, "form", form)
+        if form is not None:
+            return
         with np.errstate(over="ignore", invalid="ignore"):
             square = eye - k @ k
         scale = slice_max_abs(square)
@@ -108,8 +153,6 @@ class CayleyCoordinate:
         resolvent = guard_inverse(eye - k, (eye + k) @ inv)
         inv = guard_inverse(square, inv, scale)
         resolvent.flags.writeable = square.flags.writeable = inv.flags.writeable = False
-        object.__setattr__(self, "base", j0)
-        object.__setattr__(self, "K", k)
         object.__setattr__(self, "resolvent", resolvent)
         object.__setattr__(self, "square", square)
         object.__setattr__(self, "square_resolvent", inv)
@@ -117,6 +160,42 @@ class CayleyCoordinate:
     @property
     def dim(self) -> int:
         return self.base.shape[-1]
+
+    @cached_property
+    def square(self) -> np.ndarray:
+        """1 - K^2 per point, read-only."""
+        return _read_only(real_form(self.form.p))
+
+    @cached_property
+    def square_resolvent(self) -> np.ndarray:
+        """(1 - K^2)^{-1} per point, guarded, read-only."""
+        return _read_only(real_form(self.form.s))
+
+    @cached_property
+    def resolvent(self) -> np.ndarray:
+        """(1 - K)^{-1} per point, guarded, read-only."""
+        return _read_only(real_form(self.form.s, self.form.r))
+
+
+def _read_only(x: np.ndarray) -> np.ndarray:
+    x.flags.writeable = False
+    return x
+
+
+# an overflow leaves inf or nan, for the guards to refuse
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _complex_chart(q: np.ndarray) -> ComplexChart | None:
+    """The :class:`ComplexChart` of the coordinate whose form is ``q``,
+    through both guards, or None where 1 - K^2 is not finite."""
+    p = np.eye(len(q))[..., None] - complex_product(q, q.conj())
+    scale = form_scale(p)
+    if not (scale < np.inf).all():
+        return None
+    s = complex_inverse(p)
+    r = complex_product(q, s.conj())
+    guard_forms((1.0, q), (s, r), np.maximum(1.0, form_scale(q)))  # 1 - K
+    guard_forms((p,), (s,), scale)
+    return ComplexChart(q, p, s, r)
 
 
 def cayley_to_acs(coord: CayleyCoordinate) -> np.ndarray:

@@ -11,6 +11,19 @@ the final sums over the points are accumulated left to right in point
 order, so results are reproducible bit for bit.  A chart field checks
 its domain once: its base's J0^2 residuals are kept on the base field,
 and a coordinate made at that base was checked where it was made.
+
+The tangent space at J is the set of J-antilinear maps, and the pairing and
+Omega are the real and imaginary parts of one Hermitian trace.  So where a
+chart field's base is exactly J_std (``AcsField.is_standard``, an exact
+comparison) and K passes the gate of :func:`acsgeom.fiber.antilinear_form`
+at every point (antilinear defect at most 64 eps of its largest entry, the
+rule of ``fiber.COMMUTING_GATE``), its chart point is complex
+(:class:`~acsgeom.charts.ComplexChart`), and the chart functionals compute
+on the (n/2) x (n/2) complex forms that each direction keeps
+(``TangentField.antilinear_form``), within about kappa 64 eps n relative of
+the real formulas, kappa that of 1 - K^2.  Every other input keeps the real
+route, bit for bit: a base off J_std, a K or a direction outside the gate,
+and an array of directions, such as a family with leading axes.
 """
 
 from __future__ import annotations
@@ -19,8 +32,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .charts import CayleyCoordinate
-from .fiber import mat_tanh_half, mat_exp
+from .charts import CayleyCoordinate, ComplexChart
+from .fiber import complex_product, complex_trace, mat_exp, mat_tanh_half, real_form
 from .structures import AcsField, SampleSpace, TangentField, same_space
 
 
@@ -40,7 +53,10 @@ class ChartField:
     is checked against its own base where a caller makes it
     (:meth:`TangentField.derived` exempts by design the tangents the
     geometry computes).  No array is admitted again: the base's stack, and
-    K's when made at that base, are the fields' own, taken as they are.
+    K's when made at that base, are the fields' own, taken as they are.  At
+    a base that is exactly J_std (``base.is_standard``) the coordinate is
+    given K's kept ``antilinear_form`` and computes in complex form where K
+    passes its gate (``coord.form``).
     """
 
     space: SampleSpace
@@ -52,10 +68,12 @@ class ChartField:
         same_space(self, self.base, self.K)
         object.__setattr__(self, "coord", CayleyCoordinate(
             self.base.ops, self.K.ops, base_residuals=self.base.square_residuals,
-            anticommuting=self.K.base is self.base))
+            anticommuting=self.K.base is self.base,
+            antilinear=self.K.antilinear_form if self.base.is_standard else None))
 
     def resolvents(self) -> np.ndarray:
-        """(1 - K^2)^{-1} per point, guarded; computed once, read-only."""
+        """(1 - K^2)^{-1} per point, guarded; computed once (on the complex
+        route from S, on first read), read-only."""
         return self.coord.square_resolvent
 
 
@@ -71,6 +89,15 @@ def shifted(c: ChartField, a: TangentField, h: float) -> ChartField:
 
 # ---------------------------------------------------------------------------
 # ambient functionals (fields of structures and tangents, no chart)
+
+# A direction of a per-point terms function: a tangent field, or a
+# (..., points, n, n) array of directions
+Direction = TangentField | np.ndarray
+
+
+def _ops(d: Direction) -> np.ndarray:
+    return d.ops if isinstance(d, TangentField) else d
+
 
 def point_order_sum(terms: np.ndarray):
     """Per-point terms summed along the last axis, left to right from 0.0 (no
@@ -88,9 +115,9 @@ def _weighted_traces(space: SampleSpace, products: np.ndarray,
     return space.weights * scale * np.trace(products, axis1=-2, axis2=-1)
 
 
-def ambient_inner_terms(j: AcsField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def ambient_inner_terms(j: AcsField, a: Direction, b: Direction) -> np.ndarray:
     """The per-point terms w_i tr(A_i B_i) of the pairing (A, B) at J."""
-    return _weighted_traces(j.space, a @ b)
+    return _weighted_traces(j.space, _ops(a) @ _ops(b))
 
 
 def acs_on_tangent(a: TangentField, j: AcsField) -> TangentField:
@@ -99,48 +126,84 @@ def acs_on_tangent(a: TangentField, j: AcsField) -> TangentField:
     return TangentField.derived(j, a.ops @ j.ops)
 
 
-def ambient_omega_terms(j: AcsField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def ambient_omega_terms(j: AcsField, a: Direction, b: Direction) -> np.ndarray:
     """The per-point terms w_i tr(A_i J_i B_i) of the 2-form Omega(A, B) at J."""
-    return _weighted_traces(j.space, a @ j.ops @ b)
+    return _weighted_traces(j.space, _ops(a) @ j.ops @ _ops(b))
 
 
 # ---------------------------------------------------------------------------
 # chart expressions
 
-def chart_inner_terms(c: ChartField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _forms(c: ChartField, *directions: Direction) -> tuple | None:
+    """The complex route's forms: the chart point's :class:`ComplexChart`
+    and each direction's ``antilinear_form``, or None, for the real route,
+    unless all of them have one.  An array of directions has none."""
+    if c.coord.form is None or not all(isinstance(d, TangentField) for d in directions):
+        return None
+    forms = tuple(d.antilinear_form for d in directions)
+    return None if any(f is None for f in forms) else (c.coord.form, *forms)
+
+
+def _pair_trace(chart: ComplexChart, qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
+    """2 tr(S Q_A S-bar Q_B-bar) per point: S A S B is the linear map of
+    that form, and S A J0 S B, with J0 = J_std acting as i, that of -i times
+    it, so the real part is tr(S A S B) and the imaginary part tr(S A J0 S B)."""
+    return complex_trace(complex_product(complex_product(chart.s, qa), chart.s.conj()), qb.conj())
+
+
+def chart_inner_terms(c: ChartField, a: Direction, b: Direction) -> np.ndarray:
     """The per-point terms 4 w_i tr(S_i A_i S_i B_i) of :func:`chart_inner`,
-    S = (1-K^2)^{-1}.  ``a`` and ``b`` are (..., points, n, n) arrays of
-    directions at the chart's points; their leading axes broadcast, so one
-    call pairs whole families of directions."""
+    S = (1-K^2)^{-1}.  ``a`` and ``b`` are tangent fields at the chart's
+    points, or (..., points, n, n) arrays of directions; their leading axes
+    broadcast, so one call pairs whole families of directions.  Where the
+    chart point and both fields have complex forms each term is 4 w_i times
+    the real part of 2 tr(S Q_A S-bar Q_B-bar) (:func:`_pair_trace`)."""
+    forms = _forms(c, a, b)
+    if forms is not None:
+        return c.space.weights * 4.0 * _pair_trace(*forms).real
     res = c.resolvents()
-    return _weighted_traces(c.space, res @ a @ res @ b, 4.0)
+    return _weighted_traces(c.space, res @ _ops(a) @ res @ _ops(b), 4.0)
 
 
 def chart_inner(c: ChartField, a: TangentField, b: TangentField) -> float:
     """The pairing in chart coordinates:
     4 sum of w_i tr((1-K^2)^{-1} A (1-K^2)^{-1} B)."""
     same_space(c.K, a, b)
-    return point_order_sum(chart_inner_terms(c, a.ops, b.ops))
+    return point_order_sum(chart_inner_terms(c, a, b))
 
 
-def chart_omega_terms(c: ChartField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def chart_omega_terms(c: ChartField, a: Direction, b: Direction) -> np.ndarray:
     """The per-point terms 4 w_i tr(S_i A_i J0_i S_i B_i) of
-    :func:`chart_omega`, S = (1-K^2)^{-1}."""
+    :func:`chart_omega`, S = (1-K^2)^{-1}, for directions as in
+    :func:`chart_inner_terms`; on the complex route the imaginary parts of
+    the same traces."""
+    forms = _forms(c, a, b)
+    if forms is not None:
+        return c.space.weights * 4.0 * _pair_trace(*forms).imag
     res = c.resolvents()
-    return _weighted_traces(c.space, res @ a @ c.base.ops @ res @ b, 4.0)
+    return _weighted_traces(c.space, res @ _ops(a) @ c.base.ops @ res @ _ops(b), 4.0)
 
 
 def chart_omega(c: ChartField, a: TangentField, b: TangentField) -> float:
     """The 2-form in chart coordinates:
     4 sum of w_i tr((1-K^2)^{-1} A J0 (1-K^2)^{-1} B)."""
     same_space(c.K, a, b)
-    return point_order_sum(chart_omega_terms(c, a.ops, b.ops))
+    return point_order_sum(chart_omega_terms(c, a, b))
 
 
 def christoffel(c: ChartField, a: TangentField, b: TangentField) -> TangentField:
     """Connection coefficients at the chart point c for constant fields:
-    Gamma(A, B) = A K (1-K^2)^{-1} B + B K (1-K^2)^{-1} A."""
+    Gamma(A, B) = A K (1-K^2)^{-1} B + B K (1-K^2)^{-1} A; on the complex
+    route Q_A Q_K-bar S Q_B + Q_B Q_K-bar S Q_A, with Q_K-bar S = R-bar
+    read from the chart point."""
     same_space(c.K, a, b)
+    forms = _forms(c, a, b)
+    if forms is not None:
+        chart, qa, qb = forms
+        ks = chart.r.conj()
+        gamma = (complex_product(complex_product(qa, ks), qb)
+                 + complex_product(complex_product(qb, ks), qa))
+        return TangentField.derived(c.base, real_form(antilinear=gamma))
     k, res = c.K.ops, c.resolvents()
     stack = a.ops @ k @ res @ b.ops + b.ops @ k @ res @ a.ops
     return TangentField.derived(c.base, stack)
@@ -150,8 +213,21 @@ def curvature(c: ChartField, a: TangentField, b: TangentField,
               d: TangentField) -> TangentField:
     """Curvature in chart coordinates:
     R(A, B) D = -(1-K^2) [[X, Y], Z] with X = (1-K^2)^{-1} A and so on;
-    1 - K^2 is the chart point's own."""
+    1 - K^2 is the chart point's own.  On the complex route X = S Q_A,
+    [X, Y] = X Y-bar - Y X-bar, a linear form L, and [L, Z] = L Z - Z L-bar,
+    with Z = Y when d is b.  The route depends on a, b and d alike, and
+    swapping a and b negates L exactly, so R(A, B) D = -R(B, A) D and
+    R(A, A) D = 0 hold bit for bit on either route."""
     same_space(c.K, a, b, d)
+    forms = _forms(c, a, b, d)
+    if forms is not None:
+        chart, qa, qb, qd = forms
+        x, y = complex_product(chart.s, qa), complex_product(chart.s, qb)
+        z = y if d is b else complex_product(chart.s, qd)
+        xy = complex_product(x, y.conj()) - complex_product(y, x.conj())
+        bracket = complex_product(xy, z) - complex_product(z, xy.conj())
+        stack = real_form(antilinear=-complex_product(chart.p, bracket))
+        return TangentField.derived(c.base, stack)
     res = c.resolvents()
     x, y, z = res @ a.ops, res @ b.ops, res @ d.ops
     xy = x @ y - y @ x

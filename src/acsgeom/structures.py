@@ -35,8 +35,8 @@ import numpy as np
 
 from .charts import COORD_TOL, random_anticommuting, standard_acs
 from .errors import AnticommutationViolation, DimensionMismatch, IoError
-from .fiber import (DEFAULT_COND_CAP, FiberMetric, PadeBasis, as_fiber_matrix, g_adjoint,
-                    max_abs, pade_basis, slice_max_abs)
+from .fiber import (DEFAULT_COND_CAP, FiberMetric, PadeBasis, antilinear_form, as_fiber_matrix,
+                    g_adjoint, max_abs, pade_basis, slice_max_abs)
 
 # Largest fiber dimension a sample space, a suite config or a bundle may
 # ask for; larger requests are input errors, refused before any dim x dim
@@ -115,8 +115,8 @@ class AcsField:
     Construction checks shape and finiteness only; whether each operator
     actually squares to -identity is the job of :func:`validate_acs`, so
     that defective input data can be loaded and then diagnosed.  Instances
-    are treated as immutable once constructed: ``square_residuals`` and
-    ``orientation`` are computed on first read and kept.
+    are treated as immutable once constructed: ``square_residuals``,
+    ``is_standard`` and ``orientation`` are computed on first read and kept.
     """
 
     space: SampleSpace
@@ -137,6 +137,14 @@ class AcsField:
         return residuals
 
     @cached_property
+    def is_standard(self) -> bool:
+        """Whether every point's operator is exactly the standard structure
+        J_std, compared bit for bit; one comparison, on first read, which
+        every chart field at this base shares: only there does a chart
+        point compute in complex form."""
+        return bool((self.ops == standard_acs(self.space.dim)).all())
+
+    @cached_property
     def orientation(self) -> np.ndarray:
         """:func:`orientation_marker` of ``ops`` per point, read-only; one
         call, on first read, so a reference field reused over many
@@ -152,7 +160,8 @@ class TangentField:
     anticommuting with the base operators, checked to ``COORD_TOL`` where a
     caller builds one; tangents computed from checked ones are not checked
     again (:meth:`derived`).  Treated as immutable once built: ``pade``,
-    what the exponential of a multiple of it needs, is computed on first
+    what the exponential of a multiple of it needs, and ``antilinear_form``,
+    what the chart functionals read at a J_std base, are computed on first
     read and kept."""
 
     space: SampleSpace
@@ -175,6 +184,14 @@ class TangentField:
         read and kept: the geodesic kernels read it at every t, so a sweep
         over t pays for the velocity's powers once."""
         return pade_basis(self.ops)
+
+    @cached_property
+    def antilinear_form(self) -> np.ndarray | None:
+        """The :func:`~acsgeom.fiber.antilinear_form` of ``ops``, the complex
+        (n/2) x (n/2) Q of z -> Q z-bar per point with the point index last,
+        or None where some point fails its gate; built on first read and
+        kept, so a direction that many chart functionals read pays once."""
+        return antilinear_form(self.ops)
 
     @classmethod
     def derived(cls, base: AcsField, ops: np.ndarray) -> TangentField:

@@ -16,10 +16,14 @@ Cholesky written out in numpy certifies.  Building a chart field admits
 no array again, and its only finiteness tests are its two guards'.  Each
 velocity builds its Pade basis once: a default ``geodesic`` builds one
 for its 45 kernel calls, and a warmed op builds none.  The warmed op makes
-one stacked inversion, the chart field's (1 - K^2)^{-1}: its tanh and both
-exponentials run in the algebra of A^2, which inverts in closed form.  It
-is counted under both public names in every module that binds them, and
-at ``fiber._inverse_and_scale``, which every route passes through.
+one stacked inversion, the chart field's (1 - K^2)^{-1}, and it is a
+``complex_inverse`` of the (n/2) x (n/2) complex form P = 1 - Q Q-bar: the
+field's base is exactly J_std and its K passes the form's gate, so no
+``mat_inv`` runs; its tanh and both exponentials run in the algebra of
+A^2, which inverts in closed form.  Each inversion is counted under its
+public names in every module that binds them, and at
+``fiber._inverse_and_scale``, which every route of ``mat_inv`` passes
+through.
 """
 
 import numpy as np
@@ -32,21 +36,22 @@ from acsgeom.verify import check_cayley, check_theorem1
 
 COUNTED = {np.linalg: ("solve", "inv", "svd", "eigvalsh", "cholesky", "norm"),
            st: ("orientation_marker", "pade_basis"),
-           fiber: ("pade_basis", "mat_inv", "mat_inv_guarded", "_inverse_and_scale"),
-           charts: ("mat_inv", "mat_inv_guarded")}
+           fiber: ("pade_basis", "mat_inv", "mat_inv_guarded", "_inverse_and_scale",
+                   "complex_inverse"),
+           charts: ("mat_inv", "mat_inv_guarded", "complex_inverse")}
 # per op, once the reference has kept its orientation.  The one stacked
 # inversion left (4 before the algebra route: the chart field's, the tanh
-# quotient's and each ambient exponential's) is the chart field's guarded
-# (1 - K^2)^{-1}, of an operator that commutes with the standard base,
-# which fiber.mat_inv inverts in complex form with no LAPACK call at dim 4;
-# the tanh quotient and the exponentials run in the algebra of A^2 and
-# invert in closed form.  validate_associated's positivity is certified
-# by a Cholesky written out in numpy, and its min_eig (eigvalsh) no one
-# reads; the identity metric's adjoint is a transpose; the marker is the
+# quotient's and each ambient exponential's; 1 mat_inv before the complex
+# chart) is the chart field's guarded (1 - K^2)^{-1}, a complex_inverse of
+# its complex form at the standard base, with no LAPACK call at dim 4; the
+# tanh quotient and the exponentials run in the algebra of A^2 and invert
+# in closed form.  validate_associated's positivity is certified by a
+# Cholesky written out in numpy, and its min_eig (eigvalsh) no one reads;
+# the identity metric's adjoint is a transpose; the marker is the
 # orthogonal geodesic's; the three velocities keep their Pade bases
 BUDGET = {"solve": 0, "inv": 0, "svd": 0, "eigvalsh": 0, "cholesky": 0, "norm": 0,
           "orientation_marker": 1, "pade_basis": 0,
-          "mat_inv": 1, "mat_inv_guarded": 0, "_inverse_and_scale": 1}
+          "mat_inv": 0, "mat_inv_guarded": 0, "_inverse_and_scale": 0, "complex_inverse": 1}
 GRID = np.linspace(0.0, 2.0, 9)
 
 

@@ -15,7 +15,7 @@ from acsgeom.fiber import (
     PADE_13,
     THETA_13,
     FiberMetric,
-    _commuting_defect,
+    _defect,
     _pade_13,
     as_fiber_matrix,
     diagonal_and_norm_1,
@@ -120,8 +120,17 @@ class TestMatInvGuarded:
         # kappa_2 = 8e11 is under the cap; kappa_F = sqrt(3) * 8e11 is over it
         ill = np.diag([1.0, 1.0, 1.0, 1.25e-12])
         assert np.linalg.cond(ill) < DEFAULT_COND_CAP
-        with pytest.raises(SingularOperator, match=r"estimate 1\.385641e\+12 exceeds cap"):
+        with pytest.raises(SingularOperator, match=r"estimate 1\.39e\+12 exceeds cap"):
             mat_inv_guarded(ill)
+
+    def test_refused_estimate_is_printed_to_3_digits(self):
+        # near the cap the estimate's own rounding is at the percent level:
+        # two estimates of one factor that differ in their fourth digit read
+        # the same
+        for cond in (1.907028e14, 1.9051e14, 1.9149e14):
+            with pytest.raises(SingularOperator) as info:
+                fiber._refuse_ill_conditioned(np.array([1.0, cond, 3.0]))
+            assert str(info.value) == "condition estimate 1.91e+14 exceeds cap 1.000000e+12"
 
     def test_refuses_whatever_the_2_norm_refuses(self):
         rng = np.random.default_rng(3)
@@ -709,7 +718,7 @@ class TestGuardEstimate:
             assert got is None
         elif worst > DEFAULT_COND_CAP * (1.0 + 1e-12):
             assert got.startswith("condition estimate ")
-            assert float(got.split()[2]) == pytest.approx(worst, rel=1e-6)  # printed to 7 digits
+            assert float(got.split()[2]) == pytest.approx(worst, rel=5e-3)  # printed to 3 digits
 
     def test_edge_values(self):
         m = np.tile(np.eye(4), (5, 1, 1))
@@ -885,11 +894,11 @@ class TestOnePathStacks:
         c = x[commuting]
         c[:, 1::2, 0::2], c[:, 1::2, 1::2] = -c[:, 0::2, 1::2], c[:, 0::2, 0::2]
         x[commuting] = c
-        assert not _commuting_defect(slice_last_blocks(x))[commuting].any()
+        assert not _defect(slice_last_blocks(x), True)[commuting].any()
         for value, density in zip(SPECIAL, densities):
             x[rng.random(x.shape) < density] = value
         with np.errstate(over="ignore", invalid="ignore"):  # inf - inf
-            got, want = _commuting_defect(slice_last_blocks(x)), old_commuting_defect(x)
+            got, want = _defect(slice_last_blocks(x), True), old_commuting_defect(x)
         assert np.array_equal(got, want, equal_nan=True)
 
 

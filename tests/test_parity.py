@@ -24,11 +24,16 @@ runs that reach its edge cases, by these rules:
 - a residual that was at most 1e-3 times its tolerance stays at most 1e-3
   times it; the ``acs_residual`` of the geodesic trace is held to the
   1e-10 of ``validate_acs``;
-- the residuals of the h = 1e-4 central-difference stencil sit at its
-  rounding floor, eps / h^2 ~ 2.2e-8, and move with any change of bits:
-  the ``geodesics`` ``ode_residual_dim*`` and the trace's
-  ``geodesic_residual``.  They stay under their tolerance of 1e-6 and are
-  listed one by one.
+- the residuals of the h = 1e-4 central-difference stencils sit at their
+  rounding floor (eps / h^2 ~ 2.2e-8 for the second difference) or their
+  truncation error, and move with any change of bits: the ``geodesics``
+  ``ode_residual_dim*``, the trace's ``geodesic_residual``, the
+  ``curvature_fd`` ``fd_match_dim*`` and the ``metric_structure``
+  ``metric_compat_fd_dim*``.  Each stays on the same side of its own
+  tolerance (the trace's 1e-6; a trace row already past it, past the first
+  t at fault, may move) and is listed one by one;
+- the ``theorem2`` ``fd_order_dim*`` factor, a quotient of two stencil
+  errors, stays inside its window (2.5, 6.0) and is listed one by one.
 
 The goldens that differ are then rewritten, and every changed number is
 recorded as old -> new with its tolerance.  No tolerance is loosened.
@@ -57,12 +62,14 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GOLDEN = os.path.join(ROOT, "tests", "golden")
 REL = 1e-12
 # a residual at most FLOOR times its tolerance is at its rounding floor; the
-# trace's acs_residual is held to validate_acs's ACS_TOL, and the residuals
-# of the h = 1e-4 stencil (named by STENCIL) to their tolerance
+# trace's acs_residual is held to validate_acs's ACS_TOL, the residuals of
+# the h = 1e-4 stencils (named by STENCIL) to their own tolerances, the
+# trace's to STENCIL_TOL, and theorem2's order factors to ORDER_WINDOW
 FLOOR = 1e-3
 ACS_TOL = 1e-10
 STENCIL_TOL = 1e-6
-STENCIL = ("ode_residual_dim", "geodesic_residual")
+STENCIL = ("ode_residual_dim", "geodesic_residual", "fd_match_dim", "metric_compat_fd_dim")
+ORDER_WINDOW = (2.5, 6.0)
 # input bundles, relative to the repository root, where the commands run
 PROJECT_BUNDLE = os.path.join("tests", "golden", "project_bundle.json")
 ASSOC_BUNDLE = os.path.join("tests", "golden", "assoc_bundle.json")
@@ -160,8 +167,13 @@ def _rule(path, old, new, tolerance):
     if path.endswith(".acs_residual"):
         return f"acs_residual, held to {ACS_TOL:g}", new <= ACS_TOL or old > ACS_TOL
     if any(name in path for name in STENCIL):
-        return (f"stencil residual, tolerance {STENCIL_TOL:g}",
-                new <= STENCIL_TOL or old > STENCIL_TOL)
+        tolerance = STENCIL_TOL if tolerance is None else tolerance
+        return (f"stencil residual, tolerance {tolerance:g}",
+                (new <= tolerance) == (old <= tolerance)
+                or path.endswith(".geodesic_residual") and old > tolerance)
+    if "[fd_order_dim" in path and path.endswith("].factor"):
+        low, high = ORDER_WINDOW
+        return f"order factor, window {ORDER_WINDOW}", low <= new <= high
     if tolerance is not None and isinstance(old, float) and old <= FLOOR * tolerance:
         return f"floor residual, tolerance {tolerance:g}", new <= FLOOR * tolerance
     kept = isinstance(new, (int, float)) and not isinstance(new, bool) \
@@ -270,6 +282,52 @@ def test_diff_rules():
     moved["checks"][0]["passed"] = False
     assert compare(moved, doc)[1] == ["pass set ['geodesics'] -> []",
                                       "checks[geodesics].passed: True -> False"]
+    # the other stencils keep the side of their own tolerances; the order
+    # factor stays in its window; a trace row past 1e-6 may move
+    stencils = {"checks": [
+        {"name": "curvature_fd", "passed": True, "max_residual": 1e-08, "tolerance": 1e-05,
+         "details": [{"name": "fd_match_dim2", "passed": True, "residual": 1e-08,
+                      "tolerance": 1e-05}]},
+        {"name": "metric_structure", "passed": False, "max_residual": 1.007e-06,
+         "tolerance": 1e-06, "details": [
+             {"name": "metric_compat_fd_dim2", "passed": False, "residual": 1.007e-06,
+              "tolerance": 1e-06},
+             {"name": "metric_compat_fd_dim4", "passed": True, "residual": 2e-08,
+              "tolerance": 1e-06}]},
+        {"name": "theorem2", "passed": True, "max_residual": 0.0, "tolerance": 0.0,
+         "details": [{"name": "fd_order_dim2", "passed": True, "residual": 0.0,
+                      "tolerance": 0.0, "factor": 3.97, "window": [2.5, 6.0]},
+                     {"name": "fd_order_dim4", "passed": True, "residual": 0.0,
+                      "tolerance": 0.0, "factor": 4.1, "window": [2.5, 6.0]}]}],
+        "columns": ["t", "geodesic_residual"], "rows": [[7.5, 2e-07], [15.0, 3.4e-06]]}
+    moved = json.loads(json.dumps(stencils))
+    fd, compat, order = (check["details"] for check in moved["checks"])
+    fd[0]["residual"] = moved["checks"][0]["max_residual"] = 9e-06
+    compat[0]["residual"] = moved["checks"][1]["max_residual"] = 1.001e-06
+    compat[1]["residual"] = 9e-07
+    order[0]["factor"], order[1]["factor"] = 4.0001, 6.5
+    moved["rows"][0][1], moved["rows"][1][1] = 3e-07, 4e-07
+    changes, breaches = compare(moved, stencils)
+    assert breaches == []
+    assert {path: kept for path, _, _, _, kept in changes} == {
+        "checks[curvature_fd].details[fd_match_dim2].residual": True,
+        "checks[curvature_fd].max_residual": True,
+        "checks[metric_structure].details[metric_compat_fd_dim2].residual": True,
+        "checks[metric_structure].max_residual": True,
+        "checks[metric_structure].details[metric_compat_fd_dim4].residual": True,
+        "checks[theorem2].details[fd_order_dim2].factor": True,
+        "checks[theorem2].details[fd_order_dim4].factor": False,
+        "rows[t=7.5].geodesic_residual": True, "rows[t=15.0].geodesic_residual": True}
+    fd[0]["residual"] = moved["checks"][0]["max_residual"] = 1.1e-05  # crosses 1e-5
+    compat[0]["residual"] = moved["checks"][1]["max_residual"] = 9.9e-07  # crosses 1e-6
+    compat[1]["residual"] = 1.1e-06
+    moved["rows"][0][1] = 1.1e-06
+    kept = {path: kept for path, _, _, _, kept in compare(moved, stencils)[0]}
+    assert not any(kept[path] for path in (
+        "checks[curvature_fd].details[fd_match_dim2].residual",
+        "checks[metric_structure].details[metric_compat_fd_dim2].residual",
+        "checks[metric_structure].details[metric_compat_fd_dim4].residual",
+        "rows[t=7.5].geodesic_residual"))
 
 
 def write_goldens() -> None:
