@@ -10,13 +10,14 @@ inversion of 1 - K^2 at construction, from which the (1 - K)^{-1} =
 (1 + K)(1 - K^2)^{-1} that the chart map and its differential share
 follows with one matmul.  On raw arrays it admits J0 and K
 (:func:`acsgeom.fiber.as_fiber_matrix`) and checks J0^2 = -1 and the
-anticommutation of K first; a field-level caller that already holds those
-checks (:class:`acsgeom.geometry.ChartField`) passes them in, and they
-vouch for admission too, so each runs once.  Given K's complex form Q at
-a base that is exactly J_std, as a chart field passes it where K passes
-the gate of :func:`acsgeom.fiber.antilinear_form` (its antilinear defect
-at most 64 eps of its largest entry), the chart point computes in complex
-form: 1 - K^2 = 1 - Q Q-bar, its inverse S by the complex adjugate at
+anticommutation of K first; a chart field
+(:class:`acsgeom.geometry.ChartField`) builds its point with
+:meth:`CayleyCoordinate.of_fields`, which reads those checks, and the
+admission, from the fields, so each runs once.  At a base field that is
+exactly J_std, where K passes the gate of
+:func:`acsgeom.fiber.antilinear_form` (its antilinear defect at most
+64 eps of its largest entry), the chart point computes from K's complex
+form Q: 1 - K^2 = 1 - Q Q-bar, its inverse S by the complex adjugate at
 dims 2 and 4 and a complex solve above, (1 - K)^{-1} = S + Q S-bar, and
 both guards in closed form, within about kappa 64 eps n relative of the
 real route.  Every map takes a single matrix or a (points, n, n) stack and acts on each
@@ -26,7 +27,7 @@ geometry modules.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -72,16 +73,11 @@ class CayleyCoordinate:
 
     Construction checks the chart domain at every point, in this order:
     J0^2 = -1, K anticommutes with J0, 1 - K passes :func:`guard_inverse`,
-    and then so does 1 - K^2.  A NaN residual fails.  A caller that has
-    checked part of this passes what it knows: ``base_residuals``, the kept
-    per-point max |J0^2 + 1| of its base, is read in place of computing
-    J0^2, and ``anticommuting=True`` says K was checked against this very
-    base where it was made, so that check is skipped.  Each also vouches
-    for admission: the base, or K, is then a field's admitted stack, taken
-    as it is, with no pass over its entries; a vouched K that is not an
-    array of the base's shape is refused as :class:`DimensionMismatch`, and
-    a non-finite derived K is refused at 1 - K^2, where
-    :func:`mat_inv_guarded` of 1 - K admits it first.
+    and then so does 1 - K^2.  A NaN residual fails.  ``CayleyCoordinate(
+    base, K)`` admits both arrays (:func:`as_fiber_matrix`) and runs every
+    check.  :meth:`of_fields`, the constructor of a chart field
+    (:class:`acsgeom.geometry.ChartField`), reads what the fields have
+    checked from the fields themselves, so each check runs once.
 
     1 - K^2 commutes with J0, since K anticommutes with it; it is kept as
     the read-only ``square``, inverted once, and its inverse is kept as the
@@ -94,41 +90,61 @@ class CayleyCoordinate:
     eps kappa(1 - K) ||(1 - K)^{-1}|| for a solve of 1 - K; both are of
     order eps when 1 - K^2 is well conditioned.
 
-    ``antilinear``, K's :func:`~acsgeom.fiber.antilinear_form` Q, says that
-    the base is exactly J_std at every point and that K passes the form's
-    gate, as the caller's fields have checked
-    (:class:`acsgeom.geometry.ChartField`).
-    The chart point then computes in complex form, kept as ``form`` (a
-    :class:`ComplexChart`): P = 1 - Q Q-bar, S = P^{-1} by
-    :func:`complex_inverse` (the adjugate at dims 2 and 4, a complex solve
-    above), R = Q S-bar, and both guards' kappa_F in closed form
-    (:func:`guard_forms`), in the same order, with the same rule and
-    messages.  The gate bounds the antilinear defect of K by 64 eps of its
-    largest entry, so the complex form adds at most about kappa 64 eps n
-    relative error, as :func:`mat_inv`'s does.  ``square``,
-    ``square_resolvent`` and ``resolvent`` are then real stacks computed on
-    first read.  A 1 - K^2 that is not finite takes the real route, which
-    refuses it as above; ``form`` is then None, as it is without
-    ``antilinear``.
+    A chart point of :meth:`of_fields` whose base is exactly J_std and
+    whose K passes the gate of :func:`~acsgeom.fiber.antilinear_form`
+    computes in complex form, kept as ``form`` (a :class:`ComplexChart`):
+    P = 1 - Q Q-bar for K's form Q, S = P^{-1} by :func:`complex_inverse`
+    (the adjugate at dims 2 and 4, a complex solve above), R = Q S-bar,
+    and both guards' kappa_F in closed form (:func:`guard_forms`), in the
+    same order, with the same rule and messages.  The gate bounds the
+    antilinear defect of K by 64 eps of its largest entry, so the complex
+    form adds at most about kappa 64 eps n relative error, as
+    :func:`mat_inv`'s does.  ``square``, ``square_resolvent`` and
+    ``resolvent`` are then real stacks computed on first read.  A 1 - K^2
+    that is not finite takes the real route, which refuses it as above;
+    ``form`` is then None, as it is on every other point.
     """
 
     base: np.ndarray
     K: np.ndarray
-    base_residuals: InitVar[np.ndarray | None] = None
-    anticommuting: InitVar[bool] = False
-    antilinear: InitVar[np.ndarray | None] = None
     form: ComplexChart | None = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self, base_residuals, anticommuting, antilinear):
-        j0 = self.base if base_residuals is not None else as_fiber_matrix(self.base)
-        k = self.K if anticommuting else as_fiber_matrix(self.K, j0.shape, "coordinate")
-        if not (isinstance(k, np.ndarray) and k.shape == j0.shape):  # a vouched K
+    def __post_init__(self):
+        j0 = as_fiber_matrix(self.base)
+        k = as_fiber_matrix(self.K, j0.shape, "coordinate")
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite residual fails
+            residuals = max_abs(j0 @ j0 + np.eye(j0.shape[-1]))
+        self._settle(j0, k, residuals, False, None)
+
+    @classmethod
+    def of_fields(cls, base, K) -> CayleyCoordinate:
+        """The chart point of a structure field ``base`` and a tangent
+        field ``K``, read by attribute (:class:`acsgeom.structures.AcsField`
+        and ``TangentField``).  J0^2 = -1 is read from the base's kept
+        ``square_residuals``, and K's anticommutation is checked only where
+        ``K.base`` is not ``base``: a tangent is checked against its own
+        base where a caller makes it (``TangentField.derived`` exempts by
+        design the tangents the geometry computes).  The fields' stacks are
+        admitted already and taken as they are; K's, where it was made at
+        ``base``, with one type test and shape compare, a
+        :class:`DimensionMismatch` else, and a non-finite derived K is
+        refused at 1 - K^2, where :func:`mat_inv_guarded` of 1 - K admits it
+        first.  Where ``base.is_standard``, K's kept ``antilinear_form``
+        decides the complex route."""
+        point = cls.__new__(cls)
+        anticommuting = K.base is base
+        k = K.ops if anticommuting else as_fiber_matrix(K.ops, base.ops.shape, "coordinate")
+        if not (isinstance(k, np.ndarray) and k.shape == base.ops.shape):  # a derived K
             got = k.shape if isinstance(k, np.ndarray) else type(k).__name__
-            raise DimensionMismatch(f"coordinate must have shape {j0.shape}, got {got}")
-        eye = np.eye(j0.shape[-1])
-        if base_residuals is None:
-            with np.errstate(over="ignore", invalid="ignore"):  # a non-finite residual fails
-                base_residuals = max_abs(j0 @ j0 + eye)
+            raise DimensionMismatch(f"coordinate must have shape {base.ops.shape}, got {got}")
+        point._settle(base.ops, k, base.square_residuals, anticommuting,
+                      K.antilinear_form if base.is_standard else None)
+        return point
+
+    def _settle(self, j0, k, base_residuals, anticommuting, antilinear):
+        """Check the chart domain of the admitted j0 and k, and keep what
+        the chart point holds; ``antilinear`` is K's form Q, or None for
+        the real route."""
         if not np.all(base_residuals <= COORD_TOL):
             raise InvalidStructure("base does not square to -identity")
         if not anticommuting:
@@ -143,6 +159,7 @@ class CayleyCoordinate:
         object.__setattr__(self, "form", form)
         if form is not None:
             return
+        eye = np.eye(j0.shape[-1])
         with np.errstate(over="ignore", invalid="ignore"):
             square = eye - k @ k
         scale = slice_max_abs(square)

@@ -502,9 +502,9 @@ THETA_13 = 5.371920351148152
 # Largest |c| whose powers c^j, j <= 13, scale the approximant's
 # coefficients: c^13 stays below 2^832
 SCALE_MAX = 2.0 ** 64
-# Column j holds (b_2j, b_2j, b_2j+1, b_2j+1): one Horner pass evaluates the
-# rows [V, V, Q, Q] of the approximant's even part V and odd cofactor Q
-PADE_ROWS = np.array(PADE_13).reshape(7, 2)[:, [0, 0, 1, 1], None]
+# Column j holds (b_2j, b_2j+1): one Horner pass evaluates the rows [V, Q] of
+# the approximant's even part V and odd cofactor Q
+PADE_ROWS = np.array(PADE_13).reshape(7, 2, 1)
 # Largest |tr A|, relative to a slice's largest entry m, and |tr A^3|,
 # relative to m^3, at which the slice's exponentials run in the algebra of
 # A^2: tangents anticommute with their base only to a few ulps, so their
@@ -779,8 +779,9 @@ def _even_pade(alg: EvenAlgebra, c: float):
     squaring: s per slice (None where no slice squares), c' = 2^-s c,
     w = c'^2, z, and the squares of N = V + A' Q (:func:`_squares`), whose
     r = D^{-1} N = N^2 / (D N), D = V - A' Q.  V and Q come from one
-    Horner pass in R[Z] over their stacked rows, a few dozen vector
-    operations.  A non-finite norm raises :class:`NonFiniteValue`."""
+    Horner pass in R[Z] over their two stacked rows, a few dozen vector
+    operations, and are spread to the rows of N once.  A non-finite norm
+    raises :class:`NonFiniteValue`."""
     if not abs(c) * alg.norm_max < np.inf:
         raise NonFiniteValue("matrix exponential entries must be finite")
     c, squarings = np.float64(c), None
@@ -794,7 +795,7 @@ def _even_pade(alg: EvenAlgebra, c: float):
     x0, x1 = PADE_ROWS[5], PADE_ROWS[6]
     for column in PADE_ROWS[4::-1]:
         x0, x1 = column + x1 * z[2], x0 + x1 * sz
-    return squarings, scale, w, z, _squares((x0, x1), z)
+    return squarings, scale, w, z, _squares(_rows((x0[0], x1[0]), (x0[1], x1[1])), z)
 
 
 def _even_squared(num, den, squarings, z):

@@ -21,9 +21,12 @@ rule of ``fiber.COMMUTING_GATE``), its chart point is complex
 (:class:`~acsgeom.charts.ComplexChart`), and the chart functionals compute
 on the (n/2) x (n/2) complex forms that each direction keeps
 (``TangentField.antilinear_form``), within about kappa 64 eps n relative of
-the real formulas, kappa that of 1 - K^2.  Every other input keeps the real
-route, bit for bit: a base off J_std, a K or a direction outside the gate,
-and an array of directions, such as a family with leading axes.
+the real formulas, kappa that of 1 - K^2.  Each product the functionals
+share at one chart point, a direction's S Q and a pair's trace, is formed
+once there and kept for as long as the chart point lives.  Every other
+input keeps the real route, bit for bit: a base off J_std, a K or a
+direction outside the gate, and an array of directions, such as a family
+with leading axes.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .charts import CayleyCoordinate, ComplexChart
+from .charts import CayleyCoordinate
 from .fiber import complex_product, complex_trace, mat_exp, mat_tanh_half, real_form
 from .structures import AcsField, SampleSpace, TangentField, same_space
 
@@ -43,33 +46,40 @@ class ChartField:
     a coordinate field K.
 
     Construction builds ``coord``, the :class:`CayleyCoordinate` of the
-    stacks, which checks the chart domain at every point at once and
-    inverts 1 - K^2 only: the guarded resolvents (1 - K^2)^{-1} that every
-    chart functional reads, and the chart resolvent
-    (1 - K)^{-1} = (1 + K)(1 - K^2)^{-1} derived from them.  Each check
-    runs once: J0^2 = -1 is read from the base's kept
+    fields (:meth:`CayleyCoordinate.of_fields`), which checks the chart
+    domain at every point at once and inverts 1 - K^2 only: the guarded
+    resolvents (1 - K^2)^{-1} that every chart functional reads, and the
+    chart resolvent (1 - K)^{-1} = (1 + K)(1 - K^2)^{-1} derived from them.
+    Each check runs once: J0^2 = -1 is read from the base's kept
     ``square_residuals``, and the anticommutation of K is checked only
     when K was made at another base field, since a :class:`TangentField`
     is checked against its own base where a caller makes it
     (:meth:`TangentField.derived` exempts by design the tangents the
     geometry computes).  No array is admitted again: the base's stack, and
     K's when made at that base, are the fields' own, taken as they are.  At
-    a base that is exactly J_std (``base.is_standard``) the coordinate is
-    given K's kept ``antilinear_form`` and computes in complex form where K
-    passes its gate (``coord.form``).
+    a base that is exactly J_std (``base.is_standard``) the coordinate
+    computes in complex form where K's kept ``antilinear_form`` passes its
+    gate (``coord.form``).
+
+    A complex chart point also keeps, in ``kept``, what its functionals
+    share: each direction's resolved form X = S Q_X and each ordered pair's
+    trace 2 tr(S Q_A S-bar Q_B-bar) (:func:`_pair_trace`), each computed on
+    first read.  They are keyed by the ``id`` of the direction's kept
+    ``antilinear_form``, and each entry holds that form, so no key is
+    reused while the entry lives.  They live as long as the chart point;
+    nothing is kept across chart points.
     """
 
     space: SampleSpace
     base: AcsField
     K: TangentField
     coord: CayleyCoordinate = field(init=False, repr=False, compare=False)
+    kept: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         same_space(self, self.base, self.K)
-        object.__setattr__(self, "coord", CayleyCoordinate(
-            self.base.ops, self.K.ops, base_residuals=self.base.square_residuals,
-            anticommuting=self.K.base is self.base,
-            antilinear=self.K.antilinear_form if self.base.is_standard else None))
+        object.__setattr__(self, "coord", CayleyCoordinate.of_fields(self.base, self.K))
+        object.__setattr__(self, "kept", {})
 
     def resolvents(self) -> np.ndarray:
         """(1 - K^2)^{-1} per point, guarded; computed once (on the complex
@@ -135,20 +145,37 @@ def ambient_omega_terms(j: AcsField, a: Direction, b: Direction) -> np.ndarray:
 # chart expressions
 
 def _forms(c: ChartField, *directions: Direction) -> tuple | None:
-    """The complex route's forms: the chart point's :class:`ComplexChart`
-    and each direction's ``antilinear_form``, or None, for the real route,
-    unless all of them have one.  An array of directions has none."""
+    """The complex route's forms: each direction's ``antilinear_form``, or
+    None, for the real route, unless the chart point and all of them have
+    one.  An array of directions has none."""
     if c.coord.form is None or not all(isinstance(d, TangentField) for d in directions):
         return None
     forms = tuple(d.antilinear_form for d in directions)
-    return None if any(f is None for f in forms) else (c.coord.form, *forms)
+    return None if any(f is None for f in forms) else forms
 
 
-def _pair_trace(chart: ComplexChart, qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
-    """2 tr(S Q_A S-bar Q_B-bar) per point: S A S B is the linear map of
-    that form, and S A J0 S B, with J0 = J_std acting as i, that of -i times
-    it, so the real part is tr(S A S B) and the imaginary part tr(S A J0 S B)."""
-    return complex_trace(complex_product(complex_product(chart.s, qa), chart.s.conj()), qb.conj())
+def _resolved(c: ChartField, q: np.ndarray) -> np.ndarray:
+    """X = S Q, the linear form of (1 - K^2)^{-1} A for the direction of
+    form ``q`` at the complex chart point c, kept by c."""
+    entry = c.kept.get(id(q))
+    if entry is None:
+        entry = c.kept[id(q)] = q, complex_product(c.coord.form.s, q)
+    return entry[1]
+
+
+def _pair_trace(c: ChartField, qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
+    """2 tr(S Q_A S-bar Q_B-bar) per point, from the kept X_A = S Q_A
+    (:func:`_resolved`), and kept by c for the ordered pair: S A S B is the
+    linear map of that form, and S A J0 S B, with J0 = J_std acting as i,
+    that of -i times it, so the real part is tr(S A S B), which
+    :func:`chart_inner_terms` reads, and the imaginary part tr(S A J0 S B),
+    which :func:`chart_omega_terms` reads."""
+    key = id(qa), id(qb)
+    entry = c.kept.get(key)
+    if entry is None:
+        product = complex_product(_resolved(c, qa), c.coord.form.s.conj())
+        entry = c.kept[key] = qa, qb, complex_trace(product, qb.conj())
+    return entry[2]
 
 
 def chart_inner_terms(c: ChartField, a: Direction, b: Direction) -> np.ndarray:
@@ -160,7 +187,7 @@ def chart_inner_terms(c: ChartField, a: Direction, b: Direction) -> np.ndarray:
     the real part of 2 tr(S Q_A S-bar Q_B-bar) (:func:`_pair_trace`)."""
     forms = _forms(c, a, b)
     if forms is not None:
-        return c.space.weights * 4.0 * _pair_trace(*forms).real
+        return c.space.weights * 4.0 * _pair_trace(c, *forms).real
     res = c.resolvents()
     return _weighted_traces(c.space, res @ _ops(a) @ res @ _ops(b), 4.0)
 
@@ -179,7 +206,7 @@ def chart_omega_terms(c: ChartField, a: Direction, b: Direction) -> np.ndarray:
     the same traces."""
     forms = _forms(c, a, b)
     if forms is not None:
-        return c.space.weights * 4.0 * _pair_trace(*forms).imag
+        return c.space.weights * 4.0 * _pair_trace(c, *forms).imag
     res = c.resolvents()
     return _weighted_traces(c.space, res @ _ops(a) @ c.base.ops @ res @ _ops(b), 4.0)
 
@@ -199,8 +226,8 @@ def christoffel(c: ChartField, a: TangentField, b: TangentField) -> TangentField
     same_space(c.K, a, b)
     forms = _forms(c, a, b)
     if forms is not None:
-        chart, qa, qb = forms
-        ks = chart.r.conj()
+        qa, qb = forms
+        ks = c.coord.form.r.conj()
         gamma = (complex_product(complex_product(qa, ks), qb)
                  + complex_product(complex_product(qb, ks), qa))
         return TangentField.derived(c.base, real_form(antilinear=gamma))
@@ -215,18 +242,18 @@ def curvature(c: ChartField, a: TangentField, b: TangentField,
     R(A, B) D = -(1-K^2) [[X, Y], Z] with X = (1-K^2)^{-1} A and so on;
     1 - K^2 is the chart point's own.  On the complex route X = S Q_A,
     [X, Y] = X Y-bar - Y X-bar, a linear form L, and [L, Z] = L Z - Z L-bar,
-    with Z = Y when d is b.  The route depends on a, b and d alike, and
-    swapping a and b negates L exactly, so R(A, B) D = -R(B, A) D and
-    R(A, A) D = 0 hold bit for bit on either route."""
+    with X, Y and Z the chart point's kept resolved forms (:func:`_resolved`),
+    so a direction read again, as d is b, is resolved once.  The route
+    depends on a, b and d alike, and swapping a and b negates L exactly, so
+    R(A, B) D = -R(B, A) D and R(A, A) D = 0 hold bit for bit on either
+    route."""
     same_space(c.K, a, b, d)
     forms = _forms(c, a, b, d)
     if forms is not None:
-        chart, qa, qb, qd = forms
-        x, y = complex_product(chart.s, qa), complex_product(chart.s, qb)
-        z = y if d is b else complex_product(chart.s, qd)
+        x, y, z = (_resolved(c, q) for q in forms)
         xy = complex_product(x, y.conj()) - complex_product(y, x.conj())
         bracket = complex_product(xy, z) - complex_product(z, xy.conj())
-        stack = real_form(antilinear=-complex_product(chart.p, bracket))
+        stack = real_form(antilinear=-complex_product(c.coord.form.p, bracket))
         return TangentField.derived(c.base, stack)
     res = c.resolvents()
     x, y, z = res @ a.ops, res @ b.ops, res @ d.ops

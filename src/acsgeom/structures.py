@@ -333,12 +333,12 @@ def _certified_positive(sym: np.ndarray) -> bool:
     exceeds its finite diagonal entry, so the smallest square root of a
     pivot decides: a zero pivot leaves a root of 0, and a negative or NaN
     one a NaN.  False where a slice is not finite, fails or lies within
-    tau of the floor."""
-    scale = slice_max_abs(sym)
-    if not (scale < np.inf).all():
-        return False
+    tau of the floor.  Each slice's max|S| is read from that copy."""
     k, n = sym.shape[:2]
     a = sym.reshape(k, n * n).T.copy()  # row r n + c holds entry (r, c) of every slice
+    scale = np.abs(a).max(axis=0)  # a NaN entry gives NaN
+    if not (scale < np.inf).all():
+        return False
     a[::n + 1] -= POSITIVITY_FLOOR + 8 * n**3 * np.finfo(float).eps * scale
     a = a.reshape(n, n, k)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -356,15 +356,17 @@ def validate_associated(j: AcsField, w: SymplecticField) -> FieldReport:
 
     Invariance means J^T W J = W; positivity means the smallest eigenvalue
     ``min_eig`` of S, the symmetric part of W J, exceeds
-    ``POSITIVITY_FLOOR``.  The verdict is eigvalsh's: read from one
-    Cholesky written out in numpy (:func:`_certified_positive`), else from
-    ``min_eig``, which the report otherwise computes from the kept,
-    read-only S on the first read of ``values["min_eig"]`` or ``per_point``.
+    ``POSITIVITY_FLOOR``.  Both read one product P = W J: the residual is
+    that of J^T P - W, and S = (P + P^T) / 2.  The verdict is eigvalsh's:
+    read from one Cholesky written out in numpy
+    (:func:`_certified_positive`), else from ``min_eig``, which the report
+    otherwise computes from the kept, read-only S on the first read of
+    ``values["min_eig"]`` or ``per_point``.
     """
     same_space(j, w)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite residual fails
-        residuals = slice_max_abs(j.ops.mT @ w.forms @ j.ops - w.forms)
         prod = w.forms @ j.ops
+        residuals = slice_max_abs(j.ops.mT @ prod - w.forms)
         sym = 0.5 * (prod + prod.mT)
     sym.flags.writeable = False
     values = ValuesOnRead(min_eig=lambda: _min_eig(sym))

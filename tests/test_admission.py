@@ -11,8 +11,9 @@ import pytest
 
 from acsgeom.charts import (CayleyCoordinate, acs_to_cayley, pushforward, random_anticommuting,
                             shape_anticommuting, standard_acs)
-from acsgeom.errors import DimensionMismatch, NonFiniteValue
-from acsgeom.fiber import FiberMetric, g_adjoint, mat_exp, mat_inv_guarded, mat_tanh_half
+from acsgeom.errors import AnticommutationViolation, DimensionMismatch, NonFiniteValue
+from acsgeom.fiber import (FiberMetric, antilinear_form, g_adjoint, mat_exp, mat_inv_guarded,
+                           mat_tanh_half)
 from acsgeom.geometry import ChartField
 from acsgeom.structures import (AcsField, SampleSpace, SymplecticField, TangentField,
                                 standard_acs_field)
@@ -84,10 +85,33 @@ def test_chart_field_refuses_a_non_finite_derived_coordinate(value):
         NonFiniteValue, "matrix entries must be finite")
 
 
-# a vouched K is taken as it is, with no pass over its entries: one type
-# test and one shape compare
+# a K derived at the chart's own base is taken as it is, with no pass over
+# its entries: one type test and one shape compare
 @pytest.mark.parametrize("k, got", [(np.zeros((4, 4)), "(4, 4)"),
                                     (np.zeros((3, 4, 4)).tolist(), "list")])
 def test_vouched_coordinate_must_be_an_array_of_the_base_shape(k, got):
-    assert refusal(lambda: CayleyCoordinate(J0.ops, k, anticommuting=True)) == (
+    derived = TangentField.derived(J0, k)
+    assert refusal(lambda: CayleyCoordinate.of_fields(J0, derived)) == (
         DimensionMismatch, f"coordinate must have shape (3, 4, 4), got {got}")
+
+
+# the facts a chart point may take on trust (K's complex form, the base's
+# J0^2 residuals, K's anticommutation) come from fields only: a raw call
+# takes no claim and runs every check
+@pytest.mark.parametrize("claim", ["antilinear", "base_residuals", "anticommuting"])
+def test_a_raw_chart_point_takes_no_claim(claim):
+    k = random_anticommuting(np.random.default_rng(0), J0.ops)
+    false = {"antilinear": antilinear_form(np.zeros_like(k)),
+             "base_residuals": np.zeros(3), "anticommuting": True}[claim]
+    with pytest.raises(TypeError):
+        CayleyCoordinate(J0.ops, k, **{claim: false})
+    point = CayleyCoordinate(J0.ops, k)
+    assert point.form is None
+    assert np.array_equal(point.square, np.eye(4) - k @ k)
+
+
+def test_a_field_made_at_another_base_is_checked_against_this_one():
+    other = standard_acs_field(SPACE)
+    k = TangentField.derived(other, np.tile(np.eye(4), (3, 1, 1)))  # commutes with J_std
+    assert refusal(lambda: CayleyCoordinate.of_fields(J0, k)) == (
+        AnticommutationViolation, "coordinate does not anticommute with the base structure")

@@ -23,8 +23,14 @@ field's base is exactly J_std and its K passes the form's gate, so no
 A^2, which inverts in closed form.  Each inversion is counted under its
 public names in every module that binds them, and at
 ``fiber._inverse_and_scale``, which every route of ``mat_inv`` passes
-through.
+through.  The chart field's complex products are pinned as well: the
+functionals share each direction's S Q and each pair's trace, which the
+chart point keeps, so the warmed op makes 14 ``complex_product`` calls and
+one ``complex_trace``, and ``validate_associated`` forms W J once, so it
+makes 2 stacked matmuls.
 """
+
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -32,13 +38,14 @@ import pytest
 from acsgeom import charts, cli, fiber
 from acsgeom import geometry as ge
 from acsgeom import structures as st
-from acsgeom.verify import check_cayley, check_theorem1
+from acsgeom.verify import check_cayley, check_curvature_fd, check_theorem1
 
 COUNTED = {np.linalg: ("solve", "inv", "svd", "eigvalsh", "cholesky", "norm"),
            st: ("orientation_marker", "pade_basis"),
            fiber: ("pade_basis", "mat_inv", "mat_inv_guarded", "_inverse_and_scale",
                    "complex_inverse"),
-           charts: ("mat_inv", "mat_inv_guarded", "complex_inverse")}
+           charts: ("mat_inv", "mat_inv_guarded", "complex_inverse", "complex_product"),
+           ge: ("complex_product", "complex_trace")}
 # per op, once the reference has kept its orientation.  The one stacked
 # inversion left (4 before the algebra route: the chart field's, the tanh
 # quotient's and each ambient exponential's; 1 mat_inv before the complex
@@ -48,10 +55,16 @@ COUNTED = {np.linalg: ("solve", "inv", "svd", "eigvalsh", "cholesky", "norm"),
 # in closed form.  validate_associated's positivity is certified by a
 # Cholesky written out in numpy, and its min_eig (eigvalsh) no one reads;
 # the identity metric's adjoint is a transpose; the marker is the
-# orthogonal geodesic's; the three velocities keep their Pade bases
+# orthogonal geodesic's; the three velocities keep their Pade bases.  Of
+# the complex products (17 and 2 traces before the chart point kept what
+# its functionals share), the chart point makes 2 (Q Q-bar and Q S-bar),
+# christoffel 4, curvature 7 (S Q_A and S Q_B, which it keeps, and 5 for
+# the brackets and 1 - K^2), chart_inner 1 (X_A S-bar) and its trace, and
+# chart_omega none: it reads the trace chart_inner kept
 BUDGET = {"solve": 0, "inv": 0, "svd": 0, "eigvalsh": 0, "cholesky": 0, "norm": 0,
           "orientation_marker": 1, "pade_basis": 0,
-          "mat_inv": 0, "mat_inv_guarded": 0, "_inverse_and_scale": 0, "complex_inverse": 1}
+          "mat_inv": 0, "mat_inv_guarded": 0, "_inverse_and_scale": 0, "complex_inverse": 1,
+          "complex_product": 14, "complex_trace": 1}
 GRID = np.linspace(0.0, 2.0, 9)
 
 
@@ -160,3 +173,64 @@ def test_geodesic_makes_one_eigenvalue_call_on_one_matrix(counted, monkeypatch, 
     assert counted["cholesky"] == 0
     # one velocity: 9 times, each with one exponential and four tanh
     assert counted["pade_basis"] == 1
+
+
+class CountingMatmul(np.ndarray):
+    """An array that counts the matmuls it takes part in; what they return
+    counts too."""
+
+    matmuls = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+        if ufunc is np.matmul:
+            CountingMatmul.matmuls += 1
+
+        def plain(x):
+            return x.view(np.ndarray) if isinstance(x, CountingMatmul) else x
+
+        if out is not None:
+            kwargs["out"] = tuple(map(plain, out))
+        result = getattr(ufunc, method)(*map(plain, inputs), **kwargs)
+        if out is not None:
+            return out[0] if len(out) == 1 else out
+        return result.view(CountingMatmul) if isinstance(result, np.ndarray) else result
+
+
+def test_validate_associated_forms_w_j_once(monkeypatch):
+    # P = W J serves both the residual of J^T P - W and S = sym(P): two
+    # stacked matmuls, three before
+    rng = np.random.default_rng(3)
+    space = st.random_sample_space(rng, 4, 16)
+    j0 = st.standard_acs_field(space)
+    j = ge.geodesic_ambient(j0, st.random_tangent_field(rng, j0, part="symmetric"), 1.5)
+    w = st.standard_symplectic_field(space)
+    plain = st.validate_associated(j, w)
+    j.ops, w.forms = j.ops.view(CountingMatmul), w.forms.view(CountingMatmul)
+    monkeypatch.setattr(CountingMatmul, "matmuls", 0)
+    counted = st.validate_associated(j, w)
+    assert CountingMatmul.matmuls == 2
+    assert counted.passed and plain.passed
+    assert np.array_equal(counted.residuals, plain.residuals)
+
+
+def test_curvature_fd_resolves_each_direction_once_per_chart_point(monkeypatch):
+    # check_curvature_fd reads curvature five times at one chart point with
+    # three directions, and once at the chart origin: each S Q_X is formed
+    # once per chart point and direction, 3 + 3 per dim
+    inverses, forms, resolved = [], [], Counter()  # the arrays are held, so no id is reused
+    complex_inverse, complex_product = charts.complex_inverse, ge.complex_product
+
+    def keep_inverse(p):
+        inverses.append(complex_inverse(p))
+        return inverses[-1]
+
+    def product(x, y):
+        if any(x is s for s in inverses):  # S Q_X
+            forms.append(y)
+            resolved[id(x), id(y)] += 1
+        return complex_product(x, y)
+
+    monkeypatch.setattr(charts, "complex_inverse", keep_inverse)
+    monkeypatch.setattr(ge, "complex_product", product)
+    assert check_curvature_fd().passed
+    assert list(resolved.values()) == [1] * 12
