@@ -5,31 +5,29 @@ sends K to J0 (1 + K)(1 - K)^{-1}; it is a diffeomorphism onto the set of
 structures J for which 1 - J J0 is invertible, and its inverse is
 K = (1 - J J0)^{-1} (1 + J J0).  The exponential map J0 exp(t A) is the
 geodesic :func:`acsgeom.geometry.geodesic_ambient`.  A chart point is a
-:class:`CayleyCoordinate`: it alone decides the chart domain, by one
-inversion of 1 - K^2 at construction, from which the (1 - K)^{-1} =
-(1 + K)(1 - K^2)^{-1} that the chart map and its differential share
-follows with one matmul.  On raw arrays it admits J0 and K
-(:func:`acsgeom.fiber.as_fiber_matrix`) and checks J0^2 = -1 and the
-anticommutation of K first; a chart field
-(:class:`acsgeom.geometry.ChartField`) builds its point with
-:meth:`CayleyCoordinate.of_fields`, which reads those checks, and the
-admission, from the fields, so each runs once.  At a base field that is
-exactly J_std, where K passes the gate of
+:class:`CayleyCoordinate` of a structure field and a tangent field, which
+a chart field (:class:`acsgeom.geometry.ChartField`) builds: it alone
+decides the chart domain, by one inversion of 1 - K^2 at construction,
+from which the (1 - K)^{-1} = (1 + K)(1 - K^2)^{-1} that the chart map
+and its differential share follows with one matmul.  It reads J0^2 = -1,
+the admission of both stacks and, where K was made at its base, K's
+anticommutation from the fields, so each check runs once.  At a base
+field that is exactly J_std, where K passes the gate of
 :func:`acsgeom.fiber.antilinear_form` (its antilinear defect at most
 64 eps of its largest entry), the chart point computes from K's complex
 form Q: 1 - K^2 = 1 - Q Q-bar, its inverse S by the complex adjugate at
 dims 2 and 4 and a complex solve above, (1 - K)^{-1} = S + Q S-bar, and
 both guards in closed form, within about kappa 64 eps n relative of the
-real route.  Every map takes a single matrix or a (points, n, n) stack and acts on each
-fiber independently; field-level wrappers live in the structures and
-geometry modules.
+real route.  The chart maps take fields and act on each point
+independently; the fields live in the structures module, which this
+module does not import, so it reads them by attribute.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -37,6 +35,9 @@ from .errors import AnticommutationViolation, DimensionMismatch, InvalidStructur
 from .fiber import (FiberMetric, as_fiber_matrix, complex_inverse, complex_product, form_scale,
                     g_adjoint, guard_forms, guard_inverse, mat_inv, mat_inv_guarded, max_abs,
                     real_form, slice_max_abs)
+
+if TYPE_CHECKING:  # the fields import this module
+    from .structures import AcsField, TangentField
 
 # Tolerance of the chart domain checks; caller-made tangents meet it too.
 COORD_TOL = 1e-10
@@ -68,16 +69,22 @@ class ComplexChart(NamedTuple):
 
 @dataclass(frozen=True)
 class CayleyCoordinate:
-    """Points of the rational chart: base structure plus coordinate K,
-    single matrices or (points, n, n) stacks of the same shape.
+    """The point K of the rational chart at a base J0, from a structure
+    field ``base`` (:class:`acsgeom.structures.AcsField`) and a tangent
+    field ``K`` (``TangentField``) on one sample space, whose
+    (points, n, n) stacks were admitted where the fields were made.
 
     Construction checks the chart domain at every point, in this order:
-    J0^2 = -1, K anticommutes with J0, 1 - K passes :func:`guard_inverse`,
-    and then so does 1 - K^2.  A NaN residual fails.  ``CayleyCoordinate(
-    base, K)`` admits both arrays (:func:`as_fiber_matrix`) and runs every
-    check.  :meth:`of_fields`, the constructor of a chart field
-    (:class:`acsgeom.geometry.ChartField`), reads what the fields have
-    checked from the fields themselves, so each check runs once.
+    J0^2 = -1, read from the base's kept ``square_residuals``; K
+    anticommutes with J0; 1 - K passes :func:`guard_inverse`, and then so
+    does 1 - K^2.  A NaN residual fails.  K's anticommutation is checked
+    only where ``K.base`` is not ``base``, and K's stack is then admitted
+    against the base's shape first: a tangent is checked against its own
+    base where a caller makes it (``TangentField.derived`` exempts by design
+    the tangents the geometry computes).  A K made at ``base`` is taken as
+    it is, with one type test and shape compare, a
+    :class:`DimensionMismatch` else, and a non-finite derived K is refused
+    at 1 - K^2, where :func:`mat_inv_guarded` of 1 - K admits it first.
 
     1 - K^2 commutes with J0, since K anticommutes with it; it is kept as
     the read-only ``square``, inverted once, and its inverse is kept as the
@@ -90,9 +97,10 @@ class CayleyCoordinate:
     eps kappa(1 - K) ||(1 - K)^{-1}|| for a solve of 1 - K; both are of
     order eps when 1 - K^2 is well conditioned.
 
-    A chart point of :meth:`of_fields` whose base is exactly J_std and
-    whose K passes the gate of :func:`~acsgeom.fiber.antilinear_form`
-    computes in complex form, kept as ``form`` (a :class:`ComplexChart`):
+    Where the base is exactly J_std (its kept ``is_standard``) and K's
+    kept ``antilinear_form`` passes the gate of
+    :func:`~acsgeom.fiber.antilinear_form`, the chart point computes in
+    complex form, kept as ``form`` (a :class:`ComplexChart`):
     P = 1 - Q Q-bar for K's form Q, S = P^{-1} by :func:`complex_inverse`
     (the adjugate at dims 2 and 4, a complex solve above), R = Q S-bar,
     and both guards' kappa_F in closed form (:func:`guard_forms`), in the
@@ -105,47 +113,17 @@ class CayleyCoordinate:
     ``form`` is then None, as it is on every other point.
     """
 
-    base: np.ndarray
-    K: np.ndarray
+    base: AcsField
+    K: TangentField
     form: ComplexChart | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        j0 = as_fiber_matrix(self.base)
-        k = as_fiber_matrix(self.K, j0.shape, "coordinate")
-        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite residual fails
-            residuals = max_abs(j0 @ j0 + np.eye(j0.shape[-1]))
-        self._settle(j0, k, residuals, False, None)
-
-    @classmethod
-    def of_fields(cls, base, K) -> CayleyCoordinate:
-        """The chart point of a structure field ``base`` and a tangent
-        field ``K``, read by attribute (:class:`acsgeom.structures.AcsField`
-        and ``TangentField``).  J0^2 = -1 is read from the base's kept
-        ``square_residuals``, and K's anticommutation is checked only where
-        ``K.base`` is not ``base``: a tangent is checked against its own
-        base where a caller makes it (``TangentField.derived`` exempts by
-        design the tangents the geometry computes).  The fields' stacks are
-        admitted already and taken as they are; K's, where it was made at
-        ``base``, with one type test and shape compare, a
-        :class:`DimensionMismatch` else, and a non-finite derived K is
-        refused at 1 - K^2, where :func:`mat_inv_guarded` of 1 - K admits it
-        first.  Where ``base.is_standard``, K's kept ``antilinear_form``
-        decides the complex route."""
-        point = cls.__new__(cls)
-        anticommuting = K.base is base
-        k = K.ops if anticommuting else as_fiber_matrix(K.ops, base.ops.shape, "coordinate")
-        if not (isinstance(k, np.ndarray) and k.shape == base.ops.shape):  # a derived K
+        base, j0, anticommuting = self.base, self.base.ops, self.K.base is self.base
+        k = self.K.ops if anticommuting else as_fiber_matrix(self.K.ops, j0.shape, "coordinate")
+        if not (isinstance(k, np.ndarray) and k.shape == j0.shape):  # a derived K
             got = k.shape if isinstance(k, np.ndarray) else type(k).__name__
-            raise DimensionMismatch(f"coordinate must have shape {base.ops.shape}, got {got}")
-        point._settle(base.ops, k, base.square_residuals, anticommuting,
-                      K.antilinear_form if base.is_standard else None)
-        return point
-
-    def _settle(self, j0, k, base_residuals, anticommuting, antilinear):
-        """Check the chart domain of the admitted j0 and k, and keep what
-        the chart point holds; ``antilinear`` is K's form Q, or None for
-        the real route."""
-        if not np.all(base_residuals <= COORD_TOL):
+            raise DimensionMismatch(f"coordinate must have shape {j0.shape}, got {got}")
+        if not np.all(base.square_residuals <= COORD_TOL):
             raise InvalidStructure("base does not square to -identity")
         if not anticommuting:
             with np.errstate(over="ignore", invalid="ignore"):
@@ -153,8 +131,7 @@ class CayleyCoordinate:
             if not worst <= COORD_TOL:
                 raise AnticommutationViolation(
                     "coordinate does not anticommute with the base structure")
-        object.__setattr__(self, "base", j0)
-        object.__setattr__(self, "K", k)
+        antilinear = self.K.antilinear_form if base.is_standard else None
         form = None if antilinear is None else _complex_chart(antilinear)
         object.__setattr__(self, "form", form)
         if form is not None:
@@ -176,7 +153,7 @@ class CayleyCoordinate:
 
     @property
     def dim(self) -> int:
-        return self.base.shape[-1]
+        return self.base.ops.shape[-1]
 
     @cached_property
     def square(self) -> np.ndarray:
@@ -215,35 +192,45 @@ def _complex_chart(q: np.ndarray) -> ComplexChart | None:
     return ComplexChart(q, p, s, r)
 
 
+def _same_points(x, like) -> None:
+    """Raise DimensionMismatch unless two fields' stacks have one shape."""
+    if x.ops.shape != like.ops.shape:
+        raise DimensionMismatch("fields live on different sample spaces")
+
+
 def cayley_to_acs(coord: CayleyCoordinate) -> np.ndarray:
-    """J0 (1 + K)(1 - K)^{-1}, the rational chart at coord.base."""
-    return coord.base @ (np.eye(coord.dim) + coord.K) @ coord.resolvent
+    """J0 (1 + K)(1 - K)^{-1} per point, the rational chart at the base
+    field ``coord.base``."""
+    return coord.base.ops @ (np.eye(coord.dim) + coord.K.ops) @ coord.resolvent
 
 
-def acs_to_cayley(j0, j) -> CayleyCoordinate:
-    """Chart coordinate of j in the rational chart at j0.
+def acs_to_cayley(j0, j) -> np.ndarray:
+    """The chart coordinate K = (1 - J J0)^{-1} (1 + J J0) per point of the
+    structure field j in the rational chart at the structure field j0.
 
-    K = (1 - J J0)^{-1} (1 + J J0).  Raises SingularOperator when j lies
-    outside the chart (1 - J J0 singular, e.g. j = -j0).
+    The guarded inverse of 1 - J J0 decides the chart domain: it raises
+    SingularOperator where j lies outside the chart (e.g. j = -j0).  Where
+    it passes, 1 - K = -2 (1 - J J0)^{-1} J J0 and 1 + K = 2 (1 - J J0)^{-1}
+    are invertible too, and K anticommutes with J0 when J and J0 square to
+    -1; no chart point is built.
     """
-    base = as_fiber_matrix(j0)
-    target = as_fiber_matrix(j, base.shape, "structure")
-    eye = np.eye(base.shape[-1])
-    jj0 = target @ base
-    k = mat_inv_guarded(eye - jj0) @ (eye + jj0)
-    return CayleyCoordinate(base, k)
+    _same_points(j, j0)
+    eye = np.eye(j0.ops.shape[-1])
+    jj0 = j.ops @ j0.ops
+    return mat_inv_guarded(eye - jj0) @ (eye + jj0)
 
 
 def pushforward(coord: CayleyCoordinate, a) -> np.ndarray:
-    """Differential of the rational chart at coord applied to a.
+    """Differential of the rational chart at coord applied to the tangent
+    field a at the chart's base.
 
     A tangent direction a at the chart origin (anticommuting with the
-    base) is carried to 2 J0 (1-K)^{-1} a (1-K)^{-1}, a tangent at the
-    structure cayley_to_acs(coord).
+    base) is carried to 2 J0 (1-K)^{-1} a (1-K)^{-1} per point, a tangent
+    at the structure cayley_to_acs(coord).
     """
-    m = as_fiber_matrix(a, coord.base.shape, "tangent")
+    _same_points(a, coord.base)
     r = coord.resolvent
-    return 2.0 * coord.base @ r @ m @ r
+    return 2.0 * coord.base.ops @ r @ a.ops @ r
 
 
 def random_anticommuting(rng: np.random.Generator, j0, *,

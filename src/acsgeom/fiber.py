@@ -323,10 +323,16 @@ def complex_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     vector operations across slices, so every slice gets the same
     arithmetic.  Composing forms: two linear maps compose as P1 P2, a linear
     after an antilinear one as P Q, an antilinear after a linear one as
-    Q P-bar, and two antilinear maps as Q1 Q2-bar, a linear map."""
+    Q P-bar, and two antilinear maps as Q1 Q2-bar, a linear map.  Above
+    h = 1 the sum starts from 0.0, so no entry reads -0.0, and takes one
+    (h, h, k) product at a time."""
     if len(x) == 1:
         return x * y
-    return (x[:, :, None] * y[None]).sum(axis=1)
+    out = x[:, :1] * y[:1]
+    out += 0.0
+    for j in range(1, len(x)):
+        out += x[:, j:j + 1] * y[j:j + 1]
+    return out
 
 
 def complex_inverse(p: np.ndarray) -> np.ndarray:

@@ -46,7 +46,7 @@ class ChartField:
     a coordinate field K.
 
     Construction builds ``coord``, the :class:`CayleyCoordinate` of the
-    fields (:meth:`CayleyCoordinate.of_fields`), which checks the chart
+    fields, the one place a chart point is made, which checks the chart
     domain at every point at once and inverts 1 - K^2 only: the guarded
     resolvents (1 - K^2)^{-1} that every chart functional reads, and the
     chart resolvent (1 - K)^{-1} = (1 + K)(1 - K^2)^{-1} derived from them.
@@ -78,7 +78,7 @@ class ChartField:
 
     def __post_init__(self):
         same_space(self, self.base, self.K)
-        object.__setattr__(self, "coord", CayleyCoordinate.of_fields(self.base, self.K))
+        object.__setattr__(self, "coord", CayleyCoordinate(self.base, self.K))
         object.__setattr__(self, "kept", {})
 
     def resolvents(self) -> np.ndarray:

@@ -27,11 +27,9 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .charts import (
-    CayleyCoordinate,
     acs_to_cayley,
     cayley_to_acs,
     pushforward,
-    random_anticommuting,
     shape_anticommuting,
     standard_acs,
 )
@@ -58,6 +56,7 @@ from .structures import (
     AcsField,
     FieldBundle,
     FieldReport,
+    SampleSpace,
     TangentField,
     random_sample_space,
     random_tangent_field,
@@ -233,14 +232,6 @@ class _Cases:
         return self.sums(terms(at, x, y))
 
 
-def _case_draws(seed: int, name: str, dim: int, count: int) -> tuple[np.ndarray, ...]:
-    """The standard structure and ``count`` anticommuting draws per case as
-    (CASES, n, n) stacks, each case drawing from its own generator."""
-    j0 = np.tile(standard_acs(dim), (CASES, 1, 1))
-    by_case = _Cases(seed, name, dim, CASES)
-    return (j0, *(random_anticommuting(by_case, j0) for _ in range(count)))
-
-
 def _case_space(seed: int, name: str, dim: int, cases: int, points: int):
     """The cases, a random sample space of ``cases * points`` points drawn
     from them and the standard structure on it."""
@@ -255,9 +246,12 @@ def check_cayley(seed: int = 0, dims=(2, 4, 6)) -> CheckReport:
     args = dict(locals())
     subs = []
     for dim in dims:
-        j0, k = _case_draws(seed, "cayley", dim, 1)
-        j = cayley_to_acs(CayleyCoordinate(j0, k))
-        subs += [_sub(f"roundtrip_dim{dim}", max_abs(acs_to_cayley(j0, j).K - k), 1e-9),
+        space = SampleSpace(dim, np.ones(CASES))  # one point per case, no draw
+        j0f = standard_acs_field(space)
+        k = random_tangent_field(_Cases(seed, "cayley", dim, CASES), j0f)
+        j = cayley_to_acs(ChartField(space, j0f, k).coord)
+        roundtrip = acs_to_cayley(j0f, AcsField(space, j)) - k.ops
+        subs += [_sub(f"roundtrip_dim{dim}", max_abs(roundtrip), 1e-9),
                  _sub(f"acs_identity_dim{dim}", max_abs(j @ j + np.eye(dim)), 1e-10)]
     return _compose("cayley", args, subs)
 
@@ -268,10 +262,13 @@ def check_theorem1(seed: int = 0, dims=(2, 4, 6)) -> CheckReport:
     args = dict(locals())
     subs = []
     for dim in dims:
-        j0, k, a = _case_draws(seed, "theorem1", dim, 2)
-        coord = CayleyCoordinate(j0, k)
+        space = SampleSpace(dim, np.ones(CASES))  # one point per case, no draw
+        j0f = standard_acs_field(space)
+        by_case = _Cases(seed, "theorem1", dim, CASES)
+        k, a = (random_tangent_field(by_case, j0f) for _ in range(2))
+        coord = ChartField(space, j0f, k).coord
         jk = cayley_to_acs(coord)
-        worst = max_abs(pushforward(coord, a @ j0) - pushforward(coord, a) @ jk)
+        worst = max_abs(pushforward(coord, acs_on_tangent(a, j0f)) - pushforward(coord, a) @ jk)
         subs.append(_sub(f"intertwine_dim{dim}", worst, 1e-9))
     return _compose("theorem1", args, subs)
 
@@ -314,7 +311,7 @@ def check_theorem2(seed: int = 0, dims=(2, 4), points: int = 8) -> CheckReport:
 
         # recenter: the same statement in the chart of a random J_K
         k1 = random_tangent_field(by_case, j0f)
-        j1f = AcsField(space, cayley_to_acs(CayleyCoordinate(j0f.ops, k1.ops)))
+        j1f = AcsField(space, cayley_to_acs(ChartField(space, j0f, k1).coord))
         b0, b1, b2 = (random_tangent_field(by_case, j1f) for _ in range(3))
         s0, s1, s2 = _omega_terms(chart_origin(j1f), b0, b1, b2, by_case)
 
@@ -350,7 +347,7 @@ def check_geodesics(seed: int = 0, dims=(2, 4), points: int = 8, t_max: float = 
         by_case, _, j0f = _case_space(seed, "geodesics", dim, FD_CASES, points)
         a = random_tangent_field(by_case, j0f)
         ode = [geodesic_equation_residual(a, t) for t in (0.2, 0.6, 1.0)]
-        chart = [max_abs(acs_to_cayley(j0f.ops, geodesic_ambient(j0f, a, t).ops).K
+        chart = [max_abs(acs_to_cayley(j0f, geodesic_ambient(j0f, a, t))
                          - geodesic_chart(a, t).ops) for t in full_grid]
         subs += [_sub(f"ode_residual_dim{dim}", max_abs(ode), 1e-6),
                  _sub(f"chart_ambient_dim{dim}", max_abs(chart), 1e-9)]
@@ -411,7 +408,7 @@ def check_metric_structure(seed: int = 0, dims=(2, 4), points: int = 8) -> Check
         k = random_tangent_field(by_case, j0f)
         c = ChartField(space, j0f, k)
         jkf = AcsField(space, cayley_to_acs(c.coord))
-        astar, bstar = pushforward(c.coord, a.ops), pushforward(c.coord, b.ops)
+        astar, bstar = pushforward(c.coord, a), pushforward(c.coord, b)
         omega = total(chart_omega_terms, c, a, b)
         r_ci = max_abs(total(chart_inner_terms, c, a, b)
                        - by_case.sums(ambient_inner_terms(jkf, astar, bstar)))

@@ -1,9 +1,10 @@
 """Every public entry that takes arrays admits them by one rule,
 ``fiber.as_fiber_matrix``: the shape it expects, if any, then square
 matrices of even order, then finite entries.  An entry that expects a
-shape names its array in the refusal; a kernel refuses a "matrix".  A
-chart field admits nothing again; a non-finite K it derived at its own
-base is refused at 1 - K^2 by the guarded inverse of 1 - K.
+shape names its array in the refusal; a kernel refuses a "matrix".  The
+chart maps take fields, so an array reaches them through a field's
+admission.  A chart point admits nothing again; a non-finite K derived at
+its own base is refused at 1 - K^2 by the guarded inverse of 1 - K.
 """
 
 import numpy as np
@@ -20,19 +21,20 @@ from acsgeom.structures import (AcsField, SampleSpace, SymplecticField, TangentF
 
 SPACE = SampleSpace(4, np.ones(3))
 J0 = standard_acs_field(SPACE)
-COORD = CayleyCoordinate(J0.ops, np.zeros((3, 4, 4)))
+COORD = CayleyCoordinate(J0, TangentField(SPACE, J0, np.zeros((3, 4, 4))))
 
 # entry: (call on the array, the name its refusals give it, or None for a
-# kernel, which expects no shape)
+# kernel, which expects no shape); a chart map takes the array through the
+# field that holds it
 ENTRIES = {
     "SampleSpace.metrics": (lambda a: SampleSpace(4, np.ones(3), a), "metrics"),
     "AcsField": (lambda a: AcsField(SPACE, a), "ops"),
     "TangentField": (lambda a: TangentField(SPACE, J0, a), "ops"),
     "SymplecticField": (lambda a: SymplecticField(SPACE, a), "forms"),
     "FiberMetric": (FiberMetric, None),
-    "CayleyCoordinate": (lambda a: CayleyCoordinate(J0.ops, a), "coordinate"),
-    "acs_to_cayley": (lambda a: acs_to_cayley(J0.ops, a), "structure"),
-    "pushforward": (lambda a: pushforward(COORD, a), "tangent"),
+    "CayleyCoordinate": (lambda a: CayleyCoordinate(J0, TangentField(SPACE, J0, a)), "ops"),
+    "acs_to_cayley": (lambda a: acs_to_cayley(J0, AcsField(SPACE, a)), "ops"),
+    "pushforward": (lambda a: pushforward(COORD, TangentField(SPACE, J0, a)), "ops"),
     "shape_anticommuting": (lambda a: shape_anticommuting(a, standard_acs(4)), None),
     "random_anticommuting": (lambda a: random_anticommuting(np.random.default_rng(0), a), None),
     "mat_exp": (mat_exp, None),
@@ -91,27 +93,27 @@ def test_chart_field_refuses_a_non_finite_derived_coordinate(value):
                                     (np.zeros((3, 4, 4)).tolist(), "list")])
 def test_vouched_coordinate_must_be_an_array_of_the_base_shape(k, got):
     derived = TangentField.derived(J0, k)
-    assert refusal(lambda: CayleyCoordinate.of_fields(J0, derived)) == (
+    assert refusal(lambda: CayleyCoordinate(J0, derived)) == (
         DimensionMismatch, f"coordinate must have shape (3, 4, 4), got {got}")
 
 
-# the facts a chart point may take on trust (K's complex form, the base's
-# J0^2 residuals, K's anticommutation) come from fields only: a raw call
-# takes no claim and runs every check
+# the facts a chart point takes on trust (K's complex form, the base's J0^2
+# residuals, K's anticommutation) come from the fields only: no caller can
+# hand it a claim
 @pytest.mark.parametrize("claim", ["antilinear", "base_residuals", "anticommuting"])
 def test_a_raw_chart_point_takes_no_claim(claim):
-    k = random_anticommuting(np.random.default_rng(0), J0.ops)
-    false = {"antilinear": antilinear_form(np.zeros_like(k)),
+    k = TangentField(SPACE, J0, random_anticommuting(np.random.default_rng(0), J0.ops))
+    false = {"antilinear": antilinear_form(np.zeros_like(k.ops)),
              "base_residuals": np.zeros(3), "anticommuting": True}[claim]
     with pytest.raises(TypeError):
-        CayleyCoordinate(J0.ops, k, **{claim: false})
-    point = CayleyCoordinate(J0.ops, k)
-    assert point.form is None
-    assert np.array_equal(point.square, np.eye(4) - k @ k)
+        CayleyCoordinate(J0, k, **{claim: false})
+    point = CayleyCoordinate(J0, k)
+    assert point.form.q is k.antilinear_form
+    assert np.allclose(point.square, np.eye(4) - k.ops @ k.ops, rtol=0.0, atol=1e-15)
 
 
 def test_a_field_made_at_another_base_is_checked_against_this_one():
     other = standard_acs_field(SPACE)
     k = TangentField.derived(other, np.tile(np.eye(4), (3, 1, 1)))  # commutes with J_std
-    assert refusal(lambda: CayleyCoordinate.of_fields(J0, k)) == (
+    assert refusal(lambda: CayleyCoordinate(J0, k)) == (
         AnticommutationViolation, "coordinate does not anticommute with the base structure")

@@ -15,10 +15,12 @@ from acsgeom.charts import (
     shape_anticommuting,
     standard_acs,
 )
-from acsgeom.errors import AnticommutationViolation, SingularOperator
+from acsgeom.errors import (AnticommutationViolation, DimensionMismatch, InvalidStructure,
+                            SingularOperator)
 from acsgeom.fiber import mat_inv_guarded, max_abs
 from acsgeom.geometry import geodesic_ambient
 from acsgeom.structures import (
+    AcsField,
     SampleSpace,
     TangentField,
     random_sample_space,
@@ -32,6 +34,25 @@ J2 = standard_acs(2)
 def anticommuting(seed, dim, bound=0.9):
     rng = np.random.default_rng(seed)
     return random_anticommuting(rng, standard_acs(dim), bound=bound)
+
+
+def structure(j, points=1):
+    """The structure field j (a stack, or one matrix tiled over ``points``)
+    on a space of unit weights."""
+    ops = j if np.ndim(j) == 3 else np.tile(j, (points, 1, 1))
+    return AcsField(SampleSpace(ops.shape[-1], np.ones(len(ops))), ops)
+
+
+def tangent(base, k):
+    """The tangent field k (one matrix per point of ``base``) made at base."""
+    return TangentField(base.space, base, np.reshape(k, base.ops.shape))
+
+
+def point(j0, k):
+    """The chart point of the coordinate k (one matrix or a stack) at the
+    structure j0, one point per matrix of k."""
+    base = structure(j0, len(k) if np.ndim(k) == 3 else 1)
+    return CayleyCoordinate(base, tangent(base, k))
 
 
 def exp_chart(k):
@@ -85,77 +106,88 @@ class TestAnticommuteProject:
 
 class TestCayleyCoordinate:
     def test_rejects_commuting_k(self):
+        # a K made at another base field is checked against this one
+        base = structure(J2)
+        k = TangentField.derived(structure(J2), np.eye(2)[None])
         with pytest.raises(AnticommutationViolation):
-            CayleyCoordinate(J2, np.eye(2))
+            CayleyCoordinate(base, k)
 
     def test_rejects_bad_base(self):
-        with pytest.raises(ValueError):
-            CayleyCoordinate(np.eye(2), np.zeros((2, 2)))
+        with pytest.raises(InvalidStructure):
+            point(np.eye(2), np.zeros((2, 2)))
 
     def test_rejects_chart_boundary(self):
         # 1 - K singular at spectral radius 1
         with pytest.raises(SingularOperator):
-            CayleyCoordinate(J2, np.diag([1.0, -1.0]))
+            point(J2, np.diag([1.0, -1.0]))
 
     def test_dim(self):
-        c = CayleyCoordinate(standard_acs(4), np.zeros((4, 4)))
+        c = point(standard_acs(4), np.zeros((4, 4)))
         assert c.dim == 4
 
     def test_chart_map_and_differential_share_one_inverse(self, monkeypatch):
         calls = []
-        original = charts.mat_inv
-
-        def counted(*args):
-            calls.append(None)
-            return original(*args)
-
-        monkeypatch.setattr(charts, "mat_inv", counted)
-        j0 = np.tile(standard_acs(4), (3, 1, 1))
-        k = random_anticommuting(np.random.default_rng(5), j0)
-        a, b = (random_anticommuting(np.random.default_rng(s), j0) for s in (6, 7))
-        coord = CayleyCoordinate(j0, k)
-        assert len(calls) == 1  # 1 - K^2, inverted once, at construction
+        for name in ("mat_inv", "complex_inverse"):
+            def counted(*args, f=getattr(charts, name), name=name):
+                calls.append(name)
+                return f(*args)
+            monkeypatch.setattr(charts, name, counted)
+        # a base off J_std: the real route, whose bits the real formulas give
+        p = np.eye(4) + 0.3 * np.random.default_rng(4).uniform(-1.0, 1.0, (4, 4))
+        base = structure(p @ standard_acs(4) @ np.linalg.inv(p), 3)
+        k, a, b = (random_tangent_field(np.random.default_rng(s), base) for s in (5, 6, 7))
+        coord = CayleyCoordinate(base, k)
+        assert coord.form is None
+        assert calls == ["mat_inv"]  # 1 - K^2, inverted once, at construction
         cayley_to_acs(coord)
         pushforward(coord, a)
         pushforward(coord, b)
-        assert len(calls) == 1
+        assert calls == ["mat_inv"]
         assert not coord.resolvent.flags.writeable
         assert not coord.square_resolvent.flags.writeable
         eye = np.eye(4)
-        square = mat_inv_guarded(eye - k @ k)
+        square = mat_inv_guarded(eye - k.ops @ k.ops)
         assert np.array_equal(coord.square_resolvent, square)
-        assert np.array_equal(coord.resolvent, (eye + k) @ square)
+        assert np.array_equal(coord.resolvent, (eye + k.ops) @ square)
+        # at J_std, once in complex form
+        j0 = standard_acs_field(base.space)
+        coord = CayleyCoordinate(j0, random_tangent_field(np.random.default_rng(5), j0))
+        assert coord.form is not None
+        cayley_to_acs(coord)
+        pushforward(coord, random_tangent_field(np.random.default_rng(6), j0))
+        assert calls == ["mat_inv", "complex_inverse"]
+        assert not coord.resolvent.flags.writeable
 
 
 class TestCayleyMaps:
     def test_origin_maps_to_base(self):
-        c = CayleyCoordinate(J2, np.zeros((2, 2)))
-        assert np.array_equal(cayley_to_acs(c), J2)
+        c = point(J2, np.zeros((2, 2)))
+        assert np.array_equal(cayley_to_acs(c)[0], J2)
 
     def test_diagonal_oracle(self):
         # K = diag(1/2, -1/2): (1+K)(1-K)^{-1} = diag(3, 1/3)
-        c = CayleyCoordinate(J2, np.diag([0.5, -0.5]))
-        assert_allclose(cayley_to_acs(c), [[0.0, -1.0 / 3.0], [3.0, 0.0]],
+        c = point(J2, np.diag([0.5, -0.5]))
+        assert_allclose(cayley_to_acs(c)[0], [[0.0, -1.0 / 3.0], [3.0, 0.0]],
                         rtol=1e-15, atol=1e-16)
 
     def test_offdiagonal_oracle(self):
-        c = CayleyCoordinate(J2, np.array([[0.0, 0.5], [0.5, 0.0]]))
+        c = point(J2, np.array([[0.0, 0.5], [0.5, 0.0]]))
         expected = np.array([[-4.0, -5.0], [5.0, 4.0]]) / 3.0
-        assert_allclose(cayley_to_acs(c), expected, rtol=1e-14)
+        assert_allclose(cayley_to_acs(c)[0], expected, rtol=1e-14)
 
     def test_roundtrip_from_acs(self):
-        j = cayley_to_acs(CayleyCoordinate(J2, np.diag([0.5, -0.5])))
-        back = acs_to_cayley(J2, j)
-        assert_allclose(back.K, np.diag([0.5, -0.5]), atol=1e-15)
+        c = point(J2, np.diag([0.5, -0.5]))
+        back = acs_to_cayley(c.base, structure(cayley_to_acs(c)))
+        assert_allclose(back[0], np.diag([0.5, -0.5]), atol=1e-15)
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 4, 6]))
     def test_roundtrip_property(self, seed, dim):
         k = anticommuting(seed, dim)
-        j0 = standard_acs(dim)
-        j = cayley_to_acs(CayleyCoordinate(j0, k))
+        c = point(standard_acs(dim), k)
+        j = cayley_to_acs(c)
         assert max_abs(j @ j + np.eye(dim)) < 1e-12
-        assert max_abs(acs_to_cayley(j0, j).K - k) < 1e-11
+        assert max_abs(acs_to_cayley(c.base, structure(j)) - k) < 1e-11
 
     def test_exp_chart_origin(self):
         assert np.array_equal(exp_chart(np.zeros((2, 2))), J2)
@@ -170,9 +202,9 @@ class TestCayleyMaps:
 class TestPushPull:
     def test_pushforward_oracle(self):
         # K = diag(1/2,-1/2), A = diag(1,-1): 2 J0 (1-K)^{-1} A (1-K)^{-1}
-        c = CayleyCoordinate(J2, np.diag([0.5, -0.5]))
-        a_star = pushforward(c, np.diag([1.0, -1.0]))
-        assert_allclose(a_star, [[0.0, 8.0 / 9.0], [8.0, 0.0]], rtol=1e-15)
+        c = point(J2, np.diag([0.5, -0.5]))
+        a_star = pushforward(c, tangent(c.base, np.diag([1.0, -1.0])))
+        assert_allclose(a_star[0], [[0.0, 8.0 / 9.0], [8.0, 0.0]], rtol=1e-15)
 
     def test_pullback_inverts_pushforward(self):
         # the pullback -(1/2) (1 - K) J0 a* (1 - K) undoes the pushforward
@@ -180,9 +212,9 @@ class TestPushPull:
         for seed in range(5):
             k = anticommuting(seed, 4, bound=0.8)
             a = anticommuting(seed + 100, 4)
-            c = CayleyCoordinate(j0, k)
+            c = point(j0, k)
             eye_k = np.eye(4) - k
-            pulled = -0.5 * eye_k @ j0 @ pushforward(c, a) @ eye_k
+            pulled = -0.5 * eye_k @ j0 @ pushforward(c, tangent(c.base, a))[0] @ eye_k
             assert max_abs(pulled - a) < 1e-12
 
     def test_pushforward_intertwines(self):
@@ -191,40 +223,46 @@ class TestPushPull:
             k = anticommuting(seed, 4, bound=0.8)
             a = anticommuting(seed + 50, 4)
             j0 = standard_acs(4)
-            c = CayleyCoordinate(j0, k)
+            c = point(j0, k)
             jk = cayley_to_acs(c)
-            assert max_abs(pushforward(c, a @ j0)
-                           - pushforward(c, a) @ jk) < 1e-12
+            assert max_abs(pushforward(c, tangent(c.base, a @ j0))
+                           - pushforward(c, tangent(c.base, a)) @ jk) < 1e-12
 
     def test_pushforward_anticommutes_with_target(self):
         k = anticommuting(3, 4, bound=0.8)
         a = anticommuting(4, 4)
-        c = CayleyCoordinate(standard_acs(4), k)
+        c = point(standard_acs(4), k)
         jk = cayley_to_acs(c)
-        a_star = pushforward(c, a)
+        a_star = pushforward(c, tangent(c.base, a))
         assert max_abs(a_star @ jk + jk @ a_star) < 1e-12
+
+    def test_maps_refuse_fields_of_another_space(self):
+        c = point(J2, np.zeros((2, 2)))
+        other = structure(J2, 2)
+        for call in (lambda: pushforward(c, tangent(other, np.zeros((2, 2, 2)))),
+                     lambda: acs_to_cayley(c.base, other), lambda: acs_to_cayley(other, c.base)):
+            with pytest.raises(DimensionMismatch, match="different sample spaces"):
+                call()
 
 
 class TestChartTransition:
     """The coordinate of a structure in the chart at another base j1 is
-    acs_to_cayley(j1, cayley_to_acs(coord)).K."""
+    acs_to_cayley(j1, cayley_to_acs(coord))."""
 
     def test_scalar_analog(self):
         # commuting diagonal blocks behave like scalar Cayley parameters:
         # moving the chart center from 0 to b sends k to (k-b)/(1-kb)
         k0, b = 0.5, 0.2
-        coord1 = CayleyCoordinate(J2, np.diag([b, -b]))
-        j1 = cayley_to_acs(coord1)
-        coord = CayleyCoordinate(J2, np.diag([k0, -k0]))
-        moved = acs_to_cayley(j1, cayley_to_acs(coord)).K
+        j1 = structure(cayley_to_acs(point(J2, np.diag([b, -b]))))
+        moved = acs_to_cayley(j1, structure(cayley_to_acs(point(J2, np.diag([k0, -k0])))))
         expected = (k0 - b) / (1.0 - k0 * b)
-        assert_allclose(moved, np.diag([expected, -expected]), rtol=1e-14)
+        assert_allclose(moved[0], np.diag([expected, -expected]), rtol=1e-14)
         assert_allclose(expected, 1.0 / 3.0, rtol=1e-15)
 
     def test_identity_transition(self):
         k = anticommuting(8, 4, bound=0.7)
-        coord = CayleyCoordinate(standard_acs(4), k)
-        moved = acs_to_cayley(standard_acs(4), cayley_to_acs(coord)).K
+        coord = point(standard_acs(4), k)
+        moved = acs_to_cayley(structure(standard_acs(4)), structure(cayley_to_acs(coord)))
         assert max_abs(moved - k) < 1e-12
 
 
@@ -268,17 +306,17 @@ class TestStacks:
     def test_cayley_maps_and_pushforward(self, dim):
         j0, k = self.draws(dim)
         _, a = self.draws(dim, seed=32)
-        base = np.tile(j0, (len(k), 1, 1))
-        coord = CayleyCoordinate(base, k)
+        coord = point(j0, k)
         assert coord.dim == dim
         j = cayley_to_acs(coord)
-        assert np.array_equal(j, np.stack([cayley_to_acs(CayleyCoordinate(j0, m))
-                                           for m in k]))
-        assert np.array_equal(acs_to_cayley(base, j).K,
-                              np.stack([acs_to_cayley(j0, m).K for m in j]))
-        singles = [CayleyCoordinate(j0, m) for m in k]
-        assert np.array_equal(pushforward(coord, a),
-                              np.stack([pushforward(c, x) for c, x in zip(singles, a)]))
+        singles = [point(j0, m) for m in k]
+        assert np.array_equal(j, np.concatenate([cayley_to_acs(c) for c in singles]))
+        assert np.array_equal(acs_to_cayley(coord.base, structure(j)),
+                              np.concatenate([acs_to_cayley(c.base, structure(m))
+                                              for c, m in zip(singles, j)]))
+        assert np.array_equal(pushforward(coord, tangent(coord.base, a)),
+                              np.concatenate([pushforward(c, tangent(c.base, x))
+                                              for c, x in zip(singles, a)]))
 
     @pytest.mark.parametrize("part", [None, "symmetric", "antisymmetric"])
     @pytest.mark.parametrize("dim", [2, 4, 6])

@@ -120,7 +120,22 @@ class TestChartField:
     def test_coord_holds_base_and_coordinate(self, flat2):
         space, j, c = flat2
         assert isinstance(c.coord, CayleyCoordinate)
-        assert c.coord.base is j.ops and c.coord.K is c.K.ops
+        assert c.coord.base is j and c.coord.K is c.K
+
+    def test_builds_its_chart_point_through_the_constructor(self, flat2, monkeypatch):
+        # one construction path, whose __post_init__ checks the chart domain
+        # and which a tracer of the constructor sees, for every chart field
+        built, original = [], CayleyCoordinate.__post_init__
+
+        def counted(point):
+            built.append(point)
+            original(point)
+
+        monkeypatch.setattr(CayleyCoordinate, "__post_init__", counted)
+        space, j, c = flat2
+        points = [shifted(c, tangent(space, j, B_OFF), 1e-3).coord,
+                  ChartField(space, j, c.K).coord, chart_origin(j).coord]
+        assert len(built) == 3 and all(b is p for b, p in zip(built, points))
 
     def test_shifted_is_linear_move(self, flat2):
         space, j, c = flat2
@@ -226,19 +241,19 @@ class TestChartFieldResolvents:
             InvalidStructure, "base does not square to -identity")
         anticommutation = (AnticommutationViolation,
                            "coordinate does not anticommute with the base structure")
-        assert refusal(lambda: CayleyCoordinate(j2, eye2)) == anticommutation
         # a chart field checks K only if it was made at another base field:
         # one made at its own base was checked there (or derived, unchecked)
         space, j, k = one_point_field(j2, eye2)
         other = AcsField(space, j.ops.copy())
         assert refusal(lambda: ChartField(space, j, TangentField.derived(other, k.ops))) == (
             anticommutation)
-        assert refusal(chart(j2, eye2)) == refusal(lambda: mat_inv_guarded(eye2 - eye2))
-        # a base whose square overflows is refused, on raw arrays and from
-        # the chart field's kept residual
-        huge_base = np.array([[1e200, 1e200], [-1e200, 0.0]])
-        assert refusal(lambda: CayleyCoordinate(huge_base, np.zeros((2, 2)))) == (
+        bad = AcsField(space, np.array([[[0.5, -1.0], [1.0, 0.0]]]))
+        assert refusal(lambda: ChartField(space, bad, TangentField.derived(other, k.ops))) == (
             InvalidStructure, "base does not square to -identity")
+        assert refusal(chart(j2, eye2)) == refusal(lambda: mat_inv_guarded(eye2 - eye2))
+        # a base whose square overflows is refused, from the chart field's
+        # kept residual
+        huge_base = np.array([[1e200, 1e200], [-1e200, 0.0]])
         assert refusal(chart(huge_base, np.zeros((2, 2)))) == (
             InvalidStructure, "base does not square to -identity")
         # then 1 - K: exactly singular, or past the cap while 1 - K^2 is too
@@ -254,7 +269,10 @@ class TestChartFieldResolvents:
         square = np.diag([2.0 ** -50 - 1.0, 1.0 - 2.0 ** -34, 0.0, 0.0])
         kind, message = refusal(chart(j4, square))
         assert (kind, message) == refusal(lambda: mat_inv_guarded(eye4 - square @ square))
-        assert refusal(lambda: CayleyCoordinate(j4, square)) == (kind, message)
+        # and so does the real route, at a base off J_std (the sign of one
+        # block flipped) for which the same diagonal K anticommutes as well
+        flip = np.diag([1.0, -1.0, 1.0, 1.0])
+        assert refusal(chart(flip @ j4 @ flip, square)) == (kind, message)
         # an overflowing K^2 is refused as non-finite, after 1 - K's guard
         huge = np.diag([1e200, -1e200])
         assert refusal(chart(j2, huge)) == (NonFiniteValue, "matrix entries must be finite")
@@ -496,9 +514,7 @@ class TestGeodesics:
         for t in (0.4, 1.2, 2.0):
             kt = geodesic_chart(a, t)
             jt = geodesic_ambient(j, a, t)
-            for i in range(space.npoints):
-                back = acs_to_cayley(j.ops[i], jt.ops[i]).K
-                assert max_abs(back - kt.ops[i]) < 1e-12
+            assert max_abs(acs_to_cayley(j, jt) - kt.ops) < 1e-12
 
     def test_velocity_at_zero(self):
         # dK/dt at t=0 is A/2 (tanh'(0) = 1 with the half-angle argument)

@@ -219,15 +219,36 @@ class TestCheckers:
     def test_failure_is_reported_not_raised(self, monkeypatch):
         # a chart inverse off by 1e-6 relative misses the 1e-9 round trip
         original = verify.acs_to_cayley
-        monkeypatch.setattr(verify, "acs_to_cayley", lambda j0, j: charts.CayleyCoordinate(
-            j0, original(j0, j).K * (1.0 + 1e-6)))
+        monkeypatch.setattr(verify, "acs_to_cayley", lambda j0, j: original(j0, j) * (1.0 + 1e-6))
         r = check_cayley(dims=(2,))
         assert not r.passed
         assert r.max_residual > r.tolerance
         assert_report_invariant(r)
 
+    def test_a_chart_map_off_the_structures_fails_cayley_as_a_report(self, monkeypatch,
+                                                                      capsys):
+        # the mutant J_K + 1e-3 J0 K^3 of cayley_to_acs: the inverse map
+        # builds no chart point, so the round trip reports it, and so does
+        # the identity of J_K, which binds
+        original = verify.cayley_to_acs
+        monkeypatch.setattr(verify, "cayley_to_acs", lambda coord: original(coord) + 1e-3
+                            * coord.base.ops @ np.linalg.matrix_power(coord.K.ops, 3))
+        r = check_cayley()
+        assert_report_invariant(r)
+        assert {s["name"] for s in r.details if not s["passed"]} == {
+            f"{sub}_dim{dim}" for sub in ("roundtrip", "acs_identity") for dim in (2, 4, 6)}
+        assert [s["residual"] for s in r.details if s["name"] == "acs_identity_dim2"] == [
+            r.max_residual]
+        # verify still exits 2: theorem2 draws tangents at the J_K it recentres
+        # on, which is then no structure, and the tangent check refuses them
+        assert cli.main(["verify"]) == 2
+        assert "check theorem2 fails" in capsys.readouterr().err
+
 
 class TestCaseDraws:
+    """cayley (one draw per case) and theorem1 (two) draw their tangents on a
+    space of one point per case, which draws nothing itself."""
+
     @staticmethod
     def per_case_calls(seed, name, dim, count, bound):
         """One random_anticommuting call per draw, case by case."""
@@ -239,11 +260,22 @@ class TestCaseDraws:
 
     @pytest.mark.parametrize("count", [1, 2])
     @pytest.mark.parametrize("dim", [2, 4, 6, 8])
-    def test_bits_of_per_case_calls(self, dim, count):
+    def test_bits_of_per_case_calls(self, dim, count, monkeypatch):
+        name, check = {1: ("cayley", check_cayley), 2: ("theorem1", check_theorem1)}[count]
+        drawn = []
+
+        def recorded(*args, **kwargs):
+            drawn.append(random_tangent_field(*args, **kwargs))
+            return drawn[-1]
+
+        monkeypatch.setattr(verify, "random_tangent_field", recorded)
         for seed in (0, 1, 2, 7):
-            stacked = verify._case_draws(seed, "cayley", dim, count)
-            looped = self.per_case_calls(seed, "cayley", dim, count, 0.9)
-            assert len(stacked) == len(looped) == count + 1
+            drawn.clear()
+            assert check(seed, dims=(dim,)).passed
+            looped = self.per_case_calls(seed, name, dim, count, 0.9)
+            assert len(drawn) == count and drawn[0].base is drawn[-1].base
+            assert np.array_equal(drawn[0].space.weights, np.ones(CASES))
+            stacked = (drawn[0].base.ops, *(k.ops for k in drawn))
             assert all(np.array_equal(a, b) for a, b in zip(stacked, looped))
 
 
