@@ -14,13 +14,16 @@ the admission of both stacks and, where K was made at its base, K's
 anticommutation from the fields, so each check runs once.  At a base
 field that is exactly J_std, where K passes the gate of
 :func:`acsgeom.fiber.antilinear_form` (its antilinear defect at most
-64 eps of its largest entry), the chart point computes from K's complex
-form Q: 1 - K^2 = 1 - Q Q-bar, its inverse S by the complex adjugate at
-dims 2 and 4 and a complex solve above, (1 - K)^{-1} = S + Q S-bar, and
-both guards in closed form, within about kappa 64 eps n relative of the
-real route.  The chart maps take fields and act on each point
-independently; the fields live in the structures module, which this
-module does not import, so it reads them by attribute.
+64 eps of its largest entry, ``fiber.ANTILINEAR_GATE``), the chart point
+computes from K's complex form Q: 1 - K^2 = 1 - Q Q-bar, its inverse S by
+the complex adjugate at dims 2 and 4 and a complex solve above,
+(1 - K)^{-1} = S + Q S-bar, and both guards in closed form, within about
+kappa 64 eps n relative of the real route.  Only these complex forms know
+the layout of J_std; every other chart point is real arithmetic, with
+one stacked solve of 1 - K^2 (:func:`acsgeom.fiber.mat_inv`).  The chart
+maps take fields and act on each point independently; the fields live in
+the structures module, which this module does not import, so it reads
+them by attribute.
 """
 
 from __future__ import annotations
@@ -86,11 +89,12 @@ class CayleyCoordinate:
     :class:`DimensionMismatch` else, and a non-finite derived K is refused
     at 1 - K^2, where :func:`mat_inv_guarded` of 1 - K admits it first.
 
-    1 - K^2 commutes with J0, since K anticommutes with it; it is kept as
-    the read-only ``square``, inverted once, and its inverse is kept as the
-    read-only ``square_resolvent``; its gate and its guard read one slice
-    scale.  The read-only ``resolvent``, the (1 - K)^{-1} that the chart
-    map and its differential share, is derived as (1 + K)(1 - K^2)^{-1}.
+    1 - K^2 is kept as the read-only ``square``, inverted once by
+    :func:`mat_inv`, one stacked solve, and its inverse is kept as the
+    read-only ``square_resolvent``; its finiteness test and its guard read
+    one slice scale.  The read-only ``resolvent``, the (1 - K)^{-1} that
+    the chart map and its differential share, is derived as
+    (1 + K)(1 - K^2)^{-1}.
     That is exact for any K, since 1 + K and 1 - K commute; no identity of
     J0 is used.  Its rounding error is about
     eps kappa(1 - K^2) ||1 + K|| ||(1 - K^2)^{-1}||, against
@@ -106,11 +110,13 @@ class CayleyCoordinate:
     and both guards' kappa_F in closed form (:func:`guard_forms`), in the
     same order, with the same rule and messages.  The gate bounds the
     antilinear defect of K by 64 eps of its largest entry, so the complex
-    form adds at most about kappa 64 eps n relative error, as
-    :func:`mat_inv`'s does.  ``square``, ``square_resolvent`` and
-    ``resolvent`` are then real stacks computed on first read.  A 1 - K^2
-    that is not finite takes the real route, which refuses it as above;
-    ``form`` is then None, as it is on every other point.
+    form adds at most about kappa 64 eps n relative error, the order of
+    LU's own backward error.  Only these complex forms know the layout of
+    J_std; the real route is plain real arithmetic.  ``square``,
+    ``square_resolvent`` and ``resolvent`` are then real stacks computed on
+    first read.  A 1 - K^2 that is not finite takes the real route, which
+    refuses it as above; ``form`` is then None, as it is on every other
+    point.
     """
 
     base: AcsField
@@ -143,7 +149,7 @@ class CayleyCoordinate:
         if not (scale < np.inf).all():  # a NaN too: refused as non-finite, after 1 - K's guard
             mat_inv_guarded(eye - k)
             as_fiber_matrix(square)
-        inv = mat_inv(square, scale)
+        inv = mat_inv(square)
         resolvent = guard_inverse(eye - k, (eye + k) @ inv)
         inv = guard_inverse(square, inv, scale)
         resolvent.flags.writeable = square.flags.writeable = inv.flags.writeable = False

@@ -10,46 +10,43 @@ tolerances used by callers are calibrated for that regime.  The guard
 (:func:`guard_inverse`) reads kappa_F from an inverse it is given, solved
 or derived in closed form: no SVD, and up to n times tighter than
 kappa_2.  It reads each sum of squares with one ``np.einsum``, with no
-squared temporary, and takes each slice's scale from the caller where
-:func:`mat_inv`'s gate has already computed it.  A :class:`FiberMetric`
-inverts itself once, on first use, and every metric adjoint reads that;
-the identity metric inverts nothing, and its adjoint is the transpose.
+squared temporary, and takes each slice's scale from a caller that has
+it.  A :class:`FiberMetric` inverts itself once, on first use, and every
+metric adjoint reads that; the identity metric inverts nothing, and its
+adjoint is the transpose.
 
-Chart tangents anticommute with the standard structure J_std, so every
-operator the chart inverts (1 - K^2, and on the exponentials' matrix route
-the tanh denominator N^2 + D^2 and D N) commutes with it and is an
-(n/2) x (n/2) complex matrix.  :func:`mat_inv` inverts such a slice in
-complex form: a complex division at n = 2 and a 2 x 2 adjugate at n = 4,
-with no LAPACK call.  A slice takes that path when its commuting defect is
-at most ``COMMUTING_GATE`` = 64 eps times its largest entry; the complex
-form then adds at most kappa 64 eps n relative error, the order of LU's
-own backward error.  Every other slice takes a stacked real solve.
-:func:`mat_inv` reads a stack once, into a copy with the slice index last,
-and computes the scale, the gate and the complex inverse from it as vector
-operations across slices, with the complex arithmetic of a per-slice call.
+Every real or complex inversion is one stacked ``np.linalg.solve``, in
+:func:`_solve` alone, so every slice meets one singular-slice rule: an
+exactly singular slice raises :class:`SingularOperator` ("Singular
+matrix"), and an inverse that overflows is left as inf or nan, for the
+guard to refuse.  :func:`mat_inv` solves against the identity; the
+exponentials' matrix route takes its Pade quotient from the solve
+D r = N.
 
-This module alone knows that complex layout.  With z_r = x_2r + i x_2r+1,
-J_std is multiplication by i, a J_std-linear map is z -> P z and an
-antilinear one (a chart tangent) z -> Q z-bar, where P and Q are
-(n/2) x (n/2) complex matrices; their forms are kept with the slice index
-last, shape (n/2, n/2, k).  :func:`antilinear_form` reads Q of a stack
-whose every slice passes ``COMMUTING_GATE`` on its anticommuting defect
-(else None), :func:`complex_product`, :func:`complex_inverse` and
+Only the chart's complex forms know the layout of the standard structure
+J_std.  With z_r = x_2r + i x_2r+1, J_std is multiplication by i, a
+J_std-linear map is z -> P z and an antilinear one (a chart tangent)
+z -> Q z-bar, where P and Q are (n/2) x (n/2) complex matrices; their
+forms are kept with the slice index last, shape (n/2, n/2, k).
+:func:`antilinear_form` reads Q of a stack whose every slice passes
+``ANTILINEAR_GATE`` on its anticommuting defect (else None),
+:func:`complex_product`, :func:`complex_inverse` and
 :func:`complex_trace` compute on forms across slices,
 :func:`real_form` writes forms back as real stacks, and
 :func:`guard_forms` reads kappa_F in closed form,
 ||M||_F^2 = 2 (||P||^2 + ||Q||^2), under the guard's rule and messages.
-Computing on a gated form adds at most about kappa 64 eps n relative error,
-as the complex inverse does.
+The gate is 64 eps of a slice's largest entry, so computing on a gated
+form adds at most about kappa 64 eps n relative error, the order of LU's
+own backward error.
 
 The exponentials need numpy only: one scaling-and-squaring Pade-13
 (Higham 2005) runs over a whole stack.  A geodesic takes exp(t A) and
 tanh((t/2) A) of one velocity A at many t, so A's part of the
 approximant, its :class:`PadeBasis`, is computed once and kept
 (``TangentField.pade``).  Each slice takes one of three routes, chosen
-from that slice alone.  A diagonal slice takes ``np.exp`` of its
-diagonal, so t = 0 gives exactly I and exactly 0.  At n <= 4 a slice
-takes the algebra route where |tr A| <= ``EVEN_GATE`` m and
+from that slice alone, and t = 0 gives exactly I and exactly 0 with no
+route.  A diagonal slice takes ``np.exp`` of its diagonal.  At n <= 4 a
+slice takes the algebra route where |tr A| <= ``EVEN_GATE`` m and
 |tr A^3| <= ``EVEN_GATE`` m^3, m its largest entry within 2^-120 .. 2^120
 (``EVEN_GATE`` = 64 eps, ``EVEN_RANGE``): every slice that anticommutes
 with a structure passes.  The odd coefficients of its characteristic
@@ -61,11 +58,11 @@ and odd cofactor Q, its quotients in closed form in R[Y], its squarings
 as products of those scalars, and one matrix per slice at the end, with
 no stacked inversion.  The gate drops e1 A^3 - e3 A from A^4, at most
 about 64 eps n m ||A||^3: up to 64 times the rounding n eps ||A||^4 of
-forming A^4 itself, as ``COMMUTING_GATE`` is to LU's backward error.
+forming A^4 itself, as ``ANTILINEAR_GATE`` is to LU's backward error.
 Every other slice (each one at n >= 6) takes the matrix route: its kept
 powers A^2, A^4 and A^6 serve every exponent c A with the coefficients
 b_j scaled by c^j, three matmuls instead of six and no 1-norm pass, with
-one stacked inversion and masked, stacked squarings; a slice whose
+one stacked solve and masked, stacked squarings; a slice whose
 squaring count at c is not its count at 1 forms its powers afresh.  A
 kernel given a stack builds a fresh basis, so each formula has one
 implementation, and at c = 1 nothing is scaled.  ``mat_tanh_half``
@@ -99,10 +96,10 @@ import numpy as np
 from .errors import DimensionMismatch, NonFiniteValue, SingularOperator
 
 DEFAULT_COND_CAP = 1e12
-# Largest commuting defect with J_std, relative to a slice's largest entry,
-# at which mat_inv inverts the slice in complex form: the operators the
-# chart inverts commute with J_std only to a few ulps, not bit for bit.
-COMMUTING_GATE = 64 * np.finfo(float).eps
+# Largest anticommuting defect with J_std, relative to a slice's largest
+# entry, at which antilinear_form reads a slice's complex form: chart
+# tangents anticommute with J_std only to a few ulps, not bit for bit.
+ANTILINEAR_GATE = 64 * np.finfo(float).eps
 ADJUGATE_SIGN = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 
@@ -267,54 +264,30 @@ def _refuse_ill_conditioned(cond: np.ndarray) -> None:
             f"condition estimate {np.max(cond):.2e} exceeds cap {DEFAULT_COND_CAP:.6e}")
 
 
-def _slice_last(stack: np.ndarray):
-    """The entries of a (k, n, n) stack with the slice index last, as
-    (n n, k) rows (row r n + c holds entry (r, c) of every slice) and as
-    (n/2, 2, n/2, 2, k) blocks (entry (2r + p, 2c + q) of slice s at
-    [r, p, c, q, s]), one copy."""
-    k, n = stack.shape[:2]
-    flat = stack.reshape(k, n * n).T.copy()
-    return flat, flat.reshape(n // 2, 2, n // 2, 2, k)
-
-
-def _defect(blocks: np.ndarray, linear: bool) -> np.ndarray:
-    """Each slice's distance from J_std-linearity over its 2x2 blocks
-    [[a, c], [b, d]], from its ``blocks`` (:func:`_slice_last`):
-    max(|b + c|, |d - a|), 0 exactly when the slice commutes with J_std
-    (blocks [[a, -b], [b, a]]), or for ``linear=False`` max(|b - c|,
-    |d + a|), 0 exactly when it anticommutes (blocks [[a, b], [b, -a]]).
-    NaN where an entry is.  Each operation runs across all slices."""
-    h, k = len(blocks), blocks.shape[-1]
-    join, meet = (np.add, np.subtract) if linear else (np.subtract, np.add)
-    defect = np.maximum(np.abs(join(blocks[:, 1, :, 0], blocks[:, 0, :, 1])),
-                        np.abs(meet(blocks[:, 1, :, 1], blocks[:, 0, :, 0])))
-    return defect.reshape(h * h, k).max(axis=0)
-
-
-def _even_rows(blocks: np.ndarray, linear: bool) -> np.ndarray:
-    """The complex form of J_std-(anti)linear slices from the even row
-    (a, c) of each block of their ``blocks``: p = a - ic for a linear slice,
-    q = a + ic for an antilinear one, shape (n/2, n/2, k)."""
-    z = np.empty(blocks.shape[:1] + blocks.shape[2:3] + blocks.shape[-1:], dtype=complex)
-    z.real = blocks[:, 0, :, 0]
-    z.imag = blocks[:, 0, :, 1]
-    return z.conj() if linear else z
-
-
 def antilinear_form(a) -> np.ndarray | None:
     """The complex form Q of a (k, n, n) stack that anticommutes with J_std
     (``charts.standard_acs``): with z_r = x_2r + i x_2r+1, each slice maps
     z to Q z-bar, and Q, the (n/2) x (n/2) complex matrix of entries a + ib
     of its blocks [[a, b], [b, -a]], is returned with the slice index last,
-    shape (n/2, n/2, k).  None unless every slice passes the gate of
-    :func:`mat_inv`'s complex form: its anticommuting defect
-    max(|b - c|, |d + a|) over its blocks [[a, c], [b, d]] is at most
-    ``COMMUTING_GATE`` times its largest entry.  Q is read from the even
-    rows, so it is the form of a slice that close to the given one."""
-    flat, blocks = _slice_last(a)
-    if not (_defect(blocks, False) <= COMMUTING_GATE * np.abs(flat).max(axis=0)).all():
+    shape (n/2, n/2, k).  None unless every slice passes the gate: its
+    anticommuting defect max(|b - c|, |d + a|) over its blocks
+    [[a, c], [b, d]] is at most ``ANTILINEAR_GATE`` times its largest entry
+    (NaN fails).  The stack is read once, into a copy with the slice index
+    last, so the defect is a few operations across slices.  Q is read from
+    the even rows, so it is the form of a slice that close to the given
+    one."""
+    k, n = a.shape[:2]
+    flat = a.reshape(k, n * n).T.copy()
+    blocks = flat.reshape(n // 2, 2, n // 2, 2, k)  # entry (2r + p, 2c + q) at [r, p, c, q]
+    defect = np.maximum(np.abs(blocks[:, 1, :, 0] - blocks[:, 0, :, 1]),
+                        np.abs(blocks[:, 1, :, 1] + blocks[:, 0, :, 0]))
+    if not (defect.reshape((n // 2) ** 2, k).max(axis=0)
+            <= ANTILINEAR_GATE * np.abs(flat).max(axis=0)).all():
         return None
-    return _even_rows(blocks, False)
+    q = np.empty((n // 2, n // 2, k), dtype=complex)
+    q.real = blocks[:, 0, :, 0]
+    q.imag = blocks[:, 0, :, 1]
+    return q
 
 
 def complex_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -344,7 +317,7 @@ def complex_inverse(p: np.ndarray) -> np.ndarray:
     nan for the caller's guard."""
     h = len(p)
     if h > 2:
-        return np.ascontiguousarray(_solve_eye(p.transpose(2, 0, 1)).transpose(1, 2, 0))
+        return np.ascontiguousarray(_solve(p.transpose(2, 0, 1), np.eye(h)).transpose(1, 2, 0))
     if h == 1:
         det, adjugate = p, 1.0
     else:
@@ -422,80 +395,37 @@ def _sum_squares(x: np.ndarray) -> np.ndarray:
     return squares[0::2] + squares[1::2]
 
 
-def _solve_eye(m: np.ndarray) -> np.ndarray:
-    """Inverse of every matrix of a real or complex stack, in one stacked
-    solve; an exactly singular slice raises :class:`SingularOperator`."""
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a^{-1} b for every slice of a real or complex stack, in one stacked
+    ``np.linalg.solve``: the package's one call to a LAPACK solver.  An
+    exactly singular slice raises :class:`SingularOperator`; an overflow
+    leaves inf or nan, for the caller's guard to refuse."""
     try:
-        return np.linalg.solve(m, np.eye(m.shape[-1]))
-    except np.linalg.LinAlgError as exc:
-        raise SingularOperator(str(exc)) from None
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        raise SingularOperator("Singular matrix") from None
 
 
-def _complex_inv(blocks: np.ndarray) -> np.ndarray:
-    """Real form of the inverse of every slice of a (k, n, n) stack of
-    J_std-commuting slices, from their ``blocks`` (:func:`_slice_last`):
-    the :func:`complex_inverse` of each slice's linear form P, read from
-    its even rows, as a real stack (:func:`real_form`)."""
-    return real_form(complex_inverse(_even_rows(blocks, True)))
-
-
-# the overflow of a nearly singular slice leaves inf or nan, for the
-# caller's guard to refuse
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _inverse_and_scale(m: np.ndarray, scale: np.ndarray | None = None):
-    """:func:`mat_inv` of ``m`` and each slice's largest |entry|, the
-    ``scale`` given or the one its gate computed."""
-    n = m.shape[-1]
-    stack = np.ascontiguousarray(m).reshape(-1, n, n)
-    flat, blocks = _slice_last(stack)
-    if scale is None:
-        scale = np.abs(flat).max(axis=0).reshape(m.shape[:-2])
-    linear = _defect(blocks, True) <= COMMUTING_GATE * scale.reshape(-1)
-    if not linear.any():
-        inv = _solve_eye(stack)
-    elif linear.all():
-        inv = _complex_inv(blocks)
-    else:
-        inv = np.empty_like(stack)
-        inv[linear] = _complex_inv(blocks[..., linear])
-        inv[~linear] = _solve_eye(stack[~linear])
-    return inv.reshape(m.shape), scale
-
-
-def mat_inv(m: np.ndarray, scale: np.ndarray | None = None) -> np.ndarray:
-    """Inverse of every matrix of a float64 (..., n, n) stack, unguarded: a
-    caller passes it to :func:`guard_inverse`, at once or after a refusal
-    that must come first.  An exactly singular slice raises
-    :class:`SingularOperator`.
-
-    A slice that commutes with J_std (``charts.standard_acs``) is an
-    (n/2) x (n/2) complex matrix and is inverted in that form, with no
-    LAPACK call at n = 2 and 4.  It counts as commuting when its defect
-    max(|a - d|, |b + c|) over the 2x2 blocks [[a, c], [b, d]] is at most
-    ``COMMUTING_GATE`` = 64 eps times its largest entry.  The complex form
-    inverts the commuting part of the slice, which is that close to it, so
-    it adds at most kappa 64 eps n relative error, the order of LU's own
-    backward error.  Every other slice takes one stacked real solve.  The
-    choice is made per slice, from that slice alone, so each slice gets the
-    bits of inverting it alone.
-
-    The stack is read once, into a copy with the slice index last; the
-    scale, the gate and, at n = 2 and 4, the complex inverse are vector
-    operations across slices on that copy, so a mixed or non-commuting
-    stack computes its gate once too.  ``scale``, each slice's largest
-    |entry| (``slice_max_abs(m)``), is taken from a caller that has it.
-    """
-    return _inverse_and_scale(m, scale)[0]
+def mat_inv(m: np.ndarray) -> np.ndarray:
+    """Inverse of every matrix of a float64 (..., n, n) stack, unguarded, by
+    one stacked solve against the identity (:func:`_solve`), so each slice
+    gets the bits of inverting it alone.  No slice is read for structure:
+    one that commutes with J_std takes the same solve as any other, since
+    only the chart's complex forms know that layout.  A caller passes the
+    inverse to :func:`guard_inverse`, at once or after a refusal that must
+    come first.  An exactly singular slice raises
+    :class:`SingularOperator`."""
+    return _solve(m, np.eye(m.shape[-1]))
 
 
 def mat_inv_guarded(a) -> np.ndarray:
     """Invert every matrix of a stack, refusing ill-conditioned input: the
-    inverse of :func:`mat_inv` passes :func:`guard_inverse`.  Chart
-    operations rely on this guard to surface domain violations (1 - K close
-    to singular) as errors rather than noise.  The gate and the guard read
-    one slice scale."""
+    stack is admitted, and its :func:`mat_inv`, one real solve whatever
+    the slices commute with, passes :func:`guard_inverse`.  Chart
+    operations rely on this guard to surface domain violations (1 - K
+    close to singular) as errors rather than noise."""
     m = as_fiber_matrix(a)
-    return guard_inverse(m, *_inverse_and_scale(m))
+    return guard_inverse(m, mat_inv(m))
 
 
 # Pade-13 coefficients b_0 .. b_13 and the 1-norm up to which the
@@ -654,14 +584,6 @@ def pade_basis(a) -> PadeBasis:
                      norm, squarings, _powers(x) if matrix is not None else ())
 
 
-def _routes(basis: PadeBasis, c: float) -> tuple:
-    """The masks of the diagonal, algebra and matrix routes at c A, None
-    where a route is empty: at c = 0 every slice is diagonal."""
-    if c == 0.0:
-        return np.ones(len(basis.stack), dtype=bool), None, None
-    return basis.diagonal, basis.even, basis.matrix
-
-
 def _require_finite(x: np.ndarray) -> None:
     if not np.isfinite(x).all():
         raise NonFiniteValue("matrix exponential entries must be finite")
@@ -726,14 +648,12 @@ def _pade_13(basis: PadeBasis, c: float):
 @np.errstate(over="ignore", invalid="ignore")
 def _expm(squarings, num, den) -> np.ndarray:
     """exp of the matrix route's slices from their :func:`_pade_13` parts:
-    r = den^{-1} num as (den num)^{-1} num^2, exact since the even and odd
-    parts V and U commute, squared back, every slice with s > k in one
-    matmul at step k.  den num = V^2 - U^2 is even in the exponent, so it
-    commutes with J_std whenever the exponent anticommutes with it, and
-    :func:`mat_inv` inverts it in complex form.  Swapping num and den gives
-    exp(-a) by the same steps.  A non-finite result raises
-    :class:`NonFiniteValue`."""
-    r = mat_inv(den @ num) @ (num @ num)
+    r = den^{-1} num from one stacked real solve den r = num
+    (:func:`_solve`; Higham 2005), whatever the exponent anticommutes
+    with, squared back, every slice with s > k in one matmul at step k.
+    Swapping num and den gives exp(-a) by the same steps.  A non-finite
+    result raises :class:`NonFiniteValue`."""
+    r = _solve(den, num)
     for step in range(squarings.max(initial=0)):
         todo = squarings > step
         r[todo] = r[todo] @ r[todo]
@@ -866,22 +786,24 @@ def mat_exp(a, t: float = 1.0) -> np.ndarray:
     """exp(t a) of every slice: a stacked scaling-and-squaring Pade-13 in
     numpy.  ``a`` is a stack or its :class:`PadeBasis`, which a caller that
     sweeps t keeps; a stack builds a fresh one, so at t = 1 no power is
-    scaled.  Each slice takes its route, with the squaring count s of
-    Higham 2005 on every one: a diagonal slice ``np.exp`` of its diagonal
-    (the identity, exactly, at t = 0); a slice that passes ``EVEN_GATE``
+    scaled.  t = 0 returns the identity exactly, at once.  Each slice
+    takes its route, with the squaring count s of Higham 2005 on every one:
+    a diagonal slice ``np.exp`` of its diagonal; a slice that passes ``EVEN_GATE``
     (n <= 4, tr A and tr A^3 rounding noise: every tangent of a structure)
     the algebra of Y = A^2, in which exp(t a) = c0 I + c1 A + c2 Y + c3 AY
     comes from four scalars per slice (:func:`_even_exp`), the same
     approximant to within the dropped odd coefficients, at most about
     64 eps n m ||A||^3, m the slice's largest entry; any other slice the
-    matrix route (:func:`_pade_13`, :func:`_expm`), bit for bit as before
-    the algebra route.  A non-finite t a is refused as the stack t a would
-    be, and a non-finite result raises :class:`NonFiniteValue`."""
+    matrix route (:func:`_pade_13`, :func:`_expm`).  A non-finite t a is
+    refused as the stack t a would be, and a non-finite result raises
+    :class:`NonFiniteValue`."""
     basis = a if isinstance(a, PadeBasis) else pade_basis(a)
     t = float(t)
     if not abs(t) * basis.largest < np.inf:
         raise NonFiniteValue("matrix entries must be finite")
-    diagonal, even, matrix = _routes(basis, t)
+    if t == 0.0:
+        return np.broadcast_to(np.eye(basis.shape[-1]), basis.shape).copy()
+    diagonal, even, matrix = basis.diagonal, basis.even, basis.matrix
     parts = []
     if diagonal is not None:
         parts.append((diagonal, _diagonal_exp(_take(diagonal, basis.stack), t)))
@@ -899,8 +821,8 @@ def _cosh_sinh(basis: PadeBasis, c: float, diagonal, matrix):
     and matrix routes, in stack order: N^2 + D^2 and N^2 - D^2 of the Pade
     parts where no squaring is needed, else e + f and e - f of e = exp(c A)
     and f = exp(-c A), with the bits of ``mat_exp(a, c)`` and
-    ``mat_exp(a, -c)``: one stacked inversion and one run of squarings
-    over the doubled stack."""
+    ``mat_exp(a, -c)``: one stacked solve and one run of squarings over
+    the doubled stack."""
     guarded = diagonal if matrix is None else matrix if diagonal is None else diagonal | matrix
     parts = []
     if diagonal is not None:
@@ -947,18 +869,20 @@ def mat_tanh_half(a, t: float) -> np.ndarray:
     inverted in closed form and tanh = A (w0 I + w1 Y) from two scalars per
     slice (:func:`_even_tanh`); its guard reads the same kappa_F in closed
     form.  The other slices (diagonal, and on the matrix route) take their
-    cosh factors' inverses from one stacked inversion (:func:`_cosh_sinh`),
-    inverted in complex form where h anticommutes with J_std.  The guard
+    cosh factors (:func:`_cosh_sinh`) to one :func:`mat_inv`, a real
+    solve even where h anticommutes with J_std.  The guard
     reads both routes' kappa_F in stack order, with its cap and messages.
     Swapping the signs swaps N and D, and e and f (on the algebra route,
-    negates A's odd part exactly), so tanh is odd in t bit for bit, and
-    t = 0 gives exactly 0.  The cosh factor can only degenerate when the
-    spectrum of h approaches an odd multiple of i pi / 2; a failed
-    inversion surfaces as :class:`SingularOperator`.
+    negates A's odd part exactly), so tanh is odd in t bit for bit.  t = 0
+    returns exact zeros (+0.0) with no inversion.  The cosh factor can only
+    degenerate when the spectrum of h approaches an odd multiple of
+    i pi / 2; a failed inversion surfaces as :class:`SingularOperator`.
     """
     basis = a if isinstance(a, PadeBasis) else pade_basis(a)
     c = 0.5 * float(t)
-    diagonal, even, matrix = _routes(basis, c)
+    if c == 0.0:
+        return np.zeros(basis.shape)
+    diagonal, even, matrix = basis.diagonal, basis.even, basis.matrix
     shape = basis.stack.shape
     tanh, cond = [], []
     if even is not None:
@@ -968,8 +892,8 @@ def mat_tanh_half(a, t: float) -> np.ndarray:
     if diagonal is not None or matrix is not None:
         cosh, sinh, guarded = _cosh_sinh(basis, c, diagonal, matrix)
         m = as_fiber_matrix(cosh)
-        inv, scale = _inverse_and_scale(m)
-        cond.append((guarded, _condition_f(m, inv, scale)))
+        inv = mat_inv(m)
+        cond.append((guarded, _condition_f(m, inv)))
     _refuse_ill_conditioned(_scatter(cond, shape[:1]))
     if diagonal is not None or matrix is not None:
         tanh.append((guarded, inv @ sinh))

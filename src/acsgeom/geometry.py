@@ -16,17 +16,19 @@ The tangent space at J is the set of J-antilinear maps, and the pairing and
 Omega are the real and imaginary parts of one Hermitian trace.  So where a
 chart field's base is exactly J_std (``AcsField.is_standard``, an exact
 comparison) and K passes the gate of :func:`acsgeom.fiber.antilinear_form`
-at every point (antilinear defect at most 64 eps of its largest entry, the
-rule of ``fiber.COMMUTING_GATE``), its chart point is complex
+at every point (antilinear defect at most 64 eps of its largest entry,
+``fiber.ANTILINEAR_GATE``), its chart point is complex
 (:class:`~acsgeom.charts.ComplexChart`), and the chart functionals compute
 on the (n/2) x (n/2) complex forms that each direction keeps
 (``TangentField.antilinear_form``), within about kappa 64 eps n relative of
-the real formulas, kappa that of 1 - K^2.  Each product the functionals
-share at one chart point, a direction's S Q and a pair's trace, is formed
-once there and kept for as long as the chart point lives.  Every other
-input keeps the real route, bit for bit: a base off J_std, a K or a
-direction outside the gate, and an array of directions, such as a family
-with leading axes.
+the real formulas, kappa that of 1 - K^2.  Only these complex forms know
+the layout of J_std: every other kernel, ``fiber.mat_inv`` and the
+exponentials included, is plain real arithmetic.  Each product the
+functionals share at one chart point, a direction's S Q and a pair's
+trace, is formed once there and kept for as long as the chart point
+lives.  Every other input keeps the real route, bit for bit: a base off
+J_std, a K or a direction outside the gate, and an array of directions,
+such as a family with leading axes.
 """
 
 from __future__ import annotations

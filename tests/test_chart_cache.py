@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from acsgeom.charts import random_anticommuting
-from acsgeom.fiber import COMMUTING_GATE
+from acsgeom.fiber import ANTILINEAR_GATE
 from acsgeom.geometry import (ChartField, chart_inner, chart_inner_terms, chart_omega,
                               chart_omega_terms, christoffel, curvature)
 from acsgeom.structures import AcsField, SampleSpace, TangentField, standard_acs_field
@@ -94,7 +94,7 @@ def off_gate(j, m):
     """A direction at j whose slice 0 misses the form's gate by twice it."""
     out = m.copy()
     largest = np.abs(out[0]).max()
-    out[0, 0, 1] = out[0, 1, 0] + 2 * COMMUTING_GATE * largest
+    out[0, 0, 1] = out[0, 1, 0] + 2 * ANTILINEAR_GATE * largest
     return TangentField.derived(j, out)
 
 

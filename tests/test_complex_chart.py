@@ -15,7 +15,7 @@ import pytest
 from acsgeom import fiber
 from acsgeom.charts import random_anticommuting, standard_acs
 from acsgeom.errors import GeometryError
-from acsgeom.fiber import COMMUTING_GATE, mat_inv, mat_inv_guarded
+from acsgeom.fiber import ANTILINEAR_GATE, mat_inv, mat_inv_guarded
 from acsgeom.geometry import (ChartField, chart_inner, chart_inner_terms, chart_omega,
                               chart_omega_terms, christoffel, curvature)
 from acsgeom.structures import AcsField, SampleSpace, TangentField
@@ -138,7 +138,7 @@ def perturbed(m, factor):
     gate: its entry (0, 1), the c of block [[a, c], [b, d]], moved off b."""
     out = m.copy()
     largest = np.abs(out[0]).max()
-    out[0, 0, 1] = out[0, 1, 0] + factor * COMMUTING_GATE * largest
+    out[0, 0, 1] = out[0, 1, 0] + factor * ANTILINEAR_GATE * largest
     assert np.abs(out[0]).max() == largest
     return out
 

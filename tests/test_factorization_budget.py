@@ -21,12 +21,13 @@ one stacked inversion, the chart field's (1 - K^2)^{-1}, and it is a
 field's base is exactly J_std and its K passes the form's gate, so no
 ``mat_inv`` runs; its tanh and both exponentials run in the algebra of
 A^2, which inverts in closed form.  Each inversion is counted under its
-public names in every module that binds them, and at
-``fiber._inverse_and_scale``, which every route of ``mat_inv`` passes
-through.  The chart field's complex products are pinned as well: the
-functionals share each direction's S Q and each pair's trace, which the
-chart point keeps, so the warmed op makes 14 ``complex_product`` calls and
-one ``complex_trace``, and ``validate_associated`` forms W J once, so it
+public names in every module that binds them, and at ``fiber._solve``,
+the one stacked solve that ``mat_inv``, the exponentials' matrix route
+and a complex solve above dim 4 all pass through.  The chart field's
+complex products are pinned as well: the functionals share each
+direction's S Q and each pair's trace, which the chart point keeps, so
+the warmed op makes 14 ``complex_product`` calls and one
+``complex_trace``, and ``validate_associated`` forms W J once, so it
 makes 2 stacked matmuls.
 """
 
@@ -42,8 +43,7 @@ from acsgeom.verify import check_cayley, check_curvature_fd, check_theorem1
 
 COUNTED = {np.linalg: ("solve", "inv", "svd", "eigvalsh", "cholesky", "norm"),
            st: ("orientation_marker", "pade_basis"),
-           fiber: ("pade_basis", "mat_inv", "mat_inv_guarded", "_inverse_and_scale",
-                   "complex_inverse"),
+           fiber: ("pade_basis", "mat_inv", "mat_inv_guarded", "_solve", "complex_inverse"),
            charts: ("mat_inv", "mat_inv_guarded", "complex_inverse", "complex_product"),
            ge: ("complex_product", "complex_trace")}
 # per op, once the reference has kept its orientation.  The one stacked
@@ -63,7 +63,7 @@ COUNTED = {np.linalg: ("solve", "inv", "svd", "eigvalsh", "cholesky", "norm"),
 # chart_omega none: it reads the trace chart_inner kept
 BUDGET = {"solve": 0, "inv": 0, "svd": 0, "eigvalsh": 0, "cholesky": 0, "norm": 0,
           "orientation_marker": 1, "pade_basis": 0,
-          "mat_inv": 0, "mat_inv_guarded": 0, "_inverse_and_scale": 0, "complex_inverse": 1,
+          "mat_inv": 0, "mat_inv_guarded": 0, "_solve": 0, "complex_inverse": 1,
           "complex_product": 14, "complex_trace": 1}
 GRID = np.linspace(0.0, 2.0, 9)
 
@@ -151,9 +151,10 @@ def test_chart_field_admits_nothing_again(monkeypatch):
     assert counts == {"isfinite": 2, "as_fiber_matrix": 0}
 
 
-# a chart point inverts 1 - K^2 in complex form at dims 2 and 4; only
-# acs_to_cayley's 1 - J J0, which does not commute with J_std, takes a
-# stacked real solve, one per dim
+# every chart point of these checkers sits at J_std and inverts 1 - K^2
+# in complex form, by the adjugate at dims 2 and 4; only acs_to_cayley's
+# 1 - J J0, which does not commute with J_std, takes a stacked real solve,
+# one per dim
 @pytest.mark.parametrize("check, solves", [(check_theorem1, 0), (check_cayley, 2)])
 def test_chart_checkers_solve_only_what_does_not_commute(counted, check, solves):
     assert check(dims=(2, 4)).passed
