@@ -39,41 +39,32 @@ The gate is 64 eps of a slice's largest entry, so computing on a gated
 form adds at most about kappa 64 eps n relative error, the order of LU's
 own backward error.
 
-The exponentials need numpy only: one scaling-and-squaring Pade-13
-(Higham 2005) runs over a whole stack.  A geodesic takes exp(t A) and
-tanh((t/2) A) of one velocity A at many t, so A's part of the
-approximant, its :class:`PadeBasis`, is computed once and kept
-(``TangentField.pade``).  Each slice takes one of three routes, chosen
-from that slice alone, and t = 0 gives exactly I and exactly 0 with no
-route.  A diagonal slice takes ``np.exp`` of its diagonal.  At n <= 4 a
-slice takes the algebra route where |tr A| <= ``EVEN_GATE`` m and
-|tr A^3| <= ``EVEN_GATE`` m^3, m its largest entry within 2^-120 .. 2^120
-(``EVEN_GATE`` = 64 eps, ``EVEN_RANGE``): every slice that anticommutes
-with a structure passes.  The odd coefficients of its characteristic
-polynomial are then rounding noise, and Cayley-Hamilton gives
-Y^2 = sigma Y - pi I for Y = A^2.  Every polynomial
-in A is then c0 I + c1 A + c2 Y + c3 AY, four scalars per slice, and the
-same approximant runs on (k,) arrays: one Horner pass for its even part V
-and odd cofactor Q, its quotients in closed form in R[Y], its squarings
-as products of those scalars, and one matrix per slice at the end, with
-no stacked inversion.  The gate drops e1 A^3 - e3 A from A^4, at most
-about 64 eps n m ||A||^3: up to 64 times the rounding n eps ||A||^4 of
-forming A^4 itself, as ``ANTILINEAR_GATE`` is to LU's backward error.
-Every other slice (each one at n >= 6) takes the matrix route: its kept
-powers A^2, A^4 and A^6 serve every exponent c A with the coefficients
-b_j scaled by c^j, three matmuls instead of six and no 1-norm pass, with
-one stacked solve and masked, stacked squarings; a slice whose
-squaring count at c is not its count at 1 forms its powers afresh.  A
-kernel given a stack builds a fresh basis, so each formula has one
-implementation, and at c = 1 nothing is scaled.  ``mat_tanh_half``
+The exponentials need numpy only: a scaling-and-squaring Pade-13
+(Higham 2005) over a whole stack.  A geodesic takes exp(c A) at many c
+of one velocity A, so A's :class:`PadeBasis` (its route masks, 1-norms
+and algebra) is computed once and kept (``TangentField.pade``).  Each
+slice takes its route from that slice and c alone; c = 0 gives exactly I
+and exactly 0 with no route.  A diagonal slice takes ``np.exp`` of its
+diagonal.  At n <= 4 a slice that passes ``EVEN_GATE`` (|tr A| and
+|tr A^3| at most 64 eps m and m^3, m its largest entry within
+2^-120 .. 2^120: every tangent of a structure) takes the algebra route
+where it needs no squaring, |c| ||A||_1 <= theta_13.  Its odd
+characteristic coefficients are rounding noise, so Cayley-Hamilton gives
+Y^2 = sigma Y - pi I for Y = A^2, every polynomial in A is
+c0 I + c1 A + c2 Y + c3 AY, and the approximant runs on four scalars per
+slice, with its quotients in closed form and no stacked inversion.  The
+gate drops e1 A^3 - e3 A from A^4, at most about 64 eps n m ||A||^3: up
+to 64 times the rounding n eps ||A||^4 of forming A^4 itself, as
+``ANTILINEAR_GATE`` is to LU's backward error.  Every other slice, at
+every c, takes the matrix route: the powers of 2^-s c A formed afresh,
+one stacked solve and masked, stacked squarings.  ``mat_tanh_half``
 builds the polynomial once for both signs of its exponent, which share
-the scaling and swap the approximant's numerator and denominator; where
-no squaring is needed it takes the quotient from those two parts, with
-no exponential, and its guard reads kappa_F of the cosh factor on both
-routes, in stack order.  A one-route stack takes no boolean mask, gather
-or scatter; a mixed stack splits by masks, with the same bits per slice.
-The package imports no scipy.  An exponential whose norm or result is not
-finite raises :class:`NonFiniteValue` without a numpy warning.
+the scaling and swap numerator and denominator; where no squaring is
+needed it takes the quotient from those two parts, with no exponential.
+A one-route stack takes no boolean mask, gather or scatter; a mixed
+stack splits by masks, with the same bits per slice.  The package
+imports no scipy.  An exponential whose norm or result is not finite
+raises :class:`NonFiniteValue` without a numpy warning.
 
 A per-slice reduction of a stack (the guard's scale, the Pade 1-norm and
 diagonal mask, the validators' residuals) goes through
@@ -435,9 +426,6 @@ PADE_13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
            670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
            16380.0, 182.0, 1.0)
 THETA_13 = 5.371920351148152
-# Largest |c| whose powers c^j, j <= 13, scale the approximant's
-# coefficients: c^13 stays below 2^832
-SCALE_MAX = 2.0 ** 64
 # Column j holds (b_2j, b_2j+1): one Horner pass evaluates the rows [V, Q] of
 # the approximant's even part V and odd cofactor Q
 PADE_ROWS = np.array(PADE_13).reshape(7, 2, 1)
@@ -446,20 +434,19 @@ PADE_ROWS = np.array(PADE_13).reshape(7, 2, 1)
 # A^2: tangents anticommute with their base only to a few ulps, so their
 # odd characteristic coefficients are rounding noise, not 0 (they read up
 # to 15 of the 64 at bases P J_std P^-1 with kappa(P) <= 6).  m lies within
-# 1 / EVEN_RANGE .. EVEN_RANGE there, so that no power of the scaled
-# exponent, down to pi c'^4, leaves the floating-point range
+# 1 / EVEN_RANGE .. EVEN_RANGE there, so that no power of the exponent,
+# down to pi c^4, leaves the floating-point range
 EVEN_GATE = 64 * np.finfo(float).eps
 EVEN_RANGE = 2.0 ** 120
 
 
 class EvenAlgebra(NamedTuple):
-    """The slices of a :class:`PadeBasis` on the algebra route: their
-    1-norms (``norm``; ``norm_max`` is the largest), sigma = tr(Y) / 2 and
-    pi = (sigma^2 - tr(Y^2) / 2) / 2 of Y = A^2, so Y^2 = sigma Y - pi I,
-    ``spread`` = ||Y - (tr Y / n) I||_F^2, and ``span``, the entries of A,
-    AY and Y with the slice index last, shape (3, n n, g)."""
+    """The slices of a :class:`PadeBasis` that pass the algebra route's
+    gate: ``norm_max``, the largest of their 1-norms, and, with the slice
+    index last, sigma = tr(Y) / 2 and pi = (sigma^2 - tr(Y^2) / 2) / 2 of
+    Y = A^2, so Y^2 = sigma Y - pi I, ``spread`` = ||Y - (tr Y / n) I||_F^2,
+    and ``span``, the entries of A, AY and Y, shape (3, n n, g)."""
 
-    norm: np.ndarray
     norm_max: float
     sigma: np.ndarray
     pi: np.ndarray
@@ -469,20 +456,18 @@ class EvenAlgebra(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class PadeBasis:
-    """What the Pade-13 exponential of c A needs of a float64 (k, n, n)
-    stack A for every scalar c, computed once by :func:`pade_basis`.  A
-    sweep over c (a geodesic over t) reads it at each c.
+    """What the exponentials of c A need of a float64 (k, n, n) stack A for
+    every scalar c, computed once by :func:`pade_basis`.  A sweep over c
+    (a geodesic over t) reads it at each c.
 
-    Each slice takes one route; each route's mask is None where no slice
-    takes it.  ``diagonal`` masks the slices whose off-diagonal entries are
-    all 0, whose exponentials are exact.  ``even`` masks those that pass the
-    algebra route's gate (:func:`_even_algebra`); ``algebra`` is their
-    :class:`EvenAlgebra`.  ``matrix`` masks the others (every non-diagonal
-    slice at n >= 6): ``rest`` holds them, ``norm`` their 1-norms,
-    ``squarings`` their counts s at c = 1 (:func:`_squarings`) and ``powers``
-    their X, X^2, X^4 and X^6 for X = 2^-s A, from which the approximant's
-    parts take three matmuls instead of six and no 1-norm pass.
-    ``largest`` is the largest |entry| of A."""
+    Each mask is None where no slice is in it.  ``diagonal`` masks the
+    slices whose off-diagonal entries are all 0, whose exponentials are
+    exact.  ``even`` masks those that pass the algebra route's gate
+    (:func:`_even_algebra`); ``algebra`` is their :class:`EvenAlgebra`.
+    ``matrix`` masks the others (every non-diagonal slice at n >= 6).
+    ``norm`` holds every slice's 1-norm, from which :func:`_routes` reads
+    at c which gated slices need squaring, and the matrix route each
+    slice's squaring count.  ``largest`` is the largest |entry| of A."""
 
     shape: tuple
     stack: np.ndarray
@@ -491,18 +476,7 @@ class PadeBasis:
     even: np.ndarray | None
     matrix: np.ndarray | None
     algebra: EvenAlgebra | None
-    rest: np.ndarray
     norm: np.ndarray
-    squarings: np.ndarray
-    powers: tuple
-
-
-@np.errstate(divide="ignore")  # log2(0) of a tiny norm is clipped to s = 0
-def _squarings(norm: np.ndarray) -> np.ndarray:
-    """The squaring count s = max(0, ceil(log2(||A||_1 / theta_13))) of each
-    1-norm (Higham 2005); an infinite norm, which the exponential refuses,
-    reads 2000."""
-    return np.clip(np.ceil(np.log2(norm / THETA_13)), 0.0, 2000.0).astype(int)
 
 
 def _powers(x: np.ndarray) -> tuple:
@@ -553,18 +527,19 @@ def _even_algebra(x: np.ndarray, norm: np.ndarray):
             & (1.0 / EVEN_RANGE <= m) & (m <= EVEN_RANGE))
     if not gate.any():
         return gate, None
-    x, y, ay, norm = (_take(gate, v) for v in (x, y, ay, norm))
+    x, y, ay = (_take(gate, v) for v in (x, y, ay))
     sigma = 0.5 * np.einsum("kii->k", y)
     pi = 0.5 * (sigma * sigma - 0.5 * np.einsum("kij,kji->k", y, y))
     spread = y - (2.0 / n) * sigma[:, None, None] * np.eye(n)
     span = np.empty((3, n * n, len(x)))
     for row, power in zip(span, (x, ay, y)):
         row[...] = power.reshape(-1, n * n).T
-    return gate, EvenAlgebra(norm, float(norm.max()), sigma, pi,
+    return gate, EvenAlgebra(float(norm[gate].max()), sigma, pi,
                              np.einsum("kij,kij->k", spread, spread), span)
 
 
-# an infinite norm overflows its powers; the exponential refuses it
+# a slice past EVEN_RANGE may overflow its norm or powers; the gate keeps it
+# off the algebra route, and the matrix route refuses a norm that overflowed
 @np.errstate(over="ignore", invalid="ignore")
 def pade_basis(a) -> PadeBasis:
     """The :class:`PadeBasis` of a (..., n, n) stack, admitted first."""
@@ -576,12 +551,30 @@ def pade_basis(a) -> PadeBasis:
     if n <= 4 and not diagonal.all():
         even[~diagonal], algebra = _even_algebra(_take(~diagonal, stack), _take(~diagonal, norm))
     matrix = ~(diagonal | even)
-    rest, norm = _take(matrix, stack), _take(matrix, norm)
-    squarings = _squarings(norm)
-    x = np.ldexp(rest, -squarings[:, None, None]) if squarings.any() else rest
     diagonal, even, matrix = (mask if mask.any() else None for mask in (diagonal, even, matrix))
-    return PadeBasis(m.shape, stack, max_abs(stack), diagonal, even, matrix, algebra, rest,
-                     norm, squarings, _powers(x) if matrix is not None else ())
+    return PadeBasis(m.shape, stack, max_abs(stack), diagonal, even, matrix, algebra, norm)
+
+
+def _routes(basis: PadeBasis, c: float):
+    """The diagonal, algebra and matrix masks of ``basis`` at the exponent
+    c, and the :class:`EvenAlgebra` of the algebra route's slices.  Where
+    no gated slice needs squaring at c, |c| ||A||_1 <= theta_13 for each,
+    they are the basis's own, for one comparison; else the gated slices
+    that would square take the matrix route at this c."""
+    alg = basis.algebra
+    if alg is None or abs(c) * alg.norm_max <= THETA_13:
+        return basis.diagonal, basis.even, basis.matrix, alg
+    with np.errstate(over="ignore"):  # an infinite norm takes the matrix route's refusal
+        keep = abs(c) * basis.norm[basis.even] <= THETA_13
+    even = basis.even.copy()
+    even[basis.even] = keep
+    matrix = basis.even & ~even
+    if basis.matrix is not None:
+        matrix |= basis.matrix
+    if not keep.any():
+        return basis.diagonal, None, matrix, None
+    return basis.diagonal, even, matrix, EvenAlgebra(
+        float(basis.norm[even].max()), *(x[..., keep] for x in alg[1:]))
 
 
 def _require_finite(x: np.ndarray) -> None:
@@ -598,15 +591,10 @@ def _diagonal_exp(stack: np.ndarray, c: float) -> np.ndarray:
     return out
 
 
-def _pade_parts(x, x2, x4, x6, c: float):
+def _pade_parts(x, x2, x4, x6):
     """Numerator V + U and denominator V - U of the Pade-13 approximant at
-    c x, from the powers of x: each coefficient b_j is scaled by c^j, so
-    no power of c x is formed, and at c = 1 nothing is scaled.  b_1 and b_0
-    are added to the diagonals in place."""
-    b, scale = [], 1.0
-    for coefficient in PADE_13:
-        b.append(coefficient * scale)
-        scale *= c
+    x, from its powers; b_1 and b_0 are added to the diagonals in place."""
+    b = PADE_13
     u = x6 @ (b[13] * x6 + b[11] * x4 + b[9] * x2) + b[7] * x6 + b[5] * x4 + b[3] * x2
     np.einsum("...ii->...i", u)[...] += b[1]
     u = x @ u
@@ -615,34 +603,21 @@ def _pade_parts(x, x2, x4, x6, c: float):
     return v + u, v - u
 
 
-# overflow and nan are refused below
-@np.errstate(over="ignore", invalid="ignore")
-def _pade_13(basis: PadeBasis, c: float):
-    """Scaled Pade-13 parts of c A for the matrix route's slices of
-    ``basis`` (Higham 2005): each slice's squaring count s at |c| ||A||_1
-    and the numerator V + U and denominator V - U at 2^-s c A.
-
-    A slice whose s is its count at c = 1 takes them from its kept powers,
-    with the coefficients scaled by c^j (:func:`_pade_parts`).  A slice
-    whose s moves, and every slice when |c| > ``SCALE_MAX``, forms the
-    powers of 2^-s c A afresh; the choice is the slice's own, so each slice
-    keeps the bits of that slice alone.  At c = 1 nothing is scaled, and
-    the parts are those of A's own 2^-s A, bit for bit.  U is odd and V
-    even, and negation is exact, so -c gets the same s with the two
-    swapped, bit for bit.  A non-finite norm raises
-    :class:`NonFiniteValue`."""
-    norm = abs(c) * basis.norm
+# a norm that is not finite is refused below; log2(0) of a tiny norm gives s = 0
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _pade_13(x: np.ndarray, norm: np.ndarray, c: float):
+    """Scaled Pade-13 parts of c x for a (k, n, n) stack x with 1-norms
+    ``norm`` (Higham 2005): each slice's squaring count
+    s = max(0, ceil(log2(|c| ||x||_1 / theta_13))) and the numerator V + U
+    and denominator V - U at 2^-s c x, whose powers are formed afresh.  At
+    c = 1 nothing is scaled.  U is odd and V even, and negation is exact,
+    so -c gets the same s with the two swapped, bit for bit.  A non-finite
+    norm raises :class:`NonFiniteValue`."""
+    norm = abs(c) * norm
     if not np.isfinite(norm).all():
         raise NonFiniteValue("matrix exponential entries must be finite")
-    squarings = _squarings(norm)
-    moved = squarings != basis.squarings if abs(c) <= SCALE_MAX else np.ones_like(squarings, bool)
-    if not moved.any():  # one path: no masks
-        return squarings, *_pade_parts(*basis.powers, c)
-    x = np.ldexp(c * basis.rest[moved], -squarings[moved, None, None])
-    num, den = np.empty((2,) + basis.rest.shape)
-    num[moved], den[moved] = _pade_parts(*_powers(x), 1.0)
-    num[~moved], den[~moved] = _pade_parts(*(p[~moved] for p in basis.powers), c)
-    return squarings, num, den
+    squarings = np.maximum(np.ceil(np.log2(norm / THETA_13)), 0.0).astype(int)
+    return squarings, *_pade_parts(*_powers(np.ldexp(c * x, -squarings[:, None, None])))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -661,11 +636,12 @@ def _expm(squarings, num, den) -> np.ndarray:
     return r
 
 
-# The algebra route.  With A' = c' A and Z = A'^2 = w Y (w = c'^2), an
-# element x0 + x1 Z of R[Z], where Z^2 = sz Z - pz I, is the pair (x0, x1),
-# and an element p + A' q of the algebra, p and q in R[Z], is the pair of
-# rows ([p0, p0, q0, q0], [p1, p1, q1, q1]), so that p^2, p q and q^2 are
-# products of views.  z = (sz, pz, -pz).
+# The algebra route, on slices that need no squaring at c.  With A' = c A
+# and Z = A'^2 = w Y (w = c^2), an element x0 + x1 Z of R[Z], where
+# Z^2 = sz Z - pz I, is the pair (x0, x1), and an element p + A' q of the
+# algebra, p and q in R[Z], is the pair of rows ([p0, p0, q0, q0],
+# [p1, p1, q1, q1]), so that p^2, p q and q^2 are products of views.
+# z = (sz, pz, -pz).
 
 def _times(x, y, z):
     """x y in R[Z] for pairs x and y, whose components broadcast."""
@@ -678,8 +654,7 @@ def _over(x, y, z):
     """x y^{-1} in R[Z], as x y* / det: y* = y0 + y1 sz - y1 Z is y's
     conjugate and det = y y* = y0^2 + y0 y1 sz + y1^2 pz a scalar.  x y* =
     (x0 (y0 + y1 sz) + x1 y1 pz) + (x1 y0 - x0 y1) Z is written out, so no
-    two x1 y1 sz terms cancel when y's coefficients are large, as after
-    squarings.  Also returns y*'s scalar part and det."""
+    two x1 y1 sz terms cancel.  Also returns y*'s scalar part and det."""
     (x0, x1), (y0, y1) = x, y
     conj = y0 + y1 * z[0]
     det = y0 * conj + y1 * y1 * z[1]
@@ -701,55 +676,29 @@ def _rows(p, q):
 
 
 def _even_pade(alg: EvenAlgebra, c: float):
-    """The Pade-13 approximant of c A on the algebra route, before
-    squaring: s per slice (None where no slice squares), c' = 2^-s c,
-    w = c'^2, z, and the squares of N = V + A' Q (:func:`_squares`), whose
+    """The Pade-13 approximant of c A on the algebra route: w = c^2, z, and
+    the squares of N = V + A' Q (:func:`_squares`), whose
     r = D^{-1} N = N^2 / (D N), D = V - A' Q.  V and Q come from one
     Horner pass in R[Z] over their two stacked rows, a few dozen vector
-    operations, and are spread to the rows of N once.  A non-finite norm
-    raises :class:`NonFiniteValue`."""
-    if not abs(c) * alg.norm_max < np.inf:
-        raise NonFiniteValue("matrix exponential entries must be finite")
-    c, squarings = np.float64(c), None
-    scale = c
-    if not abs(c) * alg.norm_max / THETA_13 <= 1.0:  # some slice squares
-        squarings = _squarings(abs(c) * alg.norm)
-        scale = np.ldexp(c, -squarings)
-    w = scale * scale
+    operations, and are spread to the rows of N once."""
+    w = c * c
     sz, pz = w * alg.sigma, (w * w) * alg.pi
     z = sz, pz, -pz
     x0, x1 = PADE_ROWS[5], PADE_ROWS[6]
     for column in PADE_ROWS[4::-1]:
         x0, x1 = column + x1 * z[2], x0 + x1 * sz
-    return squarings, scale, w, z, _squares(_rows((x0[0], x1[0]), (x0[1], x1[1])), z)
-
-
-def _even_squared(num, den, squarings, z):
-    """r = num / den in rows, squared s times per slice in the algebra; a
-    non-finite r raises :class:`NonFiniteValue`."""
-    r = _over(num, den, z)[0]
-    for step in range(squarings.max()):
-        todo = squarings > step
-        even, odd, _ = _squares(r, z)
-        square = _rows(even, odd)
-        r = square if todo.all() else tuple(np.where(todo, new, old) for new, old in zip(square, r))
-    for part in r:
-        _require_finite(part)
-    return r
+    return w, z, _squares(_rows((x0[0], x1[0]), (x0[1], x1[1])), z)
 
 
 # overflow and nan are refused by the caller
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _even_exp(basis: PadeBasis, c: float) -> np.ndarray:
+def _even_exp(alg: EvenAlgebra, n: int, c: float) -> np.ndarray:
     """exp(c A) of the algebra route's slices: r = a + A' b from
-    :func:`_even_pade`, squared in the algebra, as the matrices
-    a0 I + w a1 Y + c' b0 A + c' w b1 AY."""
-    alg, n = basis.algebra, basis.shape[-1]
-    squarings, scale, w, z, (even, odd, norm) = _even_pade(alg, c)
-    num = _rows(even, odd)
-    r0, r1 = _over(num, norm, z)[0] if squarings is None else _even_squared(num, norm, squarings, z)
-    out = alg.span[0] * (scale * r0[2])
-    out += alg.span[1] * ((scale * w) * r1[2])
+    :func:`_even_pade`, as the matrices a0 I + w a1 Y + c b0 A + c w b1 AY."""
+    w, z, (even, odd, norm) = _even_pade(alg, c)
+    r0, r1 = _over(_rows(even, odd), norm, z)[0]
+    out = alg.span[0] * (c * r0[2])
+    out += alg.span[1] * ((c * w) * r1[2])
     out += alg.span[2] * (w * r1[0])
     out[::n + 1] += r0[0]
     return np.ascontiguousarray(out.T).reshape(-1, n, n)
@@ -757,45 +706,34 @@ def _even_exp(basis: PadeBasis, c: float) -> np.ndarray:
 
 # overflow and nan are refused, here or by the guard
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _even_tanh(basis: PadeBasis, c: float):
+def _even_tanh(alg: EvenAlgebra, n: int, c: float):
     """tanh(c A) of the algebra route's slices and kappa_F of its cosh
     factor C.  tanh = A' C^{-1} S, where C = N^2 + D^2 = 2 E and
-    A' S = N^2 - D^2 = 2 A' O from the even and odd parts E and O of N^2
-    where no squaring is needed, else C = a and S = b of the squared
-    r = a + A' b, both over |a0| + |a1| so that det C stays in range.
+    A' S = N^2 - D^2 = 2 A' O from the even and odd parts E and O of N^2.
     kappa_F = ||C||_F ||C^{-1}||_F, with C^{-1} = C* / det and
     ||x0 I + x1 Z||_F^2 = n (x0 + x1 tr(Z) / n)^2 + x1^2 ||Z - tr(Z) / n I||_F^2,
     a sum of two squares."""
-    alg, n = basis.algebra, basis.shape[-1]
-    squarings, scale, w, z, (cosh, sinh, norm) = _even_pade(alg, c)
-    if squarings is not None:
-        (a0, _, b0, _), (a1, _, b1, _) = _even_squared(_rows(cosh, sinh), norm, squarings, z)
-        size, squared = np.abs(a0) + np.abs(a1), squarings > 0
-        cosh = np.where(squared, a0 / size, cosh[0]), np.where(squared, a1 / size, cosh[1])
-        sinh = np.where(squared, b0 / size, sinh[0]), np.where(squared, b1 / size, sinh[1])
+    w, z, (cosh, sinh, _) = _even_pade(alg, c)
     (t0, t1), conj, det = _over(sinh, cosh, z)
     tau, rest = (2.0 / n) * z[0], cosh[1] * cosh[1] * ((w * w) * alg.spread)
     u, v = cosh[0] + cosh[1] * tau, conj - cosh[1] * tau
     cond = np.sqrt((n * (u * u) + rest) * (n * (v * v) + rest)) / np.abs(det)
-    out = alg.span[0] * (scale * t0)
-    out += alg.span[1] * ((scale * w) * t1)
+    out = alg.span[0] * (c * t0)
+    out += alg.span[1] * ((c * w) * t1)
     return np.ascontiguousarray(out.T).reshape(-1, n, n), cond
 
 
 def mat_exp(a, t: float = 1.0) -> np.ndarray:
     """exp(t a) of every slice: a stacked scaling-and-squaring Pade-13 in
     numpy.  ``a`` is a stack or its :class:`PadeBasis`, which a caller that
-    sweeps t keeps; a stack builds a fresh one, so at t = 1 no power is
-    scaled.  t = 0 returns the identity exactly, at once.  Each slice
-    takes its route, with the squaring count s of Higham 2005 on every one:
-    a diagonal slice ``np.exp`` of its diagonal; a slice that passes ``EVEN_GATE``
-    (n <= 4, tr A and tr A^3 rounding noise: every tangent of a structure)
-    the algebra of Y = A^2, in which exp(t a) = c0 I + c1 A + c2 Y + c3 AY
-    comes from four scalars per slice (:func:`_even_exp`), the same
-    approximant to within the dropped odd coefficients, at most about
-    64 eps n m ||A||^3, m the slice's largest entry; any other slice the
-    matrix route (:func:`_pade_13`, :func:`_expm`).  A non-finite t a is
-    refused as the stack t a would be, and a non-finite result raises
+    sweeps t keeps.  t = 0 returns the identity exactly, at once.  Each
+    slice takes its route at t (:func:`_routes`): a diagonal slice
+    ``np.exp`` of its diagonal; a slice that passes ``EVEN_GATE`` and needs
+    no squaring, |t| ||A||_1 <= theta_13, four scalars in the algebra of
+    Y = A^2 (:func:`_even_exp`), the same approximant to within the
+    dropped odd coefficients; any other slice the matrix route
+    (:func:`_pade_13`, :func:`_expm`).  A non-finite t a is refused as the
+    stack t a would be, and a non-finite result raises
     :class:`NonFiniteValue`."""
     basis = a if isinstance(a, PadeBasis) else pade_basis(a)
     t = float(t)
@@ -803,14 +741,15 @@ def mat_exp(a, t: float = 1.0) -> np.ndarray:
         raise NonFiniteValue("matrix entries must be finite")
     if t == 0.0:
         return np.broadcast_to(np.eye(basis.shape[-1]), basis.shape).copy()
-    diagonal, even, matrix = basis.diagonal, basis.even, basis.matrix
+    diagonal, even, matrix, alg = _routes(basis, t)
     parts = []
     if diagonal is not None:
         parts.append((diagonal, _diagonal_exp(_take(diagonal, basis.stack), t)))
     if even is not None:
-        parts.append((even, _even_exp(basis, t)))
+        parts.append((even, _even_exp(alg, basis.shape[-1], t)))
     if matrix is not None:
-        parts.append((matrix, _expm(*_pade_13(basis, t))))
+        parts.append((matrix, _expm(*_pade_13(_take(matrix, basis.stack),
+                                              _take(matrix, basis.norm), t))))
     out = _scatter(parts, basis.stack.shape)
     _require_finite(out)
     return out.reshape(basis.shape)
@@ -832,7 +771,7 @@ def _cosh_sinh(basis: PadeBasis, c: float, diagonal, matrix):
         _require_finite(f)
         parts.append((diagonal[guarded], e + f, e - f))
     if matrix is not None:
-        squarings, num, den = _pade_13(basis, c)
+        squarings, num, den = _pade_13(_take(matrix, basis.stack), _take(matrix, basis.norm), c)
         unscaled, inner = squarings == 0, matrix[guarded]
         quotient, squared = inner.copy(), inner.copy()
         quotient[inner], squared[inner] = unscaled, ~unscaled
@@ -854,7 +793,8 @@ def mat_tanh_half(a, t: float) -> np.ndarray:
     """tanh((t/2) a), the quotient (e + f)^{-1} (e - f) of e = exp(h) and
     f = exp(-h), h = t a / 2, refused by :func:`guard_inverse`'s rule on
     kappa_F of the cosh factor.  ``a`` is a stack or its
-    :class:`PadeBasis`, as for :func:`mat_exp`.
+    :class:`PadeBasis`, and each slice takes its route at t / 2, as for
+    :func:`mat_exp`.
 
     Both exponentials come from one Pade polynomial: -h shares the scaling
     of h, with numerator N and denominator D swapped.  Where h needs no
@@ -863,30 +803,26 @@ def mat_tanh_half(a, t: float) -> np.ndarray:
     kappa_F(N^2 + D^2); N^2 + D^2 = D N (e + f), so that differs from
     kappa_F(e + f) by at most a factor kappa(D N).  D N = V^2 - U^2 is close
     to a multiple of the identity: kappa(D N) stayed below 1.5 over 900
-    random h with ||h||_1 at theta_13, dims 2 to 8.  Slices with s > 0 take
-    e and f, squared.  A slice that passes ``EVEN_GATE`` does all of it in
-    the algebra of Y = A^2, as :func:`mat_exp` does, with its cosh factor
-    inverted in closed form and tanh = A (w0 I + w1 Y) from two scalars per
-    slice (:func:`_even_tanh`); its guard reads the same kappa_F in closed
-    form.  The other slices (diagonal, and on the matrix route) take their
-    cosh factors (:func:`_cosh_sinh`) to one :func:`mat_inv`, a real
-    solve even where h anticommutes with J_std.  The guard
-    reads both routes' kappa_F in stack order, with its cap and messages.
-    Swapping the signs swaps N and D, and e and f (on the algebra route,
-    negates A's odd part exactly), so tanh is odd in t bit for bit.  t = 0
-    returns exact zeros (+0.0) with no inversion.  The cosh factor can only
-    degenerate when the spectrum of h approaches an odd multiple of
-    i pi / 2; a failed inversion surfaces as :class:`SingularOperator`.
+    random h with ||h||_1 at theta_13, dims 2 to 8.  The algebra route
+    inverts its cosh factor and reads the same kappa_F in closed form
+    (:func:`_even_tanh`); the other routes' cosh factors
+    (:func:`_cosh_sinh`) go to one :func:`mat_inv`.  The guard reads every
+    route's kappa_F in stack order, with its cap and messages.  Swapping the signs swaps N and D, and e and f (on
+    the algebra route, negates A's odd part exactly), so tanh is odd in t
+    bit for bit.  t = 0 returns exact zeros (+0.0) with no inversion.  The
+    cosh factor can only degenerate when the spectrum of h approaches an
+    odd multiple of i pi / 2; a failed inversion surfaces as
+    :class:`SingularOperator`.
     """
     basis = a if isinstance(a, PadeBasis) else pade_basis(a)
     c = 0.5 * float(t)
     if c == 0.0:
         return np.zeros(basis.shape)
-    diagonal, even, matrix = basis.diagonal, basis.even, basis.matrix
+    diagonal, even, matrix, alg = _routes(basis, c)
     shape = basis.stack.shape
     tanh, cond = [], []
     if even is not None:
-        part, kappa = _even_tanh(basis, c)
+        part, kappa = _even_tanh(alg, shape[-1], c)
         tanh.append((even, part))
         cond.append((even, kappa))
     if diagonal is not None or matrix is not None:

@@ -270,7 +270,8 @@ def curvature(c: ChartField, a: TangentField, b: TangentField,
 def geodesic_chart(a: TangentField, t: float) -> TangentField:
     """Chart coordinate of the geodesic through the base with velocity a:
     K(t) = tanh((t/2) A) per point, from the velocity's kept Pade basis
-    (``a.pade``), so a sweep over t pays for A's powers once.
+    (``a.pade``), so a sweep over t builds A's routes once; each slice
+    takes its route at t / 2.
 
     The curve satisfies K'' + Gamma(K', K') = 0 with Gamma the bilinear
     connection term returned by :func:`christoffel`.

@@ -182,7 +182,8 @@ class TangentField:
     def pade(self) -> PadeBasis:
         """The :func:`~acsgeom.fiber.pade_basis` of ``ops``, built on first
         read and kept: the geodesic kernels read it at every t, so a sweep
-        over t pays for the velocity's powers once."""
+        over t sorts the velocity's slices into routes and forms their
+        algebra once."""
         return pade_basis(self.ops)
 
     @cached_property

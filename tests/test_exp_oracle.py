@@ -9,7 +9,9 @@ Each route of ``mat_exp`` and ``mat_tanh_half`` is held to these forms:
 
 - the matrix route, on the same blocks put into dim 6, where every
   non-diagonal slice takes it;
-- the algebra route, at dims 2 and 4;
+- at dims 2 and 4, the algebra route where the exponent c (t for exp, t / 2
+  for tanh) needs no squaring, |c| nu <= theta_13, and the matrix route
+  beyond;
 - the diagonal route, on diag(nu, -nu) at dim 2.
 
 The error is max |got - reference| / max(1, max |reference|), bounded by
@@ -20,16 +22,17 @@ cases: 1.85 on the compact ones (tanh at nu = 3/8, t = 10), 14.2 on the
 hyperbolic ones (exp at nu = 11/16, t = 1000, nu t = 687.5).  A
 hyperbolic case has nu t <= 700, below the overflow of cosh.
 
-The algebra route's compact cases lose accuracy at large t (ROADMAP item
-2): exp reads 4.9 times u (1 + nu t) at t = 100 and up to about 500
-times at t = 1e4, and tanh up to about 300 times at t = 1e3.  Those cases
-are strict expected failures until that item mends the route.
+tanh of a hyperbolic block beside a zero block at dim 6 is refused at
+large nu t, though its entries are at most 1: the guard reads kappa_F of
+its cosh factor, which holds 2 I beside cosh(nu t / 2).  Those cases are
+strict expected failures.
 """
 
 import numpy as np
 import pytest
 
-from acsgeom.fiber import mat_exp, mat_tanh_half, pade_basis, real_form
+from acsgeom.errors import SingularOperator
+from acsgeom.fiber import THETA_13, _routes, mat_exp, mat_tanh_half, pade_basis, real_form
 
 U = np.finfo(float).eps / 2
 NUS = (0.125, 0.375, 0.6875)
@@ -37,7 +40,7 @@ TIMES = (1.0, 10.0, 100.0, 1000.0, 10000.0)
 HYPERBOLIC_TIMES = TIMES[:4]  # nu t <= 700 leaves no case at t = 1e4
 COMPACT_MULTIPLE = 4.0
 HYPERBOLIC_MULTIPLE = 32.0
-ITEM_2 = "ROADMAP item 2: the algebra route loses accuracy at large t in compact directions"
+REFUSED = "the guard refuses tanh of a hyperbolic block beside a zero block at large nu t"
 
 
 def compact(nu, dim):
@@ -80,11 +83,20 @@ def ratio(name, a, nu, t, compact_case):
     return np.abs(got - want).max() / max(1.0, np.abs(want).max()) / (U * (1.0 + nu * t))
 
 
-def route(a):
-    basis = pade_basis(a)
-    taken = [name for name in ("diagonal", "even", "matrix") if getattr(basis, name) is not None]
+def route(name, a, t):
+    """The one route that every slice of ``a`` takes in the kernel ``name``
+    at t, whose exponent is t for exp and t / 2 for tanh."""
+    masks = _routes(pade_basis(a), t if name == "exp" else 0.5 * t)[:3]
+    taken = [path for path, mask in zip(("diagonal", "even", "matrix"), masks)
+             if mask is not None]
     assert len(taken) == 1
     return taken[0]
+
+
+def gated_route(name, nu, t):
+    """The route of a gated slice of 1-norm nu: the algebra route where its
+    exponent needs no squaring."""
+    return "even" if (t if name == "exp" else 0.5 * t) * nu <= THETA_13 else "matrix"
 
 
 @pytest.mark.parametrize("name", ["exp", "tanh"])
@@ -92,19 +104,30 @@ def route(a):
 def test_matrix_route_compact(name, t):
     for nu in NUS:
         a = compact(nu, 6)
-        assert route(a) == "matrix"
+        assert route(name, a, t) == "matrix"
         assert ratio(name, a, nu, t, True) <= COMPACT_MULTIPLE, nu
 
 
-# tanh of a hyperbolic block beside a zero block is refused at large nu t:
-# its cosh factor holds 2 I beside cosh(nu t / 2)
 @pytest.mark.parametrize("t", HYPERBOLIC_TIMES)
 def test_matrix_route_hyperbolic_exp(t):
     for nu in NUS:
         if nu * t <= 700.0:
             a = hyperbolic(nu, 6)
-            assert route(a) == "matrix"
+            assert route("exp", a, t) == "matrix"
             assert ratio("exp", a, nu, t, False) <= HYPERBOLIC_MULTIPLE, nu
+
+
+def refused_case(nu, t):
+    refused = (nu, t) in {(0.125, 1000.0), (0.375, 1000.0), (0.6875, 100.0), (0.6875, 1000.0)}
+    marks = pytest.mark.xfail(strict=True, raises=SingularOperator, reason=REFUSED) if refused else ()
+    return pytest.param(nu, t, marks=marks)
+
+
+@pytest.mark.parametrize("nu, t", [refused_case(nu, t) for t in HYPERBOLIC_TIMES for nu in NUS])
+def test_matrix_route_hyperbolic_tanh(nu, t):
+    a = hyperbolic(nu, 6)
+    assert route("tanh", a, t) == "matrix"
+    assert ratio("tanh", a, nu, t, False) <= HYPERBOLIC_MULTIPLE
 
 
 @pytest.mark.parametrize("diagonal", [False, True], ids=["algebra", "diagonal"])
@@ -114,20 +137,13 @@ def test_dim_2_hyperbolic(name, t, diagonal):
     for nu in NUS:
         if nu * t <= 700.0:
             a = hyperbolic(nu, 2, diagonal)
-            assert route(a) == ("diagonal" if diagonal else "even")
+            assert route(name, a, t) == ("diagonal" if diagonal else gated_route(name, nu, t))
             assert ratio(name, a, nu, t, False) <= HYPERBOLIC_MULTIPLE, nu
 
 
-def algebra_case(name, t):
-    fails = t >= (100.0 if name == "exp" else 1000.0)
-    marks = pytest.mark.xfail(strict=True, reason=ITEM_2) if fails else ()
-    return pytest.param(name, t, marks=marks)
-
-
-@pytest.mark.parametrize("name, t", [algebra_case(name, t) for name in ("exp", "tanh")
-                                     for t in TIMES])
+@pytest.mark.parametrize("name, t", [(name, t) for name in ("exp", "tanh") for t in TIMES])
 def test_algebra_route_compact(name, t):
     for nu in NUS:
         a = compact(nu, 4)
-        assert route(a) == "even"
+        assert route(name, a, t) == gated_route(name, nu, t)
         assert ratio(name, a, nu, t, True) <= COMPACT_MULTIPLE, nu

@@ -315,9 +315,8 @@ class TestStacks:
         with pytest.raises(NonFiniteValue, match="matrix exponential entries must be finite"):
             mat_exp(1.7e308 * (a / scale))
 
-    # a kept basis serves every scale c of its stack: a slice whose squaring
-    # count at c is below or above its count at 1 forms its powers afresh,
-    # and the others scale the approximant's coefficients by c^j
+    # a kept basis serves every scale c of its stack, each slice on its
+    # route at c, with the bits of the stack a at c
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("dim", [2, 4, 6, 8])
     def test_kept_basis_is_scipy_expm_at_every_scale(self, dim):
@@ -325,19 +324,13 @@ class TestStacks:
 
         a = mixed_stack(10, dim, 5.0)
         basis = pade_basis(a)
-        assert basis.squarings.any()
         for c in (-4.0, -0.5, 0.01, 0.3, 1.0, 2.0, 4.0):
             got = mat_exp(basis, c)
             # beyond |c| = 1 a non-normal 2 x 2 draw loses a few digits to
-            # cancellation, on the fresh route as well
+            # cancellation
             tol = 1e-13 if abs(c) <= 0.5 else 1e-11
             assert (relative_error(got, expm(c * a)) <= tol).all(), c
             assert np.array_equal(got, mat_exp(a, c))
-        # beyond SCALE_MAX, where c^13 could overflow, every slice forms its
-        # powers afresh, with the bits of the stack c a
-        tiny = 1e-21 * a
-        assert 1e20 > fiber.SCALE_MAX
-        assert np.array_equal(mat_exp(pade_basis(tiny), 1e20), mat_exp(1e20 * tiny))
         for t in (-0.5, 0.02, 0.6):
             e, f = expm(0.5 * t * a), expm(-0.5 * t * a)
             want = mat_inv_guarded(e + f) @ (e - f)
@@ -736,12 +729,13 @@ def gathered_antilinear_form(stack):
     return np.ascontiguousarray(even).view(complex).transpose(1, 2, 0)
 
 
-def masked_pade_13(a):
-    """The Pade-13 parts as the masked expression, whatever the stack holds:
-    the non-diagonal slices and their norms gathered by a[~diagonal]."""
+def masked_pade_13(a, c=1.0):
+    """The Pade-13 parts at c a as the masked expression, whatever the
+    stack holds: the non-diagonal slices and their norms gathered by
+    a[~diagonal]."""
     n = a.shape[-1]
     diagonal, norm = diagonal_and_norm_1(a)
-    x, norm = a[~diagonal], norm[~diagonal]
+    x, norm = c * a[~diagonal], abs(c) * norm[~diagonal]
     with np.errstate(divide="ignore"):
         squarings = np.maximum(np.ceil(np.log2(norm / THETA_13)), 0.0).astype(int)
     if squarings.any():
@@ -782,7 +776,7 @@ def path_stack(seed, n, one_path, diagonal, zero, scaled):
     cosh(24) = 1.3e10 at |t| <= 2, under the guard's cap even as n kappa_2
     (at 1-norm 30, cosh(30) = 5.3e12 let the guard refuse about 1 draw in
     100 at n = 2); every other one anticommutes with J_std, so at n <= 4
-    it takes the algebra route."""
+    it takes the algebra route where it needs no squaring."""
     rng = np.random.default_rng(seed)
     raw = rng.uniform(-1.0, 1.0, size=(one_path + scaled, n, n))
     dense = raw + raw.mT
@@ -796,12 +790,12 @@ def path_stack(seed, n, one_path, diagonal, zero, scaled):
     return stack[rng.permutation(len(stack))]
 
 
-def route_masks(basis):
-    """The diagonal, algebra and matrix routes' masks of a basis, an empty
-    route's as all False."""
+def route_masks(basis, c=1.0):
+    """The diagonal, algebra and matrix routes' masks of a basis at the
+    exponent c, an empty route's as all False."""
     k = len(basis.stack)
     return tuple(np.zeros(k, bool) if mask is None else mask
-                 for mask in (basis.diagonal, basis.even, basis.matrix))
+                 for mask in fiber._routes(basis, c)[:3])
 
 
 def per_slice(f, a):
@@ -835,14 +829,13 @@ class TestOnePathStacks:
         assert np.array_equal(mat_exp(mixed)[:-1], got)
         for s, want in tanh.items():
             assert np.array_equal(mat_tanh_half(mixed, s)[:-1], want)
-        for h in (a, -a, 0.5 * t * a, a.mT):
+        for h, c in ((a, 1.0), (a, -1.0), (a, 0.5 * t), (a.mT, 1.0)):
             # the matrix route's parts keep the bits of the masked expression
-            basis, (diagonal, *oracle) = pade_basis(h), masked_pade_13(h)
-            on_diagonal, _, on_matrix = route_masks(basis)
+            basis, (diagonal, *oracle) = pade_basis(h), masked_pade_13(h, c)
+            on_diagonal, _, on_matrix = route_masks(basis, c)
             assert np.array_equal(on_diagonal, diagonal)
-            if on_matrix.any():
-                for part, want in zip(_pade_13(basis, 1.0), oracle):
-                    assert np.array_equal(part, want[on_matrix[~diagonal]])
+            for part, want in zip(_pade_13(h[~diagonal], basis.norm[~diagonal], c), oracle):
+                assert np.array_equal(part, want)
         # a kept basis gives each slice the bits of the single-slice call,
         # at any scale of the exponent
         basis = pade_basis(a)
@@ -853,15 +846,11 @@ class TestOnePathStacks:
                                   per_slice(lambda m: mat_tanh_half(pade_basis(m), s), a))
         assert np.array_equal(mat_exp(basis), got)
         # c = 1 scales nothing: the diagonal and matrix routes keep the
-        # masked expression's bits.  The algebra route agrees with it to
-        # 1e-14, and to 2^s 1e-14 where s squarings double both routes'
-        # rounding, which lies on either side of exp (about 8e-15 each at
-        # s = 3)
+        # masked expression's bits, and the algebra route, which squares
+        # nothing, agrees with it to 1e-14
         masked, even = masked_mat_exp(a), route_masks(basis)[1]
         assert np.array_equal(got[~even], masked[~even])
-        doubled = 2.0 ** np.maximum(np.ceil(np.log2(
-            np.abs(a[even]).sum(axis=-2).max(axis=-1) / THETA_13)), 0.0)
-        assert (relative_error(got[even], masked[even]) <= 1e-14 * doubled).all()
+        assert (relative_error(got[even], masked[even]) <= 1e-14).all()
 
     # 1025 slices cross a block of the per-slice max; exactly
     # anticommuting slices read 0, and a stack of them alone has a form
@@ -935,7 +924,8 @@ class TestAlgebraRoute:
 
     # scipy's expm is the oracle, to test_mat_exp_is_scipy_expm's 1e-14
     # over the field_1000 grid (|c| ||A||_1 <= 2) and 1e-12 beyond
-    # theta_13, where slices of 1-norm 0.5 to 2 square 0 to 2 times
+    # theta_13, where those of the slices of 1-norm 0.5 to 2 that would
+    # square take the matrix route
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("kappa", [1.0, 6.0])
     @pytest.mark.parametrize("n", [2, 4])
@@ -996,10 +986,47 @@ class TestAlgebraRoute:
         assert np.array_equal(got[1], masked_mat_exp(a)[1])
         assert np.array_equal(got, per_slice(mat_exp, a))
 
-    # below 2^-120 (and above 2^120) the scaled powers of A would leave the
-    # floating-point range: 2^-300 A at c = 2^300 overflowed w = c'^2 into a
+    # each slice takes its route at c: the algebra route where a gated
+    # slice needs no squaring, |c| ||A||_1 <= theta_13, else the matrix
+    # route; diagonal slices np.exp at every c.  Compact J_std tangents
+    # (A^2 = -nu^2 I) of 1-norms 0.2 to 25 straddle theta_13 / |c| at every
+    # c, and their cosh factor cos(nu c) I keeps tanh's guard quiet
+    def test_routes_are_chosen_per_exponent(self):
+        rng = np.random.default_rng(6)
+        q = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+        forms = np.zeros((2, 2, 12), dtype=complex)
+        forms[0, 1], forms[1, 0] = q, -q
+        compact = fiber.real_form(antilinear=forms)
+        compact *= (np.geomspace(0.2, 25.0, 12) / np.abs(compact).sum(axis=-2).max(axis=-1))[:, None, None]
+        off_gate = 0.05 * rng.standard_normal((1, 4, 4))
+        a = np.concatenate([compact[:6], np.zeros((1, 4, 4)), np.diag([0.5, -1.0, 0.25, 1.0])[None],
+                            off_gate, compact[6:]])
+        basis = pade_basis(a)
+        assert list(basis.matrix) == [False] * 8 + [True] + [False] * 6
+        reached = set()
+        for c in (0.5, 2.0, 3.0, -3.0, 10.0):
+            for s in (c, 0.5 * c):  # the exponents of mat_exp and mat_tanh_half
+                diagonal, even, matrix = route_masks(basis, s)
+                squares = np.abs(s) * basis.norm > THETA_13
+                assert list(diagonal) == [False] * 6 + [True, True] + [False] * 7
+                assert np.array_equal(even, basis.even & ~squares)
+                assert np.array_equal(matrix, basis.matrix | (basis.even & squares))
+                reached |= {"diagonal"} if diagonal.any() else set()
+                reached |= {"algebra"} if even.any() else set()
+                reached |= {"matrix by gate"} if (matrix & ~basis.even).any() else set()
+                reached |= {"matrix by squaring"} if (matrix & basis.even).any() else set()
+            exp = mat_exp(basis, c)
+            assert np.array_equal(exp, per_slice(lambda m: mat_exp(m, c), a)), c
+            assert np.array_equal(exp, mat_exp(a, c)), c
+            tanh = mat_tanh_half(basis, c)
+            assert np.array_equal(tanh, per_slice(lambda m: mat_tanh_half(m, c), a)), c
+            assert np.array_equal(mat_tanh_half(basis, -c), -tanh), c
+        assert reached == {"diagonal", "algebra", "matrix by gate", "matrix by squaring"}
+
+    # below 2^-120 (and above 2^120) the powers of c A would leave the
+    # floating-point range: 2^-300 A at c = 2^300 overflowed w = c^2 into a
     # NonFiniteValue on the algebra route.  Such slices take the matrix
-    # route, where c > SCALE_MAX forms the powers of c A afresh
+    # route, which forms the powers of c A
     def test_slices_out_of_range_take_the_matrix_route(self):
         a = anticommuting_stack(5, 4, k=4)
         for scale in (2.0 ** -125, 2.0 ** 125):  # every slice has 1/4 < m <= 1
