@@ -265,7 +265,8 @@ def cmd_geodesic(cfg: RunConfig) -> int:
     """Trace t, max|K(t)|, structure residual, geodesic-equation residual
     and the associated/orthogonal validator flags over the grid.  Exits 1
     when a traced value is not finite or J_t fails :func:`validate_acs`,
-    naming the first t at fault; the trace is written either way."""
+    naming the first t at fault, its worst point and how many points fail
+    there; the trace is written either way."""
     if cfg.input is not None:
         bundle = load_bundle(cfg.input)
         if bundle.J is None or bundle.K is None:
@@ -297,8 +298,10 @@ def cmd_geodesic(cfg: RunConfig) -> int:
             raise ConfigError(f"geodesic trace fails at t={t!r} (--t-max {cfg.t_max!r}): "
                               f"{exc}") from None
         if not_acs is None and not acs.passed:
-            not_acs = (f"J_t first fails to square to -identity at t={t!r}: "
-                       f"acs_residual {acs.max_residual:.3e} exceeds {acs.tolerance:.0e}")
+            not_acs = (f"J_t first fails to square to -identity at t={t!r}: acs_residual "
+                       f"{acs.max_residual:.3e} at point {acs.worst_point!r} exceeds "
+                       f"{acs.tolerance:.0e}; {np.count_nonzero(~acs.ok)} of {acs.ok.size} "
+                       f"points fail")
     header = ["t", "k_max", "acs_residual", "geodesic_residual",
               "associated", "orthogonal"]
     _emit(cfg, header, rows,

@@ -43,37 +43,39 @@ The exponentials need numpy only: a scaling-and-squaring Pade-13
 (Higham 2005) over a whole stack.  A geodesic takes exp(c A) at many c
 of one velocity A, so A's :class:`PadeBasis` (its route masks, 1-norms
 and algebra) is computed once and kept (``TangentField.pade``).  Each
-slice takes its route from that slice and c alone; c = 0 gives exactly I
-and exactly 0 with no route.  A diagonal slice takes ``np.exp`` of its
-diagonal.  At n <= 4 a slice that passes ``EVEN_GATE`` (|tr A| and
-|tr A^3| at most 64 eps m and m^3, m its largest entry within
-2^-120 .. 2^120: every tangent of a structure) takes the algebra route
-where it needs no squaring, |c| ||A||_1 <= theta_13.  Its odd
-characteristic coefficients are rounding noise, so Cayley-Hamilton gives
-Y^2 = sigma Y - pi I for Y = A^2, every polynomial in A is
-c0 I + c1 A + c2 Y + c3 AY, and the approximant runs on four scalars per
-slice, with its quotients in closed form and no stacked inversion.  The
-gate drops e1 A^3 - e3 A from A^4, at most about 64 eps n m ||A||^3: up
-to 64 times the rounding n eps ||A||^4 of forming A^4 itself, as
-``ANTILINEAR_GATE`` is to LU's backward error.  Every other slice, at
-every c, takes the matrix route: the powers of 2^-s c A formed afresh,
-one stacked solve and masked, stacked squarings.  ``mat_tanh_half``
-builds the polynomial once for both signs of its exponent, which share
-the scaling and swap numerator and denominator; where no squaring is
-needed it takes the quotient from those two parts, with no exponential.
-A one-route stack takes no boolean mask, gather or scatter; a mixed
-stack splits by masks, with the same bits per slice.  The package
-imports no scipy.  An exponential whose norm or result is not finite
-raises :class:`NonFiniteValue` without a numpy warning.
+slice takes one of two routes, from that slice and c alone; c = 0 gives
+exactly I and exactly 0 with no route.  At n <= 4 a slice that passes
+``EVEN_GATE`` (|tr A| and |tr A^3| at most 64 eps m and m^3, m its
+largest entry within 2^-120 .. 2^120: every tangent of a structure)
+takes the algebra route where it needs no squaring,
+|c| ||A||_1 <= theta_13.  Its odd characteristic coefficients are
+rounding noise, so Cayley-Hamilton gives Y^2 = sigma Y - pi I for
+Y = A^2, every polynomial in A is c0 I + c1 A + c2 Y + c3 AY, and the
+approximant runs on four scalars per slice, with its quotients in closed
+form and no stacked inversion.  The gate drops e1 A^3 - e3 A from A^4, at
+most about 64 eps n m ||A||^3: up to 64 times the rounding n eps ||A||^4
+of forming A^4 itself, as ``ANTILINEAR_GATE`` is to LU's backward error.
+Every other slice, at every c, takes the matrix route: the powers of
+2^-s c A formed afresh, one stacked solve and masked, stacked squarings.
+Its coefficients are read over b_0, so a zero slice (which the gate's
+range keeps off the algebra route) has numerator and denominator I and
+gives exactly I and exactly +0.0.  ``mat_tanh_half`` builds the
+polynomial once for both signs of its exponent, which share the scaling
+and swap numerator and denominator; where no squaring is needed it takes
+the quotient from those two parts, with no exponential.  A one-route
+stack takes no boolean mask, gather or scatter; a mixed stack splits by
+masks, with the same bits per slice.  The package imports no scipy.  An
+exponential whose norm or result is not finite raises
+:class:`NonFiniteValue` without a numpy warning.
 
-A per-slice reduction of a stack (the guard's scale, the Pade 1-norm and
-diagonal mask, the validators' residuals) goes through
-:func:`slice_max_abs` or :func:`diagonal_and_norm_1`.  They copy
-|entries| of up to ``REDUCE_BLOCK`` slices into a buffer with the slice
-index last and reduce it row by row across slices, where numpy would run
-one short loop per slice.  A stack of slices wider than ``REDUCE_WIDEST``
-entries keeps numpy's own reduce, which is then faster.  Their results
-are bit for bit those of the plain numpy reductions, NaN included.
+A per-slice reduction of a stack (the guard's scale, the Pade 1-norm,
+the validators' residuals) goes through :func:`slice_max_abs` or
+:func:`norm_1`.  They copy |entries| of up to ``REDUCE_BLOCK`` slices
+into a buffer with the slice index last and reduce it row by row across
+slices, where numpy would run one short loop per slice.  A stack of
+slices wider than ``REDUCE_WIDEST`` entries keeps numpy's own reduce,
+which is then faster.  Their results are bit for bit those of the plain
+numpy reductions, NaN included.
 """
 
 from __future__ import annotations
@@ -143,30 +145,20 @@ def slice_max_abs(x: np.ndarray) -> np.ndarray:
     return out.reshape(x.shape[:-2])
 
 
-def diagonal_and_norm_1(a: np.ndarray):
-    """The mask of diagonal slices of a float64 (k, n, n) stack (every
-    off-diagonal entry == 0) and each slice's 1-norm, its largest column
-    sum of |entries|, from (n, n, b) blocks as in :func:`slice_max_abs`.
-    The column sums add the rows in order, as ``np.abs(a).sum(axis=1)``
-    does, so both keep the bits of the plain numpy expressions, NaN
-    included.  A slice is diagonal where its largest off-diagonal |entry|
-    is 0; slices wider than the blocks take are reduced by numpy in the
-    same way, one (k, n, n) stack at once."""
-    k, n = a.shape[:2]
-    if n * n > REDUCE_WIDEST:
-        stack = np.abs(a)
-        norm = stack.sum(axis=1).max(axis=-1)
-        rows = stack.reshape(k, n * n)
-        rows[:, ::n + 1] = 0.0
-        return rows.max(axis=1) == 0.0, norm
-    diagonal, norm = np.empty(k, dtype=bool), np.empty(k)
-    for at in range(0, k, REDUCE_BLOCK):
+def norm_1(a: np.ndarray) -> np.ndarray:
+    """Each slice's 1-norm, its largest column sum of |entries|, of a
+    float64 (k, n, n) stack, from (n, n, b) blocks as in
+    :func:`slice_max_abs`.  The column sums add the rows in order, as
+    ``np.abs(a).sum(axis=1)`` does, so the norms keep the bits of the plain
+    numpy expression, NaN included; slices wider than the blocks take are
+    reduced by numpy in the same way, one (k, n, n) stack at once."""
+    if a.shape[-1] ** 2 > REDUCE_WIDEST:
+        return np.abs(a).sum(axis=1).max(axis=-1)
+    norm = np.empty(len(a))
+    for at in range(0, len(a), REDUCE_BLOCK):
         block = np.abs(a[at:at + REDUCE_BLOCK].transpose(1, 2, 0), order="C")
         block.sum(axis=0).max(axis=0, out=norm[at:at + REDUCE_BLOCK])
-        rows = block.reshape(n * n, -1)
-        rows[::n + 1] = 0.0
-        np.equal(rows.max(axis=0), 0.0, out=diagonal[at:at + REDUCE_BLOCK])
-    return diagonal, norm
+    return norm
 
 
 @dataclass(frozen=True)
@@ -426,6 +418,9 @@ PADE_13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
            670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
            16380.0, 182.0, 1.0)
 THETA_13 = 5.371920351148152
+# b_j / b_0, the matrix route's coefficients: D^-1 N is the same, but a zero
+# slice's N = D = I then solves to I exactly, where b_0 I read 1 - 1.1e-16
+PADE_UNIT = tuple(b / PADE_13[0] for b in PADE_13)
 # Column j holds (b_2j, b_2j+1): one Horner pass evaluates the rows [V, Q] of
 # the approximant's even part V and odd cofactor Q
 PADE_ROWS = np.array(PADE_13).reshape(7, 2, 1)
@@ -460,19 +455,17 @@ class PadeBasis:
     every scalar c, computed once by :func:`pade_basis`.  A sweep over c
     (a geodesic over t) reads it at each c.
 
-    Each mask is None where no slice is in it.  ``diagonal`` masks the
-    slices whose off-diagonal entries are all 0, whose exponentials are
-    exact.  ``even`` masks those that pass the algebra route's gate
-    (:func:`_even_algebra`); ``algebra`` is their :class:`EvenAlgebra`.
-    ``matrix`` masks the others (every non-diagonal slice at n >= 6).
-    ``norm`` holds every slice's 1-norm, from which :func:`_routes` reads
-    at c which gated slices need squaring, and the matrix route each
-    slice's squaring count.  ``largest`` is the largest |entry| of A."""
+    Each mask is None where no slice is in it.  ``even`` masks the slices
+    that pass the algebra route's gate (:func:`_even_algebra`);
+    ``algebra`` is their :class:`EvenAlgebra`.  ``matrix`` masks the
+    others (every slice at n >= 6).  ``norm`` holds every slice's 1-norm,
+    from which :func:`_routes` reads at c which gated slices need
+    squaring, and the matrix route each slice's squaring count.
+    ``largest`` is the largest |entry| of A."""
 
     shape: tuple
     stack: np.ndarray
     largest: float
-    diagonal: np.ndarray | None
     even: np.ndarray | None
     matrix: np.ndarray | None
     algebra: EvenAlgebra | None
@@ -504,8 +497,8 @@ def _scatter(parts: list, shape: tuple) -> np.ndarray:
 
 
 def _even_algebra(x: np.ndarray, norm: np.ndarray):
-    """The gate of the algebra route for each slice of a (k, n, n) stack of
-    non-diagonal slices at n <= 4, with 1-norms ``norm``, and the
+    """The gate of the algebra route for each slice of a (k, n, n) stack at
+    n <= 4, with 1-norms ``norm``, and the
     :class:`EvenAlgebra` of the slices that pass it (None if none does).
 
     A slice passes when |tr A| <= ``EVEN_GATE`` m and |tr A^3| <=
@@ -546,35 +539,29 @@ def pade_basis(a) -> PadeBasis:
     m = as_fiber_matrix(a)
     n = m.shape[-1]
     stack = m.reshape(-1, n, n)
-    diagonal, norm = diagonal_and_norm_1(stack)
-    even, algebra = np.zeros_like(diagonal), None
-    if n <= 4 and not diagonal.all():
-        even[~diagonal], algebra = _even_algebra(_take(~diagonal, stack), _take(~diagonal, norm))
-    matrix = ~(diagonal | even)
-    diagonal, even, matrix = (mask if mask.any() else None for mask in (diagonal, even, matrix))
-    return PadeBasis(m.shape, stack, max_abs(stack), diagonal, even, matrix, algebra, norm)
+    norm = norm_1(stack)
+    even, algebra = _even_algebra(stack, norm) if n <= 4 else (np.zeros(len(stack), bool), None)
+    even, matrix = (mask if mask.any() else None for mask in (even, ~even))
+    return PadeBasis(m.shape, stack, max_abs(stack), even, matrix, algebra, norm)
 
 
 def _routes(basis: PadeBasis, c: float):
-    """The diagonal, algebra and matrix masks of ``basis`` at the exponent
-    c, and the :class:`EvenAlgebra` of the algebra route's slices.  Where
-    no gated slice needs squaring at c, |c| ||A||_1 <= theta_13 for each,
-    they are the basis's own, for one comparison; else the gated slices
-    that would square take the matrix route at this c."""
+    """The algebra and matrix masks of ``basis`` at the exponent c, and the
+    :class:`EvenAlgebra` of the algebra route's slices.  Where no gated
+    slice needs squaring at c, |c| ||A||_1 <= theta_13 for each, they are
+    the basis's own, for one comparison; else the gated slices that would
+    square take the matrix route at this c, with every ungated slice."""
     alg = basis.algebra
     if alg is None or abs(c) * alg.norm_max <= THETA_13:
-        return basis.diagonal, basis.even, basis.matrix, alg
+        return basis.even, basis.matrix, alg
     with np.errstate(over="ignore"):  # an infinite norm takes the matrix route's refusal
         keep = abs(c) * basis.norm[basis.even] <= THETA_13
     even = basis.even.copy()
     even[basis.even] = keep
-    matrix = basis.even & ~even
-    if basis.matrix is not None:
-        matrix |= basis.matrix
     if not keep.any():
-        return basis.diagonal, None, matrix, None
-    return basis.diagonal, even, matrix, EvenAlgebra(
-        float(basis.norm[even].max()), *(x[..., keep] for x in alg[1:]))
+        return None, ~even, None
+    return even, ~even, EvenAlgebra(float(basis.norm[even].max()),
+                                    *(x[..., keep] for x in alg[1:]))
 
 
 def _require_finite(x: np.ndarray) -> None:
@@ -582,19 +569,11 @@ def _require_finite(x: np.ndarray) -> None:
         raise NonFiniteValue("matrix exponential entries must be finite")
 
 
-@np.errstate(over="ignore", invalid="ignore")  # refused by the caller
-def _diagonal_exp(stack: np.ndarray, c: float) -> np.ndarray:
-    """exp(c A) of diagonal slices: ``np.exp`` of c times their diagonals,
-    so a zero slice gives the identity exactly."""
-    out = np.zeros(stack.shape)
-    np.einsum("kii->ki", out)[...] = np.exp(c * np.einsum("kii->ki", stack))
-    return out
-
-
 def _pade_parts(x, x2, x4, x6):
     """Numerator V + U and denominator V - U of the Pade-13 approximant at
-    x, from its powers; b_1 and b_0 are added to the diagonals in place."""
-    b = PADE_13
+    x, from its powers, with every coefficient over b_0 (``PADE_UNIT``);
+    b_1 / b_0 and 1 are added to the diagonals in place."""
+    b = PADE_UNIT
     u = x6 @ (b[13] * x6 + b[11] * x4 + b[9] * x2) + b[7] * x6 + b[5] * x4 + b[3] * x2
     np.einsum("...ii->...i", u)[...] += b[1]
     u = x @ u
@@ -727,24 +706,21 @@ def mat_exp(a, t: float = 1.0) -> np.ndarray:
     """exp(t a) of every slice: a stacked scaling-and-squaring Pade-13 in
     numpy.  ``a`` is a stack or its :class:`PadeBasis`, which a caller that
     sweeps t keeps.  t = 0 returns the identity exactly, at once.  Each
-    slice takes its route at t (:func:`_routes`): a diagonal slice
-    ``np.exp`` of its diagonal; a slice that passes ``EVEN_GATE`` and needs
-    no squaring, |t| ||A||_1 <= theta_13, four scalars in the algebra of
-    Y = A^2 (:func:`_even_exp`), the same approximant to within the
-    dropped odd coefficients; any other slice the matrix route
-    (:func:`_pade_13`, :func:`_expm`).  A non-finite t a is refused as the
-    stack t a would be, and a non-finite result raises
-    :class:`NonFiniteValue`."""
+    slice takes its route at t (:func:`_routes`): a slice that passes
+    ``EVEN_GATE`` and needs no squaring, |t| ||A||_1 <= theta_13, four
+    scalars in the algebra of Y = A^2 (:func:`_even_exp`), the same
+    approximant to within the dropped odd coefficients; any other slice
+    the matrix route (:func:`_pade_13`, :func:`_expm`), on which a zero
+    slice gives exactly I.  A non-finite t a is refused as the stack t a
+    would be, and a non-finite result raises :class:`NonFiniteValue`."""
     basis = a if isinstance(a, PadeBasis) else pade_basis(a)
     t = float(t)
     if not abs(t) * basis.largest < np.inf:
         raise NonFiniteValue("matrix entries must be finite")
     if t == 0.0:
         return np.broadcast_to(np.eye(basis.shape[-1]), basis.shape).copy()
-    diagonal, even, matrix, alg = _routes(basis, t)
+    even, matrix, alg = _routes(basis, t)
     parts = []
-    if diagonal is not None:
-        parts.append((diagonal, _diagonal_exp(_take(diagonal, basis.stack), t)))
     if even is not None:
         parts.append((even, _even_exp(alg, basis.shape[-1], t)))
     if matrix is not None:
@@ -755,38 +731,27 @@ def mat_exp(a, t: float = 1.0) -> np.ndarray:
     return out.reshape(basis.shape)
 
 
-def _cosh_sinh(basis: PadeBasis, c: float, diagonal, matrix):
-    """The cosh and sinh factors of tanh(c A) of the slices on the diagonal
-    and matrix routes, in stack order: N^2 + D^2 and N^2 - D^2 of the Pade
-    parts where no squaring is needed, else e + f and e - f of e = exp(c A)
-    and f = exp(-c A), with the bits of ``mat_exp(a, c)`` and
+def _cosh_sinh(basis: PadeBasis, c: float, matrix):
+    """The cosh and sinh factors of tanh(c A) of the matrix route's slices,
+    in stack order: N^2 + D^2 and N^2 - D^2 of the Pade parts where no
+    squaring is needed, else e + f and e - f of e = exp(c A) and
+    f = exp(-c A), with the bits of ``mat_exp(a, c)`` and
     ``mat_exp(a, -c)``: one stacked solve and one run of squarings over
     the doubled stack."""
-    guarded = diagonal if matrix is None else matrix if diagonal is None else diagonal | matrix
+    squarings, num, den = _pade_13(_take(matrix, basis.stack), _take(matrix, basis.norm), c)
+    unscaled = squarings == 0
     parts = []
-    if diagonal is not None:
-        stack = _take(diagonal, basis.stack)
-        e, f = _diagonal_exp(stack, c), _diagonal_exp(stack, -c)
-        _require_finite(e)
-        _require_finite(f)
-        parts.append((diagonal[guarded], e + f, e - f))
-    if matrix is not None:
-        squarings, num, den = _pade_13(_take(matrix, basis.stack), _take(matrix, basis.norm), c)
-        unscaled, inner = squarings == 0, matrix[guarded]
-        quotient, squared = inner.copy(), inner.copy()
-        quotient[inner], squared[inner] = unscaled, ~unscaled
-        if unscaled.any():
-            x, y = _take(unscaled, num), _take(unscaled, den)
-            n2, d2 = x @ x, y @ y
-            parts.append((quotient, n2 + d2, n2 - d2))
-        if not unscaled.all():
-            x, y = num[~unscaled], den[~unscaled]
-            e, f = np.split(_expm(np.tile(squarings[~unscaled], 2), np.concatenate([x, y]),
-                                  np.concatenate([y, x])), 2)
-            parts.append((squared, e + f, e - f))
-    shape = (len(parts[0][0]),) + basis.stack.shape[1:]
-    return (_scatter([(mask, cosh) for mask, cosh, _ in parts], shape),
-            _scatter([(mask, sinh) for mask, _, sinh in parts], shape), guarded)
+    if unscaled.any():
+        x, y = _take(unscaled, num), _take(unscaled, den)
+        n2, d2 = x @ x, y @ y
+        parts.append((unscaled, n2 + d2, n2 - d2))
+    if not unscaled.all():
+        x, y = num[~unscaled], den[~unscaled]
+        e, f = np.split(_expm(np.tile(squarings[~unscaled], 2), np.concatenate([x, y]),
+                              np.concatenate([y, x])), 2)
+        parts.append((~unscaled, e + f, e - f))
+    return (_scatter([(mask, cosh) for mask, cosh, _ in parts], num.shape),
+            _scatter([(mask, sinh) for mask, _, sinh in parts], num.shape))
 
 
 def mat_tanh_half(a, t: float) -> np.ndarray:
@@ -805,34 +770,36 @@ def mat_tanh_half(a, t: float) -> np.ndarray:
     to a multiple of the identity: kappa(D N) stayed below 1.5 over 900
     random h with ||h||_1 at theta_13, dims 2 to 8.  The algebra route
     inverts its cosh factor and reads the same kappa_F in closed form
-    (:func:`_even_tanh`); the other routes' cosh factors
-    (:func:`_cosh_sinh`) go to one :func:`mat_inv`.  The guard reads every
-    route's kappa_F in stack order, with its cap and messages.  Swapping the signs swaps N and D, and e and f (on
-    the algebra route, negates A's odd part exactly), so tanh is odd in t
-    bit for bit.  t = 0 returns exact zeros (+0.0) with no inversion.  The
-    cosh factor can only degenerate when the spectrum of h approaches an
-    odd multiple of i pi / 2; a failed inversion surfaces as
-    :class:`SingularOperator`.
+    (:func:`_even_tanh`); the matrix route's cosh factors
+    (:func:`_cosh_sinh`), derived from admitted input and checked finite
+    only, go to one :func:`mat_inv`.  The guard reads both routes' kappa_F
+    in stack order, with its cap and messages.  Swapping the signs swaps N
+    and D, and e and f (on the algebra route, negates A's odd part
+    exactly), so tanh is odd in t bit for bit.  t = 0 returns exact zeros
+    (+0.0) with no inversion; at any other t a zero slice, on the matrix
+    route, has N = D = I and gives +0.0 too.  The cosh factor can only
+    degenerate when the spectrum of h approaches an odd multiple of
+    i pi / 2; a failed inversion surfaces as :class:`SingularOperator`.
     """
     basis = a if isinstance(a, PadeBasis) else pade_basis(a)
     c = 0.5 * float(t)
     if c == 0.0:
         return np.zeros(basis.shape)
-    diagonal, even, matrix, alg = _routes(basis, c)
+    even, matrix, alg = _routes(basis, c)
     shape = basis.stack.shape
     tanh, cond = [], []
     if even is not None:
         part, kappa = _even_tanh(alg, shape[-1], c)
         tanh.append((even, part))
         cond.append((even, kappa))
-    if diagonal is not None or matrix is not None:
-        cosh, sinh, guarded = _cosh_sinh(basis, c, diagonal, matrix)
-        m = as_fiber_matrix(cosh)
-        inv = mat_inv(m)
-        cond.append((guarded, _condition_f(m, inv)))
+    if matrix is not None:
+        cosh, sinh = _cosh_sinh(basis, c, matrix)
+        _require_finite(cosh)
+        inv = mat_inv(cosh)
+        cond.append((matrix, _condition_f(cosh, inv)))
     _refuse_ill_conditioned(_scatter(cond, shape[:1]))
-    if diagonal is not None or matrix is not None:
-        tanh.append((guarded, inv @ sinh))
+    if matrix is not None:
+        tanh.append((matrix, inv @ sinh))
     return _scatter(tanh, shape).reshape(basis.shape)
 
 

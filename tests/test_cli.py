@@ -571,13 +571,15 @@ class TestGeodesicCommand:
         first = next(row for row in doc["rows"] if row[2] > 1e-10)
         assert all(row[2] <= 1e-10 for row in doc["rows"] if row[0] < first[0])
         assert err == (f"error: J_t first fails to square to -identity at t={first[0]!r}: "
-                       f"acs_residual {first[2]:.3e} exceeds 1e-10\n")
+                       f"acs_residual {first[2]:.3e} at point 6 exceeds 1e-10; "
+                       f"2 of 8 points fail\n")
 
     def test_long_trace_at_dim4_names_the_first_t_at_fault(self, capsys):
         # dim 4, 8 points, seed 0: J(t) is a structure to working precision,
         # but ||J(t)|| grows to about 2e4 at t = 11.25, where J^2 + 1 rounds
         # above 1e-10; the residual's digits sit at that rounding floor and
-        # move with the kernels' bits, so only its form is pinned
+        # move with the kernels' bits, so only its form is pinned; point 5
+        # is the worst of the 3 points past 1e-10 there
         code, out, err = run_cli(["geodesic", "--t-max", "30"], capsys)
         assert code == 1
         doc = json.loads(out)  # the trace is still written, in the same document
@@ -586,7 +588,8 @@ class TestGeodesicCommand:
         first = next(row for row in doc["rows"] if row[2] > 1e-10)
         assert first[0] == 11.25 and first[2] < 1e-6
         assert re.fullmatch(r"error: J_t first fails to square to -identity at t=11\.25: "
-                            r"acs_residual \d\.\d{3}e-0\d exceeds 1e-10\n", err)
+                            r"acs_residual \d\.\d{3}e-0\d at point 5 exceeds 1e-10; "
+                            r"3 of 8 points fail\n", err)
         assert err.split("acs_residual ")[1].startswith(f"{first[2]:.3e} ")
 
     def test_default_flags_exit_0(self, capsys):

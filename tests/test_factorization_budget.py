@@ -20,7 +20,9 @@ one stacked inversion, the chart field's (1 - K^2)^{-1}, and it is a
 ``complex_inverse`` of the (n/2) x (n/2) complex form P = 1 - Q Q-bar: the
 field's base is exactly J_std and its K passes the form's gate, so no
 ``mat_inv`` runs; its tanh and both exponentials run in the algebra of
-A^2, which inverts in closed form.  Each inversion is counted under its
+A^2, which inverts in closed form.  So do all 984 exponential slices of
+a default ``verify`` and all 336 of a default ``geodesic``: the matrix
+route is reached by neither.  Each inversion is counted under its
 public names in every module that binds them, and at ``fiber._solve``,
 the one stacked solve that ``mat_inv``, the exponentials' matrix route
 and a complex solve above dim 4 all pass through.  The chart field's
@@ -174,6 +176,26 @@ def test_geodesic_makes_one_eigenvalue_call_on_one_matrix(counted, monkeypatch, 
     assert counted["cholesky"] == 0
     # one velocity: 9 times, each with one exponential and four tanh
     assert counted["pade_basis"] == 1
+
+
+# every exponential slice of a default verify and geodesic (both in the
+# cli_default benchmark workload) takes the algebra route, so the matrix
+# route's stacked solve is reached by neither; a change that moves a
+# slice off the algebra route, or adds exponentials, changes these counts
+@pytest.mark.parametrize("command, slices", [("verify", 984), ("geodesic", 336)])
+def test_default_commands_take_only_the_algebra_route(monkeypatch, capsys, command, slices):
+    taken, routes = [], fiber._routes
+
+    def recording(basis, c):
+        even, matrix, algebra = routes(basis, c)
+        taken.append((0 if even is None else int(even.sum()), matrix))
+        return even, matrix, algebra
+
+    monkeypatch.setattr(fiber, "_routes", recording)
+    assert cli.main([command]) == 0
+    assert capsys.readouterr().err == ""
+    assert sum(even for even, _ in taken) == slices
+    assert all(matrix is None for _, matrix in taken)
 
 
 class CountingMatmul(np.ndarray):

@@ -12,13 +12,12 @@ from acsgeom.fiber import (
     ANTILINEAR_GATE,
     DEFAULT_COND_CAP,
     EVEN_GATE,
-    PADE_13,
+    PADE_UNIT,
     THETA_13,
     FiberMetric,
     _pade_13,
     antilinear_form,
     as_fiber_matrix,
-    diagonal_and_norm_1,
     g_adjoint,
     guard_inverse,
     mat_exp,
@@ -26,6 +25,7 @@ from acsgeom.fiber import (
     mat_inv_guarded,
     mat_tanh_half,
     max_abs,
+    norm_1,
     pade_basis,
     slice_max_abs,
 )
@@ -265,8 +265,8 @@ def near_identity_stack(seed, dim, points=7, scale=0.4):
 
 def mixed_stack(seed, dim, scale):
     """Two each of zero, diagonal, upper-triangular, lower-triangular and
-    generic slices, with entries uniform on [-scale, scale]: the diagonal
-    branch of mat_exp, and every branch of scipy's expm, in one stack."""
+    generic slices, with entries uniform on [-scale, scale]: every branch
+    of scipy's expm in one stack."""
     rng = np.random.default_rng(seed)
     a = scale * rng.uniform(-1.0, 1.0, size=(10, dim, dim))
     a[:2] = 0.0
@@ -308,7 +308,6 @@ class TestStacks:
         got, want = mat_exp(a), expm(a)
         assert (relative_error(got, want) <= (1e-14 if scale <= 1.0 else 1e-12)).all()
         assert np.array_equal(got[:2], np.broadcast_to(np.eye(dim), (2, dim, dim)))
-        assert np.array_equal(got[2:4], np.exp(a[2:4]) * np.eye(dim))
         assert np.array_equal(mat_exp(a.reshape(2, 5, dim, dim)), got.reshape(2, 5, dim, dim))
         for m, g in zip(a, got):
             assert np.array_equal(mat_exp(m), g)
@@ -361,15 +360,14 @@ class TestStacks:
             mat_tanh_half(a, math.inf)
 
     # the quotient of two mat_exp calls at -+t/2, one per sign, is the
-    # oracle: bit for bit on diagonal slices and on slices squared before the
-    # quotient (at scale 5 some are), and within the 1e-14 of the scipy test
-    # above on the slices whose quotient comes from the Pade parts alone
+    # oracle: bit for bit on slices squared before the quotient (at scale 5
+    # some are), and within the 1e-14 of the scipy test above on the slices
+    # whose quotient comes from the Pade parts alone
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("scale", [1e-3, 0.1, 1.0, 5.0])
     @pytest.mark.parametrize("dim", [2, 4, 6, 8])
     def test_mat_tanh_half_is_the_quotient_of_exponentials(self, dim, scale):
         a = mixed_stack(8, dim, scale)
-        diagonal = (a * (1.0 - np.eye(dim)) == 0.0).all(axis=(-2, -1))
         for t in (0.0, 0.5, -0.5, 0.7, 2.0, -2.0, 2.3):
             h = 0.5 * t * a
             squared = np.abs(h).sum(axis=-2).max(axis=-1) > THETA_13
@@ -378,8 +376,7 @@ class TestStacks:
             e, f = mat_exp(a, 0.5 * t), mat_exp(a, -0.5 * t)
             want = mat_inv_guarded(e + f) @ (e - f)
             got = mat_tanh_half(a, t)
-            exact = diagonal | squared
-            assert np.array_equal(got[exact], want[exact])
+            assert np.array_equal(got[squared], want[squared])
             assert (relative_error(got, want, floor=1.0) <= 1e-14).all()
             assert np.array_equal(mat_tanh_half(a, -t), -got)
         assert np.array_equal(mat_tanh_half(a, 0.0), np.zeros_like(a))
@@ -390,7 +387,7 @@ class TestStacks:
         shapes, _ = lapack
         mat_tanh_half(mixed_stack(9, 4, 1.0), 2.0)
         # no slice is squared: only the guard's inversion of the 10 cosh
-        # factors, four of them diagonal and two of them 2 I
+        # factors, two of them 2 I
         assert shapes == [(10, 4, 4)]
         shapes.clear()
         a = mixed_stack(9, 4, 5.0)
@@ -411,6 +408,31 @@ class TestStacks:
             got = mat_tanh_half(pade_basis(a[4]), t)
             assert got.shape == (dim, dim) and not np.signbit(got).any()
         assert inversions == []
+
+    # a zero slice takes the matrix route, whose coefficients over b_0 give
+    # it numerator and denominator I: exp is exactly I and tanh exactly
+    # +0.0 at exponents c of either sign, alone and in a stack beside the
+    # algebra route (dims 2 and 4) and beside slices that square, of 1-norm
+    # 24 at |c| >= 1 and of 1-norm 2 at |c| = 4 (exp only: the guard
+    # refuses tanh's cosh factor of 1-norm-24 slices beyond |c| = 1)
+    @pytest.mark.parametrize("dim", [2, 4, 6, 8])
+    def test_zero_slices_are_exact(self, dim):
+        a = np.insert(path_stack(12, dim, one_path=4, diagonal=2, zero=0, scaled=2),
+                      [0, 4, 8], 0.0, axis=0)
+        zero = ~a.any(axis=(1, 2))
+        basis = pade_basis(a)
+        assert list(np.flatnonzero(zero)) == [0, 5, 10] and basis.matrix[zero].all()
+        assert (basis.even is not None) == (dim <= 4)
+        eye, alone = np.broadcast_to(np.eye(dim), (3, dim, dim)), np.zeros((dim, dim))
+        for c in (0.1, -0.1, 1.0, -1.0, 4.0, -4.0):
+            squarings = fiber._pade_13(a, basis.norm, c)[0]
+            assert squarings.any() == (abs(c) >= 1.0) and not squarings[zero].any()
+            assert np.array_equal(mat_exp(basis, c)[zero], eye), c
+            assert np.array_equal(mat_exp(alone, c), eye[0]), c
+            if abs(c) <= 1.0:
+                for tanh in (mat_tanh_half(basis, 2.0 * c)[zero],
+                             mat_tanh_half(alone, 2.0 * c)):
+                    assert not tanh.any() and not np.signbit(tanh).any(), c
 
     @pytest.mark.parametrize("dim", [2, 4, 6, 8])
     def test_mat_tanh_half(self, dim):
@@ -616,9 +638,8 @@ class TestSliceReductions:
         for value, density in zip(SPECIAL, densities):
             x[rng.random(x.shape) < density] = value
         with np.errstate(over="ignore"):  # 1e308 sums overflow to inf
-            diagonal, norm = diagonal_and_norm_1(x)
+            norm = norm_1(x)
             assert np.array_equal(norm, np.abs(x).sum(axis=1).max(axis=-1), equal_nan=True)
-        assert np.array_equal(diagonal, (x[:, ~np.eye(n, dtype=bool)] == 0).all(axis=1))
         assert np.array_equal(slice_max_abs(x), np.abs(x).max(axis=(1, 2)), equal_nan=True)
         # a strided (k, n/2, n) view
         assert np.array_equal(slice_max_abs(x[:, 1::2]), np.abs(x[:, 1::2]).max(axis=(1, 2)),
@@ -637,10 +658,8 @@ class TestSliceReductions:
             x[1, n - 1, 0] = -np.inf
             x[2] *= np.eye(n)
             x[2, 0, 0] = np.nan
-        diagonal, norm = diagonal_and_norm_1(x)
+        norm = norm_1(x)
         assert np.array_equal(norm, np.abs(x).sum(axis=1).max(axis=-1), equal_nan=True)
-        assert np.array_equal(diagonal, (x[:, ~np.eye(n, dtype=bool)] == 0).all(axis=1))
-        assert diagonal[-1] and not diagonal[0] and (k <= 2 or diagonal[2])
         assert np.array_equal(slice_max_abs(x), np.abs(x).max(axis=(1, 2)), equal_nan=True)
         assert np.isnan(slice_max_abs(x)[0]) and np.isnan(norm[0])
 
@@ -731,16 +750,14 @@ def gathered_antilinear_form(stack):
 
 def masked_pade_13(a, c=1.0):
     """The Pade-13 parts at c a as the masked expression, whatever the
-    stack holds: the non-diagonal slices and their norms gathered by
-    a[~diagonal]."""
+    stack holds, with the matrix route's coefficients b_j / b_0."""
     n = a.shape[-1]
-    diagonal, norm = diagonal_and_norm_1(a)
-    x, norm = c * a[~diagonal], abs(c) * norm[~diagonal]
+    x, norm = c * a, abs(c) * np.abs(a).sum(axis=-2).max(axis=-1)
     with np.errstate(divide="ignore"):
         squarings = np.maximum(np.ceil(np.log2(norm / THETA_13)), 0.0).astype(int)
     if squarings.any():
         x = np.ldexp(x, -squarings[:, None, None])
-    b, eye = PADE_13, np.eye(n)
+    b, eye = PADE_UNIT, np.eye(n)
     x2 = x @ x
     x4 = x2 @ x2
     x6 = x4 @ x2
@@ -748,23 +765,19 @@ def masked_pade_13(a, c=1.0):
              + b[7] * x6 + b[5] * x4 + b[3] * x2 + b[1] * eye)
     v = (x6 @ (b[12] * x6 + b[10] * x4 + b[8] * x2)
          + b[6] * x6 + b[4] * x4 + b[2] * x2 + b[0] * eye)
-    return diagonal, squarings, v + u, v - u
+    return squarings, v + u, v - u
 
 
 def masked_mat_exp(a):
     """The exponential as one masked expression, with no kept basis: the
-    masked Pade parts of ``a`` itself, then the solve D r = N, the squarings
-    and the diagonal slices."""
-    n = a.shape[-1]
-    diagonal, squarings, num, den = masked_pade_13(a)
+    masked Pade parts of ``a`` itself, then the solve D r = N and the
+    squarings."""
+    squarings, num, den = masked_pade_13(a)
     r = np.linalg.solve(den, num) if len(num) else num
     for step in range(squarings.max(initial=0)):
         todo = squarings > step
         r[todo] = r[todo] @ r[todo]
-    out = np.zeros(a.shape)
-    np.einsum("kii->ki", out)[diagonal] = np.exp(np.einsum("kii->ki", a)[diagonal])
-    out[~diagonal] = r
-    return out
+    return r
 
 
 def path_stack(seed, n, one_path, diagonal, zero, scaled):
@@ -791,11 +804,11 @@ def path_stack(seed, n, one_path, diagonal, zero, scaled):
 
 
 def route_masks(basis, c=1.0):
-    """The diagonal, algebra and matrix routes' masks of a basis at the
-    exponent c, an empty route's as all False."""
+    """The algebra and matrix routes' masks of a basis at the exponent c,
+    an empty route's as all False."""
     k = len(basis.stack)
     return tuple(np.zeros(k, bool) if mask is None else mask
-                 for mask in fiber._routes(basis, c)[:3])
+                 for mask in fiber._routes(basis, c)[:2])
 
 
 def per_slice(f, a):
@@ -804,8 +817,8 @@ def per_slice(f, a):
 
 
 class TestOnePathStacks:
-    """A stack with no diagonal slice, and for tanh none that needs squaring,
-    takes no mask; mixed stacks take masks.  Both give each slice the bits
+    """A stack of one route, and for tanh none that needs squaring, takes
+    no mask; mixed stacks take masks.  Both give each slice the bits
     of the single-slice call, and the Pade parts and the antilinear gate
     keep the bits of the masked and gathered expressions they replace."""
 
@@ -831,10 +844,8 @@ class TestOnePathStacks:
             assert np.array_equal(mat_tanh_half(mixed, s)[:-1], want)
         for h, c in ((a, 1.0), (a, -1.0), (a, 0.5 * t), (a.mT, 1.0)):
             # the matrix route's parts keep the bits of the masked expression
-            basis, (diagonal, *oracle) = pade_basis(h), masked_pade_13(h, c)
-            on_diagonal, _, on_matrix = route_masks(basis, c)
-            assert np.array_equal(on_diagonal, diagonal)
-            for part, want in zip(_pade_13(h[~diagonal], basis.norm[~diagonal], c), oracle):
+            basis = pade_basis(h)
+            for part, want in zip(_pade_13(h, basis.norm, c), masked_pade_13(h, c)):
                 assert np.array_equal(part, want)
         # a kept basis gives each slice the bits of the single-slice call,
         # at any scale of the exponent
@@ -845,10 +856,10 @@ class TestOnePathStacks:
             assert np.array_equal(mat_tanh_half(basis, s),
                                   per_slice(lambda m: mat_tanh_half(pade_basis(m), s), a))
         assert np.array_equal(mat_exp(basis), got)
-        # c = 1 scales nothing: the diagonal and matrix routes keep the
-        # masked expression's bits, and the algebra route, which squares
-        # nothing, agrees with it to 1e-14
-        masked, even = masked_mat_exp(a), route_masks(basis)[1]
+        # c = 1 scales nothing: the matrix route keeps the masked
+        # expression's bits, and the algebra route, which squares nothing,
+        # agrees with it to 1e-14
+        masked, even = masked_mat_exp(a), route_masks(basis)[0]
         assert np.array_equal(got[~even], masked[~even])
         assert (relative_error(got[even], masked[even]) <= 1e-14).all()
 
@@ -919,7 +930,7 @@ class TestAlgebraRoute:
         a = anticommuting_stack(1, n, kappa=kappa)
         assert max(ratio.max() for ratio in gate_ratios(a)) <= 15.0
         basis = pade_basis(a)
-        assert basis.even.all() and basis.diagonal is None and basis.matrix is None
+        assert basis.even.all() and basis.matrix is None
         assert basis.algebra.span.shape == (3, n * n, len(a))
 
     # scipy's expm is the oracle, to test_mat_exp_is_scipy_expm's 1e-14
@@ -988,7 +999,8 @@ class TestAlgebraRoute:
 
     # each slice takes its route at c: the algebra route where a gated
     # slice needs no squaring, |c| ||A||_1 <= theta_13, else the matrix
-    # route; diagonal slices np.exp at every c.  Compact J_std tangents
+    # route, which the zero slice, the diagonal slice of nonzero trace and
+    # the off-gate slice take at every c.  Compact J_std tangents
     # (A^2 = -nu^2 I) of 1-norms 0.2 to 25 straddle theta_13 / |c| at every
     # c, and their cosh factor cos(nu c) I keeps tanh's guard quiet
     def test_routes_are_chosen_per_exponent(self):
@@ -1002,16 +1014,14 @@ class TestAlgebraRoute:
         a = np.concatenate([compact[:6], np.zeros((1, 4, 4)), np.diag([0.5, -1.0, 0.25, 1.0])[None],
                             off_gate, compact[6:]])
         basis = pade_basis(a)
-        assert list(basis.matrix) == [False] * 8 + [True] + [False] * 6
+        assert list(basis.matrix) == [False] * 6 + [True] * 3 + [False] * 6
         reached = set()
         for c in (0.5, 2.0, 3.0, -3.0, 10.0):
             for s in (c, 0.5 * c):  # the exponents of mat_exp and mat_tanh_half
-                diagonal, even, matrix = route_masks(basis, s)
+                even, matrix = route_masks(basis, s)
                 squares = np.abs(s) * basis.norm > THETA_13
-                assert list(diagonal) == [False] * 6 + [True, True] + [False] * 7
                 assert np.array_equal(even, basis.even & ~squares)
                 assert np.array_equal(matrix, basis.matrix | (basis.even & squares))
-                reached |= {"diagonal"} if diagonal.any() else set()
                 reached |= {"algebra"} if even.any() else set()
                 reached |= {"matrix by gate"} if (matrix & ~basis.even).any() else set()
                 reached |= {"matrix by squaring"} if (matrix & basis.even).any() else set()
@@ -1021,7 +1031,7 @@ class TestAlgebraRoute:
             tanh = mat_tanh_half(basis, c)
             assert np.array_equal(tanh, per_slice(lambda m: mat_tanh_half(m, c), a)), c
             assert np.array_equal(mat_tanh_half(basis, -c), -tanh), c
-        assert reached == {"diagonal", "algebra", "matrix by gate", "matrix by squaring"}
+        assert reached == {"algebra", "matrix by gate", "matrix by squaring"}
 
     # below 2^-120 (and above 2^120) the powers of c A would leave the
     # floating-point range: 2^-300 A at c = 2^300 overflowed w = c^2 into a

@@ -1,5 +1,5 @@
 """Every per-slice reduction of a stack goes through ``fiber.slice_max_abs``
-or ``fiber.diagonal_and_norm_1``, so each has one implementation.
+or ``fiber.norm_1``, so each has one implementation.
 
 No package module calls ``max``, ``min``, ``sum``, ``any``, ``all`` (a
 numpy function or an array method) or a ufunc's ``reduce`` over the two
