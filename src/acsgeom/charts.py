@@ -9,9 +9,9 @@ geodesic :func:`acsgeom.geometry.geodesic_ambient`.  A chart point is a
 a chart field (:class:`acsgeom.geometry.ChartField`) builds: it alone
 decides the chart domain, by one inversion of 1 - K^2 at construction,
 from which the (1 - K)^{-1} = (1 + K)(1 - K^2)^{-1} that the chart map
-and its differential share follows with one matmul.  It reads J0^2 = -1,
-the admission of both stacks and, where K was made at its base, K's
-anticommutation from the fields, so each check runs once.  At a base
+and its differential share follows with one matmul.  It takes only a K
+made at its base, and reads J0^2 = -1, the admission of both stacks and
+K's anticommutation from the fields, so each check runs once.  At a base
 field that is exactly J_std, where K passes the gate of
 :func:`acsgeom.fiber.antilinear_form` (its antilinear defect at most
 64 eps of its largest entry, ``fiber.ANTILINEAR_GATE``), the chart point
@@ -36,14 +36,24 @@ import numpy as np
 
 from .errors import AnticommutationViolation, DimensionMismatch, InvalidStructure
 from .fiber import (FiberMetric, as_fiber_matrix, complex_inverse, complex_product, form_scale,
-                    g_adjoint, guard_forms, guard_inverse, mat_inv, mat_inv_guarded, max_abs,
-                    real_form, slice_max_abs)
+                    g_adjoint, guard_forms, guard_inverse, mat_inv, mat_inv_guarded, real_form,
+                    slice_max_abs)
 
 if TYPE_CHECKING:  # the fields import this module
     from .structures import AcsField, TangentField
 
-# Tolerance of the chart domain checks; caller-made tangents meet it too.
-COORD_TOL = 1e-10
+# The one identity tolerance: the largest max norm of a point's J^2 + 1,
+# A J + J A or validator residual that passes, in every field module.
+FIELD_TOL = 1e-10
+
+
+def same_space(*fields) -> None:
+    """Raise DimensionMismatch unless all fields share fiber dimension and
+    point count."""
+    first = fields[0].space
+    for f in fields[1:]:
+        if f.space.dim != first.dim or f.space.npoints != first.npoints:
+            raise DimensionMismatch("fields live on different sample spaces")
 
 
 def standard_acs(dim: int) -> np.ndarray:
@@ -77,17 +87,15 @@ class CayleyCoordinate:
     field ``K`` (``TangentField``) on one sample space, whose
     (points, n, n) stacks were admitted where the fields were made.
 
-    Construction checks the chart domain at every point, in this order:
-    J0^2 = -1, read from the base's kept ``square_residuals``; K
-    anticommutes with J0; 1 - K passes :func:`guard_inverse`, and then so
-    does 1 - K^2.  A NaN residual fails.  K's anticommutation is checked
-    only where ``K.base`` is not ``base``, and K's stack is then admitted
-    against the base's shape first: a tangent is checked against its own
-    base where a caller makes it (``TangentField.derived`` exempts by design
-    the tangents the geometry computes).  A K made at ``base`` is taken as
-    it is, with one type test and shape compare, a
-    :class:`DimensionMismatch` else, and a non-finite derived K is refused
-    at 1 - K^2, where :func:`mat_inv_guarded` of 1 - K admits it first.
+    Construction checks, in this order: K was made at ``base``
+    (``K.base is base``; a chart field remakes any other K at its base,
+    which checks it there), an :class:`AnticommutationViolation` else; K's
+    stack is an array of the base's shape, a :class:`DimensionMismatch`
+    else; and the chart domain at every point: J0^2 = -1, read from the
+    base's kept ``square_residuals``; 1 - K passes :func:`guard_inverse`,
+    and then so does 1 - K^2.  A NaN residual fails, and a non-finite
+    derived K is refused at 1 - K^2, where :func:`mat_inv_guarded` of
+    1 - K admits it first.
 
     1 - K^2 is kept as the read-only ``square``, inverted once by
     :func:`mat_inv`, one stacked solve, and its inverse is kept as the
@@ -124,19 +132,14 @@ class CayleyCoordinate:
     form: ComplexChart | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        base, j0, anticommuting = self.base, self.base.ops, self.K.base is self.base
-        k = self.K.ops if anticommuting else as_fiber_matrix(self.K.ops, j0.shape, "coordinate")
+        base, j0, k = self.base, self.base.ops, self.K.ops
+        if self.K.base is not base:
+            raise AnticommutationViolation("coordinate was not made at the chart's base field")
         if not (isinstance(k, np.ndarray) and k.shape == j0.shape):  # a derived K
             got = k.shape if isinstance(k, np.ndarray) else type(k).__name__
             raise DimensionMismatch(f"coordinate must have shape {j0.shape}, got {got}")
-        if not np.all(base.square_residuals <= COORD_TOL):
+        if not np.all(base.square_residuals <= FIELD_TOL):
             raise InvalidStructure("base does not square to -identity")
-        if not anticommuting:
-            with np.errstate(over="ignore", invalid="ignore"):
-                worst = max_abs(k @ j0 + j0 @ k)
-            if not worst <= COORD_TOL:
-                raise AnticommutationViolation(
-                    "coordinate does not anticommute with the base structure")
         antilinear = self.K.antilinear_form if base.is_standard else None
         form = None if antilinear is None else _complex_chart(antilinear)
         object.__setattr__(self, "form", form)
@@ -198,12 +201,6 @@ def _complex_chart(q: np.ndarray) -> ComplexChart | None:
     return ComplexChart(q, p, s, r)
 
 
-def _same_points(x, like) -> None:
-    """Raise DimensionMismatch unless two fields' stacks have one shape."""
-    if x.ops.shape != like.ops.shape:
-        raise DimensionMismatch("fields live on different sample spaces")
-
-
 def cayley_to_acs(coord: CayleyCoordinate) -> np.ndarray:
     """J0 (1 + K)(1 - K)^{-1} per point, the rational chart at the base
     field ``coord.base``."""
@@ -220,7 +217,7 @@ def acs_to_cayley(j0, j) -> np.ndarray:
     are invertible too, and K anticommutes with J0 when J and J0 square to
     -1; no chart point is built.
     """
-    _same_points(j, j0)
+    same_space(j, j0)
     eye = np.eye(j0.ops.shape[-1])
     jj0 = j.ops @ j0.ops
     return mat_inv_guarded(eye - jj0) @ (eye + jj0)
@@ -234,7 +231,7 @@ def pushforward(coord: CayleyCoordinate, a) -> np.ndarray:
     base) is carried to 2 J0 (1-K)^{-1} a (1-K)^{-1} per point, a tangent
     at the structure cayley_to_acs(coord).
     """
-    _same_points(a, coord.base)
+    same_space(a, coord.base)
     r = coord.resolvent
     return 2.0 * coord.base.ops @ r @ a.ops @ r
 

@@ -261,6 +261,14 @@ def cmd_checks(cfg: RunConfig) -> int:
     return _emit_reports(cfg, run_suite(vconf, COMMANDS[cfg.command].checks), vconf)
 
 
+def _load_j_and_k(cfg: RunConfig) -> FieldBundle:
+    """The ``--in`` bundle, refused unless it holds J and K."""
+    bundle = load_bundle(cfg.input)
+    if bundle.J is None or bundle.K is None:
+        raise ConfigError(f"{cfg.command} needs an input bundle with J and K fields")
+    return bundle
+
+
 def cmd_geodesic(cfg: RunConfig) -> int:
     """Trace t, max|K(t)|, structure residual, geodesic-equation residual
     and the associated/orthogonal validator flags over the grid.  Exits 1
@@ -268,9 +276,7 @@ def cmd_geodesic(cfg: RunConfig) -> int:
     naming the first t at fault, its worst point and how many points fail
     there; the trace is written either way."""
     if cfg.input is not None:
-        bundle = load_bundle(cfg.input)
-        if bundle.J is None or bundle.K is None:
-            raise ConfigError("geodesic needs an input bundle with J and K fields")
+        bundle = _load_j_and_k(cfg)
         space, j0f, a = bundle.space, bundle.J, bundle.K
         acs = validate_acs(j0f)
         if not acs.passed:
@@ -322,9 +328,7 @@ def cmd_project(cfg: RunConfig) -> int:
     an input tangent field, with a class label; a part that overflows is refused."""
     if cfg.input is None:
         raise ConfigError("project requires --in with a bundle holding J and K")
-    bundle = load_bundle(cfg.input)
-    if bundle.J is None or bundle.K is None:
-        raise ConfigError("project needs an input bundle with J and K fields")
+    bundle = _load_j_and_k(cfg)
     space, k = bundle.space, bundle.K
     p, l, classes = split_and_classify(k)
     norms = [slice_max_abs(part) for part in (p, l)]

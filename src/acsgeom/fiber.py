@@ -593,8 +593,7 @@ def _pade_13(x: np.ndarray, norm: np.ndarray, c: float):
     so -c gets the same s with the two swapped, bit for bit.  A non-finite
     norm raises :class:`NonFiniteValue`."""
     norm = abs(c) * norm
-    if not np.isfinite(norm).all():
-        raise NonFiniteValue("matrix exponential entries must be finite")
+    _require_finite(norm)
     squarings = np.maximum(np.ceil(np.log2(norm / THETA_13)), 0.0).astype(int)
     return squarings, *_pade_parts(*_powers(np.ldexp(c * x, -squarings[:, None, None])))
 

@@ -10,7 +10,7 @@ geodesics.  Each is computed on the (points, n, n) stacks at once; only
 the final sums over the points are accumulated left to right in point
 order, so results are reproducible bit for bit.  A chart field checks
 its domain once: its base's J0^2 residuals are kept on the base field,
-and a coordinate made at that base was checked where it was made.
+and its coordinate is checked at that base once, where made or remade.
 
 The tangent space at J is the set of J-antilinear maps, and the pairing and
 Omega are the real and imaginary parts of one Hermitian trace.  So where a
@@ -37,9 +37,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .charts import CayleyCoordinate
+from .charts import CayleyCoordinate, same_space
 from .fiber import complex_product, complex_trace, mat_exp, mat_tanh_half, real_form
-from .structures import AcsField, SampleSpace, TangentField, same_space
+from .structures import AcsField, SampleSpace, TangentField
 
 
 @dataclass(frozen=True)
@@ -53,12 +53,11 @@ class ChartField:
     resolvents (1 - K^2)^{-1} that every chart functional reads, and the
     chart resolvent (1 - K)^{-1} = (1 + K)(1 - K^2)^{-1} derived from them.
     Each check runs once: J0^2 = -1 is read from the base's kept
-    ``square_residuals``, and the anticommutation of K is checked only
-    when K was made at another base field, since a :class:`TangentField`
-    is checked against its own base where a caller makes it
-    (:meth:`TangentField.derived` exempts by design the tangents the
-    geometry computes).  No array is admitted again: the base's stack, and
-    K's when made at that base, are the fields' own, taken as they are.  At
+    ``square_residuals``, and a :class:`TangentField` is checked against
+    its own base where a caller makes it (:meth:`TangentField.derived`
+    exempts by design the tangents the geometry computes), so a K made at
+    another base field is remade first, as ``TangentField(space, base,
+    K.ops)``, before J0^2 = -1 is read.  No other array is admitted.  At
     a base that is exactly J_std (``base.is_standard``) the coordinate
     computes in complex form where K's kept ``antilinear_form`` passes its
     gate (``coord.form``).
@@ -80,6 +79,8 @@ class ChartField:
 
     def __post_init__(self):
         same_space(self, self.base, self.K)
+        if self.K.base is not self.base:
+            object.__setattr__(self, "K", TangentField(self.space, self.base, self.K.ops))
         object.__setattr__(self, "coord", CayleyCoordinate(self.base, self.K))
         object.__setattr__(self, "kept", {})
 

@@ -33,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .charts import COORD_TOL, random_anticommuting, standard_acs
+from .charts import FIELD_TOL, random_anticommuting, same_space, standard_acs
 from .errors import AnticommutationViolation, DimensionMismatch, IoError
 from .fiber import (DEFAULT_COND_CAP, FiberMetric, PadeBasis, antilinear_form, as_fiber_matrix,
                     g_adjoint, max_abs, pade_basis, slice_max_abs)
@@ -45,17 +45,6 @@ MAX_FIBER_DIM = 64
 # Positivity of an associated pair: the smallest eigenvalue of the
 # symmetric part of W J must exceed this at every point.
 POSITIVITY_FLOOR = 1e-12
-# The largest max norm of a point's identity defect that the validators pass.
-FIELD_TOL = 1e-10
-
-
-def same_space(*fields) -> None:
-    """Raise DimensionMismatch unless all fields share fiber dimension and
-    point count."""
-    first = fields[0].space
-    for f in fields[1:]:
-        if f.space.dim != first.dim or f.space.npoints != first.npoints:
-            raise DimensionMismatch("fields live on different sample spaces")
 
 
 @dataclass
@@ -157,12 +146,12 @@ class AcsField:
 @dataclass
 class TangentField:
     """A tangent direction at a structure field: per-point matrices
-    anticommuting with the base operators, checked to ``COORD_TOL`` where a
-    caller builds one; tangents computed from checked ones are not checked
-    again (:meth:`derived`).  Treated as immutable once built: ``pade``,
-    what the exponential of a multiple of it needs, and ``antilinear_form``,
-    what the chart functionals read at a J_std base, are computed on first
-    read and kept."""
+    anticommuting with the base operators, checked to ``FIELD_TOL`` where a
+    caller or a chart field (at its own base) builds one; tangents computed
+    from checked ones are not checked again (:meth:`derived`).  Treated as
+    immutable once built: ``pade``, what the exponential of a multiple of
+    it needs, and ``antilinear_form``, what the chart functionals read at a
+    J_std base, are computed on first read and kept."""
 
     space: SampleSpace
     base: AcsField
@@ -174,7 +163,7 @@ class TangentField:
         same_space(self, self.base)
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite residual refuses
             worst = max_abs(self.ops @ self.base.ops + self.base.ops @ self.ops)
-        if not worst <= COORD_TOL:
+        if not worst <= FIELD_TOL:
             raise AnticommutationViolation(
                 f"tangent ops fail to anticommute with the base, residual {worst:.3e}")
 

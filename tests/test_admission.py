@@ -113,7 +113,12 @@ def test_a_raw_chart_point_takes_no_claim(claim):
 
 
 def test_a_field_made_at_another_base_is_checked_against_this_one():
+    # a chart field remakes the K at its own base, which checks it there
     other = standard_acs_field(SPACE)
     k = TangentField.derived(other, np.tile(np.eye(4), (3, 1, 1)))  # commutes with J_std
+    assert refusal(lambda: ChartField(SPACE, J0, k)) == (
+        AnticommutationViolation,
+        "tangent ops fail to anticommute with the base, residual 2.000e+00")
+    # a chart point takes only a K made at its own base
     assert refusal(lambda: CayleyCoordinate(J0, k)) == (
-        AnticommutationViolation, "coordinate does not anticommute with the base structure")
+        AnticommutationViolation, "coordinate was not made at the chart's base field")

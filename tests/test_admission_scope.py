@@ -7,10 +7,9 @@ that take raw arrays (``mat_inv_guarded``, ``pade_basis``, ``g_adjoint``),
 derived from admitted input is not admitted again: where a kernel needs a
 derived stack to be finite, it checks finiteness alone, as
 ``mat_tanh_half`` does on its cosh factor.  ``CayleyCoordinate`` calls it
-twice: once on a coordinate not made at its base, which enters there, and
-once on 1 - K^2 where that square overflowed.  A K admitted finite can
-still square past the floating-point range, and that second call refuses
-it as non-finite with the admission rule's message, after 1 - K's guard:
+once, on 1 - K^2 where that square overflowed.  A K admitted finite can
+still square past the floating-point range, and that call refuses it as
+non-finite with the admission rule's message, after 1 - K's guard:
 the order that ``TestChartFieldResolvents.test_refusal_order`` in
 ``tests/test_geometry.py`` pins.  A reference counts as a call, so an
 alias is found too."""
@@ -22,8 +21,8 @@ import acsgeom
 
 PACKAGE = os.path.dirname(os.path.abspath(acsgeom.__file__))
 ADMITTERS = {
-    "charts.py": ["CayleyCoordinate.__post_init__", "CayleyCoordinate.__post_init__",
-                  "shape_anticommuting", "shape_anticommuting"],
+    "charts.py": ["CayleyCoordinate.__post_init__", "shape_anticommuting",
+                  "shape_anticommuting"],
     "fiber.py": ["FiberMetric.__post_init__", "mat_inv_guarded", "pade_basis", "g_adjoint"],
     "structures.py": ["SampleSpace.__post_init__", "AcsField.__post_init__",
                       "TangentField.__post_init__", "SymplecticField.__post_init__"],

@@ -2,12 +2,19 @@
 ``geometry.ChartField`` calls ``CayleyCoordinate(``, and no module builds one
 by a named constructor or ``__new__``, so every chart point runs the one
 ``__post_init__`` that checks its domain, which a tracer of the
-constructor sees."""
+constructor sees.  At default flags no command hands a chart field a K
+made at another base field, which the field would have to remake."""
 
 import ast
+import contextlib
+import io
 import os
 
+import pytest
+
 import acsgeom
+from acsgeom import geometry
+from acsgeom.cli import main
 
 PACKAGE = os.path.dirname(os.path.abspath(acsgeom.__file__))
 
@@ -54,3 +61,25 @@ def test_only_chart_field_builds_chart_points():
             for scope in chart_point_builders(fh.read()):
                 builders.setdefault(name, []).append(scope)
     assert builders == {"geometry.py": ["ChartField.__post_init__"]}
+
+
+# chart fields that each command builds at its default flags
+DEFAULT_CHART_FIELDS = {"verify": 36, "geodesic": 9, "signature": 1, "curvature": 6}
+
+
+@pytest.mark.parametrize("command", sorted(DEFAULT_CHART_FIELDS))
+def test_default_commands_remake_no_coordinate(command, monkeypatch):
+    """At default flags every chart field gets a K made at its own base, so
+    none pays the remake of a K made at another base field."""
+    foreign = []
+    built = geometry.ChartField.__post_init__
+
+    def traced(self):
+        foreign.append(self.K.base is not self.base)
+        built(self)
+
+    monkeypatch.setattr(geometry.ChartField, "__post_init__", traced)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([command]) == 0
+    assert len(foreign) == DEFAULT_CHART_FIELDS[command]
+    assert not any(foreign)

@@ -18,7 +18,7 @@ from acsgeom.charts import (
 from acsgeom.errors import (AnticommutationViolation, DimensionMismatch, InvalidStructure,
                             SingularOperator)
 from acsgeom.fiber import mat_inv_guarded, max_abs
-from acsgeom.geometry import geodesic_ambient
+from acsgeom.geometry import ChartField, geodesic_ambient
 from acsgeom.structures import (
     AcsField,
     SampleSpace,
@@ -106,10 +106,14 @@ class TestAnticommuteProject:
 
 class TestCayleyCoordinate:
     def test_rejects_commuting_k(self):
-        # a K made at another base field is checked against this one
+        # a K made at another base field is remade, and checked, at this one
         base = structure(J2)
         k = TangentField.derived(structure(J2), np.eye(2)[None])
-        with pytest.raises(AnticommutationViolation):
+        with pytest.raises(AnticommutationViolation,
+                           match=r"^tangent ops fail to anticommute with the base, "
+                                 r"residual 2\.000e\+00$"):
+            ChartField(base.space, base, k)
+        with pytest.raises(AnticommutationViolation, match="not made at the chart's base"):
             CayleyCoordinate(base, k)
 
     def test_rejects_bad_base(self):

@@ -235,21 +235,22 @@ class TestChartFieldResolvents:
         def chart(base, k):
             return lambda: ChartField(*one_point_field(base, k))
 
-        # J0^2 = -1 first, then anticommutation: K = 1 fails both that and
-        # the invertibility of 1 - K^2 = 0
+        # J0^2 = -1 first for a K made at the chart's base: K = 1 fails
+        # that and the invertibility of 1 - K^2 = 0
         assert refusal(chart(np.array([[0.5, -1.0], [1.0, 0.0]]), eye2)) == (
             InvalidStructure, "base does not square to -identity")
+        # a K made at another base field is remade at this one, which checks
+        # its anticommutation (one made at its own base was checked there, or
+        # derived, unchecked), before J0^2 = -1
         anticommutation = (AnticommutationViolation,
-                           "coordinate does not anticommute with the base structure")
-        # a chart field checks K only if it was made at another base field:
-        # one made at its own base was checked there (or derived, unchecked)
+                           "tangent ops fail to anticommute with the base, residual 2.000e+00")
         space, j, k = one_point_field(j2, eye2)
         other = AcsField(space, j.ops.copy())
         assert refusal(lambda: ChartField(space, j, TangentField.derived(other, k.ops))) == (
             anticommutation)
         bad = AcsField(space, np.array([[[0.5, -1.0], [1.0, 0.0]]]))
         assert refusal(lambda: ChartField(space, bad, TangentField.derived(other, k.ops))) == (
-            InvalidStructure, "base does not square to -identity")
+            anticommutation)
         assert refusal(chart(j2, eye2)) == refusal(lambda: mat_inv_guarded(eye2 - eye2))
         # a base whose square overflows is refused, from the chart field's
         # kept residual
@@ -278,6 +279,37 @@ class TestChartFieldResolvents:
         assert refusal(chart(j2, huge)) == (NonFiniteValue, "matrix entries must be finite")
         ill = np.diag([1e200, -1e200, 0.0, 0.0])
         assert refusal(chart(j4, ill)) == refusal(lambda: mat_inv_guarded(eye4 - ill))
+
+    @pytest.mark.parametrize("standard", [True, False])
+    def test_a_coordinate_from_another_base_is_remade_once(self, standard, monkeypatch):
+        # K made at an equal but distinct base field: the chart field remakes
+        # it at its own base, one TangentField check, and then computes the
+        # bits of a K made at the base, on the complex route at J_std and on
+        # the real route off it
+        rng = np.random.default_rng(11)
+        space = random_sample_space(rng, 4, 6)
+        j = standard_acs_field(space)
+        if not standard:
+            p = np.eye(4) + 0.3 * rng.uniform(-1.0, 1.0, (4, 4))
+            j = AcsField(space, np.tile(p @ standard_acs(4) @ np.linalg.inv(p), (6, 1, 1)))
+        other = AcsField(space, j.ops.copy())
+        k, a, b, d = (random_tangent_field(rng, j) for _ in range(4))
+        foreign = TangentField(space, other, k.ops)
+        checks = []
+        check = TangentField.__post_init__
+        monkeypatch.setattr(TangentField, "__post_init__",
+                            lambda self: (checks.append(self), check(self))[1])
+        at_base = ChartField(space, j, k)
+        assert checks == [] and at_base.K is k
+        remade = ChartField(space, j, foreign)
+        assert len(checks) == 1 and checks[0] is remade.K
+        assert remade.K.base is remade.base and remade.K is not foreign
+        assert (remade.coord.form is None) == (at_base.coord.form is None) == (not standard)
+        assert np.array_equal(remade.resolvents(), at_base.resolvents())
+        for f, args in ((christoffel, (a, b)), (curvature, (a, b, d))):
+            assert np.array_equal(f(remade, *args).ops, f(at_base, *args).ops)
+        for f in (chart_inner, chart_omega):
+            assert bits(f(remade, a, b)) == bits(f(at_base, a, b))
 
 
 def loop_sum(terms) -> float:
