@@ -28,7 +28,6 @@ them by attribute.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -80,7 +79,6 @@ class ComplexChart(NamedTuple):
     r: np.ndarray
 
 
-@dataclass(frozen=True)
 class CayleyCoordinate:
     """The point K of the rational chart at a base J0, from a structure
     field ``base`` (:class:`acsgeom.structures.AcsField`) and a tangent
@@ -124,12 +122,12 @@ class CayleyCoordinate:
     ``square_resolvent`` and ``resolvent`` are then real stacks computed on
     first read.  A 1 - K^2 that is not finite takes the real route, which
     refuses it as above; ``form`` is then None, as it is on every other
-    point.
+    point.  Treated as immutable once built.
     """
 
-    base: AcsField
-    K: TangentField
-    form: ComplexChart | None = field(init=False, repr=False, compare=False)
+    def __init__(self, base: AcsField, K: TangentField):
+        self.base, self.K = base, K
+        self.__post_init__()
 
     def __post_init__(self):
         base, j0, k = self.base, self.base.ops, self.K.ops
@@ -142,7 +140,7 @@ class CayleyCoordinate:
             raise InvalidStructure("base does not square to -identity")
         antilinear = self.K.antilinear_form if base.is_standard else None
         form = None if antilinear is None else _complex_chart(antilinear)
-        object.__setattr__(self, "form", form)
+        self.form = form
         if form is not None:
             return
         eye = np.eye(j0.shape[-1])
@@ -156,9 +154,7 @@ class CayleyCoordinate:
         resolvent = guard_inverse(eye - k, (eye + k) @ inv)
         inv = guard_inverse(square, inv, scale)
         resolvent.flags.writeable = square.flags.writeable = inv.flags.writeable = False
-        object.__setattr__(self, "resolvent", resolvent)
-        object.__setattr__(self, "square", square)
-        object.__setattr__(self, "square_resolvent", inv)
+        self.resolvent, self.square, self.square_resolvent = resolvent, square, inv
 
     @property
     def dim(self) -> int:

@@ -21,13 +21,11 @@ that hold a comma or a quote are quoted.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,31 +66,29 @@ SETTINGS = {
 }
 
 
-@dataclass(frozen=True)
 class Command:
     """A subcommand: its help and handler, the checkers it runs (their size
     caps), the settings it reads besides output and format, and those of them
     an input bundle fixes, refused beside ``--in``.  Each checker states its
-    own tolerances, which no flag or config key sets."""
+    own tolerances, which no flag or config key sets.  Treated as immutable."""
 
-    help: str
-    handler: Callable
-    checks: tuple = ()
-    settings: tuple = ()
-    bundle_fixes: tuple = ()
+    def __init__(self, help: str, handler: Callable, checks: tuple = (), settings: tuple = (),
+                 bundle_fixes: tuple = ()):
+        self.help, self.handler, self.checks = help, handler, checks
+        self.settings, self.bundle_fixes = settings, bundle_fixes
 
 
-@dataclass
 class RunConfig:
-    command: str
-    dim: int = 4
-    points: int = VerifyConfig.points
-    seed: int = VerifyConfig.seed
-    t_max: float = VerifyConfig.t_max
-    t_steps: int = VerifyConfig.t_steps
-    input: str | None = None
-    output: str | None = None
-    format: str = "report"
+    """The settings of one command line: flags over the config file over
+    these defaults, the suite's own where it has one."""
+
+    def __init__(self, command: str, dim: int = 4, points: int = VerifyConfig.points,
+                 seed: int = VerifyConfig.seed, t_max: float = VerifyConfig.t_max,
+                 t_steps: int = VerifyConfig.t_steps, input: str | None = None,
+                 output: str | None = None, format: str = "report"):
+        self.command, self.dim, self.points, self.seed = command, dim, points, seed
+        self.t_max, self.t_steps = t_max, t_steps
+        self.input, self.output, self.format = input, output, format
 
     def validate(self) -> None:
         """Check the command and format, then the shared settings through
@@ -231,6 +227,8 @@ def _emit(cfg: RunConfig, header: list[str], rows, doc: dict) -> None:
     """Write ``rows`` under ``header`` as CSV (numbers to 17 significant digits,
     cells quoted where needed), or ``doc`` as the JSON report."""
     if cfg.format == "csv":
+        import csv  # only here, so no other output pays for loading it
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)

@@ -80,7 +80,6 @@ numpy reductions, NaN included.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -161,28 +160,26 @@ def norm_1(a: np.ndarray) -> np.ndarray:
     return norm
 
 
-@dataclass(frozen=True)
 class FiberMetric:
     """Symmetric positive-definite inner products: one matrix, or a
     (points, n, n) stack with one per fiber.  Its inverse, which every
     metric adjoint reads, is computed on first use and kept (so a metric
     that is only loaded or validated pays no inversion).  A single matrix
     that is exactly the identity is ``is_identity``: it is never inverted,
-    since its adjoint is the transpose."""
+    since its adjoint is the transpose.  Treated as immutable once built."""
 
-    matrix: np.ndarray
-    is_identity: bool = field(init=False, repr=False, compare=False)
+    def __init__(self, matrix: np.ndarray):
+        self.matrix = matrix
+        self.__post_init__()
 
     def __post_init__(self):
-        m = as_fiber_matrix(self.matrix)
+        m = self.matrix = as_fiber_matrix(self.matrix)
         with np.errstate(over="ignore"):  # an overflow reads as asymmetric
             if max_abs(m - m.mT) > 1e-12:
                 raise ValueError("fiber metric must be symmetric within 1e-12")
         if not (np.linalg.eigvalsh(m)[..., 0] > 0.0).all():
             raise ValueError("fiber metric must be positive definite")
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "is_identity",
-                           m.ndim == 2 and bool((m == np.eye(m.shape[-1])).all()))
+        self.is_identity = m.ndim == 2 and bool((m == np.eye(m.shape[-1])).all())
 
     @property
     def dim(self) -> int:
@@ -449,7 +446,6 @@ class EvenAlgebra(NamedTuple):
     span: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
 class PadeBasis:
     """What the exponentials of c A need of a float64 (k, n, n) stack A for
     every scalar c, computed once by :func:`pade_basis`.  A sweep over c
@@ -461,15 +457,14 @@ class PadeBasis:
     others (every slice at n >= 6).  ``norm`` holds every slice's 1-norm,
     from which :func:`_routes` reads at c which gated slices need
     squaring, and the matrix route each slice's squaring count.
-    ``largest`` is the largest |entry| of A."""
+    ``largest`` is the largest |entry| of A.  Treated as immutable once
+    built."""
 
-    shape: tuple
-    stack: np.ndarray
-    largest: float
-    even: np.ndarray | None
-    matrix: np.ndarray | None
-    algebra: EvenAlgebra | None
-    norm: np.ndarray
+    def __init__(self, shape: tuple, stack: np.ndarray, largest: float,
+                 even: np.ndarray | None, matrix: np.ndarray | None,
+                 algebra: EvenAlgebra | None, norm: np.ndarray):
+        self.shape, self.stack, self.largest = shape, stack, largest
+        self.even, self.matrix, self.algebra, self.norm = even, matrix, algebra, norm
 
 
 def _powers(x: np.ndarray) -> tuple:

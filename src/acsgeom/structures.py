@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import json
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -47,7 +46,6 @@ MAX_FIBER_DIM = 64
 POSITIVITY_FLOOR = 1e-12
 
 
-@dataclass
 class SampleSpace:
     """Weighted sample points with a base fiber metric at each.
 
@@ -59,11 +57,10 @@ class SampleSpace:
     ``metrics`` is then kept for :func:`save_bundle`.
     """
 
-    dim: int
-    weights: np.ndarray
-    metrics: np.ndarray | None = None
-    point_ids: tuple = None
-    fiber_metric: FiberMetric = field(init=False, repr=False, compare=False)
+    def __init__(self, dim: int, weights: np.ndarray, metrics: np.ndarray | None = None,
+                 point_ids: tuple = None):
+        self.dim, self.weights, self.metrics, self.point_ids = dim, weights, metrics, point_ids
+        self.__post_init__()
 
     def __post_init__(self):
         if self.dim < 2 or self.dim % 2 or self.dim > MAX_FIBER_DIM:
@@ -97,7 +94,6 @@ class SampleSpace:
         return self.weights.size
 
 
-@dataclass
 class AcsField:
     """One almost complex structure candidate per sample point.
 
@@ -108,8 +104,9 @@ class AcsField:
     ``is_standard`` and ``orientation`` are computed on first read and kept.
     """
 
-    space: SampleSpace
-    ops: np.ndarray
+    def __init__(self, space: SampleSpace, ops: np.ndarray):
+        self.space, self.ops = space, ops
+        self.__post_init__()
 
     def __post_init__(self):
         points, dim = self.space.npoints, self.space.dim
@@ -143,7 +140,6 @@ class AcsField:
         return markers
 
 
-@dataclass
 class TangentField:
     """A tangent direction at a structure field: per-point matrices
     anticommuting with the base operators, checked to ``FIELD_TOL`` where a
@@ -153,9 +149,9 @@ class TangentField:
     it needs, and ``antilinear_form``, what the chart functionals read at a
     J_std base, are computed on first read and kept."""
 
-    space: SampleSpace
-    base: AcsField
-    ops: np.ndarray
+    def __init__(self, space: SampleSpace, base: AcsField, ops: np.ndarray):
+        self.space, self.base, self.ops = space, base, ops
+        self.__post_init__()
 
     def __post_init__(self):
         points, dim = self.space.npoints, self.space.dim
@@ -191,12 +187,13 @@ class TangentField:
         return tangent
 
 
-@dataclass
 class SymplecticField:
-    """A nondegenerate antisymmetric form per point: kappa_F <= DEFAULT_COND_CAP."""
+    """A nondegenerate antisymmetric form per point: kappa_F <= DEFAULT_COND_CAP.
+    Treated as immutable once built."""
 
-    space: SampleSpace
-    forms: np.ndarray
+    def __init__(self, space: SampleSpace, forms: np.ndarray):
+        self.space, self.forms = space, forms
+        self.__post_init__()
 
     def __post_init__(self):
         points, dim = self.space.npoints, self.space.dim
@@ -231,7 +228,6 @@ class ValuesOnRead(Mapping):
         return len(self._compute)
 
 
-@dataclass(eq=False)
 class FieldReport:
     """Outcome of a field validator, held as the per-point arrays it is
     computed from: identity ``residuals``, verdicts ``ok`` (residual within
@@ -241,15 +237,11 @@ class FieldReport:
     ``ok`` never pays for it.  ``max_residual`` and ``worst_point`` are those
     of the first point of largest residual, a NaN counting as largest."""
 
-    name: str
-    point_ids: tuple
-    residuals: np.ndarray
-    ok: np.ndarray
-    tolerance: float
-    values: Mapping = field(default_factory=dict)
-    passed: bool = field(init=False)
-    max_residual: float = field(init=False)
-    worst_point: object = field(init=False)
+    def __init__(self, name: str, point_ids: tuple, residuals: np.ndarray, ok: np.ndarray,
+                 tolerance: float, values: Mapping | None = None):
+        self.name, self.point_ids, self.residuals, self.ok = name, point_ids, residuals, ok
+        self.tolerance, self.values = tolerance, {} if values is None else values
+        self.__post_init__()
 
     def __post_init__(self):
         worst = np.argmax(self.residuals)
@@ -477,14 +469,12 @@ def random_tangent_field(rng: np.random.Generator, j: AcsField, *,
 # ---------------------------------------------------------------------------
 # serialization
 
-@dataclass
 class FieldBundle:
     """A sample space plus whichever fields a file carried."""
 
-    space: SampleSpace
-    J: AcsField | None = None
-    W: SymplecticField | None = None
-    K: TangentField | None = None
+    def __init__(self, space: SampleSpace, J: AcsField | None = None,
+                 W: SymplecticField | None = None, K: TangentField | None = None):
+        self.space, self.J, self.W, self.K = space, J, W, K
 
 
 def _numbers(values, what: str) -> np.ndarray:

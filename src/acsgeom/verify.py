@@ -22,7 +22,7 @@ from __future__ import annotations
 import inspect
 import math
 import zlib
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -79,7 +79,6 @@ CHECK_NAMES = (
 )
 
 
-@dataclass
 class CheckReport:
     """Outcome of one checker.
 
@@ -88,14 +87,13 @@ class CheckReport:
     is equivalent to every sub-check in ``details`` passing.
     """
 
-    name: str
-    passed: bool
-    max_residual: float
-    tolerance: float
-    seed: int
-    dims: tuple
-    params: dict = field(default_factory=dict)
-    details: list = field(default_factory=list)
+    def __init__(self, name: str, passed: bool, max_residual: float, tolerance: float,
+                 seed: int, dims: tuple, params: dict | None = None, details: list | None = None):
+        self.name, self.passed, self.max_residual, self.tolerance = (
+            name, passed, max_residual, tolerance)
+        self.seed, self.dims = seed, dims
+        self.params = {} if params is None else params
+        self.details = [] if details is None else details
 
     def to_dict(self) -> dict:
         return _plain(vars(self))
