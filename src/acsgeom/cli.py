@@ -346,7 +346,7 @@ COMMANDS = {
     "geodesic": Command("trace a geodesic and its validators", cmd_geodesic, (),
                         ("dim", "points", "seed", "t_max", "t_steps", "input"),
                         bundle_fixes=("dim", "points", "seed")),
-    "curvature": Command("finite-difference curvature check", cmd_checks,
+    "curvature": Command("curvature check", cmd_checks,
                          ("curvature_fd",), ("dim", "points", "seed")),
     "project": Command("split an input tangent field into symmetric and antisymmetric parts",
                        cmd_project, settings=("input",)),

@@ -89,6 +89,13 @@ class ChartField:
         route from S, on first read), read-only."""
         return self.coord.square_resolvent
 
+    def resolvent_derivative(self, a: TangentField) -> np.ndarray:
+        """S'_A = S (A K + K A) S per point, S = (1 - K^2)^{-1}: the exact
+        derivative of the resolvents along a, on the real stacks of
+        :meth:`resolvents` whatever the route.  At K = 0 it is exactly 0."""
+        s, k = self.resolvents(), self.K.ops
+        return s @ (a.ops @ k + k @ a.ops) @ s
+
 
 def chart_origin(j: AcsField) -> ChartField:
     """The chart centered at j with coordinate zero."""
@@ -96,7 +103,8 @@ def chart_origin(j: AcsField) -> ChartField:
 
 
 def shifted(c: ChartField, a: TangentField, h: float) -> ChartField:
-    """The chart point with coordinate K + h a (used by difference stencils)."""
+    """The chart point with coordinate K + h a (used by the stencils of the
+    order sub-checks)."""
     return ChartField(c.space, c.base, TangentField.derived(c.base, c.K.ops + float(h) * a.ops))
 
 

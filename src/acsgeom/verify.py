@@ -1,16 +1,17 @@
-"""Numerical certification of the geometry: finite-difference oracles and
-checkers for the chart bijection, the pushforward identity, closedness of
-the 2-form, curvature, geodesics, metric structure, definiteness on the
-associated and orthogonal submanifolds, and their totally geodesic
-property.
+"""Numerical certification of the geometry: checkers for the chart
+bijection, the pushforward identity, closedness of the 2-form, curvature,
+geodesics, metric structure, definiteness on the associated and orthogonal
+submanifolds, and their totally geodesic property.
 
 Every checker returns a :class:`CheckReport` whose headline residual and
 tolerance are those of its worst sub-check in relative terms, so
 ``passed`` is equivalent to ``max_residual <= tolerance`` while the
 individual sub-checks (each with its own tolerance) are kept in
-``details``.  Bound-type assertions (eigenvalue signs, convergence-factor
-windows) are encoded as distance-outside-the-allowed-region against a
-zero tolerance.
+``details``.  Every derivative a headline residual reads is exact; central
+differences run only in the order sub-checks (:func:`_order`), which hold
+each exact derivative against the stencil of its formula.  Bound-type
+assertions (eigenvalue signs, convergence-factor windows) are encoded as
+distance-outside-the-allowed-region against a zero tolerance.
 
 Determinism: every random draw comes from a generator seeded with the
 (master seed, checker name, dim, case index) tuple, so identical
@@ -166,21 +167,16 @@ def _outside(value: float, lo: float, hi: float) -> float:
     return _worst(0.0, lo - value, value - hi)
 
 
-# The step of every central difference, a constant of the method: of its four
-# stencils, which differ in order, a smaller step swamps geodesics in rounding
-# and a larger one raises metric_compat_fd's truncation error as its square.
-FD_STEP = 1e-4
-# The two steps of theorem2's order sub-check, where the stencil's truncation
-# error dominates its rounding, so the factor between its two errors reads 4
-# to about four digits; near FD_STEP both errors sit close to their rounding
-# floor, and any change of bits moves the factor by percents.
+# The two steps of every order sub-check, where a stencil's truncation error
+# dominates its rounding, so the factor between its two errors reads 4 to
+# about four digits.
 ORDER_STEPS = (1e-2, 5e-3)
 # Cases drawn per dim: CASES by cayley and theorem1, FD_CASES by the other checkers.
 CASES = 100
 FD_CASES = 3
 
 
-def fd_directional(f, c: ChartField, a: TangentField, h: float = FD_STEP):
+def fd_directional(f, c: ChartField, a: TangentField, h: float):
     """Central difference of a chart functional along a:
     (f(K + hA) - f(K - hA)) / (2h), error O(h^2) for smooth f.  ``f`` gives
     a scalar, or an array of them (one per case), differenced entrywise."""
@@ -189,17 +185,36 @@ def fd_directional(f, c: ChartField, a: TangentField, h: float = FD_STEP):
     return (f(shifted(c, a, h)) - f(shifted(c, a, -h))) / (2.0 * float(h))
 
 
+def _order(name: str, stencil, exact) -> dict:
+    """The order sub-check of a central difference: ``stencil(h)`` is its
+    value at step h, ``exact`` the derivative it approximates.  Halving the
+    step from the first to the second of ``ORDER_STEPS`` must divide the
+    error of the binding entry, the largest error at the first step (a NaN
+    first), by a factor in [2.5, 6], about 4 for an order-2 stencil."""
+    r_h, r_h2 = (np.abs(stencil(step) - exact) for step in ORDER_STEPS)
+    worst = int(np.argmax(r_h))
+    factor = r_h.flat[worst] / r_h2.flat[worst] if r_h2.flat[worst] > 0.0 else float("inf")
+    window = (2.5, 6.0)
+    return _sub(name, _outside(factor, *window), 0.0, factor=factor, window=window)
+
+
+def _geodesic_jet(a: TangentField, t: float) -> tuple[np.ndarray, ...]:
+    """K, K' and K'' at time t along the chart geodesic K(t) = tanh((t/2) A),
+    exact: K' = (1/2) A (1 - K^2) and K'' = -(1/2) A^2 K (1 - K^2) = -A K K',
+    as A and K commute."""
+    k = geodesic_chart(a, t).ops
+    kdot = 0.5 * (a.ops - a.ops @ k @ k)
+    return k, kdot, -a.ops @ k @ kdot
+
+
 def geodesic_equation_residual(a: TangentField, t: float) -> float:
     """Max-norm residual of K'' + Gamma(K', K') = 0 at time t along the
-    chart geodesic K(t) = tanh((t/2) A), by central differences of step
-    FD_STEP; NaN where t + h or t - h rounds to t and the stencil collapses."""
-    h = FD_STEP
-    if t + h == t or t - h == t:
-        return math.nan
-    kp, kc, km = (geodesic_chart(a, s) for s in (t + h, t, t - h))
-    kdot = TangentField.derived(a.base, (kp.ops - km.ops) / (2.0 * h))
-    kdd = (kp.ops - 2.0 * kc.ops + km.ops) / h**2
-    gamma = christoffel(ChartField(a.space, a.base, kc), kdot, kdot)
+    chart geodesic K(t) = tanh((t/2) A), with the exact K' and K''
+    (:func:`_geodesic_jet`)."""
+    k, kdot, kdd = _geodesic_jet(a, t)
+    velocity = TangentField.derived(a.base, kdot)
+    gamma = christoffel(ChartField(a.space, a.base, TangentField.derived(a.base, k)),
+                        velocity, velocity)
     return max_abs(kdd + gamma.ops)
 
 
@@ -271,35 +286,42 @@ def check_theorem1(seed: int = 0, dims=(2, 4, 6)) -> CheckReport:
     return _compose("theorem1", args, subs)
 
 
+def _pairing_derivative(c: ChartField, a: TangentField, x: np.ndarray, y: np.ndarray,
+                        by_case: _Cases) -> np.ndarray:
+    """Per case, the exact derivative along a of the chart pairing
+    4 sum of w tr(S X S Y) at c: 4 sum of w tr(S' X S Y + S X S' Y), with
+    S' = S'_A (:meth:`ChartField.resolvent_derivative`).  With X = B J0 it
+    is the derivative of the 2-form Omega(B, Y)."""
+    s, ds = c.resolvents(), c.resolvent_derivative(a)
+    traces = np.trace(ds @ x @ s @ y + s @ x @ ds @ y, axis1=1, axis2=2)
+    return by_case.sums(c.space.weights * 4.0 * traces)
+
+
 def _omega_terms(c: ChartField, a0: TangentField, a1: TangentField,
                  a2: TangentField, by_case: _Cases) -> tuple[np.ndarray, ...]:
-    """Per case, the three directional-derivative terms of
-    d Omega(a0, a1, a2) at c."""
-    return tuple(fd_directional(lambda cc: by_case.pairing(chart_omega_terms, cc, x, y), c, d)
+    """Per case, the three exact directional-derivative terms of
+    d Omega(a0, a1, a2) at c, whose alternating sum is d Omega."""
+    j0 = c.base.ops
+    return tuple(_pairing_derivative(c, d, x.ops @ j0, y.ops, by_case)
                  for d, x, y in ((a0, a1, a2), (a1, a0, a2), (a2, a0, a1)))
 
 
-def _omega_ray_derivative(ray: ChartField, a0: TangentField, a1: TangentField,
-                          a2: TangentField, t: float, by_case: _Cases) -> np.ndarray:
-    """Per case, the exact d/dt of chart_omega along K = t a0 at ``ray``,
-    the chart point t a0, from the resolvent derivative
-    d/dt (1 - t^2 A^2)^{-1} = S (2t A^2) S, with S the ray's resolvents."""
-    x, b1, j0, b2 = a0.ops, a1.ops, ray.base.ops, a2.ops
-    s = ray.resolvents()
-    ds = s @ ((2.0 * t) * (x @ x)) @ s
-    traces = (np.trace(ds @ b1 @ j0 @ s @ b2, axis1=1, axis2=2)
-              + np.trace(s @ b1 @ j0 @ ds @ b2, axis1=1, axis2=2))
-    return by_case.sums(ray.space.weights * 4.0 * traces)
+def _christoffel_derivative(c: ChartField, a: TangentField, b: TangentField,
+                            d: TangentField) -> np.ndarray:
+    """The exact derivative along a of the connection Gamma(B, D) at c:
+    B (A S + K S'_A) D + D (A S + K S'_A) B."""
+    m = a.ops @ c.resolvents() + c.K.ops @ c.resolvent_derivative(a)
+    return b.ops @ m @ d.ops + d.ops @ m @ b.ops
 
 
 def check_theorem2(seed: int = 0, dims=(2, 4), points: int = 8) -> CheckReport:
-    """Closedness of the 2-form: every directional-derivative term of
-    d Omega vanishes at the chart center, both at the reference structure
-    and after recentering at a random chart point; plus an order-2
-    convergence check of the difference stencil against the analytic
-    derivative at t = 0.3 on a coordinate ray: halving the step from 1e-2
-    to 5e-3 (``ORDER_STEPS``) must divide the error by a factor in
-    [2.5, 6]."""
+    """Closedness of the 2-form, from the exact derivatives of Omega: every
+    term of d Omega vanishes at the chart center, both at the reference
+    structure and after recentering at a random chart point, and d Omega
+    vanishes off the center, on the ray point K = 0.3 A of a coordinate ray.
+    At dim 2 every 3-form vanishes pointwise, so that sub-check cannot fail
+    there.  The order sub-check differences Omega along the ray against its
+    exact derivative (:func:`_order`)."""
     args = dict(locals())
     subs = []
     for dim in dims:
@@ -313,30 +335,24 @@ def check_theorem2(seed: int = 0, dims=(2, 4), points: int = 8) -> CheckReport:
         b0, b1, b2 = (random_tangent_field(by_case, j1f) for _ in range(3))
         s0, s1, s2 = _omega_terms(chart_origin(j1f), b0, b1, b2, by_case)
 
-        # order-2 convergence, measured against the analytic value on
-        # the off-center ray K = t a0 (the stencil at the center is
-        # exactly zero and carries no signal)
+        # off the center, where S' is not 0
         half = random_tangent_field(by_case, j0f, bound=0.5)
         ray = ChartField(space, j0f, TangentField.derived(j0f, 0.3 * half.ops))
-        exact = _omega_ray_derivative(ray, half, a1, a2, 0.3, by_case)
-        r_h, r_h2 = (np.abs(fd_directional(lambda c: by_case.pairing(chart_omega_terms, c, a1, a2),
-                                          ray, half, step) - exact)
-                     for step in ORDER_STEPS)
-        worst = int(np.argmax(r_h))  # the binding case: largest r_h, a NaN first
-        factor = r_h[worst] / r_h2[worst] if r_h2[worst] > 0.0 else float("inf")
-        window = (2.5, 6.0)  # about 4, the factor of an order-2 stencil
+        r0, r1, r2 = _omega_terms(ray, half, a1, a2, by_case)
         subs += [_sub(f"terms_dim{dim}", max_abs([t0, t1, t2, s0, s1, s2]), 1e-6),
                  _sub(f"alternating_sum_dim{dim}", max_abs([t0 - t1 + t2, s0 - s1 + s2]),
                       1e-6),
-                 _sub(f"fd_order_dim{dim}", _outside(factor, *window), 0.0,
-                      factor=factor, window=window)]
+                 _sub(f"closed_offcentre_dim{dim}", max_abs(r0 - r1 + r2), 1e-10),
+                 _order(f"fd_order_dim{dim}", lambda h: fd_directional(
+                     lambda c: by_case.pairing(chart_omega_terms, c, a1, a2), ray, half, h), r0)]
     return _compose("theorem2", args, subs)
 
 
 def check_geodesics(seed: int = 0, dims=(2, 4), points: int = 8, t_max: float = 2.0,
                     t_steps: int = 9) -> CheckReport:
-    """Geodesic equation K'' + Gamma(K', K') = 0 by central differences at
-    t = 0.2, 0.6 and 1.0, and chart/ambient consistency of the two geodesic
+    """Geodesic equation K'' + Gamma(K', K') = 0 with the exact K' and K''
+    at t = 0.2, 0.6 and 1.0, the order sub-check of K's central difference
+    against K' at t = 1.0, and chart/ambient consistency of the two geodesic
     descriptions on the grid of t_steps points on [0, t_max]."""
     args = dict(locals())
     full_grid = np.linspace(0.0, t_max, t_steps).tolist()
@@ -348,14 +364,19 @@ def check_geodesics(seed: int = 0, dims=(2, 4), points: int = 8, t_max: float = 
         chart = [max_abs(acs_to_cayley(j0f, geodesic_ambient(j0f, a, t))
                          - geodesic_chart(a, t).ops) for t in full_grid]
         subs += [_sub(f"ode_residual_dim{dim}", max_abs(ode), 1e-6),
-                 _sub(f"chart_ambient_dim{dim}", max_abs(chart), 1e-9)]
+                 _sub(f"chart_ambient_dim{dim}", max_abs(chart), 1e-9),
+                 _order(f"ode_order_dim{dim}",
+                        lambda h: (geodesic_chart(a, 1.0 + h).ops
+                                   - geodesic_chart(a, 1.0 - h).ops) / (2.0 * h),
+                        _geodesic_jet(a, 1.0)[1])]
     return _compose("geodesics", args, subs)
 
 
 def check_curvature_fd(seed: int = 0, dims=(2, 4), points: int = 8) -> CheckReport:
-    """Curvature as the commutator of covariant derivatives, assembled by
-    finite differences of the connection, against the closed form; plus
-    the exact antisymmetry, first Bianchi, and flat-origin identities.
+    """Curvature as the commutator of covariant derivatives, assembled from
+    the exact derivatives of the connection, against the closed form; plus
+    the exact antisymmetry, first Bianchi, and flat-origin identities, and
+    the order sub-check of the connection's central difference.
 
     The coordinate K is drawn at spectral radius <= 0.5 so the stepped
     points K +- h A stay deep inside the chart.
@@ -368,28 +389,28 @@ def check_curvature_fd(seed: int = 0, dims=(2, 4), points: int = 8) -> CheckRepo
         a, b, d = (random_tangent_field(by_case, j0f) for _ in range(3))
         c = ChartField(space, j0f, k)
         closed = curvature(c, a, b, d).ops
-
-        def grad(direction: TangentField, x: TangentField, y: TangentField):
-            return fd_directional(lambda cc: christoffel(cc, x, y).ops, c, direction)
-
-        term_a = grad(a, b, d) + christoffel(c, a, christoffel(c, b, d)).ops
-        term_b = grad(b, a, d) + christoffel(c, b, christoffel(c, a, d)).ops
+        grad_a = _christoffel_derivative(c, a, b, d)
+        term_a = grad_a + christoffel(c, a, christoffel(c, b, d)).ops
+        term_b = _christoffel_derivative(c, b, a, d) + christoffel(c, b, christoffel(c, a, d)).ops
         flat = curvature(chart_origin(j0f), a, b, d).ops
         ab = a.ops @ b.ops - b.ops @ a.ops
         bianchi = closed + curvature(c, b, d, a).ops + curvature(c, d, a, b).ops
-        subs += [_sub(f"fd_match_dim{dim}", max_abs(term_a - term_b - closed), 1e-5),
+        subs += [_sub(f"commutator_match_dim{dim}", max_abs(term_a - term_b - closed), 1e-5),
                  _sub(f"antisymmetry_dim{dim}", max_abs(curvature(c, b, a, d).ops + closed), 0.0),
                  _sub(f"self_pair_dim{dim}", max_abs(curvature(c, a, a, d).ops), 0.0),
                  _sub(f"bianchi_dim{dim}", max_abs(bianchi), 1e-10),
                  _sub(f"origin_closed_form_dim{dim}", max_abs(flat + (ab @ d.ops - d.ops @ ab)),
-                      1e-12)]
+                      1e-12),
+                 _order(f"commutator_order_dim{dim}", lambda h: fd_directional(
+                     lambda cc: christoffel(cc, b, d).ops, c, a, h), grad_a)]
     return _compose("curvature_fd", args, subs)
 
 
 def check_metric_structure(seed: int = 0, dims=(2, 4), points: int = 8) -> CheckReport:
     """Structural identities of the metric, the complex structure and the
     2-form, in ambient and chart form, plus metric compatibility of the
-    connection by finite differences."""
+    connection from the exact derivative of the pairing, with the order
+    sub-check of the pairing's central difference."""
     args = dict(locals())
     subs = []
     for dim in dims:
@@ -417,15 +438,17 @@ def check_metric_structure(seed: int = 0, dims=(2, 4), points: int = 8) -> Check
         kf = random_tangent_field(by_case, j0f, bound=0.5)
         cf = ChartField(space, j0f, kf)
         d = random_tangent_field(by_case, j0f)
-        lhs = fd_directional(lambda ch: total(chart_inner_terms, ch, b, d), cf, a)
+        lhs = _pairing_derivative(cf, a, b.ops, d.ops, by_case)
         rhs = total(chart_inner_terms, cf, christoffel(cf, a, b), d) \
             + total(chart_inner_terms, cf, b, christoffel(cf, a, d))
-        subs += [_sub(f"metric_compat_fd_dim{dim}", max_abs(lhs - rhs), 1e-6),
+        subs += [_sub(f"metric_compat_dim{dim}", max_abs(lhs - rhs), 1e-6),
                  _sub(f"hermitian_dim{dim}", r_herm, 1e-10),
                  _sub(f"omega_is_inner_dim{dim}", r_omega, 1e-12),
                  _sub(f"chart_ambient_inner_dim{dim}", r_ci, 1e-9),
                  _sub(f"chart_ambient_omega_dim{dim}", r_co, 1e-9),
-                 _sub(f"omega_compat_dim{dim}", r_compat, 1e-10)]
+                 _sub(f"omega_compat_dim{dim}", r_compat, 1e-10),
+                 _order(f"metric_compat_order_dim{dim}", lambda h: fd_directional(
+                     lambda ch: total(chart_inner_terms, ch, b, d), cf, a, h), lhs)]
     return _compose("metric_structure", args, subs)
 
 
@@ -551,7 +574,7 @@ class VerifyConfig:
     """Configuration of the full suite.
 
     ``dims`` drive the cheap algebraic ensembles; ``fd_dims`` the
-    finite-difference and eigenbasis checks.  An optional input ``bundle``
+    derivative and eigenbasis checks.  An optional input ``bundle``
     is validated ahead of the theorem checks.  Tolerances are no settings:
     each checker states its own.
     """

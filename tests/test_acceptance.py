@@ -73,9 +73,11 @@ def test_03_fundamental_form_closed():
     factors = [s["factor"] for s in order]
     order_ok = all(2.5 <= f <= 6.0 and s["window"] == [2.5, 6.0] for s, f in zip(order, factors))
     ok = (rep.passed and terms_ok and order_ok
-          and held_to(rep, terms_dim=1e-6, alternating_sum_dim=1e-6))
-    scorecard(3, "every d-omega finite-difference term <= 1e-6 at the chart "
-                 "center, original and recentered, with halving factor in "
+          and held_to(rep, terms_dim=1e-6, alternating_sum_dim=1e-6,
+                      closed_offcentre_dim=1e-10))
+    scorecard(3, "every exact d-omega term <= 1e-6 at the chart center, "
+                 "original and recentered, d-omega <= 1e-10 off the center, "
+                 "and the stencil's halving factor in "
                  "[2.5, 6]",
               ok, f"factors={[round(f, 2) for f in factors]}")
     assert ok
@@ -83,7 +85,7 @@ def test_03_fundamental_form_closed():
 
 def test_04_curvature_tensor():
     rep = check_curvature_fd(seed=0, dims=(2, 4))
-    stated = held_to(rep, fd_match_dim=1e-5, antisymmetry_dim=0.0, bianchi_dim=1e-10,
+    stated = held_to(rep, commutator_match_dim=1e-5, antisymmetry_dim=0.0, bianchi_dim=1e-10,
                      origin_closed_form_dim=1e-12)
 
     # hand-checked value at the chart origin in dim 2
@@ -95,7 +97,7 @@ def test_04_curvature_tensor():
     r = curvature(c, a, b, b)
     hand = max_abs(r.ops[0] - np.diag([-4.0, 4.0]))
     ok = rep.passed and stated and hand < 1e-13
-    scorecard(4, "finite-difference second derivatives match the closed-form "
+    scorecard(4, "exact derivatives of the connection match the closed-form "
                  "curvature <= 1e-5, antisymmetry exact, Bianchi <= 1e-10, "
                  "flat-origin commutator <= 1e-12, hand case R(A,B)B = "
                  "diag(-4, 4)",
@@ -125,15 +127,15 @@ def test_06_metric_structure():
                          subs_by_prefix(rep, "chart_ambient_inner_dim")),
                      max(s["residual"] for s in
                          subs_by_prefix(rep, "chart_ambient_omega_dim"))),
-        "compat_fd": max(s["residual"]
-                         for s in subs_by_prefix(rep, "metric_compat_fd_dim")),
+        "compat": max(s["residual"]
+                      for s in subs_by_prefix(rep, "metric_compat_dim")),
     }
     ok = rep.passed and held_to(rep, hermitian_dim=1e-10, omega_is_inner_dim=1e-12,
                                 chart_ambient_inner_dim=1e-9, chart_ambient_omega_dim=1e-9,
-                                metric_compat_fd_dim=1e-6)
+                                metric_compat_dim=1e-6)
     scorecard(6, "Hermitian invariance <= 1e-10, omega = (JA, B) <= 1e-12, "
                  "chart/ambient inner and omega <= 1e-9, metric "
-                 "compatibility FD <= 1e-6",
+                 "compatibility <= 1e-6",
               ok, ", ".join(f"{k}={v:.3g}" for k, v in worst.items()))
     assert ok
 

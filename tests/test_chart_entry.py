@@ -64,7 +64,7 @@ def test_only_chart_field_builds_chart_points():
 
 
 # chart fields that each command builds at its default flags
-DEFAULT_CHART_FIELDS = {"verify": 36, "geodesic": 9, "signature": 1, "curvature": 6}
+DEFAULT_CHART_FIELDS = {"verify": 26, "geodesic": 9, "signature": 1, "curvature": 6}
 
 
 @pytest.mark.parametrize("command", sorted(DEFAULT_CHART_FIELDS))

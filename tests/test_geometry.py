@@ -422,6 +422,29 @@ class TestChartMetric:
         assert abs(chart_inner(c, two_a, b) - 2.0 * chart_inner(c, a, b)) < 1e-11
 
 
+class TestResolventDerivative:
+    def test_vanishes_at_origin(self, origin2):
+        space, j, c = origin2
+        assert max_abs(c.resolvent_derivative(tangent(space, j, B_OFF))) == 0.0
+
+    def test_known_value(self, flat2):
+        # K = diag(1/2, -1/2): S = 4/3 and A K + K A = diag(2, 2) for A = diag(2, -2)
+        space, j, c = flat2
+        ds = c.resolvent_derivative(tangent(space, j, np.diag([2.0, -2.0])))
+        assert_allclose(ds[0], np.diag([32.0 / 9.0, 32.0 / 9.0]), rtol=1e-15)
+
+    @pytest.mark.parametrize("dim", [2, 4, 6])
+    def test_on_a_ray(self, dim):
+        # on K = t A: d/dt (1 - t^2 A^2)^{-1} = S (2t A^2) S
+        space = random_sample_space(np.random.default_rng(40 + dim), dim, 3)
+        j = standard_acs_field(space)
+        a = random_tangent_field(np.random.default_rng(50 + dim), j, bound=0.5)
+        c = ChartField(space, j, TangentField.derived(j, 0.3 * a.ops))
+        s = c.resolvents()
+        assert_allclose(c.resolvent_derivative(a), s @ (0.6 * a.ops @ a.ops) @ s,
+                        rtol=0, atol=1e-15)
+
+
 class TestChristoffel:
     def test_known_value(self, flat2):
         space, j, c = flat2

@@ -115,9 +115,11 @@ class TestCheckers:
         assert_report_invariant(r)
         order = [s for s in r.details if s["name"] == "fd_order_dim2"][0]
         assert 2.5 <= order["factor"] <= 6.0
-        # the center terms are identically zero by symmetry of the stencil
+        # the center terms are exactly zero: S' is 0 at K = 0
         terms = [s for s in r.details if s["name"] == "terms_dim2"][0]
         assert terms["residual"] == 0.0
+        offcentre = [s for s in r.details if s["name"] == "closed_offcentre_dim2"][0]
+        assert offcentre["passed"] and offcentre["tolerance"] == 1e-10
 
     def test_geodesics(self):
         r = check_geodesics(dims=(2,), points=3)
@@ -160,9 +162,12 @@ class TestCheckers:
     def test_every_checker_reports_step_and_tolerance(self):
         # the difference checkers report the tolerance of each sub-check in
         # details and of the binding one as the headline; the tolerances and
-        # the step, the one method constant FD_STEP, are no params
+        # the steps, the one method constant ORDER_STEPS, are no params
         step = inspect.signature(verify.fd_directional).parameters["h"].default
-        assert step == verify.FD_STEP == 1e-4
+        assert step is inspect.Parameter.empty
+        assert {name for name in vars(verify) if "STEP" in name} == {"ORDER_STEPS",
+                                                                      "MAX_T_STEPS"}
+        assert verify.ORDER_STEPS == (1e-2, 5e-3)
         for check in (check_theorem2, check_geodesics, check_curvature_fd,
                       check_metric_structure):
             r = check(dims=(2,), points=2)
@@ -198,19 +203,19 @@ class TestCheckers:
         assert math.isnan(ode[0]["residual"]) and ode[0]["passed"] is False
 
     def test_theorem2_binds_a_nan_ray_value(self, monkeypatch):
-        # the analytic ray value is NaN at the first case only; the fd_order
+        # the exact ray value is NaN at the first case only; the fd_order
         # pick must bind that case instead of passing over it
-        original = verify._omega_ray_derivative
+        original = verify._omega_terms
         calls = []
 
         def first_case_nan(*args):
-            exact = np.array(original(*args), dtype=float)
-            if not calls:
-                exact.flat[0] = math.nan
+            terms = original(*args)
             calls.append(None)
-            return exact
+            if len(calls) == 3:  # the center, the recentered center, the ray
+                terms[0].flat[0] = math.nan
+            return terms
 
-        monkeypatch.setattr(verify, "_omega_ray_derivative", first_case_nan)
+        monkeypatch.setattr(verify, "_omega_terms", first_case_nan)
         r = check_theorem2(dims=(2,))
         order = [s for s in r.details if s["name"] == "fd_order_dim2"][0]
         assert order["passed"] is False and r.passed is False
@@ -383,9 +388,10 @@ class TestRunSuite:
         assert all(r.passed for r in reports)
 
     def test_one_failing_check_fails_alone(self, monkeypatch):
-        # an analytic ray derivative off by 1 breaks theorem2's order window
-        original = verify._omega_ray_derivative
-        monkeypatch.setattr(verify, "_omega_ray_derivative", lambda *args: original(*args) + 1.0)
+        # terms of d Omega off by 1 break theorem2 alone
+        original = verify._omega_terms
+        monkeypatch.setattr(verify, "_omega_terms",
+                            lambda *args: tuple(t + 1.0 for t in original(*args)))
         reports = run_suite(small_suite_config())
         assert [r.name for r in reports if not r.passed] == ["theorem2"]
         assert_report_invariant(next(r for r in reports if r.name == "theorem2"))
